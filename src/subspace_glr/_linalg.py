@@ -27,9 +27,7 @@ def cho_factor_pd(a: np.ndarray, name: str = "matrix"):
     """
     try:
         return scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"{name} is not positive definite: {exc}") from exc
-    except scipy.linalg.LinAlgError as exc:  # scipy may raise its own class
+    except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is this class
         raise ValueError(f"{name} is not positive definite: {exc}") from exc
 
 
@@ -42,14 +40,6 @@ def pd_solve(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
 def quad_form(a: np.ndarray, x: np.ndarray) -> complex:
     """x^H a x."""
     return complex(np.vdot(x, a @ x))
-
-
-def herm_inv_sqrt(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Hermitian positive definite inverse square root via eigendecomposition."""
-    w, v = np.linalg.eigh(a)
-    if w[0] <= 0:
-        raise ValueError(f"{name} is not positive definite (min eigenvalue {w[0]:.3e})")
-    return hermitize((v * (1.0 / np.sqrt(w))) @ v.conj().T)
 
 
 def min_eig_herm(a: np.ndarray) -> float:

@@ -14,18 +14,12 @@ them at candidate R_rr, while the closed-form detectors fix R_rr = S_rr.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from ._linalg import (
-    check_hermitian,
-    cho_factor_pd,
-    hermitize,
-    herm_inv_sqrt,
-    min_eig_herm,
-    pd_solve,
-)
+from ._linalg import check_hermitian, cho_factor_pd, hermitize, pd_solve
 from .model import SnapshotData
 
 
@@ -74,11 +68,36 @@ class BlockSampleCov:
         bot = np.hstack([self.s_sr.conj().T, self.s_rr])
         return np.vstack([top, bot])
 
+    @cached_property
+    def chol_ss(self) -> tuple[np.ndarray, bool]:
+        """Lower Cholesky factor L_s of s_ss in cho_factor form, made on first use."""
+        return cho_factor_pd(self.s_ss, name="s_ss")
+
+    @cached_property
+    def chol_rr(self) -> tuple[np.ndarray, bool]:
+        """Lower Cholesky factor L_r of s_rr; see chol_ss."""
+        return cho_factor_pd(self.s_rr, name="s_rr")
+
+    def solve_ss(self, b: np.ndarray) -> np.ndarray:
+        return scipy.linalg.cho_solve(self.chol_ss, b, check_finite=False)
+
+    def solve_rr(self, b: np.ndarray) -> np.ndarray:
+        return scipy.linalg.cho_solve(self.chol_rr, b, check_finite=False)
+
+    def beta_s(self, u_s: np.ndarray) -> float:
+        """Capon denominator u_s^H S_ss^{-1} u_s."""
+        u_s = np.asarray(u_s, dtype=complex).reshape(-1)
+        return float((np.conj(u_s) @ self.solve_ss(u_s)).real)
+
+    def beta_r(self, u_r: np.ndarray) -> float:
+        """Capon denominator u_r^H S_rr^{-1} u_r."""
+        u_r = np.asarray(u_r, dtype=complex).reshape(-1)
+        return float((np.conj(u_r) @ self.solve_rr(u_r)).real)
+
     def schur_rr(self) -> np.ndarray:
         """S_rr - S_sr^H S_ss^{-1} S_sr, the reference block conditioned on
         the surveillance block. Positive definite whenever the full matrix is."""
-        t = pd_solve(self.s_ss, self.s_sr, name="s_ss")
-        return hermitize(self.s_rr - self.s_sr.conj().T @ t)
+        return hermitize(self.s_rr - self.s_sr.conj().T @ self.solve_ss(self.s_sr))
 
 
 def block_sample_cov(y_s: np.ndarray, y_r: np.ndarray) -> BlockSampleCov:
@@ -137,17 +156,15 @@ def eta_sr(
 
     r_rr = None evaluates at R_rr = S_rr.
     """
-    r_rr = s.s_rr if r_rr is None else r_rr
-    t_s = pd_solve(s.s_ss, u_s, name="s_ss")
-    t_r = pd_solve(r_rr, u_r, name="r_rr")
+    t_s = s.solve_ss(u_s)
+    t_r = s.solve_rr(u_r) if r_rr is None else pd_solve(r_rr, u_r, name="r_rr")
     return complex(t_s.conj() @ (s.s_sr @ t_r))
 
 
 def eta_rr(s: BlockSampleCov, u_r: np.ndarray, r_rr: np.ndarray | None = None) -> float:
     """u_r^H R_rr^{-1} S_rr R_rr^{-1} u_r. Real and positive; at R_rr = S_rr it
     collapses to the Capon denominator u_r^H S_rr^{-1} u_r."""
-    r_rr = s.s_rr if r_rr is None else r_rr
-    t_r = pd_solve(r_rr, u_r, name="r_rr")
+    t_r = s.solve_rr(u_r) if r_rr is None else pd_solve(r_rr, u_r, name="r_rr")
     val = complex(t_r.conj() @ (s.s_rr @ t_r))
     return float(val.real)
 
@@ -158,10 +175,9 @@ def alpha_sr(
     """u_r^H R_rr^{-1} S_sr^H S_ss^{-1} S_sr R_rr^{-1} u_r. Real, nonnegative,
     and strictly below eta_rr whenever the full sample covariance is positive
     definite (their difference is a Schur-complement quadratic form)."""
-    r_rr = s.s_rr if r_rr is None else r_rr
-    t_r = pd_solve(r_rr, u_r, name="r_rr")
+    t_r = s.solve_rr(u_r) if r_rr is None else pd_solve(r_rr, u_r, name="r_rr")
     w = s.s_sr @ t_r
-    val = complex(w.conj() @ pd_solve(s.s_ss, w, name="s_ss"))
+    val = complex(w.conj() @ s.solve_ss(w))
     return float(val.real)
 
 
@@ -178,19 +194,14 @@ class ReducedForms:
 
     All three are Hermitian positive definite when n >= 2L. The likelihood
     surface depends only on these (plus the rank-one selector for the first
-    coordinate), so the optimizer never touches the raw blocks.
+    coordinate), so the optimizer never touches the raw blocks. They are
+    validated once, where the optimizer's CostContext takes them in.
     """
 
     u_r_full: np.ndarray
     xi: np.ndarray
     psi: np.ndarray
     gamma_m: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name, m in (("xi", self.xi), ("psi", self.psi), ("gamma_m", self.gamma_m)):
-            check_hermitian(m, 1e-10, name)
-            if min_eig_herm(m) <= 0:
-                raise ValueError(f"reduced form {name} is not positive definite")
 
     @property
     def num_sensors(self) -> int:
@@ -230,7 +241,7 @@ def build_reduced_forms(
     xi = hermitize(u_full.conj().T @ s.s_rr @ u_full)
     schur = s.schur_rr()
     gamma_m = hermitize(u_full.conj().T @ schur @ u_full)
-    t_s = pd_solve(s.s_ss, u_s, name="s_ss")
+    t_s = s.solve_ss(u_s)
     beta_s = float((np.conj(u_s) @ t_s).real)
     g = u_full.conj().T @ (s.s_sr.conj().T @ t_s)
     psi = hermitize(beta_s * gamma_m + np.outer(g, g.conj()))
@@ -242,8 +253,9 @@ class BeamformerPair:
     """Minimum-power distortionless responses toward the two steering vectors.
 
     b_i = S_ii^{-1} u_i / (u_i^H S_ii^{-1} u_i) satisfies b_i^H u_i = 1.
-    w_i = S_ii^{-1/2} u_i / sqrt(u_i^H S_ii^{-1} u_i) is the whitened version
-    with unit Euclidean norm (Hermitian positive definite square root).
+    w_i = L_i^{-1} u_i / sqrt(u_i^H S_ii^{-1} u_i), with the Cholesky factor
+    S_ii = L_i L_i^H, is the whitened version with unit Euclidean norm; its
+    identities with coherence_matrix are those of square-root whitening.
     """
 
     b_s: np.ndarray
@@ -253,29 +265,31 @@ class BeamformerPair:
 
 
 def capon_pair(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> BeamformerPair:
-    """Build the distortionless beamformer pair from the diagonal blocks."""
+    """Build the distortionless beamformer pair from the Cholesky factors of
+    the diagonal blocks (whitening as in BeamformerPair)."""
     out = []
-    for name, block, u in (("s_ss", s.s_ss, u_s), ("s_rr", s.s_rr, u_r)):
+    for name, factor, u in (("s_ss", s.chol_ss, u_s), ("s_rr", s.chol_rr, u_r)):
         u = np.asarray(u, dtype=complex).reshape(-1)
-        t = pd_solve(block, u, name=name)
+        t = scipy.linalg.cho_solve(factor, u, check_finite=False)
         beta = float((np.conj(u) @ t).real)
         if beta <= 0:
             raise ValueError(f"nonpositive Capon denominator for {name}")
-        root = herm_inv_sqrt(block, name=name)
-        out.append((t / beta, (root @ u) / np.sqrt(beta)))
+        w = scipy.linalg.solve_triangular(factor[0], u, lower=True, check_finite=False)
+        out.append((t / beta, w / np.sqrt(beta)))
     (b_s, w_s), (b_r, w_r) = out
     return BeamformerPair(b_s=b_s, b_r=b_r, w_s=w_s, w_r=w_r)
 
 
 def coherence_matrix(s: BlockSampleCov) -> np.ndarray:
-    """Whitened cross-channel block C = S_ss^{-1/2} S_sr S_rr^{-1/2}.
+    """Whitened cross-channel block C = L_s^{-1} S_sr L_r^{-H}.
 
-    Uses Hermitian positive definite square roots. Every singular value of C
-    lies in [0, 1] when the full sample covariance is positive semidefinite.
+    Cholesky factors S_ii = L_i L_i^H; C is S_ss^{-1/2} S_sr S_rr^{-1/2} up to
+    unitary factors, so the singular values are the same, each in [0, 1] when
+    the full sample covariance is positive semidefinite.
     """
-    left = herm_inv_sqrt(s.s_ss, name="s_ss")
-    right = herm_inv_sqrt(s.s_rr, name="s_rr")
-    return left @ s.s_sr @ right
+    t = scipy.linalg.solve_triangular(s.chol_ss[0], s.s_sr, lower=True, check_finite=False)
+    t = scipy.linalg.solve_triangular(s.chol_rr[0], t.conj().T, lower=True, check_finite=False)
+    return t.conj().T
 
 
 def cross_capon_beta(s_block: np.ndarray, u: np.ndarray, name: str = "block") -> float:

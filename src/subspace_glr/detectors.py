@@ -33,7 +33,6 @@ from .covariance import (
     alpha_sr,
     build_reduced_forms,
     coherence_matrix,
-    cross_capon_beta,
     eta_rr,
     eta_sr,
     sample_cov,
@@ -95,8 +94,7 @@ def glr_low(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> float:
     """
     if s.maybe_singular:
         raise ValueError(f"need n >= 2L snapshots, got n={s.n}, L={s.num_sensors}")
-    beta_s = cross_capon_beta(s.s_ss, u_s, "s_ss")
-    beta_r = cross_capon_beta(s.s_rr, u_r, "s_rr")
+    beta_s, beta_r = s.beta_s(u_s), s.beta_r(u_r)
     eta = eta_sr(s, u_s, u_r)
     return abs(eta) ** 2 / (beta_s * beta_r)
 
@@ -112,8 +110,7 @@ def glr_sample(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> float:
     """
     if s.maybe_singular:
         raise ValueError(f"need n >= 2L snapshots, got n={s.n}, L={s.num_sensors}")
-    beta_s = cross_capon_beta(s.s_ss, u_s, "s_ss")
-    beta_r = cross_capon_beta(s.s_rr, u_r, "s_rr")
+    beta_s, beta_r = s.beta_s(u_s), s.beta_r(u_r)
     eta = eta_sr(s, u_s, u_r)
     alpha = alpha_sr(s, u_s, u_r)
     den = beta_s * (beta_r - alpha)
@@ -155,8 +152,7 @@ def glr_exact(
     u_r = np.asarray(u_r, dtype=complex).reshape(-1)
     if forms is None:
         forms = build_reduced_forms(s, u_s, u_r)
-    beta_s = cross_capon_beta(s.s_ss, u_s, "s_ss")
-    beta_r = cross_capon_beta(s.s_rr, u_r, "s_rr")
+    beta_s, beta_r = s.beta_s(u_s), s.beta_r(u_r)
     ctx = CostContext(forms.xi, forms.psi, forms.gamma_m)
     if s.num_sensors == 1:
         # One sensor per array: x is a scalar phase, J is constant.
@@ -234,7 +230,7 @@ def ml_qsr(
     eta = eta_sr(s, u_s, u_r, r_rr)
     e_rr = eta_rr(s, u_r, r_rr)
     alpha = alpha_sr(s, u_s, u_r, r_rr)
-    beta_s = cross_capon_beta(s.s_ss, u_s, "s_ss")
+    beta_s = s.beta_s(u_s)
     den = abs(eta) ** 2 + beta_s * (e_rr - alpha)
     if den <= 0.0:
         raise DegenerateSampleError(f"nonpositive denominator {den:.3e} in ml_qsr")
@@ -243,8 +239,7 @@ def ml_qsr(
 
 def low_snr_qsr(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> complex:
     """Low-SNR cross-gain estimate eta_sr(S_rr) / (beta_s beta_r)."""
-    beta_s = cross_capon_beta(s.s_ss, u_s, "s_ss")
-    beta_r = cross_capon_beta(s.s_rr, u_r, "s_rr")
+    beta_s, beta_r = s.beta_s(u_s), s.beta_r(u_r)
     return eta_sr(s, u_s, u_r) / (beta_s * beta_r)
 
 

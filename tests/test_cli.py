@@ -242,6 +242,15 @@ class TestDetect:
         assert main(["detect", "--data", str(data), "--steering", str(steer3)]) == 2
         assert "does not match" in capsys.readouterr().err
 
+    def test_zero_surveillance_channel(self, tmp_path, capsys):
+        data, steer = write_null_case_files(tmp_path, L=2, N=8, seed=68)
+        loaded = sg.read_snapshots(data)
+        zeroed = tmp_path / "zero_s.csv"
+        zero_s = sg.SnapshotData(np.zeros_like(loaded.y_s), loaded.y_r, "unknown")
+        sg.write_snapshot_csv(zeroed, zero_s)
+        assert main(["detect", "--data", str(zeroed), "--steering", str(steer)]) == 2
+        assert "s_ss" in capsys.readouterr().err
+
     def test_too_few_snapshots(self, tmp_path, capsys):
         data, steer = write_null_case_files(tmp_path, L=3, N=4, seed=67)
         assert main(["detect", "--data", str(data), "--steering", str(steer)]) == 2

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import subspace_glr as sg
 from subspace_glr.covariance import cross_capon_beta
@@ -109,6 +110,20 @@ class TestLowSnrIdentities:
             pair = sg.capon_pair(s, steer.u_s, steer.u_r)
             inner = abs(np.vdot(pair.w_s, sg.coherence_matrix(s) @ pair.w_r))
             assert smax >= inner - 1e-12
+
+    def test_sigma_max_matches_square_root_whitening(self):
+        # reference: top singular value of S_ss^{-1/2} S_sr S_rr^{-1/2},
+        # Hermitian inverse square roots built here from eigendecompositions
+        def inv_sqrt(a):
+            w, v = np.linalg.eigh(a)
+            return (v / np.sqrt(w)) @ v.conj().T
+
+        for L in (2, 4, 8):
+            for seed in range(5):
+                s, _, _ = make_instance(seed=1250 + 10 * L + seed, L=L)
+                c = inv_sqrt(s.s_ss) @ s.s_sr @ inv_sqrt(s.s_rr)
+                want = np.linalg.svd(c, compute_uv=False)[0]
+                assert sg.sigma_max_coherence(s) == pytest.approx(want, rel=1e-12)
 
 
 class TestScalarCase:
@@ -278,6 +293,30 @@ class TestComputeReport:
         with pytest.raises(ValueError, match="unknown"):
             sg.compute_report(data, steer, detectors=("glr", "bogus"))
 
+    def test_factors_each_block_once(self, monkeypatch):
+        # one six-detector trial: one Cholesky per diagonal block plus the
+        # warm start's own, no eigendecomposition, and the three eigvalsh
+        # calls of the single validation of the reduced forms
+        _, steer, data = make_instance(seed=47, L=4)
+        calls = {"cho_factor": 0, "eigh": 0, "eigvalsh": 0}
+
+        def counted(mod, name):
+            orig = getattr(mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return orig(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, wrapper)
+
+        counted(scipy.linalg, "cho_factor")
+        counted(np.linalg, "eigh")
+        counted(np.linalg, "eigvalsh")
+        sg.compute_report(data, steer)
+        assert calls["cho_factor"] <= 3
+        assert calls["eigh"] == 0
+        assert calls["eigvalsh"] <= 3
+
     def test_matches_standalone_functions(self):
         s, steer, data = make_instance(seed=46, L=3)
         rep = sg.compute_report(data, steer)
@@ -298,3 +337,13 @@ class TestDegenerateSamples:
         u = rand_unit(rng, L)
         with pytest.raises(ValueError):
             sg.glr_exact(s, u, u)
+
+    def test_zero_surveillance_channel_names_s_ss(self):
+        _, steer, data = make_instance(seed=48, L=3, N=12)
+        s = sg.block_sample_cov(np.zeros_like(data.y_s), data.y_r)
+        assert not s.maybe_singular
+        for fn in (sg.glr_exact, sg.glr_sample, sg.glr_low):
+            with pytest.raises(ValueError, match="s_ss"):
+                fn(s, steer.u_s, steer.u_r)
+        with pytest.raises(ValueError, match="s_ss"):
+            sg.sigma_max_coherence(s)
