@@ -342,6 +342,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         "optimizer": {
             "iterations": report.optim.iterations,
             "converged": report.optim.converged,
+            "stop_reason": report.optim.stop_reason,
             "j_value": report.optim.j_value,
         },
         "sample_cov_condition": float(np.linalg.cond(s.full())),

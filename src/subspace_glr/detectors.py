@@ -154,23 +154,11 @@ def glr_exact(
         forms = build_reduced_forms(s, u_s, u_r)
     beta_s, beta_r = s.beta_s(u_s), s.beta_r(u_r)
     ctx = CostContext(forms.xi, forms.psi, forms.gamma_m)
-    if s.num_sensors == 1:
-        # One sensor per array: x is a scalar phase, J is constant.
-        x_hat = np.ones(1, dtype=complex)
-        j_val = ctx.value(np.array([1.0, 0.0]))
-        res = OptimResult(
-            x_hat=x_hat,
-            j_value=j_val,
-            iterations=0,
-            converged=True,
-            j_trace=np.array([j_val]),
-        )
-    else:
-        res = maximize_j(ctx, init_x(s.s_rr, forms.u_r_full), opts)
-        for k in range(opts.n_restarts):
-            alt = maximize_j(ctx, random_start(s.num_sensors, substream(opts.restart_seed, k)), opts)
-            if alt.j_value > res.j_value:
-                res = alt
+    res = maximize_j(ctx, init_x(s, forms.u_r_full), opts)
+    for k in range(opts.n_restarts):
+        alt = maximize_j(ctx, random_start(s.num_sensors, substream(opts.restart_seed, k)), opts)
+        if alt.j_value > res.j_value:
+            res = alt
     stat = nu_squared(res.x_hat, ctx).value / (beta_s * beta_r)
     if not math.isfinite(stat):
         raise DegenerateSampleError(f"non-finite exact statistic {stat}")

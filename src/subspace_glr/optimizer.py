@@ -6,19 +6,21 @@ The exact likelihood-ratio statistic reduces to maximizing
 
 over nonzero complex vectors x of length L, where E selects the first
 coordinate (E = e1 e1^H) and Xi, Psi, Gamma are the Hermitian positive
-definite reduced forms. J is invariant to complex scaling of x, so the
-search effectively lives on the complex projective sphere; rather than
-optimize on the quotient we ascend in the flat 2L-dimensional real
-parametrization z = [Re x; Im x] and renormalize after every accepted step.
-Scale invariance makes the gradient orthogonal to the radial and phase
-directions automatically, so the flat ascent never fights the constraint.
+definite reduced forms. J is invariant to complex scaling of x, so only the
+ray of x matters, and J is -inf where x[0] = 0. Every other ray meets the
+affine chart x = [1; y] once, so the ascent runs in the 2L - 2 real
+coordinates [Re y; Im y] and never sees the scale and phase freedom.
 
 Gradient and Hessian are exact. For a ratio term log(z^T M z) the gradient
 is 2 M z / q and the Hessian 2 M / q - 4 (M z)(M z)^T / q^2 with q = z^T M z;
-J stacks four such terms with signs (+, -, +, -). The trust-region step
-solves the local quadratic model with Steihaug conjugate gradients, which
-handles the indefinite Hessians that occur away from the maximizer by
-walking to the boundary along negative-curvature directions.
+J stacks four such terms with signs (+, -, +, -). In the chart they are the
+rows and columns of the free coordinates of z = [Re x; Im x]. The
+trust-region step solves the local quadratic model with Steihaug conjugate
+gradients, which handles the indefinite Hessians that occur away from the
+maximizer by walking to the boundary along negative-curvature directions.
+The ascent has converged when the gradient norm is at most grad_tol or the
+step's predicted gain g.p + p.H.p/2 is at most 8 eps (1 + |J|), below the
+roundoff of J (the Newton-decrement test, Boyd & Vandenberghe, 9.5.1).
 """
 
 from __future__ import annotations
@@ -28,14 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (
-    check_hermitian,
-    min_eig_herm,
-    pd_solve,
-    real_embedding,
-    to_complex,
-    to_real,
-)
+from ._linalg import check_hermitian, min_eig_herm, real_embedding, to_complex, to_real
+from .covariance import BlockSampleCov
+
+# A predicted gain at or below this share of 1 + |J| is below J's roundoff.
+_GAIN_RTOL = 8.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -120,7 +119,7 @@ def hess_j(x: np.ndarray, ctx: CostContext) -> np.ndarray:
     return hess
 
 
-def init_x(s_rr: np.ndarray, u_r_full: np.ndarray) -> np.ndarray:
+def init_x(s: BlockSampleCov, u_r_full: np.ndarray) -> np.ndarray:
     """Warm start: the normalized first column of U_r^H S_rr^{-1} U_r.
 
     Equals U_r^H S_rr^{-1} u_r up to normalization. At this point the
@@ -128,7 +127,7 @@ def init_x(s_rr: np.ndarray, u_r_full: np.ndarray) -> np.ndarray:
     ascent from here can only improve on it.
     """
     u_r = u_r_full[:, 0]
-    y = u_r_full.conj().T @ pd_solve(np.asarray(s_rr, dtype=complex), u_r, name="s_rr")
+    y = u_r_full.conj().T @ s.solve_rr(u_r)
     x0 = y / np.linalg.norm(y)
     return _canonicalize(x0)
 
@@ -172,17 +171,21 @@ class TrustRegionOptions:
 class OptimResult:
     """Outcome of one ascent. x_hat is canonical: unit norm, x_hat[0] real >= 0.
 
-    converged is True only when the gradient norm dropped below grad_tol;
-    stopping on max_iter or radius collapse leaves it False. j_trace holds
-    the objective after the start and each accepted step and is
-    nondecreasing by construction.
+    stop_reason is "gradient" when the ascent converged (see the module
+    docstring), "radius" when the trust radius fell below min_radius first,
+    and "max_iter" when it ran out of steps. j_trace holds the objective after
+    the start and each accepted step and is nondecreasing by construction.
     """
 
     x_hat: np.ndarray
     j_value: float
     iterations: int
-    converged: bool
+    stop_reason: str
     j_trace: np.ndarray
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "gradient"
 
 
 def _steihaug(grad: np.ndarray, hess: np.ndarray, radius: float) -> np.ndarray:
@@ -230,45 +233,50 @@ def _steihaug(grad: np.ndarray, hess: np.ndarray, radius: float) -> np.ndarray:
 def maximize_j(
     ctx: CostContext, x0: np.ndarray, opts: TrustRegionOptions | None = None
 ) -> OptimResult:
-    """Ascend J from x0 with a Steihaug trust-region method.
+    """Ascend J from x0 with a Steihaug trust-region method in the chart x = [1; y].
 
-    Internally minimizes -J. Steps are scored against the quadratic model;
-    accepted steps are renormalized back to the unit sphere with a real
-    first coordinate (J does not move under that). The trace of accepted
+    Internally minimizes -J over the free coordinates [Re y; Im y]; x0 is
+    moved into the chart by dividing by x0[0], which must not vanish. Steps
+    are scored against the quadratic model, and the trace of accepted
     objective values is monotone because only improving steps are taken.
     """
     opts = opts or TrustRegionOptions()
     x0 = np.asarray(x0, dtype=complex).reshape(-1)
-    if x0.size != ctx.num_sensors:
-        raise ValueError(f"x0 has length {x0.size}, expected {ctx.num_sensors}")
-    z = to_real(_canonicalize(x0))
+    dim = ctx.num_sensors
+    if x0.size != dim:
+        raise ValueError(f"x0 has length {x0.size}, expected {dim}")
+    if x0[0] == 0:
+        raise ValueError("start point x0 has x0[0] == 0, outside the chart x = [1; y]")
+    free = np.r_[1:dim, dim + 1 : 2 * dim]
+    free_block = np.ix_(free, free)
+    z = to_real(x0 / x0[0])
     try:
         f, grad, hess = ctx.value_grad_hess(z)
     except ValueError as exc:
         raise ValueError(f"objective is -inf at the start point: {exc}") from exc
+    grad, hess = grad[free], hess[free_block]
     trace = [f]
     radius = opts.initial_radius
     iterations = 0
-    converged = False
+    stop_reason = "max_iter"
     for it in range(1, opts.max_iter + 1):
-        g_norm = float(np.linalg.norm(grad))
-        if g_norm <= opts.grad_tol:
-            converged = True
-            break
-        iterations = it
         # Minimize the model of -J.
         p = _steihaug(-grad, -hess, radius)
-        step_norm = float(np.linalg.norm(p))
-        if step_norm == 0.0:
-            break
         pred = float(grad @ p + 0.5 * p @ hess @ p)  # predicted J increase
-        z_new = to_real(_canonicalize(to_complex(z + p)))
+        if np.linalg.norm(grad) <= opts.grad_tol or pred <= _GAIN_RTOL * (1.0 + abs(f)):
+            stop_reason = "gradient"
+            break
+        iterations = it
+        step_norm = float(np.linalg.norm(p))
+        z_new = z.copy()
+        z_new[free] += p
         f_new = ctx.value(z_new)
         actual = f_new - f
-        if pred > 0.0 and actual > 0.0 and actual / pred >= opts.accept_ratio:
+        if actual > 0.0 and actual / pred >= opts.accept_ratio:
             z, f = z_new, f_new
             trace.append(f)
             f, grad, hess = ctx.value_grad_hess(z)
+            grad, hess = grad[free], hess[free_block]
             if actual / pred > 0.75 and step_norm >= 0.9 * radius:
                 radius *= 2.0
             elif actual / pred < 0.25:
@@ -276,13 +284,13 @@ def maximize_j(
         else:
             radius = 0.25 * min(radius, step_norm)
         if radius < opts.min_radius:
+            stop_reason = "radius"
             break
-    x_hat = _canonicalize(to_complex(z))
     return OptimResult(
-        x_hat=x_hat,
+        x_hat=_canonicalize(to_complex(z)),
         j_value=f,
         iterations=iterations,
-        converged=converged,
+        stop_reason=stop_reason,
         j_trace=np.asarray(trace),
     )
 

@@ -183,7 +183,7 @@ def test_criterion_4_optimizer(identity_instances, emit):
     monotone = True
     runs = 0
     for s, forms, ctx in contexts:
-        res = sg.maximize_j(ctx, sg.init_x(s.s_rr, forms.u_r_full))
+        res = sg.maximize_j(ctx, sg.init_x(s, forms.u_r_full))
         monotone &= bool(np.all(np.diff(res.j_trace) >= 0))
         res = sg.maximize_j(ctx, random_start(ctx.xi.shape[0], rng))
         monotone &= bool(np.all(np.diff(res.j_trace) >= 0))
@@ -196,7 +196,7 @@ def test_criterion_4_optimizer(identity_instances, emit):
         s, steer, _ = make_instance(seed=3400 + seed, L=2)
         forms = sg.build_reduced_forms(s, steer.u_s, steer.u_r)
         ctx = sg.CostContext(forms.xi, forms.psi, forms.gamma_m)
-        res = sg.maximize_j(ctx, sg.init_x(s.s_rr, forms.u_r_full))
+        res = sg.maximize_j(ctx, sg.init_x(s, forms.u_r_full))
         best = grid_max_j_l2(ctx, grid=2000, zoom_steps=8)
         worst_grid = max(worst_grid, abs(res.j_value - best))
     emit("4c L=2 grid oracle (tol 1e-6)", worst_grid <= 1e-6, f"max|dJ|={worst_grid:.2e}")

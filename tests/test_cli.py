@@ -189,6 +189,7 @@ class TestDetect:
         assert stats["glr_low"] == 0.0
         assert stats["sigma_max"] == pytest.approx(0.0, abs=1e-12)
         assert result["optimizer"]["converged"] is True
+        assert result["optimizer"]["stop_reason"] == "gradient"
 
     def test_same_file_twice_identical_json(self, tmp_path, capsys):
         data, steer = write_null_case_files(tmp_path, seed=61)

@@ -21,6 +21,11 @@ def random_ctx(seed, dim):
     return sg.CostContext(xi, psi, gamma)
 
 
+def no_cross_cov(block):
+    """A BlockSampleCov with both diagonal blocks equal to block and no cross block."""
+    return sg.BlockSampleCov(block, np.zeros_like(block), block, n=2 * block.shape[0])
+
+
 def instance_ctx(seed, L=3):
     s, steer, _ = make_instance(seed=seed, L=L)
     forms = sg.build_reduced_forms(s, steer.u_s, steer.u_r)
@@ -122,18 +127,18 @@ class TestInitX:
         rng = np.random.default_rng(5)
         u_r = rand_unit(rng, L)
         u_full = np.column_stack([u_r, sg.unitary_completion(u_r)])
-        x0 = sg.init_x(np.eye(L, dtype=complex), u_full)
+        x0 = sg.init_x(no_cross_cov(np.eye(L, dtype=complex)), u_full)
         e1 = np.zeros(L, dtype=complex)
         e1[0] = 1.0
         assert np.allclose(x0, e1, atol=1e-12)
 
     def test_single_sensor(self):
-        x0 = sg.init_x(np.array([[2.0 + 0j]]), np.array([[1.0 + 0j]]))
+        x0 = sg.init_x(no_cross_cov(np.array([[2.0 + 0j]])), np.array([[1.0 + 0j]]))
         assert np.allclose(x0, [1.0])
 
     def test_canonical_form(self):
         s, steer, forms, _ = instance_ctx(seed=35)
-        x0 = sg.init_x(s.s_rr, forms.u_r_full)
+        x0 = sg.init_x(s, forms.u_r_full)
         assert np.linalg.norm(x0) == pytest.approx(1.0, abs=1e-12)
         assert x0[0].imag == 0.0
         assert x0[0].real >= 0.0
@@ -159,29 +164,69 @@ class TestMaximizeJ:
 
     def test_phase_invariant_start(self):
         s, steer, forms, ctx = instance_ctx(seed=36)
-        x0 = sg.init_x(s.s_rr, forms.u_r_full)
+        x0 = sg.init_x(s, forms.u_r_full)
         base = sg.maximize_j(ctx, x0)
         rotated = sg.maximize_j(ctx, np.exp(1.7j) * x0)
         assert np.max(np.abs(base.x_hat - rotated.x_hat)) <= 1e-8
 
     def test_stationary_when_converged(self):
         s, steer, forms, ctx = instance_ctx(seed=37)
-        res = sg.maximize_j(ctx, sg.init_x(s.s_rr, forms.u_r_full))
+        res = sg.maximize_j(ctx, sg.init_x(s, forms.u_r_full))
         assert res.converged
         assert np.linalg.norm(sg.grad_j(res.x_hat, ctx)) <= 1e-7
 
     def test_result_is_canonical(self):
         s, steer, forms, ctx = instance_ctx(seed=38)
-        res = sg.maximize_j(ctx, sg.init_x(s.s_rr, forms.u_r_full))
+        res = sg.maximize_j(ctx, sg.init_x(s, forms.u_r_full))
         assert np.linalg.norm(res.x_hat) == pytest.approx(1.0, abs=1e-10)
         assert res.x_hat[0].imag == 0.0
         assert res.x_hat[0].real >= 0.0
 
     def test_beats_grid_oracle_two_sensors(self):
         s, steer, forms, ctx = instance_ctx(seed=39, L=2)
-        res = sg.maximize_j(ctx, sg.init_x(s.s_rr, forms.u_r_full))
+        res = sg.maximize_j(ctx, sg.init_x(s, forms.u_r_full))
         grid_best = grid_max_j_l2(ctx, grid=400, zoom_steps=6)
         assert res.j_value >= grid_best - 1e-6
+
+    def test_warm_start_ascent_stops_on_gradient(self):
+        # The stop test reads converged whenever no step can raise J beyond
+        # its roundoff, so no ascent from the warm start ends unconverged.
+        iterations = []
+        for seed in range(200):
+            s, steer, _ = make_instance(
+                seed, L=4, N=15, snr_s_db=0.0, snr_r_db=0.0, hypothesis="H0"
+            )
+            forms = sg.build_reduced_forms(s, steer.u_s, steer.u_r)
+            ctx = sg.CostContext(forms.xi, forms.psi, forms.gamma_m)
+            res = sg.maximize_j(ctx, sg.init_x(s, forms.u_r_full))
+            assert res.stop_reason == "gradient", f"seed {seed}: {res.stop_reason}"
+            assert res.converged
+            iterations.append(res.iterations)
+        assert max(iterations) > 1
+
+    def test_stops_on_max_iter(self):
+        s, steer, forms, ctx = instance_ctx(seed=40, L=4)
+        x0 = sg.init_x(s, forms.u_r_full)
+        assert sg.maximize_j(ctx, x0).iterations > 1
+        res = sg.maximize_j(ctx, x0, sg.TrustRegionOptions(max_iter=1))
+        assert res.stop_reason == "max_iter"
+        assert res.iterations == 1
+        assert not res.converged
+
+    def test_stops_on_radius(self):
+        # A first step of length 10 from the warm start overshoots and is
+        # rejected; the shrunken radius then falls below min_radius.
+        s, steer, forms, ctx = instance_ctx(seed=41, L=4)
+        opts = sg.TrustRegionOptions(initial_radius=10.0, min_radius=5.0)
+        res = sg.maximize_j(ctx, sg.init_x(s, forms.u_r_full), opts)
+        assert res.stop_reason == "radius"
+        assert not res.converged
+        assert res.j_trace.size == 1
+
+    def test_rejects_start_off_the_chart(self):
+        _, _, _, ctx = instance_ctx(seed=42)
+        with pytest.raises(ValueError, match="start point"):
+            sg.maximize_j(ctx, np.array([0.0, 1.0, 0.5j]))
 
     def test_warm_start_value_matches_sample_approximation(self):
         # At the warm start the likelihood ratio equals 1 + glr_sample exactly.
@@ -189,7 +234,7 @@ class TestMaximizeJ:
             s, steer, data = make_instance(seed=800 + seed, L=3)
             forms = sg.build_reduced_forms(s, steer.u_s, steer.u_r)
             ctx = sg.CostContext(forms.xi, forms.psi, forms.gamma_m)
-            x0 = sg.init_x(s.s_rr, forms.u_r_full)
+            x0 = sg.init_x(s, forms.u_r_full)
             from subspace_glr.covariance import cross_capon_beta
 
             beta_s = cross_capon_beta(s.s_ss, steer.u_s)
