@@ -49,6 +49,7 @@ from .detectors import (
     ml_qsr,
     nu_squared,
     oracle_glr,
+    score_batch,
     sigma_max_coherence,
     svd_corr_stat,
 )
@@ -64,6 +65,7 @@ from .model import (
     population_cov,
     scale_noise_to_snr,
     substream,
+    synth_batch,
     synth_snapshots,
     ula_steering,
 )

@@ -6,16 +6,25 @@ import numpy as np
 import scipy.linalg
 
 
+def adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (a + a^H) / 2 to scrub rounding asymmetry."""
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + adjoint(a))
 
 
 def check_hermitian(a: np.ndarray, tol: float = 1e-10, name: str = "matrix") -> None:
-    dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-    if dev > tol * scale:
-        raise ValueError(f"{name} is not Hermitian (deviation {dev:.3e})")
+    """Reject a matrix, or any matrix of a (..., L, L) stack, that is not
+    Hermitian to tol relative to max(1, its largest entry)."""
+    if not a.size:
+        return
+    dev = np.max(np.abs(a - adjoint(a)), axis=(-2, -1))
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+    if np.any(dev > tol * scale):
+        raise ValueError(f"{name} is not Hermitian (deviation {np.max(dev):.3e})")
 
 
 def cho_factor_pd(a: np.ndarray, name: str = "matrix"):
@@ -29,6 +38,39 @@ def cho_factor_pd(a: np.ndarray, name: str = "matrix"):
         return scipy.linalg.cho_factor(a, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is this class
         raise ValueError(f"{name} is not positive definite: {exc}") from exc
+
+
+def cholesky_pd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Lower Cholesky factor of a Hermitian positive definite matrix, or of
+    every matrix in a (..., L, L) stack, with one np.linalg.cholesky call.
+
+    When a matrix is not positive definite, raises the ValueError that
+    cho_factor_pd gives for the first such matrix of the stack.
+    """
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        for m in a.reshape((-1,) + a.shape[-2:]):
+            cho_factor_pd(m, name=name)
+        raise ValueError(f"{name} is not positive definite") from None
+
+
+def lower_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve low @ x = b by forward substitution, for a lower-triangular low
+    with any leading shape and b of shape (..., L, K)."""
+    shape = np.broadcast_shapes(low.shape[:-2], b.shape[:-2]) + b.shape[-2:]
+    x = np.zeros(shape, dtype=np.result_type(low, b))
+    for i in range(low.shape[-1]):
+        done = low[..., i : i + 1, :i] @ x[..., :i, :]
+        x[..., i, :] = (b[..., i, :] - done[..., 0, :]) / low[..., i, i, None]
+    return x
+
+
+def lower_adjoint_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve low^H @ x = b: forward substitution with the order of the
+    unknowns reversed, which makes the upper-triangular low^H lower."""
+    flipped = adjoint(low)[..., ::-1, ::-1]
+    return lower_solve(flipped, b[..., ::-1, :])[..., ::-1, :]
 
 
 def pd_solve(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:

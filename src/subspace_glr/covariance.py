@@ -9,6 +9,10 @@ and on a handful of scalars and reduced L x L matrices built from it. The
 scalars eta_sr, eta_rr, alpha_sr take an arbitrary reference-channel
 covariance argument because the exact likelihood maximization evaluates
 them at candidate R_rr, while the closed-form detectors fix R_rr = S_rr.
+
+BlockSampleCov, capon_pair and coherence_matrix also take a stack of
+covariances with leading trial axes, which is how the Monte Carlo harness
+scores a block of trials at once; the other functions here take one.
 """
 
 from __future__ import annotations
@@ -19,7 +23,15 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from ._linalg import check_hermitian, cho_factor_pd, hermitize, pd_solve
+from ._linalg import (
+    adjoint,
+    check_hermitian,
+    cholesky_pd,
+    hermitize,
+    lower_adjoint_solve,
+    lower_solve,
+    pd_solve,
+)
 from .model import SnapshotData
 
 
@@ -30,8 +42,10 @@ class BlockSampleCov:
     Attributes
     ----------
     s_ss, s_sr, s_rr : ndarray
-        The L x L blocks. s_ss and s_rr are Hermitian; s_sr is the
-        cross-channel block (surveillance rows, reference columns).
+        The L x L blocks, or stacks of them of shape (..., L, L). s_ss and
+        s_rr are Hermitian; s_sr is the cross-channel block (surveillance
+        rows, reference columns). The solve_*, beta_* and schur_rr methods
+        take a single covariance; trial(i) gives one from a stack.
     n : int
         Number of snapshots averaged. With n >= 2L the full matrix is
         positive definite almost surely; below that it is singular and the
@@ -47,8 +61,9 @@ class BlockSampleCov:
         self.s_ss = np.asarray(self.s_ss, dtype=complex)
         self.s_sr = np.asarray(self.s_sr, dtype=complex)
         self.s_rr = np.asarray(self.s_rr, dtype=complex)
-        if self.s_ss.shape != self.s_rr.shape or self.s_sr.shape != self.s_ss.shape:
-            raise ValueError("covariance blocks must share one L x L shape")
+        shape = self.s_ss.shape
+        if shape != self.s_rr.shape or shape != self.s_sr.shape or len(shape) < 2 or shape[-1] != shape[-2]:
+            raise ValueError("covariance blocks must share one (..., L, L) shape")
         check_hermitian(self.s_ss, 1e-10, "s_ss")
         check_hermitian(self.s_rr, 1e-10, "s_rr")
         if self.n < 1:
@@ -56,7 +71,7 @@ class BlockSampleCov:
 
     @property
     def num_sensors(self) -> int:
-        return self.s_ss.shape[0]
+        return self.s_ss.shape[-1]
 
     @property
     def maybe_singular(self) -> bool:
@@ -64,25 +79,32 @@ class BlockSampleCov:
 
     def full(self) -> np.ndarray:
         """Assemble the 2L x 2L matrix."""
-        top = np.hstack([self.s_ss, self.s_sr])
-        bot = np.hstack([self.s_sr.conj().T, self.s_rr])
-        return np.vstack([top, bot])
+        top = np.concatenate([self.s_ss, self.s_sr], axis=-1)
+        bot = np.concatenate([adjoint(self.s_sr), self.s_rr], axis=-1)
+        return np.concatenate([top, bot], axis=-2)
 
     @cached_property
-    def chol_ss(self) -> tuple[np.ndarray, bool]:
-        """Lower Cholesky factor L_s of s_ss in cho_factor form, made on first use."""
-        return cho_factor_pd(self.s_ss, name="s_ss")
+    def chol_ss(self) -> np.ndarray:
+        """Lower Cholesky factor L_s of s_ss (one per stacked block), made on first use."""
+        return cholesky_pd(self.s_ss, name="s_ss")
 
     @cached_property
-    def chol_rr(self) -> tuple[np.ndarray, bool]:
+    def chol_rr(self) -> np.ndarray:
         """Lower Cholesky factor L_r of s_rr; see chol_ss."""
-        return cho_factor_pd(self.s_rr, name="s_rr")
+        return cholesky_pd(self.s_rr, name="s_rr")
+
+    def trial(self, i: int) -> "BlockSampleCov":
+        """Covariance i of a stack. It shares the stack's Cholesky factors
+        (made on first use), so no trial factors its blocks again."""
+        one = BlockSampleCov(self.s_ss[i], self.s_sr[i], self.s_rr[i], self.n)
+        one.__dict__.update(chol_ss=self.chol_ss[i], chol_rr=self.chol_rr[i])
+        return one
 
     def solve_ss(self, b: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve(self.chol_ss, b, check_finite=False)
+        return scipy.linalg.cho_solve((self.chol_ss, True), b, check_finite=False)
 
     def solve_rr(self, b: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve(self.chol_rr, b, check_finite=False)
+        return scipy.linalg.cho_solve((self.chol_rr, True), b, check_finite=False)
 
     def beta_s(self, u_s: np.ndarray) -> float:
         """Capon denominator u_s^H S_ss^{-1} u_s."""
@@ -101,15 +123,16 @@ class BlockSampleCov:
 
 
 def block_sample_cov(y_s: np.ndarray, y_r: np.ndarray) -> BlockSampleCov:
-    """Partitioned sample covariance from raw L x N snapshot matrices."""
+    """Partitioned sample covariance from raw L x N snapshot matrices, or
+    from stacks of them of shape (..., L, N)."""
     y_s = np.asarray(y_s, dtype=complex)
     y_r = np.asarray(y_r, dtype=complex)
-    if y_s.shape != y_r.shape or y_s.ndim != 2:
+    if y_s.shape != y_r.shape or y_s.ndim < 2:
         raise ValueError("y_s and y_r must be L x N matrices of equal shape")
-    n = y_s.shape[1]
-    s_ss = hermitize(y_s @ y_s.conj().T / n)
-    s_rr = hermitize(y_r @ y_r.conj().T / n)
-    s_sr = y_s @ y_r.conj().T / n
+    n = y_s.shape[-1]
+    s_ss = hermitize(y_s @ adjoint(y_s) / n)
+    s_rr = hermitize(y_r @ adjoint(y_r) / n)
+    s_sr = y_s @ adjoint(y_r) / n
     return BlockSampleCov(s_ss, s_sr, s_rr, n)
 
 
@@ -250,46 +273,51 @@ def build_reduced_forms(
 
 @dataclass
 class BeamformerPair:
-    """Minimum-power distortionless responses toward the two steering vectors.
+    """Whitened steering vectors and the beamformers built from them.
 
-    b_i = S_ii^{-1} u_i / (u_i^H S_ii^{-1} u_i) satisfies b_i^H u_i = 1.
-    w_i = L_i^{-1} u_i / sqrt(u_i^H S_ii^{-1} u_i), with the Cholesky factor
-    S_ii = L_i L_i^H, is the whitened version with unit Euclidean norm; its
+    With the Cholesky factor S_ii = L_i L_i^H, a_i = L_i^{-1} u_i is the
+    whitened steering vector and beta_i = |a_i|^2 = u_i^H S_ii^{-1} u_i the
+    Capon denominator. w_i = a_i / sqrt(beta_i) has unit Euclidean norm; its
     identities with coherence_matrix are those of square-root whitening.
+    b_i = L_i^{-H} a_i / beta_i = S_ii^{-1} u_i / beta_i is the minimum-power
+    distortionless response, b_i^H u_i = 1. Every field carries the leading
+    trial axes of the covariance.
     """
 
-    b_s: np.ndarray
-    b_r: np.ndarray
+    a_s: np.ndarray
+    a_r: np.ndarray
+    beta_s: np.ndarray
+    beta_r: np.ndarray
     w_s: np.ndarray
     w_r: np.ndarray
+    b_s: np.ndarray
+    b_r: np.ndarray
 
 
 def capon_pair(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> BeamformerPair:
-    """Build the distortionless beamformer pair from the Cholesky factors of
-    the diagonal blocks (whitening as in BeamformerPair)."""
+    """Whiten the steering vectors with the Cholesky factors of the diagonal
+    blocks and build the beamformer pair (see BeamformerPair). u_s and u_r
+    are (..., L), one vector per covariance of a stack or one for all."""
     out = []
-    for name, factor, u in (("s_ss", s.chol_ss, u_s), ("s_rr", s.chol_rr, u_r)):
-        u = np.asarray(u, dtype=complex).reshape(-1)
-        t = scipy.linalg.cho_solve(factor, u, check_finite=False)
-        beta = float((np.conj(u) @ t).real)
-        if beta <= 0:
-            raise ValueError(f"nonpositive Capon denominator for {name}")
-        w = scipy.linalg.solve_triangular(factor[0], u, lower=True, check_finite=False)
-        out.append((t / beta, w / np.sqrt(beta)))
-    (b_s, w_s), (b_r, w_r) = out
-    return BeamformerPair(b_s=b_s, b_r=b_r, w_s=w_s, w_r=w_r)
+    for factor, u in ((s.chol_ss, u_s), (s.chol_rr, u_r)):
+        a = lower_solve(factor, np.asarray(u, dtype=complex)[..., None])[..., 0]
+        beta = np.vecdot(a, a).real
+        b = lower_adjoint_solve(factor, a[..., None])[..., 0]
+        out.append((a, beta, a / np.sqrt(beta)[..., None], b / beta[..., None]))
+    (a_s, beta_s, w_s, b_s), (a_r, beta_r, w_r, b_r) = out
+    return BeamformerPair(a_s, a_r, beta_s, beta_r, w_s, w_r, b_s, b_r)
 
 
 def coherence_matrix(s: BlockSampleCov) -> np.ndarray:
-    """Whitened cross-channel block C = L_s^{-1} S_sr L_r^{-H}.
+    """Whitened cross-channel block C = L_s^{-1} S_sr L_r^{-H}, one per
+    covariance of a stack.
 
     Cholesky factors S_ii = L_i L_i^H; C is S_ss^{-1/2} S_sr S_rr^{-1/2} up to
     unitary factors, so the singular values are the same, each in [0, 1] when
     the full sample covariance is positive semidefinite.
     """
-    t = scipy.linalg.solve_triangular(s.chol_ss[0], s.s_sr, lower=True, check_finite=False)
-    t = scipy.linalg.solve_triangular(s.chol_rr[0], t.conj().T, lower=True, check_finite=False)
-    return t.conj().T
+    t = lower_solve(s.chol_ss, s.s_sr)
+    return adjoint(lower_solve(s.chol_rr, adjoint(t)))
 
 
 def cross_capon_beta(s_block: np.ndarray, u: np.ndarray, name: str = "block") -> float:

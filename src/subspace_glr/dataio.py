@@ -19,6 +19,9 @@ Binary (compact, single precision). Little-endian regardless of host:
     16      8LN   Y_s, row-major complex64 (float32 re, float32 im pairs)
     16+8LN  8LN   Y_r, same layout
 
+Both readers reject a NaN or infinite entry with a ValueError that names the
+file, the channel, the sensor and the snapshot index.
+
 Steering files are CSV with header "channel,sensor,re,im" and one row per
 sensor per channel. Vectors are validated to be within 1e-6 of unit norm
 and renormalized exactly on load.
@@ -35,6 +38,16 @@ import numpy as np
 from .model import SnapshotData, SteeringPair
 
 MAGIC = b"SGLRSNP1"
+
+
+def _check_finite(where: str, tag: str, sensors, finite: np.ndarray) -> None:
+    """Reject the first False of a (sensor rows, N) finiteness mask of one channel."""
+    bad = np.argwhere(~finite)
+    if bad.size:
+        row, snapshot = bad[0]
+        raise ValueError(
+            f"{where}: non-finite value in channel {tag!r}, sensor {sensors[row]}, snapshot {snapshot}"
+        )
 
 
 def write_snapshot_csv(path: str | Path, data: SnapshotData) -> None:
@@ -70,6 +83,8 @@ def read_snapshot_csv(path: str | Path) -> SnapshotData:
             vals = [float(v) for v in row[2:]]
             if len(vals) % 2 != 0:
                 raise ValueError(f"{path}:{line_no}: odd number of value columns")
+            finite = np.isfinite(np.reshape(vals, (1, -1, 2))).all(axis=2)
+            _check_finite(f"{path}:{line_no}", tag, [row[1]], finite)
             arr = np.asarray(vals[0::2]) + 1j * np.asarray(vals[1::2])
             rows[tag].append((int(row[1]), arr))
     for tag in ("s", "r"):
@@ -101,13 +116,12 @@ def read_snapshot_bin(path: str | Path) -> SnapshotData:
     if len(raw) != want:
         raise ValueError(f"{path}: expected {want} bytes for L={sensors}, N={snaps}, got {len(raw)}")
     block = 8 * sensors * snaps
-    y_s = np.frombuffer(raw, dtype="<c8", count=sensors * snaps, offset=16)
-    y_r = np.frombuffer(raw, dtype="<c8", count=sensors * snaps, offset=16 + block)
-    return SnapshotData(
-        y_s.reshape(sensors, snaps).astype(complex),
-        y_r.reshape(sensors, snaps).astype(complex),
-        "unknown",
-    )
+    channels = {}
+    for k, tag in enumerate("sr"):
+        y = np.frombuffer(raw, dtype="<c8", count=sensors * snaps, offset=16 + k * block)
+        channels[tag] = y.reshape(sensors, snaps).astype(complex)
+        _check_finite(str(path), tag, range(sensors), np.isfinite(channels[tag]))
+    return SnapshotData(channels["s"], channels["r"], "unknown")
 
 
 def read_snapshots(path: str | Path) -> SnapshotData:

@@ -16,6 +16,12 @@ scaling either channel, so their thresholds calibrated on H0 transfer
 across unknown noise levels. The cross-covariance energy t_cc is
 deliberately not: it is kept in its textbook form and scales as
 (c_s c_r)^2 (see cross_corr_stat).
+
+The closed forms are vector operations on beamformed data: the whitened
+steering vectors a_i = L_i^{-1} u_i and the coherence matrix
+C = L_s^{-1} S_sr L_r^{-H}, with the Cholesky factors S_ii = L_i L_i^H.
+They take a single covariance or a stack of them, and score_batch scores a
+stack of records at once; compute_report is a stack of one.
 """
 
 from __future__ import annotations
@@ -31,11 +37,12 @@ from .covariance import (
     BlockSampleCov,
     ReducedForms,
     alpha_sr,
+    block_sample_cov,
     build_reduced_forms,
+    capon_pair,
     coherence_matrix,
     eta_rr,
     eta_sr,
-    sample_cov,
 )
 from .model import SnapshotData, SteeringPair, substream
 from .optimizer import (
@@ -49,6 +56,9 @@ from .optimizer import (
 
 DETECTOR_NAMES = ("glr", "glr_sample", "glr_low", "sigma_max", "t_cc", "t_svd")
 PROPOSED_DETECTORS = ("glr", "glr_sample", "glr_low")
+# DetectorReport field of a detector whose field is not named after it.
+_REPORT_FIELD = {"glr": "glr_1n"}
+_ZERO_CHANNEL = "svd_corr_stat requires nonzero channel matrices"
 
 
 class DegenerateSampleError(ValueError):
@@ -85,18 +95,37 @@ def nu_squared(x: np.ndarray, ctx: CostContext) -> NuSquared:
     )
 
 
+def _beamformed(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray):
+    """(eta_sr, beta_s, beta_r, alpha_sr) at R_rr = S_rr, from the whitened
+    steering vectors and the coherence matrix: eta_sr = a_s^H C a_r,
+    beta_i = |a_i|^2 and alpha_sr = |C a_r|^2."""
+    if s.maybe_singular:
+        raise ValueError(f"need n >= 2L snapshots, got n={s.n}, L={s.num_sensors}")
+    pair = capon_pair(s, u_s, u_r)
+    c_ar = (coherence_matrix(s) @ pair.a_r[..., None])[..., 0]
+    return np.vecdot(pair.a_s, c_ar), pair.beta_s, pair.beta_r, np.vecdot(c_ar, c_ar).real
+
+
 def glr_low(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> float:
     """Low-SNR statistic |eta_sr|^2 / (beta_s beta_r).
 
     Equals |b_s^H S_sr b_r|^2 / ((b_s^H S_ss b_s)(b_r^H S_rr b_r)) for the
     distortionless beamformer pair, and |w_s^H C w_r|^2 for the whitened
     pair with the coherence matrix C. Lies in [0, sigma_max^2] <= [0, 1].
+    One value per covariance of a stack.
     """
-    if s.maybe_singular:
-        raise ValueError(f"need n >= 2L snapshots, got n={s.n}, L={s.num_sensors}")
-    beta_s, beta_r = s.beta_s(u_s), s.beta_r(u_r)
-    eta = eta_sr(s, u_s, u_r)
-    return abs(eta) ** 2 / (beta_s * beta_r)
+    eta, beta_s, beta_r, _ = _beamformed(s, u_s, u_r)
+    return np.abs(eta) ** 2 / (beta_s * beta_r)
+
+
+def _glr_sample_terms(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray):
+    """Numerator |eta_sr|^2 and denominator beta_s (beta_r - alpha_sr) of glr_sample."""
+    eta, beta_s, beta_r, alpha = _beamformed(s, u_s, u_r)
+    return np.abs(eta) ** 2, beta_s * (beta_r - alpha)
+
+
+def _collapsed(den: float) -> DegenerateSampleError:
+    return DegenerateSampleError(f"nonpositive denominator {den:.3e} in glr_sample")
 
 
 def glr_sample(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> float:
@@ -106,17 +135,15 @@ def glr_sample(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> float:
     beta_r - alpha_sr is a Schur-complement quadratic form, strictly
     positive when the full sample covariance is positive definite; a
     collapse to zero or below means the sample is degenerate and raises
-    DegenerateSampleError rather than returning a clamped value.
+    DegenerateSampleError rather than returning a clamped value (for a
+    stack, naming the first such covariance). One value per covariance of
+    a stack.
     """
-    if s.maybe_singular:
-        raise ValueError(f"need n >= 2L snapshots, got n={s.n}, L={s.num_sensors}")
-    beta_s, beta_r = s.beta_s(u_s), s.beta_r(u_r)
-    eta = eta_sr(s, u_s, u_r)
-    alpha = alpha_sr(s, u_s, u_r)
-    den = beta_s * (beta_r - alpha)
-    if den <= 0.0:
-        raise DegenerateSampleError(f"nonpositive denominator {den:.3e} in glr_sample")
-    return abs(eta) ** 2 / den
+    num, den = _glr_sample_terms(s, u_s, u_r)
+    collapsed = den <= 0.0
+    if np.any(collapsed):
+        raise _collapsed(np.extract(collapsed, den)[0])
+    return num / den
 
 
 def glr_exact(
@@ -167,9 +194,9 @@ def glr_exact(
 
 def sigma_max_coherence(s: BlockSampleCov) -> float:
     """Largest canonical coherence: top singular value of the whitened
-    cross block. In [0, 1] for any sample covariance from real data."""
-    c = coherence_matrix(s)
-    return float(np.linalg.svd(c, compute_uv=False)[0])
+    cross block. In [0, 1] for any sample covariance from real data. One
+    value per covariance of a stack."""
+    return np.linalg.svd(coherence_matrix(s), compute_uv=False)[..., 0]
 
 
 def cross_corr_stat(s: BlockSampleCov) -> float:
@@ -182,9 +209,17 @@ def cross_corr_stat(s: BlockSampleCov) -> float:
     trace-normalized variant would be invariant but stops being a weak
     baseline: dividing by tr(S_ss) tr(S_rr) adapts the statistic to the
     per-trial noise power, and its detection rate then matches the
-    low-SNR detector instead of trailing every proposed statistic.
+    low-SNR detector instead of trailing every proposed statistic. One
+    value per covariance of a stack.
     """
-    return float(np.sum(np.abs(s.s_sr) ** 2))
+    return np.sum(np.abs(s.s_sr) ** 2, axis=(-2, -1))
+
+
+def _svd_corr(y_s: np.ndarray, y_r: np.ndarray) -> np.ndarray:
+    """svd_corr_stat for (..., L, N) stacks: one stacked SVD per channel."""
+    v_s = np.linalg.svd(y_s, full_matrices=False)[2][..., 0, :]
+    v_r = np.linalg.svd(y_r, full_matrices=False)[2][..., 0, :]
+    return np.abs(np.vecdot(v_r, v_s)) ** 2
 
 
 def svd_corr_stat(data: SnapshotData) -> float:
@@ -195,12 +230,8 @@ def svd_corr_stat(data: SnapshotData) -> float:
     estimates align. Invariant to scaling of either channel.
     """
     if not np.any(data.y_s) or not np.any(data.y_r):
-        raise ValueError("svd_corr_stat requires nonzero channel matrices")
-    _, _, vh_s = np.linalg.svd(data.y_s, full_matrices=False)
-    _, _, vh_r = np.linalg.svd(data.y_r, full_matrices=False)
-    v_s = vh_s[0].conj()
-    v_r = vh_r[0].conj()
-    return float(abs(np.vdot(v_s, v_r)) ** 2)
+        raise ValueError(_ZERO_CHANNEL)
+    return float(_svd_corr(data.y_s, data.y_r))
 
 
 def ml_qsr(
@@ -277,11 +308,83 @@ class DetectorReport:
 
     def stat(self, name: str) -> float:
         """Thresholdable scalar for a detector name."""
-        key = {"glr": "glr_1n"}.get(name, name)
-        val = getattr(self, key)
+        val = getattr(self, _REPORT_FIELD.get(name, name))
         if val is None:
             raise KeyError(f"detector {name!r} was not computed for this record")
         return float(val)
+
+
+def score_batch(
+    y_s: np.ndarray,
+    y_r: np.ndarray,
+    u_s: np.ndarray,
+    u_r: np.ndarray,
+    opts: TrustRegionOptions | None = None,
+    detectors: tuple[str, ...] = DETECTOR_NAMES,
+) -> list[DetectorReport | ValueError]:
+    """Run the requested detectors on T records stacked along a leading axis.
+
+    y_s, y_r are (T, L, N) and u_s, u_r are (T, L). The sample covariance
+    and its two Cholesky factors are formed once for the stack, the closed
+    forms are vector operations over it, and glr runs one ascent per trial
+    on that trial's slice. Returns one entry per trial: its report, or the
+    error that scoring the trial alone raises first (from glr, a collapsed
+    glr_sample denominator, a zero channel in t_svd, then a non-finite
+    statistic in detector order). What fails for the stack as a whole, such
+    as too few snapshots or a block that is not positive definite, raises.
+    """
+    unknown = set(detectors) - set(DETECTOR_NAMES)
+    if unknown:
+        raise ValueError(f"unknown detectors {sorted(unknown)}; valid: {DETECTOR_NAMES}")
+    s = block_sample_cov(y_s, y_r)
+    count, snaps = y_s.shape[0], y_s.shape[-1]
+    errors: list[ValueError | None] = [None] * count
+
+    def flag(mask: np.ndarray, make) -> None:
+        for i in np.flatnonzero(mask):
+            if errors[i] is None:
+                errors[i] = make(i)
+
+    stats = {}
+    optim: list[OptimResult | None] = [None] * count
+    if "glr" in detectors:
+        stats["glr"] = np.full(count, np.nan)
+        for i in range(count):
+            one = s.trial(i)
+            try:
+                stats["glr"][i], optim[i] = glr_exact(one, u_s[i], u_r[i], opts)
+            except ValueError as exc:
+                errors[i] = exc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if "glr_sample" in detectors:
+            num, den = _glr_sample_terms(s, u_s, u_r)
+            flag(den <= 0.0, lambda i: _collapsed(den[i]))
+            stats["glr_sample"] = num / den
+        if "glr_low" in detectors:
+            stats["glr_low"] = glr_low(s, u_s, u_r)
+        if "sigma_max" in detectors:
+            stats["sigma_max"] = sigma_max_coherence(s)
+        if "t_cc" in detectors:
+            stats["t_cc"] = cross_corr_stat(s)
+        if "t_svd" in detectors:
+            zero = ~(np.any(y_s, axis=(-2, -1)) & np.any(y_r, axis=(-2, -1)))
+            flag(zero, lambda i: ValueError(_ZERO_CHANNEL))
+            stats["t_svd"] = _svd_corr(y_s, y_r)
+    for name in detectors:
+        vals = stats[name]
+        flag(~np.isfinite(vals), lambda i: DegenerateSampleError(f"non-finite statistic {name} = {vals[i]}"))
+    columns = {_REPORT_FIELD.get(name, name): vals.tolist() for name, vals in stats.items()}
+    out: list[DetectorReport | ValueError] = []
+    for i in range(count):
+        if errors[i] is not None:
+            out.append(errors[i])
+            continue
+        report = DetectorReport(**{field: col[i] for field, col in columns.items()})
+        if optim[i] is not None:
+            report.two_log_glr = 2.0 * snaps * math.log(report.glr_1n)
+            report.optim = optim[i]
+        out.append(report)
+    return out
 
 
 def compute_report(
@@ -290,36 +393,14 @@ def compute_report(
     opts: TrustRegionOptions | None = None,
     detectors: tuple[str, ...] = DETECTOR_NAMES,
 ) -> DetectorReport:
-    """Run the requested detectors on one snapshot record.
-
-    The sample covariance is formed once and shared. Raises on any
-    non-finite statistic; callers that sweep many records catch and count.
-    """
-    unknown = set(detectors) - set(DETECTOR_NAMES)
-    if unknown:
-        raise ValueError(f"unknown detectors {sorted(unknown)}; valid: {DETECTOR_NAMES}")
-    s = sample_cov(data)
-    u_s, u_r = steering.u_s, steering.u_r
-    report = DetectorReport()
-    if "glr" in detectors:
-        stat, res = glr_exact(s, u_s, u_r, opts)
-        report.glr_1n = stat
-        report.two_log_glr = 2.0 * data.num_snapshots * math.log(stat)
-        report.optim = res
-    if "glr_sample" in detectors:
-        report.glr_sample = glr_sample(s, u_s, u_r)
-    if "glr_low" in detectors:
-        report.glr_low = glr_low(s, u_s, u_r)
-    if "sigma_max" in detectors:
-        report.sigma_max = sigma_max_coherence(s)
-    if "t_cc" in detectors:
-        report.t_cc = cross_corr_stat(s)
-    if "t_svd" in detectors:
-        report.t_svd = svd_corr_stat(data)
-    for name in detectors:
-        val = report.stat(name)
-        if not math.isfinite(val):
-            raise DegenerateSampleError(f"non-finite statistic {name} = {val}")
+    """Run the requested detectors on one snapshot record: score_batch on a
+    stack of one. Raises the error the record hits; callers that sweep many
+    records use score_batch, which returns it instead."""
+    (report,) = score_batch(
+        data.y_s[None], data.y_r[None], steering.u_s[None], steering.u_r[None], opts, detectors
+    )
+    if isinstance(report, ValueError):
+        raise report
     return report
 
 

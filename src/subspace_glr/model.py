@@ -12,6 +12,9 @@ gains, and n_s, n_r zero-mean circular Gaussian with unknown covariances
 Sigma_ss, Sigma_rr (independent across channels and snapshots). The
 reference channel carries the signal under both hypotheses; the test is
 whether the surveillance channel carries it too.
+
+draw_steering, draw_channel and synth_snapshots build one trial; synth_batch
+builds a stack of trials from the same substreams with the same numbers.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import check_hermitian, hermitize, min_eig_herm
+from ._linalg import adjoint, check_hermitian, hermitize, min_eig_herm
 
 HYPOTHESES = ("H0", "H1")
 
@@ -90,6 +93,11 @@ def scale_noise_to_snr(
     vector has unit norm so it contributes no power factor. Returns c * sigma
     with c chosen to meet snr_db exactly.
     """
+    return sigma * _snr_factor(sigma, gain, sigma_x2, snr_db)
+
+
+def _snr_factor(sigma: np.ndarray, gain: complex, sigma_x2: float, snr_db: float) -> float:
+    """The factor c of scale_noise_to_snr, as a Python scalar."""
     power = float(sigma_x2) * abs(gain) ** 2
     if power <= 0.0:
         raise ValueError("degenerate channel: sigma_x2 * |gain|^2 must be positive")
@@ -97,7 +105,7 @@ def scale_noise_to_snr(
     if trace <= 0.0:
         raise ValueError("noise covariance has nonpositive trace")
     target_trace = power * 10.0 ** (-snr_db / 10.0)
-    return sigma * (target_trace / trace)
+    return target_trace / trace
 
 
 @dataclass
@@ -322,3 +330,66 @@ def population_cov(
     top = np.hstack([r_ss, r_sr])
     bot = np.hstack([r_sr.conj().T, r_rr])
     return np.vstack([top, bot])
+
+
+def synth_batch(
+    cfg: ScenarioConfig, steering_mode: str, trials: list[tuple[str, int]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Synthesize a stack of trials, given as (hypothesis, trial index) pairs.
+
+    Returns (u_s, u_r, y_s, y_r) of shapes (T, L), (T, L), (T, L, N) and
+    (T, L, N), equal bit for bit to draw_steering -> draw_channel ->
+    synth_snapshots on each trial's substreams. Every stream is read with
+    one standard_normal call per trial: its draws are consecutive fills, so
+    one call of the combined size returns the same variates, in the same
+    order, as the per-trial path's several calls. The steering norms and the SNR factors
+    are computed per trial as Python scalars, exactly as there; the Wishart
+    products, the positive-definite check, the Cholesky colouring and the
+    snapshot assembly run on the stack.
+    """
+    if steering_mode not in STEERING_MODES:
+        raise ValueError(f"unknown steering mode {steering_mode!r}; expected one of {STEERING_MODES}")
+    count, dim, snaps, dof = len(trials), cfg.L, cfg.N, cfg.dof
+    root2 = math.sqrt(2.0)
+    u = np.empty((count, 2, dim), dtype=complex)
+    gains = np.empty((count, 2), dtype=complex)
+    z_cov = np.empty((count, 2, 2, dim, dof))  # channel, (re, im), L, dof
+    z_snap = np.empty((count, 2 * snaps + 4 * dim * snaps))  # x, then noise like z_cov
+    for t, (hypothesis, index) in enumerate(trials):
+        if hypothesis not in HYPOTHESES:
+            raise ValueError(f"hypothesis must be one of {HYPOTHESES}, got {hypothesis!r}")
+        key = (cfg.seed, HYPOTHESES.index(hypothesis), index)
+        rng = substream(*key, STREAM_STEERING)
+        if steering_mode == "random-unit":
+            z = rng.standard_normal((2, 2, dim))  # vector, (re, im), L
+            for k in range(2):
+                v = (z[k, 0] + 1j * z[k, 1]) / root2
+                u[t, k] = v / np.linalg.norm(v)
+        else:
+            for k, theta in enumerate(rng.uniform(-np.pi / 2, np.pi / 2, size=2)):
+                u[t, k] = ula_steering(dim, theta)
+        z = substream(*key, STREAM_GAINS).standard_normal((2, 2))  # channel, (re, im)
+        gains[t] = (z[:, 0] + 1j * z[:, 1]) / root2
+        substream(*key, STREAM_NOISE_COV).standard_normal(out=z_cov[t])
+        substream(*key, STREAM_SNAPSHOTS).standard_normal(out=z_snap[t])
+    g = (z_cov[:, :, 0] + 1j * z_cov[:, :, 1]) / root2
+    sigma = hermitize(g @ adjoint(g) / dof)
+    if cfg.sigma_x2 > 0:
+        snrs = (cfg.snr_s_db, cfg.snr_r_db)
+        factor = np.array([
+            [_snr_factor(sigma[t, k], complex(gains[t, k]), cfg.sigma_x2, snrs[k]) for k in range(2)]
+            for t in range(count)
+        ])
+        sigma = sigma * factor[:, :, None, None]
+    bad = np.linalg.eigvalsh(sigma)[..., 0] <= 0
+    if np.any(bad):
+        name = ("sigma_ss", "sigma_rr")[np.argwhere(bad)[0][1]]
+        raise ValueError(f"{name} is not positive definite")
+    z_noise = z_snap[:, 2 * snaps :].reshape(count, 2, 2, dim, snaps)
+    noise = np.linalg.cholesky(sigma) @ ((z_noise[:, :, 0] + 1j * z_noise[:, :, 1]) / root2)
+    x = math.sqrt(cfg.sigma_x2) * ((z_snap[:, :snaps] + 1j * z_snap[:, snaps : 2 * snaps]) / root2)
+    signal = gains[:, :, None, None] * (u[:, :, :, None] * x[:, None, None, :])
+    y_r = signal[:, 1] + noise[:, 1]
+    h1 = np.array([hypothesis == "H1" for hypothesis, _ in trials])
+    y_s = np.where(h1[:, None, None], signal[:, 0] + noise[:, 0], noise[:, 0])
+    return u[:, 0], u[:, 1], y_s, y_r

@@ -4,7 +4,9 @@ Trials are embarrassingly parallel and fully reproducible. Each trial owns
 Philox substreams keyed by (run seed, hypothesis, trial index, purpose), so
 the records do not depend on execution order, chunking, or worker count;
 reruns with the same config and seed produce identical numbers whether the
-pool has one process or eight.
+pool has one process or eight. A chunk is synthesized and scored in blocks of
+at most BLOCK_TRIALS trials as stacked arrays; a trial scored alone (a block
+of one) gets the same numbers.
 
 Thresholds are calibrated empirically from the H0 sample as the order
 statistic at rank ceil((1 - pfa) * M), i.e. the smallest threshold whose
@@ -23,24 +25,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detectors import DETECTOR_NAMES, DetectorReport, compute_report
-from .model import (
-    STEERING_MODES,
-    STREAM_GAINS,
-    STREAM_NOISE_COV,
-    STREAM_SNAPSHOTS,
-    STREAM_STEERING,
-    ScenarioConfig,
-    draw_channel,
-    draw_steering,
-    substream,
-    synth_snapshots,
-)
+from .detectors import DETECTOR_NAMES, DetectorReport, score_batch
+from .model import STEERING_MODES, ScenarioConfig, synth_batch
 from .optimizer import TrustRegionOptions
 
 log = logging.getLogger(__name__)
 
 SWEEP_AXES = ("snr_s_db", "n", "l")
+# Trials synthesized and scored as one stack; bounds the memory of a block.
+BLOCK_TRIALS = 256
 
 
 @dataclass
@@ -117,36 +110,44 @@ class TrialRecord:
     error: str | None = None
 
 
-def _hyp_code(hypothesis: str) -> int:
-    return {"H0": 0, "H1": 1}[hypothesis]
+def _record(
+    cfg: ExperimentConfig, hypothesis: str, trial_index: int, outcome: DetectorReport | Exception
+) -> TrialRecord:
+    tag = f"{cfg.scenario.seed}/{hypothesis}/{trial_index}"
+    if isinstance(outcome, Exception):
+        return TrialRecord(trial_index, hypothesis, tag, error=f"{type(outcome).__name__}: {outcome}")
+    iters = outcome.optim.iterations if outcome.optim is not None else 0
+    return TrialRecord(trial_index, hypothesis, tag, report=outcome, iterations=iters)
+
+
+def _score_block(cfg: ExperimentConfig, block: list[tuple[str, int]]) -> list[TrialRecord]:
+    """Synthesize and score a block of trials as stacked arrays."""
+    u_s, u_r, y_s, y_r = synth_batch(cfg.scenario, cfg.steering_mode, block)
+    outcomes = score_batch(y_s, y_r, u_s, u_r, cfg.optimizer, cfg.detectors)
+    return [_record(cfg, hyp, idx, out) for (hyp, idx), out in zip(block, outcomes)]
 
 
 def run_one_trial(cfg: ExperimentConfig, hypothesis: str, trial_index: int) -> TrialRecord:
-    """Synthesize and score a single trial from its derived substreams."""
-    sc = cfg.scenario
-    code = _hyp_code(hypothesis)
-    tag = f"{sc.seed}/{hypothesis}/{trial_index}"
+    """Synthesize and score a single trial from its derived substreams: a
+    block of one. Any error it hits is kept in the record."""
     try:
-        steering = draw_steering(
-            cfg.steering_mode, sc.L, substream(sc.seed, code, trial_index, STREAM_STEERING)
-        )
-        chan = draw_channel(
-            sc,
-            substream(sc.seed, code, trial_index, STREAM_GAINS),
-            substream(sc.seed, code, trial_index, STREAM_NOISE_COV),
-        )
-        data = synth_snapshots(
-            sc, steering, chan, hypothesis, substream(sc.seed, code, trial_index, STREAM_SNAPSHOTS)
-        )
-        report = compute_report(data, steering, cfg.optimizer, cfg.detectors)
+        return _score_block(cfg, [(hypothesis, trial_index)])[0]
     except Exception as exc:
-        return TrialRecord(trial_index, hypothesis, tag, error=f"{type(exc).__name__}: {exc}")
-    iters = report.optim.iterations if report.optim is not None else 0
-    return TrialRecord(trial_index, hypothesis, tag, report=report, iterations=iters)
+        return _record(cfg, hypothesis, trial_index, exc)
 
 
 def _run_chunk(cfg: ExperimentConfig, items: list[tuple[str, int]]) -> list[TrialRecord]:
-    return [run_one_trial(cfg, hyp, idx) for hyp, idx in items]
+    """Score the items in blocks of BLOCK_TRIALS. A block that raises as a
+    whole (say, one trial's sample block is not positive definite) is scored
+    again one trial at a time, so only the failing trials carry the error."""
+    records: list[TrialRecord] = []
+    for start in range(0, len(items), BLOCK_TRIALS):
+        block = items[start : start + BLOCK_TRIALS]
+        try:
+            records += _score_block(cfg, block)
+        except Exception:
+            records += [run_one_trial(cfg, hyp, idx) for hyp, idx in block]
+    return records
 
 
 def resolve_threads(threads: int) -> int:

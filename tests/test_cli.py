@@ -252,6 +252,49 @@ class TestDetect:
         assert main(["detect", "--data", str(zeroed), "--steering", str(steer)]) == 2
         assert "s_ss" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "case, want_rc, needles",
+        [
+            ("csv-nan", 2, ["bad.csv", "channel 's'", "sensor 1", "snapshot 3"]),
+            ("csv-inf", 2, ["bad.csv", "channel 'r'", "sensor 0", "snapshot 5"]),
+            ("bin-nan", 2, ["bad.bin", "channel 'r'", "sensor 1", "snapshot 0"]),
+            ("zero-reference", 2, ["s_rr"]),
+            ("n-equals-2l", 0, []),
+            ("truncated-bin", 2, ["bad.bin"]),
+        ],
+    )
+    def test_malformed_input(self, tmp_path, capsys, case, want_rc, needles):
+        # malformed or degenerate snapshot files exit 2 with a message that
+        # names the fault; N = 2L snapshots is the smallest valid record
+        rng = np.random.default_rng(69)
+        L, N = 2, 8
+        if case == "n-equals-2l":
+            N = 2 * L
+        y_s, y_r = rng.standard_normal((2, L, N)) + 1j * rng.standard_normal((2, L, N))
+        if case == "csv-nan":
+            y_s[1, 3] = complex(np.nan, 0.0)
+        elif case == "csv-inf":
+            y_r[0, 5] = complex(0.5, np.inf)
+        elif case == "bin-nan":
+            y_r[1, 0] = complex(np.nan, np.nan)
+        elif case == "zero-reference":
+            y_r[:] = 0.0
+        data = sg.SnapshotData(y_s, y_r, "unknown")
+        if "bin" in case:
+            path = tmp_path / "bad.bin"
+            sg.write_snapshot_bin(path, data)
+            if case == "truncated-bin":
+                path.write_bytes(path.read_bytes()[:-8])
+        else:
+            path = tmp_path / "bad.csv"
+            sg.write_snapshot_csv(path, data)
+        steer = tmp_path / "steer.csv"
+        sg.write_steering_csv(steer, sg.SteeringPair(rand_unit(rng, L), rand_unit(rng, L)))
+        assert main(["detect", "--data", str(path), "--steering", str(steer)]) == want_rc
+        err = capsys.readouterr().err
+        for needle in needles:
+            assert needle in err
+
     def test_too_few_snapshots(self, tmp_path, capsys):
         data, steer = write_null_case_files(tmp_path, L=3, N=4, seed=67)
         assert main(["detect", "--data", str(data), "--steering", str(steer)]) == 2

@@ -298,7 +298,7 @@ class TestComputeReport:
         # the warm start, no eigendecomposition, and the three eigvalsh
         # calls of the single validation of the reduced forms
         _, steer, data = make_instance(seed=47, L=4)
-        calls = {"cho_factor": 0, "eigh": 0, "eigvalsh": 0}
+        calls = {"cho_factor": 0, "cholesky": 0, "eigh": 0, "eigvalsh": 0}
 
         def counted(mod, name):
             orig = getattr(mod, name)
@@ -310,10 +310,12 @@ class TestComputeReport:
             monkeypatch.setattr(mod, name, wrapper)
 
         counted(scipy.linalg, "cho_factor")
+        counted(np.linalg, "cholesky")
         counted(np.linalg, "eigh")
         counted(np.linalg, "eigvalsh")
         sg.compute_report(data, steer)
         assert calls["cho_factor"] <= 2
+        assert calls["cho_factor"] + calls["cholesky"] <= 2
         assert calls["eigh"] == 0
         assert calls["eigvalsh"] <= 3
 

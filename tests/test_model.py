@@ -221,3 +221,27 @@ class TestSubstream:
     def test_rejects_non_u64(self):
         with pytest.raises(ValueError, match="u64"):
             sg.substream(-1, 0)
+
+
+class TestSynthBatch:
+    @pytest.mark.parametrize("mode", sg.model.STEERING_MODES)
+    @pytest.mark.parametrize("sigma_x2", [0.0, 1.0])
+    @pytest.mark.parametrize("L", [1, 3])
+    def test_bit_identical_to_reference(self, mode, sigma_x2, L):
+        # the stacked synthesis reproduces draw_steering -> draw_channel ->
+        # synth_snapshots on every trial's own substreams, bit for bit
+        cfg = sg.ScenarioConfig(L=L, N=4 * L, snr_s_db=-5.0, snr_r_db=15.0,
+                                sigma_x2=sigma_x2, seed=31 + L)
+        trials = [(hyp, i) for hyp in ("H0", "H1") for i in range(20)]
+        u_s, u_r, y_s, y_r = sg.synth_batch(cfg, mode, trials)
+        for t, (hyp, i) in enumerate(trials):
+            key = (cfg.seed, sg.model.HYPOTHESES.index(hyp), i)
+            steer = sg.draw_steering(mode, L, sg.substream(*key, sg.model.STREAM_STEERING))
+            chan = sg.draw_channel(cfg, sg.substream(*key, sg.model.STREAM_GAINS),
+                                   sg.substream(*key, sg.model.STREAM_NOISE_COV))
+            data = sg.synth_snapshots(cfg, steer, chan, hyp,
+                                      sg.substream(*key, sg.model.STREAM_SNAPSHOTS))
+            assert np.array_equal(u_s[t], steer.u_s)
+            assert np.array_equal(u_r[t], steer.u_r)
+            assert np.array_equal(y_s[t], data.y_s)
+            assert np.array_equal(y_r[t], data.y_r)

@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import subspace_glr as sg
+from subspace_glr import montecarlo
 from subspace_glr.montecarlo import apply_sweep_value, collect_stats, wilks_diag
 
 
@@ -27,6 +29,15 @@ def record_key(r):
     return (r.trial_index, r.hypothesis, r.seed_tag, r.error, stats)
 
 
+def full_key(r):
+    """record_key with all six statistics and the ascent's iteration count."""
+    stats = None
+    if r.report is not None:
+        stats = tuple(r.report.stat(name) for name in sg.DETECTOR_NAMES)
+        stats += (r.report.two_log_glr, r.report.optim.iterations, r.iterations)
+    return (r.trial_index, r.hypothesis, r.seed_tag, r.error, stats)
+
+
 class TestRunTrials:
     def test_deterministic_rerun(self):
         cfg = tiny_config()
@@ -41,11 +52,60 @@ class TestRunTrials:
         assert [record_key(r) for r in serial] == [record_key(r) for r in parallel]
 
     def test_record_reconstructible(self):
-        cfg = tiny_config()
+        # every record of a block equals the same trial scored alone
+        cfg = tiny_config(trials_h0=12, trials_h1=12, detectors=sg.DETECTOR_NAMES)
         records = sg.run_trials(cfg, threads=1)
-        again = sg.run_one_trial(cfg, "H1", 2)
-        match = next(r for r in records if r.hypothesis == "H1" and r.trial_index == 2)
-        assert record_key(again) == record_key(match)
+        assert len(records) == 24 and all(r.error is None for r in records)
+        for r in records:
+            assert full_key(sg.run_one_trial(cfg, r.hypothesis, r.trial_index)) == full_key(r)
+
+    def test_block_calls_do_not_grow_with_trials(self, monkeypatch):
+        # a block is factored and decomposed as one stack, whatever its size
+        calls = {"cholesky": 0, "cho_factor": 0, "svd": 0}
+
+        def counted(mod, name):
+            orig = getattr(mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return orig(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, wrapper)
+
+        counted(np.linalg, "cholesky")
+        counted(scipy.linalg, "cho_factor")
+        counted(np.linalg, "svd")
+        per_size = {}
+        for trials in (8, 64):
+            calls.update(dict.fromkeys(calls, 0))
+            cfg = tiny_config(trials_h0=trials // 2, trials_h1=trials // 2,
+                              detectors=sg.DETECTOR_NAMES)
+            sg.run_trials(cfg, threads=1)
+            per_size[trials] = dict(calls)
+        assert per_size[8] == per_size[64]
+
+    def test_failing_trial_isolated_in_its_block(self, monkeypatch):
+        # one all-zero surveillance channel fails its block's stacked
+        # factorization; only that trial's record carries the error
+        cfg = dataclasses.replace(
+            tiny_config(trials_h0=6, trials_h1=6, detectors=sg.DETECTOR_NAMES),
+            max_failure_rate=0.5,
+        )
+        real = montecarlo.synth_batch
+
+        def zero_h1_3(sc, mode, trials):
+            u_s, u_r, y_s, y_r = real(sc, mode, trials)
+            y_s[[k for k, item in enumerate(trials) if item == ("H1", 3)]] = 0.0
+            return u_s, u_r, y_s, y_r
+
+        monkeypatch.setattr(montecarlo, "synth_batch", zero_h1_3)
+        records = sg.run_trials(cfg, threads=1)
+        failed = [r for r in records if r.error is not None]
+        assert [(r.hypothesis, r.trial_index) for r in failed] == [("H1", 3)]
+        assert "s_ss" in failed[0].error and failed[0].seed_tag == "1/H1/3"
+        for r in records:
+            if r.error is None:
+                assert full_key(r) == full_key(sg.run_one_trial(cfg, r.hypothesis, r.trial_index))
 
     def test_order_is_h0_then_h1(self):
         records = sg.run_trials(tiny_config(trials_h0=3, trials_h1=2), threads=1)
