@@ -13,12 +13,11 @@ __version__ = "0.1.0"
 from .covariance import (
     BeamformerPair,
     BlockSampleCov,
-    ReducedForms,
     alpha_sr,
     block_sample_cov,
-    build_reduced_forms,
     capon_pair,
     coherence_matrix,
+    cost_forms,
     eta_rr,
     eta_sr,
     sample_cov,
@@ -34,11 +33,11 @@ from .dataio import (
     write_steering_csv,
 )
 from .detectors import (
+    COHERENCE_FLOOR,
     DETECTOR_NAMES,
     PROPOSED_DETECTORS,
     DegenerateSampleError,
     DetectorReport,
-    NuSquared,
     compute_report,
     cross_corr_stat,
     glr_exact,
@@ -47,7 +46,6 @@ from .detectors import (
     low_snr_qsr,
     m_matrix,
     ml_qsr,
-    nu_squared,
     oracle_glr,
     score_batch,
     sigma_max_coherence,
@@ -93,7 +91,6 @@ from .optimizer import (
     cost_j,
     grad_j,
     hess_j,
-    init_x,
     maximize_j,
 )
 

@@ -79,9 +79,15 @@ def pd_solve(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
     return scipy.linalg.cho_solve(c, b, check_finite=False)
 
 
-def quad_form(a: np.ndarray, x: np.ndarray) -> complex:
-    """x^H a x."""
-    return complex(np.vdot(x, a @ x))
+def householder(u: np.ndarray) -> np.ndarray:
+    """Householder reflector I - 2 v v^H / |v|^2, v = u + phase(u_0) e1, of a
+    unit vector u or of each vector of a (..., L) stack. Its first column is
+    a unit phase times u, the rest an orthonormal basis of u's orthocomplement;
+    the phase (1 when u_0 = 0) avoids cancellation in v_0."""
+    v = np.array(u, dtype=complex)
+    v[..., 0] += np.exp(1j * np.angle(v[..., 0]))
+    outer = v[..., :, None] * v[..., None, :].conj()
+    return np.eye(v.shape[-1]) - 2.0 * outer / np.vecdot(v, v).real[..., None, None]
 
 
 def min_eig_herm(a: np.ndarray) -> float:

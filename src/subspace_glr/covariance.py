@@ -1,18 +1,20 @@
-"""Sample covariance blocks and the reduced quadratic forms.
+"""Sample covariance blocks, beamformed data and the exact cost's forms.
 
 Everything downstream of the raw snapshots runs on the partitioned sample
 covariance
 
     S = (1/N) [Y_s; Y_r] [Y_s; Y_r]^H = [[S_ss, S_sr], [S_sr^H, S_rr]]
 
-and on a handful of scalars and reduced L x L matrices built from it. The
-scalars eta_sr, eta_rr, alpha_sr take an arbitrary reference-channel
-covariance argument because the exact likelihood maximization evaluates
-them at candidate R_rr, while the closed-form detectors fix R_rr = S_rr.
+and on beamformed data from the Cholesky factors S_ii = L_i L_i^H: the
+whitened steering vectors a_i = L_i^{-1} u_i (capon_pair) and the coherence
+matrix C = L_s^{-1} S_sr L_r^{-H}. The closed forms and the exact cost's
+forms (cost_forms) are built from these. The scalars eta_sr, eta_rr,
+alpha_sr take an optional R_rr so that the cross-gain estimate can be
+evaluated at any reference covariance; the detectors fix R_rr = S_rr.
 
-BlockSampleCov, capon_pair and coherence_matrix also take a stack of
-covariances with leading trial axes, which is how the Monte Carlo harness
-scores a block of trials at once; the other functions here take one.
+BlockSampleCov, capon_pair, coherence_matrix and cost_forms also take
+stacks with leading trial axes, which is how the Monte Carlo harness scores
+a block of trials at once; the other functions here take one covariance.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from ._linalg import (
     check_hermitian,
     cholesky_pd,
     hermitize,
+    householder,
     lower_adjoint_solve,
     lower_solve,
     pd_solve,
@@ -44,8 +47,8 @@ class BlockSampleCov:
     s_ss, s_sr, s_rr : ndarray
         The L x L blocks, or stacks of them of shape (..., L, L). s_ss and
         s_rr are Hermitian; s_sr is the cross-channel block (surveillance
-        rows, reference columns). The solve_*, beta_* and schur_rr methods
-        take a single covariance; trial(i) gives one from a stack.
+        rows, reference columns). The solve_* and beta_* methods take a
+        single covariance.
     n : int
         Number of snapshots averaged. With n >= 2L the full matrix is
         positive definite almost surely; below that it is singular and the
@@ -93,13 +96,6 @@ class BlockSampleCov:
         """Lower Cholesky factor L_r of s_rr; see chol_ss."""
         return cholesky_pd(self.s_rr, name="s_rr")
 
-    def trial(self, i: int) -> "BlockSampleCov":
-        """Covariance i of a stack. It shares the stack's Cholesky factors
-        (made on first use), so no trial factors its blocks again."""
-        one = BlockSampleCov(self.s_ss[i], self.s_sr[i], self.s_rr[i], self.n)
-        one.__dict__.update(chol_ss=self.chol_ss[i], chol_rr=self.chol_rr[i])
-        return one
-
     def solve_ss(self, b: np.ndarray) -> np.ndarray:
         return scipy.linalg.cho_solve((self.chol_ss, True), b, check_finite=False)
 
@@ -115,11 +111,6 @@ class BlockSampleCov:
         """Capon denominator u_r^H S_rr^{-1} u_r."""
         u_r = np.asarray(u_r, dtype=complex).reshape(-1)
         return float((np.conj(u_r) @ self.solve_rr(u_r)).real)
-
-    def schur_rr(self) -> np.ndarray:
-        """S_rr - S_sr^H S_ss^{-1} S_sr, the reference block conditioned on
-        the surveillance block. Positive definite whenever the full matrix is."""
-        return hermitize(self.s_rr - self.s_sr.conj().T @ self.solve_ss(self.s_sr))
 
 
 def block_sample_cov(y_s: np.ndarray, y_r: np.ndarray) -> BlockSampleCov:
@@ -153,23 +144,13 @@ def unitary_completion(u: np.ndarray) -> np.ndarray:
     -------
     ndarray
         L x (L-1) matrix V with V^H V = I and V^H u = 0, so [u, V] is
-        unitary. Built from the Householder reflector that maps u onto the
-        first coordinate axis; the reflector uses the sign choice that
-        avoids cancellation, so the completion is stable and repeatable.
-        L = 1 returns an empty L x 0 matrix.
+        unitary: the trailing columns of householder(u). L = 1 returns an
+        empty L x 0 matrix.
     """
     u = np.asarray(u, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(u) - 1.0) > 1e-8:
         raise ValueError("completion requires a unit-norm vector")
-    dim = u.size
-    if dim == 1:
-        return np.zeros((1, 0), dtype=complex)
-    phase = u[0] / abs(u[0]) if abs(u[0]) > 0 else 1.0
-    v = u.copy()
-    v[0] += phase
-    p = np.eye(dim, dtype=complex) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v).real
-    # First column of p is proportional to u; the rest span its orthocomplement.
-    return p[:, 1:]
+    return householder(u)[:, 1:]
 
 
 def eta_sr(
@@ -202,73 +183,6 @@ def alpha_sr(
     w = s.s_sr @ t_r
     val = complex(w.conj() @ s.solve_ss(w))
     return float(val.real)
-
-
-@dataclass
-class ReducedForms:
-    """The L x L quadratic-form matrices driving the exact likelihood ratio.
-
-    In the orthonormal basis U_r = [u_r, V_r] of the reference channel:
-
-        xi      = U_r^H S_rr U_r
-        gamma_m = U_r^H (S_rr - S_sr^H S_ss^{-1} S_sr) U_r
-        psi     = beta_s * gamma_m + g g^H,
-                  g = U_r^H S_sr^H S_ss^{-1} u_s,  beta_s = u_s^H S_ss^{-1} u_s
-
-    All three are Hermitian positive definite when n >= 2L. The likelihood
-    surface depends only on these (plus the rank-one selector for the first
-    coordinate), so the optimizer never touches the raw blocks. They are
-    validated once, where the optimizer's CostContext takes them in.
-    """
-
-    u_r_full: np.ndarray
-    xi: np.ndarray
-    psi: np.ndarray
-    gamma_m: np.ndarray
-
-    @property
-    def num_sensors(self) -> int:
-        return self.u_r_full.shape[0]
-
-
-def build_reduced_forms(
-    s: BlockSampleCov,
-    u_s: np.ndarray,
-    u_r: np.ndarray,
-    v_r: np.ndarray | None = None,
-) -> ReducedForms:
-    """Assemble the reduced forms for one sample covariance.
-
-    Parameters
-    ----------
-    s : BlockSampleCov
-        Sample covariance with n >= 2L (rejected otherwise; the forms would
-        be singular).
-    u_s, u_r : ndarray
-        Unit-norm steering vectors.
-    v_r : ndarray, optional
-        Orthonormal completion of u_r to use instead of the deterministic
-        one. The detectors are invariant to this choice; the hook exists so
-        that invariance can be exercised directly.
-    """
-    if s.maybe_singular:
-        raise ValueError(f"need n >= 2L snapshots for invertible forms, got n={s.n}, L={s.num_sensors}")
-    u_s = np.asarray(u_s, dtype=complex).reshape(-1)
-    u_r = np.asarray(u_r, dtype=complex).reshape(-1)
-    if v_r is None:
-        v_r = unitary_completion(u_r)
-    u_full = np.column_stack([u_r, v_r])
-    dev = np.max(np.abs(u_full.conj().T @ u_full - np.eye(s.num_sensors)))
-    if dev > 1e-10:
-        raise ValueError(f"[u_r, v_r] is not unitary (deviation {dev:.3e})")
-    xi = hermitize(u_full.conj().T @ s.s_rr @ u_full)
-    schur = s.schur_rr()
-    gamma_m = hermitize(u_full.conj().T @ schur @ u_full)
-    t_s = s.solve_ss(u_s)
-    beta_s = float((np.conj(u_s) @ t_s).real)
-    g = u_full.conj().T @ (s.s_sr.conj().T @ t_s)
-    psi = hermitize(beta_s * gamma_m + np.outer(g, g.conj()))
-    return ReducedForms(u_full, xi, psi, gamma_m)
 
 
 @dataclass
@@ -318,6 +232,31 @@ def coherence_matrix(s: BlockSampleCov) -> np.ndarray:
     """
     t = lower_solve(s.chol_ss, s.s_sr)
     return adjoint(lower_solve(s.chol_rr, adjoint(t)))
+
+
+def cost_forms(c: np.ndarray, pair: BeamformerPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forms (xi, psi, gamma_m) of the exact likelihood cost (see optimizer),
+    one set per covariance of a stack, from the coherence matrix c and the
+    beamformer pair.
+
+    In whitened reference coordinates w = L_r^H z the cost is
+    log(|a_r^H w|^2 / |w|^2) + log((beta_s w^H G w + |a_s^H C w|^2) / w^H G w)
+    with G = I - C^H C. In x = Q^H w, Q = householder(w_r), that is
+
+        xi = I / beta_r,  gamma_m = Q^H G Q,  psi = beta_s gamma_m + h h^H,
+        h = Q^H C^H a_s,
+
+    and at x = e1 (z along S_rr^{-1} u_r) the statistic exp(J) / (beta_s
+    beta_r) equals 1 + glr_sample. gamma_m has the eigenvalues 1 - sigma_k^2
+    of G, so the forms are positive definite exactly when sigma_max < 1.
+    """
+    q = householder(pair.w_r)
+    cq = c @ q
+    eye = np.eye(c.shape[-1])
+    gamma_m = hermitize(eye - adjoint(cq) @ cq)
+    h = adjoint(cq) @ pair.a_s[..., None]
+    psi = hermitize(pair.beta_s[..., None, None] * gamma_m + h @ adjoint(h))
+    return eye / pair.beta_r[..., None, None], psi, gamma_m
 
 
 def cross_capon_beta(s_block: np.ndarray, u: np.ndarray, name: str = "block") -> float:

@@ -17,11 +17,12 @@ across unknown noise levels. The cross-covariance energy t_cc is
 deliberately not: it is kept in its textbook form and scales as
 (c_s c_r)^2 (see cross_corr_stat).
 
-The closed forms are vector operations on beamformed data: the whitened
-steering vectors a_i = L_i^{-1} u_i and the coherence matrix
-C = L_s^{-1} S_sr L_r^{-H}, with the Cholesky factors S_ii = L_i L_i^H.
-They take a single covariance or a stack of them, and score_batch scores a
-stack of records at once; compute_report is a stack of one.
+The three proposed statistics are functions of beamformed data: the
+whitened steering vectors a_i = L_i^{-1} u_i and the coherence matrix
+C = L_s^{-1} S_sr L_r^{-H}, with the Cholesky factors S_ii = L_i L_i^H. The
+closed forms are vector operations on them, and the exact statistic ascends
+a cost built from them (covariance.cost_forms). score_batch forms them once
+for a stack of records; compute_report is a stack of one.
 """
 
 from __future__ import annotations
@@ -32,78 +33,51 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from ._linalg import hermitize, pd_solve, quad_form
+from ._linalg import hermitize, pd_solve
 from .covariance import (
+    BeamformerPair,
     BlockSampleCov,
-    ReducedForms,
     alpha_sr,
     block_sample_cov,
-    build_reduced_forms,
     capon_pair,
     coherence_matrix,
+    cost_forms,
     eta_rr,
     eta_sr,
 )
 from .model import SnapshotData, SteeringPair, substream
-from .optimizer import (
-    CostContext,
-    OptimResult,
-    TrustRegionOptions,
-    init_x,
-    maximize_j,
-    random_start,
-)
+from .optimizer import CostContext, OptimResult, TrustRegionOptions, maximize_j, random_start
 
 DETECTOR_NAMES = ("glr", "glr_sample", "glr_low", "sigma_max", "t_cc", "t_svd")
 PROPOSED_DETECTORS = ("glr", "glr_sample", "glr_low")
 # DetectorReport field of a detector whose field is not named after it.
 _REPORT_FIELD = {"glr": "glr_1n"}
 _ZERO_CHANNEL = "svd_corr_stat requires nonzero channel matrices"
+# The exact cost's gamma_m has the eigenvalues 1 - sigma_k^2 of I - C^H C. At
+# or below this scale-free floor the channels are fully coherent to working
+# precision, the full sample covariance is singular and the cost undefined.
+COHERENCE_FLOOR = 64.0 * np.finfo(float).eps
 
 
 class DegenerateSampleError(ValueError):
     """A statistic's denominator collapsed on this sample."""
 
 
-@dataclass
-class NuSquared:
-    """The concentrated signal-power factor |nu|^2 at a candidate x.
-
-    value = (x^H E x / x^H Xi x) * (x^H Psi x / x^H Gamma x), with the four
-    quadratic forms retained for diagnostics. Dividing by beta_s beta_r
-    turns it into the likelihood-ratio statistic.
-    """
-
-    value: float
-    components: tuple[float, float, float, float]
-
-
-def nu_squared(x: np.ndarray, ctx: CostContext) -> NuSquared:
-    """Evaluate |nu|^2 and its four quadratic forms at x."""
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    if x.size != ctx.num_sensors:
-        raise ValueError(f"x has length {x.size}, expected {ctx.num_sensors}")
-    q_e = abs(x[0]) ** 2
-    q_xi = quad_form(ctx.xi, x).real
-    q_psi = quad_form(ctx.psi, x).real
-    q_gamma = quad_form(ctx.gamma_m, x).real
-    if min(q_xi, q_psi, q_gamma) <= 0.0:
-        raise DegenerateSampleError("nonpositive quadratic form in nu^2")
-    return NuSquared(
-        value=(q_e / q_xi) * (q_psi / q_gamma),
-        components=(q_e, q_xi, q_psi, q_gamma),
-    )
-
-
-def _beamformed(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray):
-    """(eta_sr, beta_s, beta_r, alpha_sr) at R_rr = S_rr, from the whitened
-    steering vectors and the coherence matrix: eta_sr = a_s^H C a_r,
-    beta_i = |a_i|^2 and alpha_sr = |C a_r|^2."""
+def _beamform(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray):
+    """The coherence matrix and the beamformer pair that the three proposed
+    detectors are built from."""
     if s.maybe_singular:
         raise ValueError(f"need n >= 2L snapshots, got n={s.n}, L={s.num_sensors}")
-    pair = capon_pair(s, u_s, u_r)
-    c_ar = (coherence_matrix(s) @ pair.a_r[..., None])[..., 0]
-    return np.vecdot(pair.a_s, c_ar), pair.beta_s, pair.beta_r, np.vecdot(c_ar, c_ar).real
+    return coherence_matrix(s), capon_pair(s, u_s, u_r)
+
+
+def _closed_form_terms(c: np.ndarray, pair: BeamformerPair):
+    """Numerator |eta_sr|^2 and the denominators beta_s (beta_r - alpha_sr) of
+    glr_sample and beta_s beta_r of glr_low, at R_rr = S_rr, from beamformed
+    data: eta_sr = a_s^H C a_r, beta_i = |a_i|^2 and alpha_sr = |C a_r|^2."""
+    c_ar = (c @ pair.a_r[..., None])[..., 0]
+    num = np.abs(np.vecdot(pair.a_s, c_ar)) ** 2
+    return num, pair.beta_s * (pair.beta_r - np.vecdot(c_ar, c_ar).real), pair.beta_s * pair.beta_r
 
 
 def glr_low(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> float:
@@ -114,14 +88,8 @@ def glr_low(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> float:
     pair with the coherence matrix C. Lies in [0, sigma_max^2] <= [0, 1].
     One value per covariance of a stack.
     """
-    eta, beta_s, beta_r, _ = _beamformed(s, u_s, u_r)
-    return np.abs(eta) ** 2 / (beta_s * beta_r)
-
-
-def _glr_sample_terms(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray):
-    """Numerator |eta_sr|^2 and denominator beta_s (beta_r - alpha_sr) of glr_sample."""
-    eta, beta_s, beta_r, alpha = _beamformed(s, u_s, u_r)
-    return np.abs(eta) ** 2, beta_s * (beta_r - alpha)
+    num, _, den = _closed_form_terms(*_beamform(s, u_s, u_r))
+    return num / den
 
 
 def _collapsed(den: float) -> DegenerateSampleError:
@@ -139,11 +107,34 @@ def glr_sample(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> float:
     stack, naming the first such covariance). One value per covariance of
     a stack.
     """
-    num, den = _glr_sample_terms(s, u_s, u_r)
+    num, den, _ = _closed_form_terms(*_beamform(s, u_s, u_r))
     collapsed = den <= 0.0
     if np.any(collapsed):
         raise _collapsed(np.extract(collapsed, den)[0])
     return num / den
+
+
+def _ascend(forms, gap: float, beta_s: float, beta_r: float, opts) -> tuple[float, OptimResult]:
+    """Ascend one trial's cost from the warm start e1, plus opts.n_restarts
+    random starts, and return exp(J) / (beta_s beta_r) at the best ascent
+    (as exp(J - log beta_s - log beta_r), which cannot overflow). gap is the
+    smallest eigenvalue of the trial's gamma_m."""
+    if gap <= COHERENCE_FLOOR:
+        raise ValueError(
+            f"the channels are fully coherent: I - C^H C has eigenvalue {gap:.3e} <= {COHERENCE_FLOOR:.3e}"
+        )
+    opts = opts or TrustRegionOptions()
+    ctx = CostContext(*forms)
+    dim = ctx.num_sensors
+    res = maximize_j(ctx, np.eye(1, dim, dtype=complex)[0], opts)
+    for k in range(opts.n_restarts):
+        alt = maximize_j(ctx, random_start(dim, substream(opts.restart_seed, k)), opts)
+        if alt.j_value > res.j_value:
+            res = alt
+    stat = math.exp(res.j_value - math.log(beta_s) - math.log(beta_r))
+    if not math.isfinite(stat):
+        raise DegenerateSampleError(f"non-finite exact statistic {stat}")
+    return stat, res
 
 
 def glr_exact(
@@ -151,7 +142,6 @@ def glr_exact(
     u_s: np.ndarray,
     u_r: np.ndarray,
     opts: TrustRegionOptions | None = None,
-    forms: ReducedForms | None = None,
 ) -> tuple[float, OptimResult]:
     """Exact statistic Lambda^{1/N} via trust-region ascent.
 
@@ -163,33 +153,19 @@ def glr_exact(
         Unit-norm steering vectors.
     opts : TrustRegionOptions, optional
         Ascent controls. opts.n_restarts > 0 adds random restarts and keeps
-        the best objective; the default single start already matches the
+        the best objective; the default single start e1 already matches the
         closed-form statistic exactly, so the result never falls below
         1 + glr_sample (up to roundoff).
-    forms : ReducedForms, optional
-        Reuse precomputed reduced forms (they are also recomputable from s).
 
     Returns
     -------
     (float, OptimResult)
-        The statistic Lambda^{1/N} >= 1 and the ascent record.
+        The statistic Lambda^{1/N} >= 1 and the ascent record. Raises
+        ValueError when the channels are fully coherent (COHERENCE_FLOOR).
     """
-    opts = opts or TrustRegionOptions()
-    u_s = np.asarray(u_s, dtype=complex).reshape(-1)
-    u_r = np.asarray(u_r, dtype=complex).reshape(-1)
-    if forms is None:
-        forms = build_reduced_forms(s, u_s, u_r)
-    beta_s, beta_r = s.beta_s(u_s), s.beta_r(u_r)
-    ctx = CostContext(forms.xi, forms.psi, forms.gamma_m)
-    res = maximize_j(ctx, init_x(s, forms.u_r_full), opts)
-    for k in range(opts.n_restarts):
-        alt = maximize_j(ctx, random_start(s.num_sensors, substream(opts.restart_seed, k)), opts)
-        if alt.j_value > res.j_value:
-            res = alt
-    stat = nu_squared(res.x_hat, ctx).value / (beta_s * beta_r)
-    if not math.isfinite(stat):
-        raise DegenerateSampleError(f"non-finite exact statistic {stat}")
-    return stat, res
+    c, pair = _beamform(s, u_s, u_r)
+    forms = cost_forms(c, pair)
+    return _ascend(forms, np.linalg.eigvalsh(forms[2])[0], pair.beta_s, pair.beta_r, opts)
 
 
 def sigma_max_coherence(s: BlockSampleCov) -> float:
@@ -324,11 +300,13 @@ def score_batch(
 ) -> list[DetectorReport | ValueError]:
     """Run the requested detectors on T records stacked along a leading axis.
 
-    y_s, y_r are (T, L, N) and u_s, u_r are (T, L). The sample covariance
-    and its two Cholesky factors are formed once for the stack, the closed
-    forms are vector operations over it, and glr runs one ascent per trial
-    on that trial's slice. Returns one entry per trial: its report, or the
-    error that scoring the trial alone raises first (from glr, a collapsed
+    y_s, y_r are (T, L, N) and u_s, u_r are (T, L). The sample covariance,
+    its Cholesky factors, the coherence matrix and the beamformer pair are
+    formed once for the stack and feed every detector. The closed forms and
+    the exact cost's forms are vector operations over the stack, one stacked
+    eigvalsh validates the latter, and glr runs one ascent per trial on its
+    slice of them. Returns one entry per trial: its report, or the error
+    that scoring the trial alone raises first (from glr, a collapsed
     glr_sample denominator, a zero channel in t_svd, then a non-finite
     statistic in detector order). What fails for the stack as a whole, such
     as too few snapshots or a block that is not positive definite, raises.
@@ -347,23 +325,30 @@ def score_batch(
 
     stats = {}
     optim: list[OptimResult | None] = [None] * count
+    if set(PROPOSED_DETECTORS) & set(detectors):
+        c, pair = _beamform(s, u_s, u_r)
+    elif "sigma_max" in detectors:
+        c = coherence_matrix(s)
     if "glr" in detectors:
+        forms = cost_forms(c, pair)
+        gap = np.linalg.eigvalsh(forms[2])[..., 0]
         stats["glr"] = np.full(count, np.nan)
         for i in range(count):
-            one = s.trial(i)
+            one = tuple(form[i] for form in forms)
             try:
-                stats["glr"][i], optim[i] = glr_exact(one, u_s[i], u_r[i], opts)
+                stats["glr"][i], optim[i] = _ascend(one, gap[i], pair.beta_s[i], pair.beta_r[i], opts)
             except ValueError as exc:
                 errors[i] = exc
     with np.errstate(divide="ignore", invalid="ignore"):
+        if "glr_sample" in detectors or "glr_low" in detectors:
+            num, den, low_den = _closed_form_terms(c, pair)
         if "glr_sample" in detectors:
-            num, den = _glr_sample_terms(s, u_s, u_r)
             flag(den <= 0.0, lambda i: _collapsed(den[i]))
             stats["glr_sample"] = num / den
         if "glr_low" in detectors:
-            stats["glr_low"] = glr_low(s, u_s, u_r)
+            stats["glr_low"] = num / low_den
         if "sigma_max" in detectors:
-            stats["sigma_max"] = sigma_max_coherence(s)
+            stats["sigma_max"] = np.linalg.svd(c, compute_uv=False)[..., 0]
         if "t_cc" in detectors:
             stats["t_cc"] = cross_corr_stat(s)
         if "t_svd" in detectors:

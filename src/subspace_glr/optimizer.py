@@ -5,11 +5,16 @@ The exact likelihood-ratio statistic reduces to maximizing
     J(x) = log(x^H E x / x^H Xi x) + log(x^H Psi x / x^H Gamma x)
 
 over nonzero complex vectors x of length L, where E selects the first
-coordinate (E = e1 e1^H) and Xi, Psi, Gamma are the Hermitian positive
-definite reduced forms. J is invariant to complex scaling of x, so only the
-ray of x matters, and J is -inf where x[0] = 0. Every other ray meets the
-affine chart x = [1; y] once, so the ascent runs in the 2L - 2 real
-coordinates [Re y; Im y] and never sees the scale and phase freedom.
+coordinate (E = e1 e1^H) and Xi, Psi, Gamma are Hermitian positive definite.
+covariance.cost_forms builds them from beamformed data, with Xi = I / beta_r,
+and the exact detector validates the forms of a whole block at once, so
+CostContext takes them as given. The detector starts the ascent at e1, where
+the statistic equals the closed-form approximation 1 + glr_sample.
+
+J is invariant to complex scaling of x, so only the ray of x matters, and J
+is -inf where x[0] = 0. Every other ray meets the affine chart x = [1; y]
+once, so the ascent runs in the 2L - 2 real coordinates [Re y; Im y] and
+never sees the scale and phase freedom.
 
 Gradient and Hessian are exact. For a ratio term log(z^T M z) the gradient
 is 2 M z / q and the Hessian 2 M / q - 4 (M z)(M z)^T / q^2 with q = z^T M z;
@@ -30,8 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import check_hermitian, min_eig_herm, real_embedding, to_complex, to_real
-from .covariance import BlockSampleCov
+from ._linalg import real_embedding, to_complex, to_real
 
 # A predicted gain at or below this share of 1 + |J| is below J's roundoff.
 _GAIN_RTOL = 8.0 * np.finfo(float).eps
@@ -41,8 +45,10 @@ _GAIN_RTOL = 8.0 * np.finfo(float).eps
 class CostContext:
     """Precomputed quadratic forms for one likelihood surface.
 
-    Holds the three reduced matrices plus their real symmetric embeddings,
-    stacked so that one batched matmul evaluates all four quadratic forms.
+    Holds the three Hermitian positive definite forms plus their real
+    symmetric embeddings, stacked so that one batched matmul evaluates all
+    four quadratic forms. The forms are not checked here; see the module
+    docstring.
     """
 
     xi: np.ndarray
@@ -57,10 +63,6 @@ class CostContext:
         self.gamma_m = np.asarray(self.gamma_m, dtype=complex)
         if not (self.xi.shape == self.psi.shape == self.gamma_m.shape):
             raise ValueError("xi, psi, gamma_m must share one L x L shape")
-        for name, m in (("xi", self.xi), ("psi", self.psi), ("gamma_m", self.gamma_m)):
-            check_hermitian(m, 1e-10, name)
-            if min_eig_herm(m) <= 0:
-                raise ValueError(f"{name} must be positive definite")
         dim = self.xi.shape[0]
         e_sel = np.zeros((2 * dim, 2 * dim))
         e_sel[0, 0] = 1.0
@@ -117,19 +119,6 @@ def hess_j(x: np.ndarray, ctx: CostContext) -> np.ndarray:
     x = np.asarray(x, dtype=complex).reshape(-1)
     _, _, hess = ctx.value_grad_hess(to_real(x))
     return hess
-
-
-def init_x(s: BlockSampleCov, u_r_full: np.ndarray) -> np.ndarray:
-    """Warm start: the normalized first column of U_r^H S_rr^{-1} U_r.
-
-    Equals U_r^H S_rr^{-1} u_r up to normalization. At this point the
-    statistic already matches the closed-form approximation exactly, so
-    ascent from here can only improve on it.
-    """
-    u_r = u_r_full[:, 0]
-    y = u_r_full.conj().T @ s.solve_rr(u_r)
-    x0 = y / np.linalg.norm(y)
-    return _canonicalize(x0)
 
 
 def _canonicalize(x: np.ndarray) -> np.ndarray:

@@ -261,6 +261,7 @@ class TestDetect:
             ("zero-reference", 2, ["s_rr"]),
             ("n-equals-2l", 0, []),
             ("truncated-bin", 2, ["bad.bin"]),
+            ("coherent", 2, ["coherent"]),
         ],
     )
     def test_malformed_input(self, tmp_path, capsys, case, want_rc, needles):
@@ -279,6 +280,8 @@ class TestDetect:
             y_r[1, 0] = complex(np.nan, np.nan)
         elif case == "zero-reference":
             y_r[:] = 0.0
+        elif case == "coherent":
+            y_s = 3.0 * y_r
         data = sg.SnapshotData(y_s, y_r, "unknown")
         if "bin" in case:
             path = tmp_path / "bad.bin"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import subspace_glr as sg
+from subspace_glr._linalg import householder
 from _utils import make_instance, rand_pd, rand_unit
 
 
@@ -63,6 +64,21 @@ class TestUnitaryCompletion:
         with pytest.raises(ValueError, match="unit"):
             sg.unitary_completion(np.array([2.0, 0.0]))
 
+    def test_stacked_reflectors(self):
+        # each reflector of a stack is unitary with first column a unit
+        # phase times its vector, including a vector whose first entry is 0
+        rng = np.random.default_rng(4)
+        u = np.stack([rand_unit(rng, 4) for _ in range(5)])
+        u[2, 0] = 0.0
+        u[2] /= np.linalg.norm(u[2])
+        p = householder(u)
+        for k in range(5):
+            assert np.linalg.norm(p[k].conj().T @ p[k] - np.eye(4)) <= 1e-13
+            phase = np.vdot(u[k], p[k][:, 0])
+            assert abs(phase) == pytest.approx(1.0, abs=1e-13)
+            assert np.allclose(p[k][:, 0], phase * u[k], atol=1e-13)
+            assert np.array_equal(p[k][:, 1:], sg.unitary_completion(u[k]))
+
 
 class TestEtaAlpha:
     def test_zero_cross_block(self):
@@ -111,59 +127,66 @@ class TestEtaAlpha:
         assert sg.eta_sr(s, steer.u_s, steer.u_r, r) == pytest.approx(complex(want), rel=1e-10)
 
 
+def beamformed_forms(s, u_s, u_r):
+    """The exact cost's forms (xi, psi, gamma_m) of one covariance."""
+    return sg.cost_forms(sg.coherence_matrix(s), sg.capon_pair(s, u_s, u_r))
+
+
 class TestReducedForms:
     def test_zero_cross_block_collapses(self):
         s, steer, _ = make_instance(seed=15, L=3)
         s0 = sg.BlockSampleCov(s.s_ss, np.zeros_like(s.s_sr), s.s_rr, s.n)
-        forms = sg.build_reduced_forms(s0, steer.u_s, steer.u_r)
+        _, psi, gamma_m = beamformed_forms(s0, steer.u_s, steer.u_r)
         from subspace_glr.covariance import cross_capon_beta
 
         beta_s = cross_capon_beta(s.s_ss, steer.u_s)
-        assert np.allclose(forms.gamma_m, forms.xi, atol=1e-12)
-        assert np.allclose(forms.psi, beta_s * forms.xi, atol=1e-12)
+        assert np.allclose(gamma_m, np.eye(3), atol=1e-12)
+        assert np.allclose(psi, beta_s * np.eye(3), atol=1e-12)
 
     def test_identity_covariance(self):
         L = 3
         u = np.zeros(L, dtype=complex)
         u[1] = 1.0
         s = sg.BlockSampleCov(np.eye(L, dtype=complex), np.zeros((L, L), complex), np.eye(L, dtype=complex), n=2 * L)
-        forms = sg.build_reduced_forms(s, u, u)
-        assert np.allclose(forms.xi, np.eye(L), atol=1e-13)
-        assert np.allclose(forms.gamma_m, np.eye(L), atol=1e-13)
-        assert np.allclose(forms.psi, np.eye(L), atol=1e-13)
+        xi, psi, gamma_m = beamformed_forms(s, u, u)
+        assert np.allclose(xi, np.eye(L), atol=1e-13)
+        assert np.allclose(gamma_m, np.eye(L), atol=1e-13)
+        assert np.allclose(psi, np.eye(L), atol=1e-13)
 
     def test_positive_definite(self):
         for seed in range(5):
             s, steer, _ = make_instance(seed=200 + seed, L=4)
-            forms = sg.build_reduced_forms(s, steer.u_s, steer.u_r)
-            for m in (forms.xi, forms.psi, forms.gamma_m):
+            for m in beamformed_forms(s, steer.u_s, steer.u_r):
                 assert np.linalg.eigvalsh(m)[0] > 0
 
     def test_quadratic_forms_real_positive(self):
         s, steer, _ = make_instance(seed=16, L=4)
-        forms = sg.build_reduced_forms(s, steer.u_s, steer.u_r)
+        forms = beamformed_forms(s, steer.u_s, steer.u_r)
         rng = np.random.default_rng(5)
         for _ in range(10):
             x = rand_unit(rng, 4)
-            for m in (forms.xi, forms.psi, forms.gamma_m):
+            for m in forms:
                 q = np.vdot(x, m @ x)
                 assert abs(q.imag) < 1e-12 * abs(q.real)
                 assert q.real > 0
 
     def test_reference_scaling_covariant(self):
+        # Y_r -> c Y_r scales beta_r by 1 / c^2 and leaves C and the
+        # direction of a_r alone: xi = I / beta_r scales by c^2, and psi and
+        # gamma_m do not move.
         s, steer, data = make_instance(seed=17, L=3)
         c = 2.7
         scaled = sg.block_sample_cov(data.y_s, c * data.y_r)
-        f1 = sg.build_reduced_forms(s, steer.u_s, steer.u_r)
-        f2 = sg.build_reduced_forms(scaled, steer.u_s, steer.u_r)
-        for a, b in ((f1.xi, f2.xi), (f1.psi, f2.psi), (f1.gamma_m, f2.gamma_m)):
-            assert np.allclose(c**2 * a, b, rtol=1e-10)
+        f1 = beamformed_forms(s, steer.u_s, steer.u_r)
+        f2 = beamformed_forms(scaled, steer.u_s, steer.u_r)
+        for factor, a, b in zip((c**2, 1.0, 1.0), f1, f2):
+            assert np.allclose(factor * a, b, rtol=1e-10)
 
     def test_rejects_undersampled(self):
         s, steer, _ = make_instance(seed=18, L=3)
         short = sg.BlockSampleCov(s.s_ss, s.s_sr, s.s_rr, n=5)
         with pytest.raises(ValueError, match="2L"):
-            sg.build_reduced_forms(short, steer.u_s, steer.u_r)
+            sg.glr_exact(short, steer.u_s, steer.u_r)
 
 
 class TestCaponPair:

@@ -57,6 +57,24 @@ class TestScaleInvariance:
                 sg.svd_corr_stat(data), rel=1e-9
             )
 
+    def test_per_channel_basis_invariance(self):
+        # y_i -> A_i y_i with u_i -> A_i u_i / |A_i u_i| is a change of sensor
+        # basis in each channel; the four whitened statistics do not see it
+        rng = np.random.default_rng(15)
+        for k in range(20):
+            L = 2 + k % 5
+            s, steer, data = make_instance(seed=950 + k, L=L)
+            a_s, a_r = (rng.standard_normal((2, L, L)) + 1j * rng.standard_normal((2, L, L)))
+            u_s, u_r = a_s @ steer.u_s, a_r @ steer.u_r
+            u_s, u_r = u_s / np.linalg.norm(u_s), u_r / np.linalg.norm(u_r)
+            moved = sg.block_sample_cov(a_s @ data.y_s, a_r @ data.y_r)
+            assert sg.glr_exact(moved, u_s, u_r)[0] == pytest.approx(
+                sg.glr_exact(s, steer.u_s, steer.u_r)[0], rel=1e-9
+            )
+            for fn in (sg.glr_sample, sg.glr_low):
+                assert fn(moved, u_s, u_r) == pytest.approx(fn(s, steer.u_s, steer.u_r), rel=1e-9)
+            assert sg.sigma_max_coherence(moved) == pytest.approx(sg.sigma_max_coherence(s), rel=1e-9)
+
     def test_cross_corr_scales_exactly(self):
         # the one deliberately non-invariant statistic: raw Frobenius energy
         for seed, (c_s, c_r) in enumerate([(1e-3, 1.0), (1e3, 1e-3), (7.0, 0.2)]):
@@ -165,35 +183,21 @@ class TestExactStatistic:
             ref = oracle_glr(s, steer.u_s, steer.u_r, n_restarts=4, seed=seed)
             assert stat == pytest.approx(ref, rel=1e-4)
 
+    def test_single_sensor_is_sample_approximation(self):
+        # at L = 1 the warm start is the only ray, so no step is taken and
+        # the exact statistic is 1 + glr_sample
+        for seed in range(5):
+            s, steer, _ = make_instance(seed=1550 + seed, L=1)
+            stat, res = sg.glr_exact(s, steer.u_s, steer.u_r)
+            assert res.iterations == 0 and res.converged
+            assert stat == pytest.approx(1.0 + sg.glr_sample(s, steer.u_s, steer.u_r), rel=1e-12)
+
     def test_oracle_feasibility_bound(self):
         for seed in range(3):
             s, steer, _ = make_instance(seed=1500 + seed, L=2)
             ref = oracle_glr(s, steer.u_s, steer.u_r, n_restarts=2, seed=seed)
             lam_app = sg.glr_sample(s, steer.u_s, steer.u_r)
             assert ref >= 1.0 + lam_app - 1e-6
-
-    def test_completion_invariance(self):
-        rng = np.random.default_rng(9)
-        for seed in range(5):
-            s, steer, _ = make_instance(seed=1600 + seed, L=4)
-            base, _ = sg.glr_exact(s, steer.u_s, steer.u_r)
-            # random alternative completion: orthonormalize a rotated basis
-            v0 = sg.unitary_completion(steer.u_r)
-            k = v0.shape[1]
-            z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-            q, _ = np.linalg.qr(z)
-            forms = sg.build_reduced_forms(s, steer.u_s, steer.u_r, v_r=v0 @ q)
-            alt, _ = sg.glr_exact(s, steer.u_s, steer.u_r, forms=forms)
-            assert alt == pytest.approx(base, rel=1e-8)
-
-    def test_nu_squared_component_product(self):
-        s, steer, _ = make_instance(seed=40, L=3)
-        forms = sg.build_reduced_forms(s, steer.u_s, steer.u_r)
-        ctx = sg.CostContext(forms.xi, forms.psi, forms.gamma_m)
-        x = rand_unit(np.random.default_rng(10), 3)
-        out = sg.nu_squared(x, ctx)
-        q_e, q_xi, q_psi, q_gam = out.components
-        assert out.value == pytest.approx((q_e / q_xi) * (q_psi / q_gam), rel=1e-12)
 
 
 class TestCrossGainEstimate:
@@ -294,9 +298,9 @@ class TestComputeReport:
             sg.compute_report(data, steer, detectors=("glr", "bogus"))
 
     def test_factors_each_block_once(self, monkeypatch):
-        # one six-detector trial: one Cholesky per diagonal block, shared by
-        # the warm start, no eigendecomposition, and the three eigvalsh
-        # calls of the single validation of the reduced forms
+        # one six-detector trial: one Cholesky per diagonal block, no
+        # eigendecomposition, and one eigvalsh, the stacked validation of
+        # the exact cost's forms
         _, steer, data = make_instance(seed=47, L=4)
         calls = {"cho_factor": 0, "cholesky": 0, "eigh": 0, "eigvalsh": 0}
 
@@ -317,7 +321,7 @@ class TestComputeReport:
         assert calls["cho_factor"] <= 2
         assert calls["cho_factor"] + calls["cholesky"] <= 2
         assert calls["eigh"] == 0
-        assert calls["eigvalsh"] <= 3
+        assert calls["eigvalsh"] <= 1
 
     def test_matches_standalone_functions(self):
         s, steer, data = make_instance(seed=46, L=3)
@@ -349,3 +353,30 @@ class TestDegenerateSamples:
                 fn(s, steer.u_s, steer.u_r)
         with pytest.raises(ValueError, match="s_ss"):
             sg.sigma_max_coherence(s)
+
+    @pytest.mark.parametrize("case", ["scaled-copy", "copy", "copy-plus-1e-9"])
+    def test_coherent_channels_named(self, case):
+        # a surveillance channel that repeats the reference channel makes
+        # the full sample covariance singular; glr names the cause
+        _, steer, data = make_instance(seed=49, L=2, N=8)
+        y_s = {"scaled-copy": 3.0 * data.y_r, "copy": data.y_r.copy(),
+               "copy-plus-1e-9": data.y_r + 1e-9 * data.y_s}[case]
+        s = sg.block_sample_cov(y_s, data.y_r)
+        with pytest.raises(ValueError, match="coherent") as info:
+            sg.glr_exact(s, steer.u_s, steer.u_r)
+        assert not isinstance(info.value, sg.DegenerateSampleError)
+
+    def test_coherent_trial_isolated_in_its_block(self):
+        # the coherence check runs once per block but fails only its trial
+        trials = [make_instance(seed=50 + k, L=3, N=12) for k in range(3)]
+        y_s = np.stack([t[2].y_s for t in trials])
+        y_r = np.stack([t[2].y_r for t in trials])
+        y_s[1] = 3.0 * y_r[1]
+        u_s = np.stack([t[1].u_s for t in trials])
+        u_r = np.stack([t[1].u_r for t in trials])
+        out = sg.score_batch(y_s, y_r, u_s, u_r)
+        assert isinstance(out[1], ValueError) and "coherent" in str(out[1])
+        for k in (0, 2):
+            alone = sg.compute_report(trials[k][2], trials[k][1])
+            assert out[k].glr_1n == alone.glr_1n
+            assert out[k].glr_sample == alone.glr_sample

@@ -61,7 +61,7 @@ class TestRunTrials:
 
     def test_block_calls_do_not_grow_with_trials(self, monkeypatch):
         # a block is factored and decomposed as one stack, whatever its size
-        calls = {"cholesky": 0, "cho_factor": 0, "svd": 0}
+        calls = {"cholesky": 0, "cho_factor": 0, "svd": 0, "eigvalsh": 0}
 
         def counted(mod, name):
             orig = getattr(mod, name)
@@ -75,6 +75,7 @@ class TestRunTrials:
         counted(np.linalg, "cholesky")
         counted(scipy.linalg, "cho_factor")
         counted(np.linalg, "svd")
+        counted(np.linalg, "eigvalsh")
         per_size = {}
         for trials in (8, 64):
             calls.update(dict.fromkeys(calls, 0))

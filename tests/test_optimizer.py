@@ -4,7 +4,7 @@ import pytest
 import subspace_glr as sg
 from subspace_glr._linalg import to_real
 from subspace_glr.optimizer import random_start
-from _utils import fd_gradient, grid_max_j_l2, make_instance, rand_pd, rand_unit
+from _utils import fd_gradient, grid_max_j_l2, make_instance, rand_pd
 
 
 def identity_ctx(dim):
@@ -21,15 +21,21 @@ def random_ctx(seed, dim):
     return sg.CostContext(xi, psi, gamma)
 
 
-def no_cross_cov(block):
-    """A BlockSampleCov with both diagonal blocks equal to block and no cross block."""
-    return sg.BlockSampleCov(block, np.zeros_like(block), block, n=2 * block.shape[0])
+def beamformed_ctx(s, steer):
+    """The beamformer pair of an instance and the exact cost built from it."""
+    pair = sg.capon_pair(s, steer.u_s, steer.u_r)
+    forms = sg.cost_forms(sg.coherence_matrix(s), pair)
+    return pair, sg.CostContext(*forms)
 
 
 def instance_ctx(seed, L=3):
     s, steer, _ = make_instance(seed=seed, L=L)
-    forms = sg.build_reduced_forms(s, steer.u_s, steer.u_r)
-    return s, steer, forms, sg.CostContext(forms.xi, forms.psi, forms.gamma_m)
+    return (s, steer) + beamformed_ctx(s, steer)
+
+
+def warm_start(dim):
+    """The detector's warm start e1."""
+    return np.eye(1, dim, dtype=complex)[0]
 
 
 class TestCostJ:
@@ -121,29 +127,6 @@ class TestHessJ:
         assert np.max(np.abs(h - fd)) <= 1e-4 * max(1.0, np.max(np.abs(h)))
 
 
-class TestInitX:
-    def test_identity_reference(self):
-        L = 3
-        rng = np.random.default_rng(5)
-        u_r = rand_unit(rng, L)
-        u_full = np.column_stack([u_r, sg.unitary_completion(u_r)])
-        x0 = sg.init_x(no_cross_cov(np.eye(L, dtype=complex)), u_full)
-        e1 = np.zeros(L, dtype=complex)
-        e1[0] = 1.0
-        assert np.allclose(x0, e1, atol=1e-12)
-
-    def test_single_sensor(self):
-        x0 = sg.init_x(no_cross_cov(np.array([[2.0 + 0j]])), np.array([[1.0 + 0j]]))
-        assert np.allclose(x0, [1.0])
-
-    def test_canonical_form(self):
-        s, steer, forms, _ = instance_ctx(seed=35)
-        x0 = sg.init_x(s, forms.u_r_full)
-        assert np.linalg.norm(x0) == pytest.approx(1.0, abs=1e-12)
-        assert x0[0].imag == 0.0
-        assert x0[0].real >= 0.0
-
-
 class TestMaximizeJ:
     def test_identity_context_converges_to_e1(self):
         ctx = identity_ctx(4)
@@ -163,28 +146,28 @@ class TestMaximizeJ:
             assert np.all(np.diff(trace) >= 0)
 
     def test_phase_invariant_start(self):
-        s, steer, forms, ctx = instance_ctx(seed=36)
-        x0 = sg.init_x(s, forms.u_r_full)
+        s, steer, _, ctx = instance_ctx(seed=36)
+        x0 = warm_start(3)
         base = sg.maximize_j(ctx, x0)
         rotated = sg.maximize_j(ctx, np.exp(1.7j) * x0)
         assert np.max(np.abs(base.x_hat - rotated.x_hat)) <= 1e-8
 
     def test_stationary_when_converged(self):
-        s, steer, forms, ctx = instance_ctx(seed=37)
-        res = sg.maximize_j(ctx, sg.init_x(s, forms.u_r_full))
+        s, steer, _, ctx = instance_ctx(seed=37)
+        res = sg.maximize_j(ctx, warm_start(3))
         assert res.converged
         assert np.linalg.norm(sg.grad_j(res.x_hat, ctx)) <= 1e-7
 
     def test_result_is_canonical(self):
-        s, steer, forms, ctx = instance_ctx(seed=38)
-        res = sg.maximize_j(ctx, sg.init_x(s, forms.u_r_full))
+        s, steer, _, ctx = instance_ctx(seed=38)
+        res = sg.maximize_j(ctx, warm_start(3))
         assert np.linalg.norm(res.x_hat) == pytest.approx(1.0, abs=1e-10)
         assert res.x_hat[0].imag == 0.0
         assert res.x_hat[0].real >= 0.0
 
     def test_beats_grid_oracle_two_sensors(self):
-        s, steer, forms, ctx = instance_ctx(seed=39, L=2)
-        res = sg.maximize_j(ctx, sg.init_x(s, forms.u_r_full))
+        s, steer, _, ctx = instance_ctx(seed=39, L=2)
+        res = sg.maximize_j(ctx, warm_start(2))
         grid_best = grid_max_j_l2(ctx, grid=400, zoom_steps=6)
         assert res.j_value >= grid_best - 1e-6
 
@@ -196,17 +179,16 @@ class TestMaximizeJ:
             s, steer, _ = make_instance(
                 seed, L=4, N=15, snr_s_db=0.0, snr_r_db=0.0, hypothesis="H0"
             )
-            forms = sg.build_reduced_forms(s, steer.u_s, steer.u_r)
-            ctx = sg.CostContext(forms.xi, forms.psi, forms.gamma_m)
-            res = sg.maximize_j(ctx, sg.init_x(s, forms.u_r_full))
+            _, ctx = beamformed_ctx(s, steer)
+            res = sg.maximize_j(ctx, warm_start(4))
             assert res.stop_reason == "gradient", f"seed {seed}: {res.stop_reason}"
             assert res.converged
             iterations.append(res.iterations)
         assert max(iterations) > 1
 
     def test_stops_on_max_iter(self):
-        s, steer, forms, ctx = instance_ctx(seed=40, L=4)
-        x0 = sg.init_x(s, forms.u_r_full)
+        s, steer, _, ctx = instance_ctx(seed=40, L=4)
+        x0 = warm_start(4)
         assert sg.maximize_j(ctx, x0).iterations > 1
         res = sg.maximize_j(ctx, x0, sg.TrustRegionOptions(max_iter=1))
         assert res.stop_reason == "max_iter"
@@ -216,9 +198,9 @@ class TestMaximizeJ:
     def test_stops_on_radius(self):
         # A first step of length 10 from the warm start overshoots and is
         # rejected; the shrunken radius then falls below min_radius.
-        s, steer, forms, ctx = instance_ctx(seed=41, L=4)
+        s, steer, _, ctx = instance_ctx(seed=41, L=4)
         opts = sg.TrustRegionOptions(initial_radius=10.0, min_radius=5.0)
-        res = sg.maximize_j(ctx, sg.init_x(s, forms.u_r_full), opts)
+        res = sg.maximize_j(ctx, warm_start(4), opts)
         assert res.stop_reason == "radius"
         assert not res.converged
         assert res.j_trace.size == 1
@@ -232,15 +214,13 @@ class TestMaximizeJ:
         # At the warm start the likelihood ratio equals 1 + glr_sample exactly.
         for seed in range(5):
             s, steer, data = make_instance(seed=800 + seed, L=3)
-            forms = sg.build_reduced_forms(s, steer.u_s, steer.u_r)
-            ctx = sg.CostContext(forms.xi, forms.psi, forms.gamma_m)
-            x0 = sg.init_x(s, forms.u_r_full)
+            _, ctx = beamformed_ctx(s, steer)
             from subspace_glr.covariance import cross_capon_beta
 
             beta_s = cross_capon_beta(s.s_ss, steer.u_s)
             beta_r = cross_capon_beta(s.s_rr, steer.u_r)
             lam_app = sg.glr_sample(s, steer.u_s, steer.u_r)
-            nu2 = sg.nu_squared(x0, ctx).value
+            nu2 = np.exp(sg.cost_j(warm_start(3), ctx))
             assert nu2 / (beta_s * beta_r) == pytest.approx(1.0 + lam_app, rel=1e-8)
 
 
