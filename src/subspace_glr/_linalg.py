@@ -105,8 +105,3 @@ def real_embedding(a: np.ndarray) -> np.ndarray:
 
 def to_real(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x.real, x.imag])
-
-
-def to_complex(z: np.ndarray) -> np.ndarray:
-    half = z.size // 2
-    return z[:half] + 1j * z[half:]

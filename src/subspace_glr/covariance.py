@@ -240,23 +240,24 @@ def cost_forms(c: np.ndarray, pair: BeamformerPair) -> tuple[np.ndarray, np.ndar
     beamformer pair.
 
     In whitened reference coordinates w = L_r^H z the cost is
-    log(|a_r^H w|^2 / |w|^2) + log((beta_s w^H G w + |a_s^H C w|^2) / w^H G w)
+    log(|w_r^H w|^2 / |w|^2) + log((w^H G w + |w_s^H C w|^2) / w^H G w)
     with G = I - C^H C. In x = Q^H w, Q = householder(w_r), that is
 
-        xi = I / beta_r,  gamma_m = Q^H G Q,  psi = beta_s gamma_m + h h^H,
-        h = Q^H C^H a_s,
+        xi = I,  gamma_m = Q^H G Q,  psi = gamma_m + g g^H,  g = Q^H C^H w_s,
 
-    and at x = e1 (z along S_rr^{-1} u_r) the statistic exp(J) / (beta_s
-    beta_r) equals 1 + glr_sample. gamma_m has the eigenvalues 1 - sigma_k^2
-    of G, so the forms are positive definite exactly when sigma_max < 1.
+    and at x = e1 (z along S_rr^{-1} u_r) the statistic exp(J) equals
+    1 + glr_sample. The forms carry no units of the channels: the maximum of
+    J is log Lambda^{1/N}. gamma_m has the eigenvalues 1 - sigma_k^2 of G, so
+    the forms are positive definite exactly when sigma_max < 1. xi is a
+    read-only broadcast of the identity.
     """
     q = householder(pair.w_r)
     cq = c @ q
     eye = np.eye(c.shape[-1])
     gamma_m = hermitize(eye - adjoint(cq) @ cq)
-    h = adjoint(cq) @ pair.a_s[..., None]
-    psi = hermitize(pair.beta_s[..., None, None] * gamma_m + h @ adjoint(h))
-    return eye / pair.beta_r[..., None, None], psi, gamma_m
+    g = adjoint(cq) @ pair.w_s[..., None]
+    psi = hermitize(gamma_m + g @ adjoint(g))
+    return np.broadcast_to(eye, gamma_m.shape), psi, gamma_m
 
 
 def cross_capon_beta(s_block: np.ndarray, u: np.ndarray, name: str = "block") -> float:

@@ -21,8 +21,9 @@ The three proposed statistics are functions of beamformed data: the
 whitened steering vectors a_i = L_i^{-1} u_i and the coherence matrix
 C = L_s^{-1} S_sr L_r^{-H}, with the Cholesky factors S_ii = L_i L_i^H. The
 closed forms are vector operations on them, and the exact statistic ascends
-a cost built from them (covariance.cost_forms). score_batch forms them once
-for a stack of records; compute_report is a stack of one.
+a cost built from them (covariance.cost_forms), one lockstep ascent for a
+whole stack. score_batch forms them once for a stack of records;
+compute_report is a stack of one.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .covariance import (
     eta_sr,
 )
 from .model import SnapshotData, SteeringPair, substream
-from .optimizer import CostContext, OptimResult, TrustRegionOptions, maximize_j, random_start
+from .optimizer import OptimResult, TrustRegionOptions, ascend, random_start
 
 DETECTOR_NAMES = ("glr", "glr_sample", "glr_low", "sigma_max", "t_cc", "t_svd")
 PROPOSED_DETECTORS = ("glr", "glr_sample", "glr_low")
@@ -114,27 +115,40 @@ def glr_sample(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> float:
     return num / den
 
 
-def _ascend(forms, gap: float, beta_s: float, beta_r: float, opts) -> tuple[float, OptimResult]:
-    """Ascend one trial's cost from the warm start e1, plus opts.n_restarts
-    random starts, and return exp(J) / (beta_s beta_r) at the best ascent
-    (as exp(J - log beta_s - log beta_r), which cannot overflow). gap is the
-    smallest eigenvalue of the trial's gamma_m."""
-    if gap <= COHERENCE_FLOOR:
-        raise ValueError(
-            f"the channels are fully coherent: I - C^H C has eigenvalue {gap:.3e} <= {COHERENCE_FLOOR:.3e}"
-        )
+def _glr(forms, opts: TrustRegionOptions | None):
+    """The exact statistic of each trial of stacked cost forms (..., L, L):
+    one lockstep ascent from the warm start e1 of every trial, plus
+    opts.n_restarts random starts stacked as extra rows, keeping each trial's
+    best row. Returns the statistics exp(J), the ascent records and the
+    errors per trial (None, or the ValueError that fails the trial: fully
+    coherent channels, see COHERENCE_FLOOR, or a non-finite statistic)."""
     opts = opts or TrustRegionOptions()
-    ctx = CostContext(*forms)
-    dim = ctx.num_sensors
-    res = maximize_j(ctx, np.eye(1, dim, dtype=complex)[0], opts)
-    for k in range(opts.n_restarts):
-        alt = maximize_j(ctx, random_start(dim, substream(opts.restart_seed, k)), opts)
-        if alt.j_value > res.j_value:
-            res = alt
-    stat = math.exp(res.j_value - math.log(beta_s) - math.log(beta_r))
-    if not math.isfinite(stat):
-        raise DegenerateSampleError(f"non-finite exact statistic {stat}")
-    return stat, res
+    xi, psi, gamma_m = (f.reshape((-1,) + f.shape[-2:]) for f in forms)
+    count, dim = gamma_m.shape[:2]
+    gap = np.linalg.eigvalsh(gamma_m)[:, 0]
+    errors: list[ValueError | None] = [None] * count
+    for i in np.flatnonzero(gap <= COHERENCE_FLOOR):
+        errors[i] = ValueError(
+            f"the channels are fully coherent: I - C^H C has eigenvalue {gap[i]:.3e} <= {COHERENCE_FLOOR:.3e}"
+        )
+    valid = np.flatnonzero(gap > COHERENCE_FLOOR)
+    starts = [np.eye(1, dim, dtype=complex)[0]]
+    starts += [random_start(dim, substream(opts.restart_seed, k)) for k in range(opts.n_restarts)]
+    # Row k * len(valid) + j ascends trial valid[j] from starts[k].
+    x0 = np.concatenate([np.broadcast_to(x, (valid.size, dim)) for x in starts])
+    stacked = [np.tile(f[valid], (len(starts), 1, 1)) for f in (xi, psi, gamma_m)]
+    runs = ascend(stacked, x0, opts) if valid.size else []
+    j_values = np.reshape([r.j_value for r in runs], (len(starts), valid.size))
+    best = np.argmax(j_values, axis=0)  # the first start wins a tie
+    optim: list[OptimResult | None] = [None] * count
+    for j, i in enumerate(valid):
+        optim[i] = runs[best[j] * valid.size + j]
+    stats = np.full(count, np.nan)
+    with np.errstate(over="ignore"):
+        stats[valid] = np.exp(j_values[best, np.arange(valid.size)])
+    for i in valid[~np.isfinite(stats[valid])]:
+        errors[i] = DegenerateSampleError(f"non-finite exact statistic {stats[i]}")
+    return stats, optim, errors
 
 
 def glr_exact(
@@ -163,9 +177,10 @@ def glr_exact(
         The statistic Lambda^{1/N} >= 1 and the ascent record. Raises
         ValueError when the channels are fully coherent (COHERENCE_FLOOR).
     """
-    c, pair = _beamform(s, u_s, u_r)
-    forms = cost_forms(c, pair)
-    return _ascend(forms, np.linalg.eigvalsh(forms[2])[0], pair.beta_s, pair.beta_r, opts)
+    stats, optim, errors = _glr(cost_forms(*_beamform(s, u_s, u_r)), opts)
+    if errors[0] is not None:
+        raise errors[0]
+    return float(stats[0]), optim[0]
 
 
 def sigma_max_coherence(s: BlockSampleCov) -> float:
@@ -304,11 +319,11 @@ def score_batch(
     its Cholesky factors, the coherence matrix and the beamformer pair are
     formed once for the stack and feed every detector. The closed forms and
     the exact cost's forms are vector operations over the stack, one stacked
-    eigvalsh validates the latter, and glr runs one ascent per trial on its
-    slice of them. Returns one entry per trial: its report, or the error
-    that scoring the trial alone raises first (from glr, a collapsed
-    glr_sample denominator, a zero channel in t_svd, then a non-finite
-    statistic in detector order). What fails for the stack as a whole, such
+    eigvalsh validates the latter, and glr runs one lockstep ascent over all
+    of them (optimizer.ascend). Returns one entry per trial: its report, or
+    the error that scoring the trial alone raises first (from glr, a
+    collapsed glr_sample denominator, a zero channel in t_svd, then a
+    non-finite statistic in detector order). What fails for the stack as a whole, such
     as too few snapshots or a block that is not positive definite, raises.
     """
     unknown = set(detectors) - set(DETECTOR_NAMES)
@@ -330,15 +345,7 @@ def score_batch(
     elif "sigma_max" in detectors:
         c = coherence_matrix(s)
     if "glr" in detectors:
-        forms = cost_forms(c, pair)
-        gap = np.linalg.eigvalsh(forms[2])[..., 0]
-        stats["glr"] = np.full(count, np.nan)
-        for i in range(count):
-            one = tuple(form[i] for form in forms)
-            try:
-                stats["glr"][i], optim[i] = _ascend(one, gap[i], pair.beta_s[i], pair.beta_r[i], opts)
-            except ValueError as exc:
-                errors[i] = exc
+        stats["glr"], optim, errors = _glr(cost_forms(c, pair), opts)
     with np.errstate(divide="ignore", invalid="ignore"):
         if "glr_sample" in detectors or "glr_low" in detectors:
             num, den, low_den = _closed_form_terms(c, pair)

@@ -6,26 +6,44 @@ The exact likelihood-ratio statistic reduces to maximizing
 
 over nonzero complex vectors x of length L, where E selects the first
 coordinate (E = e1 e1^H) and Xi, Psi, Gamma are Hermitian positive definite.
-covariance.cost_forms builds them from beamformed data, with Xi = I / beta_r,
-and the exact detector validates the forms of a whole block at once, so
-CostContext takes them as given. The detector starts the ascent at e1, where
-the statistic equals the closed-form approximation 1 + glr_sample.
+covariance.cost_forms builds them from beamformed data with Xi = I, so the
+maximum of J is log Lambda^{1/N} itself, free of the channels' units, and
+the exact detector validates the forms of a whole block at once, so the
+ascent takes them as given. The detector starts the ascent at e1, where
+exp(J) equals the closed-form approximation 1 + glr_sample.
 
 J is invariant to complex scaling of x, so only the ray of x matters, and J
 is -inf where x[0] = 0. Every other ray meets the affine chart x = [1; y]
-once, so the ascent runs in the 2L - 2 real coordinates [Re y; Im y] and
-never sees the scale and phase freedom.
+once, so the ascent runs in the n = 2L - 2 real coordinates [Re y; Im y] and
+never sees the scale and phase freedom. In the chart x^H E x = 1.
 
 Gradient and Hessian are exact. For a ratio term log(z^T M z) the gradient
-is 2 M z / q and the Hessian 2 M / q - 4 (M z)(M z)^T / q^2 with q = z^T M z;
-J stacks four such terms with signs (+, -, +, -). In the chart they are the
-rows and columns of the free coordinates of z = [Re x; Im x]. The
-trust-region step solves the local quadratic model with Steihaug conjugate
-gradients, which handles the indefinite Hessians that occur away from the
-maximizer by walking to the boundary along negative-curvature directions.
+is 2 M z / q and the Hessian 2 M / q - 4 (M z)(M z)^T / q^2 with q = z^T M z,
+where M is the real symmetric embedding of a form and z = [Re x; Im x]; in
+the chart they are the rows and columns of the free coordinates.
+
+ascend runs the ascents of a whole stack of cost surfaces in lockstep: each
+pass takes one step on every row still active and retires the rows that
+stop. Each step solves the trust-region subproblem, maximize g.p + p.H.p/2
+subject to |p| <= radius, exactly (Moré and Sorensen, "Computing a trust
+region step", SIAM J. Sci. Stat. Comput. 4(3), 1983; Nocedal and Wright,
+Numerical Optimization, 2nd ed., 4.3) from one batched eigendecomposition
+-H = Q diag(lam) Q^T per pass. When -H is positive definite and its Newton
+step fits, that is the step. Otherwise the step lies on the boundary at
+p(s) = -(-H + s I)^{-1} (-g) with s >= max(0, -lam_1), and s solves the
+secular equation 1/|p(s)| - 1/radius = 0, whose left side is concave and
+increasing beyond the pole at s = -lam_1: Newton's method started left of
+the root climbs to it monotonically. In the hard case (Nocedal and Wright
+4.3.1) g has no component along the eigenvector q_1 of lam_1 <= 0 and the
+root would lie at or left of the pole; the step is then p(-lam_1) plus the
+multiple of q_1 that reaches the boundary.
+
 The ascent has converged when the gradient norm is at most grad_tol or the
 step's predicted gain g.p + p.H.p/2 is at most 8 eps (1 + |J|), below the
 roundoff of J (the Newton-decrement test, Boyd & Vandenberghe, 9.5.1).
+Rows never mix: every reduction runs per row in an order fixed by L alone,
+so a trial gets the same bits in a stack of any size. maximize_j is a stack
+of one.
 """
 
 from __future__ import annotations
@@ -35,10 +53,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import real_embedding, to_complex, to_real
+from ._linalg import real_embedding, to_real
 
+_EPS = np.finfo(float).eps
 # A predicted gain at or below this share of 1 + |J| is below J's roundoff.
-_GAIN_RTOL = 8.0 * np.finfo(float).eps
+_GAIN_RTOL = 8.0 * _EPS
+# Cap on the Newton steps for one secular equation. From the left of the
+# root they converge monotonically and quadratically, so a row stops long
+# before this once its shift no longer moves.
+_SECULAR_STEPS = 64
+# Signs of the chart's three log terms (Xi, Psi, Gamma); the E term is 0.
+_SIGNS = np.array([-1.0, 1.0, -1.0])
 
 
 @dataclass
@@ -47,7 +72,8 @@ class CostContext:
 
     Holds the three Hermitian positive definite forms plus their real
     symmetric embeddings, stacked so that one batched matmul evaluates all
-    four quadratic forms. The forms are not checked here; see the module
+    four quadratic forms of J in the full coordinates [Re x; Im x] (cost_j,
+    grad_j, hess_j). The forms are not checked here; see the module
     docstring.
     """
 
@@ -122,16 +148,17 @@ def hess_j(x: np.ndarray, ctx: CostContext) -> np.ndarray:
 
 
 def _canonicalize(x: np.ndarray) -> np.ndarray:
-    """Unit norm and a real nonnegative first coordinate.
+    """Unit norm and a real nonnegative first coordinate, for a vector or
+    each vector of a (..., L) stack.
 
     J is invariant under complex scaling, so this picks one representative
     per ray without moving the objective.
     """
-    x = x / np.linalg.norm(x)
-    mag = abs(x[0])
-    if mag > 0.0:
-        x = x * (x[0].conjugate() / mag)
-        x[0] = mag
+    x = x / np.linalg.norm(x, axis=-1, keepdims=True)
+    mag = np.abs(x[..., :1])
+    with np.errstate(invalid="ignore"):
+        x = x * np.where(mag > 0.0, x[..., :1].conj() / mag, 1.0)
+    x[..., 0] = mag[..., 0]
     return x
 
 
@@ -177,111 +204,173 @@ class OptimResult:
         return self.stop_reason == "gradient"
 
 
-def _steihaug(grad: np.ndarray, hess: np.ndarray, radius: float) -> np.ndarray:
-    """Approximately minimize g^T p + p^T H p / 2 subject to |p| <= radius.
+def _chart_value(m: np.ndarray, u: np.ndarray):
+    """J at chart points u = [1; [Re y; Im y]] of stacked reduced forms m
+    (T, 3, n+1, n+1), with the products M_k u and forms q_k = u^T M_k u that
+    _chart_derivatives reuses. J is -inf on a row where a form is not
+    positive and finite."""
+    mu = np.einsum("tkij,tj->tki", m, u)
+    q = np.einsum("tki,ti->tk", mu, u)
+    ok = np.all((q > 0.0) & np.isfinite(q), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lq = np.log(q)
+    return np.where(ok, (lq[:, 1] - lq[:, 2]) - lq[:, 0], -math.inf), mu, q
 
-    Truncated conjugate gradients: follows CG while the curvature stays
-    positive and the iterate stays interior, and exits through the boundary
-    along the current direction otherwise.
+
+def _chart_derivatives(m_free: np.ndarray, mu: np.ndarray, q: np.ndarray):
+    """Gradient and Hessian of J in the free coordinates, from _chart_value's
+    products; m_free is m[..., 1:, 1:]."""
+    mu = mu[..., 1:]
+    w = _SIGNS / q
+    grad = 2.0 * np.einsum("tk,tki->ti", w, mu)
+    hess = 2.0 * np.einsum("tk,tkij->tij", w, m_free)
+    hess -= 4.0 * np.einsum("tk,tki,tkj->tij", w / q, mu, mu)
+    return grad, hess
+
+
+def solve_subproblem(
+    grad: np.ndarray, hess: np.ndarray, radius: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact maximizer p of g.p + p.H.p/2 subject to |p| <= radius, and the
+    gain it predicts, for each row of stacked gradients (T, n), Hessians
+    (T, n, n) and radii (T,). See the module docstring for the method.
+
+    Works in the eigenbasis of B = -H with c = -g, shifted so that the
+    smallest eigenvalue sits at 0: d_i = lam_i - lam_1 and a boundary step
+    is p_i = -c_i / (d_i + delta) with delta = lam_1 + s, which keeps delta
+    resolved however close the root lies to the pole.
     """
+    if not grad.shape[-1]:  # L = 1: the chart is a point
+        return grad.copy(), np.zeros(len(grad))
+    lam, vec = np.linalg.eigh(-hess)
+    c = -np.einsum("tji,tj->ti", vec, grad)
+    c2 = c * c
+    lam1 = lam[:, :1]
+    d = lam - lam1
+    rad = radius[:, None]
+    # A shift below this is lost in the eigenvalues' own roundoff.
+    floor = _EPS * np.maximum(np.max(np.abs(lam), axis=-1, keepdims=True), np.finfo(float).tiny)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        interior = (lam1 > 0.0) & (np.sum(c2 / (lam * lam), axis=-1, keepdims=True) <= rad * rad)
+        hard = (lam1 <= 0.0) & (np.sum(c2 / (d + floor) ** 2, axis=-1, keepdims=True) <= rad * rad)
+        # Left of the root: |p| >= |c_1| / (d_1 + delta) = radius there.
+        start = np.maximum(np.where(lam1 > 0.0, lam1, floor), np.abs(c[:, :1]) / rad)
+        delta = start
+        live = ~(interior | hard)
+        for _ in range(_SECULAR_STEPS):
+            shift = d + delta
+            n2 = np.sum(c2 / (shift * shift), axis=-1, keepdims=True)
+            n3 = np.sum(c2 / (shift * shift * shift), axis=-1, keepdims=True)
+            norm = np.sqrt(n2)
+            moved = np.maximum(delta + (n2 / n3) * ((norm - rad) / rad), start)
+            live &= moved != delta
+            if not live.any():
+                break
+            delta = np.where(live, moved, delta)
+        p = -c / np.where(interior, lam, d + np.where(hard, floor, delta))
+        # Hard case: fill the boundary along q_1, against c_1.
+        rest = np.sum(p[:, 1:] * p[:, 1:], axis=-1)
+        fill = np.copysign(np.sqrt(np.maximum(radius * radius - rest, 0.0)), -c[:, 0])
+    p[:, :1] = np.where(hard, fill[:, None], p[:, :1])
+    gain = -np.sum(c * p + 0.5 * lam * (p * p), axis=-1)
+    return np.einsum("tij,tj->ti", vec, p), gain
 
-    def boundary_step(p: np.ndarray, d: np.ndarray) -> np.ndarray:
-        dd = d @ d
-        pd = p @ d
-        pp = p @ p
-        tau = (-pd + math.sqrt(max(pd * pd + dd * (radius * radius - pp), 0.0))) / dd
-        return p + tau * d
 
-    p = np.zeros_like(grad)
-    r = grad.copy()
-    d = -r
-    r2 = r @ r
-    g_norm = math.sqrt(r2)
-    if g_norm == 0.0:
-        return p
-    tol = min(0.5, math.sqrt(g_norm)) * g_norm
-    for _ in range(grad.size):
-        hd = hess @ d
-        curv = d @ hd
-        if curv <= 0.0:
-            return boundary_step(p, d)
-        alpha = r2 / curv
-        p_next = p + alpha * d
-        if np.linalg.norm(p_next) >= radius:
-            return boundary_step(p, d)
-        p = p_next
-        r = r + alpha * hd
-        r2_next = r @ r
-        if math.sqrt(r2_next) <= tol:
-            return p
-        d = -r + (r2_next / r2) * d
-        r2 = r2_next
-    return p
+def ascend(forms, starts: np.ndarray, opts: TrustRegionOptions | None = None) -> list[OptimResult]:
+    """Ascend J from each row of starts (T, L) on the surface of the same row
+    of forms = (xi, psi, gamma_m), each (T, L, L), all rows in lockstep.
+
+    Each start is moved into the chart x = [1; y] by dividing by its first
+    entry, which must not vanish. Steps are scored against the quadratic
+    model, and each row's trace of accepted objective values is monotone
+    because only improving steps are taken.
+    """
+    opts = opts or TrustRegionOptions()
+    starts = np.asarray(starts, dtype=complex)
+    count, dim = starts.shape
+    if np.any(starts[:, 0] == 0):
+        raise ValueError("start point x0 has x0[0] == 0, outside the chart x = [1; y]")
+    keep = np.r_[0, 1:dim, dim + 1 : 2 * dim]
+    m = np.stack([real_embedding(np.asarray(f, dtype=complex)) for f in forms], axis=1)
+    m = m[..., keep[:, None], keep]
+    m_free = np.ascontiguousarray(m[..., 1:, 1:])
+    y = starts[:, 1:] / starts[:, :1]
+    u = np.concatenate([np.ones((count, 1)), y.real, y.imag], axis=1)
+    f, mu, q = _chart_value(m, u)
+    if not np.all(np.isfinite(f)):
+        bad = int(np.flatnonzero(~np.isfinite(f))[0])
+        raise ValueError(f"objective is -inf at the start point of row {bad}")
+    grad, hess = _chart_derivatives(m_free, mu, q)
+
+    # Final state per row, filled in as rows stop.
+    u_out, f_out = u.copy(), f.copy()
+    iterations = np.zeros(count, dtype=int)
+    stop = np.empty(count, dtype=object)
+    traces = [[v] for v in f.tolist()]
+    rows = np.arange(count)
+    radius = np.full(count, opts.initial_radius)
+    steps = np.zeros(count, dtype=int)
+
+    def retire(done: np.ndarray, reason: str) -> np.ndarray:
+        """Record the rows flagged in done and return the mask of the others."""
+        idx = rows[done]
+        u_out[idx], f_out[idx], iterations[idx], stop[idx] = u[done], f[done], steps[done], reason
+        return ~done
+
+    while rows.size:
+        p, pred = solve_subproblem(grad, hess, radius)
+        gnorm = np.sqrt(np.sum(grad * grad, axis=-1))
+        active = retire((gnorm <= opts.grad_tol) | (pred <= _GAIN_RTOL * (1.0 + np.abs(f))), "gradient")
+        if not active.all():
+            rows, m, m_free, u, f, grad, hess, radius, steps, p, pred = (
+                a[active] for a in (rows, m, m_free, u, f, grad, hess, radius, steps, p, pred)
+            )
+            if not rows.size:
+                break
+        steps += 1
+        step_norm = np.sqrt(np.sum(p * p, axis=-1))
+        u_new = u.copy()
+        u_new[:, 1:] += p
+        # pred > 0 here, so a step to a -inf value has ratio -inf.
+        f_new, mu, q = _chart_value(m, u_new)
+        ratio = (f_new - f) / pred
+        acc = (f_new > f) & (ratio >= opts.accept_ratio)
+        if acc.any():
+            grad[acc], hess[acc] = _chart_derivatives(m_free[acc], mu[acc], q[acc])
+            u[acc], f[acc] = u_new[acc], f_new[acc]
+            for i, v in zip(rows[acc].tolist(), f_new[acc].tolist()):
+                traces[i].append(v)
+        grow = acc & (ratio > 0.75) & (step_norm >= 0.9 * radius)
+        shrink = acc & ~grow & (ratio < 0.25)
+        radius = np.where(grow, 2.0 * radius, np.where(shrink, 0.5 * radius, radius))
+        radius = np.where(acc, radius, 0.25 * np.minimum(radius, step_norm))
+        active = retire(radius < opts.min_radius, "radius")
+        active &= retire(active & (steps >= opts.max_iter), "max_iter")
+        if not active.all():
+            rows, m, m_free, u, f, grad, hess, radius, steps = (
+                a[active] for a in (rows, m, m_free, u, f, grad, hess, radius, steps)
+            )
+
+    x_hat = u_out[:, :dim].astype(complex)
+    x_hat[:, 1:] += 1j * u_out[:, dim:]
+    x_hat = _canonicalize(x_hat)
+    return [
+        OptimResult(x_hat[i], float(f_out[i]), int(iterations[i]), stop[i], np.asarray(traces[i]))
+        for i in range(count)
+    ]
 
 
 def maximize_j(
     ctx: CostContext, x0: np.ndarray, opts: TrustRegionOptions | None = None
 ) -> OptimResult:
-    """Ascend J from x0 with a Steihaug trust-region method in the chart x = [1; y].
-
-    Internally minimizes -J over the free coordinates [Re y; Im y]; x0 is
-    moved into the chart by dividing by x0[0], which must not vanish. Steps
-    are scored against the quadratic model, and the trace of accepted
-    objective values is monotone because only improving steps are taken.
-    """
-    opts = opts or TrustRegionOptions()
+    """Ascend J from x0 with the exact-step trust-region method in the chart
+    x = [1; y]: ascend on a stack of one."""
     x0 = np.asarray(x0, dtype=complex).reshape(-1)
     dim = ctx.num_sensors
     if x0.size != dim:
         raise ValueError(f"x0 has length {x0.size}, expected {dim}")
-    if x0[0] == 0:
-        raise ValueError("start point x0 has x0[0] == 0, outside the chart x = [1; y]")
-    free = np.r_[1:dim, dim + 1 : 2 * dim]
-    free_block = np.ix_(free, free)
-    z = to_real(x0 / x0[0])
-    try:
-        f, grad, hess = ctx.value_grad_hess(z)
-    except ValueError as exc:
-        raise ValueError(f"objective is -inf at the start point: {exc}") from exc
-    grad, hess = grad[free], hess[free_block]
-    trace = [f]
-    radius = opts.initial_radius
-    iterations = 0
-    stop_reason = "max_iter"
-    for it in range(1, opts.max_iter + 1):
-        # Minimize the model of -J.
-        p = _steihaug(-grad, -hess, radius)
-        pred = float(grad @ p + 0.5 * p @ hess @ p)  # predicted J increase
-        if np.linalg.norm(grad) <= opts.grad_tol or pred <= _GAIN_RTOL * (1.0 + abs(f)):
-            stop_reason = "gradient"
-            break
-        iterations = it
-        step_norm = float(np.linalg.norm(p))
-        z_new = z.copy()
-        z_new[free] += p
-        f_new = ctx.value(z_new)
-        actual = f_new - f
-        if actual > 0.0 and actual / pred >= opts.accept_ratio:
-            z, f = z_new, f_new
-            trace.append(f)
-            f, grad, hess = ctx.value_grad_hess(z)
-            grad, hess = grad[free], hess[free_block]
-            if actual / pred > 0.75 and step_norm >= 0.9 * radius:
-                radius *= 2.0
-            elif actual / pred < 0.25:
-                radius *= 0.5
-        else:
-            radius = 0.25 * min(radius, step_norm)
-        if radius < opts.min_radius:
-            stop_reason = "radius"
-            break
-    return OptimResult(
-        x_hat=_canonicalize(to_complex(z)),
-        j_value=f,
-        iterations=iterations,
-        stop_reason=stop_reason,
-        j_trace=np.asarray(trace),
-    )
+    forms = (ctx.xi[None], ctx.psi[None], ctx.gamma_m[None])
+    return ascend(forms, x0[None], opts)[0]
 
 
 def random_start(num_sensors: int, rng: np.random.Generator) -> np.ndarray:

@@ -298,9 +298,10 @@ class TestComputeReport:
             sg.compute_report(data, steer, detectors=("glr", "bogus"))
 
     def test_factors_each_block_once(self, monkeypatch):
-        # one six-detector trial: one Cholesky per diagonal block, no
-        # eigendecomposition, and one eigvalsh, the stacked validation of
-        # the exact cost's forms
+        # one six-detector trial: one Cholesky per diagonal block, one
+        # eigvalsh (the stacked validation of the exact cost's forms), and
+        # one eigh per pass of the lockstep ascent, the exact trust-region
+        # step: at most the iteration count plus the pass that stops it
         _, steer, data = make_instance(seed=47, L=4)
         calls = {"cho_factor": 0, "cholesky": 0, "eigh": 0, "eigvalsh": 0}
 
@@ -317,11 +318,33 @@ class TestComputeReport:
         counted(np.linalg, "cholesky")
         counted(np.linalg, "eigh")
         counted(np.linalg, "eigvalsh")
-        sg.compute_report(data, steer)
+        rep = sg.compute_report(data, steer)
         assert calls["cho_factor"] <= 2
         assert calls["cho_factor"] + calls["cholesky"] <= 2
-        assert calls["eigh"] == 0
+        assert 1 <= calls["eigh"] <= rep.optim.iterations + 1
         assert calls["eigvalsh"] <= 1
+
+    @pytest.mark.parametrize("n_restarts", [0, 2])
+    @pytest.mark.parametrize("L", [2, 4, 8])
+    def test_split_invariance(self, L, n_restarts):
+        # the lockstep ascent never mixes rows: a block scored whole equals
+        # the same block scored in splits of 1, 7 and 37, bit for bit
+        cfg = sg.ScenarioConfig(L=L, N=3 * L, snr_s_db=0.0, snr_r_db=10.0, seed=60 + L)
+        trials = [("H0", k) for k in range(37)] + [("H1", k) for k in range(37)]
+        u_s, u_r, y_s, y_r = sg.synth_batch(cfg, "random-unit", trials)
+        opts = sg.TrustRegionOptions(n_restarts=n_restarts)
+
+        def key(rep):
+            return (rep.glr_1n, rep.two_log_glr, rep.optim.iterations, rep.optim.stop_reason)
+
+        whole = [key(r) for r in sg.score_batch(y_s, y_r, u_s, u_r, opts, ("glr",))]
+        assert len(set(k[2] for k in whole)) > 1
+        for size in (1, 7, 37):
+            split = []
+            for a in range(0, len(trials), size):
+                b = slice(a, a + size)
+                split += [key(r) for r in sg.score_batch(y_s[b], y_r[b], u_s[b], u_r[b], opts, ("glr",))]
+            assert split == whole, f"split {size}"
 
     def test_matches_standalone_functions(self):
         s, steer, data = make_instance(seed=46, L=3)

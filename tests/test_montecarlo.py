@@ -60,8 +60,10 @@ class TestRunTrials:
             assert full_key(sg.run_one_trial(cfg, r.hypothesis, r.trial_index)) == full_key(r)
 
     def test_block_calls_do_not_grow_with_trials(self, monkeypatch):
-        # a block is factored and decomposed as one stack, whatever its size
-        calls = {"cholesky": 0, "cho_factor": 0, "svd": 0, "eigvalsh": 0}
+        # a block is factored and decomposed as one stack, whatever its size;
+        # the lockstep ascent makes one eigh per pass over the whole block,
+        # so its count is 1 + the block's largest iteration count, not T
+        calls = {"cholesky": 0, "cho_factor": 0, "svd": 0, "eigvalsh": 0, "eigh": 0}
 
         def counted(mod, name):
             orig = getattr(mod, name)
@@ -76,13 +78,16 @@ class TestRunTrials:
         counted(scipy.linalg, "cho_factor")
         counted(np.linalg, "svd")
         counted(np.linalg, "eigvalsh")
-        per_size = {}
+        counted(np.linalg, "eigh")
+        per_size, passes = {}, {}
         for trials in (8, 64):
             calls.update(dict.fromkeys(calls, 0))
             cfg = tiny_config(trials_h0=trials // 2, trials_h1=trials // 2,
                               detectors=sg.DETECTOR_NAMES)
-            sg.run_trials(cfg, threads=1)
+            records = sg.run_trials(cfg, threads=1)
             per_size[trials] = dict(calls)
+            passes[trials] = 1 + max(r.iterations for r in records)
+        assert {t: per_size[t].pop("eigh") for t in per_size} == passes
         assert per_size[8] == per_size[64]
 
     def test_failing_trial_isolated_in_its_block(self, monkeypatch):
