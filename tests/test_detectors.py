@@ -57,6 +57,21 @@ class TestScaleInvariance:
                 sg.svd_corr_stat(data), rel=1e-9
             )
 
+    def test_exact_statistic_scale_free_to_roundoff(self):
+        # the cost's forms carry no units of the channels, so rescaling them
+        # moves log Lambda^{1/N} by roundoff only, not by a stop tolerance
+        # that grows with |log(beta_s beta_r)|
+        cfg = sg.ScenarioConfig(L=4, N=100, snr_s_db=0.0, snr_r_db=0.0, seed=11)
+        u_s, u_r, y_s, y_r = sg.synth_batch(cfg, "random-unit", [("H0", k) for k in range(100)])
+
+        def log_glr(c_s, c_r):
+            reports = sg.score_batch(c_s * y_s, c_r * y_r, u_s, u_r, detectors=("glr",))
+            return np.log([r.glr_1n for r in reports])
+
+        base = log_glr(1.0, 1.0)
+        for c_s, c_r in [(1e3, 1e-3), (1e-4, 1e-4), (1e5, 1e5)]:
+            assert np.max(np.abs(log_glr(c_s, c_r) - base)) <= 1e-14
+
     def test_per_channel_basis_invariance(self):
         # y_i -> A_i y_i with u_i -> A_i u_i / |A_i u_i| is a change of sensor
         # basis in each channel; the four whitened statistics do not see it
