@@ -59,8 +59,9 @@ _EPS = np.finfo(float).eps
 # A predicted gain at or below this share of 1 + |J| is below J's roundoff.
 _GAIN_RTOL = 8.0 * _EPS
 # Cap on the Newton steps for one secular equation. From the left of the
-# root they converge monotonically and quadratically, so a row stops long
-# before this once its shift no longer moves.
+# root they climb monotonically and quadratically, so a row stops long
+# before this, at the first step that does not move its shift right (at
+# the root, roundoff makes the steps alternate by an ulp).
 _SECULAR_STEPS = 64
 # Signs of the chart's three log terms (Xi, Psi, Gamma); the E term is 0.
 _SIGNS = np.array([-1.0, 1.0, -1.0])
@@ -263,7 +264,7 @@ def solve_subproblem(
             n3 = np.sum(c2 / (shift * shift * shift), axis=-1, keepdims=True)
             norm = np.sqrt(n2)
             moved = np.maximum(delta + (n2 / n3) * ((norm - rad) / rad), start)
-            live &= moved != delta
+            live &= moved > delta
             if not live.any():
                 break
             delta = np.where(live, moved, delta)
