@@ -188,7 +188,7 @@ class TestMaximizeJ:
     def test_high_snr_ula_iterations(self):
         # L=8 ULA trials at 40/40 dB are the slowest surface seen: the
         # Steihaug chart ascent took 27.4 mean H1 iterations (max 40) and
-        # the earlier flat coordinates 21.6; the exact step takes 15.9 (21)
+        # the earlier flat coordinates 21.6; the exact step takes 15.8 (24)
         cfg = sg.ExperimentConfig(
             scenario=sg.ScenarioConfig(L=8, N=20, snr_s_db=40.0, snr_r_db=40.0, seed=6),
             trials_h0=1, trials_h1=150, steering_mode="ula-random-doa", detectors=("glr",),
@@ -280,6 +280,9 @@ def subproblem_cases():
     cases["hard-exact"] = (np.array([0.7, 0.0, -0.4, 0.2]), np.diag([-3.0, 2.0, -1.0, -0.5]), 2.0)
     h, q = rotated([-3.0, 2.0, -1.0, -0.5], 4)
     cases["hard-rotated"] = (q @ np.array([0.7, 0.0, -0.4, 0.2]), h, 2.0)
+    # the same orthogonal g with a radius below the pole's step (0.209):
+    # not the hard case, the root lies right of the pole
+    cases["orthogonal-not-hard"] = (np.array([0.7, 0.0, -0.4, 0.2]), np.diag([-3.0, 2.0, -1.0, -0.5]), 0.15)
     return cases
 
 
@@ -306,6 +309,48 @@ class TestSolveSubproblem:
         for i in range(len(cases)):
             p1, gain1 = solve_subproblem(g[i : i + 1], h[i : i + 1], radius[i : i + 1])
             assert np.array_equal(p1[0], p[i]) and gain1[0] == gain[i]
+
+    def test_random_stacks_match_bisection(self):
+        # clustered and near-hard spectra over five decades of scale, against
+        # bisection on |p| = radius in the shift delta = lam_1 + s; every
+        # stacked row equals the row solved alone
+        rng = np.random.default_rng(11)
+        for n in (2, 4, 6):
+            count = 150
+            lam = rng.standard_normal((count, n)) * 10.0 ** rng.uniform(-3, 2, (count, 1))
+            lam[::3, 1] = lam[::3, 0] + 1e-12  # near-double eigenvalue
+            q = np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+            h = q @ (lam[:, :, None] * np.swapaxes(q, 1, 2))
+            c = rng.standard_normal((count, n)) * 10.0 ** rng.uniform(-4, 1, (count, 1))
+            rows = np.arange(1, count, 3)
+            c[rows, np.argmax(lam[rows], axis=1)] = 1e-12  # near-hard
+            g = np.einsum("tij,tj->ti", q, c)
+            h = 0.5 * (h + np.swapaxes(h, 1, 2))
+            radius = 10.0 ** rng.uniform(-3, 1, count)
+            p, gain = solve_subproblem(g, h, radius)
+            lam_b, vec = np.linalg.eigh(-h)
+            cb = -np.einsum("tji,tj->ti", vec, g)
+            d = lam_b - lam_b[:, :1]
+            lo = np.maximum(lam_b[:, 0], 0.0)  # s = max(0, -lam_1)
+            hi = lo + np.linalg.norm(cb, axis=1) / radius + 1.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                with np.errstate(divide="ignore"):
+                    long = np.linalg.norm(cb / (d + mid[:, None]), axis=1) > radius
+                lo, hi = np.where(long, mid, lo), np.where(long, hi, mid)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = -cb / lam_b
+                inside = (lam_b[:, 0] > 0) & (np.linalg.norm(newton, axis=1) <= radius)
+                pb = np.where(inside[:, None], newton, -cb / (d + hi[:, None]))
+            ref = -np.sum(cb * pb + 0.5 * lam_b * pb * pb, axis=1)
+            model = np.einsum("ti,ti->t", g, p) + 0.5 * np.einsum("ti,tij,tj->t", p, h, p)
+            scale = np.abs(ref) + np.linalg.norm(g, axis=1) * radius + np.max(np.abs(lam_b), axis=1) * radius**2
+            assert np.all(np.linalg.norm(p, axis=1) <= radius * (1 + 1e-12))
+            assert np.all(model >= ref - 1e-10 * scale)
+            assert np.allclose(gain, model, rtol=0, atol=1e-10 * scale.max())
+            for i in range(0, count, 10):
+                p1, gain1 = solve_subproblem(g[i : i + 1], h[i : i + 1], radius[i : i + 1])
+                assert np.array_equal(p1[0], p[i]) and gain1[0] == gain[i]
 
     def test_single_sensor_chart_takes_no_step(self):
         p, gain = solve_subproblem(np.zeros((3, 0)), np.zeros((3, 0, 0)), np.ones(3))
