@@ -85,12 +85,10 @@ from .montecarlo import (
     wilks_diag,
 )
 from .optimizer import (
-    CostContext,
     OptimResult,
     TrustRegionOptions,
     cost_j,
-    grad_j,
-    hess_j,
+    grad_hess_j,
     maximize_j,
 )
 

@@ -101,7 +101,3 @@ def real_embedding(a: np.ndarray) -> np.ndarray:
     """
     ar, ai = a.real, a.imag
     return np.block([[ar, -ai], [ai, ar]])
-
-
-def to_real(x: np.ndarray) -> np.ndarray:
-    return np.concatenate([x.real, x.imag])

@@ -234,30 +234,29 @@ def coherence_matrix(s: BlockSampleCov) -> np.ndarray:
     return adjoint(lower_solve(s.chol_rr, adjoint(t)))
 
 
-def cost_forms(c: np.ndarray, pair: BeamformerPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Forms (xi, psi, gamma_m) of the exact likelihood cost (see optimizer),
-    one set per covariance of a stack, from the coherence matrix c and the
+def cost_forms(c: np.ndarray, pair: BeamformerPair) -> tuple[np.ndarray, np.ndarray]:
+    """Forms (psi, gamma_m) of the exact likelihood cost (see optimizer), one
+    pair per covariance of a stack, from the coherence matrix c and the
     beamformer pair.
 
     In whitened reference coordinates w = L_r^H z the cost is
     log(|w_r^H w|^2 / |w|^2) + log((w^H G w + |w_s^H C w|^2) / w^H G w)
     with G = I - C^H C. In x = Q^H w, Q = householder(w_r), that is
+    J(x) = log(|x_1|^2 / |x|^2) + log(x^H psi x / x^H gamma_m x) with
 
-        xi = I,  gamma_m = Q^H G Q,  psi = gamma_m + g g^H,  g = Q^H C^H w_s,
+        gamma_m = Q^H G Q,  psi = gamma_m + g g^H,  g = Q^H C^H w_s,
 
     and at x = e1 (z along S_rr^{-1} u_r) the statistic exp(J) equals
     1 + glr_sample. The forms carry no units of the channels: the maximum of
     J is log Lambda^{1/N}. gamma_m has the eigenvalues 1 - sigma_k^2 of G, so
-    the forms are positive definite exactly when sigma_max < 1. xi is a
-    read-only broadcast of the identity.
+    the forms are positive definite exactly when sigma_max < 1.
     """
     q = householder(pair.w_r)
     cq = c @ q
-    eye = np.eye(c.shape[-1])
-    gamma_m = hermitize(eye - adjoint(cq) @ cq)
+    gamma_m = hermitize(np.eye(c.shape[-1]) - adjoint(cq) @ cq)
     g = adjoint(cq) @ pair.w_s[..., None]
     psi = hermitize(gamma_m + g @ adjoint(g))
-    return np.broadcast_to(eye, gamma_m.shape), psi, gamma_m
+    return psi, gamma_m
 
 
 def cross_capon_beta(s_block: np.ndarray, u: np.ndarray, name: str = "block") -> float:

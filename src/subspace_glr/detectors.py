@@ -123,7 +123,7 @@ def _glr(forms, opts: TrustRegionOptions | None):
     errors per trial (None, or the ValueError that fails the trial: fully
     coherent channels, see COHERENCE_FLOOR, or a non-finite statistic)."""
     opts = opts or TrustRegionOptions()
-    xi, psi, gamma_m = (f.reshape((-1,) + f.shape[-2:]) for f in forms)
+    psi, gamma_m = (f.reshape((-1,) + f.shape[-2:]) for f in forms)
     count, dim = gamma_m.shape[:2]
     gap = np.linalg.eigvalsh(gamma_m)[:, 0]
     errors: list[ValueError | None] = [None] * count
@@ -136,7 +136,7 @@ def _glr(forms, opts: TrustRegionOptions | None):
     starts += [random_start(dim, substream(opts.restart_seed, k)) for k in range(opts.n_restarts)]
     # Row k * len(valid) + j ascends trial valid[j] from starts[k].
     x0 = np.concatenate([np.broadcast_to(x, (valid.size, dim)) for x in starts])
-    stacked = [np.tile(f[valid], (len(starts), 1, 1)) for f in (xi, psi, gamma_m)]
+    stacked = [np.tile(f[valid], (len(starts), 1, 1)) for f in (psi, gamma_m)]
     runs = ascend(stacked, x0, opts) if valid.size else []
     j_values = np.reshape([r.j_value for r in runs], (len(starts), valid.size))
     best = np.argmax(j_values, axis=0)  # the first start wins a tie

@@ -2,25 +2,28 @@
 
 The exact likelihood-ratio statistic reduces to maximizing
 
-    J(x) = log(x^H E x / x^H Xi x) + log(x^H Psi x / x^H Gamma x)
+    J(x) = log(|x_1|^2 / |x|^2) + log(x^H Psi x / x^H Gamma x)
 
-over nonzero complex vectors x of length L, where E selects the first
-coordinate (E = e1 e1^H) and Xi, Psi, Gamma are Hermitian positive definite.
-covariance.cost_forms builds them from beamformed data with Xi = I, so the
-maximum of J is log Lambda^{1/N} itself, free of the channels' units, and
-the exact detector validates the forms of a whole block at once, so the
-ascent takes them as given. The detector starts the ascent at e1, where
-exp(J) equals the closed-form approximation 1 + glr_sample.
+over nonzero complex vectors x of length L, where Psi and Gamma are
+Hermitian positive definite. covariance.cost_forms builds the forms
+(Psi, Gamma) from beamformed data, so the maximum of J is log Lambda^{1/N}
+itself, free of the channels' units, and the exact detector validates the
+forms of a whole block at once, so the ascent takes them as given. The
+detector starts the ascent at e1, where exp(J) equals the closed-form
+approximation 1 + glr_sample.
 
 J is invariant to complex scaling of x, so only the ray of x matters, and J
 is -inf where x[0] = 0. Every other ray meets the affine chart x = [1; y]
 once, so the ascent runs in the n = 2L - 2 real coordinates [Re y; Im y] and
-never sees the scale and phase freedom. In the chart x^H E x = 1.
+never sees the scale and phase freedom. In the chart |x_1|^2 = 1.
 
-Gradient and Hessian are exact. For a ratio term log(z^T M z) the gradient
-is 2 M z / q and the Hessian 2 M / q - 4 (M z)(M z)^T / q^2 with q = z^T M z,
-where M is the real symmetric embedding of a form and z = [Re x; Im x]; in
-the chart they are the rows and columns of the free coordinates.
+Gradient and Hessian are exact. For a ratio term log(u^T M u) the gradient
+is 2 M u / q and the Hessian 2 M / q - 4 (M u)(M u)^T / q^2 with q = u^T M u,
+where M is the real symmetric embedding of a form (the identity for |x|^2)
+and u = [1; Re y; Im y] the chart point; they are the rows and columns of
+the free coordinates. _chart_value and _chart_derivatives are the one
+evaluator of J and its derivatives: the ascent steps on them, and cost_j and
+grad_hess_j give them at one point.
 
 ascend runs the ascents of a whole stack of cost surfaces in lockstep: each
 pass takes one step on every row still active and retires the rows that
@@ -49,11 +52,11 @@ of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import real_embedding, to_real
+from ._linalg import real_embedding
 
 _EPS = np.finfo(float).eps
 # A predicted gain at or below this share of 1 + |J| is below J's roundoff.
@@ -63,89 +66,8 @@ _GAIN_RTOL = 8.0 * _EPS
 # before this, at the first step that does not move its shift right (at
 # the root, roundoff makes the steps alternate by an ulp).
 _SECULAR_STEPS = 64
-# Signs of the chart's three log terms (Xi, Psi, Gamma); the E term is 0.
+# Signs of the chart's three log terms (|x|^2, Psi, Gamma); the |x_1|^2 term is 0.
 _SIGNS = np.array([-1.0, 1.0, -1.0])
-
-
-@dataclass
-class CostContext:
-    """Precomputed quadratic forms for one likelihood surface.
-
-    Holds the three Hermitian positive definite forms plus their real
-    symmetric embeddings, stacked so that one batched matmul evaluates all
-    four quadratic forms of J in the full coordinates [Re x; Im x] (cost_j,
-    grad_j, hess_j). The forms are not checked here; see the module
-    docstring.
-    """
-
-    xi: np.ndarray
-    psi: np.ndarray
-    gamma_m: np.ndarray
-    _stack: np.ndarray = field(init=False, repr=False)
-    _signs: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.xi = np.asarray(self.xi, dtype=complex)
-        self.psi = np.asarray(self.psi, dtype=complex)
-        self.gamma_m = np.asarray(self.gamma_m, dtype=complex)
-        if not (self.xi.shape == self.psi.shape == self.gamma_m.shape):
-            raise ValueError("xi, psi, gamma_m must share one L x L shape")
-        dim = self.xi.shape[0]
-        e_sel = np.zeros((2 * dim, 2 * dim))
-        e_sel[0, 0] = 1.0
-        e_sel[dim, dim] = 1.0
-        self._stack = np.stack(
-            [e_sel, real_embedding(self.xi), real_embedding(self.psi), real_embedding(self.gamma_m)]
-        )
-        self._signs = np.array([1.0, -1.0, 1.0, -1.0])
-
-    @property
-    def num_sensors(self) -> int:
-        return self.xi.shape[0]
-
-    def _forms(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """All four (M_k z, z^T M_k z) pairs in one batched product."""
-        mz = self._stack @ z
-        return mz, mz @ z
-
-    def value(self, z: np.ndarray) -> float:
-        _, q = self._forms(z)
-        if q[0] <= 0.0 or not np.all(np.isfinite(q)):
-            return -math.inf
-        return float(self._signs @ np.log(q))
-
-    def value_grad_hess(self, z: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        mz, q = self._forms(z)
-        if q[0] <= 0.0 or not np.all(np.isfinite(q)):
-            raise ValueError("cost is -inf at this point; gradient undefined")
-        val = float(self._signs @ np.log(q))
-        w = self._signs / q
-        grad = 2.0 * (w @ mz)
-        hess = 2.0 * np.einsum("k,kij->ij", w, self._stack)
-        hess -= 4.0 * np.einsum("k,ki,kj->ij", w / q, mz, mz)
-        return val, grad, hess
-
-
-def cost_j(x: np.ndarray, ctx: CostContext) -> float:
-    """J(x). Returns -inf when the first coordinate of x vanishes."""
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    if not np.any(x):
-        raise ValueError("x must be nonzero")
-    return ctx.value(to_real(x))
-
-
-def grad_j(x: np.ndarray, ctx: CostContext) -> np.ndarray:
-    """Gradient of J in the real parametrization [Re x; Im x]."""
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    _, grad, _ = ctx.value_grad_hess(to_real(x))
-    return grad
-
-
-def hess_j(x: np.ndarray, ctx: CostContext) -> np.ndarray:
-    """Hessian of J in the real parametrization [Re x; Im x]."""
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    _, _, hess = ctx.value_grad_hess(to_real(x))
-    return hess
 
 
 def _canonicalize(x: np.ndarray) -> np.ndarray:
@@ -182,6 +104,8 @@ class TrustRegionOptions:
             raise ValueError("accept_ratio must lie in (0, 1)")
         if self.n_restarts < 0:
             raise ValueError("n_restarts must be >= 0")
+        if not 0 <= self.restart_seed < 2**64:
+            raise ValueError(f"restart_seed must be a u64, got {self.restart_seed}")
 
 
 @dataclass
@@ -205,9 +129,31 @@ class OptimResult:
         return self.stop_reason == "gradient"
 
 
+def _chart_forms(forms) -> tuple[np.ndarray, np.ndarray]:
+    """Chart embeddings m (T, 3, n+1, n+1) of the stacked forms (psi, gamma_m),
+    each (T, L, L): the real embeddings of the identity (the |x|^2 term), psi
+    and gamma_m, reduced to the chart coordinates [1; Re y; Im y]. Also
+    returns their free block m[..., 1:, 1:], which _chart_derivatives takes."""
+    psi, gamma_m = (np.asarray(f, dtype=complex) for f in forms)
+    dim = psi.shape[-1]
+    keep = np.r_[0, 1:dim, dim + 1 : 2 * dim]
+    eye = np.broadcast_to(real_embedding(np.eye(dim)), psi.shape[:-2] + (2 * dim, 2 * dim))
+    m = np.stack([eye, real_embedding(psi), real_embedding(gamma_m)], axis=1)
+    m = m[..., keep[:, None], keep]
+    return m, np.ascontiguousarray(m[..., 1:, 1:])
+
+
+def _chart_point(x: np.ndarray) -> np.ndarray:
+    """Chart point u = [1; Re y; Im y], y = x[1:] / x[0], of each row of x
+    (T, L); x[0] must not vanish."""
+    y = x[:, 1:] / x[:, :1]
+    return np.concatenate([np.ones((len(x), 1)), y.real, y.imag], axis=1)
+
+
 def _chart_value(m: np.ndarray, u: np.ndarray):
-    """J at chart points u = [1; [Re y; Im y]] of stacked reduced forms m
-    (T, 3, n+1, n+1), with the products M_k u and forms q_k = u^T M_k u that
+    """J at chart points u (T, n+1) of chart embeddings m (T, 3, n+1, n+1)
+    from _chart_forms, in the fixed order (log q_psi - log q_gamma) - log |x|^2
+    with q_k = u^T M_k u, and the products M_k u and forms q_k that
     _chart_derivatives reuses. J is -inf on a row where a form is not
     positive and finite."""
     mu = np.einsum("tkij,tj->tki", m, u)
@@ -279,7 +225,7 @@ def solve_subproblem(
 
 def ascend(forms, starts: np.ndarray, opts: TrustRegionOptions | None = None) -> list[OptimResult]:
     """Ascend J from each row of starts (T, L) on the surface of the same row
-    of forms = (xi, psi, gamma_m), each (T, L, L), all rows in lockstep.
+    of forms = (psi, gamma_m), each (T, L, L), all rows in lockstep.
 
     Each start is moved into the chart x = [1; y] by dividing by its first
     entry, which must not vanish. Steps are scored against the quadratic
@@ -291,12 +237,8 @@ def ascend(forms, starts: np.ndarray, opts: TrustRegionOptions | None = None) ->
     count, dim = starts.shape
     if np.any(starts[:, 0] == 0):
         raise ValueError("start point x0 has x0[0] == 0, outside the chart x = [1; y]")
-    keep = np.r_[0, 1:dim, dim + 1 : 2 * dim]
-    m = np.stack([real_embedding(np.asarray(f, dtype=complex)) for f in forms], axis=1)
-    m = m[..., keep[:, None], keep]
-    m_free = np.ascontiguousarray(m[..., 1:, 1:])
-    y = starts[:, 1:] / starts[:, :1]
-    u = np.concatenate([np.ones((count, 1)), y.real, y.imag], axis=1)
+    m, m_free = _chart_forms(forms)
+    u = _chart_point(starts)
     f, mu, q = _chart_value(m, u)
     if not np.all(np.isfinite(f)):
         bad = int(np.flatnonzero(~np.isfinite(f))[0])
@@ -361,17 +303,49 @@ def ascend(forms, starts: np.ndarray, opts: TrustRegionOptions | None = None) ->
     ]
 
 
-def maximize_j(
-    ctx: CostContext, x0: np.ndarray, opts: TrustRegionOptions | None = None
-) -> OptimResult:
-    """Ascend J from x0 with the exact-step trust-region method in the chart
-    x = [1; y]: ascend on a stack of one."""
-    x0 = np.asarray(x0, dtype=complex).reshape(-1)
-    dim = ctx.num_sensors
-    if x0.size != dim:
-        raise ValueError(f"x0 has length {x0.size}, expected {dim}")
-    forms = (ctx.xi[None], ctx.psi[None], ctx.gamma_m[None])
-    return ascend(forms, x0[None], opts)[0]
+def _one(forms, x: np.ndarray):
+    """One surface's forms (psi, gamma_m) and a point x as stacks of one."""
+    forms = [np.asarray(f, dtype=complex)[None] for f in forms]
+    x = np.asarray(x, dtype=complex).reshape(1, -1)
+    dim = forms[0].shape[-1]
+    if x.shape[1] != dim:
+        raise ValueError(f"x has length {x.shape[1]}, expected {dim}")
+    return forms, x
+
+
+def cost_j(x: np.ndarray, forms) -> float:
+    """J at a nonzero x on the surface of forms = (psi, gamma_m), each L x L:
+    _chart_value at the chart point of x, the value the ascent sees there.
+    Returns -inf when the first coordinate of x vanishes."""
+    forms, x = _one(forms, x)
+    if not np.any(x):
+        raise ValueError("x must be nonzero")
+    if x[0, 0] == 0:
+        return -math.inf
+    f, _, _ = _chart_value(_chart_forms(forms)[0], _chart_point(x))
+    return float(f[0])
+
+
+def grad_hess_j(x: np.ndarray, forms) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of J at x on the surface of forms = (psi, gamma_m)
+    in the chart coordinates [Re y; Im y], y = x[1:] / x[0]: the derivatives
+    the ascent steps on (_chart_derivatives)."""
+    forms, x = _one(forms, x)
+    if x[0, 0] == 0:
+        raise ValueError("x has x[0] == 0, outside the chart x = [1; y]")
+    m, m_free = _chart_forms(forms)
+    f, mu, q = _chart_value(m, _chart_point(x))
+    if not np.isfinite(f[0]):
+        raise ValueError("cost is -inf at this point; gradient undefined")
+    grad, hess = _chart_derivatives(m_free, mu, q)
+    return grad[0], hess[0]
+
+
+def maximize_j(forms, x0: np.ndarray, opts: TrustRegionOptions | None = None) -> OptimResult:
+    """Ascend J on the surface of forms = (psi, gamma_m), each L x L, from x0
+    with the exact-step trust-region method in the chart x = [1; y]: ascend
+    on a stack of one."""
+    return ascend(*_one(forms, x0), opts)[0]
 
 
 def random_start(num_sensors: int, rng: np.random.Generator) -> np.ndarray:

@@ -49,29 +49,37 @@ def null_cov(s: sg.BlockSampleCov) -> sg.BlockSampleCov:
     return sg.BlockSampleCov(s.s_ss, zero, s.s_rr, s.n)
 
 
-def fd_gradient(x: np.ndarray, ctx: sg.CostContext, h: float = 1e-6) -> np.ndarray:
-    """Central finite differences of cost_j in the real parametrization."""
-    dim = x.size
-    z = np.concatenate([x.real, x.imag])
-    grad = np.zeros(2 * dim)
-    for k in range(2 * dim):
-        zp, zm = z.copy(), z.copy()
-        zp[k] += h
-        zm[k] -= h
-        xp = zp[:dim] + 1j * zp[dim:]
-        xm = zm[:dim] + 1j * zm[dim:]
-        grad[k] = (sg.cost_j(xp, ctx) - sg.cost_j(xm, ctx)) / (2 * h)
+def chart_x(v: np.ndarray) -> np.ndarray:
+    """The point x = [1; y] of chart coordinates v = [Re y; Im y]."""
+    half = v.size // 2
+    return np.concatenate([[1.0], v[:half] + 1j * v[half:]])
+
+
+def fd_gradient(x: np.ndarray, forms, h: float = 1e-6) -> np.ndarray:
+    """Central finite differences of cost_j in the chart coordinates
+    [Re y; Im y], y = x[1:] / x[0]."""
+    y = x[1:] / x[0]
+    v = np.concatenate([y.real, y.imag])
+    grad = np.zeros(v.size)
+    for k in range(v.size):
+        vp, vm = v.copy(), v.copy()
+        vp[k] += h
+        vm[k] -= h
+        grad[k] = (sg.cost_j(chart_x(vp), forms) - sg.cost_j(chart_x(vm), forms)) / (2 * h)
     return grad
 
 
-def grid_max_j_l2(ctx: sg.CostContext, grid: int = 2000, zoom_steps: int = 8) -> float:
-    """Exhaustive derivative-free maximum of J for L = 2.
+def grid_max_j_l2(forms, grid: int = 2000, zoom_steps: int = 8) -> float:
+    """Exhaustive derivative-free maximum of J for L = 2 and forms
+    (psi, gamma_m).
 
     Canonical points are x = [cos(a), sin(a) e^{jb}] with a in (0, pi/2),
-    b in [0, 2pi). A dense polar grid locates the basin; repeated local
-    re-gridding around the argmax then shrinks the cell until the objective
-    is resolved well below 1e-6. Never touches gradients.
+    b in [0, 2pi). They are unit vectors, so the |x|^2 term of J is 0. A
+    dense polar grid locates the basin; repeated local re-gridding around
+    the argmax then shrinks the cell until the objective is resolved well
+    below 1e-6. Never touches gradients.
     """
+    psi, gamma_m = forms
 
     def eval_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # a: (ka, 1), b: (1, kb); returns J on the product grid
@@ -85,13 +93,7 @@ def grid_max_j_l2(ctx: sg.CostContext, grid: int = 2000, zoom_steps: int = 8) ->
                 + 2.0 * ca * sa * (m[0, 1] * e_jb).real
             )
 
-        q_e = ca**2
-        return (
-            np.log(q_e)
-            - np.log(form(ctx.xi))
-            + np.log(form(ctx.psi))
-            - np.log(form(ctx.gamma_m))
-        )
+        return np.log(ca**2) + np.log(form(psi)) - np.log(form(gamma_m))
 
     lo_a, hi_a = 1e-9, np.pi / 2 - 1e-9
     lo_b, hi_b = 0.0, 2 * np.pi

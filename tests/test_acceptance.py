@@ -163,39 +163,41 @@ def test_criterion_3_scale_invariance(emit):
     )
 
 
-def _beamformed_ctx(s, steer):
-    """The exact cost of an instance, built from its beamformed data."""
+def _beamformed_forms(s, steer):
+    """The exact cost's forms (psi, gamma_m) of an instance, built from its
+    beamformed data."""
     pair = sg.capon_pair(s, steer.u_s, steer.u_r)
-    return sg.CostContext(*sg.cost_forms(sg.coherence_matrix(s), pair))
+    return sg.cost_forms(sg.coherence_matrix(s), pair)
 
 
-def _warm_start(ctx):
+def _warm_start(forms):
     """The detector's warm start e1."""
-    return np.eye(1, ctx.num_sensors, dtype=complex)[0]
+    return np.eye(1, forms[0].shape[0], dtype=complex)[0]
 
 
 def test_criterion_4_optimizer(identity_instances, emit):
-    # (a) analytic gradient against central differences, 100 points
+    # (a) the ascent's chart gradient against central differences of its
+    # chart value, 100 points
     worst_fd = 0.0
     rng = np.random.default_rng(70)
-    contexts = []
+    surfaces = []
     for s, steer, _ in identity_instances[:20]:
-        contexts.append(_beamformed_ctx(s, steer))
-    for ctx in contexts:
+        surfaces.append(_beamformed_forms(s, steer))
+    for forms in surfaces:
         for _ in range(5):
-            x = random_start(ctx.xi.shape[0], rng)
-            g = sg.grad_j(x, ctx)
-            fd = fd_gradient(x, ctx)
+            x = random_start(forms[0].shape[0], rng)
+            g, _ = sg.grad_hess_j(x, forms)
+            fd = fd_gradient(x, forms)
             worst_fd = max(worst_fd, np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(g)))
     emit("4a gradient vs central differences (tol 1e-6)", worst_fd <= 1e-6, f"max_rel={worst_fd:.2e}")
 
     # (b) every ascent trace non-decreasing
     monotone = True
     runs = 0
-    for ctx in contexts:
-        res = sg.maximize_j(ctx, _warm_start(ctx))
+    for forms in surfaces:
+        res = sg.maximize_j(forms, _warm_start(forms))
         monotone &= bool(np.all(np.diff(res.j_trace) >= 0))
-        res = sg.maximize_j(ctx, random_start(ctx.xi.shape[0], rng))
+        res = sg.maximize_j(forms, random_start(forms[0].shape[0], rng))
         monotone &= bool(np.all(np.diff(res.j_trace) >= 0))
         runs += 2
     emit("4b ascent trace non-decreasing", monotone, f"{runs} runs checked")
@@ -204,9 +206,9 @@ def test_criterion_4_optimizer(identity_instances, emit):
     worst_grid = 0.0
     for seed in range(3):
         s, steer, _ = make_instance(seed=3400 + seed, L=2)
-        ctx = _beamformed_ctx(s, steer)
-        res = sg.maximize_j(ctx, _warm_start(ctx))
-        best = grid_max_j_l2(ctx, grid=2000, zoom_steps=8)
+        forms = _beamformed_forms(s, steer)
+        res = sg.maximize_j(forms, _warm_start(forms))
+        best = grid_max_j_l2(forms, grid=2000, zoom_steps=8)
         worst_grid = max(worst_grid, abs(res.j_value - best))
     emit("4c L=2 grid oracle (tol 1e-6)", worst_grid <= 1e-6, f"max|dJ|={worst_grid:.2e}")
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +80,20 @@ class TestValidateConfig:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate-config", "--config", str(tmp_path / "nope.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_restart_seed_outside_u64(self, tmp_path, capsys, seed):
+        # rejected with the config, before any trial draws a restart start
+        cfg = write_config(
+            tmp_path, detectors=["glr"], optimizer={"n_restarts": 1, "restart_seed": seed},
+            sweep={"axis": "snr_s_db", "values": [0.0]},
+        )
+        for command in ("validate-config", "roc", "pm-sweep", "null-dist"):
+            argv = [command, "--config", str(cfg)]
+            if command != "validate-config":
+                argv += ["--out", str(tmp_path / command), "--threads", "1"]
+            assert main(argv) == 2
+            assert "optimizer: restart_seed" in capsys.readouterr().err
 
 
 class TestRoc:
@@ -304,12 +319,20 @@ class TestDetect:
         assert "2L" in capsys.readouterr().err
 
 
+def child_env(**extra):
+    """Environment for a `python -m subspace_glr` child process that imports
+    the same package as this suite, installed or not."""
+    root = str(Path(sg.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 class TestEntryPoints:
     def test_module_invocation(self, tmp_path):
         cfg = write_config(tmp_path)
         proc = subprocess.run(
             [sys.executable, "-m", "subspace_glr", "validate-config", "--config", str(cfg)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["trials_h0"] == 12
@@ -319,7 +342,7 @@ class TestEntryPoints:
         proc = subprocess.run(
             [sys.executable, "-m", "subspace_glr", "validate-config", "--config", str(cfg)],
             capture_output=True, text=True,
-            env={**os.environ, "SUBSPACE_GLR_LOG": "shouty"},
+            env=child_env(SUBSPACE_GLR_LOG="shouty"),
         )
         assert proc.returncode == 0
         assert "SUBSPACE_GLR_LOG" in proc.stderr

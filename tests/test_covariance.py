@@ -128,7 +128,7 @@ class TestEtaAlpha:
 
 
 def beamformed_forms(s, u_s, u_r):
-    """The exact cost's forms (xi, psi, gamma_m) of one covariance."""
+    """The exact cost's forms (psi, gamma_m) of one covariance."""
     return sg.cost_forms(sg.coherence_matrix(s), sg.capon_pair(s, u_s, u_r))
 
 
@@ -136,7 +136,7 @@ class TestReducedForms:
     def test_zero_cross_block_collapses(self):
         s, steer, _ = make_instance(seed=15, L=3)
         s0 = sg.BlockSampleCov(s.s_ss, np.zeros_like(s.s_sr), s.s_rr, s.n)
-        _, psi, gamma_m = beamformed_forms(s0, steer.u_s, steer.u_r)
+        psi, gamma_m = beamformed_forms(s0, steer.u_s, steer.u_r)
         assert np.allclose(gamma_m, np.eye(3), atol=1e-12)
         assert np.allclose(psi, np.eye(3), atol=1e-12)
 
@@ -145,8 +145,7 @@ class TestReducedForms:
         u = np.zeros(L, dtype=complex)
         u[1] = 1.0
         s = sg.BlockSampleCov(np.eye(L, dtype=complex), np.zeros((L, L), complex), np.eye(L, dtype=complex), n=2 * L)
-        xi, psi, gamma_m = beamformed_forms(s, u, u)
-        assert np.allclose(xi, np.eye(L), atol=1e-13)
+        psi, gamma_m = beamformed_forms(s, u, u)
         assert np.allclose(gamma_m, np.eye(L), atol=1e-13)
         assert np.allclose(psi, np.eye(L), atol=1e-13)
 
@@ -169,7 +168,7 @@ class TestReducedForms:
 
     def test_reference_scaling_covariant(self):
         # Y_r -> c Y_r scales beta_r by 1 / c^2 and leaves C and the
-        # directions w_s, w_r alone, so none of xi = I, psi and gamma_m moves.
+        # directions w_s, w_r alone, so neither psi nor gamma_m moves.
         s, steer, data = make_instance(seed=17, L=3)
         c = 2.7
         scaled = sg.block_sample_cov(data.y_s, c * data.y_r)

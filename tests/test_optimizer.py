@@ -3,35 +3,25 @@ import pytest
 import scipy.optimize
 
 import subspace_glr as sg
-from subspace_glr._linalg import to_real
 from subspace_glr.optimizer import random_start, solve_subproblem
-from _utils import fd_gradient, grid_max_j_l2, make_instance, rand_pd
+from _utils import chart_x, fd_gradient, grid_max_j_l2, make_instance
 
 
-def identity_ctx(dim):
+def identity_forms(dim):
     eye = np.eye(dim, dtype=complex)
-    return sg.CostContext(eye, eye, eye)
+    return eye, eye
 
 
-def random_ctx(seed, dim):
-    rng = np.random.default_rng(seed)
-    xi = rand_pd(rng, dim)
-    gamma = rand_pd(rng, dim)
-    g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    psi = 0.8 * gamma + np.outer(g, g.conj())
-    return sg.CostContext(xi, psi, gamma)
-
-
-def beamformed_ctx(s, steer):
-    """The beamformer pair of an instance and the exact cost built from it."""
+def beamformed_forms(s, steer):
+    """The beamformer pair of an instance and the exact cost's forms
+    (psi, gamma_m) built from it."""
     pair = sg.capon_pair(s, steer.u_s, steer.u_r)
-    forms = sg.cost_forms(sg.coherence_matrix(s), pair)
-    return pair, sg.CostContext(*forms)
+    return pair, sg.cost_forms(sg.coherence_matrix(s), pair)
 
 
-def instance_ctx(seed, L=3):
+def instance_forms(seed, L=3):
     s, steer, _ = make_instance(seed=seed, L=L)
-    return (s, steer) + beamformed_ctx(s, steer)
+    return (s, steer) + beamformed_forms(s, steer)
 
 
 def warm_start(dim):
@@ -41,7 +31,7 @@ def warm_start(dim):
 
 class TestCostJ:
     def test_identity_context_closed_form(self):
-        ctx = identity_ctx(3)
+        forms = identity_forms(3)
         rng = np.random.default_rng(0)
         for _ in range(5):
             x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -49,125 +39,125 @@ class TestCostJ:
                 continue
             # second log term cancels when psi equals gamma
             want = np.log(abs(x[0]) ** 2 / np.vdot(x, x).real)
-            assert sg.cost_j(x, ctx) == pytest.approx(want, rel=1e-12)
-            assert sg.cost_j(x, ctx) <= 1e-15
+            assert sg.cost_j(x, forms) == pytest.approx(want, rel=1e-12)
+            assert sg.cost_j(x, forms) <= 1e-15
 
     def test_scale_invariance(self):
-        _, _, _, ctx = instance_ctx(seed=30)
+        _, _, _, forms = instance_forms(seed=30)
         x = random_start(3, np.random.default_rng(1))
-        assert sg.cost_j(3j * x, ctx) == pytest.approx(sg.cost_j(x, ctx), abs=1e-12)
+        assert sg.cost_j(3j * x, forms) == pytest.approx(sg.cost_j(x, forms), abs=1e-12)
 
     def test_first_basis_vector_value(self):
-        _, _, _, ctx = instance_ctx(seed=31)
+        _, _, _, (psi, gamma_m) = instance_forms(seed=31)
         e1 = np.zeros(3, dtype=complex)
         e1[0] = 1.0
-        want = np.log(1.0 / ctx.xi[0, 0].real) + np.log(
-            ctx.psi[0, 0].real / ctx.gamma_m[0, 0].real
-        )
-        assert sg.cost_j(e1, ctx) == pytest.approx(want, rel=1e-12)
+        want = np.log(psi[0, 0].real / gamma_m[0, 0].real)
+        assert sg.cost_j(e1, (psi, gamma_m)) == pytest.approx(want, rel=1e-12)
 
     def test_vanishing_first_entry(self):
-        _, _, _, ctx = instance_ctx(seed=32)
+        _, _, _, forms = instance_forms(seed=32)
         x = np.array([0.0, 1.0, 0.5j])
-        assert sg.cost_j(x, ctx) == -np.inf
+        assert sg.cost_j(x, forms) == -np.inf
 
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError):
-            sg.cost_j(np.zeros(3, dtype=complex), identity_ctx(3))
+            sg.cost_j(np.zeros(3, dtype=complex), identity_forms(3))
+
+    @pytest.mark.parametrize("L", [1, 2, 4, 8])
+    def test_is_the_ascents_value(self, L):
+        # cost_j evaluates J as the ascent does: its value at a start is the
+        # first entry of the ascent's trace, bit for bit.
+        rng = np.random.default_rng(50 + L)
+        for seed in range(5):
+            s, steer, _ = make_instance(seed=900 + seed, L=L)
+            _, forms = beamformed_forms(s, steer)
+            for x0 in (warm_start(L), random_start(L, rng), 2.5j * random_start(L, rng)):
+                assert sg.cost_j(x0, forms) == sg.maximize_j(forms, x0).j_trace[0]
 
 
 class TestGradJ:
     def test_vanishes_at_identity_maximizer(self):
-        ctx = identity_ctx(4)
-        e1 = np.zeros(4, dtype=complex)
-        e1[0] = 1.0
-        assert np.linalg.norm(sg.grad_j(e1, ctx)) <= 1e-10
+        grad, _ = sg.grad_hess_j(warm_start(4), identity_forms(4))
+        assert np.linalg.norm(grad) <= 1e-10
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         checked = 0
         for seed in range(4):
-            _, _, _, ctx = instance_ctx(seed=600 + seed, L=3)
+            _, _, _, forms = instance_forms(seed=600 + seed, L=3)
             for _ in range(5):
                 x = random_start(3, rng)
-                g = sg.grad_j(x, ctx)
-                fd = fd_gradient(x, ctx)
+                g, _ = sg.grad_hess_j(x, forms)
+                fd = fd_gradient(x, forms)
                 assert np.linalg.norm(g - fd) <= 1e-6 * max(1.0, np.linalg.norm(g))
                 checked += 1
         assert checked == 20
 
-    def test_radial_direction_annihilated(self):
-        # J is scale invariant so the gradient is orthogonal to z itself.
-        rng = np.random.default_rng(3)
-        _, _, _, ctx = instance_ctx(seed=33)
-        for _ in range(5):
-            x = random_start(3, rng)
-            z = to_real(x)
-            assert abs(sg.grad_j(x, ctx) @ z) <= 1e-10
-
 
 class TestHessJ:
     def test_matches_fd_of_gradient(self):
-        _, _, _, ctx = instance_ctx(seed=34)
+        _, _, _, forms = instance_forms(seed=34)
         rng = np.random.default_rng(4)
         x = random_start(3, rng)
-        h = sg.hess_j(x, ctx)
+        _, h = sg.grad_hess_j(x, forms)
         assert np.allclose(h, h.T, atol=1e-10)
-        z = to_real(x)
+        y = x[1:] / x[0]
+        v = np.concatenate([y.real, y.imag])
         step = 1e-6
         fd = np.empty_like(h)
-        for k in range(z.size):
-            zp, zm = z.copy(), z.copy()
-            zp[k] += step
-            zm[k] -= step
-            gp = sg.grad_j(zp[:3] + 1j * zp[3:], ctx)
-            gm = sg.grad_j(zm[:3] + 1j * zm[3:], ctx)
+        for k in range(v.size):
+            vp, vm = v.copy(), v.copy()
+            vp[k] += step
+            vm[k] -= step
+            gp, _ = sg.grad_hess_j(chart_x(vp), forms)
+            gm, _ = sg.grad_hess_j(chart_x(vm), forms)
             fd[:, k] = (gp - gm) / (2 * step)
         assert np.max(np.abs(h - fd)) <= 1e-4 * max(1.0, np.max(np.abs(h)))
 
 
 class TestMaximizeJ:
     def test_identity_context_converges_to_e1(self):
-        ctx = identity_ctx(4)
+        forms = identity_forms(4)
         rng = np.random.default_rng(6)
         for _ in range(3):
-            res = sg.maximize_j(ctx, random_start(4, rng))
+            res = sg.maximize_j(forms, random_start(4, rng))
             assert res.converged
             assert abs(res.x_hat[0]) >= 1.0 - 1e-8
             assert res.j_value == pytest.approx(0.0, abs=1e-10)
 
     def test_trace_non_decreasing(self):
         for seed in range(5):
-            _, _, _, ctx = instance_ctx(seed=700 + seed)
-            res = sg.maximize_j(ctx, random_start(3, np.random.default_rng(seed)))
+            _, _, _, forms = instance_forms(seed=700 + seed)
+            res = sg.maximize_j(forms, random_start(3, np.random.default_rng(seed)))
             trace = np.asarray(res.j_trace)
             assert trace.size >= 1
             assert np.all(np.diff(trace) >= 0)
 
     def test_phase_invariant_start(self):
-        s, steer, _, ctx = instance_ctx(seed=36)
+        _, _, _, forms = instance_forms(seed=36)
         x0 = warm_start(3)
-        base = sg.maximize_j(ctx, x0)
-        rotated = sg.maximize_j(ctx, np.exp(1.7j) * x0)
+        base = sg.maximize_j(forms, x0)
+        rotated = sg.maximize_j(forms, np.exp(1.7j) * x0)
         assert np.max(np.abs(base.x_hat - rotated.x_hat)) <= 1e-8
 
     def test_stationary_when_converged(self):
-        s, steer, _, ctx = instance_ctx(seed=37)
-        res = sg.maximize_j(ctx, warm_start(3))
+        _, _, _, forms = instance_forms(seed=37)
+        res = sg.maximize_j(forms, warm_start(3))
         assert res.converged
-        assert np.linalg.norm(sg.grad_j(res.x_hat, ctx)) <= 1e-7
+        grad, _ = sg.grad_hess_j(res.x_hat, forms)
+        assert np.linalg.norm(grad) <= 1e-7
 
     def test_result_is_canonical(self):
-        s, steer, _, ctx = instance_ctx(seed=38)
-        res = sg.maximize_j(ctx, warm_start(3))
+        _, _, _, forms = instance_forms(seed=38)
+        res = sg.maximize_j(forms, warm_start(3))
         assert np.linalg.norm(res.x_hat) == pytest.approx(1.0, abs=1e-10)
         assert res.x_hat[0].imag == 0.0
         assert res.x_hat[0].real >= 0.0
 
     def test_beats_grid_oracle_two_sensors(self):
-        s, steer, _, ctx = instance_ctx(seed=39, L=2)
-        res = sg.maximize_j(ctx, warm_start(2))
-        grid_best = grid_max_j_l2(ctx, grid=400, zoom_steps=6)
+        _, _, _, forms = instance_forms(seed=39, L=2)
+        res = sg.maximize_j(forms, warm_start(2))
+        grid_best = grid_max_j_l2(forms, grid=400, zoom_steps=6)
         assert res.j_value >= grid_best - 1e-6
 
     def test_warm_start_ascent_stops_on_gradient(self):
@@ -178,8 +168,8 @@ class TestMaximizeJ:
             s, steer, _ = make_instance(
                 seed, L=4, N=15, snr_s_db=0.0, snr_r_db=0.0, hypothesis="H0"
             )
-            _, ctx = beamformed_ctx(s, steer)
-            res = sg.maximize_j(ctx, warm_start(4))
+            _, forms = beamformed_forms(s, steer)
+            res = sg.maximize_j(forms, warm_start(4))
             assert res.stop_reason == "gradient", f"seed {seed}: {res.stop_reason}"
             assert res.converged
             iterations.append(res.iterations)
@@ -198,10 +188,10 @@ class TestMaximizeJ:
         assert np.mean([r.iterations for r in h1]) <= 18.0
 
     def test_stops_on_max_iter(self):
-        s, steer, _, ctx = instance_ctx(seed=40, L=4)
+        _, _, _, forms = instance_forms(seed=40, L=4)
         x0 = warm_start(4)
-        assert sg.maximize_j(ctx, x0).iterations > 1
-        res = sg.maximize_j(ctx, x0, sg.TrustRegionOptions(max_iter=1))
+        assert sg.maximize_j(forms, x0).iterations > 1
+        res = sg.maximize_j(forms, x0, sg.TrustRegionOptions(max_iter=1))
         assert res.stop_reason == "max_iter"
         assert res.iterations == 1
         assert not res.converged
@@ -209,25 +199,25 @@ class TestMaximizeJ:
     def test_stops_on_radius(self):
         # A first step of length 10 from the warm start overshoots and is
         # rejected; the shrunken radius then falls below min_radius.
-        s, steer, _, ctx = instance_ctx(seed=41, L=4)
+        _, _, _, forms = instance_forms(seed=41, L=4)
         opts = sg.TrustRegionOptions(initial_radius=10.0, min_radius=5.0)
-        res = sg.maximize_j(ctx, warm_start(4), opts)
+        res = sg.maximize_j(forms, warm_start(4), opts)
         assert res.stop_reason == "radius"
         assert not res.converged
         assert res.j_trace.size == 1
 
     def test_rejects_start_off_the_chart(self):
-        _, _, _, ctx = instance_ctx(seed=42)
+        _, _, _, forms = instance_forms(seed=42)
         with pytest.raises(ValueError, match="start point"):
-            sg.maximize_j(ctx, np.array([0.0, 1.0, 0.5j]))
+            sg.maximize_j(forms, np.array([0.0, 1.0, 0.5j]))
 
     def test_warm_start_value_matches_sample_approximation(self):
         # At the warm start the likelihood ratio equals 1 + glr_sample exactly.
         for seed in range(5):
             s, steer, data = make_instance(seed=800 + seed, L=3)
-            _, ctx = beamformed_ctx(s, steer)
+            _, forms = beamformed_forms(s, steer)
             lam_app = sg.glr_sample(s, steer.u_s, steer.u_r)
-            assert np.exp(sg.cost_j(warm_start(3), ctx)) == pytest.approx(1.0 + lam_app, rel=1e-8)
+            assert np.exp(sg.cost_j(warm_start(3), forms)) == pytest.approx(1.0 + lam_app, rel=1e-8)
 
 
 def brute_force_gain(g, h, radius, samples=200_000):
@@ -372,3 +362,6 @@ class TestTrustRegionOptions:
             sg.TrustRegionOptions(max_iter=0)
         with pytest.raises(ValueError):
             sg.TrustRegionOptions(initial_radius=-1.0)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="restart_seed"):
+                sg.TrustRegionOptions(restart_seed=seed)
