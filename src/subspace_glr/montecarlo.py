@@ -4,9 +4,13 @@ Trials are embarrassingly parallel and fully reproducible. Each trial owns
 Philox substreams keyed by (run seed, hypothesis, trial index, purpose), so
 the records do not depend on execution order, chunking, or worker count;
 reruns with the same config and seed produce identical numbers whether the
-pool has one process or eight. A chunk is synthesized and scored in blocks of
-at most BLOCK_TRIALS trials as stacked arrays; a trial scored alone (a block
-of one) gets the same numbers.
+pool has one process or eight. With more than one worker, each point's trials
+are cut into chunks of min(BLOCK_TRIALS, ceil(n / workers)) trials (one chunk
+when n < 2 * workers), so a chunk fills a block where n allows it. Each CLI
+run uses at most one process pool: the chunks of every point of a pm-sweep go
+to it in one map. A chunk is synthesized and scored in blocks of at most
+BLOCK_TRIALS trials as stacked arrays; a trial scored alone (a block of one)
+gets the same numbers.
 
 Thresholds are calibrated empirically from the H0 sample as the order
 statistic at rank ceil((1 - pfa) * M), i.e. the smallest threshold whose
@@ -156,24 +160,17 @@ def resolve_threads(threads: int) -> int:
     return threads if threads > 0 else (os.cpu_count() or 1)
 
 
-def run_trials(cfg: ExperimentConfig, threads: int = 0) -> list[TrialRecord]:
-    """Run the configured H0 and H1 trials.
-
-    Records come back ordered (all H0 by index, then all H1 by index)
-    regardless of how many workers executed them.
-    """
-    items = [("H0", i) for i in range(cfg.trials_h0)]
-    items += [("H1", i) for i in range(cfg.trials_h1)]
-    workers = resolve_threads(threads)
+def _plan_chunks(items: list[tuple[str, int]], workers: int) -> list[list[tuple[str, int]]]:
+    """Split one point's trials into pool jobs of min(BLOCK_TRIALS,
+    ceil(n / workers)) trials, so a job fills a block where n allows it. A
+    point with fewer than 2 * workers trials is one job."""
     if workers == 1 or len(items) < 2 * workers:
-        records = _run_chunk(cfg, items)
-    else:
-        chunk_size = max(1, math.ceil(len(items) / (workers * 8)))
-        chunks = [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
-        records = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_run_chunk, [cfg] * len(chunks), chunks):
-                records.extend(part)
+        return [items]
+    size = min(BLOCK_TRIALS, math.ceil(len(items) / workers))
+    return [items[i : i + size] for i in range(0, len(items), size)]
+
+
+def _check_failures(cfg: ExperimentConfig, records: list[TrialRecord]) -> None:
     bad = sum(1 for r in records if r.error is not None)
     if bad:
         log.warning("%d of %d trials failed; first: %s", bad, len(records),
@@ -182,7 +179,58 @@ def run_trials(cfg: ExperimentConfig, threads: int = 0) -> list[TrialRecord]:
         raise RuntimeError(
             f"{bad} of {len(records)} trials failed, above the allowed rate {cfg.max_failure_rate}"
         )
+
+
+def _run_points(
+    cfgs: list[ExperimentConfig], threads: int, values: tuple[float, ...] | None = None
+) -> list[list[TrialRecord]]:
+    """Run the H0 and H1 trials of every point (one config each) and return
+    each point's records, ordered as in run_trials.
+
+    One worker runs the points in-process. Otherwise the jobs of every point
+    go to one process pool in one map, so the workers are forked once and no
+    point waits for the previous one; a single job runs in-process. The
+    failure rate is checked per point as it completes, in point order, and
+    the first point above it stops the run. values label the points in the
+    progress log.
+    """
+    workers = resolve_threads(threads)
+    items = [
+        [("H0", i) for i in range(cfg.trials_h0)] + [("H1", i) for i in range(cfg.trials_h1)]
+        for cfg in cfgs
+    ]
+    jobs = [(p, chunk) for p, its in enumerate(items) for chunk in _plan_chunks(its, workers)]
+    records: list[list[TrialRecord]] = [[] for _ in cfgs]
+
+    def collect(p: int, part: list[TrialRecord]) -> None:
+        records[p].extend(part)
+        log.info("point %d (%s): %d of %d trials done", p,
+                 "-" if values is None else f"{values[p]:g}", len(records[p]), len(items[p]))
+        if len(records[p]) == len(items[p]):
+            _check_failures(cfgs[p], records[p])
+
+    if workers == 1 or len(jobs) == 1:
+        for p, chunk in jobs:
+            collect(p, _run_chunk(cfgs[p], chunk))
+        return records
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        parts = pool.map(_run_chunk, [cfgs[p] for p, _ in jobs], [chunk for _, chunk in jobs])
+        try:
+            for (p, _), part in zip(jobs, parts):
+                collect(p, part)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return records
+
+
+def run_trials(cfg: ExperimentConfig, threads: int = 0) -> list[TrialRecord]:
+    """Run the configured H0 and H1 trials.
+
+    Records come back ordered (all H0 by index, then all H1 by index)
+    regardless of how many workers executed them.
+    """
+    return _run_points([cfg], threads)[0]
 
 
 def collect_stats(records: list[TrialRecord], detector: str, hypothesis: str) -> np.ndarray:
@@ -348,11 +396,11 @@ def run_pm_sweep(
     if cfg.trials_h1 < 1:
         raise ValueError("a pm sweep needs trials_h1 >= 1")
     pfa = cfg.pfa_grid[0]
+    values = cfg.sweep.values
+    per_point = _run_points([apply_sweep_value(cfg, v) for v in values], threads, values)
     out: dict[str, list[PmPoint]] = {name: [] for name in cfg.detectors}
     failures: dict[str, int] = {}
-    for value in cfg.sweep.values:
-        point_cfg = apply_sweep_value(cfg, value)
-        records = run_trials(point_cfg, threads)
+    for value, records in zip(values, per_point):
         failures[repr(float(value))] = sum(1 for r in records if r.error is not None)
         for name in cfg.detectors:
             h0 = collect_stats(records, name, "H0")

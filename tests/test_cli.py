@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -167,6 +168,31 @@ class TestPmSweep:
         assert main(["pm-sweep", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 0
         rows = [r.split(",") for r in (out / "pm.csv").read_text().splitlines()[1:]]
         assert [float(r[1]) for r in rows] == [-5.0, 0.0, 5.0]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_progress_log(self, tmp_path, caplog, threads):
+        # one info line per completed chunk: 24 trials are one chunk on one
+        # worker and two of 12 on two; logging at info leaves the bytes alone
+        cfg = write_config(
+            tmp_path,
+            detectors=["glr_low"],
+            sweep={"axis": "snr_s_db", "values": [-5.0, 0.0, 5.0], "snr_r_db_offset": 10.0},
+            pfa_grid=[0.1],
+        )
+        quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+        argv = ["pm-sweep", "--config", str(cfg), "--threads", str(threads), "--out"]
+        assert main(argv + [str(quiet)]) == 0
+        caplog.set_level(logging.INFO, logger="subspace_glr.montecarlo")
+        assert main(argv + [str(loud)]) == 0
+        progress = [r.getMessage() for r in caplog.records
+                    if r.name == "subspace_glr.montecarlo" and r.levelno == logging.INFO]
+        done = [24] if threads == 1 else [12, 24]
+        assert progress == [
+            f"point {p} ({value}): {n} of 24 trials done"
+            for p, value in enumerate(("-5", "0", "5"))
+            for n in done
+        ]
+        assert (quiet / "pm.csv").read_bytes() == (loud / "pm.csv").read_bytes()
 
     def test_requires_sweep_block(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -137,6 +138,108 @@ class TestRunTrials:
         from scipy.stats import ks_2samp
 
         assert ks_2samp(h0, h1).pvalue > 0.01
+
+
+def l_sweep_config(trials_h0, trials_h1, values=(2.0, 3.0, 5.0), detectors=sg.DETECTOR_NAMES):
+    return dataclasses.replace(
+        tiny_config(N=16, trials_h0=trials_h0, trials_h1=trials_h1, detectors=detectors),
+        sweep=sg.SweepSpec(axis="l", values=values),
+        pfa_grid=(0.1,),
+    )
+
+
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, forks nothing."""
+
+    max_workers: list = []
+
+    def __init__(self, max_workers):
+        InProcessPool.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.shutdown()
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestPooledPoints:
+    @pytest.mark.parametrize("n", [16, 66, 500, 3000, 20000])
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    def test_chunk_plan(self, n, workers):
+        items = [("H0", i) for i in range(n)]
+        chunks = montecarlo._plan_chunks(items, workers)
+        size = min(montecarlo.BLOCK_TRIALS, math.ceil(n / workers))
+        assert all(len(c) <= montecarlo.BLOCK_TRIALS for c in chunks)
+        assert all(len(c) == size for c in chunks[:-1])
+        assert [item for c in chunks for item in c] == items
+
+    def test_small_point_is_one_chunk(self):
+        items = [("H0", i) for i in range(7)]
+        assert montecarlo._plan_chunks(items, 4) == [items]
+        assert montecarlo._plan_chunks(items * 100, 1) == [items * 100]
+
+    def test_pm_sweep_creates_one_pool(self, monkeypatch):
+        created = []
+        real = montecarlo.ProcessPoolExecutor
+
+        class CountingPool(real):
+            def __init__(self, *args, **kwargs):
+                created.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+        sg.run_pm_sweep(l_sweep_config(8, 8, detectors=("glr_low",)), threads=2)
+        assert created == [{"max_workers": 2}]
+
+    def test_pool_size_capped_at_jobs(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(InProcessPool, "max_workers", [])
+        # three points of 10 trials, each below 2 * 8: one job per point
+        sg.run_pm_sweep(l_sweep_config(5, 5, detectors=("glr_low",)), threads=8)
+        # 20 trials on 8 workers: jobs of ceil(20 / 8) = 3, so 7 of them
+        sg.run_trials(tiny_config(trials_h0=10, trials_h1=10), threads=8)
+        # one job runs in-process and makes no pool
+        sg.run_trials(tiny_config(trials_h0=3, trials_h1=3), threads=8)
+        assert InProcessPool.max_workers == [3, 7]
+
+    def test_sweep_invariant_to_workers(self):
+        cfg = l_sweep_config(37, 29)
+        cfgs = [apply_sweep_value(cfg, v) for v in cfg.sweep.values]
+        keys, points = {}, {}
+        for threads in (1, 2, 3):
+            per_point = montecarlo._run_points(cfgs, threads)
+            keys[threads] = [[full_key(r) for r in recs] for recs in per_point]
+            points[threads] = sg.run_pm_sweep(cfg, threads)
+        assert [len(k) for k in keys[1]] == [66, 66, 66]
+        assert keys[1] == keys[2] == keys[3]
+        assert points[1] == points[2] == points[3]
+
+    def test_first_failing_point_raises_at_any_worker_count(self, monkeypatch):
+        # the second point (L = 3) fails 3 trials and the third (L = 5) 5;
+        # the error names the second, the first over the allowed rate
+        real = montecarlo.synth_batch
+
+        def zero_some(sc, mode, trials):
+            u_s, u_r, y_s, y_r = real(sc, mode, trials)
+            bad = {3: 3, 5: 5}.get(sc.L, 0)
+            y_s[[k for k, (hyp, idx) in enumerate(trials) if hyp == "H1" and idx < bad]] = 0.0
+            return u_s, u_r, y_s, y_r
+
+        monkeypatch.setattr(montecarlo, "synth_batch", zero_some)
+        cfg = l_sweep_config(12, 12, detectors=("glr_low",))
+        messages = []
+        for threads in (1, 2):
+            with pytest.raises(RuntimeError) as err:
+                sg.run_pm_sweep(cfg, threads)
+            messages.append(str(err.value))
+        assert messages == ["3 of 24 trials failed, above the allowed rate 0.001"] * 2
 
 
 class TestCollectAndCalibrate:
