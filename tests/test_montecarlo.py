@@ -148,27 +148,6 @@ def l_sweep_config(trials_h0, trials_h1, values=(2.0, 3.0, 5.0), detectors=sg.DE
     )
 
 
-class InProcessPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, forks nothing."""
-
-    max_workers: list = []
-
-    def __init__(self, max_workers):
-        InProcessPool.max_workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.shutdown()
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
 class TestPooledPoints:
     @pytest.mark.parametrize("n", [16, 66, 500, 3000, 20000])
     @pytest.mark.parametrize("workers", [2, 3, 8])
@@ -199,15 +178,31 @@ class TestPooledPoints:
         assert created == [{"max_workers": 2}]
 
     def test_pool_size_capped_at_jobs(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            """Stands in for the pool: records max_workers, forks nothing."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(InProcessPool, "max_workers", [])
         # three points of 10 trials, each below 2 * 8: one job per point
         sg.run_pm_sweep(l_sweep_config(5, 5, detectors=("glr_low",)), threads=8)
         # 20 trials on 8 workers: jobs of ceil(20 / 8) = 3, so 7 of them
         sg.run_trials(tiny_config(trials_h0=10, trials_h1=10), threads=8)
         # one job runs in-process and makes no pool
         sg.run_trials(tiny_config(trials_h0=3, trials_h1=3), threads=8)
-        assert InProcessPool.max_workers == [3, 7]
+        assert sizes == [3, 7]
 
     def test_sweep_invariant_to_workers(self):
         cfg = l_sweep_config(37, 29)
