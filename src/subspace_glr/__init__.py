@@ -13,15 +13,11 @@ __version__ = "0.1.0"
 from .covariance import (
     BeamformerPair,
     BlockSampleCov,
-    alpha_sr,
     block_sample_cov,
     capon_pair,
     coherence_matrix,
     cost_forms,
-    eta_rr,
-    eta_sr,
     sample_cov,
-    unitary_completion,
 )
 from .dataio import (
     read_snapshot_bin,
@@ -43,28 +39,16 @@ from .detectors import (
     glr_exact,
     glr_low,
     glr_sample,
-    low_snr_qsr,
-    m_matrix,
-    ml_qsr,
-    oracle_glr,
     score_batch,
     sigma_max_coherence,
     svd_corr_stat,
 )
 from .model import (
-    ChannelRealization,
     ScenarioConfig,
     SnapshotData,
     SteeringPair,
-    draw_channel,
-    draw_channel_gain,
-    draw_noise_cov,
-    draw_steering,
-    population_cov,
-    scale_noise_to_snr,
     substream,
     synth_batch,
-    synth_snapshots,
     ula_steering,
 )
 from .montecarlo import (

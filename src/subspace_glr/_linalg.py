@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
@@ -27,31 +26,17 @@ def check_hermitian(a: np.ndarray, tol: float = 1e-10, name: str = "matrix") -> 
         raise ValueError(f"{name} is not Hermitian (deviation {np.max(dev):.3e})")
 
 
-def cho_factor_pd(a: np.ndarray, name: str = "matrix"):
-    """Cholesky-factor a Hermitian positive definite matrix.
-
-    Raises ValueError naming the offending matrix when it is not positive
-    definite, so callers surface singular or indefinite blocks explicitly
-    instead of producing NaNs downstream.
-    """
-    try:
-        return scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is this class
-        raise ValueError(f"{name} is not positive definite: {exc}") from exc
-
-
 def cholesky_pd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Lower Cholesky factor of a Hermitian positive definite matrix, or of
     every matrix in a (..., L, L) stack, with one np.linalg.cholesky call.
 
-    When a matrix is not positive definite, raises the ValueError that
-    cho_factor_pd gives for the first such matrix of the stack.
+    Raises ValueError naming the matrix when it, or any matrix of the
+    stack, is not positive definite, so callers surface singular or
+    indefinite blocks explicitly instead of producing NaNs downstream.
     """
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        for m in a.reshape((-1,) + a.shape[-2:]):
-            cho_factor_pd(m, name=name)
         raise ValueError(f"{name} is not positive definite") from None
 
 
@@ -73,12 +58,6 @@ def lower_adjoint_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     return lower_solve(flipped, b[..., ::-1, :])[..., ::-1, :]
 
 
-def pd_solve(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Solve a @ x = b for Hermitian positive definite a via Cholesky."""
-    c = cho_factor_pd(a, name=name)
-    return scipy.linalg.cho_solve(c, b, check_finite=False)
-
-
 def householder(u: np.ndarray) -> np.ndarray:
     """Householder reflector I - 2 v v^H / |v|^2, v = u + phase(u_0) e1, of a
     unit vector u or of each vector of a (..., L) stack. Its first column is
@@ -88,10 +67,6 @@ def householder(u: np.ndarray) -> np.ndarray:
     v[..., 0] += np.exp(1j * np.angle(v[..., 0]))
     outer = v[..., :, None] * v[..., None, :].conj()
     return np.eye(v.shape[-1]) - 2.0 * outer / np.vecdot(v, v).real[..., None, None]
-
-
-def min_eig_herm(a: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(a)[0]) if a.size else 0.0
 
 
 def real_embedding(a: np.ndarray) -> np.ndarray:

@@ -37,7 +37,6 @@ from .covariance import sample_cov
 from .dataio import read_snapshots, read_steering_csv
 from .model import STEERING_MODES, ScenarioConfig
 from .montecarlo import (
-    SWEEP_AXES,
     ExperimentConfig,
     SweepSpec,
     resolve_threads,

@@ -8,13 +8,12 @@ covariance
 and on beamformed data from the Cholesky factors S_ii = L_i L_i^H: the
 whitened steering vectors a_i = L_i^{-1} u_i (capon_pair) and the coherence
 matrix C = L_s^{-1} S_sr L_r^{-H}. The closed forms and the exact cost's
-forms (cost_forms) are built from these. The scalars eta_sr, eta_rr,
-alpha_sr take an optional R_rr so that the cross-gain estimate can be
-evaluated at any reference covariance; the detectors fix R_rr = S_rr.
+forms (cost_forms) are built from these, with the reference covariance
+fixed at R_rr = S_rr.
 
-BlockSampleCov, capon_pair, coherence_matrix and cost_forms also take
-stacks with leading trial axes, which is how the Monte Carlo harness scores
-a block of trials at once; the other functions here take one covariance.
+BlockSampleCov, block_sample_cov, capon_pair, coherence_matrix and
+cost_forms take stacks with leading trial axes, which is how the Monte Carlo
+harness scores a block of trials at once; sample_cov takes one record.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from ._linalg import (
     adjoint,
@@ -33,7 +31,6 @@ from ._linalg import (
     householder,
     lower_adjoint_solve,
     lower_solve,
-    pd_solve,
 )
 from .model import SnapshotData
 
@@ -47,8 +44,7 @@ class BlockSampleCov:
     s_ss, s_sr, s_rr : ndarray
         The L x L blocks, or stacks of them of shape (..., L, L). s_ss and
         s_rr are Hermitian; s_sr is the cross-channel block (surveillance
-        rows, reference columns). The solve_* and beta_* methods take a
-        single covariance.
+        rows, reference columns).
     n : int
         Number of snapshots averaged. With n >= 2L the full matrix is
         positive definite almost surely; below that it is singular and the
@@ -96,22 +92,6 @@ class BlockSampleCov:
         """Lower Cholesky factor L_r of s_rr; see chol_ss."""
         return cholesky_pd(self.s_rr, name="s_rr")
 
-    def solve_ss(self, b: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve((self.chol_ss, True), b, check_finite=False)
-
-    def solve_rr(self, b: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve((self.chol_rr, True), b, check_finite=False)
-
-    def beta_s(self, u_s: np.ndarray) -> float:
-        """Capon denominator u_s^H S_ss^{-1} u_s."""
-        u_s = np.asarray(u_s, dtype=complex).reshape(-1)
-        return float((np.conj(u_s) @ self.solve_ss(u_s)).real)
-
-    def beta_r(self, u_r: np.ndarray) -> float:
-        """Capon denominator u_r^H S_rr^{-1} u_r."""
-        u_r = np.asarray(u_r, dtype=complex).reshape(-1)
-        return float((np.conj(u_r) @ self.solve_rr(u_r)).real)
-
 
 def block_sample_cov(y_s: np.ndarray, y_r: np.ndarray) -> BlockSampleCov:
     """Partitioned sample covariance from raw L x N snapshot matrices, or
@@ -130,59 +110,6 @@ def block_sample_cov(y_s: np.ndarray, y_r: np.ndarray) -> BlockSampleCov:
 def sample_cov(data: SnapshotData) -> BlockSampleCov:
     """Partitioned sample covariance of a snapshot record."""
     return block_sample_cov(data.y_s, data.y_r)
-
-
-def unitary_completion(u: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal completion of a unit vector.
-
-    Parameters
-    ----------
-    u : ndarray
-        Unit-norm vector of length L.
-
-    Returns
-    -------
-    ndarray
-        L x (L-1) matrix V with V^H V = I and V^H u = 0, so [u, V] is
-        unitary: the trailing columns of householder(u). L = 1 returns an
-        empty L x 0 matrix.
-    """
-    u = np.asarray(u, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-8:
-        raise ValueError("completion requires a unit-norm vector")
-    return householder(u)[:, 1:]
-
-
-def eta_sr(
-    s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray, r_rr: np.ndarray | None = None
-) -> complex:
-    """u_s^H S_ss^{-1} S_sr R_rr^{-1} u_r, the whitened cross-channel response.
-
-    r_rr = None evaluates at R_rr = S_rr.
-    """
-    t_s = s.solve_ss(u_s)
-    t_r = s.solve_rr(u_r) if r_rr is None else pd_solve(r_rr, u_r, name="r_rr")
-    return complex(t_s.conj() @ (s.s_sr @ t_r))
-
-
-def eta_rr(s: BlockSampleCov, u_r: np.ndarray, r_rr: np.ndarray | None = None) -> float:
-    """u_r^H R_rr^{-1} S_rr R_rr^{-1} u_r. Real and positive; at R_rr = S_rr it
-    collapses to the Capon denominator u_r^H S_rr^{-1} u_r."""
-    t_r = s.solve_rr(u_r) if r_rr is None else pd_solve(r_rr, u_r, name="r_rr")
-    val = complex(t_r.conj() @ (s.s_rr @ t_r))
-    return float(val.real)
-
-
-def alpha_sr(
-    s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray, r_rr: np.ndarray | None = None
-) -> float:
-    """u_r^H R_rr^{-1} S_sr^H S_ss^{-1} S_sr R_rr^{-1} u_r. Real, nonnegative,
-    and strictly below eta_rr whenever the full sample covariance is positive
-    definite (their difference is a Schur-complement quadratic form)."""
-    t_r = s.solve_rr(u_r) if r_rr is None else pd_solve(r_rr, u_r, name="r_rr")
-    w = s.s_sr @ t_r
-    val = complex(w.conj() @ s.solve_ss(w))
-    return float(val.real)
 
 
 @dataclass
@@ -257,10 +184,3 @@ def cost_forms(c: np.ndarray, pair: BeamformerPair) -> tuple[np.ndarray, np.ndar
     g = adjoint(cq) @ pair.w_s[..., None]
     psi = hermitize(gamma_m + g @ adjoint(g))
     return psi, gamma_m
-
-
-def cross_capon_beta(s_block: np.ndarray, u: np.ndarray, name: str = "block") -> float:
-    """u^H S^{-1} u for one Hermitian positive definite block."""
-    u = np.asarray(u, dtype=complex).reshape(-1)
-    t = pd_solve(s_block, u, name=name)
-    return float((np.conj(u) @ t).real)

@@ -32,19 +32,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
-from ._linalg import hermitize, pd_solve
 from .covariance import (
     BeamformerPair,
     BlockSampleCov,
-    alpha_sr,
     block_sample_cov,
     capon_pair,
     coherence_matrix,
     cost_forms,
-    eta_rr,
-    eta_sr,
 )
 from .model import SnapshotData, SteeringPair, substream
 from .optimizer import OptimResult, TrustRegionOptions, ascend, random_start
@@ -225,64 +220,6 @@ def svd_corr_stat(data: SnapshotData) -> float:
     return float(_svd_corr(data.y_s, data.y_r))
 
 
-def ml_qsr(
-    s: BlockSampleCov,
-    u_s: np.ndarray,
-    u_r: np.ndarray,
-    r_rr: np.ndarray | None = None,
-) -> complex:
-    """Cross-gain estimate that minimizes det M(q, R_rr) for fixed R_rr.
-
-    q_hat = eta_sr / (|eta_sr|^2 + beta_s (eta_rr - alpha_sr)), with the
-    scalars evaluated at R_rr (sample S_rr when r_rr is None). The
-    denominator is positive whenever the full sample covariance is.
-    """
-    eta = eta_sr(s, u_s, u_r, r_rr)
-    e_rr = eta_rr(s, u_r, r_rr)
-    alpha = alpha_sr(s, u_s, u_r, r_rr)
-    beta_s = s.beta_s(u_s)
-    den = abs(eta) ** 2 + beta_s * (e_rr - alpha)
-    if den <= 0.0:
-        raise DegenerateSampleError(f"nonpositive denominator {den:.3e} in ml_qsr")
-    return eta / den
-
-
-def low_snr_qsr(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> complex:
-    """Low-SNR cross-gain estimate eta_sr(S_rr) / (beta_s beta_r)."""
-    beta_s, beta_r = s.beta_s(u_s), s.beta_r(u_r)
-    return eta_sr(s, u_s, u_r) / (beta_s * beta_r)
-
-
-def m_matrix(
-    s: BlockSampleCov,
-    u_s: np.ndarray,
-    u_r: np.ndarray,
-    q_sr: complex,
-    r_rr: np.ndarray | None = None,
-) -> np.ndarray:
-    """Surveillance-side matrix whose determinant the cross gain minimizes.
-
-    M(q, R_rr) = S_ss + |q|^2 eta_rr u_s u_s^H
-                 - q u_s u_r^H R_rr^{-1} S_sr^H - conj(q) S_sr R_rr^{-1} u_r u_s^H
-
-    At q = ml_qsr(...) this is the concentrated estimate of the
-    surveillance-channel covariance factor.
-    """
-    r = s.s_rr if r_rr is None else np.asarray(r_rr, dtype=complex)
-    u_s = np.asarray(u_s, dtype=complex).reshape(-1)
-    u_r = np.asarray(u_r, dtype=complex).reshape(-1)
-    t_r = pd_solve(r, u_r, name="r_rr")
-    w = s.s_sr @ t_r
-    e_rr = eta_rr(s, u_r, r)
-    m = (
-        s.s_ss
-        + (abs(q_sr) ** 2 * e_rr) * np.outer(u_s, u_s.conj())
-        - q_sr * np.outer(u_s, w.conj())
-        - np.conj(q_sr) * np.outer(w, u_s.conj())
-    )
-    return hermitize(m)
-
-
 @dataclass
 class DetectorReport:
     """All statistics computed on one record. Fields are None when the
@@ -394,88 +331,3 @@ def compute_report(
     if isinstance(report, ValueError):
         raise report
     return report
-
-
-def _profile_objective(
-    s: BlockSampleCov,
-    u_s: np.ndarray,
-    u_r: np.ndarray,
-    t_lower: np.ndarray,
-) -> float:
-    """log Lambda(R_rr)^{1/N} for R_rr^{-1} = T T^H, all other parameters
-    profiled out in closed form. Used only by the brute-force oracle."""
-    dim = s.num_sensors
-    r_inv = t_lower @ t_lower.conj().T
-    v = r_inv @ u_r
-    t_s = pd_solve(s.s_ss, u_s, name="s_ss")
-    beta_s = float((np.conj(u_s) @ t_s).real)
-    eta = complex(t_s.conj() @ (s.s_sr @ v))
-    e_rr = float((v.conj() @ (s.s_rr @ v)).real)
-    w = s.s_sr @ v
-    alpha = float((w.conj() @ pd_solve(s.s_ss, w, name="s_ss")).real)
-    gap = e_rr - alpha
-    if gap <= 0.0:
-        return -math.inf
-    logdet_rinv = 2.0 * float(np.sum(np.log(np.abs(np.diag(t_lower)))))
-    sign, logdet_srr = np.linalg.slogdet(s.s_rr)
-    if sign.real <= 0:
-        raise ValueError("s_rr is not positive definite")
-    trace = float(np.einsum("ij,ji->", r_inv, s.s_rr).real)
-    val = (
-        logdet_rinv
-        - trace
-        + float(logdet_srr)
-        + dim
-        + math.log(beta_s + abs(eta) ** 2 / gap)
-        - math.log(beta_s)
-    )
-    return val
-
-
-def oracle_glr(
-    s: BlockSampleCov,
-    u_s: np.ndarray,
-    u_r: np.ndarray,
-    n_restarts: int = 8,
-    seed: int = 0,
-) -> float:
-    """Brute-force Lambda^{1/N} by direct search over the reference covariance.
-
-    Independent check on glr_exact: parametrizes R_rr^{-1} through its
-    Cholesky factor (L^2 real parameters, positive diagonal via log
-    transform) and maximizes the profiled log likelihood ratio with a
-    generic quasi-Newton method from the sample start plus n_restarts
-    random starts. Slow by design; returns the best value found.
-    """
-    u_s = np.asarray(u_s, dtype=complex).reshape(-1)
-    u_r = np.asarray(u_r, dtype=complex).reshape(-1)
-    dim = s.num_sensors
-    tril_r, tril_c = np.tril_indices(dim, k=-1)
-    n_off = tril_r.size
-
-    def unpack(theta: np.ndarray) -> np.ndarray:
-        t = np.zeros((dim, dim), dtype=complex)
-        t[np.diag_indices(dim)] = np.exp(theta[:dim])
-        t[tril_r, tril_c] = theta[dim : dim + n_off] + 1j * theta[dim + n_off :]
-        return t
-
-    def negobj(theta: np.ndarray) -> float:
-        val = _profile_objective(s, u_s, u_r, unpack(theta))
-        return -val if math.isfinite(val) else 1e12
-
-    # Start 1: R_rr = S_rr, the closed-form operating point.
-    c_srr = np.linalg.cholesky(np.linalg.inv(s.s_rr))
-    theta0 = np.concatenate(
-        [np.log(np.abs(np.diag(c_srr))), c_srr[tril_r, tril_c].real, c_srr[tril_r, tril_c].imag]
-    )
-    starts = [theta0]
-    rng = substream(seed, 0)
-    for _ in range(n_restarts):
-        starts.append(theta0 + 0.5 * rng.standard_normal(theta0.size))
-    best = -math.inf
-    for theta in starts:
-        res = scipy.optimize.minimize(
-            negobj, theta, method="BFGS", options={"gtol": 1e-10, "maxiter": 2000}
-        )
-        best = max(best, -float(res.fun))
-    return math.exp(best)

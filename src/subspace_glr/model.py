@@ -13,18 +13,20 @@ Sigma_ss, Sigma_rr (independent across channels and snapshots). The
 reference channel carries the signal under both hypotheses; the test is
 whether the surveillance channel carries it too.
 
-draw_steering, draw_channel and synth_snapshots build one trial; synth_batch
-builds a stack of trials from the same substreams with the same numbers.
+synth_batch builds a stack of trials, each from its own substreams. The
+per-trial synthesis it matches bit for bit (draw_steering -> draw_channel ->
+synth_snapshots) is the test-only reference in tests/_reference.py.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy 2 loads it on first use; load it with the package
 
-from ._linalg import adjoint, check_hermitian, hermitize, min_eig_herm
+from ._linalg import adjoint, hermitize
 
 HYPOTHESES = ("H0", "H1")
 
@@ -62,42 +64,10 @@ def ula_steering(num_sensors: int, theta: float) -> np.ndarray:
     return np.exp(1j * np.pi * l_idx * math.sin(theta)) / math.sqrt(num_sensors)
 
 
-def _cn_matrix(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    # CN(0, 1): independent real and imaginary parts, variance 1/2 each.
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-
-
-def draw_channel_gain(rng: np.random.Generator) -> complex:
-    """One CN(0, 1) gain: Rayleigh(1/sqrt(2)) magnitude, uniform phase."""
-    return complex(_cn_matrix(rng))
-
-
-def draw_noise_cov(rng: np.random.Generator, num_sensors: int, dof: int) -> np.ndarray:
-    """Random noise covariance: complex Wishart with identity scale.
-
-    Sigma = G G^H / dof with G an L x dof matrix of CN(0, 1) entries, so
-    E[Sigma] = I. dof >= L keeps Sigma full rank almost surely.
-    """
-    if dof < num_sensors:
-        raise ValueError(f"wishart dof {dof} < dimension {num_sensors}: rank deficient")
-    g = _cn_matrix(rng, num_sensors, dof)
-    return hermitize(g @ g.conj().T / dof)
-
-
-def scale_noise_to_snr(
-    sigma: np.ndarray, gain: complex, sigma_x2: float, snr_db: float
-) -> np.ndarray:
-    """Rescale a noise covariance so the per-channel SNR hits a target.
-
-    SNR is defined as 10*log10(sigma_x2 * |gain|^2 / tr(Sigma)); the steering
-    vector has unit norm so it contributes no power factor. Returns c * sigma
-    with c chosen to meet snr_db exactly.
-    """
-    return sigma * _snr_factor(sigma, gain, sigma_x2, snr_db)
-
-
 def _snr_factor(sigma: np.ndarray, gain: complex, sigma_x2: float, snr_db: float) -> float:
-    """The factor c of scale_noise_to_snr, as a Python scalar."""
+    """The factor c, as a Python scalar, that makes c * sigma meet the
+    per-channel SNR 10*log10(sigma_x2 * |gain|^2 / tr(c * sigma)) = snr_db.
+    The steering vector has unit norm, so it contributes no power factor."""
     power = float(sigma_x2) * abs(gain) ** 2
     if power <= 0.0:
         raise ValueError("degenerate channel: sigma_x2 * |gain|^2 must be positive")
@@ -142,18 +112,6 @@ class SteeringPair:
         return cls(u_s / ns, u_r / nr)
 
 
-def draw_steering(mode: str, num_sensors: int, rng: np.random.Generator) -> SteeringPair:
-    """Draw a random steering pair. Modes: random-unit, ula-random-doa."""
-    if mode == "random-unit":
-        u_s = _cn_matrix(rng, num_sensors)
-        u_r = _cn_matrix(rng, num_sensors)
-        return SteeringPair(u_s / np.linalg.norm(u_s), u_r / np.linalg.norm(u_r))
-    if mode == "ula-random-doa":
-        theta_s, theta_r = rng.uniform(-np.pi / 2, np.pi / 2, size=2)
-        return SteeringPair(ula_steering(num_sensors, theta_s), ula_steering(num_sensors, theta_r))
-    raise ValueError(f"unknown steering mode {mode!r}; expected one of {STEERING_MODES}")
-
-
 @dataclass
 class ScenarioConfig:
     """Dimensions, SNRs, and channel-draw settings for one scenario.
@@ -190,68 +148,6 @@ class ScenarioConfig:
 
 
 @dataclass
-class ChannelRealization:
-    """One draw of gains and noise covariances.
-
-    The induced signal-power parameters are q_ss = sigma_x2 |a_s|^2,
-    q_rr = sigma_x2 |a_r|^2, q_sr = sigma_x2 a_s conj(a_r); |q_sr|^2 equals
-    q_ss q_rr by construction (the signal subspace is exactly rank one).
-    """
-
-    a_s: complex
-    a_r: complex
-    sigma_ss: np.ndarray
-    sigma_rr: np.ndarray
-    sigma_x2: float = 1.0
-
-    def __post_init__(self) -> None:
-        self.sigma_ss = np.asarray(self.sigma_ss, dtype=complex)
-        self.sigma_rr = np.asarray(self.sigma_rr, dtype=complex)
-        for name, s in (("sigma_ss", self.sigma_ss), ("sigma_rr", self.sigma_rr)):
-            check_hermitian(s, 1e-10, name)
-            if min_eig_herm(s) <= 0:
-                raise ValueError(f"{name} is not positive definite")
-        if self.sigma_ss.shape != self.sigma_rr.shape:
-            raise ValueError("noise covariances differ in shape")
-        if self.sigma_x2 < 0:
-            raise ValueError(f"sigma_x2 must be >= 0, got {self.sigma_x2}")
-
-    @property
-    def q_ss(self) -> float:
-        return self.sigma_x2 * abs(self.a_s) ** 2
-
-    @property
-    def q_rr(self) -> float:
-        return self.sigma_x2 * abs(self.a_r) ** 2
-
-    @property
-    def q_sr(self) -> complex:
-        return self.sigma_x2 * self.a_s * self.a_r.conjugate()
-
-
-def draw_channel(
-    cfg: ScenarioConfig,
-    rng_gains: np.random.Generator,
-    rng_covs: np.random.Generator,
-) -> ChannelRealization:
-    """Draw gains and SNR-scaled noise covariances for one trial.
-
-    Draw order is fixed (a_s, a_r, Sigma_ss, Sigma_rr) so records are
-    reproducible from their streams alone. With sigma_x2 = 0 the raw
-    mean-identity covariances are kept, since no scaling can reach an SNR
-    target without signal power.
-    """
-    a_s = draw_channel_gain(rng_gains)
-    a_r = draw_channel_gain(rng_gains)
-    sigma_ss = draw_noise_cov(rng_covs, cfg.L, cfg.dof)
-    sigma_rr = draw_noise_cov(rng_covs, cfg.L, cfg.dof)
-    if cfg.sigma_x2 > 0:
-        sigma_ss = scale_noise_to_snr(sigma_ss, a_s, cfg.sigma_x2, cfg.snr_s_db)
-        sigma_rr = scale_noise_to_snr(sigma_rr, a_r, cfg.sigma_x2, cfg.snr_r_db)
-    return ChannelRealization(a_s, a_r, sigma_ss, sigma_rr, cfg.sigma_x2)
-
-
-@dataclass
 class SnapshotData:
     """A batch of simultaneous snapshots from the two channels.
 
@@ -282,70 +178,23 @@ class SnapshotData:
         return self.y_s.shape[1]
 
 
-def synth_snapshots(
-    cfg: ScenarioConfig,
-    steering: SteeringPair,
-    chan: ChannelRealization,
-    hypothesis: str,
-    rng: np.random.Generator,
-) -> SnapshotData:
-    """Synthesize N snapshots under the given hypothesis.
-
-    The waveform and both noise blocks are drawn in a fixed order (x, n_s,
-    n_r) under either hypothesis, so H0 and H1 trials with the same stream
-    share their noise realizations and differ only in the surveillance
-    signal term.
-    """
-    if hypothesis not in HYPOTHESES:
-        raise ValueError(f"hypothesis must be one of {HYPOTHESES}, got {hypothesis!r}")
-    if steering.num_sensors != cfg.L:
-        raise ValueError(f"steering length {steering.num_sensors} != L = {cfg.L}")
-    x = math.sqrt(cfg.sigma_x2) * _cn_matrix(rng, cfg.N)
-    chol_ss = np.linalg.cholesky(chan.sigma_ss)
-    chol_rr = np.linalg.cholesky(chan.sigma_rr)
-    n_s = chol_ss @ _cn_matrix(rng, cfg.L, cfg.N)
-    n_r = chol_rr @ _cn_matrix(rng, cfg.L, cfg.N)
-    y_r = chan.a_r * np.outer(steering.u_r, x) + n_r
-    if hypothesis == "H1":
-        y_s = chan.a_s * np.outer(steering.u_s, x) + n_s
-    else:
-        y_s = n_s
-    return SnapshotData(y_s, y_r, hypothesis)
-
-
-def population_cov(
-    steering: SteeringPair, chan: ChannelRealization, hypothesis: str
-) -> np.ndarray:
-    """Exact 2L x 2L covariance of the stacked snapshot vector."""
-    if hypothesis not in HYPOTHESES:
-        raise ValueError(f"hypothesis must be one of {HYPOTHESES}, got {hypothesis!r}")
-    u_s, u_r = steering.u_s, steering.u_r
-    r_rr = chan.q_rr * np.outer(u_r, u_r.conj()) + chan.sigma_rr
-    if hypothesis == "H0":
-        r_ss = chan.sigma_ss
-        r_sr = np.zeros((u_s.size, u_r.size), dtype=complex)
-    else:
-        r_ss = chan.q_ss * np.outer(u_s, u_s.conj()) + chan.sigma_ss
-        r_sr = chan.q_sr * np.outer(u_s, u_r.conj())
-    top = np.hstack([r_ss, r_sr])
-    bot = np.hstack([r_sr.conj().T, r_rr])
-    return np.vstack([top, bot])
-
-
 def synth_batch(
     cfg: ScenarioConfig, steering_mode: str, trials: list[tuple[str, int]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Synthesize a stack of trials, given as (hypothesis, trial index) pairs.
 
     Returns (u_s, u_r, y_s, y_r) of shapes (T, L), (T, L), (T, L, N) and
-    (T, L, N), equal bit for bit to draw_steering -> draw_channel ->
-    synth_snapshots on each trial's substreams. Every stream is read with
-    one standard_normal call per trial: its draws are consecutive fills, so
-    one call of the combined size returns the same variates, in the same
-    order, as the per-trial path's several calls. The steering norms and the SNR factors
-    are computed per trial as Python scalars, exactly as there; the Wishart
-    products, the positive-definite check, the Cholesky colouring and the
-    snapshot assembly run on the stack.
+    (T, L, N). Each trial draws, from its own substreams, a steering pair,
+    CN(0, 1) gains a_s, a_r, and noise covariances G G^H / dof (complex
+    Wishart, identity scale) rescaled to the SNR targets unless sigma_x2 = 0.
+    The result equals bit for bit the per-trial reference draw_steering ->
+    draw_channel -> synth_snapshots in tests/_reference.py. Every stream is
+    read with one standard_normal call per trial: its draws are consecutive
+    fills, so one call of the combined size returns the same variates, in
+    the same order, as the per-trial path's several calls. The steering
+    norms and the SNR factors are computed per trial as Python scalars,
+    exactly as there; the Wishart products, the positive-definite check,
+    the Cholesky colouring and the snapshot assembly run on the stack.
     """
     if steering_mode not in STEERING_MODES:
         raise ValueError(f"unknown steering mode {steering_mode!r}; expected one of {STEERING_MODES}")

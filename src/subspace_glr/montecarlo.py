@@ -28,6 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.ma  # np.unique (roc_curve) loads it on first use; load it with the package
 
 from .detectors import DETECTOR_NAMES, DetectorReport, score_batch
 from .model import STEERING_MODES, ScenarioConfig, synth_batch

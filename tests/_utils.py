@@ -1,11 +1,15 @@
 """Shared helpers for the test suite: instance generators and independent
-oracle implementations that deliberately avoid the library's own code paths."""
+oracle implementations that deliberately avoid the library's own code paths.
+
+make_instance builds one trial through the per-trial synthesis in
+_reference.py, the oracle that synth_batch must match bit for bit."""
 
 from __future__ import annotations
 
 import numpy as np
 
 import subspace_glr as sg
+from _reference import draw_channel, draw_steering, synth_snapshots
 
 
 def make_instance(
@@ -24,9 +28,9 @@ def make_instance(
     N = 4 * L if N is None else N
     cfg = sg.ScenarioConfig(L=L, N=N, snr_s_db=snr_s_db, snr_r_db=snr_r_db, seed=seed)
     code = {"H0": 0, "H1": 1}[hypothesis]
-    steer = sg.draw_steering(mode, L, sg.substream(seed, code, 0, 0))
-    chan = sg.draw_channel(cfg, sg.substream(seed, code, 0, 1), sg.substream(seed, code, 0, 2))
-    data = sg.synth_snapshots(cfg, steer, chan, hypothesis, sg.substream(seed, code, 0, 3))
+    steer = draw_steering(mode, L, sg.substream(seed, code, 0, 0))
+    chan = draw_channel(cfg, sg.substream(seed, code, 0, 1), sg.substream(seed, code, 0, 2))
+    data = synth_snapshots(cfg, steer, chan, hypothesis, sg.substream(seed, code, 0, 3))
     return sg.sample_cov(data), steer, data
 
 

@@ -372,3 +372,18 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "SUBSPACE_GLR_LOG" in proc.stderr
+
+    def test_cli_import_loads_no_scipy(self):
+        # numpy is the only run-time dependency; scipy is for the tests.
+        probe = (
+            "import json, sys, subspace_glr.cli\n"
+            "print(json.dumps([subspace_glr.cli.__file__,"
+            " sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))]))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        cli_file, scipy_modules = json.loads(proc.stdout)
+        assert Path(cli_file).resolve().parent == Path(sg.__file__).resolve().parent
+        assert scipy_modules == []

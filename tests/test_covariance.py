@@ -3,6 +3,7 @@ import pytest
 
 import subspace_glr as sg
 from subspace_glr._linalg import householder
+from _reference import alpha_sr, cross_capon_beta, eta_rr, eta_sr, unitary_completion
 from _utils import make_instance, rand_pd, rand_unit
 
 
@@ -40,29 +41,29 @@ class TestSampleCov:
 
 class TestUnitaryCompletion:
     def test_first_basis_vector(self):
-        v = sg.unitary_completion(np.array([1.0, 0.0, 0.0], dtype=complex))
+        v = unitary_completion(np.array([1.0, 0.0, 0.0], dtype=complex))
         assert v.shape == (3, 2)
         assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-13)
         assert np.allclose(v.conj().T @ np.array([1, 0, 0]), 0, atol=1e-13)
 
     def test_scalar_degenerate(self):
-        v = sg.unitary_completion(np.array([np.exp(0.3j)]))
+        v = unitary_completion(np.array([np.exp(0.3j)]))
         assert v.shape == (1, 0)
 
     def test_random_vector_unitary(self):
         rng = np.random.default_rng(2)
         u = rand_unit(rng, 6)
-        v = sg.unitary_completion(u)
+        v = unitary_completion(u)
         full = np.column_stack([u, v])
         assert np.linalg.norm(full.conj().T @ full - np.eye(6)) <= 1e-12
 
     def test_deterministic(self):
         u = rand_unit(np.random.default_rng(3), 4)
-        assert np.array_equal(sg.unitary_completion(u), sg.unitary_completion(u))
+        assert np.array_equal(unitary_completion(u), unitary_completion(u))
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="unit"):
-            sg.unitary_completion(np.array([2.0, 0.0]))
+            unitary_completion(np.array([2.0, 0.0]))
 
     def test_stacked_reflectors(self):
         # each reflector of a stack is unitary with first column a unit
@@ -77,15 +78,15 @@ class TestUnitaryCompletion:
             phase = np.vdot(u[k], p[k][:, 0])
             assert abs(phase) == pytest.approx(1.0, abs=1e-13)
             assert np.allclose(p[k][:, 0], phase * u[k], atol=1e-13)
-            assert np.array_equal(p[k][:, 1:], sg.unitary_completion(u[k]))
+            assert np.array_equal(p[k][:, 1:], unitary_completion(u[k]))
 
 
 class TestEtaAlpha:
     def test_zero_cross_block(self):
         s, steer, _ = make_instance(seed=11, L=3)
         s0 = sg.BlockSampleCov(s.s_ss, np.zeros_like(s.s_sr), s.s_rr, s.n)
-        assert sg.eta_sr(s0, steer.u_s, steer.u_r) == 0
-        assert sg.alpha_sr(s0, steer.u_s, steer.u_r) == 0
+        assert eta_sr(s0, steer.u_s, steer.u_r) == 0
+        assert alpha_sr(s0, steer.u_s, steer.u_r) == 0
 
     def test_scalar_arithmetic(self):
         # L=1 blocks (2, 1+j, 4), unit steering, r_rr = s_rr:
@@ -93,29 +94,25 @@ class TestEtaAlpha:
         s = sg.BlockSampleCov(
             np.array([[2.0]]), np.array([[1.0 + 1.0j]]), np.array([[4.0]]), n=2
         )
-        val = sg.eta_sr(s, np.array([1.0]), np.array([1.0]))
+        val = eta_sr(s, np.array([1.0]), np.array([1.0]))
         assert val == pytest.approx((1 + 1j) / 8, abs=1e-15)
 
     def test_conjugation_symmetry(self):
         s, steer, _ = make_instance(seed=12, L=3)
         swapped = sg.BlockSampleCov(s.s_rr, s.s_sr.conj().T, s.s_ss, s.n)
-        fwd = sg.eta_sr(s, steer.u_s, steer.u_r)
-        rev = sg.eta_sr(swapped, steer.u_r, steer.u_s)
+        fwd = eta_sr(s, steer.u_s, steer.u_r)
+        rev = eta_sr(swapped, steer.u_r, steer.u_s)
         assert rev == pytest.approx(np.conj(fwd), rel=1e-12)
 
     def test_eta_rr_cancellation_at_sample(self):
         s, steer, _ = make_instance(seed=13, L=4)
-        from subspace_glr.covariance import cross_capon_beta
-
         beta_r = cross_capon_beta(s.s_rr, steer.u_r)
-        assert sg.eta_rr(s, steer.u_r) == pytest.approx(beta_r, rel=1e-12)
+        assert eta_rr(s, steer.u_r) == pytest.approx(beta_r, rel=1e-12)
 
     def test_schur_gap_positive(self):
         for seed in range(6):
             s, steer, _ = make_instance(seed=100 + seed, L=3)
-            from subspace_glr.covariance import cross_capon_beta
-
-            gap = cross_capon_beta(s.s_rr, steer.u_r) - sg.alpha_sr(s, steer.u_s, steer.u_r)
+            gap = cross_capon_beta(s.s_rr, steer.u_r) - alpha_sr(s, steer.u_s, steer.u_r)
             assert gap > 0
 
     def test_custom_reference_matrix(self):
@@ -124,7 +121,7 @@ class TestEtaAlpha:
         r = rand_pd(rng, 3)
         # direct dense evaluation
         want = steer.u_s.conj() @ np.linalg.solve(s.s_ss, s.s_sr) @ np.linalg.solve(r, steer.u_r)
-        assert sg.eta_sr(s, steer.u_s, steer.u_r, r) == pytest.approx(complex(want), rel=1e-10)
+        assert eta_sr(s, steer.u_s, steer.u_r, r) == pytest.approx(complex(want), rel=1e-10)
 
 
 def beamformed_forms(s, u_s, u_r):
@@ -132,7 +129,7 @@ def beamformed_forms(s, u_s, u_r):
     return sg.cost_forms(sg.coherence_matrix(s), sg.capon_pair(s, u_s, u_r))
 
 
-class TestReducedForms:
+class TestCostForms:
     def test_zero_cross_block_collapses(self):
         s, steer, _ = make_instance(seed=15, L=3)
         s0 = sg.BlockSampleCov(s.s_ss, np.zeros_like(s.s_sr), s.s_rr, s.n)
@@ -230,11 +227,9 @@ class TestCoherenceMatrix:
 class TestDeterminantIdentity:
     def test_capon_denominator_form(self):
         # det(S_rr) / det(V^H S_rr V) = 1 / (u_r^H S_rr^{-1} u_r)
-        from subspace_glr.covariance import cross_capon_beta
-
         for seed in range(10):
             s, steer, _ = make_instance(seed=500 + seed, L=4)
-            v = sg.unitary_completion(steer.u_r)
+            v = unitary_completion(steer.u_r)
             ratio = np.linalg.det(s.s_rr).real / np.linalg.det(v.conj().T @ s.s_rr @ v).real
             beta_r = cross_capon_beta(s.s_rr, steer.u_r)
             assert ratio * beta_r == pytest.approx(1.0, rel=1e-8)

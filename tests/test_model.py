@@ -3,6 +3,16 @@ import pytest
 import scipy.stats
 
 import subspace_glr as sg
+from _reference import (
+    ChannelRealization,
+    draw_channel,
+    draw_channel_gain,
+    draw_noise_cov,
+    draw_steering,
+    population_cov,
+    scale_noise_to_snr,
+    synth_snapshots,
+)
 
 
 class TestUlaSteering:
@@ -31,13 +41,13 @@ class TestUlaSteering:
 class TestChannelGain:
     def test_moments(self):
         rng = np.random.default_rng(123)
-        draws = np.array([sg.draw_channel_gain(rng) for _ in range(10**6)])
+        draws = np.array([draw_channel_gain(rng) for _ in range(10**6)])
         assert abs(draws.mean()) < 4 / np.sqrt(10**6)
         assert np.mean(np.abs(draws) ** 2) == pytest.approx(1.0, rel=0.01)
 
     def test_rayleigh_magnitude(self):
         rng = np.random.default_rng(7)
-        mags = np.abs([sg.draw_channel_gain(rng) for _ in range(20000)])
+        mags = np.abs([draw_channel_gain(rng) for _ in range(20000)])
         # |CN(0,1)| is Rayleigh with scale 1/sqrt(2)
         stat = scipy.stats.kstest(mags, "rayleigh", args=(0, 1 / np.sqrt(2)))
         assert stat.pvalue > 0.01
@@ -46,14 +56,14 @@ class TestChannelGain:
 class TestNoiseCov:
     def test_scalar_wishart_positive(self):
         rng = np.random.default_rng(0)
-        sigma = sg.draw_noise_cov(rng, 1, 8)
+        sigma = draw_noise_cov(rng, 1, 8)
         assert sigma.shape == (1, 1)
         assert sigma[0, 0].real > 0
 
     def test_full_rank(self):
         rng = np.random.default_rng(1)
         worst = min(
-            np.linalg.eigvalsh(sg.draw_noise_cov(rng, 4, 8))[0] for _ in range(10**4)
+            np.linalg.eigvalsh(draw_noise_cov(rng, 4, 8))[0] for _ in range(10**4)
         )
         assert worst > 0
 
@@ -62,45 +72,45 @@ class TestNoiseCov:
         acc = np.zeros((2, 2), dtype=complex)
         n = 10**4
         for _ in range(n):
-            acc += sg.draw_noise_cov(rng, 2, 16)
+            acc += draw_noise_cov(rng, 2, 16)
         mean = acc / n
         assert np.all(np.abs(mean - np.eye(2)) < 0.05)
 
     def test_rejects_rank_deficient_dof(self):
         with pytest.raises(ValueError, match="rank deficient"):
-            sg.draw_noise_cov(np.random.default_rng(0), 4, 3)
+            draw_noise_cov(np.random.default_rng(0), 4, 3)
 
 
 class TestScaleNoise:
     def test_identity_zero_db(self):
-        out = sg.scale_noise_to_snr(np.eye(2, dtype=complex), 1.0, 1.0, 0.0)
+        out = scale_noise_to_snr(np.eye(2, dtype=complex), 1.0, 1.0, 0.0)
         assert np.allclose(out, 0.5 * np.eye(2))
         assert np.trace(out).real == pytest.approx(1.0)
 
     def test_trace_hits_target(self):
         rng = np.random.default_rng(3)
-        sigma = sg.draw_noise_cov(rng, 3, 6)
+        sigma = draw_noise_cov(rng, 3, 6)
         a = 0.8 - 0.3j
-        out = sg.scale_noise_to_snr(sigma, a, 1.0, 10.0)
+        out = scale_noise_to_snr(sigma, a, 1.0, 10.0)
         assert np.trace(out).real == pytest.approx(abs(a) ** 2 / 10.0, abs=1e-12)
 
     def test_linear_in_gain_power(self):
         sigma = np.diag([1.0, 2.0]).astype(complex)
-        t1 = np.trace(sg.scale_noise_to_snr(sigma, 1.0, 1.0, 5.0)).real
-        t2 = np.trace(sg.scale_noise_to_snr(sigma, 2.0, 1.0, 5.0)).real
+        t1 = np.trace(scale_noise_to_snr(sigma, 1.0, 1.0, 5.0)).real
+        t2 = np.trace(scale_noise_to_snr(sigma, 2.0, 1.0, 5.0)).real
         assert t2 == pytest.approx(4 * t1)
 
     def test_scaling_preserves_eigenvectors(self):
         rng = np.random.default_rng(4)
-        sigma = sg.draw_noise_cov(rng, 3, 9)
-        out = sg.scale_noise_to_snr(sigma, 1.0 + 1j, 2.0, -3.0)
+        sigma = draw_noise_cov(rng, 3, 9)
+        out = scale_noise_to_snr(sigma, 1.0 + 1j, 2.0, -3.0)
         _, v1 = np.linalg.eigh(sigma)
         _, v2 = np.linalg.eigh(out)
         assert np.allclose(np.abs(v1.conj().T @ v2), np.eye(3), atol=1e-10)
 
     def test_zero_gain_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            sg.scale_noise_to_snr(np.eye(2, dtype=complex), 0.0, 1.0, 0.0)
+            scale_noise_to_snr(np.eye(2, dtype=complex), 0.0, 1.0, 0.0)
 
 
 class TestSteeringPair:
@@ -115,11 +125,11 @@ class TestSteeringPair:
     def test_draw_modes(self):
         rng = np.random.default_rng(5)
         for mode in ("random-unit", "ula-random-doa"):
-            pair = sg.draw_steering(mode, 4, rng)
+            pair = draw_steering(mode, 4, rng)
             assert abs(np.linalg.norm(pair.u_s) - 1) < 1e-12
             assert abs(np.linalg.norm(pair.u_r) - 1) < 1e-12
         with pytest.raises(ValueError, match="steering mode"):
-            sg.draw_steering("bogus", 4, rng)
+            draw_steering("bogus", 4, rng)
 
 
 class TestScenarioConfig:
@@ -137,69 +147,69 @@ class TestScenarioConfig:
 
 
 def _chan_with(sigma_ss, sigma_rr, a_s=1.0, a_r=1.0, sigma_x2=1.0):
-    return sg.ChannelRealization(a_s, a_r, sigma_ss, sigma_rr, sigma_x2)
+    return ChannelRealization(a_s, a_r, sigma_ss, sigma_rr, sigma_x2)
 
 
 class TestSynthSnapshots:
     def test_pure_noise_covariance(self):
         cfg = sg.ScenarioConfig(L=2, N=10**4, snr_s_db=0, snr_r_db=0, sigma_x2=0.0)
-        steer = sg.draw_steering("random-unit", 2, sg.substream(0, 0))
+        steer = draw_steering("random-unit", 2, sg.substream(0, 0))
         chan = _chan_with(np.eye(2, dtype=complex), np.eye(2, dtype=complex), sigma_x2=0.0)
-        data = sg.synth_snapshots(cfg, steer, chan, "H1", sg.substream(0, 1))
+        data = synth_snapshots(cfg, steer, chan, "H1", sg.substream(0, 1))
         for y in (data.y_s, data.y_r):
             s_hat = y @ y.conj().T / cfg.N
             assert np.all(np.abs(s_hat - np.eye(2)) < 0.05)
 
     def test_h0_channels_uncorrelated(self):
         cfg = sg.ScenarioConfig(L=2, N=10**4, snr_s_db=0, snr_r_db=0)
-        steer = sg.draw_steering("random-unit", 2, sg.substream(1, 0))
+        steer = draw_steering("random-unit", 2, sg.substream(1, 0))
         chan = _chan_with(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
-        data = sg.synth_snapshots(cfg, steer, chan, "H0", sg.substream(1, 1))
+        data = synth_snapshots(cfg, steer, chan, "H0", sg.substream(1, 1))
         cross = data.y_s @ data.y_r.conj().T / cfg.N
         assert np.all(np.abs(cross) < 4 / np.sqrt(cfg.N))
 
     def test_rank_one_limit(self):
         cfg = sg.ScenarioConfig(L=2, N=10**4, snr_s_db=0, snr_r_db=0)
-        steer = sg.draw_steering("random-unit", 2, sg.substream(2, 0))
+        steer = draw_steering("random-unit", 2, sg.substream(2, 0))
         eps = 1e-6
         chan = _chan_with(eps * np.eye(2, dtype=complex), eps * np.eye(2, dtype=complex))
-        data = sg.synth_snapshots(cfg, steer, chan, "H1", sg.substream(2, 1))
+        data = synth_snapshots(cfg, steer, chan, "H1", sg.substream(2, 1))
         s_hat = data.y_s @ data.y_s.conj().T / cfg.N
         target = np.outer(steer.u_s, steer.u_s.conj())
         assert np.linalg.norm(s_hat - target) / np.linalg.norm(target) < 0.05
 
     def test_reproducible(self):
         cfg = sg.ScenarioConfig(L=3, N=12, snr_s_db=0, snr_r_db=5)
-        steer = sg.draw_steering("random-unit", 3, sg.substream(3, 0))
-        chan = sg.draw_channel(cfg, sg.substream(3, 1), sg.substream(3, 2))
-        d1 = sg.synth_snapshots(cfg, steer, chan, "H1", sg.substream(3, 3))
-        d2 = sg.synth_snapshots(cfg, steer, chan, "H1", sg.substream(3, 3))
+        steer = draw_steering("random-unit", 3, sg.substream(3, 0))
+        chan = draw_channel(cfg, sg.substream(3, 1), sg.substream(3, 2))
+        d1 = synth_snapshots(cfg, steer, chan, "H1", sg.substream(3, 3))
+        d2 = synth_snapshots(cfg, steer, chan, "H1", sg.substream(3, 3))
         assert np.array_equal(d1.y_s, d2.y_s)
         assert np.array_equal(d1.y_r, d2.y_r)
 
     def test_rejects_bad_hypothesis(self):
         cfg = sg.ScenarioConfig(L=2, N=4, snr_s_db=0, snr_r_db=0)
-        steer = sg.draw_steering("random-unit", 2, sg.substream(4, 0))
+        steer = draw_steering("random-unit", 2, sg.substream(4, 0))
         chan = _chan_with(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
         with pytest.raises(ValueError, match="hypothesis"):
-            sg.synth_snapshots(cfg, steer, chan, "H2", sg.substream(4, 1))
+            synth_snapshots(cfg, steer, chan, "H2", sg.substream(4, 1))
 
 
 class TestPopulationCov:
     def test_matches_long_run_sample(self):
         cfg = sg.ScenarioConfig(L=2, N=10**5, snr_s_db=3, snr_r_db=8)
-        steer = sg.draw_steering("random-unit", 2, sg.substream(5, 0))
-        chan = sg.draw_channel(cfg, sg.substream(5, 1), sg.substream(5, 2))
+        steer = draw_steering("random-unit", 2, sg.substream(5, 0))
+        chan = draw_channel(cfg, sg.substream(5, 1), sg.substream(5, 2))
         for hyp in ("H0", "H1"):
-            data = sg.synth_snapshots(cfg, steer, chan, hyp, sg.substream(5, 3))
+            data = synth_snapshots(cfg, steer, chan, hyp, sg.substream(5, 3))
             s_hat = sg.sample_cov(data).full()
-            r = sg.population_cov(steer, chan, hyp)
+            r = population_cov(steer, chan, hyp)
             assert np.linalg.norm(s_hat - r) / np.linalg.norm(r) < 0.03
 
     def test_h0_block_diagonal(self):
-        steer = sg.draw_steering("random-unit", 3, sg.substream(6, 0))
+        steer = draw_steering("random-unit", 3, sg.substream(6, 0))
         chan = _chan_with(np.eye(3, dtype=complex), np.eye(3, dtype=complex), a_s=2.0)
-        r0 = sg.population_cov(steer, chan, "H0")
+        r0 = population_cov(steer, chan, "H0")
         assert np.all(r0[:3, 3:] == 0)
 
     def test_rank_one_q_consistency(self):
@@ -236,10 +246,10 @@ class TestSynthBatch:
         u_s, u_r, y_s, y_r = sg.synth_batch(cfg, mode, trials)
         for t, (hyp, i) in enumerate(trials):
             key = (cfg.seed, sg.model.HYPOTHESES.index(hyp), i)
-            steer = sg.draw_steering(mode, L, sg.substream(*key, sg.model.STREAM_STEERING))
-            chan = sg.draw_channel(cfg, sg.substream(*key, sg.model.STREAM_GAINS),
+            steer = draw_steering(mode, L, sg.substream(*key, sg.model.STREAM_STEERING))
+            chan = draw_channel(cfg, sg.substream(*key, sg.model.STREAM_GAINS),
                                    sg.substream(*key, sg.model.STREAM_NOISE_COV))
-            data = sg.synth_snapshots(cfg, steer, chan, hyp,
+            data = synth_snapshots(cfg, steer, chan, hyp,
                                       sg.substream(*key, sg.model.STREAM_SNAPSHOTS))
             assert np.array_equal(u_s[t], steer.u_s)
             assert np.array_equal(u_r[t], steer.u_r)
