@@ -51,13 +51,6 @@ def lower_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def lower_adjoint_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve low^H @ x = b: forward substitution with the order of the
-    unknowns reversed, which makes the upper-triangular low^H lower."""
-    flipped = adjoint(low)[..., ::-1, ::-1]
-    return lower_solve(flipped, b[..., ::-1, :])[..., ::-1, :]
-
-
 def householder(u: np.ndarray) -> np.ndarray:
     """Householder reflector I - 2 v v^H / |v|^2, v = u + phase(u_0) e1, of a
     unit vector u or of each vector of a (..., L) stack. Its first column is

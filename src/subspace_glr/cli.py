@@ -157,6 +157,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     detectors = d.get("detectors", list(DETECTOR_NAMES))
     if not isinstance(detectors, list) or not all(isinstance(x, str) for x in detectors):
         raise ConfigError("config.detectors: expected a list of detector names")
+    if len(set(detectors)) < len(detectors):
+        raise ConfigError(f"config.detectors: each detector may be named once, got {detectors}")
     mode = _require(d, "steering_mode", str, "config", default="random-unit")
     if mode not in STEERING_MODES:
         raise ConfigError(f"config.steering_mode: must be one of {STEERING_MODES}, got {mode!r}")
@@ -326,13 +328,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"steering length {steering.num_sensors} does not match data sensors {data.num_sensors}"
         )
-    if data.num_snapshots < 2 * data.num_sensors:
-        raise ConfigError(
-            f"need at least 2L = {2 * data.num_sensors} snapshots, file has {data.num_snapshots}"
-        )
     thresholds = _parse_thresholds(args.threshold or [])
-    report = compute_report(data, steering)
     s = sample_cov(data)
+    report = compute_report(s, steering)
     result = {
         "L": data.num_sensors,
         "N": data.num_snapshots,

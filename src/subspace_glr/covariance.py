@@ -29,7 +29,6 @@ from ._linalg import (
     cholesky_pd,
     hermitize,
     householder,
-    lower_adjoint_solve,
     lower_solve,
 )
 from .model import SnapshotData
@@ -114,15 +113,14 @@ def sample_cov(data: SnapshotData) -> BlockSampleCov:
 
 @dataclass
 class BeamformerPair:
-    """Whitened steering vectors and the beamformers built from them.
+    """Whitened steering vectors and the whitened beamformers.
 
     With the Cholesky factor S_ii = L_i L_i^H, a_i = L_i^{-1} u_i is the
     whitened steering vector and beta_i = |a_i|^2 = u_i^H S_ii^{-1} u_i the
     Capon denominator. w_i = a_i / sqrt(beta_i) has unit Euclidean norm; its
-    identities with coherence_matrix are those of square-root whitening.
-    b_i = L_i^{-H} a_i / beta_i = S_ii^{-1} u_i / beta_i is the minimum-power
-    distortionless response, b_i^H u_i = 1. Every field carries the leading
-    trial axes of the covariance.
+    identities with coherence_matrix are those of square-root whitening. No
+    statistic needs the distortionless beamformer S_ii^{-1} u_i / beta_i.
+    Every field carries the leading trial axes of the covariance.
     """
 
     a_s: np.ndarray
@@ -131,8 +129,6 @@ class BeamformerPair:
     beta_r: np.ndarray
     w_s: np.ndarray
     w_r: np.ndarray
-    b_s: np.ndarray
-    b_r: np.ndarray
 
 
 def capon_pair(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> BeamformerPair:
@@ -143,10 +139,9 @@ def capon_pair(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> Beamforme
     for factor, u in ((s.chol_ss, u_s), (s.chol_rr, u_r)):
         a = lower_solve(factor, np.asarray(u, dtype=complex)[..., None])[..., 0]
         beta = np.vecdot(a, a).real
-        b = lower_adjoint_solve(factor, a[..., None])[..., 0]
-        out.append((a, beta, a / np.sqrt(beta)[..., None], b / beta[..., None]))
-    (a_s, beta_s, w_s, b_s), (a_r, beta_r, w_r, b_r) = out
-    return BeamformerPair(a_s, a_r, beta_s, beta_r, w_s, w_r, b_s, b_r)
+        out.append((a, beta, a / np.sqrt(beta)[..., None]))
+    (a_s, beta_s, w_s), (a_r, beta_r, w_r) = out
+    return BeamformerPair(a_s, a_r, beta_s, beta_r, w_s, w_r)
 
 
 def coherence_matrix(s: BlockSampleCov) -> np.ndarray:

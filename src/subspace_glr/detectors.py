@@ -17,13 +17,13 @@ across unknown noise levels. The cross-covariance energy t_cc is
 deliberately not: it is kept in its textbook form and scales as
 (c_s c_r)^2 (see cross_corr_stat).
 
-The three proposed statistics are functions of beamformed data: the
-whitened steering vectors a_i = L_i^{-1} u_i and the coherence matrix
-C = L_s^{-1} S_sr L_r^{-H}, with the Cholesky factors S_ii = L_i L_i^H. The
-closed forms are vector operations on them, and the exact statistic ascends
-a cost built from them (covariance.cost_forms), one lockstep ascent for a
-whole stack. score_batch forms them once for a stack of records;
-compute_report is a stack of one.
+Every statistic is a function of the sample covariance S. The proposed
+three and sigma_max use beamformed data: the whitened steering vectors
+a_i = L_i^{-1} u_i and the coherence matrix C = L_s^{-1} S_sr L_r^{-H},
+with the Cholesky factors S_ii = L_i L_i^H. The closed forms are vector
+operations on them, and the exact statistic ascends a cost built from them
+(covariance.cost_forms), one lockstep ascent for a whole stack. score_batch
+forms them once for a stack of covariances; compute_report is a stack of one.
 """
 
 from __future__ import annotations
@@ -36,12 +36,11 @@ import numpy as np
 from .covariance import (
     BeamformerPair,
     BlockSampleCov,
-    block_sample_cov,
     capon_pair,
     coherence_matrix,
     cost_forms,
 )
-from .model import SnapshotData, SteeringPair, substream
+from .model import SteeringPair, substream
 from .optimizer import OptimResult, TrustRegionOptions, ascend, random_start
 
 DETECTOR_NAMES = ("glr", "glr_sample", "glr_low", "sigma_max", "t_cc", "t_svd")
@@ -201,23 +200,29 @@ def cross_corr_stat(s: BlockSampleCov) -> float:
     return np.sum(np.abs(s.s_sr) ** 2, axis=(-2, -1))
 
 
-def _svd_corr(y_s: np.ndarray, y_r: np.ndarray) -> np.ndarray:
-    """svd_corr_stat for (..., L, N) stacks: one stacked SVD per channel."""
-    v_s = np.linalg.svd(y_s, full_matrices=False)[2][..., 0, :]
-    v_r = np.linalg.svd(y_r, full_matrices=False)[2][..., 0, :]
-    return np.abs(np.vecdot(v_r, v_s)) ** 2
+def _svd_corr(s: BlockSampleCov) -> tuple[np.ndarray, np.ndarray]:
+    """svd_corr_stat of each covariance of a stack from one stacked eigh of
+    (S_ss, S_rr), and where a channel is zero: lam_max(S_ii) == 0."""
+    lam, vec = np.linalg.eigh(np.stack([s.s_ss, s.s_rr]))
+    (lam_s, lam_r), (p_s, p_r) = lam[..., -1], vec[..., -1]
+    cross = np.vecdot(p_s, (s.s_sr @ p_r[..., None])[..., 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.abs(cross) ** 2 / (lam_s * lam_r), (lam_s == 0.0) | (lam_r == 0.0)
 
 
-def svd_corr_stat(data: SnapshotData) -> float:
+def svd_corr_stat(s: BlockSampleCov) -> float:
     """Squared correlation of the dominant right singular vectors.
 
-    The dominant right singular vector of each L x N channel matrix is its
-    best rank-one waveform estimate; a shared emitter makes the two
-    estimates align. Invariant to scaling of either channel.
-    """
-    if not np.any(data.y_s) or not np.any(data.y_r):
+    The dominant right singular vector of each L x N channel matrix Y_i is
+    its best rank-one waveform estimate; a shared emitter makes the two
+    estimates align. It is v_i = Y_i^H p_i / sqrt(N lam_i) with the top
+    eigenpair (lam_i, p_i) of S_ii, so the statistic is
+    |p_s^H S_sr p_r|^2 / (lam_s lam_r). Invariant to scaling of either
+    channel. One value per covariance of a stack."""
+    stat, zero = _svd_corr(s)
+    if np.any(zero):
         raise ValueError(_ZERO_CHANNEL)
-    return float(_svd_corr(data.y_s, data.y_r))
+    return stat
 
 
 @dataclass
@@ -243,31 +248,30 @@ class DetectorReport:
 
 
 def score_batch(
-    y_s: np.ndarray,
-    y_r: np.ndarray,
+    s: BlockSampleCov,
     u_s: np.ndarray,
     u_r: np.ndarray,
     opts: TrustRegionOptions | None = None,
     detectors: tuple[str, ...] = DETECTOR_NAMES,
 ) -> list[DetectorReport | ValueError]:
-    """Run the requested detectors on T records stacked along a leading axis.
+    """Run the requested detectors on T covariances stacked along a leading axis.
 
-    y_s, y_r are (T, L, N) and u_s, u_r are (T, L). The sample covariance,
-    its Cholesky factors, the coherence matrix and the beamformer pair are
-    formed once for the stack and feed every detector. The closed forms and
-    the exact cost's forms are vector operations over the stack, one stacked
-    eigvalsh validates the latter, and glr runs one lockstep ascent over all
-    of them (optimizer.ascend). Returns one entry per trial: its report, or
-    the error that scoring the trial alone raises first (from glr, a
-    collapsed glr_sample denominator, a zero channel in t_svd, then a
-    non-finite statistic in detector order). What fails for the stack as a whole, such
-    as too few snapshots or a block that is not positive definite, raises.
+    s holds (T, L, L) blocks and u_s, u_r are (T, L). The Cholesky factors,
+    the coherence matrix and the beamformer pair are formed once for the
+    stack and feed every detector that uses them. The closed forms and the
+    exact cost's forms are vector operations over the stack, one stacked
+    eigvalsh validates the latter, glr runs one lockstep ascent over all of
+    them (optimizer.ascend), and t_svd takes one stacked eigh of S_ss and
+    S_rr. Returns one entry per trial: its report, or the error that scoring
+    the trial alone raises first (from glr, a collapsed glr_sample
+    denominator, a zero channel in t_svd, then a non-finite statistic in
+    detector order). What fails for the whole stack, such as too few
+    snapshots or a block that is not positive definite, raises.
     """
     unknown = set(detectors) - set(DETECTOR_NAMES)
     if unknown:
         raise ValueError(f"unknown detectors {sorted(unknown)}; valid: {DETECTOR_NAMES}")
-    s = block_sample_cov(y_s, y_r)
-    count, snaps = y_s.shape[0], y_s.shape[-1]
+    count = s.s_ss.shape[0]
     errors: list[ValueError | None] = [None] * count
 
     def flag(mask: np.ndarray, make) -> None:
@@ -296,9 +300,8 @@ def score_batch(
         if "t_cc" in detectors:
             stats["t_cc"] = cross_corr_stat(s)
         if "t_svd" in detectors:
-            zero = ~(np.any(y_s, axis=(-2, -1)) & np.any(y_r, axis=(-2, -1)))
+            stats["t_svd"], zero = _svd_corr(s)
             flag(zero, lambda i: ValueError(_ZERO_CHANNEL))
-            stats["t_svd"] = _svd_corr(y_s, y_r)
     for name in detectors:
         vals = stats[name]
         flag(~np.isfinite(vals), lambda i: DegenerateSampleError(f"non-finite statistic {name} = {vals[i]}"))
@@ -310,24 +313,23 @@ def score_batch(
             continue
         report = DetectorReport(**{field: col[i] for field, col in columns.items()})
         if optim[i] is not None:
-            report.two_log_glr = 2.0 * snaps * math.log(report.glr_1n)
+            report.two_log_glr = 2.0 * s.n * math.log(report.glr_1n)
             report.optim = optim[i]
         out.append(report)
     return out
 
 
 def compute_report(
-    data: SnapshotData,
+    s: BlockSampleCov,
     steering: SteeringPair,
     opts: TrustRegionOptions | None = None,
     detectors: tuple[str, ...] = DETECTOR_NAMES,
 ) -> DetectorReport:
-    """Run the requested detectors on one snapshot record: score_batch on a
-    stack of one. Raises the error the record hits; callers that sweep many
-    records use score_batch, which returns it instead."""
-    (report,) = score_batch(
-        data.y_s[None], data.y_r[None], steering.u_s[None], steering.u_r[None], opts, detectors
-    )
+    """Run the requested detectors on one record's sample covariance:
+    score_batch on a stack of one. Raises the error the record hits; callers
+    that sweep many records use score_batch, which returns it instead."""
+    stack = BlockSampleCov(s.s_ss[None], s.s_sr[None], s.s_rr[None], s.n)
+    (report,) = score_batch(stack, steering.u_s[None], steering.u_r[None], opts, detectors)
     if isinstance(report, ValueError):
         raise report
     return report

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.ma  # np.unique (roc_curve) loads it on first use; load it with the package
 
+from .covariance import block_sample_cov
 from .detectors import DETECTOR_NAMES, DetectorReport, score_batch
 from .model import STEERING_MODES, ScenarioConfig, synth_batch
 from .optimizer import TrustRegionOptions
@@ -100,6 +101,11 @@ class ExperimentConfig:
             raise ValueError("at least one detector is required")
         if not 0.0 <= self.max_failure_rate < 1.0:
             raise ValueError("max_failure_rate must lie in [0, 1)")
+        for value in self.sweep.values if self.sweep is not None else ():
+            try:
+                apply_sweep_value(self, value)
+            except ValueError as exc:
+                raise ValueError(f"sweep.values: at {value:g}: {exc}") from None
 
 
 @dataclass
@@ -128,7 +134,7 @@ def _record(
 def _score_block(cfg: ExperimentConfig, block: list[tuple[str, int]]) -> list[TrialRecord]:
     """Synthesize and score a block of trials as stacked arrays."""
     u_s, u_r, y_s, y_r = synth_batch(cfg.scenario, cfg.steering_mode, block)
-    outcomes = score_batch(y_s, y_r, u_s, u_r, cfg.optimizer, cfg.detectors)
+    outcomes = score_batch(block_sample_cov(y_s, y_r), u_s, u_r, cfg.optimizer, cfg.detectors)
     return [_record(cfg, hyp, idx, out) for (hyp, idx), out in zip(block, outcomes)]
 
 
@@ -357,6 +363,8 @@ def apply_sweep_value(cfg: ExperimentConfig, value: float) -> ExperimentConfig:
     if axis == "snr_s_db":
         snr_r = sc.snr_r_db if cfg.sweep.snr_r_db_offset is None else value + cfg.sweep.snr_r_db_offset
         sc = dataclasses.replace(sc, snr_s_db=value, snr_r_db=snr_r)
+    elif not float(value).is_integer():
+        raise ValueError(f"the {axis} axis takes integers")
     elif axis == "n":
         sc = dataclasses.replace(sc, N=int(value))
     else:

@@ -11,6 +11,10 @@ tests hold that pipeline against:
   evaluated at any reference covariance (R_rr = None fixes R_rr = S_rr),
   and the solves and Capon denominators they use (solve_ss, solve_rr,
   capon_beta_s, capon_beta_r) as functions of a BlockSampleCov;
+- the minimum-power distortionless beamformers (distortionless_pair), by
+  plain solves rather than the package's Cholesky factors;
+- the snapshot form of t_svd (svd_corr), one SVD per channel, which the
+  package computes from the sample covariance instead;
 - the cross-gain estimates ml_qsr and low_snr_qsr and the matrix M(q, R_rr)
   whose determinant ml_qsr minimizes;
 - oracle_glr, a brute-force quasi-Newton search over R_rr for the exact
@@ -242,6 +246,26 @@ def capon_beta_r(s: BlockSampleCov, u_r: np.ndarray) -> float:
     """Capon denominator u_r^H S_rr^{-1} u_r."""
     u_r = np.asarray(u_r, dtype=complex).reshape(-1)
     return float((np.conj(u_r) @ solve_rr(s, u_r)).real)
+
+
+def distortionless_pair(
+    s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-power distortionless beamformers b_i = S_ii^{-1} u_i / beta_i,
+    with beta_i = u_i^H S_ii^{-1} u_i, so that b_i^H u_i = 1."""
+    out = []
+    for block, u in ((s.s_ss, u_s), (s.s_rr, u_r)):
+        x = np.linalg.solve(block, u)
+        out.append(x / np.vdot(u, x).real)
+    return out[0], out[1]
+
+
+def svd_corr(y_s: np.ndarray, y_r: np.ndarray) -> np.ndarray:
+    """t_svd from the snapshots of (..., L, N) stacks: the squared correlation
+    of the dominant right singular vectors, one stacked SVD per channel."""
+    v_s = np.linalg.svd(y_s, full_matrices=False)[2][..., 0, :]
+    v_r = np.linalg.svd(y_r, full_matrices=False)[2][..., 0, :]
+    return np.abs(np.vecdot(v_r, v_s)) ** 2
 
 
 def unitary_completion(u: np.ndarray) -> np.ndarray:

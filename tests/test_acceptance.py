@@ -14,7 +14,14 @@ import pytest
 import subspace_glr as sg
 from subspace_glr.montecarlo import collect_stats
 from subspace_glr.optimizer import random_start
-from _reference import cross_capon_beta, eta_rr, ml_qsr, oracle_glr, unitary_completion
+from _reference import (
+    cross_capon_beta,
+    distortionless_pair,
+    eta_rr,
+    ml_qsr,
+    oracle_glr,
+    unitary_completion,
+)
 from _utils import det_m_direct, fd_gradient, grid_max_j_l2, make_instance, null_cov
 
 
@@ -74,9 +81,10 @@ def test_criterion_1_identity_suite(identity_instances, emit):
         pair = sg.capon_pair(s, u_s, u_r)
         c = sg.coherence_matrix(s)
         lam_low = sg.glr_low(s, u_s, u_r)
-        capon_form = abs(np.vdot(pair.b_s, s.s_sr @ pair.b_r)) ** 2 / (
-            np.vdot(pair.b_s, s.s_ss @ pair.b_s).real
-            * np.vdot(pair.b_r, s.s_rr @ pair.b_r).real
+        b_s, b_r = distortionless_pair(s, u_s, u_r)
+        capon_form = abs(np.vdot(b_s, s.s_sr @ b_r)) ** 2 / (
+            np.vdot(b_s, s.s_ss @ b_s).real
+            * np.vdot(b_r, s.s_rr @ b_r).real
         )
         whitened_form = abs(np.vdot(pair.w_s, c @ pair.w_r)) ** 2
         worst["1a"] = max(worst["1a"], _rel(lam_low, capon_form), _rel(lam_low, whitened_form))
@@ -125,19 +133,18 @@ def test_criterion_3_scale_invariance(emit):
             "glr_low": sg.glr_low(s, steer.u_s, steer.u_r),
             "sigma_max": sg.sigma_max_coherence(s),
             "t_cc": sg.cross_corr_stat(s),
-            "t_svd": sg.svd_corr_stat(data),
+            "t_svd": sg.svd_corr_stat(s),
         }
         for c_s in scales:
             for c_r in scales:
                 scaled = sg.block_sample_cov(c_s * data.y_s, c_r * data.y_r)
-                sdata = sg.SnapshotData(c_s * data.y_s, c_r * data.y_r, data.hypothesis)
                 got = {
                     "glr": sg.glr_exact(scaled, steer.u_s, steer.u_r)[0],
                     "glr_sample": sg.glr_sample(scaled, steer.u_s, steer.u_r),
                     "glr_low": sg.glr_low(scaled, steer.u_s, steer.u_r),
                     "sigma_max": sg.sigma_max_coherence(scaled),
                     "t_cc": sg.cross_corr_stat(scaled),
-                    "t_svd": sg.svd_corr_stat(sdata),
+                    "t_svd": sg.svd_corr_stat(scaled),
                 }
                 for name in base:
                     if name == "t_cc":

@@ -97,6 +97,49 @@ class TestValidateConfig:
             assert "optimizer: restart_seed" in capsys.readouterr().err
 
 
+    def test_duplicate_detectors_rejected(self, tmp_path, capsys):
+        # a repeated name would score and write every row once per repeat
+        cfg = write_config(
+            tmp_path, detectors=["glr_low", "glr_low"],
+            sweep={"axis": "snr_s_db", "values": [-5.0, 0.0, 5.0]},
+        )
+        for command in ("validate-config", "pm-sweep"):
+            argv = [command, "--config", str(cfg)]
+            if command != "validate-config":
+                argv += ["--out", str(tmp_path / command), "--threads", "1"]
+            assert main(argv) == 2
+            assert "config.detectors" in capsys.readouterr().err
+        assert not (tmp_path / "pm-sweep" / "pm.csv").exists()
+
+    @pytest.mark.parametrize("axis, values", [("l", [2, 2.5, 3.7]), ("n", [16, 20.5])])
+    def test_sweep_rejects_non_integer_sizes(self, tmp_path, capsys, axis, values):
+        cfg = write_config(tmp_path, sweep={"axis": axis, "values": values})
+        assert main(["validate-config", "--config", str(cfg)]) == 2
+        assert "sweep.values" in capsys.readouterr().err
+
+    def test_sweep_accepts_integral_floats(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, sweep={"axis": "l", "values": [1.0, 2]})
+        assert main(["validate-config", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["sweep"]["values"] == [1.0, 2.0]
+
+    @pytest.mark.parametrize("sweep, needle", [
+        ({"axis": "n", "values": [4, 16]}, "N must be >= 2*L"),
+        ({"axis": "l", "values": [2, 8]}, "N must be >= 2*L"),
+    ])
+    def test_every_sweep_point_checked_at_load(self, tmp_path, capsys, sweep, needle):
+        # validate-config rejects what pm-sweep would reject at that point
+        cfg = write_config(
+            tmp_path, scenario={"L": 4, "N": 15, "snr_s_db": 0.0, "snr_r_db": 10.0}, sweep=sweep,
+        )
+        for command in ("validate-config", "pm-sweep"):
+            argv = [command, "--config", str(cfg)]
+            if command != "validate-config":
+                argv += ["--out", str(tmp_path / command), "--threads", "1"]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "sweep.values" in err and needle in err
+
+
 class TestRoc:
     def test_writes_tables_and_manifest(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg
 
 import subspace_glr as sg
-from _reference import low_snr_qsr, m_matrix, ml_qsr, oracle_glr
+from subspace_glr.detectors import _ZERO_CHANNEL
+from _reference import distortionless_pair, low_snr_qsr, m_matrix, ml_qsr, oracle_glr, svd_corr
 from _utils import det_m_direct, make_instance, null_cov, rand_unit
 
 
@@ -40,7 +41,7 @@ class TestNullCrossBlock:
 class TestScaleInvariance:
     def test_positive_scalings_five_invariant(self):
         for seed, (c_s, c_r) in enumerate([(1e-3, 1.0), (1e3, 1e-3), (1e3, 1e3)]):
-            s, scaled, steer, data = scaled_instance(900 + seed, c_s, c_r)
+            s, scaled, steer, _ = scaled_instance(900 + seed, c_s, c_r)
             base_exact, _ = sg.glr_exact(s, steer.u_s, steer.u_r)
             got_exact, _ = sg.glr_exact(scaled, steer.u_s, steer.u_r)
             assert got_exact == pytest.approx(base_exact, rel=1e-9)
@@ -51,9 +52,8 @@ class TestScaleInvariance:
             assert sg.sigma_max_coherence(scaled) == pytest.approx(
                 sg.sigma_max_coherence(s), rel=1e-9
             )
-            scaled_data = sg.SnapshotData(c_s * data.y_s, c_r * data.y_r, data.hypothesis)
-            assert sg.svd_corr_stat(scaled_data) == pytest.approx(
-                sg.svd_corr_stat(data), rel=1e-9
+            assert sg.svd_corr_stat(scaled) == pytest.approx(
+                sg.svd_corr_stat(s), rel=1e-9
             )
 
     def test_exact_statistic_scale_free_to_roundoff(self):
@@ -64,7 +64,9 @@ class TestScaleInvariance:
         u_s, u_r, y_s, y_r = sg.synth_batch(cfg, "random-unit", [("H0", k) for k in range(100)])
 
         def log_glr(c_s, c_r):
-            reports = sg.score_batch(c_s * y_s, c_r * y_r, u_s, u_r, detectors=("glr",))
+            reports = sg.score_batch(
+                sg.block_sample_cov(c_s * y_s, c_r * y_r), u_s, u_r, detectors=("glr",)
+            )
             return np.log([r.glr_1n for r in reports])
 
         base = log_glr(1.0, 1.0)
@@ -115,9 +117,10 @@ class TestLowSnrIdentities:
             s, steer, _ = make_instance(seed=1000 + seed, L=3)
             lam = sg.glr_low(s, steer.u_s, steer.u_r)
             pair = sg.capon_pair(s, steer.u_s, steer.u_r)
-            capon_form = abs(np.vdot(pair.b_s, s.s_sr @ pair.b_r)) ** 2 / (
-                np.vdot(pair.b_s, s.s_ss @ pair.b_s).real
-                * np.vdot(pair.b_r, s.s_rr @ pair.b_r).real
+            b_s, b_r = distortionless_pair(s, steer.u_s, steer.u_r)
+            capon_form = abs(np.vdot(b_s, s.s_sr @ b_r)) ** 2 / (
+                np.vdot(b_s, s.s_ss @ b_s).real
+                * np.vdot(b_r, s.s_rr @ b_r).real
             )
             whitened_form = abs(np.vdot(pair.w_s, sg.coherence_matrix(s) @ pair.w_r)) ** 2
             assert capon_form == pytest.approx(lam, rel=1e-10)
@@ -255,20 +258,47 @@ class TestComparisonStats:
     def test_svd_identical_channels(self):
         rng = np.random.default_rng(12)
         y = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
-        data = sg.SnapshotData(y, y.copy(), "unknown")
-        assert sg.svd_corr_stat(data) == pytest.approx(1.0, rel=1e-12)
+        assert sg.svd_corr_stat(sg.block_sample_cov(y, y.copy())) == pytest.approx(1.0, rel=1e-12)
 
     def test_svd_noiseless_rank_one(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         h_s = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         h_r = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        data = sg.SnapshotData(np.outer(h_s, x), np.outer(h_r, x), "unknown")
-        assert sg.svd_corr_stat(data) == pytest.approx(1.0, rel=1e-10)
+        s = sg.block_sample_cov(np.outer(h_s, x), np.outer(h_r, x))
+        assert sg.svd_corr_stat(s) == pytest.approx(1.0, rel=1e-10)
 
     def test_svd_rejects_zero_channel(self):
         with pytest.raises(ValueError):
-            sg.svd_corr_stat(sg.SnapshotData(np.zeros((2, 4), complex), np.ones((2, 4), complex), "unknown"))
+            sg.svd_corr_stat(sg.block_sample_cov(np.zeros((2, 4), complex), np.ones((2, 4), complex)))
+
+    @pytest.mark.parametrize("mode", ["random-unit", "ula-random-doa"])
+    @pytest.mark.parametrize("L", [1, 2, 4, 8])
+    def test_svd_matches_snapshot_oracle(self, L, mode):
+        # the top eigenpairs of S_ss and S_rr give the same statistic as the
+        # dominant right singular vectors of the snapshot matrices
+        cfg = sg.ScenarioConfig(L=L, N=4 * L, snr_s_db=0.0, snr_r_db=10.0, seed=70 + L)
+        trials = [("H0", k) for k in range(32)] + [("H1", k) for k in range(32)]
+        u_s, u_r, y_s, y_r = sg.synth_batch(cfg, mode, trials)
+        reports = sg.score_batch(sg.block_sample_cov(y_s, y_r), u_s, u_r, detectors=("t_svd",))
+        got = np.array([r.t_svd for r in reports])
+        assert np.max(np.abs(got - svd_corr(y_s, y_r))) <= 1e-12
+
+    def test_svd_zero_channel_fails_its_trial_only(self, monkeypatch):
+        # t_svd factors nothing, so a zero channel reaches it and fails only
+        # its own trial of the block
+        cfg = sg.ScenarioConfig(L=3, N=12, snr_s_db=0.0, snr_r_db=10.0, seed=75)
+        u_s, u_r, y_s, y_r = sg.synth_batch(cfg, "random-unit", [("H1", k) for k in range(4)])
+        y_r[2] = 0.0
+
+        def no_cholesky(*args, **kwargs):
+            raise AssertionError("t_svd ran a Cholesky factorization")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+        out = sg.score_batch(sg.block_sample_cov(y_s, y_r), u_s, u_r, detectors=("t_svd",))
+        assert isinstance(out[2], ValueError) and str(out[2]) == _ZERO_CHANNEL
+        for k in (0, 1, 3):
+            assert out[k].t_svd == pytest.approx(svd_corr(y_s[k], y_r[k]), abs=1e-12)
 
     def test_cross_corr_nonnegative_bounded(self):
         # entrywise Cauchy-Schwarz on snapshot rows: |S_sr|_F^2 <= tr S_ss tr S_rr
@@ -280,17 +310,17 @@ class TestComparisonStats:
 
     def test_range_invariants(self):
         for seed in range(10):
-            s, steer, data = make_instance(seed=2000 + seed, L=3)
+            s, steer, _ = make_instance(seed=2000 + seed, L=3)
             assert 0.0 <= sg.glr_low(s, steer.u_s, steer.u_r) <= 1.0 + 1e-12
             assert 0.0 <= sg.sigma_max_coherence(s) <= 1.0 + 1e-12
-            assert 0.0 <= sg.svd_corr_stat(data) <= 1.0 + 1e-12
+            assert 0.0 <= sg.svd_corr_stat(s) <= 1.0 + 1e-12
             assert sg.glr_sample(s, steer.u_s, steer.u_r) >= 0.0
 
 
 class TestComputeReport:
     def test_full_report(self):
-        _, steer, data = make_instance(seed=43, L=3)
-        rep = sg.compute_report(data, steer)
+        s, steer, data = make_instance(seed=43, L=3)
+        rep = sg.compute_report(s, steer)
         assert rep.glr_1n >= 1.0 - 1e-9
         n = data.num_snapshots
         assert rep.two_log_glr == pytest.approx(2.0 * n * np.log(rep.glr_1n), rel=1e-12)
@@ -299,24 +329,25 @@ class TestComputeReport:
             assert np.isfinite(rep.stat(name))
 
     def test_subset_leaves_others_none(self):
-        _, steer, data = make_instance(seed=44, L=3)
-        rep = sg.compute_report(data, steer, detectors=("glr_low", "t_cc"))
+        s, steer, _ = make_instance(seed=44, L=3)
+        rep = sg.compute_report(s, steer, detectors=("glr_low", "t_cc"))
         assert rep.glr_low is not None and rep.t_cc is not None
         assert rep.glr_1n is None and rep.optim is None
         with pytest.raises(KeyError):
             rep.stat("glr")
 
     def test_rejects_unknown_detector(self):
-        _, steer, data = make_instance(seed=45, L=3)
+        s, steer, _ = make_instance(seed=45, L=3)
         with pytest.raises(ValueError, match="unknown"):
-            sg.compute_report(data, steer, detectors=("glr", "bogus"))
+            sg.compute_report(s, steer, detectors=("glr", "bogus"))
 
     def test_factors_each_block_once(self, monkeypatch):
         # one six-detector trial: one Cholesky per diagonal block, one
-        # eigvalsh (the stacked validation of the exact cost's forms), and
-        # one eigh per pass of the lockstep ascent, the exact trust-region
-        # step: at most the iteration count plus the pass that stops it
-        _, steer, data = make_instance(seed=47, L=4)
+        # eigvalsh (the stacked validation of the exact cost's forms), one
+        # stacked eigh of the diagonal blocks (t_svd), and one eigh per pass
+        # of the lockstep ascent, the exact trust-region step: at most the
+        # iteration count plus the pass that stops it
+        s, steer, _ = make_instance(seed=47, L=4)
         calls = {"cho_factor": 0, "cholesky": 0, "eigh": 0, "eigvalsh": 0}
 
         def counted(mod, name):
@@ -332,10 +363,10 @@ class TestComputeReport:
         counted(np.linalg, "cholesky")
         counted(np.linalg, "eigh")
         counted(np.linalg, "eigvalsh")
-        rep = sg.compute_report(data, steer)
+        rep = sg.compute_report(s, steer)
         assert calls["cho_factor"] <= 2
         assert calls["cho_factor"] + calls["cholesky"] <= 2
-        assert 1 <= calls["eigh"] <= rep.optim.iterations + 1
+        assert 1 <= calls["eigh"] <= rep.optim.iterations + 2
         assert calls["eigvalsh"] <= 1
 
     @pytest.mark.parametrize("n_restarts", [0, 2])
@@ -351,23 +382,25 @@ class TestComputeReport:
         def key(rep):
             return (rep.glr_1n, rep.two_log_glr, rep.optim.iterations, rep.optim.stop_reason)
 
-        whole = [key(r) for r in sg.score_batch(y_s, y_r, u_s, u_r, opts, ("glr",))]
+        s = sg.block_sample_cov(y_s, y_r)
+        whole = [key(r) for r in sg.score_batch(s, u_s, u_r, opts, ("glr",))]
         assert len(set(k[2] for k in whole)) > 1
         for size in (1, 7, 37):
             split = []
             for a in range(0, len(trials), size):
                 b = slice(a, a + size)
-                split += [key(r) for r in sg.score_batch(y_s[b], y_r[b], u_s[b], u_r[b], opts, ("glr",))]
+                part = sg.block_sample_cov(y_s[b], y_r[b])
+                split += [key(r) for r in sg.score_batch(part, u_s[b], u_r[b], opts, ("glr",))]
             assert split == whole, f"split {size}"
 
     def test_matches_standalone_functions(self):
-        s, steer, data = make_instance(seed=46, L=3)
-        rep = sg.compute_report(data, steer)
+        s, steer, _ = make_instance(seed=46, L=3)
+        rep = sg.compute_report(s, steer)
         assert rep.glr_sample == pytest.approx(
             sg.glr_sample(s, steer.u_s, steer.u_r), rel=1e-12
         )
         assert rep.sigma_max == pytest.approx(sg.sigma_max_coherence(s), rel=1e-12)
-        assert rep.t_svd == pytest.approx(sg.svd_corr_stat(data), rel=1e-12)
+        assert rep.t_svd == pytest.approx(sg.svd_corr_stat(s), rel=1e-12)
 
 
 class TestDegenerateSamples:
@@ -411,9 +444,9 @@ class TestDegenerateSamples:
         y_s[1] = 3.0 * y_r[1]
         u_s = np.stack([t[1].u_s for t in trials])
         u_r = np.stack([t[1].u_r for t in trials])
-        out = sg.score_batch(y_s, y_r, u_s, u_r)
+        out = sg.score_batch(sg.block_sample_cov(y_s, y_r), u_s, u_r)
         assert isinstance(out[1], ValueError) and "coherent" in str(out[1])
         for k in (0, 2):
-            alone = sg.compute_report(trials[k][2], trials[k][1])
+            alone = sg.compute_report(trials[k][0], trials[k][1])
             assert out[k].glr_1n == alone.glr_1n
             assert out[k].glr_sample == alone.glr_sample

@@ -61,7 +61,8 @@ class TestRunTrials:
             assert full_key(sg.run_one_trial(cfg, r.hypothesis, r.trial_index)) == full_key(r)
 
     def test_block_calls_do_not_grow_with_trials(self, monkeypatch):
-        # a block is factored and decomposed as one stack, whatever its size;
+        # a block is factored and decomposed as one stack, whatever its size:
+        # one SVD (sigma_max) and one eigh of the diagonal blocks (t_svd);
         # the lockstep ascent makes one eigh per pass over the whole block,
         # so its count is 1 + the block's largest iteration count, not T
         calls = {"cholesky": 0, "cho_factor": 0, "svd": 0, "eigvalsh": 0, "eigh": 0}
@@ -88,8 +89,9 @@ class TestRunTrials:
             records = sg.run_trials(cfg, threads=1)
             per_size[trials] = dict(calls)
             passes[trials] = 1 + max(r.iterations for r in records)
-        assert {t: per_size[t].pop("eigh") for t in per_size} == passes
+        assert {t: per_size[t].pop("eigh") - 1 for t in per_size} == passes
         assert per_size[8] == per_size[64]
+        assert per_size[8]["svd"] == 1
 
     def test_failing_trial_isolated_in_its_block(self, monkeypatch):
         # one all-zero surveillance channel fails its block's stacked
