@@ -20,9 +20,11 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -35,16 +37,13 @@ from .detectors import (
 )
 from .covariance import sample_cov
 from .dataio import read_snapshots, read_steering_csv
-from .model import STEERING_MODES, ScenarioConfig
 from .montecarlo import (
     ExperimentConfig,
-    SweepSpec,
     resolve_threads,
     run_null_dist,
     run_pm_sweep,
     run_roc_experiment,
 )
-from .optimizer import TrustRegionOptions
 
 log = logging.getLogger(__name__)
 
@@ -53,141 +52,57 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
 
 
-def _require(d: dict, key: str, types, where: str, default=None, required: bool = False):
-    if key not in d:
-        if required:
-            raise ConfigError(f"{where}.{key}: required field is missing")
-        return default
-    val = d[key]
-    if types is float and isinstance(val, int) and not isinstance(val, bool):
+def _from_dict(cls, d, where: str):
+    """Build the config dataclass cls from the JSON object d.
+
+    The keys are the dataclass fields: unknown and missing ones are rejected,
+    as are values of the wrong JSON type, each with its path from where.
+    Lists become tuples, ints become floats where a float is declared, and a
+    nested dataclass is built the same way. cls checks the values itself.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected an object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(d) - set(fields)
+    if unknown:
+        raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for name, f in fields.items():
+        if name in d:
+            kwargs[name] = _from_json(hints[name], d[name], f"{where}.{name}")
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{where}.{name}: required field is missing")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _from_json(tp, val, where: str):
+    """Convert one JSON value to the declared field type tp."""
+    args = typing.get_args(tp)
+    if type(None) in args:  # X | None
+        if val is None:
+            return None
+        tp = args[0]
+    if dataclasses.is_dataclass(tp):
+        return _from_dict(tp, val, where)
+    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
+        if not isinstance(val, list):
+            raise ConfigError(f"{where}: expected a list, got {val!r}")
+        return tuple(_from_json(args[0], v, f"{where}[{i}]") for i, v in enumerate(val))
+    if tp is float and type(val) is int:
         val = float(val)
-    if not isinstance(val, types) or isinstance(val, bool) and types is not bool:
-        raise ConfigError(f"{where}.{key}: expected {getattr(types, '__name__', types)}, got {val!r}")
+    if type(val) is not tp:
+        raise ConfigError(f"{where}: expected {tp.__name__}, got {val!r}")
     return val
 
 
-def _reject_unknown(d: dict, allowed: set[str], where: str) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
-
-
-def scenario_from_dict(d: dict, where: str = "scenario") -> ScenarioConfig:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where}: expected an object")
-    _reject_unknown(d, {"L", "N", "snr_s_db", "snr_r_db", "sigma_x2", "wishart_dof", "seed"}, where)
-    try:
-        return ScenarioConfig(
-            L=_require(d, "L", int, where, required=True),
-            N=_require(d, "N", int, where, required=True),
-            snr_s_db=_require(d, "snr_s_db", float, where, required=True),
-            snr_r_db=_require(d, "snr_r_db", float, where, required=True),
-            sigma_x2=_require(d, "sigma_x2", float, where, default=1.0),
-            wishart_dof=_require(d, "wishart_dof", (int, type(None)), where),
-            seed=_require(d, "seed", int, where, default=0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def optimizer_from_dict(d: dict | None, where: str = "optimizer") -> TrustRegionOptions:
-    if d is None:
-        return TrustRegionOptions()
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where}: expected an object")
-    allowed = {
-        "max_iter", "grad_tol", "initial_radius", "min_radius",
-        "accept_ratio", "n_restarts", "restart_seed",
-    }
-    _reject_unknown(d, allowed, where)
-    defaults = TrustRegionOptions()
-    try:
-        return TrustRegionOptions(
-            max_iter=_require(d, "max_iter", int, where, default=defaults.max_iter),
-            grad_tol=_require(d, "grad_tol", float, where, default=defaults.grad_tol),
-            initial_radius=_require(d, "initial_radius", float, where, default=defaults.initial_radius),
-            min_radius=_require(d, "min_radius", float, where, default=defaults.min_radius),
-            accept_ratio=_require(d, "accept_ratio", float, where, default=defaults.accept_ratio),
-            n_restarts=_require(d, "n_restarts", int, where, default=defaults.n_restarts),
-            restart_seed=_require(d, "restart_seed", int, where, default=defaults.restart_seed),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def sweep_from_dict(d: dict | None, where: str = "sweep") -> SweepSpec | None:
-    if d is None:
-        return None
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where}: expected an object")
-    _reject_unknown(d, {"axis", "values", "snr_r_db_offset"}, where)
-    axis = _require(d, "axis", str, where, required=True)
-    values = d.get("values")
-    if not isinstance(values, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-    ):
-        raise ConfigError(f"{where}.values: expected a list of numbers")
-    offset = _require(d, "snr_r_db_offset", (int, float, type(None)), where)
-    try:
-        return SweepSpec(
-            axis=axis,
-            values=tuple(values),
-            snr_r_db_offset=None if offset is None else float(offset),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def config_from_dict(d: dict) -> ExperimentConfig:
-    if not isinstance(d, dict):
-        raise ConfigError("config: top level must be an object")
-    allowed = {
-        "scenario", "trials_h0", "trials_h1", "pfa_grid", "steering_mode",
-        "detectors", "sweep", "optimizer", "max_failure_rate",
-    }
-    _reject_unknown(d, allowed, "config")
-    if "scenario" not in d:
-        raise ConfigError("config.scenario: required field is missing")
-    scenario = scenario_from_dict(d["scenario"])
-    pfa_grid = d.get("pfa_grid", [1e-2])
-    if not isinstance(pfa_grid, list) or not pfa_grid or not all(
-        isinstance(p, (int, float)) and not isinstance(p, bool) for p in pfa_grid
-    ):
-        raise ConfigError("config.pfa_grid: expected a nonempty list of numbers")
-    detectors = d.get("detectors", list(DETECTOR_NAMES))
-    if not isinstance(detectors, list) or not all(isinstance(x, str) for x in detectors):
-        raise ConfigError("config.detectors: expected a list of detector names")
-    if len(set(detectors)) < len(detectors):
-        raise ConfigError(f"config.detectors: each detector may be named once, got {detectors}")
-    mode = _require(d, "steering_mode", str, "config", default="random-unit")
-    if mode not in STEERING_MODES:
-        raise ConfigError(f"config.steering_mode: must be one of {STEERING_MODES}, got {mode!r}")
-    try:
-        return ExperimentConfig(
-            scenario=scenario,
-            trials_h0=_require(d, "trials_h0", int, "config", required=True),
-            trials_h1=_require(d, "trials_h1", int, "config", default=0),
-            pfa_grid=tuple(float(p) for p in pfa_grid),
-            steering_mode=mode,
-            detectors=tuple(detectors),
-            sweep=sweep_from_dict(d.get("sweep")),
-            optimizer=optimizer_from_dict(d.get("optimizer")),
-            max_failure_rate=_require(d, "max_failure_rate", float, "config", default=1e-3),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"config: {exc}") from exc
-
-
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Resolved config as plain JSON types, defaults filled in."""
+    """Resolved config with defaults filled in, for json (which writes tuples as lists)."""
     out = dataclasses.asdict(cfg)
     out["scenario"]["wishart_dof"] = cfg.scenario.dof
-    out["pfa_grid"] = list(cfg.pfa_grid)
-    out["detectors"] = list(cfg.detectors)
-    if cfg.sweep is not None:
-        out["sweep"]["values"] = list(cfg.sweep.values)
     return out
 
 
@@ -199,7 +114,7 @@ def load_config(path: str, seed_override: int | None) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    cfg = config_from_dict(raw)
+    cfg = _from_dict(ExperimentConfig, raw, "config")
     if seed_override is not None:
         try:
             scenario = dataclasses.replace(cfg.scenario, seed=seed_override)
@@ -315,6 +230,8 @@ def _parse_thresholds(pairs: list[str]) -> dict[str, float]:
             out[name] = float(val)
         except ValueError as exc:
             raise ConfigError(f"--threshold {raw!r}: {exc}") from exc
+        if math.isnan(out[name]):
+            raise ConfigError(f"--threshold {raw!r}: NaN compares false with every statistic")
     return out
 
 

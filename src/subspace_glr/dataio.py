@@ -24,12 +24,17 @@ file, the channel, the sensor and the snapshot index.
 
 Steering files are CSV with header "channel,sensor,re,im" and one row per
 sensor per channel. Vectors are validated to be within 1e-6 of unit norm
-and renormalized exactly on load.
+and renormalized exactly on load; a NaN or infinite entry is rejected with
+the file, line, channel and sensor.
+
+In both CSV formats the rows may come in any order, but each channel's
+sensor column must hold the integers 0..L-1, each exactly once.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from pathlib import Path
 
@@ -67,32 +72,51 @@ def write_snapshot_csv(path: str | Path, data: SnapshotData) -> None:
                 writer.writerow(row)
 
 
-def read_snapshot_csv(path: str | Path) -> SnapshotData:
-    rows = {"s": [], "r": []}
+def _read_channels(path: str | Path, header: list[str], kind: str) -> dict[str, list]:
+    """Rows of a two-channel CSV whose header starts with header, per channel
+    and ordered by sensor, as ("file:line", values) pairs."""
+    rows: dict[str, dict] = {"s": {}, "r": {}}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["channel", "sensor"]:
-            raise ValueError(f"{path}: not a snapshot CSV (bad header)")
+        if next(reader, [])[: len(header)] != header:
+            raise ValueError(f"{path}: not a {kind} CSV (bad header)")
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
+            where = f"{path}:{line_no}"
             tag = row[0]
             if tag not in rows:
-                raise ValueError(f"{path}:{line_no}: channel must be 's' or 'r', got {tag!r}")
-            vals = [float(v) for v in row[2:]]
-            if len(vals) % 2 != 0:
-                raise ValueError(f"{path}:{line_no}: odd number of value columns")
-            finite = np.isfinite(np.reshape(vals, (1, -1, 2))).all(axis=2)
-            _check_finite(f"{path}:{line_no}", tag, [row[1]], finite)
-            arr = np.asarray(vals[0::2]) + 1j * np.asarray(vals[1::2])
-            rows[tag].append((int(row[1]), arr))
-    for tag in ("s", "r"):
-        if not rows[tag]:
+                raise ValueError(f"{where}: channel must be 's' or 'r', got {tag!r}")
+            try:  # a row without a sensor column reads its sensor as ""
+                sensor, vals = int((row + [""])[1]), [float(v) for v in row[2:]]
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if sensor in rows[tag]:
+                raise ValueError(f"{where}: channel {tag!r} repeats sensor {sensor}")
+            rows[tag][sensor] = (where, vals)
+    for tag, by_sensor in rows.items():
+        if not by_sensor:
             raise ValueError(f"{path}: missing channel {tag!r} rows")
-        rows[tag].sort(key=lambda item: item[0])
-    y_s = np.vstack([arr for _, arr in rows["s"]])
-    y_r = np.vstack([arr for _, arr in rows["r"]])
+        if sorted(by_sensor) != list(range(len(by_sensor))):
+            raise ValueError(
+                f"{path}: channel {tag!r} sensors must be 0..{len(by_sensor) - 1}, each once,"
+                f" got {sorted(by_sensor)}"
+            )
+    return {tag: [row for _, row in sorted(by_sensor.items())] for tag, by_sensor in rows.items()}
+
+
+def read_snapshot_csv(path: str | Path) -> SnapshotData:
+    channels = {}
+    for tag, rows in _read_channels(path, ["channel", "sensor"], "snapshot").items():
+        y = []
+        for sensor, (where, vals) in enumerate(rows):
+            if len(vals) % 2 != 0:
+                raise ValueError(f"{where}: odd number of value columns")
+            finite = np.isfinite(np.reshape(vals, (1, -1, 2))).all(axis=2)
+            _check_finite(where, tag, [sensor], finite)
+            y.append(np.asarray(vals[0::2]) + 1j * np.asarray(vals[1::2]))
+        channels[tag] = np.vstack(y)
+    y_s, y_r = channels["s"], channels["r"]
     if y_s.shape != y_r.shape:
         raise ValueError(f"{path}: channel shapes differ: {y_s.shape} vs {y_r.shape}")
     return SnapshotData(y_s, y_r, "unknown")
@@ -143,25 +167,14 @@ def write_steering_csv(path: str | Path, steering: SteeringPair) -> None:
 
 
 def read_steering_csv(path: str | Path) -> SteeringPair:
-    rows = {"s": [], "r": []}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["channel", "sensor", "re", "im"]:
-            raise ValueError(f"{path}: not a steering CSV (bad header)")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            tag = row[0]
-            if tag not in rows:
-                raise ValueError(f"{path}:{line_no}: channel must be 's' or 'r', got {tag!r}")
-            rows[tag].append((int(row[1]), float(row[2]) + 1j * float(row[3])))
     vectors = {}
-    for tag in ("s", "r"):
-        if not rows[tag]:
-            raise ValueError(f"{path}: missing channel {tag!r} rows")
-        rows[tag].sort(key=lambda item: item[0])
-        vectors[tag] = np.asarray([v for _, v in rows[tag]])
+    for tag, rows in _read_channels(path, ["channel", "sensor", "re", "im"], "steering").items():
+        for sensor, (where, vals) in enumerate(rows):
+            if len(vals) != 2:
+                raise ValueError(f"{where}: expected re and im, got {len(vals)} values")
+            if not all(map(math.isfinite, vals)):
+                raise ValueError(f"{where}: non-finite value in channel {tag!r}, sensor {sensor}")
+        vectors[tag] = np.asarray([re + 1j * im for _, (re, im) in rows])
     for tag, u in vectors.items():
         err = abs(np.linalg.norm(u) - 1.0)
         if err > 1e-6:

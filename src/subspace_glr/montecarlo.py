@@ -69,7 +69,8 @@ class SweepSpec:
 
 @dataclass
 class ExperimentConfig:
-    """Everything a run needs besides the worker count."""
+    """Everything a run needs besides the worker count. Its fields, and those
+    of the dataclasses it holds, are the keys of the JSON run config."""
 
     scenario: ScenarioConfig
     trials_h0: int
@@ -87,6 +88,8 @@ class ExperimentConfig:
         if self.trials_h1 < 0:
             raise ValueError("trials_h1 must be >= 0")
         self.pfa_grid = tuple(float(p) for p in self.pfa_grid)
+        if not self.pfa_grid:
+            raise ValueError("pfa_grid needs at least one pfa")
         if any(not 0.0 < p < 1.0 for p in self.pfa_grid):
             raise ValueError("every pfa must lie in (0, 1)")
         if self.steering_mode not in STEERING_MODES:
@@ -94,6 +97,10 @@ class ExperimentConfig:
                 f"steering_mode must be one of {STEERING_MODES}, got {self.steering_mode!r}"
             )
         self.detectors = tuple(self.detectors)
+        if len(set(self.detectors)) < len(self.detectors):
+            raise ValueError(
+                f"each detector may be named once in config.detectors, got {list(self.detectors)}"
+            )
         unknown = set(self.detectors) - set(DETECTOR_NAMES)
         if unknown:
             raise ValueError(f"unknown detectors {sorted(unknown)}; valid: {DETECTOR_NAMES}")

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +72,22 @@ class TestValidateConfig:
         cfg.write_text(json.dumps({"scenario": {"L": 2}, "trials_h0": 4}))
         assert main(["validate-config", "--config", str(cfg)]) == 2
         assert "scenario.N" in capsys.readouterr().err
+
+    def test_nested_type_error_names_path_once(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, scenario={"L": 2.5, "N": 8, "snr_s_db": 0.0, "snr_r_db": 10.0})
+        assert main(["validate-config", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "scenario.L: expected int" in err
+        assert "scenario: " not in err
+
+    def test_readme_configs_validate(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+        assert blocks
+        for k, block in enumerate(blocks):
+            cfg = tmp_path / f"readme{k}.json"
+            cfg.write_text(block)
+            assert main(["validate-config", "--config", str(cfg)]) == 0, capsys.readouterr().err
 
     def test_bad_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -307,6 +324,16 @@ class TestDetect:
                    "--threshold", "nope=1.0"])
         assert rc == 2
         assert "threshold" in capsys.readouterr().err
+        # NaN compares false with every statistic, so it is no threshold; +-inf are
+        for value, want_rc in (("nan", 2), ("-NaN", 2), ("inf", 0), ("-inf", 0)):
+            rc = main(["detect", "--data", str(data), "--steering", str(steer),
+                       "--threshold", f"glr={value}"])
+            assert rc == want_rc
+            out, err = capsys.readouterr()
+            if want_rc:
+                assert "--threshold" in err
+            else:
+                assert json.loads(out)["decisions"] == {"glr": value == "-inf"}
 
     def test_off_norm_steering_names_field(self, tmp_path, capsys):
         data, _ = write_null_case_files(tmp_path, seed=65)
@@ -346,6 +373,7 @@ class TestDetect:
             ("n-equals-2l", 0, []),
             ("truncated-bin", 2, ["bad.bin"]),
             ("coherent", 2, ["coherent"]),
+            ("steering-nan", 2, ["steer.csv:2", "channel 's'", "sensor 0"]),
         ],
     )
     def test_malformed_input(self, tmp_path, capsys, case, want_rc, needles):
@@ -377,6 +405,10 @@ class TestDetect:
             sg.write_snapshot_csv(path, data)
         steer = tmp_path / "steer.csv"
         sg.write_steering_csv(steer, sg.SteeringPair(rand_unit(rng, L), rand_unit(rng, L)))
+        if case == "steering-nan":
+            lines = steer.read_text().splitlines()
+            lines[1] = "s,0,nan,0.0"
+            steer.write_text("\n".join(lines) + "\n")
         assert main(["detect", "--data", str(path), "--steering", str(steer)]) == want_rc
         err = capsys.readouterr().err
         for needle in needles:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,21 @@ class TestSnapshotCsv:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")  # drop one r row
         with pytest.raises(ValueError, match="shape"):
+            sg.read_snapshot_csv(path)
+
+
+    @pytest.mark.parametrize("old, new, needle", [
+        ("s,1,", "s,0,", "snap.csv:3: channel 's' repeats sensor 0"),  # and sensor 1 is missing
+        ("r,2,", "r,3,", "snap.csv: channel 'r' sensors must be 0..2"),
+        ("r,0,", "r,-1,", "snap.csv: channel 'r' sensors must be 0..2"),
+        ("s,1,", "s,1.0,", "snap.csv:3: invalid literal for int()"),
+    ], ids=["repeated", "gap", "negative", "non-integer"])
+    def test_rejects_bad_sensor_column(self, data, tmp_path, old, new, needle):
+        # each channel's sensors must be 0..L-1, each once
+        path = tmp_path / "snap.csv"
+        sg.write_snapshot_csv(path, data)
+        path.write_text(path.read_text().replace("\n" + old, "\n" + new, 1))
+        with pytest.raises(ValueError, match=re.escape(needle)):
             sg.read_snapshot_csv(path)
 
 
@@ -120,4 +137,19 @@ class TestSteeringCsv:
         path = tmp_path / "steer.csv"
         path.write_text("channel,sensor,re,im\ns,0,1.0,0.0\n")
         with pytest.raises(ValueError, match="missing channel"):
+            sg.read_steering_csv(path)
+
+    @pytest.mark.parametrize("row, new, needle", [
+        (1, "s,0,0.0,1.0", "steer.csv:3: channel 's' repeats sensor 0"),  # and sensor 1 is missing
+        (1, "s,2,0.0,0.0", "steer.csv: channel 's' sensors must be 0..1"),
+        (1, "s,one,0.0,0.0", "steer.csv:3: invalid literal for int()"),
+        (0, "s,0,nan,0.0", "steer.csv:2: non-finite value in channel 's', sensor 0"),
+        (3, "r,1,0.0,inf", "steer.csv:5: non-finite value in channel 'r', sensor 1"),
+    ], ids=["repeated", "gap", "non-integer", "nan", "inf"])
+    def test_rejects_bad_rows(self, tmp_path, row, new, needle):
+        rows = ["s,0,1.0,0.0", "s,1,0.0,0.0", "r,0,1.0,0.0", "r,1,0.0,0.0"]
+        rows[row] = new
+        path = tmp_path / "steer.csv"
+        path.write_text("\n".join(["channel,sensor,re,im"] + rows) + "\n")
+        with pytest.raises(ValueError, match=re.escape(needle)):
             sg.read_steering_csv(path)

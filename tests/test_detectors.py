@@ -209,6 +209,21 @@ class TestExactStatistic:
             assert res.iterations == 0 and res.converged
             assert stat == pytest.approx(1.0 + sg.glr_sample(s, steer.u_s, steer.u_r), rel=1e-12)
 
+    def test_restarts_escape_a_local_maximum_near_n_2l(self):
+        # Near N = 2L the ascent from e1 can stop at a local maximum; this is
+        # what n_restarts is for. Here e1 stops on the gradient test at
+        # glr = 1.117 while 16 restarts reach 31.307, which an independent
+        # BFGS search over R_rr with 160 starts also reaches.
+        cfg = sg.ScenarioConfig(L=4, N=8, snr_s_db=10.0, snr_r_db=10.0, seed=101)
+        u_s, u_r, y_s, y_r = sg.synth_batch(cfg, "random-unit", [("H0", 71)])
+        s = sg.block_sample_cov(y_s, y_r)
+        (warm,), (restarted,) = (
+            sg.score_batch(s, u_s, u_r, sg.TrustRegionOptions(n_restarts=k), ("glr",))
+            for k in (0, 16)
+        )
+        assert warm.optim.stop_reason == "gradient"
+        assert restarted.optim.j_value > warm.optim.j_value + 1.0
+
     def test_oracle_feasibility_bound(self):
         for seed in range(3):
             s, steer, _ = make_instance(seed=1500 + seed, L=2)

@@ -386,6 +386,13 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="unknown"):
             tiny_config(detectors=("glr", "nope"))
 
+    def test_rejects_repeated_detectors_and_empty_pfa_grid(self):
+        # checked by the dataclass, so library callers get them too
+        with pytest.raises(ValueError, match="config.detectors"):
+            tiny_config(detectors=("glr_low", "glr_low"))
+        with pytest.raises(ValueError, match="pfa_grid"):
+            dataclasses.replace(tiny_config(), pfa_grid=())
+
 
 class TestExperimentRunners:
     def test_roc_experiment_smoke(self):
