@@ -93,7 +93,10 @@ def _from_json(tp, val, where: str):
             raise ConfigError(f"{where}: expected a list, got {val!r}")
         return tuple(_from_json(args[0], v, f"{where}[{i}]") for i, v in enumerate(val))
     if tp is float and type(val) is int:
-        val = float(val)
+        try:
+            val = float(val)
+        except OverflowError:
+            raise ConfigError(f"{where}: integer too large for a float") from None
     if type(val) is not tp:
         raise ConfigError(f"{where}: expected {tp.__name__}, got {val!r}")
     return val

@@ -107,11 +107,17 @@ def _read_channels(path: str | Path, header: list[str], kind: str) -> dict[str, 
 
 def read_snapshot_csv(path: str | Path) -> SnapshotData:
     channels = {}
+    first = None  # (where, snapshot count) of the first row, which every row must match
     for tag, rows in _read_channels(path, ["channel", "sensor"], "snapshot").items():
         y = []
         for sensor, (where, vals) in enumerate(rows):
+            if not vals:
+                raise ValueError(f"{where}: no snapshot values")
             if len(vals) % 2 != 0:
                 raise ValueError(f"{where}: odd number of value columns")
+            first = first or (where, len(vals) // 2)
+            if len(vals) // 2 != first[1]:
+                raise ValueError(f"{where}: {len(vals) // 2} snapshots, but {first[0]} has {first[1]}")
             finite = np.isfinite(np.reshape(vals, (1, -1, 2))).all(axis=2)
             _check_finite(where, tag, [sensor], finite)
             y.append(np.asarray(vals[0::2]) + 1j * np.asarray(vals[1::2]))

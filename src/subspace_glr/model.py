@@ -13,9 +13,14 @@ Sigma_ss, Sigma_rr (independent across channels and snapshots). The
 reference channel carries the signal under both hypotheses; the test is
 whether the surveillance channel carries it too.
 
-synth_batch builds a stack of trials, each from its own substreams. The
-per-trial synthesis it matches bit for bit (draw_steering -> draw_channel ->
-synth_snapshots) is the test-only reference in tests/_reference.py.
+synth_batch builds a stack of trials from counter-addressed Philox words.
+The trials of one hypothesis share the key (seed, hypothesis code), and
+trial i reads the raw 64-bit words [i W, (i + 1) W) of that stream, where
+the trial width W is fixed by (L, N, dof) and holds every purpose at a
+fixed offset (see trial_width). Every variate is a fixed number of words,
+so a trial's draws do not depend on which block it is drawn in. The
+per-trial oracle it matches bit for bit reads one trial's words by its
+counter; it is the test-only draw_trial in tests/_reference.py.
 """
 
 from __future__ import annotations
@@ -30,22 +35,15 @@ from ._linalg import adjoint, hermitize
 
 HYPOTHESES = ("H0", "H1")
 
-# Sub-stream purposes for seed derivation; see substream().
-STREAM_STEERING = 0
-STREAM_GAINS = 1
-STREAM_NOISE_COV = 2
-STREAM_SNAPSHOTS = 3
-
 STEERING_MODES = ("random-unit", "ula-random-doa")
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
-    """Philox generator for a (seed, path...) key.
+    """Philox generator for a (seed, path...) key, seeded through a
+    SeedSequence.
 
-    Every random draw in the harness comes from a stream keyed by the run
-    seed plus a small integer path (hypothesis code, trial index, purpose).
-    Streams are independent of draw order elsewhere and of worker count,
-    which is what makes reruns byte-identical.
+    It draws the optimizer's restart starts, which are not Monte Carlo
+    streams; trials are drawn by synth_batch from counter-addressed words.
     """
     if not 0 <= int(seed) < 2**64:
         raise ValueError(f"seed must be a u64, got {seed}")
@@ -53,28 +51,32 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
-def ula_steering(num_sensors: int, theta: float) -> np.ndarray:
+def ula_steering(num_sensors: int, theta) -> np.ndarray:
     """Unit-norm steering vector of a half-wavelength ULA at angle theta.
 
-    Element l (zero-based) is exp(j*pi*l*sin(theta)) / sqrt(L).
+    Element l (zero-based) is exp(j*pi*l*sin(theta)) / sqrt(L). An array of
+    angles gives one vector per angle, stacked along a new last axis.
     """
     if num_sensors < 1:
         raise ValueError(f"num_sensors must be >= 1, got {num_sensors}")
     l_idx = np.arange(num_sensors)
-    return np.exp(1j * np.pi * l_idx * math.sin(theta)) / math.sqrt(num_sensors)
+    phase = np.pi * l_idx * np.sin(np.asarray(theta, dtype=float))[..., None]
+    return np.exp(1j * phase) / math.sqrt(num_sensors)
 
 
-def _snr_factor(sigma: np.ndarray, gain: complex, sigma_x2: float, snr_db: float) -> float:
-    """The factor c, as a Python scalar, that makes c * sigma meet the
-    per-channel SNR 10*log10(sigma_x2 * |gain|^2 / tr(c * sigma)) = snr_db.
-    The steering vector has unit norm, so it contributes no power factor."""
-    power = float(sigma_x2) * abs(gain) ** 2
-    if power <= 0.0:
+def _snr_factor(sigma: np.ndarray, gain, sigma_x2: float, snr_db) -> np.ndarray:
+    """The factors c that make c * sigma meet the per-channel SNR
+    10*log10(sigma_x2 * |gain|^2 / tr(c * sigma)) = snr_db, stacked over the
+    leading axes of sigma (..., L, L), gain and snr_db. The steering vector
+    has unit norm, so it contributes no power factor."""
+    gain = np.asarray(gain)
+    power = float(sigma_x2) * (gain.real**2 + gain.imag**2)  # no hypot: same bits stacked or not
+    if np.any(power <= 0.0):
         raise ValueError("degenerate channel: sigma_x2 * |gain|^2 must be positive")
-    trace = float(np.trace(sigma).real)
-    if trace <= 0.0:
+    trace = np.trace(sigma, axis1=-2, axis2=-1).real
+    if np.any(trace <= 0.0):
         raise ValueError("noise covariance has nonpositive trace")
-    target_trace = power * 10.0 ** (-snr_db / 10.0)
+    target_trace = power * 10.0 ** (-np.asarray(snr_db, dtype=float) / 10.0)
     return target_trace / trace
 
 
@@ -178,67 +180,100 @@ class SnapshotData:
         return self.y_s.shape[1]
 
 
+def trial_width(cfg: ScenarioConfig) -> int:
+    """W, the raw 64-bit Philox words one trial reads, in this order:
+    steering (4L; the ULA angles are its first two words), gains (4),
+    Wishart factors (4 L dof), signal (2N) and noise (4 L N). W is rounded
+    up to a multiple of 4, Philox's words per counter step, so trial i
+    starts at counter i W / 4."""
+    L, N, dof = cfg.L, cfg.N, cfg.dof
+    used = 4 * L + 4 + 4 * L * dof + 2 * N + 4 * L * N
+    return -(-used // 4) * 4
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """u = ((w >> 11) + 1) * 2^-53 in (0, 1] from raw words w, which it
+    overwrites. The 53 bits fill a double's mantissa, so u is exact."""
+    words >>= np.uint64(11)
+    words += np.uint64(1)
+    u = words.view(np.int64).astype(float)  # below 2^53: exact, and faster than from uint64
+    u *= 2.0**-53
+    return u
+
+
+def _complex_normals(u: np.ndarray) -> np.ndarray:
+    """CN(0, 1) variates sqrt(-log u1) * exp(2 pi i u2) from the word pairs
+    (u1, u2) along the last axis of u: the radius squared is Exp(1) and the
+    phase is uniform (Box-Muller)."""
+    radius = np.log(u[..., 0::2])
+    np.negative(radius, out=radius)
+    np.sqrt(radius, out=radius)
+    angle = (2.0 * np.pi) * u[..., 1::2]
+    z = np.empty(angle.shape, dtype=complex)
+    np.multiply(radius, np.cos(angle), out=z.real)
+    np.multiply(radius, np.sin(angle, out=angle), out=z.imag)
+    return z
+
+
 def synth_batch(
     cfg: ScenarioConfig, steering_mode: str, trials: list[tuple[str, int]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Synthesize a stack of trials, given as (hypothesis, trial index) pairs.
 
     Returns (u_s, u_r, y_s, y_r) of shapes (T, L), (T, L), (T, L, N) and
-    (T, L, N). Each trial draws, from its own substreams, a steering pair,
-    CN(0, 1) gains a_s, a_r, and noise covariances G G^H / dof (complex
-    Wishart, identity scale) rescaled to the SNR targets unless sigma_x2 = 0.
-    The result equals bit for bit the per-trial reference draw_steering ->
-    draw_channel -> synth_snapshots in tests/_reference.py. Every stream is
-    read with one standard_normal call per trial: its draws are consecutive
-    fills, so one call of the combined size returns the same variates, in
-    the same order, as the per-trial path's several calls. The steering
-    norms and the SNR factors are computed per trial as Python scalars,
-    exactly as there; the Wishart products, the positive-definite check,
-    the Cholesky colouring and the snapshot assembly run on the stack.
+    (T, L, N). Each trial draws a steering pair, CN(0, 1) gains a_s, a_r,
+    and noise covariances G G^H / dof (complex Wishart, identity scale)
+    rescaled to the SNR targets unless sigma_x2 = 0. Its W words (see
+    trial_width) sit at counter i W / 4 of the Philox stream keyed by
+    (seed, hypothesis code), so each run of consecutive indices of one
+    hypothesis is one random_raw read, and a trial gets the same numbers
+    in any block, alone included. Everything after the read runs on the
+    stack: the uniforms, the complex normals, the steering norms, the SNR
+    factors, the positive-definite check, the Cholesky colouring and the
+    H0/H1 mask.
     """
     if steering_mode not in STEERING_MODES:
         raise ValueError(f"unknown steering mode {steering_mode!r}; expected one of {STEERING_MODES}")
+    hypothesis, index = (np.asarray(col) for col in zip(*trials))
+    h1 = hypothesis == "H1"
+    known = h1 | (hypothesis == "H0")
+    if not np.all(known):
+        bad = trials[np.flatnonzero(~known)[0]][0]
+        raise ValueError(f"hypothesis must be one of {HYPOTHESES}, got {bad!r}")
+    if np.any(index < 0):
+        raise ValueError(f"trial indices must be >= 0, got {index.min()}")
     count, dim, snaps, dof = len(trials), cfg.L, cfg.N, cfg.dof
-    root2 = math.sqrt(2.0)
-    u = np.empty((count, 2, dim), dtype=complex)
-    gains = np.empty((count, 2), dtype=complex)
-    z_cov = np.empty((count, 2, 2, dim, dof))  # channel, (re, im), L, dof
-    z_snap = np.empty((count, 2 * snaps + 4 * dim * snaps))  # x, then noise like z_cov
-    for t, (hypothesis, index) in enumerate(trials):
-        if hypothesis not in HYPOTHESES:
-            raise ValueError(f"hypothesis must be one of {HYPOTHESES}, got {hypothesis!r}")
-        key = (cfg.seed, HYPOTHESES.index(hypothesis), index)
-        rng = substream(*key, STREAM_STEERING)
-        if steering_mode == "random-unit":
-            z = rng.standard_normal((2, 2, dim))  # vector, (re, im), L
-            for k in range(2):
-                v = (z[k, 0] + 1j * z[k, 1]) / root2
-                u[t, k] = v / np.linalg.norm(v)
-        else:
-            for k, theta in enumerate(rng.uniform(-np.pi / 2, np.pi / 2, size=2)):
-                u[t, k] = ula_steering(dim, theta)
-        z = substream(*key, STREAM_GAINS).standard_normal((2, 2))  # channel, (re, im)
-        gains[t] = (z[:, 0] + 1j * z[:, 1]) / root2
-        substream(*key, STREAM_NOISE_COV).standard_normal(out=z_cov[t])
-        substream(*key, STREAM_SNAPSHOTS).standard_normal(out=z_snap[t])
-    g = (z_cov[:, :, 0] + 1j * z_cov[:, :, 1]) / root2
+    width = trial_width(cfg)
+    cuts = np.flatnonzero((np.diff(h1) != 0) | (np.diff(index) != 1)) + 1
+    runs = []
+    for first, stop in zip([0, *cuts], [*cuts, count]):
+        bitgen = np.random.Philox(key=np.array([cfg.seed, h1[first]], dtype=np.uint64))
+        bitgen.advance(int(index[first]) * width // 4)
+        runs.append(bitgen.random_raw((stop - first) * width))
+    u = _uniforms(runs[0] if len(runs) == 1 else np.concatenate(runs)).reshape(count, width)
+    del runs
+    z_steer, gains, g, x, z_noise, _ = np.split(
+        _complex_normals(u), np.cumsum([2 * dim, 2, 2 * dim * dof, snaps, 2 * dim * snaps]), axis=1
+    )
+    if steering_mode == "random-unit":
+        v = z_steer.reshape(count, 2, dim)
+        steering = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    else:
+        steering = ula_steering(dim, -np.pi / 2 + np.pi * u[:, :2])
+    del u
+    g = g.reshape(count, 2, dim, dof)
+    x = math.sqrt(cfg.sigma_x2) * x
+    z_noise = z_noise.reshape(count, 2, dim, snaps)
     sigma = hermitize(g @ adjoint(g) / dof)
     if cfg.sigma_x2 > 0:
-        snrs = (cfg.snr_s_db, cfg.snr_r_db)
-        factor = np.array([
-            [_snr_factor(sigma[t, k], complex(gains[t, k]), cfg.sigma_x2, snrs[k]) for k in range(2)]
-            for t in range(count)
-        ])
-        sigma = sigma * factor[:, :, None, None]
+        snrs = np.array([cfg.snr_s_db, cfg.snr_r_db])
+        sigma *= _snr_factor(sigma, gains, cfg.sigma_x2, snrs)[:, :, None, None]
     bad = np.linalg.eigvalsh(sigma)[..., 0] <= 0
     if np.any(bad):
         name = ("sigma_ss", "sigma_rr")[np.argwhere(bad)[0][1]]
         raise ValueError(f"{name} is not positive definite")
-    z_noise = z_snap[:, 2 * snaps :].reshape(count, 2, 2, dim, snaps)
-    noise = np.linalg.cholesky(sigma) @ ((z_noise[:, :, 0] + 1j * z_noise[:, :, 1]) / root2)
-    x = math.sqrt(cfg.sigma_x2) * ((z_snap[:, :snaps] + 1j * z_snap[:, snaps : 2 * snaps]) / root2)
-    signal = gains[:, :, None, None] * (u[:, :, :, None] * x[:, None, None, :])
+    noise = np.linalg.cholesky(sigma) @ z_noise
+    signal = gains[:, :, None, None] * (steering[:, :, :, None] * x[:, None, None, :])
     y_r = signal[:, 1] + noise[:, 1]
-    h1 = np.array([hypothesis == "H1" for hypothesis, _ in trials])
     y_s = np.where(h1[:, None, None], signal[:, 0] + noise[:, 0], noise[:, 0])
-    return u[:, 0], u[:, 1], y_s, y_r
+    return steering[:, 0], steering[:, 1], y_s, y_r

@@ -1,8 +1,9 @@
 """Monte Carlo harness: trial generation, calibration, ROC and sweep curves.
 
-Trials are embarrassingly parallel and fully reproducible. Each trial owns
-Philox substreams keyed by (run seed, hypothesis, trial index, purpose), so
-the records do not depend on execution order, chunking, or worker count;
+Trials are embarrassingly parallel and fully reproducible. Trial i of a
+hypothesis reads its own fixed slice of words of the Philox stream keyed by
+(run seed, hypothesis), at counter i W / 4 (see model.synth_batch), so the
+records do not depend on execution order, chunking, or worker count;
 reruns with the same config and seed produce identical numbers whether the
 pool has one process or eight. With more than one worker, each point's trials
 are cut into chunks of min(BLOCK_TRIALS, ceil(n / workers)) trials (one chunk
@@ -146,8 +147,8 @@ def _score_block(cfg: ExperimentConfig, block: list[tuple[str, int]]) -> list[Tr
 
 
 def run_one_trial(cfg: ExperimentConfig, hypothesis: str, trial_index: int) -> TrialRecord:
-    """Synthesize and score a single trial from its derived substreams: a
-    block of one. Any error it hits is kept in the record."""
+    """Synthesize and score a single trial from its own slice of the
+    stream: a block of one. Any error it hits is kept in the record."""
     try:
         return _score_block(cfg, [(hypothesis, trial_index)])[0]
     except Exception as exc:
@@ -361,8 +362,9 @@ def wilks_diag(two_log_glr: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def apply_sweep_value(cfg: ExperimentConfig, value: float) -> ExperimentConfig:
-    """Config for one sweep point; trials get fresh streams because the
-    scenario (not the seed) changes."""
+    """Config for one sweep point. The seed stays, so on the snr_s_db axis
+    every point reads the same words (common random numbers); on the n and l
+    axes the trial width changes, and with it where each trial's words lie."""
     if cfg.sweep is None:
         raise ValueError("config has no sweep")
     sc = cfg.scenario

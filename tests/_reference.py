@@ -4,8 +4,12 @@ The package scores trials only through synth_batch -> score_batch ->
 optimizer.ascend. This module holds the independent per-trial paths the
 tests hold that pipeline against:
 
-- the per-trial synthesis (draw_steering -> draw_channel -> synth_snapshots),
-  which synth_batch must match bit for bit, and the population covariance;
+- draw_trial, the per-trial oracle that synth_batch must match bit for
+  bit: it reads one trial's words from a Philox stream set to the trial's
+  counter;
+- the substream-driven per-trial synthesis (draw_steering -> draw_channel
+  -> synth_snapshots) that builds the tests' single instances, and the
+  population covariance;
 - the per-covariance scalars of the derivation, eta_sr, eta_rr and alpha_sr,
   which take an optional R_rr so that the cross-gain estimate can be
   evaluated at any reference covariance (R_rr = None fixes R_rr = S_rr),
@@ -88,8 +92,12 @@ def draw_noise_cov(rng: np.random.Generator, num_sensors: int, dof: int) -> np.n
     """
     if dof < num_sensors:
         raise ValueError(f"wishart dof {dof} < dimension {num_sensors}: rank deficient")
-    g = _cn_matrix(rng, num_sensors, dof)
-    return hermitize(g @ g.conj().T / dof)
+    return wishart_cov(_cn_matrix(rng, num_sensors, dof))
+
+
+def wishart_cov(g: np.ndarray) -> np.ndarray:
+    """G G^H / dof for an L x dof matrix G of CN(0, 1) entries."""
+    return hermitize(g @ g.conj().T / g.shape[1])
 
 
 def scale_noise_to_snr(
@@ -172,6 +180,14 @@ def draw_channel(
     a_r = draw_channel_gain(rng_gains)
     sigma_ss = draw_noise_cov(rng_covs, cfg.L, cfg.dof)
     sigma_rr = draw_noise_cov(rng_covs, cfg.L, cfg.dof)
+    return scaled_channel(cfg, a_s, a_r, sigma_ss, sigma_rr)
+
+
+def scaled_channel(
+    cfg: ScenarioConfig, a_s: complex, a_r: complex, sigma_ss: np.ndarray, sigma_rr: np.ndarray
+) -> ChannelRealization:
+    """The channel of drawn gains and raw covariances, rescaled to the SNR
+    targets unless sigma_x2 = 0."""
     if cfg.sigma_x2 > 0:
         sigma_ss = scale_noise_to_snr(sigma_ss, a_s, cfg.sigma_x2, cfg.snr_s_db)
         sigma_rr = scale_noise_to_snr(sigma_rr, a_r, cfg.sigma_x2, cfg.snr_r_db)
@@ -192,21 +208,68 @@ def synth_snapshots(
     share their noise realizations and differ only in the surveillance
     signal term.
     """
+    x = _cn_matrix(rng, cfg.N)
+    z_noise = np.stack([_cn_matrix(rng, cfg.L, cfg.N), _cn_matrix(rng, cfg.L, cfg.N)])
+    return assemble_snapshots(cfg, steering, chan, hypothesis, x, z_noise)
+
+
+def assemble_snapshots(
+    cfg: ScenarioConfig,
+    steering: SteeringPair,
+    chan: ChannelRealization,
+    hypothesis: str,
+    x: np.ndarray,
+    z_noise: np.ndarray,
+) -> SnapshotData:
+    """Snapshots from the CN(0, 1) waveform x (N) and white noise z_noise
+    (2, L, N): the waveform is scaled by sqrt(sigma_x2) and the noise
+    coloured by the Cholesky factors of the channel's covariances."""
     if hypothesis not in HYPOTHESES:
         raise ValueError(f"hypothesis must be one of {HYPOTHESES}, got {hypothesis!r}")
     if steering.num_sensors != cfg.L:
         raise ValueError(f"steering length {steering.num_sensors} != L = {cfg.L}")
-    x = math.sqrt(cfg.sigma_x2) * _cn_matrix(rng, cfg.N)
-    chol_ss = np.linalg.cholesky(chan.sigma_ss)
-    chol_rr = np.linalg.cholesky(chan.sigma_rr)
-    n_s = chol_ss @ _cn_matrix(rng, cfg.L, cfg.N)
-    n_r = chol_rr @ _cn_matrix(rng, cfg.L, cfg.N)
+    x = math.sqrt(cfg.sigma_x2) * x
+    n_s = np.linalg.cholesky(chan.sigma_ss) @ z_noise[0]
+    n_r = np.linalg.cholesky(chan.sigma_rr) @ z_noise[1]
     y_r = chan.a_r * np.outer(steering.u_r, x) + n_r
     if hypothesis == "H1":
         y_s = chan.a_s * np.outer(steering.u_s, x) + n_s
     else:
         y_s = n_s
     return SnapshotData(y_s, y_r, hypothesis)
+
+
+def draw_trial(
+    cfg: ScenarioConfig, mode: str, hypothesis: str, index: int
+) -> tuple[SteeringPair, ChannelRealization, SnapshotData]:
+    """Trial `index` of `hypothesis`, read on its own: the oracle synth_batch
+    matches bit for bit.
+
+    The trial's W words (steering 4L, gains 4, Wishart factors 4 L dof,
+    signal 2N, noise 4 L N, rounded up to a multiple of 4) start at counter
+    index * W / 4 of the Philox stream keyed (seed, hypothesis code). Each
+    word w is the uniform ((w >> 11) + 1) 2^-53 in (0, 1], and each pair
+    (u1, u2) the complex normal sqrt(-log u1) exp(2 pi i u2). The ULA angles
+    are the first two uniforms, mapped onto (-pi/2, pi/2].
+    """
+    L, N, dof = cfg.L, cfg.N, cfg.dof
+    sizes = np.array([4 * L, 4, 4 * L * dof, 2 * N, 4 * L * N])
+    width = 4 * math.ceil(sizes.sum() / 4)
+    key = np.array([cfg.seed, HYPOTHESES.index(hypothesis)], dtype=np.uint64)
+    words = np.random.Philox(counter=index * width // 4, key=key).random_raw(width)
+    u = ((words >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+    z = np.sqrt(-np.log(u[0::2])) * np.exp(2j * np.pi * u[1::2])
+    z_steer, gains, g, x, z_noise, _ = np.split(z, np.cumsum(sizes) // 2)
+    if mode == "random-unit":
+        v = z_steer.reshape(2, L)
+        steering = SteeringPair(*(v / np.linalg.norm(v, axis=-1, keepdims=True)))
+    elif mode == "ula-random-doa":
+        steering = SteeringPair(*(ula_steering(L, theta) for theta in -np.pi / 2 + np.pi * u[:2]))
+    else:
+        raise ValueError(f"unknown steering mode {mode!r}; expected one of {STEERING_MODES}")
+    sigma_ss, sigma_rr = (wishart_cov(gk) for gk in g.reshape(2, L, dof))
+    chan = scaled_channel(cfg, gains[0], gains[1], sigma_ss, sigma_rr)
+    return steering, chan, assemble_snapshots(cfg, steering, chan, hypothesis, x, z_noise.reshape(2, L, N))
 
 
 def population_cov(

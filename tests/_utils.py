@@ -1,8 +1,9 @@
 """Shared helpers for the test suite: instance generators and independent
 oracle implementations that deliberately avoid the library's own code paths.
 
-make_instance builds one trial through the per-trial synthesis in
-_reference.py, the oracle that synth_batch must match bit for bit."""
+make_instance builds one trial through the substream-driven per-trial
+synthesis in _reference.py, so an instance stays fixed whatever synth_batch
+draws."""
 
 from __future__ import annotations
 
@@ -20,17 +21,20 @@ def make_instance(
     snr_r_db: float = 10.0,
     hypothesis: str = "H1",
     mode: str = "random-unit",
+    index: int = 0,
 ):
-    """One synthetic trial built through the model pipeline.
+    """One synthetic trial built through the model pipeline: trial `index`
+    of `hypothesis`, drawn from the substreams keyed (seed, hypothesis code,
+    index, purpose).
 
     Returns (sample covariance, steering pair, snapshot data).
     """
     N = 4 * L if N is None else N
     cfg = sg.ScenarioConfig(L=L, N=N, snr_s_db=snr_s_db, snr_r_db=snr_r_db, seed=seed)
     code = {"H0": 0, "H1": 1}[hypothesis]
-    steer = draw_steering(mode, L, sg.substream(seed, code, 0, 0))
-    chan = draw_channel(cfg, sg.substream(seed, code, 0, 1), sg.substream(seed, code, 0, 2))
-    data = synth_snapshots(cfg, steer, chan, hypothesis, sg.substream(seed, code, 0, 3))
+    steer = draw_steering(mode, L, sg.substream(seed, code, index, 0))
+    chan = draw_channel(cfg, sg.substream(seed, code, index, 1), sg.substream(seed, code, index, 2))
+    data = synth_snapshots(cfg, steer, chan, hypothesis, sg.substream(seed, code, index, 3))
     return sg.sample_cov(data), steer, data
 
 

@@ -73,6 +73,11 @@ class TestValidateConfig:
         assert main(["validate-config", "--config", str(cfg)]) == 2
         assert "scenario.N" in capsys.readouterr().err
 
+    def test_huge_integer_in_float_field(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, scenario={"L": 2, "N": 8, "snr_s_db": 10**400, "snr_r_db": 0.0})
+        assert main(["validate-config", "--config", str(cfg)]) == 2
+        assert "scenario.snr_s_db: integer too large for a float" in capsys.readouterr().err
+
     def test_nested_type_error_names_path_once(self, tmp_path, capsys):
         cfg = write_config(tmp_path, scenario={"L": 2.5, "N": 8, "snr_s_db": 0.0, "snr_r_db": 10.0})
         assert main(["validate-config", "--config", str(cfg)]) == 2
@@ -374,6 +379,8 @@ class TestDetect:
             ("truncated-bin", 2, ["bad.bin"]),
             ("coherent", 2, ["coherent"]),
             ("steering-nan", 2, ["steer.csv:2", "channel 's'", "sensor 0"]),
+            ("csv-ragged", 2, ["bad.csv:4: 7 snapshots", "bad.csv:2 has 8"]),
+            ("csv-no-values", 2, ["bad.csv:3: no snapshot values"]),
         ],
     )
     def test_malformed_input(self, tmp_path, capsys, case, want_rc, needles):
@@ -403,6 +410,13 @@ class TestDetect:
         else:
             path = tmp_path / "bad.csv"
             sg.write_snapshot_csv(path, data)
+            lines = path.read_text().splitlines()
+            if case == "csv-ragged":
+                lines[3] = lines[3].rsplit(",", 2)[0]  # r,0 loses its last snapshot
+                path.write_text("\n".join(lines) + "\n")
+            elif case == "csv-no-values":
+                lines[2] = "s,1"
+                path.write_text("\n".join(lines) + "\n")
         steer = tmp_path / "steer.csv"
         sg.write_steering_csv(steer, sg.SteeringPair(rand_unit(rng, L), rand_unit(rng, L)))
         if case == "steering-nan":

@@ -213,10 +213,12 @@ class TestExactStatistic:
         # Near N = 2L the ascent from e1 can stop at a local maximum; this is
         # what n_restarts is for. Here e1 stops on the gradient test at
         # glr = 1.117 while 16 restarts reach 31.307, which an independent
-        # BFGS search over R_rr with 160 starts also reaches.
-        cfg = sg.ScenarioConfig(L=4, N=8, snr_s_db=10.0, snr_r_db=10.0, seed=101)
-        u_s, u_r, y_s, y_r = sg.synth_batch(cfg, "random-unit", [("H0", 71)])
-        s = sg.block_sample_cov(y_s, y_r)
+        # BFGS search over R_rr with 160 starts also reaches. The instance
+        # is trial 71 of H0 at seed 101 on the per-trial substreams.
+        _, steer, data = make_instance(seed=101, L=4, N=8, snr_s_db=10.0, snr_r_db=10.0,
+                                       hypothesis="H0", index=71)
+        u_s, u_r = steer.u_s[None], steer.u_r[None]
+        s = sg.block_sample_cov(data.y_s[None], data.y_r[None])
         (warm,), (restarted,) = (
             sg.score_batch(s, u_s, u_r, sg.TrustRegionOptions(n_restarts=k), ("glr",))
             for k in (0, 16)

@@ -9,6 +9,7 @@ from _reference import (
     draw_channel_gain,
     draw_noise_cov,
     draw_steering,
+    draw_trial,
     population_cov,
     scale_noise_to_snr,
     synth_snapshots,
@@ -238,20 +239,80 @@ class TestSynthBatch:
     @pytest.mark.parametrize("sigma_x2", [0.0, 1.0])
     @pytest.mark.parametrize("L", [1, 3])
     def test_bit_identical_to_reference(self, mode, sigma_x2, L):
-        # the stacked synthesis reproduces draw_steering -> draw_channel ->
-        # synth_snapshots on every trial's own substreams, bit for bit
+        # the stacked synthesis reproduces, bit for bit, the per-trial oracle
+        # that reads each trial's words from a Philox set to its counter
         cfg = sg.ScenarioConfig(L=L, N=4 * L, snr_s_db=-5.0, snr_r_db=15.0,
                                 sigma_x2=sigma_x2, seed=31 + L)
         trials = [(hyp, i) for hyp in ("H0", "H1") for i in range(20)]
         u_s, u_r, y_s, y_r = sg.synth_batch(cfg, mode, trials)
         for t, (hyp, i) in enumerate(trials):
-            key = (cfg.seed, sg.model.HYPOTHESES.index(hyp), i)
-            steer = draw_steering(mode, L, sg.substream(*key, sg.model.STREAM_STEERING))
-            chan = draw_channel(cfg, sg.substream(*key, sg.model.STREAM_GAINS),
-                                   sg.substream(*key, sg.model.STREAM_NOISE_COV))
-            data = synth_snapshots(cfg, steer, chan, hyp,
-                                      sg.substream(*key, sg.model.STREAM_SNAPSHOTS))
+            steer, _, data = draw_trial(cfg, mode, hyp, i)
             assert np.array_equal(u_s[t], steer.u_s)
             assert np.array_equal(u_r[t], steer.u_r)
             assert np.array_equal(y_s[t], data.y_s)
             assert np.array_equal(y_r[t], data.y_r)
+
+    @pytest.mark.parametrize("mode", sg.model.STEERING_MODES)
+    @pytest.mark.parametrize("sigma_x2", [0.0, 1.0])
+    def test_block_equals_its_splits(self, mode, sigma_x2):
+        # a block of 256 (an H0 tail, then an H1 head) equals its 100 + 156
+        # split, whose second part mixes the two, its 256 blocks of one and,
+        # permuted, its trials in any order
+        cfg = sg.ScenarioConfig(L=3, N=12, snr_s_db=-5.0, snr_r_db=15.0,
+                                sigma_x2=sigma_x2, seed=2**64 - 1)
+        trials = [("H0", i) for i in range(400, 528)] + [("H1", i) for i in range(128)]
+        block = sg.synth_batch(cfg, mode, trials)
+        split = zip(sg.synth_batch(cfg, mode, trials[:100]), sg.synth_batch(cfg, mode, trials[100:]))
+        ones = zip(*(sg.synth_batch(cfg, mode, [trial]) for trial in trials))
+        perm = np.random.default_rng(0).permutation(len(trials))
+        shuffled = sg.synth_batch(cfg, mode, [trials[k] for k in perm])
+        for whole, halves, singles, permuted in zip(block, split, ones, shuffled):
+            assert np.array_equal(whole, np.concatenate(halves))
+            assert np.array_equal(whole, np.concatenate(singles))
+            assert np.array_equal(whole[perm], permuted)
+
+    def test_rejects_bad_trials(self):
+        cfg = sg.ScenarioConfig(L=2, N=4, snr_s_db=0, snr_r_db=0)
+        with pytest.raises(ValueError, match="hypothesis"):
+            sg.synth_batch(cfg, "random-unit", [("H0", 0), ("H2", 1)])
+        with pytest.raises(ValueError, match=">= 0"):
+            sg.synth_batch(cfg, "random-unit", [("H1", -1)])
+
+    def test_seeds_no_sequence(self, monkeypatch):
+        # trials are addressed by Philox counter, so synth_batch builds no
+        # SeedSequence, whatever the block size
+        built = []
+        real = np.random.SeedSequence
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counted)
+        cfg = sg.ScenarioConfig(L=2, N=4, snr_s_db=0, snr_r_db=0, seed=5)
+        per_size = {}
+        for trials in (8, 64):
+            built.clear()
+            half = [(hyp, i) for hyp in ("H0", "H1") for i in range(trials // 2)]
+            sg.synth_batch(cfg, "random-unit", half)
+            per_size[trials] = len(built)
+        assert per_size == {8: 0, 64: 0}
+
+
+class TestComplexNormals:
+    def test_uniforms_in_half_open_unit_interval(self):
+        words = np.array([0, 2**11 - 1, 2**11, 2**64 - 1], dtype=np.uint64)
+        assert sg.model._uniforms(words).tolist() == [2.0**-53, 2.0**-53, 2.0**-52, 1.0]
+
+    def test_distribution(self):
+        # sqrt(-log u1) exp(2 pi i u2) is CN(0, 1): |z|^2 is Exp(1), the phase
+        # is uniform on [0, 2 pi)
+        words = np.random.Philox(key=np.array([7, 0], dtype=np.uint64)).random_raw(4 * 10**5)
+        z = sg.model._complex_normals(sg.model._uniforms(words))
+        assert z.size == 2 * 10**5
+        power = np.abs(z) ** 2
+        assert power.mean() == pytest.approx(1.0, abs=4 / np.sqrt(z.size))
+        assert abs(z.mean()) < 4 / np.sqrt(z.size)
+        assert scipy.stats.kstest(power, "expon").pvalue > 0.01
+        phase = np.mod(np.angle(z), 2 * np.pi) / (2 * np.pi)
+        assert scipy.stats.kstest(phase, "uniform").pvalue > 0.01
