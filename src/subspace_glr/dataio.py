@@ -19,6 +19,8 @@ Binary (compact, single precision). Little-endian regardless of host:
     16      8LN   Y_s, row-major complex64 (float32 re, float32 im pairs)
     16+8LN  8LN   Y_r, same layout
 
+Every CSV row must hold the same number of snapshots; a row without
+values or with a different count is rejected with its file and line.
 Both readers reject a NaN or infinite entry with a ValueError that names the
 file, the channel, the sensor and the snapshot index.
 

@@ -410,12 +410,12 @@ class TestDetect:
         else:
             path = tmp_path / "bad.csv"
             sg.write_snapshot_csv(path, data)
-            lines = path.read_text().splitlines()
-            if case == "csv-ragged":
-                lines[3] = lines[3].rsplit(",", 2)[0]  # r,0 loses its last snapshot
-                path.write_text("\n".join(lines) + "\n")
-            elif case == "csv-no-values":
-                lines[2] = "s,1"
+            if case in ("csv-ragged", "csv-no-values"):
+                lines = path.read_text().splitlines()
+                if case == "csv-ragged":
+                    lines[3] = lines[3].rsplit(",", 2)[0]  # r,0 loses its last snapshot
+                else:
+                    lines[2] = "s,1"
                 path.write_text("\n".join(lines) + "\n")
         steer = tmp_path / "steer.csv"
         sg.write_steering_csv(steer, sg.SteeringPair(rand_unit(rng, L), rand_unit(rng, L)))
