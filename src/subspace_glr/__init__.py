@@ -70,7 +70,6 @@ from .montecarlo import (
 )
 from .optimizer import (
     OptimResult,
-    TrustRegionOptions,
     cost_j,
     grad_hess_j,
     maximize_j,

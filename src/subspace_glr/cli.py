@@ -8,9 +8,9 @@ Subcommands:
     detect           score one snapshot file with optional thresholds
     validate-config  parse a config, print the resolved form
 
-Exit codes: 0 success, 2 invalid config or input file, 3 numerical failure
-above the configured tolerance. Logging level comes from SUBSPACE_GLR_LOG
-(debug, info, warning, error).
+Exit codes: 0 success, 2 invalid config or input file, 3 numerical failure,
+such as more failed trials than montecarlo.MAX_FAILURE_RATE allows. Logging
+level comes from SUBSPACE_GLR_LOG (debug, info, warning, error).
 """
 
 from __future__ import annotations
@@ -117,6 +117,8 @@ def load_config(path: str, seed_override: int | None) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # say, an integer beyond Python's int digit limit
+        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     cfg = _from_dict(ExperimentConfig, raw, "config")
     if seed_override is not None:
         try:

@@ -41,7 +41,7 @@ from .covariance import (
     cost_forms,
 )
 from .model import SteeringPair, substream
-from .optimizer import OptimResult, TrustRegionOptions, ascend, random_start
+from .optimizer import OptimResult, ascend, random_start
 
 DETECTOR_NAMES = ("glr", "glr_sample", "glr_low", "sigma_max", "t_cc", "t_svd")
 PROPOSED_DETECTORS = ("glr", "glr_sample", "glr_low")
@@ -109,14 +109,17 @@ def glr_sample(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> float:
     return num / den
 
 
-def _glr(forms, opts: TrustRegionOptions | None):
+def _glr(forms, n_restarts: int):
     """The exact statistic of each trial of stacked cost forms (..., L, L):
     one lockstep ascent from the warm start e1 of every trial, plus
-    opts.n_restarts random starts stacked as extra rows, keeping each trial's
-    best row. Returns the statistics exp(J), the ascent records and the
-    errors per trial (None, or the ValueError that fails the trial: fully
-    coherent channels, see COHERENCE_FLOOR, or a non-finite statistic)."""
-    opts = opts or TrustRegionOptions()
+    n_restarts random starts stacked as extra rows, keeping each trial's
+    best row. Restart k starts from random_start on substream(0, k), the
+    same point for every trial. Returns the statistics exp(J), the ascent
+    records and the errors per trial (None, or the ValueError that fails
+    the trial: fully coherent channels, see COHERENCE_FLOOR, or a
+    non-finite statistic)."""
+    if n_restarts < 0:
+        raise ValueError(f"n_restarts must be >= 0, got {n_restarts}")
     psi, gamma_m = (f.reshape((-1,) + f.shape[-2:]) for f in forms)
     count, dim = gamma_m.shape[:2]
     gap = np.linalg.eigvalsh(gamma_m)[:, 0]
@@ -127,11 +130,11 @@ def _glr(forms, opts: TrustRegionOptions | None):
         )
     valid = np.flatnonzero(gap > COHERENCE_FLOOR)
     starts = [np.eye(1, dim, dtype=complex)[0]]
-    starts += [random_start(dim, substream(opts.restart_seed, k)) for k in range(opts.n_restarts)]
+    starts += [random_start(dim, substream(0, k)) for k in range(n_restarts)]
     # Row k * len(valid) + j ascends trial valid[j] from starts[k].
     x0 = np.concatenate([np.broadcast_to(x, (valid.size, dim)) for x in starts])
     stacked = [np.tile(f[valid], (len(starts), 1, 1)) for f in (psi, gamma_m)]
-    runs = ascend(stacked, x0, opts) if valid.size else []
+    runs = ascend(stacked, x0) if valid.size else []
     j_values = np.reshape([r.j_value for r in runs], (len(starts), valid.size))
     best = np.argmax(j_values, axis=0)  # the first start wins a tie
     optim: list[OptimResult | None] = [None] * count
@@ -149,7 +152,7 @@ def glr_exact(
     s: BlockSampleCov,
     u_s: np.ndarray,
     u_r: np.ndarray,
-    opts: TrustRegionOptions | None = None,
+    n_restarts: int = 0,
 ) -> tuple[float, OptimResult]:
     """Exact statistic Lambda^{1/N} via trust-region ascent.
 
@@ -159,11 +162,11 @@ def glr_exact(
         Sample covariance with n >= 2L.
     u_s, u_r : ndarray
         Unit-norm steering vectors.
-    opts : TrustRegionOptions, optional
-        Ascent controls. opts.n_restarts > 0 adds random restarts and keeps
-        the best objective; the default single start e1 already matches the
-        closed-form statistic exactly, so the result never falls below
-        1 + glr_sample (up to roundoff).
+    n_restarts : int, optional
+        Random starts added to the warm start e1, keeping the best
+        objective. e1 alone already matches the closed-form statistic
+        exactly, so the result never falls below 1 + glr_sample (up to
+        roundoff); near N = 2L restarts can escape a local maximum.
 
     Returns
     -------
@@ -171,7 +174,7 @@ def glr_exact(
         The statistic Lambda^{1/N} >= 1 and the ascent record. Raises
         ValueError when the channels are fully coherent (COHERENCE_FLOOR).
     """
-    stats, optim, errors = _glr(cost_forms(*_beamform(s, u_s, u_r)), opts)
+    stats, optim, errors = _glr(cost_forms(*_beamform(s, u_s, u_r)), n_restarts)
     if errors[0] is not None:
         raise errors[0]
     return float(stats[0]), optim[0]
@@ -251,8 +254,8 @@ def score_batch(
     s: BlockSampleCov,
     u_s: np.ndarray,
     u_r: np.ndarray,
-    opts: TrustRegionOptions | None = None,
     detectors: tuple[str, ...] = DETECTOR_NAMES,
+    n_restarts: int = 0,
 ) -> list[DetectorReport | ValueError]:
     """Run the requested detectors on T covariances stacked along a leading axis.
 
@@ -261,7 +264,8 @@ def score_batch(
     stack and feed every detector that uses them. The closed forms and the
     exact cost's forms are vector operations over the stack, one stacked
     eigvalsh validates the latter, glr runs one lockstep ascent over all of
-    them (optimizer.ascend), and t_svd takes one stacked eigh of S_ss and
+    them (optimizer.ascend) with n_restarts random starts per trial besides
+    e1 (see glr_exact), and t_svd takes one stacked eigh of S_ss and
     S_rr. Returns one entry per trial: its report, or the error that scoring
     the trial alone raises first (from glr, a collapsed glr_sample
     denominator, a zero channel in t_svd, then a non-finite statistic in
@@ -286,7 +290,7 @@ def score_batch(
     elif "sigma_max" in detectors:
         c = coherence_matrix(s)
     if "glr" in detectors:
-        stats["glr"], optim, errors = _glr(cost_forms(c, pair), opts)
+        stats["glr"], optim, errors = _glr(cost_forms(c, pair), n_restarts)
     with np.errstate(divide="ignore", invalid="ignore"):
         if "glr_sample" in detectors or "glr_low" in detectors:
             num, den, low_den = _closed_form_terms(c, pair)
@@ -322,14 +326,14 @@ def score_batch(
 def compute_report(
     s: BlockSampleCov,
     steering: SteeringPair,
-    opts: TrustRegionOptions | None = None,
     detectors: tuple[str, ...] = DETECTOR_NAMES,
+    n_restarts: int = 0,
 ) -> DetectorReport:
     """Run the requested detectors on one record's sample covariance:
     score_batch on a stack of one. Raises the error the record hits; callers
     that sweep many records use score_batch, which returns it instead."""
     stack = BlockSampleCov(s.s_ss[None], s.s_sr[None], s.s_rr[None], s.n)
-    (report,) = score_batch(stack, steering.u_s[None], steering.u_r[None], opts, detectors)
+    (report,) = score_batch(stack, steering.u_s[None], steering.u_r[None], detectors, n_restarts)
     if isinstance(report, ValueError):
         raise report
     return report

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # numpy 2 loads it on first use; load it with the package
 
-from ._linalg import adjoint, hermitize
+from ._linalg import adjoint, cholesky_pd, hermitize
 
 HYPOTHESES = ("H0", "H1")
 
@@ -229,8 +229,9 @@ def synth_batch(
     hypothesis is one random_raw read, and a trial gets the same numbers
     in any block, alone included. Everything after the read runs on the
     stack: the uniforms, the complex normals, the steering norms, the SNR
-    factors, the positive-definite check, the Cholesky colouring and the
-    H0/H1 mask.
+    factors, the Cholesky colouring and the H0/H1 mask. A noise covariance
+    that is not positive definite fails the stacked Cholesky
+    factorization, which raises ValueError for the whole block.
     """
     if steering_mode not in STEERING_MODES:
         raise ValueError(f"unknown steering mode {steering_mode!r}; expected one of {STEERING_MODES}")
@@ -268,11 +269,7 @@ def synth_batch(
     if cfg.sigma_x2 > 0:
         snrs = np.array([cfg.snr_s_db, cfg.snr_r_db])
         sigma *= _snr_factor(sigma, gains, cfg.sigma_x2, snrs)[:, :, None, None]
-    bad = np.linalg.eigvalsh(sigma)[..., 0] <= 0
-    if np.any(bad):
-        name = ("sigma_ss", "sigma_rr")[np.argwhere(bad)[0][1]]
-        raise ValueError(f"{name} is not positive definite")
-    noise = np.linalg.cholesky(sigma) @ z_noise
+    noise = cholesky_pd(sigma, name="noise covariance") @ z_noise
     signal = gains[:, :, None, None] * (steering[:, :, :, None] * x[:, None, None, :])
     y_r = signal[:, 1] + noise[:, 1]
     y_s = np.where(h1[:, None, None], signal[:, 0] + noise[:, 0], noise[:, 0])

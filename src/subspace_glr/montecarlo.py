@@ -26,7 +26,7 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.ma  # np.unique (roc_curve) loads it on first use; load it with the package
@@ -34,13 +34,14 @@ import numpy.ma  # np.unique (roc_curve) loads it on first use; load it with the
 from .covariance import block_sample_cov
 from .detectors import DETECTOR_NAMES, DetectorReport, score_batch
 from .model import STEERING_MODES, ScenarioConfig, synth_batch
-from .optimizer import TrustRegionOptions
 
 log = logging.getLogger(__name__)
 
 SWEEP_AXES = ("snr_s_db", "n", "l")
 # Trials synthesized and scored as one stack; bounds the memory of a block.
 BLOCK_TRIALS = 256
+# A run point aborts when more than this share of its trials fail.
+MAX_FAILURE_RATE = 1e-3
 
 
 @dataclass
@@ -76,23 +77,19 @@ class ExperimentConfig:
     scenario: ScenarioConfig
     trials_h0: int
     trials_h1: int = 0
-    pfa_grid: tuple[float, ...] = (1e-2,)
+    pfa: float = 1e-2
     steering_mode: str = "random-unit"
     detectors: tuple[str, ...] = DETECTOR_NAMES
     sweep: SweepSpec | None = None
-    optimizer: TrustRegionOptions = field(default_factory=TrustRegionOptions)
-    max_failure_rate: float = 1e-3
+    n_restarts: int = 0  # random starts of the exact detector besides e1
 
     def __post_init__(self) -> None:
         if self.trials_h0 < 1:
             raise ValueError("trials_h0 must be >= 1")
         if self.trials_h1 < 0:
             raise ValueError("trials_h1 must be >= 0")
-        self.pfa_grid = tuple(float(p) for p in self.pfa_grid)
-        if not self.pfa_grid:
-            raise ValueError("pfa_grid needs at least one pfa")
-        if any(not 0.0 < p < 1.0 for p in self.pfa_grid):
-            raise ValueError("every pfa must lie in (0, 1)")
+        if not 0.0 < self.pfa < 1.0:
+            raise ValueError(f"pfa must lie in (0, 1), got {self.pfa}")
         if self.steering_mode not in STEERING_MODES:
             raise ValueError(
                 f"steering_mode must be one of {STEERING_MODES}, got {self.steering_mode!r}"
@@ -107,8 +104,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown detectors {sorted(unknown)}; valid: {DETECTOR_NAMES}")
         if not self.detectors:
             raise ValueError("at least one detector is required")
-        if not 0.0 <= self.max_failure_rate < 1.0:
-            raise ValueError("max_failure_rate must lie in [0, 1)")
+        if self.n_restarts < 0:
+            raise ValueError(f"n_restarts must be >= 0, got {self.n_restarts}")
         for value in self.sweep.values if self.sweep is not None else ():
             try:
                 apply_sweep_value(self, value)
@@ -142,7 +139,7 @@ def _record(
 def _score_block(cfg: ExperimentConfig, block: list[tuple[str, int]]) -> list[TrialRecord]:
     """Synthesize and score a block of trials as stacked arrays."""
     u_s, u_r, y_s, y_r = synth_batch(cfg.scenario, cfg.steering_mode, block)
-    outcomes = score_batch(block_sample_cov(y_s, y_r), u_s, u_r, cfg.optimizer, cfg.detectors)
+    outcomes = score_batch(block_sample_cov(y_s, y_r), u_s, u_r, cfg.detectors, cfg.n_restarts)
     return [_record(cfg, hyp, idx, out) for (hyp, idx), out in zip(block, outcomes)]
 
 
@@ -185,14 +182,14 @@ def _plan_chunks(items: list[tuple[str, int]], workers: int) -> list[list[tuple[
     return [items[i : i + size] for i in range(0, len(items), size)]
 
 
-def _check_failures(cfg: ExperimentConfig, records: list[TrialRecord]) -> None:
+def _check_failures(records: list[TrialRecord]) -> None:
     bad = sum(1 for r in records if r.error is not None)
     if bad:
         log.warning("%d of %d trials failed; first: %s", bad, len(records),
                     next(r.error for r in records if r.error is not None))
-    if bad > cfg.max_failure_rate * len(records):
+    if bad > MAX_FAILURE_RATE * len(records):
         raise RuntimeError(
-            f"{bad} of {len(records)} trials failed, above the allowed rate {cfg.max_failure_rate}"
+            f"{bad} of {len(records)} trials failed, above the allowed rate {MAX_FAILURE_RATE}"
         )
 
 
@@ -222,7 +219,7 @@ def _run_points(
         log.info("point %d (%s): %d of %d trials done", p,
                  "-" if values is None else f"{values[p]:g}", len(records[p]), len(items[p]))
         if len(records[p]) == len(items[p]):
-            _check_failures(cfgs[p], records[p])
+            _check_failures(records[p])
 
     if workers == 1 or len(jobs) == 1:
         for p, chunk in jobs:
@@ -406,14 +403,13 @@ def run_pm_sweep(
     """Missed-detection probability along the sweep, one curve per detector.
 
     Thresholds are recalibrated from the H0 trials of each sweep point at
-    the first pfa in the grid. Also returns failed-trial counts keyed by
+    cfg.pfa. Also returns failed-trial counts keyed by
     sweep value.
     """
     if cfg.sweep is None:
         raise ValueError("pm sweep requires a sweep block in the config")
     if cfg.trials_h1 < 1:
         raise ValueError("a pm sweep needs trials_h1 >= 1")
-    pfa = cfg.pfa_grid[0]
     values = cfg.sweep.values
     per_point = _run_points([apply_sweep_value(cfg, v) for v in values], threads, values)
     out: dict[str, list[PmPoint]] = {name: [] for name in cfg.detectors}
@@ -423,7 +419,7 @@ def run_pm_sweep(
         for name in cfg.detectors:
             h0 = collect_stats(records, name, "H0")
             h1 = collect_stats(records, name, "H1")
-            out[name].append(pm_at(h0, h1, pfa, sweep_value=value))
+            out[name].append(pm_at(h0, h1, cfg.pfa, sweep_value=value))
     return out, failures
 
 

@@ -41,12 +41,19 @@ the root climbs to it monotonically. In the hard case (Nocedal and Wright
 root would lie at or left of the pole; the step is then p(-lam_1) plus the
 multiple of q_1 that reaches the boundary.
 
-The ascent has converged when the gradient norm is at most grad_tol or the
+The ascent has converged when the gradient norm is at most GRAD_TOL or the
 step's predicted gain g.p + p.H.p/2 is at most 8 eps (1 + |J|), below the
 roundoff of J (the Newton-decrement test, Boyd & Vandenberghe, 9.5.1).
 Rows never mix: every reduction runs per row in an order fixed by L alone,
 so a trial gets the same bits in a stack of any size. maximize_j is a stack
 of one.
+
+The trust-region values are module constants: MAX_ITER (200), GRAD_TOL
+(1e-8), INITIAL_RADIUS (0.5), MIN_RADIUS (1e-12) and ACCEPT_RATIO (0.1),
+with the radius update of Nocedal and Wright, Alg. 4.1. They are fixed
+because they belong to the algorithm, not to an experiment: J is
+scale-free and the ascent stops at J's roundoff, so no run needs other
+values, and each statistic stays a function of the data alone.
 """
 
 from __future__ import annotations
@@ -57,6 +64,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import real_embedding
+
+MAX_ITER = 200
+GRAD_TOL = 1e-8
+INITIAL_RADIUS = 0.5
+MIN_RADIUS = 1e-12
+ACCEPT_RATIO = 0.1
 
 _EPS = np.finfo(float).eps
 # A predicted gain at or below this share of 1 + |J| is below J's roundoff.
@@ -86,34 +99,11 @@ def _canonicalize(x: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class TrustRegionOptions:
-    max_iter: int = 200
-    grad_tol: float = 1e-8
-    initial_radius: float = 0.5
-    min_radius: float = 1e-12
-    accept_ratio: float = 0.1
-    n_restarts: int = 0  # extra random starts taken by the exact detector
-    restart_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.grad_tol <= 0 or self.initial_radius <= 0 or self.min_radius <= 0:
-            raise ValueError("tolerances and radii must be positive")
-        if not 0.0 < self.accept_ratio < 1.0:
-            raise ValueError("accept_ratio must lie in (0, 1)")
-        if self.n_restarts < 0:
-            raise ValueError("n_restarts must be >= 0")
-        if not 0 <= self.restart_seed < 2**64:
-            raise ValueError(f"restart_seed must be a u64, got {self.restart_seed}")
-
-
-@dataclass
 class OptimResult:
     """Outcome of one ascent. x_hat is canonical: unit norm, x_hat[0] real >= 0.
 
     stop_reason is "gradient" when the ascent converged (see the module
-    docstring), "radius" when the trust radius fell below min_radius first,
+    docstring), "radius" when the trust radius fell below MIN_RADIUS first,
     and "max_iter" when it ran out of steps. j_trace holds the objective after
     the start and each accepted step and is nondecreasing by construction.
     """
@@ -223,7 +213,7 @@ def solve_subproblem(
     return np.einsum("tij,tj->ti", vec, p), gain
 
 
-def ascend(forms, starts: np.ndarray, opts: TrustRegionOptions | None = None) -> list[OptimResult]:
+def ascend(forms, starts: np.ndarray) -> list[OptimResult]:
     """Ascend J from each row of starts (T, L) on the surface of the same row
     of forms = (psi, gamma_m), each (T, L, L), all rows in lockstep.
 
@@ -232,7 +222,6 @@ def ascend(forms, starts: np.ndarray, opts: TrustRegionOptions | None = None) ->
     model, and each row's trace of accepted objective values is monotone
     because only improving steps are taken.
     """
-    opts = opts or TrustRegionOptions()
     starts = np.asarray(starts, dtype=complex)
     count, dim = starts.shape
     if np.any(starts[:, 0] == 0):
@@ -251,7 +240,7 @@ def ascend(forms, starts: np.ndarray, opts: TrustRegionOptions | None = None) ->
     stop = np.empty(count, dtype=object)
     traces = [[v] for v in f.tolist()]
     rows = np.arange(count)
-    radius = np.full(count, opts.initial_radius)
+    radius = np.full(count, INITIAL_RADIUS)
     steps = np.zeros(count, dtype=int)
 
     def retire(done: np.ndarray, reason: str) -> np.ndarray:
@@ -263,7 +252,7 @@ def ascend(forms, starts: np.ndarray, opts: TrustRegionOptions | None = None) ->
     while rows.size:
         p, pred = solve_subproblem(grad, hess, radius)
         gnorm = np.sqrt(np.sum(grad * grad, axis=-1))
-        active = retire((gnorm <= opts.grad_tol) | (pred <= _GAIN_RTOL * (1.0 + np.abs(f))), "gradient")
+        active = retire((gnorm <= GRAD_TOL) | (pred <= _GAIN_RTOL * (1.0 + np.abs(f))), "gradient")
         if not active.all():
             rows, m, m_free, u, f, grad, hess, radius, steps, p, pred = (
                 a[active] for a in (rows, m, m_free, u, f, grad, hess, radius, steps, p, pred)
@@ -277,7 +266,7 @@ def ascend(forms, starts: np.ndarray, opts: TrustRegionOptions | None = None) ->
         # pred > 0 here, so a step to a -inf value has ratio -inf.
         f_new, mu, q = _chart_value(m, u_new)
         ratio = (f_new - f) / pred
-        acc = (f_new > f) & (ratio >= opts.accept_ratio)
+        acc = (f_new > f) & (ratio >= ACCEPT_RATIO)
         if acc.any():
             grad[acc], hess[acc] = _chart_derivatives(m_free[acc], mu[acc], q[acc])
             u[acc], f[acc] = u_new[acc], f_new[acc]
@@ -287,8 +276,8 @@ def ascend(forms, starts: np.ndarray, opts: TrustRegionOptions | None = None) ->
         shrink = acc & ~grow & (ratio < 0.25)
         radius = np.where(grow, 2.0 * radius, np.where(shrink, 0.5 * radius, radius))
         radius = np.where(acc, radius, 0.25 * np.minimum(radius, step_norm))
-        active = retire(radius < opts.min_radius, "radius")
-        active &= retire(active & (steps >= opts.max_iter), "max_iter")
+        active = retire(radius < MIN_RADIUS, "radius")
+        active &= retire(active & (steps >= MAX_ITER), "max_iter")
         if not active.all():
             rows, m, m_free, u, f, grad, hess, radius, steps = (
                 a[active] for a in (rows, m, m_free, u, f, grad, hess, radius, steps)
@@ -341,11 +330,11 @@ def grad_hess_j(x: np.ndarray, forms) -> tuple[np.ndarray, np.ndarray]:
     return grad[0], hess[0]
 
 
-def maximize_j(forms, x0: np.ndarray, opts: TrustRegionOptions | None = None) -> OptimResult:
+def maximize_j(forms, x0: np.ndarray) -> OptimResult:
     """Ascend J on the surface of forms = (psi, gamma_m), each L x L, from x0
     with the exact-step trust-region method in the chart x = [1; y]: ascend
     on a stack of one."""
-    return ascend(*_one(forms, x0), opts)[0]
+    return ascend(*_one(forms, x0))[0]
 
 
 def random_start(num_sensors: int, rng: np.random.Generator) -> np.ndarray:

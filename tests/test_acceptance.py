@@ -66,7 +66,7 @@ def fig3_records():
         scenario=sg.ScenarioConfig(L=4, N=15, snr_s_db=-5.0, snr_r_db=15.0, seed=7),
         trials_h0=10_000,
         trials_h1=10_000,
-        pfa_grid=(1e-2,),
+        pfa=1e-2,
     )
     started = time.time()
     records = sg.run_trials(cfg, threads=0)
@@ -321,7 +321,7 @@ def test_criterion_9_pm_trend(emit):
         scenario=sg.ScenarioConfig(L=4, N=15, snr_s_db=0.0, snr_r_db=10.0, seed=13),
         trials_h0=10_000,
         trials_h1=10_000,
-        pfa_grid=(1e-2,),
+        pfa=1e-2,
         detectors=sg.PROPOSED_DETECTORS,
         sweep=sg.SweepSpec(axis="snr_s_db", values=(-10.0, -5.0, 0.0, 5.0, 10.0),
                            snr_r_db_offset=10.0),
@@ -355,7 +355,7 @@ def test_criterion_10_determinism(tmp_path, emit):
         "scenario": {"L": 2, "N": 8, "snr_s_db": 0.0, "snr_r_db": 10.0, "seed": 19},
         "trials_h0": 200,
         "trials_h1": 200,
-        "pfa_grid": [0.1],
+        "pfa": 0.1,
         "detectors": ["glr", "glr_low"],
         "sweep": {"axis": "snr_s_db", "values": [-5.0, 5.0], "snr_r_db_offset": 10.0},
     }

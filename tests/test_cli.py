@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import subspace_glr as sg
+from subspace_glr import montecarlo
 from subspace_glr.cli import main
 from _utils import rand_unit
 
@@ -48,9 +50,10 @@ class TestValidateConfig:
         assert main(["validate-config", "--config", str(cfg)]) == 0
         resolved = json.loads(capsys.readouterr().out)
         assert resolved["scenario"]["wishart_dof"] == 4  # 2L materialized
-        assert resolved["pfa_grid"] == [0.01]
+        assert resolved["pfa"] == 0.01
         assert resolved["steering_mode"] == "random-unit"
-        assert resolved["optimizer"]["max_iter"] == 200
+        assert resolved["n_restarts"] == 0
+        assert "optimizer" not in resolved
 
     def test_seed_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -94,6 +97,23 @@ class TestValidateConfig:
             cfg.write_text(block)
             assert main(["validate-config", "--config", str(cfg)]) == 0, capsys.readouterr().err
 
+    def test_readme_config_reference_names_every_field(self):
+        # each "(`Class`):" line opens a list of "- `field`: ..." bullets
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("### Config reference")[1].split("\n### ")[0]
+        named, current = {}, None
+        for line in section.splitlines():
+            head = re.search(r"\(`(\w+)`\):$", line)
+            if head:
+                current = named.setdefault(head.group(1), set())
+            elif line.startswith("- `"):
+                current.update(re.findall(r"`(\w+)`", line.split(":")[0]))
+        expected = {
+            cls.__name__: {f.name for f in dataclasses.fields(cls)}
+            for cls in (sg.ExperimentConfig, sg.ScenarioConfig, sg.SweepSpec)
+        }
+        assert named == expected
+
     def test_bad_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -104,20 +124,41 @@ class TestValidateConfig:
         assert main(["validate-config", "--config", str(tmp_path / "nope.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_restart_seed_outside_u64(self, tmp_path, capsys, seed):
-        # rejected with the config, before any trial draws a restart start
+    def test_integer_beyond_digit_limit(self, tmp_path, capsys):
+        # json.load raises a plain ValueError here, not a JSONDecodeError
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(write_config(tmp_path).read_text().replace('"seed": 7', '"seed": ' + "7" * 5000))
+        assert main(["validate-config", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "4300" in err
+
+    def test_undecodable_bytes_name_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"scenario": \xff}')
+        assert main(["validate-config", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "utf-8" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("optimizer", {"n_restarts": 1}),
+        ("pfa_grid", [0.1]),
+        ("max_failure_rate", 0.5),
+    ])
+    def test_removed_fields_rejected(self, tmp_path, capsys, monkeypatch, field, value):
+        # rejected with the config, before any trial runs
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(montecarlo, "_run_points", no_trials)
         cfg = write_config(
-            tmp_path, detectors=["glr"], optimizer={"n_restarts": 1, "restart_seed": seed},
-            sweep={"axis": "snr_s_db", "values": [0.0]},
+            tmp_path, detectors=["glr"], sweep={"axis": "snr_s_db", "values": [0.0]}, **{field: value}
         )
         for command in ("validate-config", "roc", "pm-sweep", "null-dist"):
             argv = [command, "--config", str(cfg)]
             if command != "validate-config":
                 argv += ["--out", str(tmp_path / command), "--threads", "1"]
             assert main(argv) == 2
-            assert "optimizer: restart_seed" in capsys.readouterr().err
-
+            assert f"unknown fields ['{field}']" in capsys.readouterr().err
 
     def test_duplicate_detectors_rejected(self, tmp_path, capsys):
         # a repeated name would score and write every row once per repeat
@@ -212,7 +253,7 @@ class TestPmSweep:
         cfg = write_config(
             tmp_path,
             sweep={"axis": "snr_s_db", "values": [0.0], "snr_r_db_offset": 10.0},
-            pfa_grid=[0.1],
+            pfa=0.1,
         )
         out = tmp_path / "out"
         assert main(["pm-sweep", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 0
@@ -227,7 +268,7 @@ class TestPmSweep:
             tmp_path,
             detectors=["glr_low"],
             sweep={"axis": "snr_s_db", "values": [-5.0, 0.0, 5.0], "snr_r_db_offset": 10.0},
-            pfa_grid=[0.1],
+            pfa=0.1,
         )
         out = tmp_path / "out"
         assert main(["pm-sweep", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 0
@@ -242,7 +283,7 @@ class TestPmSweep:
             tmp_path,
             detectors=["glr_low"],
             sweep={"axis": "snr_s_db", "values": [-5.0, 0.0, 5.0], "snr_r_db_offset": 10.0},
-            pfa_grid=[0.1],
+            pfa=0.1,
         )
         quiet, loud = tmp_path / "quiet", tmp_path / "loud"
         argv = ["pm-sweep", "--config", str(cfg), "--threads", str(threads), "--out"]

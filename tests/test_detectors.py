@@ -220,11 +220,16 @@ class TestExactStatistic:
         u_s, u_r = steer.u_s[None], steer.u_r[None]
         s = sg.block_sample_cov(data.y_s[None], data.y_r[None])
         (warm,), (restarted,) = (
-            sg.score_batch(s, u_s, u_r, sg.TrustRegionOptions(n_restarts=k), ("glr",))
+            sg.score_batch(s, u_s, u_r, ("glr",), n_restarts=k)
             for k in (0, 16)
         )
         assert warm.optim.stop_reason == "gradient"
         assert restarted.optim.j_value > warm.optim.j_value + 1.0
+
+    def test_rejects_negative_restarts(self):
+        s, steer, _ = make_instance(seed=3, L=3)
+        with pytest.raises(ValueError, match="n_restarts"):
+            sg.glr_exact(s, steer.u_s, steer.u_r, n_restarts=-1)
 
     def test_oracle_feasibility_bound(self):
         for seed in range(3):
@@ -394,20 +399,19 @@ class TestComputeReport:
         cfg = sg.ScenarioConfig(L=L, N=3 * L, snr_s_db=0.0, snr_r_db=10.0, seed=60 + L)
         trials = [("H0", k) for k in range(37)] + [("H1", k) for k in range(37)]
         u_s, u_r, y_s, y_r = sg.synth_batch(cfg, "random-unit", trials)
-        opts = sg.TrustRegionOptions(n_restarts=n_restarts)
 
         def key(rep):
             return (rep.glr_1n, rep.two_log_glr, rep.optim.iterations, rep.optim.stop_reason)
 
         s = sg.block_sample_cov(y_s, y_r)
-        whole = [key(r) for r in sg.score_batch(s, u_s, u_r, opts, ("glr",))]
+        whole = [key(r) for r in sg.score_batch(s, u_s, u_r, ("glr",), n_restarts)]
         assert len(set(k[2] for k in whole)) > 1
         for size in (1, 7, 37):
             split = []
             for a in range(0, len(trials), size):
                 b = slice(a, a + size)
                 part = sg.block_sample_cov(y_s[b], y_r[b])
-                split += [key(r) for r in sg.score_batch(part, u_s[b], u_r[b], opts, ("glr",))]
+                split += [key(r) for r in sg.score_batch(part, u_s[b], u_r[b], ("glr",), n_restarts)]
             assert split == whole, f"split {size}"
 
     def test_matches_standalone_functions(self):

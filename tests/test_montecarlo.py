@@ -96,10 +96,8 @@ class TestRunTrials:
     def test_failing_trial_isolated_in_its_block(self, monkeypatch):
         # one all-zero surveillance channel fails its block's stacked
         # factorization; only that trial's record carries the error
-        cfg = dataclasses.replace(
-            tiny_config(trials_h0=6, trials_h1=6, detectors=sg.DETECTOR_NAMES),
-            max_failure_rate=0.5,
-        )
+        cfg = tiny_config(trials_h0=6, trials_h1=6, detectors=sg.DETECTOR_NAMES)
+        monkeypatch.setattr(montecarlo, "MAX_FAILURE_RATE", 0.5)
         real = montecarlo.synth_batch
 
         def zero_h1_3(sc, mode, trials):
@@ -146,7 +144,7 @@ def l_sweep_config(trials_h0, trials_h1, values=(2.0, 3.0, 5.0), detectors=sg.DE
     return dataclasses.replace(
         tiny_config(N=16, trials_h0=trials_h0, trials_h1=trials_h1, detectors=detectors),
         sweep=sg.SweepSpec(axis="l", values=values),
-        pfa_grid=(0.1,),
+        pfa=0.1,
     )
 
 
@@ -380,18 +378,18 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="trials_h0"):
             tiny_config(trials_h0=0)
         with pytest.raises(ValueError, match="pfa"):
-            dataclasses.replace(tiny_config(), pfa_grid=(0.0,))
+            dataclasses.replace(tiny_config(), pfa=0.0)
         with pytest.raises(ValueError, match="detector"):
             tiny_config(detectors=())
         with pytest.raises(ValueError, match="unknown"):
             tiny_config(detectors=("glr", "nope"))
+        with pytest.raises(ValueError, match="n_restarts"):
+            dataclasses.replace(tiny_config(), n_restarts=-1)
 
-    def test_rejects_repeated_detectors_and_empty_pfa_grid(self):
-        # checked by the dataclass, so library callers get them too
+    def test_rejects_repeated_detectors(self):
+        # checked by the dataclass, so library callers get it too
         with pytest.raises(ValueError, match="config.detectors"):
             tiny_config(detectors=("glr_low", "glr_low"))
-        with pytest.raises(ValueError, match="pfa_grid"):
-            dataclasses.replace(tiny_config(), pfa_grid=())
 
 
 class TestExperimentRunners:
@@ -411,7 +409,7 @@ class TestExperimentRunners:
         cfg = dataclasses.replace(
             tiny_config(trials_h0=30, trials_h1=30, detectors=("glr_low",)),
             sweep=sg.SweepSpec(axis="snr_s_db", values=(-5.0, 5.0), snr_r_db_offset=10.0),
-            pfa_grid=(0.1,),
+            pfa=0.1,
         )
         points, failures = sg.run_pm_sweep(cfg, threads=1)
         assert [p.sweep_value for p in points["glr_low"]] == [-5.0, 5.0]

@@ -3,6 +3,7 @@ import pytest
 import scipy.optimize
 
 import subspace_glr as sg
+from subspace_glr import optimizer
 from subspace_glr.optimizer import random_start, solve_subproblem
 from _utils import chart_x, fd_gradient, grid_max_j_l2, make_instance
 
@@ -187,21 +188,23 @@ class TestMaximizeJ:
         assert all(r.report.optim.stop_reason == "gradient" for r in h1)
         assert np.mean([r.iterations for r in h1]) <= 18.0
 
-    def test_stops_on_max_iter(self):
+    def test_stops_on_max_iter(self, monkeypatch):
         _, _, _, forms = instance_forms(seed=40, L=4)
         x0 = warm_start(4)
         assert sg.maximize_j(forms, x0).iterations > 1
-        res = sg.maximize_j(forms, x0, sg.TrustRegionOptions(max_iter=1))
+        monkeypatch.setattr(optimizer, "MAX_ITER", 1)
+        res = sg.maximize_j(forms, x0)
         assert res.stop_reason == "max_iter"
         assert res.iterations == 1
         assert not res.converged
 
-    def test_stops_on_radius(self):
+    def test_stops_on_radius(self, monkeypatch):
         # A first step of length 10 from the warm start overshoots and is
-        # rejected; the shrunken radius then falls below min_radius.
+        # rejected; the shrunken radius then falls below MIN_RADIUS.
         _, _, _, forms = instance_forms(seed=41, L=4)
-        opts = sg.TrustRegionOptions(initial_radius=10.0, min_radius=5.0)
-        res = sg.maximize_j(forms, warm_start(4), opts)
+        monkeypatch.setattr(optimizer, "INITIAL_RADIUS", 10.0)
+        monkeypatch.setattr(optimizer, "MIN_RADIUS", 5.0)
+        res = sg.maximize_j(forms, warm_start(4))
         assert res.stop_reason == "radius"
         assert not res.converged
         assert res.j_trace.size == 1
@@ -354,14 +357,3 @@ class TestRandomStart:
         assert np.array_equal(a, b)
         assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
         assert a[0].real > 0 and a[0].imag == 0.0
-
-
-class TestTrustRegionOptions:
-    def test_rejects_bad_settings(self):
-        with pytest.raises(ValueError):
-            sg.TrustRegionOptions(max_iter=0)
-        with pytest.raises(ValueError):
-            sg.TrustRegionOptions(initial_radius=-1.0)
-        for seed in (-1, 2**64):
-            with pytest.raises(ValueError, match="restart_seed"):
-                sg.TrustRegionOptions(restart_seed=seed)
