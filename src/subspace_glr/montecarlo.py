@@ -265,8 +265,6 @@ def calibrate_threshold(h0_stats: np.ndarray, pfa: float) -> float:
         raise ValueError("empty H0 sample")
     if not 0.0 < pfa < 1.0:
         raise ValueError(f"pfa must lie in (0, 1), got {pfa}")
-    if m < 10.0 / pfa:
-        log.warning("only %d H0 trials for pfa = %g; threshold is noisy", m, pfa)
     rank = math.ceil((1.0 - pfa) * m)
     rank = min(max(rank, 1), m)
     return float(np.sort(h0_stats)[rank - 1])
@@ -403,8 +401,9 @@ def run_pm_sweep(
     """Missed-detection probability along the sweep, one curve per detector.
 
     Thresholds are recalibrated from the H0 trials of each sweep point at
-    cfg.pfa. Also returns failed-trial counts keyed by
-    sweep value.
+    cfg.pfa; a point with fewer than 10 / pfa valid H0 trials logs one
+    warning that its threshold is noisy. Also returns failed-trial counts
+    keyed by sweep value.
     """
     if cfg.sweep is None:
         raise ValueError("pm sweep requires a sweep block in the config")
@@ -416,6 +415,10 @@ def run_pm_sweep(
     failures: dict[str, int] = {}
     for value, records in zip(values, per_point):
         failures[repr(float(value))] = sum(1 for r in records if r.error is not None)
+        n_h0 = sum(1 for r in records if r.hypothesis == "H0" and r.error is None)
+        if n_h0 < 10.0 / cfg.pfa:
+            log.warning("point %s: only %d H0 trials for pfa = %g; threshold is noisy",
+                        value, n_h0, cfg.pfa)
         for name in cfg.detectors:
             h0 = collect_stats(records, name, "H0")
             h1 = collect_stats(records, name, "H1")

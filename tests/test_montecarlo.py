@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -63,9 +64,10 @@ class TestRunTrials:
     def test_block_calls_do_not_grow_with_trials(self, monkeypatch):
         # a block is factored and decomposed as one stack, whatever its size:
         # one SVD (sigma_max) and one eigh of the diagonal blocks (t_svd);
-        # the lockstep ascent makes one eigh per pass over the whole block,
-        # so its count is 1 + the block's largest iteration count, not T
-        calls = {"cholesky": 0, "cho_factor": 0, "svd": 0, "eigvalsh": 0, "eigh": 0}
+        # the lockstep ascent makes at most one eigh and one solve per pass
+        # over the whole block, so their counts follow the block's largest
+        # iteration count, not T
+        calls = {"cholesky": 0, "cho_factor": 0, "svd": 0, "eigvalsh": 0, "eigh": 0, "solve": 0}
 
         def counted(mod, name):
             orig = getattr(mod, name)
@@ -81,6 +83,7 @@ class TestRunTrials:
         counted(np.linalg, "svd")
         counted(np.linalg, "eigvalsh")
         counted(np.linalg, "eigh")
+        counted(np.linalg, "solve")
         per_size, passes = {}, {}
         for trials in (8, 64):
             calls.update(dict.fromkeys(calls, 0))
@@ -89,7 +92,9 @@ class TestRunTrials:
             records = sg.run_trials(cfg, threads=1)
             per_size[trials] = dict(calls)
             passes[trials] = 1 + max(r.iterations for r in records)
-        assert {t: per_size[t].pop("eigh") - 1 for t in per_size} == passes
+        for t in per_size:
+            assert 1 <= per_size[t].pop("eigh") <= 1 + passes[t]
+            assert per_size[t].pop("solve") <= passes[t]
         assert per_size[8] == per_size[64]
         assert per_size[8]["svd"] == 1
 
@@ -415,6 +420,21 @@ class TestExperimentRunners:
         assert [p.sweep_value for p in points["glr_low"]] == [-5.0, 5.0]
         assert set(failures) == {repr(-5.0), repr(5.0)}
         assert all(0.0 <= p.pm <= 1.0 for p in points["glr_low"])
+
+    def test_pm_sweep_warns_once_per_noisy_point(self, caplog):
+        # 30 H0 trials are fewer than 10 / pfa at pfa = 0.1: one warning per
+        # point, however many detectors share its H0 trials
+        cfg = dataclasses.replace(
+            tiny_config(trials_h0=30, trials_h1=30, detectors=("glr_sample", "glr_low", "t_cc")),
+            sweep=sg.SweepSpec(axis="snr_s_db", values=(-5.0, 0.0, 5.0), snr_r_db_offset=10.0),
+            pfa=0.1,
+        )
+        caplog.set_level(logging.WARNING, logger="subspace_glr.montecarlo")
+        sg.run_pm_sweep(cfg, threads=1)
+        noisy = [r.getMessage() for r in caplog.records if "threshold is noisy" in r.getMessage()]
+        assert noisy == [
+            f"point {v}: only 30 H0 trials for pfa = 0.1; threshold is noisy" for v in (-5.0, 0.0, 5.0)
+        ]
 
     def test_pm_sweep_requires_sweep(self):
         with pytest.raises(ValueError, match="sweep"):

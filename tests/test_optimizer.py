@@ -279,6 +279,47 @@ def subproblem_cases():
     return cases
 
 
+def spectral_stack(lam, rng):
+    """Symmetric matrices q diag(lam) q^T with random orthogonal q, one per
+    row of lam (T, n)."""
+    q = np.linalg.qr(rng.standard_normal(lam.shape + lam.shape[-1:]))[0]
+    b = q @ (lam[:, :, None] * np.swapaxes(q, 1, 2))
+    return 0.5 * (b + np.swapaxes(b, 1, 2))
+
+
+def semidefinite_stack(count, n, rng):
+    """Singular positive semidefinite matrices l l^T whose column Cholesky is
+    exact: l is lower triangular with integer entries, diagonal entries that
+    are powers of two and one zero, so the pivot there is exactly 0 for any
+    order of the arithmetic."""
+    low = np.tril(rng.integers(-3, 4, (count, n, n)).astype(float), -1)
+    diag = 2.0 ** rng.integers(0, 3, (count, n))
+    diag[np.arange(count), rng.integers(0, n, count)] = 0.0
+    low += diag[:, :, None] * np.eye(n)
+    return low @ np.swapaxes(low, 1, 2)
+
+
+def definiteness_stack(count, n, rng):
+    """Positive definite, semidefinite, indefinite and NaN matrices, in
+    random order, with LAPACK's verdict on each: np.linalg.cholesky
+    succeeds with a finite factor (OpenBLAS lets a NaN pivot pass)."""
+    kinds = rng.permutation(np.arange(count) % 4)
+    lam = 10.0 ** rng.uniform(-3, 3, (count, n))
+    lam[kinds == 2, 0] *= -1.0  # indefinite
+    b = spectral_stack(lam, rng)
+    b[kinds == 1] = semidefinite_stack(int(np.sum(kinds == 1)), n, rng)
+    for i in np.flatnonzero(kinds == 3):  # NaN on or below the diagonal
+        j, k = sorted(rng.integers(0, n, 2))
+        b[i, k, j] = b[i, j, k] = np.nan
+    verdict = np.ones(count, dtype=bool)
+    for i in range(count):
+        try:
+            verdict[i] = np.all(np.isfinite(np.linalg.cholesky(b[i])))
+        except np.linalg.LinAlgError:
+            verdict[i] = False
+    return b, kinds, verdict
+
+
 class TestSolveSubproblem:
     @pytest.mark.parametrize("name", list(subproblem_cases()))
     def test_matches_brute_force(self, name):
@@ -344,6 +385,81 @@ class TestSolveSubproblem:
             for i in range(0, count, 10):
                 p1, gain1 = solve_subproblem(g[i : i + 1], h[i : i + 1], radius[i : i + 1])
                 assert np.array_equal(p1[0], p[i]) and gain1[0] == gain[i]
+
+    def test_newton_rows_skip_the_eigendecomposition(self, monkeypatch):
+        # -H positive definite and every Newton step inside its radius: the
+        # step and gain of the eigen path, without an eigendecomposition
+        rng = np.random.default_rng(21)
+        for n in (2, 6, 14):
+            h = -spectral_stack(10.0 ** rng.uniform(-1, 1, (40, n)), rng)
+            g = rng.standard_normal((40, n))
+            radius = 1.5 * np.linalg.norm(np.linalg.solve(-h, g[..., None])[..., 0], axis=1)
+            p_ref, gain_ref = optimizer._eigen_step(g, h, radius)
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("eigh called on a Newton stack")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigh", refuse)
+                p, gain = solve_subproblem(g, h, radius)
+            err = np.linalg.norm(p - p_ref, axis=1) / np.linalg.norm(p_ref, axis=1)
+            assert np.all(err <= 1e-12), (n, err.max())
+            np.testing.assert_allclose(gain, gain_ref, rtol=1e-12, atol=0.0)
+
+    def test_only_fallback_rows_reach_the_eigen_path(self, monkeypatch):
+        # Newton rows, Newton steps outside the radius, indefinite and
+        # negative definite -H, singular semidefinite -H: only the first
+        # kind skips _eigen_step, and every row equals the row solved alone
+        rng = np.random.default_rng(22)
+        n, count = 6, 50
+        kinds = rng.permutation(np.arange(count) % 5)
+        lam = 10.0 ** rng.uniform(-1, 1, (count, n))
+        lam[kinds == 2, :2] *= -1.0
+        lam[kinds == 3] *= -1.0
+        b = spectral_stack(lam, rng)
+        b[kinds == 4] = semidefinite_stack(int(np.sum(kinds == 4)), n, rng)
+        g = rng.standard_normal((count, n))
+        definite = kinds < 2
+        newton = np.linalg.norm(np.linalg.solve(b[definite], g[definite, :, None])[..., 0], axis=1)
+        radius = np.ones(count)
+        radius[definite] = np.where(kinds[definite] == 0, 2.0, 0.5) * newton
+        seen = []
+        real = optimizer._eigen_step
+
+        def recorded(grad, hess, rad):
+            seen.append(grad.copy())
+            return real(grad, hess, rad)
+
+        monkeypatch.setattr(optimizer, "_eigen_step", recorded)
+        p, gain = solve_subproblem(g, -b, radius)
+        assert len(seen) == 1 and np.array_equal(seen[0], g[kinds != 0])
+        for i in range(count):
+            p1, gain1 = solve_subproblem(g[i : i + 1], -b[i : i + 1], radius[i : i + 1])
+            assert np.array_equal(p1[0], p[i]) and gain1[0] == gain[i]
+
+    @pytest.mark.parametrize("n", [2, 6, 14])
+    def test_definiteness_verdict_matches_lapack(self, n):
+        # the column Cholesky's verdict is LAPACK's, matrix by matrix, on
+        # definite, semidefinite, indefinite and NaN rows; a row gets the
+        # same verdict, factor and step when it is solved alone
+        rng = np.random.default_rng(23 + n)
+        b, kinds, verdict = definiteness_stack(120, n, rng)
+        low, ok = optimizer._cholesky(np.moveaxis(b, 0, -1).copy())
+        assert np.array_equal(ok, verdict)
+        assert set(kinds[~ok]) == {1, 2, 3} and set(kinds[ok]) == {0}
+        ref = np.linalg.cholesky(b[ok])
+        got = np.tril(np.moveaxis(low, -1, 0)[ok])
+        assert np.allclose(got, ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max())
+        finite = kinds != 3
+        g = rng.standard_normal((120, n))
+        radius = 10.0 ** rng.uniform(-2, 2, 120)
+        p, gain = solve_subproblem(g[finite], -b[finite], radius[finite])
+        for k, i in enumerate(np.flatnonzero(finite)):
+            low1, ok1 = optimizer._cholesky(b[i][..., None].copy())
+            assert ok1[0] == ok[i]
+            assert not ok[i] or np.array_equal(low1[..., 0], low[..., i])
+            p1, gain1 = solve_subproblem(g[i : i + 1], -b[i : i + 1], radius[i : i + 1])
+            assert np.array_equal(p1[0], p[k]) and gain1[0] == gain[k]
 
     def test_single_sensor_chart_takes_no_step(self):
         p, gain = solve_subproblem(np.zeros((3, 0)), np.zeros((3, 0, 0)), np.ones(3))
