@@ -42,10 +42,11 @@ about half on ill-conditioned ones such as N = 2L or a 40 dB ULA), so only
 the rest pay for an eigendecomposition: one batched -H = Q diag(lam) Q^T per
 pass for those rows, the general solver, which also takes the interior step
 of a row that roundoff puts on the other side of the test. Otherwise the
-step lies on the boundary at p(s) = -(-H + s I)^{-1} (-g) with s >= max(0, -lam_1), and s solves the
-secular equation 1/|p(s)| - 1/radius = 0, whose left side is concave and
-increasing beyond the pole at s = -lam_1: Newton's method started left of
-the root climbs to it monotonically. In the hard case (Nocedal and Wright
+step lies on the boundary at p(s) = -(-H + s I)^{-1} (-g) with
+s >= max(0, -lam_1), and s solves the secular equation
+1/|p(s)| - 1/radius = 0, whose left side is concave and increasing beyond
+the pole at s = -lam_1: Newton's method started left of the root climbs to
+it monotonically. In the hard case (Nocedal and Wright
 4.3.1) g has no component along the eigenvector q_1 of lam_1 <= 0 and the
 root would lie at or left of the pole; the step is then p(-lam_1) plus the
 multiple of q_1 that reaches the boundary.
@@ -177,8 +178,8 @@ def _chart_derivatives(m_free: np.ndarray, mu: np.ndarray, q: np.ndarray):
 def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factors of a stack of symmetric matrices a (n, n, T),
     stacked along the last axis, and whether each is positive definite:
-    every pivot positive and finite. That is LAPACK's potrf test, which
-    also lets a NaN pivot pass in the OpenBLAS build numpy ships. The
+    every pivot positive and finite. That is LAPACK's potrf test, except
+    that the OpenBLAS build numpy ships lets a NaN pivot pass. The
     factors overwrite the lower triangle of a, which is returned, and are
     only meaningful on the rows that pass.
 
