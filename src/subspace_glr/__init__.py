@@ -32,6 +32,7 @@ from .detectors import (
     COHERENCE_FLOOR,
     DETECTOR_NAMES,
     PROPOSED_DETECTORS,
+    BlockScores,
     DegenerateSampleError,
     DetectorReport,
     compute_report,
@@ -56,9 +57,7 @@ from .montecarlo import (
     PmPoint,
     RocCurve,
     SweepSpec,
-    TrialRecord,
     calibrate_threshold,
-    collect_stats,
     pm_at,
     roc_curve,
     run_null_dist,
@@ -69,6 +68,7 @@ from .montecarlo import (
     wilks_diag,
 )
 from .optimizer import (
+    STOP_REASONS,
     OptimResult,
     cost_j,
     grad_hess_j,

@@ -32,12 +32,18 @@ def cholesky_pd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 
     Raises ValueError naming the matrix when it, or any matrix of the
     stack, is not positive definite, so callers surface singular or
-    indefinite blocks explicitly instead of producing NaNs downstream.
+    indefinite blocks explicitly instead of producing NaNs downstream. The
+    OpenBLAS build numpy ships lets a NaN pivot pass, so a factor whose
+    diagonal is not finite is rejected too; a NaN or inf anywhere in the
+    lower triangle reaches the diagonal.
     """
     try:
-        return np.linalg.cholesky(a)
+        low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        raise ValueError(f"{name} is not positive definite") from None
+        low = None
+    if low is None or not np.all(np.isfinite(np.diagonal(low, axis1=-2, axis2=-1))):
+        raise ValueError(f"{name} is not positive definite")
+    return low
 
 
 def lower_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:

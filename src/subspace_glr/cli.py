@@ -142,7 +142,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def _write_manifest(
     out_dir: Path, command: str, cfg: ExperimentConfig, threads: int,
-    outputs: list[str], failures: dict[str, int], started: float,
+    outputs: list[str], failures: dict[str, int], telemetry: dict, started: float,
 ) -> None:
     manifest = {
         "tool": "subspace-glr",
@@ -152,6 +152,7 @@ def _write_manifest(
         "threads": threads,
         "outputs": outputs,
         "trial_failures": failures,
+        "telemetry": telemetry,
         "duration_s": round(time.time() - started, 3),
     }
     with open(out_dir / "manifest.json", "w") as fh:
@@ -170,7 +171,7 @@ def cmd_roc(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.seed)
     out = _prepare_out(args.out)
     threads = resolve_threads(args.threads)
-    curves, failures = run_roc_experiment(cfg, threads)
+    curves, failures, telemetry = run_roc_experiment(cfg, threads)
     roc_rows = []
     auc_rows = []
     for name in cfg.detectors:
@@ -179,7 +180,7 @@ def cmd_roc(args: argparse.Namespace) -> int:
         auc_rows.append([name, _fmt(curve.auc)])
     _write_csv(out / "roc.csv", ["detector", "pfa", "pd"], roc_rows)
     _write_csv(out / "auc.csv", ["detector", "auc"], auc_rows)
-    _write_manifest(out, "roc", cfg, threads, ["roc.csv", "auc.csv"], failures, started)
+    _write_manifest(out, "roc", cfg, threads, ["roc.csv", "auc.csv"], failures, telemetry, started)
     log.info("roc: wrote %s and %s", out / "roc.csv", out / "auc.csv")
     return 0
 
@@ -191,13 +192,13 @@ def cmd_pm_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("config.sweep: required for pm-sweep")
     out = _prepare_out(args.out)
     threads = resolve_threads(args.threads)
-    points, failures = run_pm_sweep(cfg, threads)
+    points, failures, telemetry = run_pm_sweep(cfg, threads)
     rows = []
     for name in cfg.detectors:
         for pt in points[name]:
             rows.append([name, _fmt(pt.sweep_value), _fmt(pt.pm), _fmt(pt.ci_lo), _fmt(pt.ci_hi)])
     _write_csv(out / "pm.csv", ["detector", "sweep_value", "pm", "ci_lo", "ci_hi"], rows)
-    _write_manifest(out, "pm-sweep", cfg, threads, ["pm.csv"], failures, started)
+    _write_manifest(out, "pm-sweep", cfg, threads, ["pm.csv"], failures, telemetry, started)
     return 0
 
 
@@ -206,7 +207,7 @@ def cmd_null_dist(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.seed)
     out = _prepare_out(args.out)
     threads = resolve_threads(args.threads)
-    ks, table, n_valid = run_null_dist(cfg, threads)
+    ks, table, n_valid, telemetry = run_null_dist(cfg, threads)
     _write_csv(
         out / "nulldist.csv",
         ["t", "empirical_cdf", "chi2_cdf"],
@@ -219,7 +220,8 @@ def cmd_null_dist(args: argparse.Namespace) -> int:
         )
         fh.write("\n")
     failures = {"H0": cfg.trials_h0 - n_valid}
-    _write_manifest(out, "null-dist", cfg, threads, ["nulldist.csv", "ks.json"], failures, started)
+    outputs = ["nulldist.csv", "ks.json"]
+    _write_manifest(out, "null-dist", cfg, threads, outputs, failures, telemetry, started)
     return 0
 
 

@@ -115,37 +115,37 @@ def _glr(forms, n_restarts: int):
     n_restarts random starts stacked as extra rows, keeping each trial's
     best row. Restart k starts from random_start on substream(0, k), the
     same point for every trial. Returns the statistics exp(J), the ascent
-    records and the errors per trial (None, or the ValueError that fails
-    the trial: fully coherent channels, see COHERENCE_FLOOR, or a
-    non-finite statistic)."""
+    (None when no trial ascends), each trial's best row of it (-1 for a
+    trial that does not ascend) and the errors that fail trials, keyed by
+    trial: fully coherent channels (see COHERENCE_FLOOR) or a non-finite
+    statistic."""
     if n_restarts < 0:
         raise ValueError(f"n_restarts must be >= 0, got {n_restarts}")
     psi, gamma_m = (f.reshape((-1,) + f.shape[-2:]) for f in forms)
     count, dim = gamma_m.shape[:2]
     gap = np.linalg.eigvalsh(gamma_m)[:, 0]
-    errors: list[ValueError | None] = [None] * count
-    for i in np.flatnonzero(gap <= COHERENCE_FLOOR):
+    errors: dict[int, ValueError] = {}
+    for i in np.flatnonzero(gap <= COHERENCE_FLOOR).tolist():
         errors[i] = ValueError(
             f"the channels are fully coherent: I - C^H C has eigenvalue {gap[i]:.3e} <= {COHERENCE_FLOOR:.3e}"
         )
     valid = np.flatnonzero(gap > COHERENCE_FLOOR)
+    stats, rows = np.full(count, np.nan), np.full(count, -1)
+    if not valid.size:
+        return stats, None, rows, errors
     starts = [np.eye(1, dim, dtype=complex)[0]]
     starts += [random_start(dim, substream(0, k)) for k in range(n_restarts)]
     # Row k * len(valid) + j ascends trial valid[j] from starts[k].
     x0 = np.concatenate([np.broadcast_to(x, (valid.size, dim)) for x in starts])
     stacked = [np.tile(f[valid], (len(starts), 1, 1)) for f in (psi, gamma_m)]
-    runs = ascend(stacked, x0) if valid.size else []
-    j_values = np.reshape([r.j_value for r in runs], (len(starts), valid.size))
-    best = np.argmax(j_values, axis=0)  # the first start wins a tie
-    optim: list[OptimResult | None] = [None] * count
-    for j, i in enumerate(valid):
-        optim[i] = runs[best[j] * valid.size + j]
-    stats = np.full(count, np.nan)
+    ascent = ascend(stacked, x0)
+    best = np.argmax(ascent.j_value.reshape(len(starts), valid.size), axis=0)  # the first start wins a tie
+    rows[valid] = best * valid.size + np.arange(valid.size)
     with np.errstate(over="ignore"):
-        stats[valid] = np.exp(j_values[best, np.arange(valid.size)])
-    for i in valid[~np.isfinite(stats[valid])]:
+        stats[valid] = np.exp(ascent.j_value[rows[valid]])
+    for i in valid[~np.isfinite(stats[valid])].tolist():
         errors[i] = DegenerateSampleError(f"non-finite exact statistic {stats[i]}")
-    return stats, optim, errors
+    return stats, ascent, rows, errors
 
 
 def glr_exact(
@@ -154,30 +154,17 @@ def glr_exact(
     u_r: np.ndarray,
     n_restarts: int = 0,
 ) -> tuple[float, OptimResult]:
-    """Exact statistic Lambda^{1/N} via trust-region ascent.
-
-    Parameters
-    ----------
-    s : BlockSampleCov
-        Sample covariance with n >= 2L.
-    u_s, u_r : ndarray
-        Unit-norm steering vectors.
-    n_restarts : int, optional
-        Random starts added to the warm start e1, keeping the best
-        objective. e1 alone already matches the closed-form statistic
-        exactly, so the result never falls below 1 + glr_sample (up to
-        roundoff); near N = 2L restarts can escape a local maximum.
-
-    Returns
-    -------
-    (float, OptimResult)
-        The statistic Lambda^{1/N} >= 1 and the ascent record. Raises
-        ValueError when the channels are fully coherent (COHERENCE_FLOOR).
-    """
-    stats, optim, errors = _glr(cost_forms(*_beamform(s, u_s, u_r)), n_restarts)
-    if errors[0] is not None:
+    """Exact statistic Lambda^{1/N} >= 1 of a sample covariance with n >= 2L
+    and unit-norm steering vectors, via trust-region ascent, and the ascent's
+    OptimResult. n_restarts random starts are added to the warm start e1,
+    keeping the best objective. e1 alone already matches the closed-form
+    statistic exactly, so the result never falls below 1 + glr_sample (up to
+    roundoff); near N = 2L restarts can escape a local maximum. Raises
+    ValueError when the channels are fully coherent (COHERENCE_FLOOR)."""
+    stats, ascent, rows, errors = _glr(cost_forms(*_beamform(s, u_s, u_r)), n_restarts)
+    if errors:
         raise errors[0]
-    return float(stats[0]), optim[0]
+    return float(stats[0]), ascent.result(int(rows[0]))
 
 
 def sigma_max_coherence(s: BlockSampleCov) -> float:
@@ -250,47 +237,70 @@ class DetectorReport:
         return float(val)
 
 
-def score_batch(
-    s: BlockSampleCov,
-    u_s: np.ndarray,
-    u_r: np.ndarray,
-    detectors: tuple[str, ...] = DETECTOR_NAMES,
-    n_restarts: int = 0,
-) -> list[DetectorReport | ValueError]:
-    """Run the requested detectors on T covariances stacked along a leading axis.
+@dataclass
+class BlockScores:
+    """Scores of T trials as columns, one row per trial: what score_batch
+    returns. stats (T, D) holds the requested statistics in detectors order.
+    With glr, two_log_glr is 2 N log Lambda^{1/N}, and iterations and stop
+    are the steps and the stop code (an index into optimizer.STOP_REASONS)
+    of the ascent that gave glr; otherwise they read nan, 0 and -1. errors
+    maps each failed row to its error, and that row reads nan, 0 and -1."""
 
-    s holds (T, L, L) blocks and u_s, u_r are (T, L). The Cholesky factors,
-    the coherence matrix and the beamformer pair are formed once for the
-    stack and feed every detector that uses them. The closed forms and the
-    exact cost's forms are vector operations over the stack, one stacked
-    eigvalsh validates the latter, glr runs one lockstep ascent over all of
-    them (optimizer.ascend) with n_restarts random starts per trial besides
-    e1 (see glr_exact), and t_svd takes one stacked eigh of S_ss and
-    S_rr. Returns one entry per trial: its report, or the error that scoring
-    the trial alone raises first (from glr, a collapsed glr_sample
-    denominator, a zero channel in t_svd, then a non-finite statistic in
-    detector order). What fails for the whole stack, such as too few
-    snapshots or a block that is not positive definite, raises.
-    """
+    detectors: tuple[str, ...]
+    stats: np.ndarray
+    two_log_glr: np.ndarray
+    iterations: np.ndarray
+    stop: np.ndarray
+    errors: dict[int, Exception]
+
+    @classmethod
+    def empty(cls, detectors: tuple[str, ...], count: int) -> BlockScores:
+        """count rows that read nan, 0 and -1, none failed."""
+        return cls(tuple(detectors), np.full((count, len(detectors)), np.nan), np.full(count, np.nan),
+                   np.zeros(count, dtype=np.int32), np.full(count, -1, dtype=np.int8), {})
+
+    @classmethod
+    def concat(cls, parts: list[BlockScores]) -> BlockScores:
+        """The rows of parts, in order, as one block."""
+        start = np.cumsum([0] + [len(p.stats) for p in parts]).tolist()
+        columns = (np.concatenate([getattr(p, name) for p in parts])
+                   for name in ("stats", "two_log_glr", "iterations", "stop"))
+        errors = {at + i: err for at, p in zip(start, parts) for i, err in p.errors.items()}
+        return cls(parts[0].detectors, *columns, errors)
+
+    @property
+    def valid(self) -> np.ndarray:
+        """Mask of the rows that did not fail."""
+        ok = np.ones(len(self.stats), dtype=bool)
+        ok[list(self.errors)] = False
+        return ok
+
+    def stat(self, name: str, rows: slice = slice(None)) -> np.ndarray:
+        """One detector's statistic on the valid rows among rows."""
+        return self.stats[rows, self.detectors.index(name)][self.valid[rows]]
+
+
+def _score(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray, detectors: tuple[str, ...], n_restarts: int):
+    """score_batch's scores, plus glr's ascent and each trial's row of it
+    (see _glr), from which compute_report builds a trial's OptimResult."""
     unknown = set(detectors) - set(DETECTOR_NAMES)
     if unknown:
         raise ValueError(f"unknown detectors {sorted(unknown)}; valid: {DETECTOR_NAMES}")
-    count = s.s_ss.shape[0]
-    errors: list[ValueError | None] = [None] * count
+    out = BlockScores.empty(detectors, s.s_ss.shape[0])
 
     def flag(mask: np.ndarray, make) -> None:
-        for i in np.flatnonzero(mask):
-            if errors[i] is None:
-                errors[i] = make(i)
+        for i in np.flatnonzero(mask).tolist():
+            if i not in out.errors:
+                out.errors[i] = make(i)
 
     stats = {}
-    optim: list[OptimResult | None] = [None] * count
+    ascent, rows = None, None
     if set(PROPOSED_DETECTORS) & set(detectors):
         c, pair = _beamform(s, u_s, u_r)
     elif "sigma_max" in detectors:
         c = coherence_matrix(s)
     if "glr" in detectors:
-        stats["glr"], optim, errors = _glr(cost_forms(c, pair), n_restarts)
+        stats["glr"], ascent, rows, out.errors = _glr(cost_forms(c, pair), n_restarts)
     with np.errstate(divide="ignore", invalid="ignore"):
         if "glr_sample" in detectors or "glr_low" in detectors:
             num, den, low_den = _closed_form_terms(c, pair)
@@ -306,21 +316,42 @@ def score_batch(
         if "t_svd" in detectors:
             stats["t_svd"], zero = _svd_corr(s)
             flag(zero, lambda i: ValueError(_ZERO_CHANNEL))
-    for name in detectors:
-        vals = stats[name]
+    for k, name in enumerate(detectors):
+        vals = out.stats[:, k] = stats[name]
         flag(~np.isfinite(vals), lambda i: DegenerateSampleError(f"non-finite statistic {name} = {vals[i]}"))
-    columns = {_REPORT_FIELD.get(name, name): vals.tolist() for name, vals in stats.items()}
-    out: list[DetectorReport | ValueError] = []
-    for i in range(count):
-        if errors[i] is not None:
-            out.append(errors[i])
-            continue
-        report = DetectorReport(**{field: col[i] for field, col in columns.items()})
-        if optim[i] is not None:
-            report.two_log_glr = 2.0 * s.n * math.log(report.glr_1n)
-            report.optim = optim[i]
-        out.append(report)
-    return out
+    out.stats[list(out.errors)] = np.nan
+    if ascent is not None:
+        done = out.valid & (rows >= 0)
+        # math.log, not np.log: the two differ in the last bit on some doubles.
+        out.two_log_glr[done] = 2.0 * s.n * np.array([math.log(g) for g in stats["glr"][done].tolist()])
+        out.iterations[done], out.stop[done] = ascent.iterations[rows[done]], ascent.stop[rows[done]]
+    return out, ascent, rows
+
+
+def score_batch(
+    s: BlockSampleCov,
+    u_s: np.ndarray,
+    u_r: np.ndarray,
+    detectors: tuple[str, ...] = DETECTOR_NAMES,
+    n_restarts: int = 0,
+) -> BlockScores:
+    """Run the requested detectors on T covariances stacked along a leading axis.
+
+    s holds (T, L, L) blocks and u_s, u_r are (T, L). The Cholesky factors,
+    the coherence matrix and the beamformer pair are formed once for the
+    stack and feed every detector that uses them. The closed forms and the
+    exact cost's forms are vector operations over the stack, one stacked
+    eigvalsh validates the latter, glr runs one lockstep ascent over all of
+    them (optimizer.ascend) with n_restarts random starts per trial besides
+    e1 (see glr_exact), and t_svd takes one stacked eigh of S_ss and
+    S_rr. Returns the block's scores as columns (BlockScores), a row per
+    trial. A trial that fails carries the error that scoring it alone raises
+    first (from glr, a collapsed glr_sample denominator, a zero channel in
+    t_svd, then a non-finite statistic in detector order). What fails for
+    the whole stack, such as too few snapshots or a block that is not
+    positive definite, raises.
+    """
+    return _score(s, u_s, u_r, detectors, n_restarts)[0]
 
 
 def compute_report(
@@ -330,10 +361,15 @@ def compute_report(
     n_restarts: int = 0,
 ) -> DetectorReport:
     """Run the requested detectors on one record's sample covariance:
-    score_batch on a stack of one. Raises the error the record hits; callers
-    that sweep many records use score_batch, which returns it instead."""
+    score_batch on a stack of one, as a DetectorReport. Raises the error the
+    record hits; callers that sweep many records use score_batch, which
+    returns it instead."""
     stack = BlockSampleCov(s.s_ss[None], s.s_sr[None], s.s_rr[None], s.n)
-    (report,) = score_batch(stack, steering.u_s[None], steering.u_r[None], detectors, n_restarts)
-    if isinstance(report, ValueError):
-        raise report
+    scores, ascent, rows = _score(stack, steering.u_s[None], steering.u_r[None], detectors, n_restarts)
+    if scores.errors:
+        raise scores.errors[0]
+    report = DetectorReport(**{_REPORT_FIELD.get(n, n): float(v) for n, v in zip(detectors, scores.stats[0])})
+    if ascent is not None:
+        report.two_log_glr = float(scores.two_log_glr[0])
+        report.optim = ascent.result(int(rows[0]))
     return report

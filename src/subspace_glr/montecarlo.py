@@ -3,7 +3,7 @@
 Trials are embarrassingly parallel and fully reproducible. Trial i of a
 hypothesis reads its own fixed slice of words of the Philox stream keyed by
 (run seed, hypothesis), at counter i W / 4 (see model.synth_batch), so the
-records do not depend on execution order, chunking, or worker count;
+scores do not depend on execution order, chunking, or worker count;
 reruns with the same config and seed produce identical numbers whether the
 pool has one process or eight. With more than one worker, each point's trials
 are cut into chunks of min(BLOCK_TRIALS, ceil(n / workers)) trials (one chunk
@@ -11,7 +11,9 @@ when n < 2 * workers), so a chunk fills a block where n allows it. Each CLI
 run uses at most one process pool: the chunks of every point of a pm-sweep go
 to it in one map. A chunk is synthesized and scored in blocks of at most
 BLOCK_TRIALS trials as stacked arrays; a trial scored alone (a block of one)
-gets the same numbers.
+gets the same numbers. Results stay columns throughout: a chunk returns one
+detectors.BlockScores per block, a point concatenates them, rows ordered all
+H0 by index then all H1 by index, and the curves read them by mask.
 
 Thresholds are calibrated empirically from the H0 sample as the order
 statistic at rank ceil((1 - pfa) * M), i.e. the smallest threshold whose
@@ -32,8 +34,9 @@ import numpy as np
 import numpy.ma  # np.unique (roc_curve) loads it on first use; load it with the package
 
 from .covariance import block_sample_cov
-from .detectors import DETECTOR_NAMES, DetectorReport, score_batch
-from .model import STEERING_MODES, ScenarioConfig, synth_batch
+from .detectors import DETECTOR_NAMES, BlockScores, score_batch
+from .model import HYPOTHESES, STEERING_MODES, ScenarioConfig, synth_batch
+from .optimizer import STOP_REASONS
 
 log = logging.getLogger(__name__)
 
@@ -113,57 +116,42 @@ class ExperimentConfig:
                 raise ValueError(f"sweep.values: at {value:g}: {exc}") from None
 
 
-@dataclass
-class TrialRecord:
-    """One trial's outcome. error is None for valid records; failed trials
-    keep their seed tag and message so nothing is silently dropped."""
-
-    trial_index: int
-    hypothesis: str
-    seed_tag: str
-    report: DetectorReport | None = None
-    iterations: int = 0
-    error: str | None = None
+def _rows(cfg: ExperimentConfig, hypothesis: str) -> slice:
+    """The rows of one hypothesis in the scores of a run of cfg: all H0
+    trials by index, then all H1 trials by index."""
+    return slice(0, cfg.trials_h0) if hypothesis == "H0" else slice(cfg.trials_h0, None)
 
 
-def _record(
-    cfg: ExperimentConfig, hypothesis: str, trial_index: int, outcome: DetectorReport | Exception
-) -> TrialRecord:
-    tag = f"{cfg.scenario.seed}/{hypothesis}/{trial_index}"
-    if isinstance(outcome, Exception):
-        return TrialRecord(trial_index, hypothesis, tag, error=f"{type(outcome).__name__}: {outcome}")
-    iters = outcome.optim.iterations if outcome.optim is not None else 0
-    return TrialRecord(trial_index, hypothesis, tag, report=outcome, iterations=iters)
-
-
-def _score_block(cfg: ExperimentConfig, block: list[tuple[str, int]]) -> list[TrialRecord]:
+def _score_block(cfg: ExperimentConfig, block: list[tuple[str, int]]) -> BlockScores:
     """Synthesize and score a block of trials as stacked arrays."""
     u_s, u_r, y_s, y_r = synth_batch(cfg.scenario, cfg.steering_mode, block)
-    outcomes = score_batch(block_sample_cov(y_s, y_r), u_s, u_r, cfg.detectors, cfg.n_restarts)
-    return [_record(cfg, hyp, idx, out) for (hyp, idx), out in zip(block, outcomes)]
+    return score_batch(block_sample_cov(y_s, y_r), u_s, u_r, cfg.detectors, cfg.n_restarts)
 
 
-def run_one_trial(cfg: ExperimentConfig, hypothesis: str, trial_index: int) -> TrialRecord:
+def run_one_trial(cfg: ExperimentConfig, hypothesis: str, trial_index: int) -> BlockScores:
     """Synthesize and score a single trial from its own slice of the
-    stream: a block of one. Any error it hits is kept in the record."""
+    stream: a block of one. Any error it hits fails its row."""
     try:
-        return _score_block(cfg, [(hypothesis, trial_index)])[0]
+        return _score_block(cfg, [(hypothesis, trial_index)])
     except Exception as exc:
-        return _record(cfg, hypothesis, trial_index, exc)
+        out = BlockScores.empty(cfg.detectors, 1)
+        out.errors[0] = exc
+        return out
 
 
-def _run_chunk(cfg: ExperimentConfig, items: list[tuple[str, int]]) -> list[TrialRecord]:
-    """Score the items in blocks of BLOCK_TRIALS. A block that raises as a
-    whole (say, one trial's sample block is not positive definite) is scored
-    again one trial at a time, so only the failing trials carry the error."""
-    records: list[TrialRecord] = []
+def _run_chunk(cfg: ExperimentConfig, items: list[tuple[str, int]]) -> list[BlockScores]:
+    """Score the items in blocks of BLOCK_TRIALS, one BlockScores per block.
+    A block that raises as a whole (say, one trial's sample block is not
+    positive definite) is scored again one trial at a time, so only the
+    failing trials carry the error."""
+    out: list[BlockScores] = []
     for start in range(0, len(items), BLOCK_TRIALS):
         block = items[start : start + BLOCK_TRIALS]
         try:
-            records += _score_block(cfg, block)
+            out.append(_score_block(cfg, block))
         except Exception:
-            records += [run_one_trial(cfg, hyp, idx) for hyp, idx in block]
-    return records
+            out.append(BlockScores.concat([run_one_trial(cfg, hyp, idx) for hyp, idx in block]))
+    return out
 
 
 def resolve_threads(threads: int) -> int:
@@ -182,26 +170,16 @@ def _plan_chunks(items: list[tuple[str, int]], workers: int) -> list[list[tuple[
     return [items[i : i + size] for i in range(0, len(items), size)]
 
 
-def _check_failures(records: list[TrialRecord]) -> None:
-    bad = sum(1 for r in records if r.error is not None)
-    if bad:
-        log.warning("%d of %d trials failed; first: %s", bad, len(records),
-                    next(r.error for r in records if r.error is not None))
-    if bad > MAX_FAILURE_RATE * len(records):
-        raise RuntimeError(
-            f"{bad} of {len(records)} trials failed, above the allowed rate {MAX_FAILURE_RATE}"
-        )
-
-
 def _run_points(
     cfgs: list[ExperimentConfig], threads: int, values: tuple[float, ...] | None = None
-) -> list[list[TrialRecord]]:
+) -> list[BlockScores]:
     """Run the H0 and H1 trials of every point (one config each) and return
-    each point's records, ordered as in run_trials.
+    each point's scores, ordered as in run_trials.
 
     One worker runs the points in-process. Otherwise the jobs of every point
     go to one process pool in one map, so the workers are forked once and no
-    point waits for the previous one; a single job runs in-process. The
+    point waits for the previous one; a single job runs in-process. A job
+    returns one BlockScores per block, so only columns cross the pool. The
     failure rate is checked per point as it completes, in point order, and
     the first point above it stops the run. values label the points in the
     progress log.
@@ -212,47 +190,49 @@ def _run_points(
         for cfg in cfgs
     ]
     jobs = [(p, chunk) for p, its in enumerate(items) for chunk in _plan_chunks(its, workers)]
-    records: list[list[TrialRecord]] = [[] for _ in cfgs]
+    parts: list[list[BlockScores]] = [[] for _ in cfgs]
+    points: list[BlockScores] = []
 
-    def collect(p: int, part: list[TrialRecord]) -> None:
-        records[p].extend(part)
+    def collect(p: int, blocks: list[BlockScores]) -> None:
+        parts[p] += blocks
+        done = sum(len(b.stats) for b in parts[p])
         log.info("point %d (%s): %d of %d trials done", p,
-                 "-" if values is None else f"{values[p]:g}", len(records[p]), len(items[p]))
-        if len(records[p]) == len(items[p]):
-            _check_failures(records[p])
+                 "-" if values is None else f"{values[p]:g}", done, len(items[p]))
+        if done < len(items[p]):
+            return
+        points.append(BlockScores.concat(parts[p]))
+        errors = points[-1].errors
+        if errors:
+            first = errors[min(errors)]
+            log.warning("%d of %d trials failed; first: %s", len(errors), done,
+                        f"{type(first).__name__}: {first}")
+        if len(errors) > MAX_FAILURE_RATE * done:
+            raise RuntimeError(
+                f"{len(errors)} of {done} trials failed, above the allowed rate {MAX_FAILURE_RATE}"
+            )
 
     if workers == 1 or len(jobs) == 1:
         for p, chunk in jobs:
             collect(p, _run_chunk(cfgs[p], chunk))
-        return records
+        return points
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        parts = pool.map(_run_chunk, [cfgs[p] for p, _ in jobs], [chunk for _, chunk in jobs])
+        results = pool.map(_run_chunk, [cfgs[p] for p, _ in jobs], [chunk for _, chunk in jobs])
         try:
-            for (p, _), part in zip(jobs, parts):
-                collect(p, part)
+            for (p, _), blocks in zip(jobs, results):
+                collect(p, blocks)
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
-    return records
+    return points
 
 
-def run_trials(cfg: ExperimentConfig, threads: int = 0) -> list[TrialRecord]:
+def run_trials(cfg: ExperimentConfig, threads: int = 0) -> BlockScores:
     """Run the configured H0 and H1 trials.
 
-    Records come back ordered (all H0 by index, then all H1 by index)
+    Rows come back ordered (all H0 by index, then all H1 by index)
     regardless of how many workers executed them.
     """
     return _run_points([cfg], threads)[0]
-
-
-def collect_stats(records: list[TrialRecord], detector: str, hypothesis: str) -> np.ndarray:
-    """Statistic values of the valid records for one detector and hypothesis."""
-    vals = [
-        r.report.stat(detector)
-        for r in records
-        if r.hypothesis == hypothesis and r.error is None and r.report is not None
-    ]
-    return np.asarray(vals, dtype=float)
 
 
 def calibrate_threshold(h0_stats: np.ndarray, pfa: float) -> float:
@@ -376,75 +356,90 @@ def apply_sweep_value(cfg: ExperimentConfig, value: float) -> ExperimentConfig:
     return dataclasses.replace(cfg, scenario=sc, sweep=None)
 
 
+def telemetry(cfg: ExperimentConfig, scores: BlockScores) -> dict:
+    """Counts that explain a run of cfg, the same at any worker count. With
+    glr, "ascent" gives per hypothesis how the ascents of the valid trials
+    stopped and their iteration count's p50, p90 (by nearest rank) and max.
+    "failures" groups the failed trials by error class, with their count and
+    the seed tag (seed/hypothesis/index) of the first."""
+    out: dict = {"failures": {}}
+    if "glr" in scores.detectors:
+        out["ascent"] = {}
+        for hyp in HYPOTHESES:
+            rows = _rows(cfg, hyp)
+            iters, stop = (col[rows][scores.valid[rows]] for col in (scores.iterations, scores.stop))
+            if iters.size:
+                p50, p90 = np.quantile(iters, [0.5, 0.9], method="inverted_cdf")
+                out["ascent"][hyp] = {
+                    "stop_reasons": {name: int(np.sum(stop == k)) for k, name in enumerate(STOP_REASONS)},
+                    "iterations": {"p50": int(p50), "p90": int(p90), "max": int(iters.max())},
+                }
+    for row, err in sorted(scores.errors.items()):
+        hyp, idx = ("H0", row) if row < cfg.trials_h0 else ("H1", row - cfg.trials_h0)
+        tag = f"{cfg.scenario.seed}/{hyp}/{idx}"
+        out["failures"].setdefault(type(err).__name__, {"count": 0, "first": tag})["count"] += 1
+    return out
+
+
 def run_roc_experiment(
     cfg: ExperimentConfig, threads: int = 0
-) -> tuple[dict[str, RocCurve], dict[str, int]]:
-    """ROC curves for every configured detector, plus failure counts."""
+) -> tuple[dict[str, RocCurve], dict[str, int], dict]:
+    """ROC curves for every configured detector, failure counts per
+    hypothesis and the run's telemetry."""
     if cfg.trials_h1 < 1:
         raise ValueError("a ROC run needs trials_h1 >= 1")
-    records = run_trials(cfg, threads)
-    failures = {
-        "H0": sum(1 for r in records if r.hypothesis == "H0" and r.error is not None),
-        "H1": sum(1 for r in records if r.hypothesis == "H1" and r.error is not None),
-    }
-    curves = {}
-    for name in cfg.detectors:
-        h0 = collect_stats(records, name, "H0")
-        h1 = collect_stats(records, name, "H1")
-        curves[name] = roc_curve(h0, h1)
-    return curves, failures
+    scores = run_trials(cfg, threads)
+    h0, h1 = _rows(cfg, "H0"), _rows(cfg, "H1")
+    failures = {"H0": int(np.sum(~scores.valid[h0])), "H1": int(np.sum(~scores.valid[h1]))}
+    curves = {name: roc_curve(scores.stat(name, h0), scores.stat(name, h1)) for name in cfg.detectors}
+    return curves, failures, telemetry(cfg, scores)
 
 
 def run_pm_sweep(
     cfg: ExperimentConfig, threads: int = 0
-) -> tuple[dict[str, list[PmPoint]], dict[str, int]]:
+) -> tuple[dict[str, list[PmPoint]], dict[str, int], dict[str, dict]]:
     """Missed-detection probability along the sweep, one curve per detector.
 
     Thresholds are recalibrated from the H0 trials of each sweep point at
     cfg.pfa; a point with fewer than 10 / pfa valid H0 trials logs one
     warning that its threshold is noisy. Also returns failed-trial counts
-    keyed by sweep value.
+    and the telemetry of each point, keyed by sweep value.
     """
     if cfg.sweep is None:
         raise ValueError("pm sweep requires a sweep block in the config")
     if cfg.trials_h1 < 1:
         raise ValueError("a pm sweep needs trials_h1 >= 1")
     values = cfg.sweep.values
-    per_point = _run_points([apply_sweep_value(cfg, v) for v in values], threads, values)
+    points = [apply_sweep_value(cfg, v) for v in values]
     out: dict[str, list[PmPoint]] = {name: [] for name in cfg.detectors}
     failures: dict[str, int] = {}
-    for value, records in zip(values, per_point):
-        failures[repr(float(value))] = sum(1 for r in records if r.error is not None)
-        n_h0 = sum(1 for r in records if r.hypothesis == "H0" and r.error is None)
+    counts: dict[str, dict] = {}
+    for value, point, scores in zip(values, points, _run_points(points, threads, values)):
+        failures[repr(float(value))] = len(scores.errors)
+        counts[repr(float(value))] = telemetry(point, scores)
+        h0, h1 = _rows(point, "H0"), _rows(point, "H1")
+        n_h0 = int(np.sum(scores.valid[h0]))
         if n_h0 < 10.0 / cfg.pfa:
             log.warning("point %s: only %d H0 trials for pfa = %g; threshold is noisy",
                         value, n_h0, cfg.pfa)
         for name in cfg.detectors:
-            h0 = collect_stats(records, name, "H0")
-            h1 = collect_stats(records, name, "H1")
-            out[name].append(pm_at(h0, h1, cfg.pfa, sweep_value=value))
-    return out, failures
+            h0_stats, h1_stats = scores.stat(name, h0), scores.stat(name, h1)
+            out[name].append(pm_at(h0_stats, h1_stats, cfg.pfa, sweep_value=value))
+    return out, failures, counts
 
 
 def run_null_dist(
     cfg: ExperimentConfig, threads: int = 0
-) -> tuple[float, np.ndarray, int]:
+) -> tuple[float, np.ndarray, int, dict]:
     """Null distribution of 2 log Lambda against its large-sample reference.
 
     Runs H0 trials only (the exact detector must be enabled) and returns
-    (ks distance, cdf table, number of valid trials).
+    (ks distance, cdf table, number of valid trials, telemetry).
     """
     if "glr" not in cfg.detectors:
         raise ValueError("null-dist requires the glr detector")
     cfg = dataclasses.replace(cfg, trials_h1=0)
-    records = run_trials(cfg, threads)
-    vals = np.asarray(
-        [
-            r.report.two_log_glr
-            for r in records
-            if r.error is None and r.report is not None and r.report.two_log_glr is not None
-        ],
-        dtype=float,
-    )
+    scores = run_trials(cfg, threads)
+    vals = scores.two_log_glr[scores.valid]
     ks, table = wilks_diag(vals)
-    return ks, table, int(vals.size)
+    return ks, table, int(vals.size), telemetry(cfg, scores)

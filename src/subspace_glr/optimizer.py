@@ -80,6 +80,8 @@ GRAD_TOL = 1e-8
 INITIAL_RADIUS = 0.5
 MIN_RADIUS = 1e-12
 ACCEPT_RATIO = 0.1
+# How an ascent stopped; Ascent.stop holds indices into this tuple.
+STOP_REASONS = ("gradient", "radius", "max_iter")
 
 _EPS = np.finfo(float).eps
 # A predicted gain at or below this share of 1 + |J| is below J's roundoff.
@@ -127,6 +129,30 @@ class OptimResult:
     @property
     def converged(self) -> bool:
         return self.stop_reason == "gradient"
+
+
+@dataclass
+class Ascent:
+    """Outcome of a lockstep ascent as per-row arrays, one row per start.
+
+    x_hat (T, L) is canonical, j_value (T,) the final J, iterations (T,) the
+    steps taken and stop (T,) an index into STOP_REASONS. j_passes (T, P + 1)
+    holds each row's J at the start and after each of the P passes; a row's
+    value changes only at an accepted step, which raises it.
+    """
+
+    x_hat: np.ndarray
+    j_value: np.ndarray
+    iterations: np.ndarray
+    stop: np.ndarray
+    j_passes: np.ndarray
+
+    def result(self, row: int) -> OptimResult:
+        """The OptimResult of one row; its j_trace is the row's distinct J values."""
+        passes = self.j_passes[row]
+        trace = passes[np.r_[True, passes[1:] != passes[:-1]]]
+        return OptimResult(self.x_hat[row].copy(), float(self.j_value[row]),
+                           int(self.iterations[row]), STOP_REASONS[self.stop[row]], trace)
 
 
 def _chart_forms(forms) -> tuple[np.ndarray, np.ndarray]:
@@ -292,14 +318,15 @@ def solve_subproblem(
     return p, gain
 
 
-def ascend(forms, starts: np.ndarray) -> list[OptimResult]:
+def ascend(forms, starts: np.ndarray) -> Ascent:
     """Ascend J from each row of starts (T, L) on the surface of the same row
     of forms = (psi, gamma_m), each (T, L, L), all rows in lockstep.
 
     Each start is moved into the chart x = [1; y] by dividing by its first
     entry, which must not vanish. Steps are scored against the quadratic
-    model, and each row's trace of accepted objective values is monotone
-    because only improving steps are taken.
+    model and only improving steps are taken, so each row's J never falls.
+    Returns the rows' outcomes as arrays; Ascent.result builds one row's
+    OptimResult.
     """
     starts = np.asarray(starts, dtype=complex)
     count, dim = starts.shape
@@ -313,25 +340,28 @@ def ascend(forms, starts: np.ndarray) -> list[OptimResult]:
         raise ValueError(f"objective is -inf at the start point of row {bad}")
     grad, hess = _chart_derivatives(m_free, mu, q)
 
-    # Final state per row, filled in as rows stop.
+    # Final state per row, filled in as rows stop; f_out is every row's
+    # current J, and passes gets a copy of it after each pass.
     u_out, f_out = u.copy(), f.copy()
+    passes = [f_out.copy()]
     iterations = np.zeros(count, dtype=int)
-    stop = np.empty(count, dtype=object)
-    traces = [[v] for v in f.tolist()]
+    stop = np.empty(count, dtype=np.int8)
     rows = np.arange(count)
     radius = np.full(count, INITIAL_RADIUS)
     steps = np.zeros(count, dtype=int)
 
-    def retire(done: np.ndarray, reason: str) -> np.ndarray:
-        """Record the rows flagged in done and return the mask of the others."""
+    def retire(done: np.ndarray, code: int) -> np.ndarray:
+        """Record the rows flagged in done as stopped for STOP_REASONS[code]
+        and return the mask of the others."""
         idx = rows[done]
-        u_out[idx], f_out[idx], iterations[idx], stop[idx] = u[done], f[done], steps[done], reason
+        u_out[idx], iterations[idx], stop[idx] = u[done], steps[done], code
         return ~done
 
     while rows.size:
         p, pred = solve_subproblem(grad, hess, radius)
         gnorm = np.sqrt(np.sum(grad * grad, axis=-1))
-        active = retire((gnorm <= GRAD_TOL) | (pred <= _GAIN_RTOL * (1.0 + np.abs(f))), "gradient")
+        done = (gnorm <= GRAD_TOL) | (pred <= _GAIN_RTOL * (1.0 + np.abs(f)))
+        active = retire(done, STOP_REASONS.index("gradient"))
         if not active.all():
             rows, m, m_free, u, f, grad, hess, radius, steps, p, pred = (
                 a[active] for a in (rows, m, m_free, u, f, grad, hess, radius, steps, p, pred)
@@ -349,14 +379,14 @@ def ascend(forms, starts: np.ndarray) -> list[OptimResult]:
         if acc.any():
             grad[acc], hess[acc] = _chart_derivatives(m_free[acc], mu[acc], q[acc])
             u[acc], f[acc] = u_new[acc], f_new[acc]
-            for i, v in zip(rows[acc].tolist(), f_new[acc].tolist()):
-                traces[i].append(v)
+            f_out[rows[acc]] = f_new[acc]
+        passes.append(f_out.copy())
         grow = acc & (ratio > 0.75) & (step_norm >= 0.9 * radius)
         shrink = acc & ~grow & (ratio < 0.25)
         radius = np.where(grow, 2.0 * radius, np.where(shrink, 0.5 * radius, radius))
         radius = np.where(acc, radius, 0.25 * np.minimum(radius, step_norm))
-        active = retire(radius < MIN_RADIUS, "radius")
-        active &= retire(active & (steps >= MAX_ITER), "max_iter")
+        active = retire(radius < MIN_RADIUS, STOP_REASONS.index("radius"))
+        active &= retire(active & (steps >= MAX_ITER), STOP_REASONS.index("max_iter"))
         if not active.all():
             rows, m, m_free, u, f, grad, hess, radius, steps = (
                 a[active] for a in (rows, m, m_free, u, f, grad, hess, radius, steps)
@@ -364,11 +394,7 @@ def ascend(forms, starts: np.ndarray) -> list[OptimResult]:
 
     x_hat = u_out[:, :dim].astype(complex)
     x_hat[:, 1:] += 1j * u_out[:, dim:]
-    x_hat = _canonicalize(x_hat)
-    return [
-        OptimResult(x_hat[i], float(f_out[i]), int(iterations[i]), stop[i], np.asarray(traces[i]))
-        for i in range(count)
-    ]
+    return Ascent(_canonicalize(x_hat), f_out, iterations, stop, np.stack(passes, axis=1))
 
 
 def _one(forms, x: np.ndarray):
@@ -413,7 +439,7 @@ def maximize_j(forms, x0: np.ndarray) -> OptimResult:
     """Ascend J on the surface of forms = (psi, gamma_m), each L x L, from x0
     with the exact-step trust-region method in the chart x = [1; y]: ascend
     on a stack of one."""
-    return ascend(*_one(forms, x0))[0]
+    return ascend(*_one(forms, x0)).result(0)
 
 
 def random_start(num_sensors: int, rng: np.random.Generator) -> np.ndarray:

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import subspace_glr as sg
-from subspace_glr.montecarlo import collect_stats
 from subspace_glr.optimizer import random_start
 from _reference import (
     cross_capon_beta,
@@ -246,12 +245,12 @@ def test_criterion_5_dominance(identity_instances, fig3_records, emit):
         worst_dom = max(worst_dom, 1.0 + lam_app - stat)
         worst_bound = max(worst_bound, lam_low - smax**2)
         checked += 1
-    for r in records:
-        if r.error is not None:
-            continue
-        worst_dom = max(worst_dom, 1.0 + r.report.glr_sample - r.report.glr_1n)
-        worst_bound = max(worst_bound, r.report.glr_low - r.report.sigma_max**2)
-        checked += 1
+    glr, glr_sample, glr_low, sigma_max = (
+        records.stat(name) for name in ("glr", "glr_sample", "glr_low", "sigma_max")
+    )
+    worst_dom = max(worst_dom, np.max(1.0 + glr_sample - glr))
+    worst_bound = max(worst_bound, np.max(glr_low - sigma_max**2))
+    checked += glr.size
     emit("5 dominance Lambda >= 1 + lambda_app (tol 1e-8)", worst_dom <= 1e-8,
           f"max_violation={worst_dom:.2e} over {checked} instances")
     emit("5 bound lambda_low <= sigma_max^2", worst_bound <= 1e-12,
@@ -281,7 +280,7 @@ def test_criterion_7_wilks_null_distribution(emit):
         detectors=("glr",),
     )
     started = time.time()
-    ks, _, n_valid = sg.run_null_dist(cfg, threads=0)
+    ks, _, n_valid, _ = sg.run_null_dist(cfg, threads=0)
     elapsed = time.time() - started
     emit("7 Wilks KS distance (tol 0.05, <= 600 s)",
           ks <= 0.05 and elapsed <= 600.0 and n_valid == 10_000,
@@ -290,8 +289,8 @@ def test_criterion_7_wilks_null_distribution(emit):
 
 def test_criterion_8_roc_ordering(fig3_records, emit):
     cfg, records, elapsed = fig3_records
-    h0 = {n: collect_stats(records, n, "H0") for n in cfg.detectors}
-    h1 = {n: collect_stats(records, n, "H1") for n in cfg.detectors}
+    h0 = {n: records.stat(n, slice(0, cfg.trials_h0)) for n in cfg.detectors}
+    h1 = {n: records.stat(n, slice(cfg.trials_h0, None)) for n in cfg.detectors}
     auc = {n: sg.roc_curve(h0[n], h1[n]).auc for n in cfg.detectors}
     order_ok = auc["glr"] >= auc["glr_sample"] >= auc["glr_low"]
     emit("8 AUC ordering glr >= glr_sample >= glr_low", order_ok,
@@ -327,7 +326,7 @@ def test_criterion_9_pm_trend(emit):
                            snr_r_db_offset=10.0),
     )
     started = time.time()
-    points, _ = sg.run_pm_sweep(cfg, threads=0)
+    points, _, _ = sg.run_pm_sweep(cfg, threads=0)
     elapsed = time.time() - started
     all_ok = True
     details = []

@@ -220,6 +220,41 @@ class TestRoc:
         assert manifest["trial_failures"] == {"H0": 0, "H1": 0}
         assert manifest["outputs"] == ["roc.csv", "auc.csv"]
 
+    def test_telemetry_same_at_any_thread_count(self, tmp_path, monkeypatch):
+        # the manifest's telemetry holds counts only, so it repeats for one
+        # seed at any worker count; two zero channels make one failure group
+        monkeypatch.setattr(montecarlo, "MAX_FAILURE_RATE", 0.5)
+        real = montecarlo.synth_batch
+
+        def zero_h1_3_and_5(sc, mode, trials):
+            u_s, u_r, y_s, y_r = real(sc, mode, trials)
+            y_s[[k for k, item in enumerate(trials) if item in {("H1", 3), ("H1", 5)}]] = 0.0
+            return u_s, u_r, y_s, y_r
+
+        monkeypatch.setattr(montecarlo, "synth_batch", zero_h1_3_and_5)
+        cfg = write_config(tmp_path, trials_h0=24, trials_h1=24, detectors=["glr", "glr_low"])
+        got = {}
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            assert main(["roc", "--config", str(cfg), "--out", str(out), "--threads", str(threads)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["trial_failures"] == {"H0": 0, "H1": 2}
+            got[threads] = manifest["telemetry"]
+        assert got[1] == got[2]
+        assert got[1]["failures"] == {"ValueError": {"count": 2, "first": "7/H1/3"}}
+        for hyp, valid in (("H0", 24), ("H1", 22)):
+            ascent = got[1]["ascent"][hyp]
+            assert sorted(ascent["stop_reasons"]) == sorted(sg.STOP_REASONS)
+            assert sum(ascent["stop_reasons"].values()) == valid
+            iterations = ascent["iterations"]
+            assert 0 <= iterations["p50"] <= iterations["p90"] <= iterations["max"]
+
+    def test_telemetry_without_glr_has_no_ascent(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["roc", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["telemetry"] == {"failures": {}}
+
     def test_rerun_byte_identical_across_threads(self, tmp_path):
         cfg = write_config(tmp_path, trials_h0=24, trials_h1=24)
         a, b = tmp_path / "a", tmp_path / "b"
@@ -239,7 +274,7 @@ class TestRoc:
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         main(["roc", "--config", str(cfg), "--out", str(out), "--threads", "1"])
-        curves, _ = sg.run_roc_experiment(sg.ExperimentConfig(
+        curves, _, _ = sg.run_roc_experiment(sg.ExperimentConfig(
             scenario=sg.ScenarioConfig(L=2, N=8, snr_s_db=0.0, snr_r_db=10.0, seed=7),
             trials_h0=12, trials_h1=12, detectors=("glr_low", "sigma_max"),
         ), threads=1)

@@ -2,9 +2,26 @@ import numpy as np
 import pytest
 
 import subspace_glr as sg
-from subspace_glr._linalg import householder
+from subspace_glr._linalg import cholesky_pd, householder
 from _reference import alpha_sr, cross_capon_beta, eta_rr, eta_sr, unitary_completion
 from _utils import make_instance, rand_pd, rand_unit
+
+
+class TestCholeskyPd:
+    def test_nan_pivot_named(self):
+        # the OpenBLAS potrf numpy ships lets a NaN pivot pass; the factor's
+        # diagonal shows it
+        a = np.eye(3)
+        a[1, 1] = np.nan
+        with pytest.raises(ValueError, match="^s_ss is not positive definite$"):
+            cholesky_pd(a, "s_ss")
+
+    def test_nan_in_one_matrix_of_a_stack(self):
+        a = np.stack([np.eye(3)] * 4).astype(complex)
+        a[2, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="s_rr is not positive definite"):
+            cholesky_pd(a, "s_rr")
+        assert np.array_equal(cholesky_pd(a[:2], "s_rr"), a[:2])
 
 
 class TestSampleCov:

@@ -64,10 +64,10 @@ class TestScaleInvariance:
         u_s, u_r, y_s, y_r = sg.synth_batch(cfg, "random-unit", [("H0", k) for k in range(100)])
 
         def log_glr(c_s, c_r):
-            reports = sg.score_batch(
+            scores = sg.score_batch(
                 sg.block_sample_cov(c_s * y_s, c_r * y_r), u_s, u_r, detectors=("glr",)
             )
-            return np.log([r.glr_1n for r in reports])
+            return np.log(scores.stat("glr"))
 
         base = log_glr(1.0, 1.0)
         for c_s, c_r in [(1e3, 1e-3), (1e-4, 1e-4), (1e5, 1e5)]:
@@ -217,10 +217,9 @@ class TestExactStatistic:
         # is trial 71 of H0 at seed 101 on the per-trial substreams.
         _, steer, data = make_instance(seed=101, L=4, N=8, snr_s_db=10.0, snr_r_db=10.0,
                                        hypothesis="H0", index=71)
-        u_s, u_r = steer.u_s[None], steer.u_r[None]
-        s = sg.block_sample_cov(data.y_s[None], data.y_r[None])
-        (warm,), (restarted,) = (
-            sg.score_batch(s, u_s, u_r, ("glr",), n_restarts=k)
+        s = sg.block_sample_cov(data.y_s, data.y_r)
+        warm, restarted = (
+            sg.compute_report(s, steer, ("glr",), n_restarts=k)
             for k in (0, 16)
         )
         assert warm.optim.stop_reason == "gradient"
@@ -302,8 +301,8 @@ class TestComparisonStats:
         cfg = sg.ScenarioConfig(L=L, N=4 * L, snr_s_db=0.0, snr_r_db=10.0, seed=70 + L)
         trials = [("H0", k) for k in range(32)] + [("H1", k) for k in range(32)]
         u_s, u_r, y_s, y_r = sg.synth_batch(cfg, mode, trials)
-        reports = sg.score_batch(sg.block_sample_cov(y_s, y_r), u_s, u_r, detectors=("t_svd",))
-        got = np.array([r.t_svd for r in reports])
+        scores = sg.score_batch(sg.block_sample_cov(y_s, y_r), u_s, u_r, detectors=("t_svd",))
+        got = scores.stat("t_svd")
         assert np.max(np.abs(got - svd_corr(y_s, y_r))) <= 1e-12
 
     def test_svd_zero_channel_fails_its_trial_only(self, monkeypatch):
@@ -318,9 +317,10 @@ class TestComparisonStats:
 
         monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
         out = sg.score_batch(sg.block_sample_cov(y_s, y_r), u_s, u_r, detectors=("t_svd",))
-        assert isinstance(out[2], ValueError) and str(out[2]) == _ZERO_CHANNEL
+        assert list(out.errors) == [2]
+        assert isinstance(out.errors[2], ValueError) and str(out.errors[2]) == _ZERO_CHANNEL
         for k in (0, 1, 3):
-            assert out[k].t_svd == pytest.approx(svd_corr(y_s[k], y_r[k]), abs=1e-12)
+            assert out.stats[k, 0] == pytest.approx(svd_corr(y_s[k], y_r[k]), abs=1e-12)
 
     def test_cross_corr_nonnegative_bounded(self):
         # entrywise Cauchy-Schwarz on snapshot rows: |S_sr|_F^2 <= tr S_ss tr S_rr
@@ -400,19 +400,35 @@ class TestComputeReport:
         trials = [("H0", k) for k in range(37)] + [("H1", k) for k in range(37)]
         u_s, u_r, y_s, y_r = sg.synth_batch(cfg, "random-unit", trials)
 
-        def key(rep):
-            return (rep.glr_1n, rep.two_log_glr, rep.optim.iterations, rep.optim.stop_reason)
+        def keys(scores):
+            return list(zip(scores.stats[:, 0].tolist(), scores.two_log_glr.tolist(),
+                            scores.iterations.tolist(), [sg.STOP_REASONS[c] for c in scores.stop]))
 
         s = sg.block_sample_cov(y_s, y_r)
-        whole = [key(r) for r in sg.score_batch(s, u_s, u_r, ("glr",), n_restarts)]
+        whole = keys(sg.score_batch(s, u_s, u_r, ("glr",), n_restarts))
         assert len(set(k[2] for k in whole)) > 1
         for size in (1, 7, 37):
             split = []
             for a in range(0, len(trials), size):
                 b = slice(a, a + size)
                 part = sg.block_sample_cov(y_s[b], y_r[b])
-                split += [key(r) for r in sg.score_batch(part, u_s[b], u_r[b], ("glr",), n_restarts)]
+                split += keys(sg.score_batch(part, u_s[b], u_r[b], ("glr",), n_restarts))
             assert split == whole, f"split {size}"
+
+    def test_block_columns_equal_blocks_of_one(self):
+        # every column of a six-detector block holds, bit for bit, what each
+        # row scored as a block of one gets
+        cfg = sg.ScenarioConfig(L=4, N=12, snr_s_db=0.0, snr_r_db=10.0, seed=64)
+        trials = [("H0", k) for k in range(12)] + [("H1", k) for k in range(12)]
+        u_s, u_r, y_s, y_r = sg.synth_batch(cfg, "random-unit", trials)
+        block = sg.score_batch(sg.block_sample_cov(y_s, y_r), u_s, u_r)
+        assert block.detectors == sg.DETECTOR_NAMES and not block.errors
+        assert block.stats.shape == (24, 6)
+        for k in range(len(trials)):
+            b = slice(k, k + 1)
+            one = sg.score_batch(sg.block_sample_cov(y_s[b], y_r[b]), u_s[b], u_r[b])
+            for name in ("stats", "two_log_glr", "iterations", "stop"):
+                assert getattr(block, name)[b].tobytes() == getattr(one, name).tobytes(), (k, name)
 
     def test_matches_standalone_functions(self):
         s, steer, _ = make_instance(seed=46, L=3)
@@ -466,8 +482,9 @@ class TestDegenerateSamples:
         u_s = np.stack([t[1].u_s for t in trials])
         u_r = np.stack([t[1].u_r for t in trials])
         out = sg.score_batch(sg.block_sample_cov(y_s, y_r), u_s, u_r)
-        assert isinstance(out[1], ValueError) and "coherent" in str(out[1])
+        assert list(out.errors) == [1]
+        assert isinstance(out.errors[1], ValueError) and "coherent" in str(out.errors[1])
         for k in (0, 2):
             alone = sg.compute_report(trials[k][0], trials[k][1])
-            assert out[k].glr_1n == alone.glr_1n
-            assert out[k].glr_sample == alone.glr_sample
+            assert out.stats[k, sg.DETECTOR_NAMES.index("glr")] == alone.glr_1n
+            assert out.stats[k, sg.DETECTOR_NAMES.index("glr_sample")] == alone.glr_sample

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import scipy.linalg
 
 import subspace_glr as sg
 from subspace_glr import montecarlo
-from subspace_glr.montecarlo import apply_sweep_value, collect_stats, wilks_diag
+from subspace_glr.montecarlo import apply_sweep_value, wilks_diag
 
 
 def tiny_config(seed=1, L=2, N=8, trials_h0=4, trials_h1=4, detectors=("glr_low", "t_cc")):
@@ -20,24 +21,32 @@ def tiny_config(seed=1, L=2, N=8, trials_h0=4, trials_h1=4, detectors=("glr_low"
     )
 
 
-def record_key(r):
-    stats = None
-    if r.report is not None:
-        stats = tuple(
-            (name, r.report.stat(name))
-            for name in ("glr_low", "t_cc")
-            if getattr(r.report, name) is not None
-        )
-    return (r.trial_index, r.hypothesis, r.seed_tag, r.error, stats)
+def run_items(cfg):
+    """The trials of a run of cfg in row order: all H0 by index, then all H1."""
+    return [("H0", i) for i in range(cfg.trials_h0)] + [("H1", i) for i in range(cfg.trials_h1)]
 
 
-def full_key(r):
-    """record_key with all six statistics and the ascent's iteration count."""
-    stats = None
-    if r.report is not None:
-        stats = tuple(r.report.stat(name) for name in sg.DETECTOR_NAMES)
-        stats += (r.report.two_log_glr, r.report.optim.iterations, r.iterations)
-    return (r.trial_index, r.hypothesis, r.seed_tag, r.error, stats)
+def record_keys(scores, items, extra=False):
+    """One key per row of scores, whose trials are items: the trial, its
+    error and, on a valid row, its statistics; with extra, also 2 log Lambda
+    and the ascent's iteration count and stop code."""
+    keys = []
+    for row, (hyp, idx) in enumerate(items):
+        err = scores.errors.get(row)
+        stats = None
+        if err is None:
+            stats = tuple(zip(scores.detectors, scores.stats[row].tolist()))
+            if extra:
+                stats += (float(scores.two_log_glr[row]), int(scores.iterations[row]),
+                          int(scores.stop[row]))
+        keys.append((idx, hyp, None if err is None else f"{type(err).__name__}: {err}", stats))
+    return keys
+
+
+def full_keys(scores, items):
+    """record_keys with all six statistics and the ascent's columns."""
+    assert scores.detectors == sg.DETECTOR_NAMES
+    return record_keys(scores, items, extra=True)
 
 
 class TestRunTrials:
@@ -45,21 +54,22 @@ class TestRunTrials:
         cfg = tiny_config()
         a = sg.run_trials(cfg, threads=1)
         b = sg.run_trials(cfg, threads=1)
-        assert [record_key(r) for r in a] == [record_key(r) for r in b]
+        assert record_keys(a, run_items(cfg)) == record_keys(b, run_items(cfg))
 
     def test_worker_count_invariance(self):
         cfg = tiny_config(trials_h0=8, trials_h1=8)
         serial = sg.run_trials(cfg, threads=1)
         parallel = sg.run_trials(cfg, threads=2)
-        assert [record_key(r) for r in serial] == [record_key(r) for r in parallel]
+        assert record_keys(serial, run_items(cfg)) == record_keys(parallel, run_items(cfg))
 
     def test_record_reconstructible(self):
         # every record of a block equals the same trial scored alone
         cfg = tiny_config(trials_h0=12, trials_h1=12, detectors=sg.DETECTOR_NAMES)
         records = sg.run_trials(cfg, threads=1)
-        assert len(records) == 24 and all(r.error is None for r in records)
-        for r in records:
-            assert full_key(sg.run_one_trial(cfg, r.hypothesis, r.trial_index)) == full_key(r)
+        assert len(records.stats) == 24 and not records.errors
+        for key in full_keys(records, run_items(cfg)):
+            idx, hyp = key[:2]
+            assert full_keys(sg.run_one_trial(cfg, hyp, idx), [(hyp, idx)]) == [key]
 
     def test_block_calls_do_not_grow_with_trials(self, monkeypatch):
         # a block is factored and decomposed as one stack, whatever its size:
@@ -91,7 +101,7 @@ class TestRunTrials:
                               detectors=sg.DETECTOR_NAMES)
             records = sg.run_trials(cfg, threads=1)
             per_size[trials] = dict(calls)
-            passes[trials] = 1 + max(r.iterations for r in records)
+            passes[trials] = 1 + max(records.iterations)
         for t in per_size:
             assert 1 <= per_size[t].pop("eigh") <= 1 + passes[t]
             assert per_size[t].pop("solve") <= passes[t]
@@ -112,24 +122,54 @@ class TestRunTrials:
 
         monkeypatch.setattr(montecarlo, "synth_batch", zero_h1_3)
         records = sg.run_trials(cfg, threads=1)
-        failed = [r for r in records if r.error is not None]
-        assert [(r.hypothesis, r.trial_index) for r in failed] == [("H1", 3)]
-        assert "s_ss" in failed[0].error and failed[0].seed_tag == "1/H1/3"
-        for r in records:
-            if r.error is None:
-                assert full_key(r) == full_key(sg.run_one_trial(cfg, r.hypothesis, r.trial_index))
+        keys = full_keys(records, run_items(cfg))
+        failed = [key for key in keys if key[2] is not None]
+        assert [(hyp, idx) for idx, hyp, *_ in failed] == [("H1", 3)]
+        assert "s_ss" in failed[0][2]
+        assert montecarlo.telemetry(cfg, records)["failures"] == {
+            "ValueError": {"count": 1, "first": "1/H1/3"}
+        }
+        for idx, hyp, err, stats in keys:
+            if err is None:
+                alone = sg.run_one_trial(cfg, hyp, idx)
+                assert full_keys(alone, [(hyp, idx)]) == [(idx, hyp, err, stats)]
+
+    def test_nan_snapshot_fails_its_trial_alone(self, monkeypatch):
+        # a NaN snapshot fails its block's stacked factorization of S_ss; the
+        # one-at-a-time retry fails that trial alone, with the factorization's
+        # error, and every other row equals its block-of-one score
+        cfg = tiny_config(trials_h0=6, trials_h1=6, detectors=sg.DETECTOR_NAMES)
+        items = run_items(cfg)
+        real = montecarlo.synth_batch
+
+        def nan_h0_4(sc, mode, trials):
+            u_s, u_r, y_s, y_r = real(sc, mode, trials)
+            y_s[[k for k, item in enumerate(trials) if item == ("H0", 4)], 0, 1] = np.nan
+            return u_s, u_r, y_s, y_r
+
+        monkeypatch.setattr(montecarlo, "synth_batch", nan_h0_4)
+        (block,) = montecarlo._run_chunk(cfg, items)
+        assert list(block.errors) == [4]
+        assert type(block.errors[4]) is ValueError
+        assert str(block.errors[4]) == "s_ss is not positive definite"
+        for row, item in enumerate(items):
+            one = montecarlo._run_chunk(cfg, [item])[0]
+            for name in ("stats", "two_log_glr", "iterations", "stop"):
+                assert getattr(block, name)[row : row + 1].tobytes() == getattr(one, name).tobytes()
 
     def test_order_is_h0_then_h1(self):
-        records = sg.run_trials(tiny_config(trials_h0=3, trials_h1=2), threads=1)
-        hyps = [r.hypothesis for r in records]
-        assert hyps == ["H0"] * 3 + ["H1"] * 2
-        assert [r.trial_index for r in records] == [0, 1, 2, 0, 1]
+        cfg = tiny_config(trials_h0=3, trials_h1=2)
+        records = sg.run_trials(cfg, threads=1)
+        items = [("H0", 0), ("H0", 1), ("H0", 2), ("H1", 0), ("H1", 1)]
+        assert len(records.stats) == len(items)
+        for row, item in enumerate(items):
+            assert records.stats[row].tolist() == sg.run_one_trial(cfg, *item).stats[0].tolist()
 
     def test_hypotheses_use_disjoint_streams(self):
         cfg = tiny_config()
         h0 = sg.run_one_trial(cfg, "H0", 0)
         h1 = sg.run_one_trial(cfg, "H1", 0)
-        assert h0.report.stat("glr_low") != h1.report.stat("glr_low")
+        assert h0.stat("glr_low")[0] != h1.stat("glr_low")[0]
 
     def test_signal_free_scenario_matches_null(self):
         # sigma_x2 = 0 makes H1 records statistically identical to H0 ones.
@@ -138,8 +178,8 @@ class TestRunTrials:
             scenario=sc, trials_h0=800, trials_h1=800, detectors=("glr_low",)
         )
         records = sg.run_trials(cfg, threads=0)
-        h0 = collect_stats(records, "glr_low", "H0")
-        h1 = collect_stats(records, "glr_low", "H1")
+        h0 = records.stat("glr_low", slice(0, 800))
+        h1 = records.stat("glr_low", slice(800, 1600))
         from scipy.stats import ks_2samp
 
         assert ks_2samp(h0, h1).pvalue > 0.01
@@ -215,7 +255,7 @@ class TestPooledPoints:
         keys, points = {}, {}
         for threads in (1, 2, 3):
             per_point = montecarlo._run_points(cfgs, threads)
-            keys[threads] = [[full_key(r) for r in recs] for recs in per_point]
+            keys[threads] = [full_keys(scores, run_items(c)) for c, scores in zip(cfgs, per_point)]
             points[threads] = sg.run_pm_sweep(cfg, threads)
         assert [len(k) for k in keys[1]] == [66, 66, 66]
         assert keys[1] == keys[2] == keys[3]
@@ -242,15 +282,30 @@ class TestPooledPoints:
         assert messages == ["3 of 24 trials failed, above the allowed rate 0.001"] * 2
 
 
+class TestPayload:
+    def test_chunk_ships_columns_only(self):
+        # what a pool job sends back: a few columns per trial, and no
+        # per-trial object; this counts bytes, not time
+        cfg = sg.ExperimentConfig(
+            scenario=sg.ScenarioConfig(L=8, N=32, snr_s_db=-12.0, snr_r_db=0.0, seed=5),
+            trials_h0=32, trials_h1=32, detectors=("glr", "glr_sample", "glr_low"),
+        )
+        items = [("H0", i) for i in range(32)] + [("H1", i) for i in range(32)]
+        data = pickle.dumps(montecarlo._run_chunk(cfg, items))
+        assert len(data) <= 64 * len(items)
+        for name in (b"OptimResult", b"DetectorReport", b"TrialRecord"):
+            assert name not in data
+
+
 class TestCollectAndCalibrate:
     def test_collect_filters_errors(self):
-        rep = sg.DetectorReport(glr_low=0.5)
-        records = [
-            sg.TrialRecord(0, "H0", "t", report=rep),
-            sg.TrialRecord(1, "H0", "t", error="boom"),
-            sg.TrialRecord(0, "H1", "t", report=rep),
-        ]
-        assert collect_stats(records, "glr_low", "H0").tolist() == [0.5]
+        # H0 rows 0 and 1, H1 row 2; row 1 failed
+        ok, failed = sg.BlockScores.empty(("glr_low",), 1), sg.BlockScores.empty(("glr_low",), 1)
+        ok.stats[0, 0] = 0.5
+        failed.errors[0] = ValueError("boom")
+        records = sg.BlockScores.concat([ok, failed, ok])
+        assert records.stat("glr_low", slice(0, 2)).tolist() == [0.5]
+        assert list(records.errors) == [1] and records.valid.tolist() == [True, False, True]
 
     def test_order_statistic_rank(self):
         stats = np.arange(1.0, 101.0)
@@ -400,7 +455,7 @@ class TestExperimentConfig:
 class TestExperimentRunners:
     def test_roc_experiment_smoke(self):
         cfg = tiny_config(trials_h0=30, trials_h1=30, detectors=("glr_low", "sigma_max"))
-        curves, failures = sg.run_roc_experiment(cfg, threads=1)
+        curves, failures, _ = sg.run_roc_experiment(cfg, threads=1)
         assert set(curves) == {"glr_low", "sigma_max"}
         assert failures == {"H0": 0, "H1": 0}
         for curve in curves.values():
@@ -416,7 +471,7 @@ class TestExperimentRunners:
             sweep=sg.SweepSpec(axis="snr_s_db", values=(-5.0, 5.0), snr_r_db_offset=10.0),
             pfa=0.1,
         )
-        points, failures = sg.run_pm_sweep(cfg, threads=1)
+        points, failures, _ = sg.run_pm_sweep(cfg, threads=1)
         assert [p.sweep_value for p in points["glr_low"]] == [-5.0, 5.0]
         assert set(failures) == {repr(-5.0), repr(5.0)}
         assert all(0.0 <= p.pm <= 1.0 for p in points["glr_low"])
@@ -442,7 +497,7 @@ class TestExperimentRunners:
 
     def test_null_dist_smoke(self):
         cfg = tiny_config(trials_h0=40, trials_h1=5, detectors=("glr",))
-        ks, table, n_valid = sg.run_null_dist(cfg, threads=1)
+        ks, table, n_valid, _ = sg.run_null_dist(cfg, threads=1)
         assert n_valid == 40  # H1 trials are dropped for a null-only run
         assert table.shape == (40, 3)
         assert 0.0 <= ks <= 1.0

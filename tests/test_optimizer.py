@@ -184,9 +184,10 @@ class TestMaximizeJ:
             scenario=sg.ScenarioConfig(L=8, N=20, snr_s_db=40.0, snr_r_db=40.0, seed=6),
             trials_h0=1, trials_h1=150, steering_mode="ula-random-doa", detectors=("glr",),
         )
-        h1 = [r for r in sg.run_trials(cfg, threads=1) if r.hypothesis == "H1"]
-        assert all(r.report.optim.stop_reason == "gradient" for r in h1)
-        assert np.mean([r.iterations for r in h1]) <= 18.0
+        scores = sg.run_trials(cfg, threads=1)
+        h1 = slice(cfg.trials_h0, None)
+        assert all(sg.STOP_REASONS[code] == "gradient" for code in scores.stop[h1])
+        assert np.mean(scores.iterations[h1]) <= 18.0
 
     def test_stops_on_max_iter(self, monkeypatch):
         _, _, _, forms = instance_forms(seed=40, L=4)
