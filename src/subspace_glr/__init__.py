@@ -48,8 +48,8 @@ from .model import (
     ScenarioConfig,
     SnapshotData,
     SteeringPair,
+    draw_sample_cov,
     substream,
-    synth_batch,
     ula_steering,
 )
 from .montecarlo import (

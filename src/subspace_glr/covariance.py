@@ -13,13 +13,15 @@ fixed at R_rr = S_rr.
 
 BlockSampleCov, block_sample_cov, capon_pair, coherence_matrix and
 cost_forms take stacks with leading trial axes, which is how the Monte Carlo
-harness scores a block of trials at once; sample_cov takes one record.
+harness scores a block of trials at once; sample_cov takes one record. The
+harness has no snapshots: it draws S itself (model.draw_sample_cov).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,7 +33,9 @@ from ._linalg import (
     householder,
     lower_solve,
 )
-from .model import SnapshotData
+
+if TYPE_CHECKING:
+    from .model import SnapshotData
 
 
 @dataclass
@@ -92,14 +96,16 @@ class BlockSampleCov:
         return cholesky_pd(self.s_rr, name="s_rr")
 
 
-def block_sample_cov(y_s: np.ndarray, y_r: np.ndarray) -> BlockSampleCov:
+def block_sample_cov(y_s: np.ndarray, y_r: np.ndarray, n: int | None = None) -> BlockSampleCov:
     """Partitioned sample covariance from raw L x N snapshot matrices, or
-    from stacks of them of shape (..., L, N)."""
+    from stacks of them of shape (..., L, N). n, the snapshot count the
+    products are averaged over, defaults to N; model.draw_sample_cov passes
+    square-root factors of N S with other than N columns."""
     y_s = np.asarray(y_s, dtype=complex)
     y_r = np.asarray(y_r, dtype=complex)
     if y_s.shape != y_r.shape or y_s.ndim < 2:
         raise ValueError("y_s and y_r must be L x N matrices of equal shape")
-    n = y_s.shape[-1]
+    n = y_s.shape[-1] if n is None else n
     s_ss = hermitize(y_s @ adjoint(y_s) / n)
     s_rr = hermitize(y_r @ adjoint(y_r) / n)
     s_sr = y_s @ adjoint(y_r) / n

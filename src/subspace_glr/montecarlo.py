@@ -2,14 +2,15 @@
 
 Trials are embarrassingly parallel and fully reproducible. Trial i of a
 hypothesis reads its own fixed slice of words of the Philox stream keyed by
-(run seed, hypothesis), at counter i W / 4 (see model.synth_batch), so the
+(run seed, hypothesis), at counter i W / 4 (see model.draw_sample_cov, which
+draws each trial's sample covariance directly, not its snapshots), so the
 scores do not depend on execution order, chunking, or worker count;
 reruns with the same config and seed produce identical numbers whether the
 pool has one process or eight. With more than one worker, each point's trials
 are cut into chunks of min(BLOCK_TRIALS, ceil(n / workers)) trials (one chunk
 when n < 2 * workers), so a chunk fills a block where n allows it. Each CLI
 run uses at most one process pool: the chunks of every point of a pm-sweep go
-to it in one map. A chunk is synthesized and scored in blocks of at most
+to it in one map. A chunk is drawn and scored in blocks of at most
 BLOCK_TRIALS trials as stacked arrays; a trial scored alone (a block of one)
 gets the same numbers. Results stay columns throughout: a chunk returns one
 detectors.BlockScores per block, a point concatenates them, rows ordered all
@@ -33,15 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.ma  # np.unique (roc_curve) loads it on first use; load it with the package
 
-from .covariance import block_sample_cov
 from .detectors import DETECTOR_NAMES, BlockScores, score_batch
-from .model import HYPOTHESES, STEERING_MODES, ScenarioConfig, synth_batch
+from .model import HYPOTHESES, STEERING_MODES, ScenarioConfig, draw_sample_cov
 from .optimizer import STOP_REASONS
 
 log = logging.getLogger(__name__)
 
 SWEEP_AXES = ("snr_s_db", "n", "l")
-# Trials synthesized and scored as one stack; bounds the memory of a block.
+# Trials drawn and scored as one stack; bounds the memory of a block.
 BLOCK_TRIALS = 256
 # A run point aborts when more than this share of its trials fail.
 MAX_FAILURE_RATE = 1e-3
@@ -66,8 +66,12 @@ class SweepSpec:
         self.values = tuple(float(v) for v in self.values)
         if not self.values:
             raise ValueError("sweep needs at least one value")
+        if not all(map(math.isfinite, self.values)):
+            raise ValueError(f"sweep values must be finite, got {list(self.values)}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("sweep values must be strictly increasing")
+        if self.snr_r_db_offset is not None and not math.isfinite(self.snr_r_db_offset):
+            raise ValueError(f"snr_r_db_offset must be finite, got {self.snr_r_db_offset}")
         if self.snr_r_db_offset is not None and self.axis != "snr_s_db":
             raise ValueError("snr_r_db_offset only applies to the snr_s_db axis")
 
@@ -123,13 +127,14 @@ def _rows(cfg: ExperimentConfig, hypothesis: str) -> slice:
 
 
 def _score_block(cfg: ExperimentConfig, block: list[tuple[str, int]]) -> BlockScores:
-    """Synthesize and score a block of trials as stacked arrays."""
-    u_s, u_r, y_s, y_r = synth_batch(cfg.scenario, cfg.steering_mode, block)
-    return score_batch(block_sample_cov(y_s, y_r), u_s, u_r, cfg.detectors, cfg.n_restarts)
+    """Draw the sample covariances of a block of trials and score them as
+    stacked arrays."""
+    u_s, u_r, s = draw_sample_cov(cfg.scenario, cfg.steering_mode, block)
+    return score_batch(s, u_s, u_r, cfg.detectors, cfg.n_restarts)
 
 
 def run_one_trial(cfg: ExperimentConfig, hypothesis: str, trial_index: int) -> BlockScores:
-    """Synthesize and score a single trial from its own slice of the
+    """Draw and score a single trial from its own slice of the
     stream: a block of one. Any error it hits fails its row."""
     try:
         return _score_block(cfg, [(hypothesis, trial_index)])

@@ -1,12 +1,16 @@
 """Test-only reference code, kept out of the package.
 
-The package scores trials only through synth_batch -> score_batch ->
+The package scores trials only through draw_sample_cov -> score_batch ->
 optimizer.ascend. This module holds the independent per-trial paths the
 tests hold that pipeline against:
 
-- draw_trial, the per-trial oracle that synth_batch must match bit for
-  bit: it reads one trial's words from a Philox stream set to the trial's
-  counter;
+- draw_cov_trial, the per-trial oracle that model.draw_sample_cov must
+  match bit for bit: it reads one trial's words from a Philox stream set to
+  the trial's counter;
+- the snapshot route, the distribution oracle of draw_sample_cov:
+  synth_batch draws a stack of trials' snapshots from counter-addressed
+  words (its own layout, snapshot_width), draw_trial is its per-trial
+  oracle, and snapshot_route_scores scores a run's trials through it;
 - the substream-driven per-trial synthesis (draw_steering -> draw_channel
   -> synth_snapshots) that builds the tests' single instances, and the
   population covariance;
@@ -36,19 +40,22 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from subspace_glr._linalg import check_hermitian, hermitize, householder
-from subspace_glr.covariance import BlockSampleCov
-from subspace_glr.detectors import DegenerateSampleError
+from subspace_glr._linalg import adjoint, check_hermitian, cholesky_pd, hermitize, householder
+from subspace_glr.covariance import BlockSampleCov, block_sample_cov
+from subspace_glr.detectors import BlockScores, DegenerateSampleError, score_batch
 from subspace_glr.model import (
     HYPOTHESES,
     STEERING_MODES,
     ScenarioConfig,
     SnapshotData,
     SteeringPair,
+    _complex_normals,
     _snr_factor,
+    _uniforms,
     substream,
     ula_steering,
 )
+from subspace_glr.montecarlo import BLOCK_TRIALS, ExperimentConfig
 
 
 def cho_factor_pd(a: np.ndarray, name: str = "matrix"):
@@ -109,7 +116,7 @@ def scale_noise_to_snr(
     vector has unit norm so it contributes no power factor. Returns c * sigma
     with c chosen to meet snr_db exactly.
     """
-    return sigma * _snr_factor(sigma, gain, sigma_x2, snr_db)
+    return sigma * _snr_factor(np.trace(sigma).real, gain, sigma_x2, snr_db)
 
 
 def draw_steering(mode: str, num_sensors: int, rng: np.random.Generator) -> SteeringPair:
@@ -270,6 +277,153 @@ def draw_trial(
     sigma_ss, sigma_rr = (wishart_cov(gk) for gk in g.reshape(2, L, dof))
     chan = scaled_channel(cfg, gains[0], gains[1], sigma_ss, sigma_rr)
     return steering, chan, assemble_snapshots(cfg, steering, chan, hypothesis, x, z_noise.reshape(2, L, N))
+
+
+def snapshot_width(cfg: ScenarioConfig) -> int:
+    """W of the snapshot route, the words synth_batch reads per trial: steering
+    (4L; the ULA angles are its first two words), gains (4), Wishart factors
+    (4 L dof), signal (2N) and noise (4 L N), rounded up to a multiple of 4."""
+    L, N, dof = cfg.L, cfg.N, cfg.dof
+    used = 4 * L + 4 + 4 * L * dof + 2 * N + 4 * L * N
+    return -(-used // 4) * 4
+
+
+def synth_batch(
+    cfg: ScenarioConfig, steering_mode: str, trials: list[tuple[str, int]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Synthesize the snapshots of a stack of trials, given as (hypothesis,
+    trial index) pairs: the route that model.draw_sample_cov replaces on the
+    Monte Carlo path, kept as its distribution oracle.
+
+    Returns (u_s, u_r, y_s, y_r) of shapes (T, L), (T, L), (T, L, N) and
+    (T, L, N). Each trial draws a steering pair, CN(0, 1) gains a_s, a_r,
+    and noise covariances G G^H / dof (complex Wishart, identity scale)
+    rescaled to the SNR targets unless sigma_x2 = 0, then N snapshots. Its W
+    words (see snapshot_width) sit at counter i W / 4 of the Philox stream
+    keyed by (seed, hypothesis code), so a trial gets the same numbers in any
+    block; draw_trial is its per-trial oracle. A noise covariance that is not
+    positive definite raises ValueError for the whole block.
+    """
+    if steering_mode not in STEERING_MODES:
+        raise ValueError(f"unknown steering mode {steering_mode!r}; expected one of {STEERING_MODES}")
+    hypothesis, index = (np.asarray(col) for col in zip(*trials))
+    h1 = hypothesis == "H1"
+    count, dim, snaps, dof = len(trials), cfg.L, cfg.N, cfg.dof
+    width = snapshot_width(cfg)
+    cuts = np.flatnonzero((np.diff(h1) != 0) | (np.diff(index) != 1)) + 1
+    runs = []
+    for first, stop in zip([0, *cuts], [*cuts, count]):
+        bitgen = np.random.Philox(key=np.array([cfg.seed, h1[first]], dtype=np.uint64))
+        bitgen.advance(int(index[first]) * width // 4)
+        runs.append(bitgen.random_raw((stop - first) * width))
+    u = _uniforms(np.concatenate(runs)).reshape(count, width)
+    z_steer, gains, g, x, z_noise, _ = np.split(
+        _complex_normals(u), np.cumsum([2 * dim, 2, 2 * dim * dof, snaps, 2 * dim * snaps]), axis=1
+    )
+    if steering_mode == "random-unit":
+        v = z_steer.reshape(count, 2, dim)
+        steering = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    else:
+        steering = ula_steering(dim, -np.pi / 2 + np.pi * u[:, :2])
+    g = g.reshape(count, 2, dim, dof)
+    x = math.sqrt(cfg.sigma_x2) * x
+    z_noise = z_noise.reshape(count, 2, dim, snaps)
+    sigma = hermitize(g @ adjoint(g) / dof)
+    if cfg.sigma_x2 > 0:
+        snrs = np.array([cfg.snr_s_db, cfg.snr_r_db])
+        trace = np.trace(sigma, axis1=-2, axis2=-1).real
+        sigma *= _snr_factor(trace, gains, cfg.sigma_x2, snrs)[:, :, None, None]
+    noise = cholesky_pd(sigma, name="noise covariance") @ z_noise
+    signal = gains[:, :, None, None] * (steering[:, :, :, None] * x[:, None, None, :])
+    y_r = signal[:, 1] + noise[:, 1]
+    y_s = np.where(h1[:, None, None], signal[:, 0] + noise[:, 0], noise[:, 0])
+    return steering[:, 0], steering[:, 1], y_s, y_r
+
+
+def snapshot_route_scores(cfg: ExperimentConfig) -> BlockScores:
+    """The scores of a run of cfg (rows all H0 by index, then all H1 by
+    index) with every trial's sample covariance formed from synth_batch's
+    snapshots, in blocks of BLOCK_TRIALS like the harness's."""
+    items = [("H0", i) for i in range(cfg.trials_h0)] + [("H1", i) for i in range(cfg.trials_h1)]
+    blocks = []
+    for start in range(0, len(items), BLOCK_TRIALS):
+        u_s, u_r, y_s, y_r = synth_batch(cfg.scenario, cfg.steering_mode, items[start : start + BLOCK_TRIALS])
+        blocks.append(score_batch(block_sample_cov(y_s, y_r), u_s, u_r, cfg.detectors, cfg.n_restarts))
+    return BlockScores.concat(blocks)
+
+
+def bartlett_factor(z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Lower-triangular p x p matrix with the complex z below the diagonal,
+    row by row, and sqrt(gamma) on it."""
+    p = gamma.size
+    a = np.zeros((p, p), dtype=complex)
+    a[np.tril_indices(p, -1)] = z
+    a[np.diag_indices(p)] = np.sqrt(gamma)
+    return a
+
+
+def draw_cov_trial(
+    cfg: ScenarioConfig, mode: str, hypothesis: str, index: int
+) -> tuple[SteeringPair, np.ndarray, BlockSampleCov]:
+    """Trial `index` of `hypothesis`, read on its own: the oracle
+    model.draw_sample_cov matches bit for bit. Returns the steering pair,
+    the trial's 2L x (2L + 1) snapshot factor F (see below) and its sample
+    covariance.
+
+    The trial's W words start at counter index * W / 4 of the Philox stream
+    keyed (seed, hypothesis code). Each word w is the uniform
+    ((w >> 11) + 1) 2^-53 in (0, 1]. The first words pair up into the
+    complex normals sqrt(-log u1) exp(2 pi i u2): steering (2L), gains (2),
+    the strict lower triangles, row by row, of the noise factors A_s, A_r
+    (L (L - 1) / 2 each) and of the joint factor A (L (2L + 1)). The next
+    words are Exp(1) terms -log u, summed in runs into the Gamma variates
+    on the diagonals (as squares): dof - k for row k of A_s, then of A_r,
+    and N - k for row k of A; W is rounded up to a multiple of 4. The ULA
+    angles are the first two uniforms, mapped onto (-pi/2, pi/2].
+
+    The noise factors are B_i = sqrt(c_i / dof) A_i, with c_i the SNR factor
+    of Sigma_i = A_i A_i^H / dof (1 when sigma_x2 = 0). With
+    F = [h, blockdiag(B_s, B_r)], h = sqrt(sigma_x2) [a_s u_s; a_r u_r] and
+    a_s u_s zeroed under H0, the sample covariance is (F A)(F A)^H / N.
+    """
+    L, N, dof = cfg.L, cfg.N, cfg.dof
+    p = 2 * L + 1
+    pairs = 2 * L + 2 + L * (L - 1) + L * p
+    shapes = [dof - k for k in range(L)] * 2 + [N - k for k in range(p)]
+    width = 4 * math.ceil((2 * pairs + sum(shapes)) / 4)
+    key = np.array([cfg.seed, HYPOTHESES.index(hypothesis)], dtype=np.uint64)
+    words = np.random.Philox(counter=index * width // 4, key=key).random_raw(width)
+    u = ((words >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+    z = np.sqrt(-np.log(u[0 : 2 * pairs : 2])) * np.exp(2j * np.pi * u[1 : 2 * pairs : 2])
+    logs = np.log(u[2 * pairs :])
+    ends = np.cumsum(shapes)
+    gamma = np.array(
+        [-np.add.reduceat(logs[e - k : e], [0])[0] if k else 0.0 for k, e in zip(shapes, ends)]
+    )
+    z_steer, gains, z_s, z_r, z_joint = np.split(z, np.cumsum([2 * L, 2, L * (L - 1) // 2, L * (L - 1) // 2]))
+    if mode == "random-unit":
+        v = z_steer.reshape(2, L)
+        steering = SteeringPair(*(v / np.linalg.norm(v, axis=-1, keepdims=True)))
+    elif mode == "ula-random-doa":
+        steering = SteeringPair(*(ula_steering(L, theta) for theta in -np.pi / 2 + np.pi * u[:2]))
+    else:
+        raise ValueError(f"unknown steering mode {mode!r}; expected one of {STEERING_MODES}")
+    f = np.zeros((2 * L, p), dtype=complex)
+    for k, (z_k, gain, snr_db, u_k) in enumerate(
+        ((z_s, gains[0], cfg.snr_s_db, steering.u_s), (z_r, gains[1], cfg.snr_r_db, steering.u_r))
+    ):
+        a_k = bartlett_factor(z_k, gamma[k * L : (k + 1) * L])
+        scale = 1.0 / dof
+        if cfg.sigma_x2 > 0:
+            trace = np.sum(a_k.real**2 + a_k.imag**2) / dof
+            scale = scale * _snr_factor(trace, gain, cfg.sigma_x2, snr_db)
+        f[k * L : (k + 1) * L, 1 + k * L : 1 + (k + 1) * L] = a_k * np.sqrt(scale)
+        if k == 1 or hypothesis == "H1":
+            f[k * L : (k + 1) * L, 0] = math.sqrt(cfg.sigma_x2) * gain * u_k
+    a = bartlett_factor(z_joint, gamma[2 * L :])
+    fa = f[:, 1:] @ a[1:]
+    fa[:, 0] += f[:, 0] * a[0, 0]
+    return steering, f, block_sample_cov(fa[:L], fa[L:], n=N)
 
 
 def population_cov(

@@ -2,8 +2,8 @@
 oracle implementations that deliberately avoid the library's own code paths.
 
 make_instance builds one trial through the substream-driven per-trial
-synthesis in _reference.py, so an instance stays fixed whatever synth_batch
-draws."""
+synthesis in _reference.py, so an instance stays fixed whatever the Monte
+Carlo draw (model.draw_sample_cov) reads."""
 
 from __future__ import annotations
 
@@ -55,6 +55,13 @@ def null_cov(s: sg.BlockSampleCov) -> sg.BlockSampleCov:
     """Copy of a sample covariance with the cross block analytically zeroed."""
     zero = np.zeros_like(s.s_sr)
     return sg.BlockSampleCov(s.s_ss, zero, s.s_rr, s.n)
+
+
+def zero_surveillance(s: sg.BlockSampleCov, rows: list[int]) -> None:
+    """Zero, in place, the blocks an all-zero surveillance channel gives the
+    stacked sample covariances s at the given rows: S_ss and S_sr."""
+    s.s_ss[rows] = 0.0
+    s.s_sr[rows] = 0.0
 
 
 def chart_x(v: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 import subspace_glr as sg
 from subspace_glr import montecarlo
 from subspace_glr.cli import main
-from _utils import rand_unit
+from _utils import rand_unit, zero_surveillance
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -174,6 +174,40 @@ class TestValidateConfig:
             assert "config.detectors" in capsys.readouterr().err
         assert not (tmp_path / "pm-sweep" / "pm.csv").exists()
 
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("field, path", [
+        ("snr_s_db", "config.scenario: snr_s_db"),
+        ("snr_r_db", "config.scenario: snr_r_db"),
+        ("sigma_x2", "config.scenario: sigma_x2"),
+        ("values", "config.sweep: sweep values"),
+        ("snr_r_db_offset", "config.sweep: snr_r_db_offset"),
+    ])
+    def test_non_finite_floats_rejected(self, tmp_path, capsys, monkeypatch, field, path, text):
+        # JSON's NaN and Infinity, and 1e400 (which parses to inf), are
+        # rejected with the config, before any trial runs
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(montecarlo, "_run_points", no_trials)
+        scenario = {"L": 2, "N": 8, "snr_s_db": 0.0, "snr_r_db": 10.0, "seed": 7}
+        sweep = {"axis": "snr_s_db", "values": [0.0], "snr_r_db_offset": 1.0}
+        if field == "values":
+            sweep["values"] = [-5.0, "@"]
+        elif field == "snr_r_db_offset":
+            sweep["snr_r_db_offset"] = "@"
+        else:
+            scenario[field] = "@"
+        cfg = write_config(tmp_path, scenario=scenario, sweep=sweep)
+        cfg.write_text(cfg.read_text().replace('"@"', text))
+        for command in ("validate-config", "roc", "pm-sweep"):
+            argv = [command, "--config", str(cfg)]
+            if command != "validate-config":
+                argv += ["--out", str(tmp_path / command), "--threads", "1"]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert f"{path} must be finite" in captured.err
+            assert captured.out == ""
+
     @pytest.mark.parametrize("axis, values", [("l", [2, 2.5, 3.7]), ("n", [16, 20.5])])
     def test_sweep_rejects_non_integer_sizes(self, tmp_path, capsys, axis, values):
         cfg = write_config(tmp_path, sweep={"axis": axis, "values": values})
@@ -224,14 +258,14 @@ class TestRoc:
         # the manifest's telemetry holds counts only, so it repeats for one
         # seed at any worker count; two zero channels make one failure group
         monkeypatch.setattr(montecarlo, "MAX_FAILURE_RATE", 0.5)
-        real = montecarlo.synth_batch
+        real = montecarlo.draw_sample_cov
 
         def zero_h1_3_and_5(sc, mode, trials):
-            u_s, u_r, y_s, y_r = real(sc, mode, trials)
-            y_s[[k for k, item in enumerate(trials) if item in {("H1", 3), ("H1", 5)}]] = 0.0
-            return u_s, u_r, y_s, y_r
+            u_s, u_r, s = real(sc, mode, trials)
+            zero_surveillance(s, [k for k, item in enumerate(trials) if item in {("H1", 3), ("H1", 5)}])
+            return u_s, u_r, s
 
-        monkeypatch.setattr(montecarlo, "synth_batch", zero_h1_3_and_5)
+        monkeypatch.setattr(montecarlo, "draw_sample_cov", zero_h1_3_and_5)
         cfg = write_config(tmp_path, trials_h0=24, trials_h1=24, detectors=["glr", "glr_low"])
         got = {}
         for threads in (1, 2):

@@ -4,7 +4,15 @@ import scipy.linalg
 
 import subspace_glr as sg
 from subspace_glr.detectors import _ZERO_CHANNEL
-from _reference import distortionless_pair, low_snr_qsr, m_matrix, ml_qsr, oracle_glr, svd_corr
+from _reference import (
+    distortionless_pair,
+    low_snr_qsr,
+    m_matrix,
+    ml_qsr,
+    oracle_glr,
+    svd_corr,
+    synth_batch,
+)
 from _utils import det_m_direct, make_instance, null_cov, rand_unit
 
 
@@ -61,7 +69,7 @@ class TestScaleInvariance:
         # moves log Lambda^{1/N} by roundoff only, not by a stop tolerance
         # that grows with |log(beta_s beta_r)|
         cfg = sg.ScenarioConfig(L=4, N=100, snr_s_db=0.0, snr_r_db=0.0, seed=11)
-        u_s, u_r, y_s, y_r = sg.synth_batch(cfg, "random-unit", [("H0", k) for k in range(100)])
+        u_s, u_r, y_s, y_r = synth_batch(cfg, "random-unit", [("H0", k) for k in range(100)])
 
         def log_glr(c_s, c_r):
             scores = sg.score_batch(
@@ -300,7 +308,7 @@ class TestComparisonStats:
         # dominant right singular vectors of the snapshot matrices
         cfg = sg.ScenarioConfig(L=L, N=4 * L, snr_s_db=0.0, snr_r_db=10.0, seed=70 + L)
         trials = [("H0", k) for k in range(32)] + [("H1", k) for k in range(32)]
-        u_s, u_r, y_s, y_r = sg.synth_batch(cfg, mode, trials)
+        u_s, u_r, y_s, y_r = synth_batch(cfg, mode, trials)
         scores = sg.score_batch(sg.block_sample_cov(y_s, y_r), u_s, u_r, detectors=("t_svd",))
         got = scores.stat("t_svd")
         assert np.max(np.abs(got - svd_corr(y_s, y_r))) <= 1e-12
@@ -309,7 +317,7 @@ class TestComparisonStats:
         # t_svd factors nothing, so a zero channel reaches it and fails only
         # its own trial of the block
         cfg = sg.ScenarioConfig(L=3, N=12, snr_s_db=0.0, snr_r_db=10.0, seed=75)
-        u_s, u_r, y_s, y_r = sg.synth_batch(cfg, "random-unit", [("H1", k) for k in range(4)])
+        u_s, u_r, y_s, y_r = synth_batch(cfg, "random-unit", [("H1", k) for k in range(4)])
         y_r[2] = 0.0
 
         def no_cholesky(*args, **kwargs):
@@ -398,7 +406,7 @@ class TestComputeReport:
         # the same block scored in splits of 1, 7 and 37, bit for bit
         cfg = sg.ScenarioConfig(L=L, N=3 * L, snr_s_db=0.0, snr_r_db=10.0, seed=60 + L)
         trials = [("H0", k) for k in range(37)] + [("H1", k) for k in range(37)]
-        u_s, u_r, y_s, y_r = sg.synth_batch(cfg, "random-unit", trials)
+        u_s, u_r, y_s, y_r = synth_batch(cfg, "random-unit", trials)
 
         def keys(scores):
             return list(zip(scores.stats[:, 0].tolist(), scores.two_log_glr.tolist(),
@@ -420,7 +428,7 @@ class TestComputeReport:
         # row scored as a block of one gets
         cfg = sg.ScenarioConfig(L=4, N=12, snr_s_db=0.0, snr_r_db=10.0, seed=64)
         trials = [("H0", k) for k in range(12)] + [("H1", k) for k in range(12)]
-        u_s, u_r, y_s, y_r = sg.synth_batch(cfg, "random-unit", trials)
+        u_s, u_r, y_s, y_r = synth_batch(cfg, "random-unit", trials)
         block = sg.score_batch(sg.block_sample_cov(y_s, y_r), u_s, u_r)
         assert block.detectors == sg.DETECTOR_NAMES and not block.errors
         assert block.stats.shape == (24, 6)

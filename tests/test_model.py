@@ -5,13 +5,17 @@ import scipy.stats
 import subspace_glr as sg
 from _reference import (
     ChannelRealization,
+    _cn_matrix,
     draw_channel,
     draw_channel_gain,
+    draw_cov_trial,
     draw_noise_cov,
     draw_steering,
     draw_trial,
     population_cov,
     scale_noise_to_snr,
+    snapshot_route_scores,
+    synth_batch,
     synth_snapshots,
 )
 
@@ -41,8 +45,12 @@ class TestUlaSteering:
 
 class TestChannelGain:
     def test_moments(self):
+        # one stacked draw gives the per-call gains (checked on the first
+        # 10^4), so the moments of 10^6 gains take one call
+        x = np.random.default_rng(123).standard_normal((10**6, 2))
+        draws = (x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0)
         rng = np.random.default_rng(123)
-        draws = np.array([draw_channel_gain(rng) for _ in range(10**6)])
+        assert np.array_equal(draws[: 10**4], [draw_channel_gain(rng) for _ in range(10**4)])
         assert abs(draws.mean()) < 4 / np.sqrt(10**6)
         assert np.mean(np.abs(draws) ** 2) == pytest.approx(1.0, rel=0.01)
 
@@ -239,18 +247,21 @@ class TestSynthBatch:
     @pytest.mark.parametrize("sigma_x2", [0.0, 1.0])
     @pytest.mark.parametrize("L", [1, 3])
     def test_bit_identical_to_reference(self, mode, sigma_x2, L):
-        # the stacked synthesis reproduces, bit for bit, the per-trial oracle
-        # that reads each trial's words from a Philox set to its counter
-        cfg = sg.ScenarioConfig(L=L, N=4 * L, snr_s_db=-5.0, snr_r_db=15.0,
-                                sigma_x2=sigma_x2, seed=31 + L)
-        trials = [(hyp, i) for hyp in ("H0", "H1") for i in range(20)]
-        u_s, u_r, y_s, y_r = sg.synth_batch(cfg, mode, trials)
-        for t, (hyp, i) in enumerate(trials):
-            steer, _, data = draw_trial(cfg, mode, hyp, i)
-            assert np.array_equal(u_s[t], steer.u_s)
-            assert np.array_equal(u_r[t], steer.u_r)
-            assert np.array_equal(y_s[t], data.y_s)
-            assert np.array_equal(y_r[t], data.y_r)
+        # the stacked draw of the sample covariances reproduces, bit for bit,
+        # the per-trial oracle that reads each trial's words from a Philox
+        # set to its counter; N = 2L (a zero last Gamma) and N = 4L
+        for N in (2 * L, 4 * L):
+            cfg = sg.ScenarioConfig(L=L, N=N, snr_s_db=-5.0, snr_r_db=15.0,
+                                    sigma_x2=sigma_x2, seed=31 + L)
+            trials = [(hyp, i) for hyp in ("H0", "H1") for i in range(20)]
+            u_s, u_r, s = sg.draw_sample_cov(cfg, mode, trials)
+            assert s.n == N
+            for t, (hyp, i) in enumerate(trials):
+                steer, _, one = draw_cov_trial(cfg, mode, hyp, i)
+                assert np.array_equal(u_s[t], steer.u_s)
+                assert np.array_equal(u_r[t], steer.u_r)
+                for name in ("s_ss", "s_sr", "s_rr"):
+                    assert np.array_equal(getattr(s, name)[t], getattr(one, name))
 
     @pytest.mark.parametrize("mode", sg.model.STEERING_MODES)
     @pytest.mark.parametrize("sigma_x2", [0.0, 1.0])
@@ -261,11 +272,16 @@ class TestSynthBatch:
         cfg = sg.ScenarioConfig(L=3, N=12, snr_s_db=-5.0, snr_r_db=15.0,
                                 sigma_x2=sigma_x2, seed=2**64 - 1)
         trials = [("H0", i) for i in range(400, 528)] + [("H1", i) for i in range(128)]
-        block = sg.synth_batch(cfg, mode, trials)
-        split = zip(sg.synth_batch(cfg, mode, trials[:100]), sg.synth_batch(cfg, mode, trials[100:]))
-        ones = zip(*(sg.synth_batch(cfg, mode, [trial]) for trial in trials))
+
+        def arrays(part):
+            u_s, u_r, s = sg.draw_sample_cov(cfg, mode, part)
+            return u_s, u_r, s.s_ss, s.s_sr, s.s_rr
+
+        block = arrays(trials)
+        split = zip(arrays(trials[:100]), arrays(trials[100:]))
+        ones = zip(*(arrays([trial]) for trial in trials))
         perm = np.random.default_rng(0).permutation(len(trials))
-        shuffled = sg.synth_batch(cfg, mode, [trials[k] for k in perm])
+        shuffled = arrays([trials[k] for k in perm])
         for whole, halves, singles, permuted in zip(block, split, ones, shuffled):
             assert np.array_equal(whole, np.concatenate(halves))
             assert np.array_equal(whole, np.concatenate(singles))
@@ -274,13 +290,13 @@ class TestSynthBatch:
     def test_rejects_bad_trials(self):
         cfg = sg.ScenarioConfig(L=2, N=4, snr_s_db=0, snr_r_db=0)
         with pytest.raises(ValueError, match="hypothesis"):
-            sg.synth_batch(cfg, "random-unit", [("H0", 0), ("H2", 1)])
+            sg.draw_sample_cov(cfg, "random-unit", [("H0", 0), ("H2", 1)])
         with pytest.raises(ValueError, match=">= 0"):
-            sg.synth_batch(cfg, "random-unit", [("H1", -1)])
+            sg.draw_sample_cov(cfg, "random-unit", [("H1", -1)])
 
     def test_seeds_no_sequence(self, monkeypatch):
-        # trials are addressed by Philox counter, so synth_batch builds no
-        # SeedSequence, whatever the block size
+        # trials are addressed by Philox counter, so draw_sample_cov builds
+        # no SeedSequence, whatever the block size
         built = []
         real = np.random.SeedSequence
 
@@ -294,9 +310,132 @@ class TestSynthBatch:
         for trials in (8, 64):
             built.clear()
             half = [(hyp, i) for hyp in ("H0", "H1") for i in range(trials // 2)]
-            sg.synth_batch(cfg, "random-unit", half)
+            sg.draw_sample_cov(cfg, "random-unit", half)
             per_size[trials] = len(built)
         assert per_size == {8: 0, 64: 0}
+
+
+class TestWordLayout:
+    @pytest.mark.parametrize("L, N, dof, width", [
+        (1, 2, None, 24),  # N = 2L
+        (2, 4, None, 60),  # N = 2L
+        (4, 8, None, 204),  # N = 2L
+        (4, 15, None, 268),
+        (4, 15, 4, 236),
+        (2, 32, None, 200),
+        (8, 32, None, 1028),
+        (8, 32, 20, 1092),
+    ])
+    def test_trial_width(self, L, N, dof, width):
+        # 2 words per complex normal (steering 2L, gains 2, the strict lower
+        # triangles L (L - 1) / 2 twice and L (2L + 1)) plus one per Exp(1)
+        # term of the Gamma shapes dof - k (k < L, twice) and N - k (k <= 2L),
+        # rounded up to a multiple of 4
+        cfg = sg.ScenarioConfig(L=L, N=N, snr_s_db=0.0, snr_r_db=0.0, wishart_dof=dof)
+        normals = 2 * L + 2 + L * (L - 1) + L * (2 * L + 1)
+        gammas = 2 * sum(cfg.dof - k for k in range(L)) + sum(N - k for k in range(2 * L + 1))
+        assert width == -(-(2 * normals + gammas) // 4) * 4
+        assert sg.model.trial_width(cfg) == width
+
+    def test_zero_shape_gamma_is_exactly_zero(self):
+        # the shapes 3, 0, 2 read 3 + 2 words; the zero shape reads none
+        u = np.array([[0.5, 0.25, 1.0, 0.125, 0.5]])
+        out = sg.model._gammas(u, np.array([3, 0, 2]))
+        assert out[0, 1] == 0.0 and not np.signbit(out[0, 1])
+        assert out[0, 0] == pytest.approx(np.log(8.0), rel=1e-15)
+        assert out[0, 2] == pytest.approx(np.log(16.0), rel=1e-15)
+
+    def test_last_diagonal_zero_at_n_2l(self):
+        # at N = 2L the joint factor's last Gamma shape is 0, so its last
+        # diagonal entry is exactly 0: W ~ CW_{2L+1}(2L, I) is singular. S,
+        # of 2L snapshots, stays positive definite
+        cfg = sg.ScenarioConfig(L=2, N=4, snr_s_db=0.0, snr_r_db=10.0, seed=3)
+        _, shapes = sg.model._layout(cfg)
+        assert shapes[-1] == 0 and np.all(shapes[:-1] > 0)
+        words = np.random.Philox(key=np.array([3, 1], dtype=np.uint64)).random_raw(8 * shapes.sum())
+        gamma = sg.model._gammas(sg.model._uniforms(words).reshape(8, -1), shapes)
+        assert np.all(gamma[:, -1] == 0.0) and np.all(gamma[:, :-1] > 0.0)
+        _, _, s = sg.draw_sample_cov(cfg, "random-unit", [("H1", i) for i in range(8)])
+        assert np.all(np.linalg.eigvalsh(s.full())[:, 0] > 0.0)
+
+    def test_long_gamma_sums_stay_finite(self):
+        # L = 1, N = 4096: shapes up to 4096 terms, summed as logs, give
+        # finite positive diagonals with the mean N
+        cfg = sg.ScenarioConfig(L=1, N=4096, snr_s_db=0.0, snr_r_db=0.0, seed=9)
+        _, _, s = sg.draw_sample_cov(cfg, "random-unit", [("H0", i) for i in range(64)])
+        diag = np.concatenate([s.s_ss[:, 0, 0], s.s_rr[:, 0, 0]])
+        assert np.all(np.isfinite(diag)) and np.all(diag.real > 0)
+        assert np.array_equal(diag.imag, np.zeros(diag.size))
+
+
+class TestBartlettDraw:
+    def test_mean_is_the_population_covariance(self):
+        # E[S] = F F^H for S = (F A)(F A)^H / N and A the Bartlett factor of
+        # CW_5(N, I), drawn 10^4 times from Philox words like a trial's
+        L, N, draws = 2, 6, 10**4
+        p = 2 * L + 1
+        rng = np.random.default_rng(11)
+        f = _cn_matrix(rng, 2 * L, p)
+        f[:L, L : 2 * L] = f[L:, :L] = 0.0
+        shapes = N - np.arange(p)
+        words = np.random.Philox(key=np.array([11, 0], dtype=np.uint64)).random_raw(
+            draws * (p * (p - 1) + shapes.sum())
+        )
+        u = sg.model._uniforms(words).reshape(draws, -1)
+        z = sg.model._complex_normals(u[:, : p * (p - 1)])
+        a = sg.model._bartlett(z, sg.model._gammas(u[:, p * (p - 1) :], shapes))
+        fa = f @ a
+        s = fa @ fa.conj().swapaxes(-1, -2) / N
+        parts = np.stack([s.real, s.imag], axis=1)  # (draws, 2, 2L, 2L)
+        mean, se = parts.mean(axis=0), parts.std(axis=0) / np.sqrt(draws)
+        target = f @ f.conj().T
+        assert np.all(np.abs(mean - np.stack([target.real, target.imag])) <= 4 * se + 1e-12)
+
+
+class TestSnapshotRoute:
+    def test_matches_its_per_trial_oracle(self):
+        # the snapshot route, the draw's distribution oracle, reproduces its
+        # own per-trial oracle bit for bit
+        cfg = sg.ScenarioConfig(L=3, N=12, snr_s_db=-5.0, snr_r_db=15.0, seed=34)
+        trials = [(hyp, i) for hyp in ("H0", "H1") for i in range(10)]
+        for mode in sg.model.STEERING_MODES:
+            u_s, u_r, y_s, y_r = synth_batch(cfg, mode, trials)
+            for t, (hyp, i) in enumerate(trials):
+                steer, _, data = draw_trial(cfg, mode, hyp, i)
+                assert np.array_equal(u_s[t], steer.u_s) and np.array_equal(u_r[t], steer.u_r)
+                assert np.array_equal(y_s[t], data.y_s) and np.array_equal(y_r[t], data.y_r)
+
+
+# The distribution gate: each statistic of 2000 trials per hypothesis drawn
+# by draw_sample_cov against 2000 scored from synth_batch's snapshots, at
+# other seeds so that the two samples are independent; two-sample KS, with a
+# Bonferroni-corrected level of 0.01 over every test of the gate.
+KS_SCENARIOS = {
+    "n2l-ula-10db": (dict(L=4, N=8, snr_s_db=10.0, snr_r_db=10.0), "ula-random-doa"),
+    "no-signal": (dict(L=4, N=15, snr_s_db=0.0, snr_r_db=0.0, sigma_x2=0.0), "random-unit"),
+    "l8-n32": (dict(L=8, N=32, snr_s_db=-12.0, snr_r_db=0.0), "random-unit"),
+}
+KS_STATS = ("glr", "glr_sample", "sigma_max", "t_cc")
+KS_LEVEL = 0.01 / (len(KS_SCENARIOS) * 2 * len(KS_STATS))
+
+
+@pytest.mark.parametrize("scenario", sorted(KS_SCENARIOS))
+def test_draw_matches_snapshot_route_in_distribution(scenario):
+    params, mode = KS_SCENARIOS[scenario]
+    runs = {}
+    for route, seed in (("snapshots", 1701), ("covariance", 2701)):
+        cfg = sg.ExperimentConfig(
+            scenario=sg.ScenarioConfig(**params, seed=seed), trials_h0=2000, trials_h1=2000,
+            steering_mode=mode, detectors=KS_STATS,
+        )
+        runs[route] = snapshot_route_scores(cfg) if route == "snapshots" else sg.run_trials(cfg, threads=1)
+    for route, scores in runs.items():
+        assert not scores.errors, route
+    for hyp, rows in (("H0", slice(0, 2000)), ("H1", slice(2000, None))):
+        for name in KS_STATS:
+            old, new = (runs[route].stat(name, rows) for route in ("snapshots", "covariance"))
+            p = scipy.stats.ks_2samp(old, new).pvalue
+            assert p > KS_LEVEL, f"{scenario} {hyp} {name}: p = {p:.2e}"
 
 
 class TestComplexNormals:

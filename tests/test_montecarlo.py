@@ -10,6 +10,7 @@ import scipy.linalg
 import subspace_glr as sg
 from subspace_glr import montecarlo
 from subspace_glr.montecarlo import apply_sweep_value, wilks_diag
+from _utils import zero_surveillance
 
 
 def tiny_config(seed=1, L=2, N=8, trials_h0=4, trials_h1=4, detectors=("glr_low", "t_cc")):
@@ -113,14 +114,14 @@ class TestRunTrials:
         # factorization; only that trial's record carries the error
         cfg = tiny_config(trials_h0=6, trials_h1=6, detectors=sg.DETECTOR_NAMES)
         monkeypatch.setattr(montecarlo, "MAX_FAILURE_RATE", 0.5)
-        real = montecarlo.synth_batch
+        real = montecarlo.draw_sample_cov
 
         def zero_h1_3(sc, mode, trials):
-            u_s, u_r, y_s, y_r = real(sc, mode, trials)
-            y_s[[k for k, item in enumerate(trials) if item == ("H1", 3)]] = 0.0
-            return u_s, u_r, y_s, y_r
+            u_s, u_r, s = real(sc, mode, trials)
+            zero_surveillance(s, [k for k, item in enumerate(trials) if item == ("H1", 3)])
+            return u_s, u_r, s
 
-        monkeypatch.setattr(montecarlo, "synth_batch", zero_h1_3)
+        monkeypatch.setattr(montecarlo, "draw_sample_cov", zero_h1_3)
         records = sg.run_trials(cfg, threads=1)
         keys = full_keys(records, run_items(cfg))
         failed = [key for key in keys if key[2] is not None]
@@ -140,14 +141,14 @@ class TestRunTrials:
         # error, and every other row equals its block-of-one score
         cfg = tiny_config(trials_h0=6, trials_h1=6, detectors=sg.DETECTOR_NAMES)
         items = run_items(cfg)
-        real = montecarlo.synth_batch
+        real = montecarlo.draw_sample_cov
 
         def nan_h0_4(sc, mode, trials):
-            u_s, u_r, y_s, y_r = real(sc, mode, trials)
-            y_s[[k for k, item in enumerate(trials) if item == ("H0", 4)], 0, 1] = np.nan
-            return u_s, u_r, y_s, y_r
+            u_s, u_r, s = real(sc, mode, trials)
+            s.s_ss[[k for k, item in enumerate(trials) if item == ("H0", 4)], 1, 0] = np.nan
+            return u_s, u_r, s
 
-        monkeypatch.setattr(montecarlo, "synth_batch", nan_h0_4)
+        monkeypatch.setattr(montecarlo, "draw_sample_cov", nan_h0_4)
         (block,) = montecarlo._run_chunk(cfg, items)
         assert list(block.errors) == [4]
         assert type(block.errors[4]) is ValueError
@@ -264,15 +265,15 @@ class TestPooledPoints:
     def test_first_failing_point_raises_at_any_worker_count(self, monkeypatch):
         # the second point (L = 3) fails 3 trials and the third (L = 5) 5;
         # the error names the second, the first over the allowed rate
-        real = montecarlo.synth_batch
+        real = montecarlo.draw_sample_cov
 
         def zero_some(sc, mode, trials):
-            u_s, u_r, y_s, y_r = real(sc, mode, trials)
+            u_s, u_r, s = real(sc, mode, trials)
             bad = {3: 3, 5: 5}.get(sc.L, 0)
-            y_s[[k for k, (hyp, idx) in enumerate(trials) if hyp == "H1" and idx < bad]] = 0.0
-            return u_s, u_r, y_s, y_r
+            zero_surveillance(s, [k for k, (hyp, idx) in enumerate(trials) if hyp == "H1" and idx < bad])
+            return u_s, u_r, s
 
-        monkeypatch.setattr(montecarlo, "synth_batch", zero_some)
+        monkeypatch.setattr(montecarlo, "draw_sample_cov", zero_some)
         cfg = l_sweep_config(12, 12, detectors=("glr_low",))
         messages = []
         for threads in (1, 2):
