@@ -273,9 +273,9 @@ def draw_sample_cov(
     CW_L(dof, I) / dof, rescaled to the SNR targets unless sigma_x2 = 0. A
     snapshot is y = F w with w ~ CN(0, I) of size 2L + 1, where
     F = [h, blockdiag(B_s, B_r)] and h = sqrt(sigma_x2) [a_s u_s; a_r u_r],
-    with a_s u_s zeroed under H0. So N S = F W F^H with W ~ CW_{2L+1}(N, I),
-    and S is drawn as (F A)(F A)^H / N from the Bartlett factor A of W. At
-    N = 2L the last diagonal entry of A is 0: W is then singular, as a
+    with a_s u_s zeroed under H0. So N S = F V F^H with V ~ CW_{2L+1}(N, I),
+    and S is drawn as (F A)(F A)^H / N from the Bartlett factor A of V. At
+    N = 2L the last diagonal entry of A is 0: V is then singular, as a
     Wishart of fewer degrees of freedom than its dimension is.
 
     The trial's W words (see trial_width) sit at counter i W / 4 of the

@@ -347,7 +347,7 @@ class TestWordLayout:
 
     def test_last_diagonal_zero_at_n_2l(self):
         # at N = 2L the joint factor's last Gamma shape is 0, so its last
-        # diagonal entry is exactly 0: W ~ CW_{2L+1}(2L, I) is singular. S,
+        # diagonal entry is exactly 0: V ~ CW_{2L+1}(2L, I) is singular. S,
         # of 2L snapshots, stays positive definite
         cfg = sg.ScenarioConfig(L=2, N=4, snr_s_db=0.0, snr_r_db=10.0, seed=3)
         _, shapes = sg.model._layout(cfg)
