@@ -16,7 +16,6 @@ level comes from SUBSPACE_GLR_LOG (debug, info, warning, error).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
@@ -129,20 +128,33 @@ def load_config(path: str, seed_override: int | None) -> ExperimentConfig:
     return cfg
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_table(path: Path, header: tuple[str, ...], labels: list[str] | None, columns) -> None:
+    """Write one CSV table, given by its columns, with a single write.
 
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
+    labels, if given, is the first column; columns holds the float columns,
+    each written as repr(float(x)), the shortest string that reads back to
+    the same double. Each distinct value is formatted once: values are told
+    apart by bit pattern, so -0.0 and 0.0 keep their own strings, and the
+    repr of a list of Python floats formats each with float.__repr__. The
+    bytes are those of csv.writer in its default dialect (comma separators,
+    \r\n line ends). No field ever needs quoting: the labels are detector
+    names and the headers fixed identifiers.
+    """
+    values = np.array(columns, dtype=float)
+    distinct, where = np.unique(values.view(np.int64), return_inverse=True)
+    text = repr(distinct.view(float).tolist())[1:-1].split(", ")
+    fields = [list(map(text.__getitem__, col)) for col in where.reshape(values.shape).tolist()]
+    if labels is not None:
+        fields.insert(0, labels)
+    lines = [",".join(header), *map(",".join, zip(*fields)), ""]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("\r\n".join(lines))
 
 
 def _write_manifest(
     out_dir: Path, command: str, cfg: ExperimentConfig, threads: int,
-    outputs: list[str], failures: dict[str, int], telemetry: dict, started: float,
+    outputs: list[str], failures: dict[str, int], telemetry: dict,
+    started: float, seconds: dict[str, float],
 ) -> None:
     manifest = {
         "tool": "subspace-glr",
@@ -153,7 +165,8 @@ def _write_manifest(
         "outputs": outputs,
         "trial_failures": failures,
         "telemetry": telemetry,
-        "duration_s": round(time.time() - started, 3),
+        "seconds": {stage: round(s, 6) for stage, s in seconds.items()},
+        "duration_s": round(time.monotonic() - started, 3),
     }
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -167,61 +180,66 @@ def _prepare_out(arg: str | None) -> Path:
 
 
 def cmd_roc(args: argparse.Namespace) -> int:
-    started = time.time()
+    started = time.monotonic()
     cfg = load_config(args.config, args.seed)
     out = _prepare_out(args.out)
     threads = resolve_threads(args.threads)
+    run_start = time.perf_counter()
     curves, failures, telemetry = run_roc_experiment(cfg, threads)
-    roc_rows = []
-    auc_rows = []
-    for name in cfg.detectors:
-        curve = curves[name]
-        roc_rows += [[name, _fmt(p), _fmt(q)] for p, q in zip(curve.pfa, curve.pd)]
-        auc_rows.append([name, _fmt(curve.auc)])
-    _write_csv(out / "roc.csv", ["detector", "pfa", "pd"], roc_rows)
-    _write_csv(out / "auc.csv", ["detector", "auc"], auc_rows)
-    _write_manifest(out, "roc", cfg, threads, ["roc.csv", "auc.csv"], failures, telemetry, started)
+    write_start = time.perf_counter()
+    names = cfg.detectors
+    _write_table(
+        out / "roc.csv", ("detector", "pfa", "pd"),
+        [name for name in names for _ in curves[name].pfa],
+        [np.concatenate([curves[name].pfa for name in names]),
+         np.concatenate([curves[name].pd for name in names])],
+    )
+    _write_table(out / "auc.csv", ("detector", "auc"), list(names), [[curves[name].auc for name in names]])
+    seconds = {"run": write_start - run_start, "write": time.perf_counter() - write_start}
+    _write_manifest(out, "roc", cfg, threads, ["roc.csv", "auc.csv"], failures, telemetry, started, seconds)
     log.info("roc: wrote %s and %s", out / "roc.csv", out / "auc.csv")
     return 0
 
 
 def cmd_pm_sweep(args: argparse.Namespace) -> int:
-    started = time.time()
+    started = time.monotonic()
     cfg = load_config(args.config, args.seed)
     if cfg.sweep is None:
         raise ConfigError("config.sweep: required for pm-sweep")
     out = _prepare_out(args.out)
     threads = resolve_threads(args.threads)
+    run_start = time.perf_counter()
     points, failures, telemetry = run_pm_sweep(cfg, threads)
-    rows = []
-    for name in cfg.detectors:
-        for pt in points[name]:
-            rows.append([name, _fmt(pt.sweep_value), _fmt(pt.pm), _fmt(pt.ci_lo), _fmt(pt.ci_hi)])
-    _write_csv(out / "pm.csv", ["detector", "sweep_value", "pm", "ci_lo", "ci_hi"], rows)
-    _write_manifest(out, "pm-sweep", cfg, threads, ["pm.csv"], failures, telemetry, started)
+    write_start = time.perf_counter()
+    rows = [[pt.sweep_value, pt.pm, pt.ci_lo, pt.ci_hi] for name in cfg.detectors for pt in points[name]]
+    _write_table(
+        out / "pm.csv", ("detector", "sweep_value", "pm", "ci_lo", "ci_hi"),
+        [name for name in cfg.detectors for _ in points[name]], np.array(rows).T,
+    )
+    seconds = {"run": write_start - run_start, "write": time.perf_counter() - write_start}
+    _write_manifest(out, "pm-sweep", cfg, threads, ["pm.csv"], failures, telemetry, started, seconds)
     return 0
 
 
 def cmd_null_dist(args: argparse.Namespace) -> int:
-    started = time.time()
+    started = time.monotonic()
     cfg = load_config(args.config, args.seed)
     out = _prepare_out(args.out)
     threads = resolve_threads(args.threads)
+    run_start = time.perf_counter()
     ks, table, n_valid, telemetry = run_null_dist(cfg, threads)
-    _write_csv(
-        out / "nulldist.csv",
-        ["t", "empirical_cdf", "chi2_cdf"],
-        ([_fmt(t), _fmt(e), _fmt(c)] for t, e, c in table),
-    )
+    write_start = time.perf_counter()
+    _write_table(out / "nulldist.csv", ("t", "empirical_cdf", "chi2_cdf"), None, table.T)
     with open(out / "ks.json", "w") as fh:
         json.dump(
             {"ks_distance": ks, "n_trials": n_valid, "reference": "chi-squared, 2 dof"},
             fh, indent=2, sort_keys=True,
         )
         fh.write("\n")
+    seconds = {"run": write_start - run_start, "write": time.perf_counter() - write_start}
     failures = {"H0": cfg.trials_h0 - n_valid}
     outputs = ["nulldist.csv", "ks.json"]
-    _write_manifest(out, "null-dist", cfg, threads, outputs, failures, telemetry, started)
+    _write_manifest(out, "null-dist", cfg, threads, outputs, failures, telemetry, started, seconds)
     return 0
 
 

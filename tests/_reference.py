@@ -26,13 +26,16 @@ tests hold that pipeline against:
 - the cross-gain estimates ml_qsr and low_snr_qsr and the matrix M(q, R_rr)
   whose determinant ml_qsr minimizes;
 - oracle_glr, a brute-force quasi-Newton search over R_rr for the exact
-  statistic.
+  statistic;
+- write_csv, the row-at-a-time table writer that the CLI's column writer
+  (cli._write_table) must match byte for byte.
 
 Unlike the package, it uses scipy.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -686,3 +689,12 @@ def oracle_glr(
         )
         best = max(best, -float(res.fun))
     return math.exp(best)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a table one row at a time with csv.writer's default dialect.
+    A string cell is written as it is, any other as repr(float(x))."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([c if isinstance(c, str) else repr(float(c)) for c in row] for row in rows)

@@ -1,18 +1,22 @@
 import dataclasses
+import hashlib
 import json
 import logging
+import math
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import subspace_glr as sg
-from subspace_glr import montecarlo
-from subspace_glr.cli import main
+from subspace_glr import cli, montecarlo
+from subspace_glr.cli import load_config, main
+from _reference import write_csv
 from _utils import rand_unit, zero_surveillance
 
 
@@ -254,6 +258,15 @@ class TestRoc:
         assert manifest["trial_failures"] == {"H0": 0, "H1": 0}
         assert manifest["outputs"] == ["roc.csv", "auc.csv"]
 
+    def test_duration_ignores_wall_clock_steps(self, tmp_path, monkeypatch):
+        # a wall clock that steps back an hour at every read
+        clock = iter(range(10**9, 0, -3600))
+        monkeypatch.setattr(time, "time", lambda: float(next(clock)))
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["roc", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 0
+        assert 0.0 <= json.loads((out / "manifest.json").read_text())["duration_s"] < 60.0
+
     def test_telemetry_same_at_any_thread_count(self, tmp_path, monkeypatch):
         # the manifest's telemetry holds counts only, so it repeats for one
         # seed at any worker count; two zero channels make one failure group
@@ -391,6 +404,97 @@ class TestNullDist:
         cfg = write_config(tmp_path, detectors=["glr_low"])
         assert main(["null-dist", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "glr" in capsys.readouterr().err
+
+
+VALUES = [0.0, -0.0, 5e-324, 1e-05, 1.0, 1 / 3, 1e308, -2.5e-17, 0.1 + 0.2]
+
+
+class TestTables:
+    """cli._write_table against the row writer it replaced (_reference.write_csv)."""
+
+    @pytest.mark.parametrize("labels", [True, False])
+    @pytest.mark.parametrize("columns", [
+        [VALUES * 2, VALUES[::-1] * 2, [1 / 3] * 18],  # each value repeated, within and across columns
+        [[-0.0], [1e-05], [5e-324]],  # one row
+    ], ids=["repeats", "one-row"])
+    def test_same_bytes_as_the_row_writer(self, tmp_path, labels, columns):
+        n = len(columns[0])
+        names = [f"d{k % 4}" for k in range(n)] if labels else None
+        header = ("detector", "a", "b", "c")[0 if labels else 1:]
+        cli._write_table(tmp_path / "new.csv", header, names, [np.array(c) for c in columns])
+        write_csv(tmp_path / "old.csv", header, zip(*([names] if labels else []), *columns))
+        got = (tmp_path / "new.csv").read_bytes()
+        assert got == (tmp_path / "old.csv").read_bytes()
+        assert got.count(b"\n") == got.count(b"\r\n") == n + 1 and got.endswith(b"\r\n")
+        assert b"-0.0," in got and b"1e-05" in got and b"5e-324" in got
+
+    def test_main_tables_match_the_row_writer(self, tmp_path):
+        # every table main writes is the row writer applied to the runner's own return values
+        path = write_config(
+            tmp_path, detectors=["glr", "glr_low", "sigma_max"], pfa=0.1,
+            sweep={"axis": "snr_s_db", "values": [-5.0, 0.0, 5.0], "snr_r_db_offset": 10.0},
+        )
+        cfg = load_config(str(path), None)
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        curves, _, _ = montecarlo.run_roc_experiment(cfg, threads=1)
+        write_csv(ref / "roc.csv", ["detector", "pfa", "pd"],
+                  [[n, p, q] for n in cfg.detectors for p, q in zip(curves[n].pfa, curves[n].pd)])
+        write_csv(ref / "auc.csv", ["detector", "auc"], [[n, curves[n].auc] for n in cfg.detectors])
+        points, _, _ = montecarlo.run_pm_sweep(cfg, threads=1)
+        write_csv(ref / "pm.csv", ["detector", "sweep_value", "pm", "ci_lo", "ci_hi"],
+                  [[n, pt.sweep_value, pt.pm, pt.ci_lo, pt.ci_hi] for n in cfg.detectors for pt in points[n]])
+        _, table, _, _ = montecarlo.run_null_dist(cfg, threads=1)
+        write_csv(ref / "nulldist.csv", ["t", "empirical_cdf", "chi2_cdf"], table)
+        for command, names in (("roc", ["roc.csv", "auc.csv"]), ("pm-sweep", ["pm.csv"]),
+                               ("null-dist", ["nulldist.csv"])):
+            out = tmp_path / command
+            assert main([command, "--config", str(path), "--out", str(out), "--threads", "1"]) == 0
+            for name in names:
+                assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+    def test_manifest_times_run_and_write(self, tmp_path):
+        path = write_config(tmp_path, detectors=["glr"], sweep={"axis": "snr_s_db", "values": [0.0]}, pfa=0.1)
+        for command in ("roc", "pm-sweep", "null-dist"):
+            out = tmp_path / command
+            assert main([command, "--config", str(path), "--out", str(out), "--threads", "1"]) == 0
+            seconds = json.loads((out / "manifest.json").read_text())["seconds"]
+            assert sorted(seconds) == ["run", "write"]
+            assert all(math.isfinite(s) and s >= 0.0 for s in seconds.values())
+
+
+# SHA-256 of the rank-based tables of two 40 + 40 trial runs, at --threads 1
+# and 2. pfa, pd and pm are counts over n and auc sums their products, so
+# libm's last bits move these bytes only if they reorder two trials. A
+# deliberate change of the golden streams must update these digests and log
+# the update in CHANGES.md.
+ALL_DETECTORS = ["glr", "glr_sample", "glr_low", "sigma_max", "t_cc", "t_svd"]
+GOLDEN = [
+    ("roc", {
+        "scenario": {"L": 4, "N": 15, "snr_s_db": -5.0, "snr_r_db": 15.0, "seed": 7},
+        "trials_h0": 40, "trials_h1": 40, "detectors": ALL_DETECTORS,
+    }, {
+        "roc.csv": "6b503161e13775747b6d443b3ddbb3da37d027b390d2198ddc8d57ea6ffbfd80",
+        "auc.csv": "afd53f41d071686bab5004832a04dde2389e35272c823e7d917ec54c13954d4c",
+    }),
+    ("pm-sweep", {
+        "scenario": {"L": 4, "N": 15, "snr_s_db": 0.0, "snr_r_db": 10.0, "seed": 13},
+        "trials_h0": 40, "trials_h1": 40, "pfa": 0.25, "detectors": ALL_DETECTORS,
+        "sweep": {"axis": "snr_s_db", "values": [-10, -5, 0, 5, 10], "snr_r_db_offset": 10},
+    }, {
+        "pm.csv": "8deb9eeaf3778e2b661269e3b4e0b87c1299f7424db34d349ab9ed7d0af80b28",
+    }),
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("command, cfg, digests", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_rank_tables_golden_bytes(tmp_path, command, cfg, digests, threads):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out), "--threads", str(threads)]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests
 
 
 class TestDetect:
