@@ -34,7 +34,6 @@ from .detectors import (
     PROPOSED_DETECTORS,
     BlockScores,
     DegenerateSampleError,
-    DetectorReport,
     compute_report,
     cross_corr_stat,
     glr_exact,

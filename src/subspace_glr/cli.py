@@ -8,9 +8,15 @@ Subcommands:
     detect           score one snapshot file with optional thresholds
     validate-config  parse a config, print the resolved form
 
-Exit codes: 0 success, 2 invalid config or input file, 3 numerical failure,
-such as more failed trials than montecarlo.MAX_FAILURE_RATE allows. Logging
-level comes from SUBSPACE_GLR_LOG (debug, info, warning, error).
+The three experiment commands run through one driver, cmd_experiment: a
+montecarlo runner, then a writer of that command's data files into --out,
+then manifest.json.
+
+Exit codes: 0 success, 2 invalid config or input file, or an --out
+directory or output file that cannot be created or written, 3 numerical
+failure, such as more failed trials than montecarlo.MAX_FAILURE_RATE
+allows. Logging level comes from SUBSPACE_GLR_LOG (debug, info, warning,
+error).
 """
 
 from __future__ import annotations
@@ -151,42 +157,8 @@ def _write_table(path: Path, header: tuple[str, ...], labels: list[str] | None, 
         fh.write("\r\n".join(lines))
 
 
-def _write_manifest(
-    out_dir: Path, command: str, cfg: ExperimentConfig, threads: int,
-    outputs: list[str], failures: dict[str, int], telemetry: dict,
-    started: float, seconds: dict[str, float],
-) -> None:
-    manifest = {
-        "tool": "subspace-glr",
-        "version": __version__,
-        "command": command,
-        "config": config_to_dict(cfg),
-        "threads": threads,
-        "outputs": outputs,
-        "trial_failures": failures,
-        "telemetry": telemetry,
-        "seconds": {stage: round(s, 6) for stage, s in seconds.items()},
-        "duration_s": round(time.monotonic() - started, 3),
-    }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _prepare_out(arg: str | None) -> Path:
-    out = Path(arg) if arg else Path.cwd()
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_roc(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    cfg = load_config(args.config, args.seed)
-    out = _prepare_out(args.out)
-    threads = resolve_threads(args.threads)
-    run_start = time.perf_counter()
-    curves, failures, telemetry = run_roc_experiment(cfg, threads)
-    write_start = time.perf_counter()
+def _write_roc(out: Path, cfg: ExperimentConfig, result) -> tuple[list[str], dict, dict]:
+    curves, failures, telemetry = result
     names = cfg.detectors
     _write_table(
         out / "roc.csv", ("detector", "pfa", "pd"),
@@ -195,40 +167,21 @@ def cmd_roc(args: argparse.Namespace) -> int:
          np.concatenate([curves[name].pd for name in names])],
     )
     _write_table(out / "auc.csv", ("detector", "auc"), list(names), [[curves[name].auc for name in names]])
-    seconds = {"run": write_start - run_start, "write": time.perf_counter() - write_start}
-    _write_manifest(out, "roc", cfg, threads, ["roc.csv", "auc.csv"], failures, telemetry, started, seconds)
-    log.info("roc: wrote %s and %s", out / "roc.csv", out / "auc.csv")
-    return 0
+    return ["roc.csv", "auc.csv"], failures, telemetry
 
 
-def cmd_pm_sweep(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    cfg = load_config(args.config, args.seed)
-    if cfg.sweep is None:
-        raise ConfigError("config.sweep: required for pm-sweep")
-    out = _prepare_out(args.out)
-    threads = resolve_threads(args.threads)
-    run_start = time.perf_counter()
-    points, failures, telemetry = run_pm_sweep(cfg, threads)
-    write_start = time.perf_counter()
+def _write_pm(out: Path, cfg: ExperimentConfig, result) -> tuple[list[str], dict, dict]:
+    points, failures, telemetry = result
     rows = [[pt.sweep_value, pt.pm, pt.ci_lo, pt.ci_hi] for name in cfg.detectors for pt in points[name]]
     _write_table(
         out / "pm.csv", ("detector", "sweep_value", "pm", "ci_lo", "ci_hi"),
         [name for name in cfg.detectors for _ in points[name]], np.array(rows).T,
     )
-    seconds = {"run": write_start - run_start, "write": time.perf_counter() - write_start}
-    _write_manifest(out, "pm-sweep", cfg, threads, ["pm.csv"], failures, telemetry, started, seconds)
-    return 0
+    return ["pm.csv"], failures, telemetry
 
 
-def cmd_null_dist(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    cfg = load_config(args.config, args.seed)
-    out = _prepare_out(args.out)
-    threads = resolve_threads(args.threads)
-    run_start = time.perf_counter()
-    ks, table, n_valid, telemetry = run_null_dist(cfg, threads)
-    write_start = time.perf_counter()
+def _write_null(out: Path, cfg: ExperimentConfig, result) -> tuple[list[str], dict, dict]:
+    ks, table, n_valid, telemetry = result
     _write_table(out / "nulldist.csv", ("t", "empirical_cdf", "chi2_cdf"), None, table.T)
     with open(out / "ks.json", "w") as fh:
         json.dump(
@@ -236,10 +189,61 @@ def cmd_null_dist(args: argparse.Namespace) -> int:
             fh, indent=2, sort_keys=True,
         )
         fh.write("\n")
-    seconds = {"run": write_start - run_start, "write": time.perf_counter() - write_start}
-    failures = {"H0": cfg.trials_h0 - n_valid}
-    outputs = ["nulldist.csv", "ks.json"]
-    _write_manifest(out, "null-dist", cfg, threads, outputs, failures, telemetry, started, seconds)
+    return ["nulldist.csv", "ks.json"], {"H0": cfg.trials_h0 - n_valid}, telemetry
+
+
+# Experiment commands and their help; cmd_experiment runs each.
+_EXPERIMENTS = {
+    "roc": "ROC and AUC tables from H0/H1 trials",
+    "pm-sweep": "missed-detection probability along a sweep",
+    "null-dist": "null distribution of 2 log Lambda",
+}
+
+
+def cmd_experiment(args: argparse.Namespace) -> int:
+    """Run an experiment command: load the config, run the Monte Carlo
+    runner, let its writer write the data files into --out, then write
+    manifest.json. An OSError creating --out or writing a file exits 2."""
+    started = time.monotonic()
+    # Looked up per call, so a wrapper set on this module's names after import runs.
+    runner, writer = {
+        "roc": (run_roc_experiment, _write_roc),
+        "pm-sweep": (run_pm_sweep, _write_pm),
+        "null-dist": (run_null_dist, _write_null),
+    }[args.command]
+    cfg = load_config(args.config, args.seed)
+    if args.command == "pm-sweep" and cfg.sweep is None:
+        raise ConfigError("config.sweep: required for pm-sweep")
+    out = Path(args.out) if args.out else Path.cwd()
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: {exc}") from exc
+    threads = resolve_threads(args.threads)
+    run_start = time.perf_counter()
+    result = runner(cfg, threads)
+    write_start = time.perf_counter()
+    try:
+        outputs, failures, telemetry = writer(out, cfg, result)
+        seconds = {"run": write_start - run_start, "write": time.perf_counter() - write_start}
+        manifest = {
+            "tool": "subspace-glr",
+            "version": __version__,
+            "command": args.command,
+            "config": config_to_dict(cfg),
+            "threads": threads,
+            "outputs": outputs,
+            "trial_failures": failures,
+            "telemetry": telemetry,
+            "seconds": {stage: round(s, 6) for stage, s in seconds.items()},
+            "duration_s": round(time.monotonic() - started, 3),
+        }
+        with open(out / "manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: {exc}") from exc
+    log.info("%s: wrote %s", args.command, ", ".join(str(out / name) for name in outputs + ["manifest.json"]))
     return 0
 
 
@@ -272,24 +276,23 @@ def cmd_detect(args: argparse.Namespace) -> int:
         )
     thresholds = _parse_thresholds(args.threshold or [])
     s = sample_cov(data)
-    report = compute_report(s, steering)
+    scores, optim = compute_report(s, steering)
+    stats = dict(zip(scores.detectors, scores.stats[0].tolist()))
     result = {
         "L": data.num_sensors,
         "N": data.num_snapshots,
-        "statistics": {name: report.stat(name) for name in DETECTOR_NAMES},
-        "two_log_glr": report.two_log_glr,
+        "statistics": stats,
+        "two_log_glr": float(scores.two_log_glr[0]),
         "optimizer": {
-            "iterations": report.optim.iterations,
-            "converged": report.optim.converged,
-            "stop_reason": report.optim.stop_reason,
-            "j_value": report.optim.j_value,
+            "iterations": optim.iterations,
+            "converged": optim.converged,
+            "stop_reason": optim.stop_reason,
+            "j_value": optim.j_value,
         },
         "sample_cov_condition": float(np.linalg.cond(s.full())),
     }
     if thresholds:
-        result["decisions"] = {
-            name: bool(report.stat(name) > thr) for name, thr in thresholds.items()
-        }
+        result["decisions"] = {name: stats[name] > thr for name, thr in thresholds.items()}
     json.dump(result, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0
@@ -316,17 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=0, help="worker processes, 0 = all cores")
         p.add_argument("--seed", type=int, default=None, help="override the config seed (u64)")
 
-    p_roc = sub.add_parser("roc", help="ROC and AUC tables from H0/H1 trials")
-    add_common(p_roc)
-    p_roc.set_defaults(func=cmd_roc)
-
-    p_pm = sub.add_parser("pm-sweep", help="missed-detection probability along a sweep")
-    add_common(p_pm)
-    p_pm.set_defaults(func=cmd_pm_sweep)
-
-    p_null = sub.add_parser("null-dist", help="null distribution of 2 log Lambda")
-    add_common(p_null)
-    p_null.set_defaults(func=cmd_null_dist)
+    for name, help_text in _EXPERIMENTS.items():
+        p_exp = sub.add_parser(name, help=help_text)
+        add_common(p_exp)
+        p_exp.set_defaults(func=cmd_experiment)
 
     p_det = sub.add_parser("detect", help="score one snapshot file")
     p_det.add_argument("--data", required=True, help="snapshot CSV or binary file")

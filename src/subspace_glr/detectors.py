@@ -23,7 +23,10 @@ a_i = L_i^{-1} u_i and the coherence matrix C = L_s^{-1} S_sr L_r^{-H},
 with the Cholesky factors S_ii = L_i L_i^H. The closed forms are vector
 operations on them, and the exact statistic ascends a cost built from them
 (covariance.cost_forms), one lockstep ascent for a whole stack. score_batch
-forms them once for a stack of covariances; compute_report is a stack of one.
+forms them once for a stack of covariances. There is one scoring path: the
+public statistic functions and compute_report run it on a record as a stack
+of one, so a record gets score_batch's numbers and raises the error its row
+carries, never a NaN.
 """
 
 from __future__ import annotations
@@ -33,20 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import (
-    BeamformerPair,
-    BlockSampleCov,
-    capon_pair,
-    coherence_matrix,
-    cost_forms,
-)
+from .covariance import BlockSampleCov, capon_pair, coherence_matrix, cost_forms
 from .model import SteeringPair, substream
 from .optimizer import OptimResult, ascend, random_start
 
 DETECTOR_NAMES = ("glr", "glr_sample", "glr_low", "sigma_max", "t_cc", "t_svd")
 PROPOSED_DETECTORS = ("glr", "glr_sample", "glr_low")
-# DetectorReport field of a detector whose field is not named after it.
-_REPORT_FIELD = {"glr": "glr_1n"}
 _ZERO_CHANNEL = "svd_corr_stat requires nonzero channel matrices"
 # The exact cost's gamma_m has the eigenvalues 1 - sigma_k^2 of I - C^H C. At
 # or below this scale-free floor the channels are fully coherent to working
@@ -58,21 +53,22 @@ class DegenerateSampleError(ValueError):
     """A statistic's denominator collapsed on this sample."""
 
 
-def _beamform(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray):
-    """The coherence matrix and the beamformer pair that the three proposed
-    detectors are built from."""
-    if s.maybe_singular:
-        raise ValueError(f"need n >= 2L snapshots, got n={s.n}, L={s.num_sensors}")
-    return coherence_matrix(s), capon_pair(s, u_s, u_r)
-
-
-def _closed_form_terms(c: np.ndarray, pair: BeamformerPair):
-    """Numerator |eta_sr|^2 and the denominators beta_s (beta_r - alpha_sr) of
-    glr_sample and beta_s beta_r of glr_low, at R_rr = S_rr, from beamformed
-    data: eta_sr = a_s^H C a_r, beta_i = |a_i|^2 and alpha_sr = |C a_r|^2."""
-    c_ar = (c @ pair.a_r[..., None])[..., 0]
-    num = np.abs(np.vecdot(pair.a_s, c_ar)) ** 2
-    return num, pair.beta_s * (pair.beta_r - np.vecdot(c_ar, c_ar).real), pair.beta_s * pair.beta_r
+def _single(s: BlockSampleCov, u_s: np.ndarray | None, u_r: np.ndarray | None,
+            detectors: tuple[str, ...], n_restarts: int = 0):
+    """_score on a stack of covariances, or on one record as a stack of one,
+    raising the error of the first failed row. Returns the scores, each
+    detector's statistic in detectors order (a float for a record, the
+    column for a stack) and the OptimResult of the first row's glr ascent
+    (None without glr). The steering vectors of a record broadcast over
+    its stack of one (see capon_pair)."""
+    record = s.s_ss.ndim == 2
+    if record:
+        s = BlockSampleCov(s.s_ss[None], s.s_sr[None], s.s_rr[None], s.n)
+    scores, ascent, rows = _score(s, u_s, u_r, detectors, n_restarts)
+    if scores.errors:
+        raise scores.errors[min(scores.errors)]
+    values = scores.stats[0].tolist() if record else list(scores.stats.T)
+    return scores, values, None if ascent is None else ascent.result(int(rows[0]))
 
 
 def glr_low(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> float:
@@ -83,12 +79,7 @@ def glr_low(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> float:
     pair with the coherence matrix C. Lies in [0, sigma_max^2] <= [0, 1].
     One value per covariance of a stack.
     """
-    num, _, den = _closed_form_terms(*_beamform(s, u_s, u_r))
-    return num / den
-
-
-def _collapsed(den: float) -> DegenerateSampleError:
-    return DegenerateSampleError(f"nonpositive denominator {den:.3e} in glr_sample")
+    return _single(s, u_s, u_r, ("glr_low",))[1][0]
 
 
 def glr_sample(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> float:
@@ -102,11 +93,7 @@ def glr_sample(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> float:
     stack, naming the first such covariance). One value per covariance of
     a stack.
     """
-    num, den, _ = _closed_form_terms(*_beamform(s, u_s, u_r))
-    collapsed = den <= 0.0
-    if np.any(collapsed):
-        raise _collapsed(np.extract(collapsed, den)[0])
-    return num / den
+    return _single(s, u_s, u_r, ("glr_sample",))[1][0]
 
 
 def _glr(forms, n_restarts: int):
@@ -160,18 +147,17 @@ def glr_exact(
     keeping the best objective. e1 alone already matches the closed-form
     statistic exactly, so the result never falls below 1 + glr_sample (up to
     roundoff); near N = 2L restarts can escape a local maximum. Raises
-    ValueError when the channels are fully coherent (COHERENCE_FLOOR)."""
-    stats, ascent, rows, errors = _glr(cost_forms(*_beamform(s, u_s, u_r)), n_restarts)
-    if errors:
-        raise errors[0]
-    return float(stats[0]), ascent.result(int(rows[0]))
+    ValueError when the channels are fully coherent (COHERENCE_FLOOR). For a
+    stack, the column of statistics and the first covariance's ascent."""
+    _, (stat,), optim = _single(s, u_s, u_r, ("glr",), n_restarts)
+    return stat, optim
 
 
 def sigma_max_coherence(s: BlockSampleCov) -> float:
     """Largest canonical coherence: top singular value of the whitened
     cross block. In [0, 1] for any sample covariance from real data. One
     value per covariance of a stack."""
-    return np.linalg.svd(coherence_matrix(s), compute_uv=False)[..., 0]
+    return _single(s, None, None, ("sigma_max",))[1][0]
 
 
 def cross_corr_stat(s: BlockSampleCov) -> float:
@@ -187,17 +173,7 @@ def cross_corr_stat(s: BlockSampleCov) -> float:
     low-SNR detector instead of trailing every proposed statistic. One
     value per covariance of a stack.
     """
-    return np.sum(np.abs(s.s_sr) ** 2, axis=(-2, -1))
-
-
-def _svd_corr(s: BlockSampleCov) -> tuple[np.ndarray, np.ndarray]:
-    """svd_corr_stat of each covariance of a stack from one stacked eigh of
-    (S_ss, S_rr), and where a channel is zero: lam_max(S_ii) == 0."""
-    lam, vec = np.linalg.eigh(np.stack([s.s_ss, s.s_rr]))
-    (lam_s, lam_r), (p_s, p_r) = lam[..., -1], vec[..., -1]
-    cross = np.vecdot(p_s, (s.s_sr @ p_r[..., None])[..., 0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.abs(cross) ** 2 / (lam_s * lam_r), (lam_s == 0.0) | (lam_r == 0.0)
+    return _single(s, None, None, ("t_cc",))[1][0]
 
 
 def svd_corr_stat(s: BlockSampleCov) -> float:
@@ -209,32 +185,7 @@ def svd_corr_stat(s: BlockSampleCov) -> float:
     eigenpair (lam_i, p_i) of S_ii, so the statistic is
     |p_s^H S_sr p_r|^2 / (lam_s lam_r). Invariant to scaling of either
     channel. One value per covariance of a stack."""
-    stat, zero = _svd_corr(s)
-    if np.any(zero):
-        raise ValueError(_ZERO_CHANNEL)
-    return stat
-
-
-@dataclass
-class DetectorReport:
-    """All statistics computed on one record. Fields are None when the
-    corresponding detector was not requested."""
-
-    glr_1n: float | None = None
-    two_log_glr: float | None = None
-    glr_sample: float | None = None
-    glr_low: float | None = None
-    sigma_max: float | None = None
-    t_cc: float | None = None
-    t_svd: float | None = None
-    optim: OptimResult | None = None
-
-    def stat(self, name: str) -> float:
-        """Thresholdable scalar for a detector name."""
-        val = getattr(self, _REPORT_FIELD.get(name, name))
-        if val is None:
-            raise KeyError(f"detector {name!r} was not computed for this record")
-        return float(val)
+    return _single(s, None, None, ("t_svd",))[1][0]
 
 
 @dataclass
@@ -276,13 +227,17 @@ class BlockScores:
         return ok
 
     def stat(self, name: str, rows: slice = slice(None)) -> np.ndarray:
-        """One detector's statistic on the valid rows among rows."""
+        """One detector's statistic on the valid rows among rows. Raises
+        KeyError for a detector the block did not compute."""
+        if name not in self.detectors:
+            raise KeyError(f"detector {name!r} was not computed for this block")
         return self.stats[rows, self.detectors.index(name)][self.valid[rows]]
 
 
 def _score(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray, detectors: tuple[str, ...], n_restarts: int):
     """score_batch's scores, plus glr's ascent and each trial's row of it
-    (see _glr), from which compute_report builds a trial's OptimResult."""
+    (see _glr), from which _single builds a trial's OptimResult. Calls no
+    public statistic function: those run this."""
     unknown = set(detectors) - set(DETECTOR_NAMES)
     if unknown:
         raise ValueError(f"unknown detectors {sorted(unknown)}; valid: {DETECTOR_NAMES}")
@@ -296,26 +251,38 @@ def _score(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray, detectors: tuple
     stats = {}
     ascent, rows = None, None
     if set(PROPOSED_DETECTORS) & set(detectors):
-        c, pair = _beamform(s, u_s, u_r)
+        if s.maybe_singular:
+            raise ValueError(f"need n >= 2L snapshots, got n={s.n}, L={s.num_sensors}")
+        c, pair = coherence_matrix(s), capon_pair(s, u_s, u_r)
     elif "sigma_max" in detectors:
         c = coherence_matrix(s)
     if "glr" in detectors:
         stats["glr"], ascent, rows, out.errors = _glr(cost_forms(c, pair), n_restarts)
     with np.errstate(divide="ignore", invalid="ignore"):
         if "glr_sample" in detectors or "glr_low" in detectors:
-            num, den, low_den = _closed_form_terms(c, pair)
+            # |eta_sr|^2 over beta_s (beta_r - alpha_sr) for glr_sample and over
+            # beta_s beta_r for glr_low, at R_rr = S_rr, from beamformed data:
+            # eta_sr = a_s^H C a_r, beta_i = |a_i|^2 and alpha_sr = |C a_r|^2
+            c_ar = (c @ pair.a_r[..., None])[..., 0]
+            num = np.abs(np.vecdot(pair.a_s, c_ar)) ** 2
         if "glr_sample" in detectors:
-            flag(den <= 0.0, lambda i: _collapsed(den[i]))
+            den = pair.beta_s * (pair.beta_r - np.vecdot(c_ar, c_ar).real)
+            flag(den <= 0.0,
+                 lambda i: DegenerateSampleError(f"nonpositive denominator {den[i]:.3e} in glr_sample"))
             stats["glr_sample"] = num / den
         if "glr_low" in detectors:
-            stats["glr_low"] = num / low_den
+            stats["glr_low"] = num / (pair.beta_s * pair.beta_r)
         if "sigma_max" in detectors:
             stats["sigma_max"] = np.linalg.svd(c, compute_uv=False)[..., 0]
         if "t_cc" in detectors:
-            stats["t_cc"] = cross_corr_stat(s)
+            stats["t_cc"] = np.sum(np.abs(s.s_sr) ** 2, axis=(-2, -1))
         if "t_svd" in detectors:
-            stats["t_svd"], zero = _svd_corr(s)
-            flag(zero, lambda i: ValueError(_ZERO_CHANNEL))
+            # the top eigenpairs (lam_i, p_i) of S_ss and S_rr, from one stacked eigh
+            lam, vec = np.linalg.eigh(np.stack([s.s_ss, s.s_rr]))
+            (lam_s, lam_r), (p_s, p_r) = lam[..., -1], vec[..., -1]
+            cross = np.vecdot(p_s, (s.s_sr @ p_r[..., None])[..., 0])
+            stats["t_svd"] = np.abs(cross) ** 2 / (lam_s * lam_r)
+            flag((lam_s == 0.0) | (lam_r == 0.0), lambda i: ValueError(_ZERO_CHANNEL))
     for k, name in enumerate(detectors):
         vals = out.stats[:, k] = stats[name]
         flag(~np.isfinite(vals), lambda i: DegenerateSampleError(f"non-finite statistic {name} = {vals[i]}"))
@@ -359,17 +326,10 @@ def compute_report(
     steering: SteeringPair,
     detectors: tuple[str, ...] = DETECTOR_NAMES,
     n_restarts: int = 0,
-) -> DetectorReport:
+) -> tuple[BlockScores, OptimResult | None]:
     """Run the requested detectors on one record's sample covariance:
-    score_batch on a stack of one, as a DetectorReport. Raises the error the
-    record hits; callers that sweep many records use score_batch, which
-    returns it instead."""
-    stack = BlockSampleCov(s.s_ss[None], s.s_sr[None], s.s_rr[None], s.n)
-    scores, ascent, rows = _score(stack, steering.u_s[None], steering.u_r[None], detectors, n_restarts)
-    if scores.errors:
-        raise scores.errors[0]
-    report = DetectorReport(**{_REPORT_FIELD.get(n, n): float(v) for n, v in zip(detectors, scores.stats[0])})
-    if ascent is not None:
-        report.two_log_glr = float(scores.two_log_glr[0])
-        report.optim = ascent.result(int(rows[0]))
-    return report
+    score_batch on a stack of one. Returns its one-row scores and, when glr
+    ran, the ascent's OptimResult. Raises the error the record hits; callers
+    that sweep many records use score_batch, which returns it instead."""
+    scores, _, optim = _single(s, steering.u_s, steering.u_r, detectors, n_restarts)
+    return scores, optim

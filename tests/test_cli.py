@@ -17,7 +17,7 @@ import subspace_glr as sg
 from subspace_glr import cli, montecarlo
 from subspace_glr.cli import load_config, main
 from _reference import write_csv
-from _utils import rand_unit, zero_surveillance
+from _utils import make_instance, rand_unit, zero_surveillance
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -406,6 +406,26 @@ class TestNullDist:
         assert "glr" in capsys.readouterr().err
 
 
+class TestOutErrors:
+    """--out paths that cannot be created or written exit 2 and name the path."""
+
+    @pytest.mark.parametrize("command, first", [
+        ("roc", "roc.csv"), ("pm-sweep", "pm.csv"), ("null-dist", "nulldist.csv"),
+    ])
+    @pytest.mark.parametrize("case", ["out-is-file", "out-under-file", "output-is-dir"])
+    def test_exits_2_naming_the_path(self, tmp_path, capsys, command, first, case):
+        cfg = write_config(tmp_path, detectors=["glr"], sweep={"axis": "snr_s_db", "values": [0.0]}, pfa=0.1)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = {"out-is-file": blocker, "out-under-file": blocker / "sub", "output-is-dir": tmp_path / "out"}[case]
+        if case == "output-is-dir":
+            (out / first).mkdir(parents=True)
+        assert main([command, "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out}: ") and str(out) in err
+        assert "Traceback" not in err
+
+
 VALUES = [0.0, -0.0, 5e-324, 1e-05, 1.0, 1 / 3, 1e308, -2.5e-17, 0.1 + 0.2]
 
 
@@ -641,6 +661,27 @@ class TestDetect:
         err = capsys.readouterr().err
         for needle in needles:
             assert needle in err
+
+    def test_reports_the_library_numbers(self, tmp_path, capsys):
+        # statistics and two_log_glr are score_batch's row and column for the
+        # record as a stack of one (what compute_report returns), and the
+        # optimizer block is glr_exact's OptimResult
+        _, steering, data = make_instance(seed=68, L=3)
+        data_path, steer_path = tmp_path / "data.csv", tmp_path / "steer.csv"
+        sg.write_snapshot_csv(data_path, data)
+        sg.write_steering_csv(steer_path, steering)
+        assert main(["detect", "--data", str(data_path), "--steering", str(steer_path)]) == 0
+        result = json.loads(capsys.readouterr().out)
+        s = sg.sample_cov(sg.read_snapshots(data_path))
+        steer = sg.read_steering_csv(steer_path)
+        stack = sg.BlockSampleCov(s.s_ss[None], s.s_sr[None], s.s_rr[None], s.n)
+        row = sg.score_batch(stack, steer.u_s[None], steer.u_r[None])
+        assert result["statistics"] == dict(zip(sg.DETECTOR_NAMES, row.stats[0].tolist()))
+        assert result["two_log_glr"] == row.two_log_glr[0]
+        _, optim = sg.glr_exact(s, steer.u_s, steer.u_r)
+        assert result["optimizer"] == {"iterations": optim.iterations, "converged": optim.converged,
+                                       "stop_reason": optim.stop_reason, "j_value": optim.j_value}
+        assert optim.iterations > 0
 
     def test_too_few_snapshots(self, tmp_path, capsys):
         data, steer = write_null_case_files(tmp_path, L=3, N=4, seed=67)

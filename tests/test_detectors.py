@@ -227,11 +227,11 @@ class TestExactStatistic:
                                        hypothesis="H0", index=71)
         s = sg.block_sample_cov(data.y_s, data.y_r)
         warm, restarted = (
-            sg.compute_report(s, steer, ("glr",), n_restarts=k)
+            sg.compute_report(s, steer, ("glr",), n_restarts=k)[1]
             for k in (0, 16)
         )
-        assert warm.optim.stop_reason == "gradient"
-        assert restarted.optim.j_value > warm.optim.j_value + 1.0
+        assert warm.stop_reason == "gradient"
+        assert restarted.j_value > warm.j_value + 1.0
 
     def test_rejects_negative_restarts(self):
         s, steer, _ = make_instance(seed=3, L=3)
@@ -350,20 +350,21 @@ class TestComparisonStats:
 class TestComputeReport:
     def test_full_report(self):
         s, steer, data = make_instance(seed=43, L=3)
-        rep = sg.compute_report(s, steer)
-        assert rep.glr_1n >= 1.0 - 1e-9
+        rep, optim = sg.compute_report(s, steer)
+        glr_1n = rep.stat("glr")[0]
+        assert glr_1n >= 1.0 - 1e-9
         n = data.num_snapshots
-        assert rep.two_log_glr == pytest.approx(2.0 * n * np.log(rep.glr_1n), rel=1e-12)
-        assert rep.optim is not None and rep.optim.converged
+        assert rep.two_log_glr[0] == pytest.approx(2.0 * n * np.log(glr_1n), rel=1e-12)
+        assert optim is not None and optim.converged
         for name in sg.DETECTOR_NAMES:
-            assert np.isfinite(rep.stat(name))
+            assert np.isfinite(rep.stat(name)[0])
 
     def test_subset_leaves_others_none(self):
         s, steer, _ = make_instance(seed=44, L=3)
-        rep = sg.compute_report(s, steer, detectors=("glr_low", "t_cc"))
-        assert rep.glr_low is not None and rep.t_cc is not None
-        assert rep.glr_1n is None and rep.optim is None
-        with pytest.raises(KeyError):
+        rep, optim = sg.compute_report(s, steer, detectors=("glr_low", "t_cc"))
+        assert rep.stat("glr_low").size == 1 and rep.stat("t_cc").size == 1
+        assert "glr" not in rep.detectors and optim is None
+        with pytest.raises(KeyError, match="glr"):
             rep.stat("glr")
 
     def test_rejects_unknown_detector(self):
@@ -393,10 +394,10 @@ class TestComputeReport:
         counted(np.linalg, "cholesky")
         counted(np.linalg, "eigh")
         counted(np.linalg, "eigvalsh")
-        rep = sg.compute_report(s, steer)
+        _, optim = sg.compute_report(s, steer)
         assert calls["cho_factor"] <= 2
         assert calls["cho_factor"] + calls["cholesky"] <= 2
-        assert 1 <= calls["eigh"] <= rep.optim.iterations + 2
+        assert 1 <= calls["eigh"] <= optim.iterations + 2
         assert calls["eigvalsh"] <= 1
 
     @pytest.mark.parametrize("n_restarts", [0, 2])
@@ -438,14 +439,52 @@ class TestComputeReport:
             for name in ("stats", "two_log_glr", "iterations", "stop"):
                 assert getattr(block, name)[b].tobytes() == getattr(one, name).tobytes(), (k, name)
 
+    @staticmethod
+    def standalone(s, u_s, u_r):
+        return {
+            "glr": sg.glr_exact(s, u_s, u_r)[0],
+            "glr_sample": sg.glr_sample(s, u_s, u_r),
+            "glr_low": sg.glr_low(s, u_s, u_r),
+            "sigma_max": sg.sigma_max_coherence(s),
+            "t_cc": sg.cross_corr_stat(s),
+            "t_svd": sg.svd_corr_stat(s),
+        }
+
     def test_matches_standalone_functions(self):
+        # the six statistic functions and compute_report give score_batch's
+        # numbers bit for bit: a float per record, score_batch's column per
+        # stack, on a stack of one and a stack of 5
+        cfg = sg.ScenarioConfig(L=3, N=12, snr_s_db=0.0, snr_r_db=10.0, seed=46)
+        for size in (1, 5):
+            u_s, u_r, y_s, y_r = synth_batch(cfg, "random-unit", [("H1", k) for k in range(size)])
+            stack = sg.block_sample_cov(y_s, y_r)
+            block = sg.score_batch(stack, u_s, u_r)
+            assert not block.errors
+            columns = self.standalone(stack, u_s, u_r)
+            for k in range(size):
+                s = sg.BlockSampleCov(stack.s_ss[k], stack.s_sr[k], stack.s_rr[k], stack.n)
+                rep, _ = sg.compute_report(s, sg.SteeringPair(u_s[k], u_r[k]))
+                for name, val in self.standalone(s, u_s[k], u_r[k]).items():
+                    assert type(val) is float, name
+                    assert val == block.stat(name)[k] == rep.stat(name)[0] == columns[name][k], (size, k, name)
+
+    def test_nan_cross_entry_raises_named_errors(self):
+        # a record whose S_sr holds a NaN fails its row in score_batch, and
+        # each statistic function raises that row's error instead of a nan
         s, steer, _ = make_instance(seed=46, L=3)
-        rep = sg.compute_report(s, steer)
-        assert rep.glr_sample == pytest.approx(
-            sg.glr_sample(s, steer.u_s, steer.u_r), rel=1e-12
-        )
-        assert rep.sigma_max == pytest.approx(sg.sigma_max_coherence(s), rel=1e-12)
-        assert rep.t_svd == pytest.approx(sg.svd_corr_stat(s), rel=1e-12)
+        s_sr = s.s_sr.copy()
+        s_sr[0, 1] = np.nan
+        bad = sg.BlockSampleCov(s.s_ss, s_sr, s.s_rr, s.n)
+        for name, call in (("glr_low", lambda: sg.glr_low(bad, steer.u_s, steer.u_r)),
+                           ("glr_sample", lambda: sg.glr_sample(bad, steer.u_s, steer.u_r)),
+                           ("t_cc", lambda: sg.cross_corr_stat(bad)),
+                           ("t_svd", lambda: sg.svd_corr_stat(bad))):
+            with pytest.raises(sg.DegenerateSampleError, match=name):
+                call()
+        with pytest.raises(np.linalg.LinAlgError):
+            sg.sigma_max_coherence(bad)
+        with pytest.raises(np.linalg.LinAlgError):
+            sg.glr_exact(bad, steer.u_s, steer.u_r)
 
 
 class TestDegenerateSamples:
@@ -493,6 +532,6 @@ class TestDegenerateSamples:
         assert list(out.errors) == [1]
         assert isinstance(out.errors[1], ValueError) and "coherent" in str(out.errors[1])
         for k in (0, 2):
-            alone = sg.compute_report(trials[k][0], trials[k][1])
-            assert out.stats[k, sg.DETECTOR_NAMES.index("glr")] == alone.glr_1n
-            assert out.stats[k, sg.DETECTOR_NAMES.index("glr_sample")] == alone.glr_sample
+            alone, _ = sg.compute_report(trials[k][0], trials[k][1])
+            assert out.stats[k, sg.DETECTOR_NAMES.index("glr")] == alone.stat("glr")[0]
+            assert out.stats[k, sg.DETECTOR_NAMES.index("glr_sample")] == alone.stat("glr_sample")[0]
