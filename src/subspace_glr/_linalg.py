@@ -67,11 +67,3 @@ def householder(u: np.ndarray) -> np.ndarray:
     outer = v[..., :, None] * v[..., None, :].conj()
     return np.eye(v.shape[-1]) - 2.0 * outer / np.vecdot(v, v).real[..., None, None]
 
-
-def real_embedding(a: np.ndarray) -> np.ndarray:
-    """Real 2L x 2L symmetric embedding of a Hermitian L x L matrix.
-
-    With z = [Re x; Im x], the embedding M satisfies z^T M z = x^H a x.
-    """
-    ar, ai = a.real, a.imag
-    return np.block([[ar, -ai], [ai, ar]])

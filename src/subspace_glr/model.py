@@ -211,16 +211,6 @@ def trial_width(cfg: ScenarioConfig) -> int:
     return -(-used // 4) * 4
 
 
-def _uniforms(words: np.ndarray) -> np.ndarray:
-    """u = ((w >> 11) + 1) * 2^-53 in (0, 1] from raw words w, which it
-    overwrites. The 53 bits fill a double's mantissa, so u is exact."""
-    words >>= np.uint64(11)
-    words += np.uint64(1)
-    u = words.view(np.int64).astype(float)  # below 2^53: exact, and faster than from uint64
-    u *= 2.0**-53
-    return u
-
-
 def _complex_normals(u: np.ndarray) -> np.ndarray:
     """CN(0, 1) variates sqrt(-log u1) * exp(2 pi i u2) from the word pairs
     (u1, u2) along the last axis of u: the radius squared is Exp(1) and the
@@ -280,10 +270,11 @@ def draw_sample_cov(
 
     The trial's W words (see trial_width) sit at counter i W / 4 of the
     Philox stream keyed by (seed, hypothesis code), so each run of
-    consecutive indices of one hypothesis is one random_raw read, and a
-    trial gets the same numbers in any block, alone included. Everything
-    after the read runs on the stack. Nothing is factorized, so no drawn
-    trial can fail for want of a positive definite matrix.
+    consecutive indices of one hypothesis is one read, straight into its
+    rows of the block's uniforms u = ((w >> 11) + 1) 2^-53 in (0, 1], one
+    per word w; a trial gets the same numbers in any block, alone included.
+    Everything after the read runs on the stack. Nothing is factorized, so
+    no drawn trial can fail for want of a positive definite matrix.
     """
     if steering_mode not in STEERING_MODES:
         raise ValueError(f"unknown steering mode {steering_mode!r}; expected one of {STEERING_MODES}")
@@ -299,13 +290,12 @@ def draw_sample_cov(
     width = trial_width(cfg)
     normals, shapes = _layout(cfg)
     cuts = np.flatnonzero((np.diff(h1) != 0) | (np.diff(index) != 1)) + 1
-    runs = []
+    u = np.empty((count, width))
     for first, stop in zip([0, *cuts], [*cuts, count]):
         bitgen = np.random.Philox(key=np.array([cfg.seed, h1[first]], dtype=np.uint64))
         bitgen.advance(int(index[first]) * width // 4)
-        runs.append(bitgen.random_raw((stop - first) * width))
-    u = _uniforms(runs[0] if len(runs) == 1 else np.concatenate(runs)).reshape(count, width)
-    del runs
+        np.random.Generator(bitgen).random(out=u[first:stop])  # (w >> 11) 2^-53 per word w
+    u += 2.0**-53  # exact: u = ((w >> 11) + 1) 2^-53 in (0, 1]
     z_steer, gains, z_noise, z_joint = np.split(
         _complex_normals(u[:, : 2 * normals]), np.cumsum([2 * dim, 2, dim * (dim - 1)]), axis=1
     )

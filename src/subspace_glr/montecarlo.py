@@ -10,11 +10,12 @@ pool has one process or eight. With more than one worker, each point's trials
 are cut into chunks of min(BLOCK_TRIALS, ceil(n / workers)) trials (one chunk
 when n < 2 * workers), so a chunk fills a block where n allows it. Each CLI
 run uses at most one process pool: the chunks of every point of a pm-sweep go
-to it in one map. A chunk is drawn and scored in blocks of at most
-BLOCK_TRIALS trials as stacked arrays; a trial scored alone (a block of one)
-gets the same numbers. Results stay columns throughout: a chunk returns one
-detectors.BlockScores per block, a point concatenates them, rows ordered all
-H0 by index then all H1 by index, and the curves read them by mask.
+to it in one map. A chunk is drawn and scored as stacked arrays in the fewest
+blocks of at most BLOCK_TRIALS trials, of sizes that differ by at most one; a
+trial scored alone (a block of one) gets the same numbers. Results stay
+columns throughout: a chunk returns one detectors.BlockScores per block, a
+point concatenates them, rows ordered all H0 by index then all H1 by index,
+and the curves read them by mask.
 
 Thresholds are calibrated empirically from the H0 sample as the order
 statistic at rank ceil((1 - pfa) * M), i.e. the smallest threshold whose
@@ -42,7 +43,7 @@ log = logging.getLogger(__name__)
 
 SWEEP_AXES = ("snr_s_db", "n", "l")
 # Trials drawn and scored as one stack; bounds the memory of a block.
-BLOCK_TRIALS = 256
+BLOCK_TRIALS = 512
 # A run point aborts when more than this share of its trials fail.
 MAX_FAILURE_RATE = 1e-3
 
@@ -133,30 +134,35 @@ def _score_block(cfg: ExperimentConfig, block: list[tuple[str, int]]) -> BlockSc
     return score_batch(s, u_s, u_r, cfg.detectors, cfg.n_restarts)
 
 
+def _score_or_bisect(cfg: ExperimentConfig, block: list[tuple[str, int]]) -> BlockScores:
+    """Score a block; if it raises as a whole (say, one trial's sample block
+    is not positive definite), score its two halves the same way, so only
+    the failing trials carry the error, each the one it raises alone."""
+    try:
+        return _score_block(cfg, block)
+    except Exception as exc:
+        if len(block) == 1:
+            out = BlockScores.empty(cfg.detectors, 1)
+            out.errors[0] = exc
+            return out
+    half = len(block) // 2
+    return BlockScores.concat([_score_or_bisect(cfg, block[:half]), _score_or_bisect(cfg, block[half:])])
+
+
 def run_one_trial(cfg: ExperimentConfig, hypothesis: str, trial_index: int) -> BlockScores:
     """Draw and score a single trial from its own slice of the
     stream: a block of one. Any error it hits fails its row."""
-    try:
-        return _score_block(cfg, [(hypothesis, trial_index)])
-    except Exception as exc:
-        out = BlockScores.empty(cfg.detectors, 1)
-        out.errors[0] = exc
-        return out
+    return _score_or_bisect(cfg, [(hypothesis, trial_index)])
 
 
 def _run_chunk(cfg: ExperimentConfig, items: list[tuple[str, int]]) -> list[BlockScores]:
-    """Score the items in blocks of BLOCK_TRIALS, one BlockScores per block.
-    A block that raises as a whole (say, one trial's sample block is not
-    positive definite) is scored again one trial at a time, so only the
-    failing trials carry the error."""
-    out: list[BlockScores] = []
-    for start in range(0, len(items), BLOCK_TRIALS):
-        block = items[start : start + BLOCK_TRIALS]
-        try:
-            out.append(_score_block(cfg, block))
-        except Exception:
-            out.append(BlockScores.concat([run_one_trial(cfg, hyp, idx) for hyp, idx in block]))
-    return out
+    """Score the n items in the fewest blocks of at most BLOCK_TRIALS, whose
+    sizes differ by at most one, so each block's fixed cost is paid as few
+    times as possible; one BlockScores per block."""
+    count = -(-len(items) // BLOCK_TRIALS)
+    size, extra = divmod(len(items), count)
+    cuts = [k * size + min(k, extra) for k in range(count + 1)]
+    return [_score_or_bisect(cfg, items[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 def resolve_threads(threads: int) -> int:

@@ -73,8 +73,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import real_embedding
-
 MAX_ITER = 200
 GRAD_TOL = 1e-8
 INITIAL_RADIUS = 0.5
@@ -157,15 +155,19 @@ class Ascent:
 
 def _chart_forms(forms) -> tuple[np.ndarray, np.ndarray]:
     """Chart embeddings m (T, 3, n+1, n+1) of the stacked forms (psi, gamma_m),
-    each (T, L, L): the real embeddings of the identity (the |x|^2 term), psi
-    and gamma_m, reduced to the chart coordinates [1; Re y; Im y]. Also
-    returns their free block m[..., 1:, 1:], which _chart_derivatives takes."""
+    each (T, L, L): the real embeddings [[Re A, -Im A], [Im A, Re A]] of the
+    identity (the |x|^2 term), psi and gamma_m, reduced to the chart
+    coordinates [1; Re y; Im y], written in place. m is laid out as
+    (n+1, n+1, T, 3) in memory, which einsum's bits depend on. Also returns
+    their free block m[..., 1:, 1:], which _chart_derivatives takes."""
     psi, gamma_m = (np.asarray(f, dtype=complex) for f in forms)
     dim = psi.shape[-1]
-    keep = np.r_[0, 1:dim, dim + 1 : 2 * dim]
-    eye = np.broadcast_to(real_embedding(np.eye(dim)), psi.shape[:-2] + (2 * dim, 2 * dim))
-    m = np.stack([eye, real_embedding(psi), real_embedding(gamma_m)], axis=1)
-    m = m[..., keep[:, None], keep]
+    m = np.moveaxis(np.empty((2 * dim - 1, 2 * dim - 1, len(psi), 3)), (2, 3), (0, 1))
+    for k, form in enumerate((np.eye(dim, dtype=complex), psi, gamma_m)):
+        m[:, k, :dim, :dim] = form.real
+        m[:, k, :dim, dim:] = -form.imag[..., 1:]
+        m[:, k, dim:, :dim] = form.imag[..., 1:, :]
+        m[:, k, dim:, dim:] = form.real[..., 1:, 1:]
     return m, np.ascontiguousarray(m[..., 1:, 1:])
 
 
@@ -218,12 +220,15 @@ def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ok = np.ones(a.shape[-1], dtype=bool)
     for j in range(len(a)):
         ok &= (a[j, j] > 0.0) & (a[j, j] < math.inf)
-        if not ok.any():
+        if ok.all():  # no row to mask
+            np.sqrt(a[j, j], out=a[j, j])
+            a[j + 1 :, j] /= a[j, j]
+        elif ok.any():
+            a[j, j] = np.sqrt(np.where(ok, a[j, j], 1.0))
+            a[j + 1 :, j] = np.where(ok, a[j + 1 :, j] / a[j, j], 0.0)
+        else:
             break
-        root = np.sqrt(np.where(ok, a[j, j], 1.0))
-        a[j, j] = root
-        col = np.where(ok, a[j + 1 :, j] / root, 0.0)
-        a[j + 1 :, j] = col
+        col = a[j + 1 :, j]
         a[j + 1 :, j + 1 :] -= col[:, None] * col[None, :]
     return a, ok
 
@@ -376,7 +381,11 @@ def ascend(forms, starts: np.ndarray) -> Ascent:
         f_new, mu, q = _chart_value(m, u_new)
         ratio = (f_new - f) / pred
         acc = (f_new > f) & (ratio >= ACCEPT_RATIO)
-        if acc.any():
+        if acc.all():  # no row to mask
+            grad, hess = _chart_derivatives(m_free, mu, q)
+            u, f = u_new, f_new
+            f_out[rows] = f_new
+        elif acc.any():
             grad[acc], hess[acc] = _chart_derivatives(m_free[acc], mu[acc], q[acc])
             u[acc], f[acc] = u_new[acc], f_new[acc]
             f_out[rows[acc]] = f_new[acc]

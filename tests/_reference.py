@@ -11,6 +11,9 @@ tests hold that pipeline against:
   synth_batch draws a stack of trials' snapshots from counter-addressed
   words (its own layout, snapshot_width), draw_trial is its per-trial
   oracle, and snapshot_route_scores scores a run's trials through it;
+- _uniforms, the map from raw Philox words to the uniforms in (0, 1] that
+  draw_sample_cov reads straight from the stream, which synth_batch and the
+  draw's tests apply to words they read themselves;
 - the substream-driven per-trial synthesis (draw_steering -> draw_channel
   -> synth_snapshots) that builds the tests' single instances, and the
   population covariance;
@@ -54,11 +57,21 @@ from subspace_glr.model import (
     SteeringPair,
     _complex_normals,
     _snr_factor,
-    _uniforms,
     substream,
     ula_steering,
 )
 from subspace_glr.montecarlo import BLOCK_TRIALS, ExperimentConfig
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """u = ((w >> 11) + 1) * 2^-53 in (0, 1] from raw words w, which it
+    overwrites: the uniforms model.draw_sample_cov reads straight from the
+    stream. The 53 bits fill a double's mantissa, so u is exact."""
+    words >>= np.uint64(11)
+    words += np.uint64(1)
+    u = words.view(np.int64).astype(float)  # below 2^53: exact, and faster than from uint64
+    u *= 2.0**-53
+    return u
 
 
 def cho_factor_pd(a: np.ndarray, name: str = "matrix"):

@@ -535,3 +535,38 @@ class TestDegenerateSamples:
             alone, _ = sg.compute_report(trials[k][0], trials[k][1])
             assert out.stats[k, sg.DETECTOR_NAMES.index("glr")] == alone.stat("glr")[0]
             assert out.stats[k, sg.DETECTOR_NAMES.index("glr_sample")] == alone.stat("glr_sample")[0]
+
+
+def kolmogorov_p(sample: np.ndarray, cdf) -> float:
+    """Asymptotic p-value of the one-sample Kolmogorov-Smirnov test of
+    sample against the continuous CDF cdf: Q(sqrt(n) D) with
+    Q(t) = 2 sum_k (-1)^(k-1) exp(-2 k^2 t^2)."""
+    x = np.sort(sample)
+    n = x.size
+    f = cdf(x)
+    d = max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n))
+    t = np.sqrt(n) * d
+    k = np.arange(1, 101)
+    return float(np.clip(2.0 * np.sum((-1.0) ** (k - 1) * np.exp(-2.0 * k**2 * t**2)), 0.0, 1.0))
+
+
+def beta_1_cdf(b: int):
+    """CDF 1 - (1 - x)^b of Beta(1, b)."""
+    return lambda x: 1.0 - (1.0 - x) ** b
+
+
+class TestExactNullLaws:
+    # Under H0, glr_low ~ Beta(1, N - 1) at every L, and
+    # glr_sample / (1 + glr_sample) ~ Beta(1, N - L); the seeds are fixed
+    # once, 3000 H0 trials per scenario, ULA steering
+    @pytest.mark.parametrize("L, N, seed", [(2, 12, 9101), (4, 15, 9102)])
+    def test_closed_forms_follow_their_beta_laws(self, L, N, seed):
+        cfg = sg.ExperimentConfig(
+            scenario=sg.ScenarioConfig(L=L, N=N, snr_s_db=0.0, snr_r_db=10.0, seed=seed),
+            trials_h0=3000, steering_mode="ula-random-doa", detectors=("glr_sample", "glr_low"),
+        )
+        scores = sg.run_trials(cfg, threads=1)
+        assert not scores.errors
+        low, sample = scores.stat("glr_low"), scores.stat("glr_sample")
+        assert kolmogorov_p(low, beta_1_cdf(N - 1)) >= 1e-3
+        assert kolmogorov_p(sample / (1.0 + sample), beta_1_cdf(N - L)) >= 1e-3

@@ -6,6 +6,7 @@ import subspace_glr as sg
 from _reference import (
     ChannelRealization,
     _cn_matrix,
+    _uniforms,
     draw_channel,
     draw_channel_gain,
     draw_cov_trial,
@@ -353,7 +354,7 @@ class TestWordLayout:
         _, shapes = sg.model._layout(cfg)
         assert shapes[-1] == 0 and np.all(shapes[:-1] > 0)
         words = np.random.Philox(key=np.array([3, 1], dtype=np.uint64)).random_raw(8 * shapes.sum())
-        gamma = sg.model._gammas(sg.model._uniforms(words).reshape(8, -1), shapes)
+        gamma = sg.model._gammas(_uniforms(words).reshape(8, -1), shapes)
         assert np.all(gamma[:, -1] == 0.0) and np.all(gamma[:, :-1] > 0.0)
         _, _, s = sg.draw_sample_cov(cfg, "random-unit", [("H1", i) for i in range(8)])
         assert np.all(np.linalg.eigvalsh(s.full())[:, 0] > 0.0)
@@ -381,7 +382,7 @@ class TestBartlettDraw:
         words = np.random.Philox(key=np.array([11, 0], dtype=np.uint64)).random_raw(
             draws * (p * (p - 1) + shapes.sum())
         )
-        u = sg.model._uniforms(words).reshape(draws, -1)
+        u = _uniforms(words).reshape(draws, -1)
         z = sg.model._complex_normals(u[:, : p * (p - 1)])
         a = sg.model._bartlett(z, sg.model._gammas(u[:, p * (p - 1) :], shapes))
         fa = f @ a
@@ -441,13 +442,13 @@ def test_draw_matches_snapshot_route_in_distribution(scenario):
 class TestComplexNormals:
     def test_uniforms_in_half_open_unit_interval(self):
         words = np.array([0, 2**11 - 1, 2**11, 2**64 - 1], dtype=np.uint64)
-        assert sg.model._uniforms(words).tolist() == [2.0**-53, 2.0**-53, 2.0**-52, 1.0]
+        assert _uniforms(words).tolist() == [2.0**-53, 2.0**-53, 2.0**-52, 1.0]
 
     def test_distribution(self):
         # sqrt(-log u1) exp(2 pi i u2) is CN(0, 1): |z|^2 is Exp(1), the phase
         # is uniform on [0, 2 pi)
         words = np.random.Philox(key=np.array([7, 0], dtype=np.uint64)).random_raw(4 * 10**5)
-        z = sg.model._complex_normals(sg.model._uniforms(words))
+        z = sg.model._complex_normals(_uniforms(words))
         assert z.size == 2 * 10**5
         power = np.abs(z) ** 2
         assert power.mean() == pytest.approx(1.0, abs=4 / np.sqrt(z.size))

@@ -158,6 +158,44 @@ class TestRunTrials:
             for name in ("stats", "two_log_glr", "iterations", "stop"):
                 assert getattr(block, name)[row : row + 1].tobytes() == getattr(one, name).tobytes()
 
+    def test_failing_trial_bisected_out_of_its_block(self, monkeypatch):
+        # one NaN snapshot in a 300-item chunk fails its block; the block is
+        # halved and only a half that raises is halved again, so the chunk
+        # takes at most 2 ceil(log2 300) + 2 draws, not one per trial, and
+        # every other row equals its score in the clean chunk
+        cfg = tiny_config(trials_h0=300, trials_h1=0)
+        items = run_items(cfg)
+        (clean,) = montecarlo._run_chunk(cfg, items)
+        real, draws = montecarlo.draw_sample_cov, []
+
+        def nan_h0_137(sc, mode, trials):
+            draws.append(len(trials))
+            u_s, u_r, s = real(sc, mode, trials)
+            s.s_ss[[k for k, item in enumerate(trials) if item == ("H0", 137)], 1, 0] = np.nan
+            return u_s, u_r, s
+
+        monkeypatch.setattr(montecarlo, "draw_sample_cov", nan_h0_137)
+        (block,) = montecarlo._run_chunk(cfg, items)
+        assert len(draws) <= 2 * math.ceil(math.log2(300)) + 2
+        assert list(block.errors) == [137]
+        assert str(block.errors[137]) == "s_ss is not positive definite"
+        rest = np.arange(300) != 137
+        for name in ("stats", "two_log_glr", "iterations", "stop"):
+            assert getattr(block, name)[rest].tobytes() == getattr(clean, name)[rest].tobytes()
+
+    @pytest.mark.parametrize("n, sizes", [(300, [300]), (600, [300, 300]), (513, [257, 256])])
+    def test_chunk_scored_in_balanced_blocks(self, n, sizes):
+        # the fewest blocks of at most BLOCK_TRIALS, whose sizes differ by at
+        # most one; the plan's columns equal one block holding all the items
+        cfg = tiny_config(trials_h0=n // 2, trials_h1=n - n // 2, detectors=sg.DETECTOR_NAMES)
+        items = run_items(cfg)
+        blocks = montecarlo._run_chunk(cfg, items)
+        assert [len(b.stats) for b in blocks] == sizes
+        plan, whole = sg.BlockScores.concat(blocks), montecarlo._score_block(cfg, items)
+        assert not plan.errors and not whole.errors
+        for name in ("stats", "two_log_glr", "iterations", "stop"):
+            assert getattr(plan, name).tobytes() == getattr(whole, name).tobytes()
+
     def test_order_is_h0_then_h1(self):
         cfg = tiny_config(trials_h0=3, trials_h1=2)
         records = sg.run_trials(cfg, threads=1)
