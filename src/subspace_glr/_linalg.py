@@ -12,7 +12,9 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (a + a^H) / 2 to scrub rounding asymmetry."""
-    return 0.5 * (a + adjoint(a))
+    out = a + adjoint(a)
+    out *= 0.5
+    return out
 
 
 def check_hermitian(a: np.ndarray, tol: float = 1e-10, name: str = "matrix") -> None:

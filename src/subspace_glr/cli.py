@@ -305,26 +305,17 @@ def cmd_validate_config(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="subspace-glr",
-        description="Two-channel GLR detection experiments",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_experiment(sub, name: str) -> None:
+    p_exp = sub.add_parser(name, help=_EXPERIMENTS[name])
+    p_exp.add_argument("--config", required=True, help="JSON run configuration")
+    p_exp.add_argument("--out", default=None, help="output directory (default: cwd)")
+    p_exp.add_argument("--threads", type=int, default=0, help="worker processes, 0 = all cores")
+    p_exp.add_argument("--seed", type=int, default=None, help="override the config seed (u64)")
+    p_exp.set_defaults(func=cmd_experiment)
 
-    def add_common(p: argparse.ArgumentParser, needs_config: bool = True) -> None:
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", default=None, help="output directory (default: cwd)")
-        p.add_argument("--threads", type=int, default=0, help="worker processes, 0 = all cores")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed (u64)")
 
-    for name, help_text in _EXPERIMENTS.items():
-        p_exp = sub.add_parser(name, help=help_text)
-        add_common(p_exp)
-        p_exp.set_defaults(func=cmd_experiment)
-
-    p_det = sub.add_parser("detect", help="score one snapshot file")
+def _add_detect(sub, name: str) -> None:
+    p_det = sub.add_parser(name, help="score one snapshot file")
     p_det.add_argument("--data", required=True, help="snapshot CSV or binary file")
     p_det.add_argument("--steering", required=True, help="steering CSV file")
     p_det.add_argument(
@@ -333,11 +324,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_det.set_defaults(func=cmd_detect)
 
-    p_val = sub.add_parser("validate-config", help="check a config and print the resolved form")
+
+def _add_validate_config(sub, name: str) -> None:
+    p_val = sub.add_parser(name, help="check a config and print the resolved form")
     p_val.add_argument("--config", required=True, help="JSON run configuration")
     p_val.add_argument("--seed", type=int, default=None, help="override the config seed (u64)")
     p_val.set_defaults(func=cmd_validate_config)
 
+
+# Every subcommand, in help order, and what adds its parser.
+_COMMANDS = {
+    **dict.fromkeys(_EXPERIMENTS, _add_experiment),
+    "detect": _add_detect,
+    "validate-config": _add_validate_config,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser. Given one of the subcommands, only that
+    subcommand's parser is added, and the usage line still names every
+    subcommand: a command line that starts with it parses the same and
+    prints the same text, since the rest of the line goes to that
+    subcommand's parser alone."""
+    parser = argparse.ArgumentParser(
+        prog="subspace-glr",
+        description="Two-channel GLR detection experiments",
+    )
+    usage = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=usage)
+    for name in _COMMANDS if command is None else (command,):
+        _COMMANDS[name](sub, name)
     return parser
 
 
@@ -352,8 +368,8 @@ def _setup_logging() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

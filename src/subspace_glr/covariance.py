@@ -71,6 +71,15 @@ class BlockSampleCov:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
 
+    @classmethod
+    def _hermitian(cls, s_ss: np.ndarray, s_sr: np.ndarray, s_rr: np.ndarray, n: int) -> BlockSampleCov:
+        """The blocks as given, without __post_init__'s conversions and
+        checks, which they pass: complex blocks of one (..., L, L) shape, with
+        s_ss and s_rr Hermitian exactly (as hermitize makes them), and n >= 1."""
+        s = object.__new__(cls)
+        s.s_ss, s.s_sr, s.s_rr, s.n = s_ss, s_sr, s_rr, n
+        return s
+
     @property
     def num_sensors(self) -> int:
         return self.s_ss.shape[-1]
@@ -106,10 +115,12 @@ def block_sample_cov(y_s: np.ndarray, y_r: np.ndarray, n: int | None = None) -> 
     if y_s.shape != y_r.shape or y_s.ndim < 2:
         raise ValueError("y_s and y_r must be L x N matrices of equal shape")
     n = y_s.shape[-1] if n is None else n
-    s_ss = hermitize(y_s @ adjoint(y_s) / n)
-    s_rr = hermitize(y_r @ adjoint(y_r) / n)
-    s_sr = y_s @ adjoint(y_r) / n
-    return BlockSampleCov(s_ss, s_sr, s_rr, n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    s_ss, s_sr, s_rr = (a @ adjoint(b) for a, b in ((y_s, y_s), (y_s, y_r), (y_r, y_r)))
+    for block in (s_ss, s_sr, s_rr):
+        block /= n
+    return BlockSampleCov._hermitian(hermitize(s_ss), s_sr, hermitize(s_rr), n)
 
 
 def sample_cov(data: SnapshotData) -> BlockSampleCov:

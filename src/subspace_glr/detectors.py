@@ -38,7 +38,7 @@ import numpy as np
 
 from .covariance import BlockSampleCov, capon_pair, coherence_matrix, cost_forms
 from .model import SteeringPair, substream
-from .optimizer import OptimResult, ascend, random_start
+from .optimizer import OptimResult, _cholesky, ascend, random_start
 
 DETECTOR_NAMES = ("glr", "glr_sample", "glr_low", "sigma_max", "t_cc", "t_svd")
 PROPOSED_DETECTORS = ("glr", "glr_sample", "glr_low")
@@ -96,6 +96,22 @@ def glr_sample(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> float:
     return _single(s, u_s, u_r, ("glr_sample",))[1][0]
 
 
+def _clear_of_floor(gamma_m: np.ndarray) -> np.ndarray:
+    """Whether each of the stacked gamma_m (T, L, L) has its smallest
+    eigenvalue above COHERENCE_FLOOR with room to spare: whether
+    gamma_m - 2 COHERENCE_FLOOR I is positive definite, by the Cholesky
+    verdict (optimizer._cholesky) on its real embedding [[Re, -Im], [Im, Re]],
+    whose eigenvalues are gamma_m's, each twice. A margin of the floor itself
+    lies far beyond the roundoff of this test and of eigvalsh, so a row that
+    passes also passes eigvalsh's rule; the others are for eigvalsh to judge."""
+    dim = gamma_m.shape[-1]
+    re, im = (np.moveaxis(part, 0, -1) for part in (gamma_m.real, gamma_m.imag))
+    emb = np.empty((2 * dim, 2 * dim, len(gamma_m)))
+    emb[:dim, :dim], emb[:dim, dim:], emb[dim:, :dim], emb[dim:, dim:] = re, -im, im, re
+    np.einsum("iit->it", emb)[...] -= 2.0 * COHERENCE_FLOOR
+    return _cholesky(emb)[1]
+
+
 def _glr(forms, n_restarts: int):
     """The exact statistic of each trial of stacked cost forms (..., L, L):
     one lockstep ascent from the warm start e1 of every trial, plus
@@ -110,13 +126,18 @@ def _glr(forms, n_restarts: int):
         raise ValueError(f"n_restarts must be >= 0, got {n_restarts}")
     psi, gamma_m = (f.reshape((-1,) + f.shape[-2:]) for f in forms)
     count, dim = gamma_m.shape[:2]
-    gap = np.linalg.eigvalsh(gamma_m)[:, 0]
+    ok = _clear_of_floor(gamma_m)
+    suspect = np.flatnonzero(~ok)
     errors: dict[int, ValueError] = {}
-    for i in np.flatnonzero(gap <= COHERENCE_FLOOR).tolist():
-        errors[i] = ValueError(
-            f"the channels are fully coherent: I - C^H C has eigenvalue {gap[i]:.3e} <= {COHERENCE_FLOOR:.3e}"
-        )
-    valid = np.flatnonzero(gap > COHERENCE_FLOOR)
+    if suspect.size:
+        gap = np.linalg.eigvalsh(gamma_m[suspect])[:, 0]
+        for i, g in zip(suspect.tolist(), gap.tolist()):
+            if g <= COHERENCE_FLOOR:
+                errors[i] = ValueError(
+                    f"the channels are fully coherent: I - C^H C has eigenvalue {g:.3e} <= {COHERENCE_FLOOR:.3e}"
+                )
+        ok[suspect] = gap > COHERENCE_FLOOR
+    valid = np.flatnonzero(ok)
     stats, rows = np.full(count, np.nan), np.full(count, -1)
     if not valid.size:
         return stats, None, rows, errors
@@ -124,7 +145,10 @@ def _glr(forms, n_restarts: int):
     starts += [random_start(dim, substream(0, k)) for k in range(n_restarts)]
     # Row k * len(valid) + j ascends trial valid[j] from starts[k].
     x0 = np.concatenate([np.broadcast_to(x, (valid.size, dim)) for x in starts])
-    stacked = [np.tile(f[valid], (len(starts), 1, 1)) for f in (psi, gamma_m)]
+    if len(starts) == 1 and valid.size == count:
+        stacked = (psi, gamma_m)
+    else:
+        stacked = [np.tile(f[valid], (len(starts), 1, 1)) for f in (psi, gamma_m)]
     ascent = ascend(stacked, x0)
     best = np.argmax(ascent.j_value.reshape(len(starts), valid.size), axis=0)  # the first start wins a tie
     rows[valid] = best * valid.size + np.arange(valid.size)
@@ -307,9 +331,11 @@ def score_batch(
     s holds (T, L, L) blocks and u_s, u_r are (T, L). The Cholesky factors,
     the coherence matrix and the beamformer pair are formed once for the
     stack and feed every detector that uses them. The closed forms and the
-    exact cost's forms are vector operations over the stack, one stacked
-    eigvalsh validates the latter, glr runs one lockstep ascent over all of
-    them (optimizer.ascend) with n_restarts random starts per trial besides
+    exact cost's forms are vector operations over the stack, a Cholesky
+    screen run elementwise over the stack validates the latter (eigvalsh
+    judges only the trials it does not clear; see _clear_of_floor), glr
+    runs one lockstep ascent over all of them (optimizer.ascend) with
+    n_restarts random starts per trial besides
     e1 (see glr_exact), and t_svd takes one stacked eigh of S_ss and
     S_rr. Returns the block's scores as columns (BlockScores), a row per
     trial. A trial that fails carries the error that scoring it alone raises

@@ -154,21 +154,24 @@ class Ascent:
 
 
 def _chart_forms(forms) -> tuple[np.ndarray, np.ndarray]:
-    """Chart embeddings m (T, 3, n+1, n+1) of the stacked forms (psi, gamma_m),
-    each (T, L, L): the real embeddings [[Re A, -Im A], [Im A, Re A]] of the
-    identity (the |x|^2 term), psi and gamma_m, reduced to the chart
-    coordinates [1; Re y; Im y], written in place. m is laid out as
-    (n+1, n+1, T, 3) in memory, which einsum's bits depend on. Also returns
-    their free block m[..., 1:, 1:], which _chart_derivatives takes."""
+    """Chart embeddings of the stacked forms (psi, gamma_m), each (T, L, L):
+    their real embeddings M = [[Re A, -Im A], [Im A, Re A]], reduced to the
+    chart coordinates [1; Re y; Im y]. Returns them as columns with the
+    trials last, m (2, n+1, n+1, T) with m[k, j, i, t] = M_k[i, j] of trial
+    t, which _chart_value takes, and their free blocks m_free (T, 2, n, n),
+    the rows and columns of the free coordinates, which _chart_derivatives
+    takes. The |x|^2 term's embedding is the identity, which those two
+    apply directly."""
     psi, gamma_m = (np.asarray(f, dtype=complex) for f in forms)
     dim = psi.shape[-1]
-    m = np.moveaxis(np.empty((2 * dim - 1, 2 * dim - 1, len(psi), 3)), (2, 3), (0, 1))
-    for k, form in enumerate((np.eye(dim, dtype=complex), psi, gamma_m)):
-        m[:, k, :dim, :dim] = form.real
-        m[:, k, :dim, dim:] = -form.imag[..., 1:]
-        m[:, k, dim:, :dim] = form.imag[..., 1:, :]
-        m[:, k, dim:, dim:] = form.real[..., 1:, 1:]
-    return m, np.ascontiguousarray(m[..., 1:, 1:])
+    m = np.empty((2, 2 * dim - 1, 2 * dim - 1, len(psi)))
+    rows = m.transpose(3, 0, 2, 1)  # rows[t, k, i, j] = M_k[i, j] of trial t
+    for k, form in enumerate((psi, gamma_m)):
+        rows[:, k, :dim, :dim] = form.real
+        rows[:, k, :dim, dim:] = -form.imag[..., 1:]
+        rows[:, k, dim:, :dim] = form.imag[..., 1:, :]
+        rows[:, k, dim:, dim:] = form.real[..., 1:, 1:]
+    return m, np.ascontiguousarray(rows[..., 1:, 1:])
 
 
 def _chart_point(x: np.ndarray) -> np.ndarray:
@@ -179,14 +182,26 @@ def _chart_point(x: np.ndarray) -> np.ndarray:
 
 
 def _chart_value(m: np.ndarray, u: np.ndarray):
-    """J at chart points u (T, n+1) of chart embeddings m (T, 3, n+1, n+1)
-    from _chart_forms, in the fixed order (log q_psi - log q_gamma) - log |x|^2
-    with q_k = u^T M_k u, and the products M_k u and forms q_k that
-    _chart_derivatives reuses. J is -inf on a row where a form is not
-    positive and finite."""
-    mu = np.einsum("tkij,tj->tki", m, u)
+    """J at chart points u (T, n+1) of the chart embeddings m from
+    _chart_forms, in the fixed order (log q_psi - log q_gamma) - log |x|^2
+    with q_k = u^T M_k u, and the products M_k u (T, 3, n+1) and forms q_k
+    (T, 3) of the three terms, which _chart_derivatives reuses. J is -inf on
+    a row where a form is not positive and finite.
+
+    Each product is summed over j in order from +0, one elementwise multiply
+    and add per column over all trials: the bits of einsum, which sums that
+    way here. The |x|^2 term's product is u itself, +0 for -0. The products
+    are laid out as (n+1, T, 3) in memory, which the bits of q depend on."""
+    size, count = u.shape[1], len(u)
+    u_cols = np.ascontiguousarray(u.T)
+    acc, prod = np.zeros((2, size, count)), np.empty((2, size, count))
+    for j in range(size):
+        acc += np.multiply(m[:, j], u_cols[j], out=prod)
+    mu = np.empty((size, count, 3)).transpose(1, 2, 0)
+    np.add(u, 0.0, out=mu[:, 0])
+    mu[:, 1:] = acc.transpose(2, 0, 1)
     q = np.einsum("tki,ti->tk", mu, u)
-    ok = np.all((q > 0.0) & np.isfinite(q), axis=-1)
+    ok = ((q > 0.0) & np.isfinite(q)).all(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         lq = np.log(q)
     return np.where(ok, (lq[:, 1] - lq[:, 2]) - lq[:, 0], -math.inf), mu, q
@@ -194,11 +209,20 @@ def _chart_value(m: np.ndarray, u: np.ndarray):
 
 def _chart_derivatives(m_free: np.ndarray, mu: np.ndarray, q: np.ndarray):
     """Gradient and Hessian of J in the free coordinates, from _chart_value's
-    products; m_free is m[..., 1:, 1:]."""
+    products; m_free is _chart_forms' free blocks. The Hessian's first term
+    sums w_k M_k over the three terms in order from +0, as einsum does: the
+    |x|^2 term's w_0 I comes first, which off the diagonal adds +0 and on it
+    w_0."""
     mu = mu[..., 1:]
     w = _SIGNS / q
     grad = 2.0 * np.einsum("tk,tki->ti", w, mu)
-    hess = 2.0 * np.einsum("tk,tkij->tij", w, m_free)
+    hess = np.einsum("tk,tkij->tij", w[:, 1:], m_free)
+    diag = np.diagonal(m_free, axis1=-2, axis2=-1)
+    first = w[:, 1, None] * diag[:, 0]
+    first += w[:, :1]
+    first += w[:, 2, None] * diag[:, 1]
+    np.einsum("tii->ti", hess)[...] = first
+    hess *= 2.0
     hess -= 4.0 * (np.swapaxes(mu * (w / q)[..., None], 1, 2) @ mu)
     return grad, hess
 
@@ -213,24 +237,20 @@ def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Right-looking, one column per step, from elementwise operations over
     the last axis alone, so a row gets the same verdict and factor in a
-    stack of any size. A row whose pivot fails goes on with a dummy pivot
-    and a zero column, where np.linalg.cholesky would raise for the whole
-    stack.
+    stack of any size. Every row is factored to the end, and each row's
+    verdict is read once from its pivots, the factor's diagonal: a pivot p
+    is in (0, inf) exactly when sqrt(p) is. A row whose pivot fails carries
+    NaN from there on and fails, where np.linalg.cholesky would raise for
+    the whole stack; the rows that pass never see a failed row's values.
     """
-    ok = np.ones(a.shape[-1], dtype=bool)
-    for j in range(len(a)):
-        ok &= (a[j, j] > 0.0) & (a[j, j] < math.inf)
-        if ok.all():  # no row to mask
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for j in range(len(a)):
             np.sqrt(a[j, j], out=a[j, j])
             a[j + 1 :, j] /= a[j, j]
-        elif ok.any():
-            a[j, j] = np.sqrt(np.where(ok, a[j, j], 1.0))
-            a[j + 1 :, j] = np.where(ok, a[j + 1 :, j] / a[j, j], 0.0)
-        else:
-            break
-        col = a[j + 1 :, j]
-        a[j + 1 :, j + 1 :] -= col[:, None] * col[None, :]
-    return a, ok
+            col = a[j + 1 :, j]
+            a[j + 1 :, j + 1 :] -= col[:, None] * col[None, :]
+    pivots = a.diagonal()
+    return a, ((pivots > 0.0) & (pivots < math.inf)).all(axis=-1)
 
 
 def _newton_step(low: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,7 +267,7 @@ def _newton_step(low: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray
     for j in reversed(range(n)):
         x[j] /= low[j, j]
         x[:j] -= low[j, :j] * x[j]
-    return x.T.copy(), 0.5 * np.sum(y * y, axis=-1)
+    return x.T.copy(), 0.5 * (y * y).sum(axis=-1)
 
 
 def _eigen_step(grad: np.ndarray, hess: np.ndarray, radius: np.ndarray):
@@ -277,8 +297,8 @@ def _eigen_step(grad: np.ndarray, hess: np.ndarray, radius: np.ndarray):
         live = ~(interior | hard)
         for _ in range(_SECULAR_STEPS):
             shift = d + delta
-            n2 = np.sum(c2 / (shift * shift), axis=-1, keepdims=True)
-            n3 = np.sum(c2 / (shift * shift * shift), axis=-1, keepdims=True)
+            n2 = (c2 / (shift * shift)).sum(axis=-1, keepdims=True)
+            n3 = (c2 / (shift * shift * shift)).sum(axis=-1, keepdims=True)
             norm = np.sqrt(n2)
             moved = np.maximum(delta + (n2 / n3) * ((norm - rad) / rad), start)
             live &= moved > delta
@@ -309,17 +329,23 @@ def solve_subproblem(
     count, n = grad.shape
     if not n:  # L = 1: the chart is a point
         return grad.copy(), np.zeros(count)
-    p, gain = np.empty((count, n)), np.empty(count)
-    low, newton = _cholesky(np.negative(np.moveaxis(hess, 0, -1), order="C"))
-    if newton.any():
-        step, step_gain = _newton_step(low[..., newton], grad[newton])
-        fits = np.sum(step * step, axis=-1) <= radius[newton] ** 2
-        idx = np.flatnonzero(newton)[fits]
-        p[idx], gain[idx] = step[fits], step_gain[fits]
-        newton[newton] = fits
-    if not newton.all():
-        rest = ~newton
-        p[rest], gain[rest] = _eigen_step(grad[rest], hess[rest], radius[rest])
+    low, newton = _cholesky(np.negative(hess.transpose(1, 2, 0), order="C"))
+    if newton.all():  # no row to mask
+        step, gain = _newton_step(low, grad)
+        fits = (step * step).sum(axis=-1) <= radius**2
+        if fits.all():
+            return step, gain
+        p, newton = step, fits
+    else:
+        p, gain = np.empty((count, n)), np.empty(count)
+        if newton.any():
+            step, step_gain = _newton_step(low[..., newton], grad[newton])
+            fits = (step * step).sum(axis=-1) <= radius[newton] ** 2
+            idx = np.flatnonzero(newton)[fits]
+            p[idx], gain[idx] = step[fits], step_gain[fits]
+            newton[newton] = fits
+    rest = ~newton
+    p[rest], gain[rest] = _eigen_step(grad[rest], hess[rest], radius[rest])
     return p, gain
 
 
@@ -358,23 +384,25 @@ def ascend(forms, starts: np.ndarray) -> Ascent:
     def retire(done: np.ndarray, code: int) -> np.ndarray:
         """Record the rows flagged in done as stopped for STOP_REASONS[code]
         and return the mask of the others."""
-        idx = rows[done]
-        u_out[idx], iterations[idx], stop[idx] = u[done], steps[done], code
+        if done.any():
+            idx = rows[done]
+            u_out[idx], iterations[idx], stop[idx] = u[done], steps[done], code
         return ~done
 
     while rows.size:
         p, pred = solve_subproblem(grad, hess, radius)
-        gnorm = np.sqrt(np.sum(grad * grad, axis=-1))
+        gnorm = np.sqrt((grad * grad).sum(axis=-1))
         done = (gnorm <= GRAD_TOL) | (pred <= _GAIN_RTOL * (1.0 + np.abs(f)))
         active = retire(done, STOP_REASONS.index("gradient"))
         if not active.all():
-            rows, m, m_free, u, f, grad, hess, radius, steps, p, pred = (
-                a[active] for a in (rows, m, m_free, u, f, grad, hess, radius, steps, p, pred)
+            m = m[..., active]
+            rows, m_free, u, f, grad, hess, radius, steps, p, pred = (
+                a[active] for a in (rows, m_free, u, f, grad, hess, radius, steps, p, pred)
             )
             if not rows.size:
                 break
         steps += 1
-        step_norm = np.sqrt(np.sum(p * p, axis=-1))
+        step_norm = np.sqrt((p * p).sum(axis=-1))
         u_new = u.copy()
         u_new[:, 1:] += p
         # pred > 0 here, so a step to a -inf value has ratio -inf.
@@ -397,8 +425,9 @@ def ascend(forms, starts: np.ndarray) -> Ascent:
         active = retire(radius < MIN_RADIUS, STOP_REASONS.index("radius"))
         active &= retire(active & (steps >= MAX_ITER), STOP_REASONS.index("max_iter"))
         if not active.all():
-            rows, m, m_free, u, f, grad, hess, radius, steps = (
-                a[active] for a in (rows, m, m_free, u, f, grad, hess, radius, steps)
+            m = m[..., active]
+            rows, m_free, u, f, grad, hess, radius, steps = (
+                a[active] for a in (rows, m_free, u, f, grad, hess, radius, steps)
             )
 
     x_hat = u_out[:, :dim].astype(complex)

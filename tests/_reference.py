@@ -31,7 +31,12 @@ tests hold that pipeline against:
 - oracle_glr, a brute-force quasi-Newton search over R_rr for the exact
   statistic;
 - write_csv, the row-at-a-time table writer that the CLI's column writer
-  (cli._write_table) must match byte for byte.
+  (cli._write_table) must match byte for byte;
+- masked_cholesky, the column Cholesky that masks failed rows column by
+  column, whose verdicts and factors optimizer._cholesky must match bit for
+  bit, and glr_by_eigvalsh, the exact statistic with every trial's forms
+  validated by eigvalsh, whose errors and scores the detector's Cholesky
+  screen must leave unchanged.
 
 Unlike the package, it uses scipy.
 """
@@ -48,7 +53,7 @@ import scipy.optimize
 
 from subspace_glr._linalg import adjoint, check_hermitian, cholesky_pd, hermitize, householder
 from subspace_glr.covariance import BlockSampleCov, block_sample_cov
-from subspace_glr.detectors import BlockScores, DegenerateSampleError, score_batch
+from subspace_glr.detectors import COHERENCE_FLOOR, BlockScores, DegenerateSampleError, score_batch
 from subspace_glr.model import (
     HYPOTHESES,
     STEERING_MODES,
@@ -61,6 +66,7 @@ from subspace_glr.model import (
     ula_steering,
 )
 from subspace_glr.montecarlo import BLOCK_TRIALS, ExperimentConfig
+from subspace_glr.optimizer import ascend
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
@@ -711,3 +717,45 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([c if isinstance(c, str) else repr(float(c)) for c in row] for row in rows)
+
+
+def masked_cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a stack a (n, n, T), stacked along the last
+    axis, in place, and whether each row's pivots are all positive and
+    finite: a row whose pivot fails gets the dummy pivot 1 and a zero
+    column from there on, so the other rows go on alone."""
+    ok = np.ones(a.shape[-1], dtype=bool)
+    for j in range(len(a)):
+        ok &= (a[j, j] > 0.0) & (a[j, j] < math.inf)
+        if ok.all():  # no row to mask
+            np.sqrt(a[j, j], out=a[j, j])
+            a[j + 1 :, j] /= a[j, j]
+        elif ok.any():
+            a[j, j] = np.sqrt(np.where(ok, a[j, j], 1.0))
+            a[j + 1 :, j] = np.where(ok, a[j + 1 :, j] / a[j, j], 0.0)
+        else:
+            break
+        col = a[j + 1 :, j]
+        a[j + 1 :, j + 1 :] -= col[:, None] * col[None, :]
+    return a, ok
+
+
+def glr_by_eigvalsh(forms) -> tuple[np.ndarray, dict[int, str]]:
+    """The exact statistic of each trial of stacked forms (psi, gamma_m),
+    (T, L, L), with every trial's gamma_m validated by eigvalsh: a smallest
+    eigenvalue at or below COHERENCE_FLOOR fails the trial with the
+    detector's message, a NaN one leaves it unscored (nan), and the others
+    ascend from e1. Returns the statistics and the error messages by trial."""
+    psi, gamma_m = forms
+    gap = np.linalg.eigvalsh(gamma_m)[:, 0]
+    errors = {
+        i: f"the channels are fully coherent: I - C^H C has eigenvalue {gap[i]:.3e} <= {COHERENCE_FLOOR:.3e}"
+        for i in np.flatnonzero(gap <= COHERENCE_FLOOR).tolist()
+    }
+    valid = np.flatnonzero(gap > COHERENCE_FLOOR)
+    stats = np.full(len(gap), np.nan)
+    if valid.size:
+        start = np.broadcast_to(np.eye(1, psi.shape[-1], dtype=complex), (valid.size, psi.shape[-1]))
+        with np.errstate(over="ignore"):
+            stats[valid] = np.exp(ascend((psi[valid], gamma_m[valid]), start).j_value)
+    return stats, errors

@@ -1,17 +1,20 @@
-"""What one block of trials costs, stage by stage, as a script.
+"""What one block of trials costs, stage by stage, and what one CLI call
+pays before and around its first block, as a script.
 
 Run from the repository root (pytest does not collect it):
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/block_costs.py [--reps 9] [--sizes 44 256 300 512]
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/block_costs.py [--reps 9] [--sizes 44 256 300 512] [--calls 7]
 
-For the scenario of each benchmark workload (perfbench/run.py) and each block
-size T, a block of T trials (H0 only for null-glr, else half H0 and half H1,
-as in a run) is drawn and scored once to warm up and then --reps times. Each
-stage is timed on its own and printed as the median in µs per trial:
+Per block: for the scenario of each benchmark workload (perfbench/run.py)
+and each block size T, a block of T trials (H0 only for null-glr, else half
+H0 and half H1, as in a run) is drawn and scored once to warm up and then
+--reps times. Each stage is timed on its own and printed as the median in
+µs per trial:
 
 - draw: model.draw_sample_cov;
 - forms: the beamforming (coherence_matrix, capon_pair) plus cost_forms;
-- eigvalsh: the stacked validation of the exact cost's forms;
+- screen: the Cholesky screen of the exact cost's forms
+  (detectors._clear_of_floor), which spares eigvalsh every trial it clears;
 - ascend: the lockstep ascent from e1 (optimizer.ascend);
 - score: score_batch with the workload's detectors, all of the above but
   the draw, or the closed forms alone on roc-closed;
@@ -20,20 +23,36 @@ stage is timed on its own and printed as the median in µs per trial:
 
 A stage's fixed cost per block is what T * (µs per trial) does not grow with:
 compare the rows of one scenario across T.
+
+Per call: --calls fresh interpreters per workload (subprocess), each
+importing the package and then running, once and cold, the stages of the
+workload's CLI call up to its first block: the parser of the call's command
+(cli.build_parser), parse_args, load_config, and the draw and scoring of
+the first block a one-worker run scores (the first sweep point's, on
+sweep-l-pool). Each stage is printed as the median µs and minor page
+faults over the interpreters.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import resource
 import statistics
+import subprocess
+import sys
+import tempfile
 import time
 
 import numpy as np
 
 import subspace_glr as sg
+from subspace_glr import cli
 from subspace_glr.covariance import capon_pair, coherence_matrix, cost_forms
+from subspace_glr.detectors import _clear_of_floor
 from subspace_glr.model import draw_sample_cov
+from subspace_glr.montecarlo import BLOCK_TRIALS, apply_sweep_value
 from subspace_glr.optimizer import ascend
 
 PROPOSED = ("glr", "glr_sample", "glr_low")
@@ -46,7 +65,18 @@ SCENARIOS = {
     "sweep-l-pool L=4": (dict(L=4, N=32, snr_s_db=-12.0, snr_r_db=0.0), PROPOSED, True),
     "sweep-l-pool L=8": (dict(L=8, N=32, snr_s_db=-12.0, snr_r_db=0.0), PROPOSED, True),
 }
+# name: (command, config) of each benchmark workload's call
+CALLS = {
+    "roc-closed": ("roc", {"scenario": {**SCENARIOS["roc-closed"][0], "seed": 1},
+                           "trials_h0": 300, "trials_h1": 300, "detectors": list(CLOSED)}),
+    "null-glr": ("null-dist", {"scenario": {**SCENARIOS["null-glr"][0], "seed": 1},
+                               "trials_h0": 300, "detectors": ["glr"]}),
+    "sweep-l-pool": ("pm-sweep", {"scenario": {**SCENARIOS["sweep-l-pool L=4"][0], "seed": 1},
+                                  "trials_h0": 250, "trials_h1": 250, "detectors": list(PROPOSED),
+                                  "sweep": {"axis": "l", "values": [2, 4, 8]}}),
+}
 MODE = "random-unit"
+CALL_STAGES = ("parser", "parse_args", "load_config", "draw", "score")
 
 
 def timed(fn, reps: int) -> float:
@@ -69,10 +99,14 @@ def faults(fn, reps: int) -> int:
     return int(statistics.median(counts))
 
 
+def trials(h1: bool, size: int) -> list[tuple[str, int]]:
+    half = size // 2 if h1 else size
+    return [("H0", i) for i in range(half)] + [("H1", i) for i in range(size - half)]
+
+
 def block_row(params: dict, detectors: tuple[str, ...], h1: bool, size: int, reps: int) -> dict:
     scenario = sg.ScenarioConfig(**params, seed=1)
-    half = size // 2 if h1 else size
-    block = [("H0", i) for i in range(half)] + [("H1", i) for i in range(size - half)]
+    block = trials(h1, size)
     u_s, u_r, s = draw_sample_cov(scenario, MODE, block)
     c, pair = coherence_matrix(s), capon_pair(s, u_s, u_r)
     forms = cost_forms(c, pair)
@@ -86,7 +120,7 @@ def block_row(params: dict, detectors: tuple[str, ...], h1: bool, size: int, rep
     us = {
         "draw": timed(lambda: draw_sample_cov(scenario, MODE, block), reps),
         "forms": timed(lambda: cost_forms(coherence_matrix(s), capon_pair(s, u_s, u_r)), reps),
-        "eigvalsh": timed(lambda: np.linalg.eigvalsh(forms[1]), reps),
+        "screen": timed(lambda: _clear_of_floor(forms[1]), reps),
         "ascend": timed(lambda: ascend(forms, starts), reps),
         "score": timed(lambda: sg.score_batch(s, u_s, u_r, detectors), reps),
     }
@@ -95,12 +129,62 @@ def block_row(params: dict, detectors: tuple[str, ...], h1: bool, size: int, rep
     return row
 
 
+def cold_call(command: str, config: str) -> dict:
+    """The stages of one CLI call up to its first block, each run once in
+    this interpreter: {stage: (µs, minor faults)}. The first block is the
+    first point's first block in a one-worker run."""
+    out = {}
+
+    def stage(name, fn):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start = time.perf_counter()
+        result = fn()
+        out[name] = (1e6 * (time.perf_counter() - start),
+                     resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        return result
+
+    parser = stage("parser", lambda: cli.build_parser(command))
+    stage("parse_args", lambda: parser.parse_args([command, "--config", config, "--threads", "1"]))
+    cfg = stage("load_config", lambda: cli.load_config(config, None))
+    if cfg.sweep is not None:
+        cfg = apply_sweep_value(cfg, cfg.sweep.values[0])
+    items = [("H0", i) for i in range(cfg.trials_h0)] + [("H1", i) for i in range(cfg.trials_h1)]
+    blocks = -(-len(items) // BLOCK_TRIALS)
+    block = items[: -(-len(items) // blocks)]
+    u_s, u_r, s = stage("draw", lambda: draw_sample_cov(cfg.scenario, cfg.steering_mode, block))
+    stage("score", lambda: sg.score_batch(s, u_s, u_r, cfg.detectors, cfg.n_restarts))
+    return out
+
+
+def call_rows(calls: int) -> dict:
+    """Per workload, each stage's median µs and faults over fresh interpreters."""
+    rows = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (command, body) in CALLS.items():
+            config = os.path.join(tmp, f"{name}.json")
+            with open(config, "w") as fh:
+                json.dump(body, fh)
+            runs = []
+            for _ in range(calls):
+                proc = subprocess.run([sys.executable, __file__, "--cold-call", command, config],
+                                      capture_output=True, text=True, check=True)
+                runs.append(json.loads(proc.stdout))
+            rows[name] = {st: tuple(statistics.median(r[st][k] for r in runs) for k in (0, 1))
+                          for st in CALL_STAGES}
+    return rows
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=9, help="timed repetitions per stage")
     parser.add_argument("--sizes", type=int, nargs="+", default=[44, 256, 300, 512], help="block sizes T")
+    parser.add_argument("--calls", type=int, default=7, help="fresh interpreters per workload call")
+    parser.add_argument("--cold-call", nargs=2, metavar=("COMMAND", "CONFIG"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    columns = ("draw", "forms", "eigvalsh", "ascend", "score")
+    if args.cold_call:
+        print(json.dumps(cold_call(*args.cold_call)))
+        return 0
+    columns = ("draw", "forms", "screen", "ascend", "score")
     print(f"{'scenario':<18} {'T':>4} " + " ".join(f"{c:>9}" for c in columns) + f" {'minflt':>7}")
     print(f"{'':<18} {'':>4} " + " ".join(f"{'µs/trial':>9}" for _ in columns) + f" {'/block':>7}")
     for name, (params, detectors, h1) in SCENARIOS.items():
@@ -108,6 +192,12 @@ def main(argv: list[str] | None = None) -> int:
             row = block_row(params, detectors, h1, size, args.reps)
             print(f"{name:<18} {size:>4} " + " ".join(f"{row[c]:>9.2f}" for c in columns)
                   + f" {row['minflt']:>7d}", flush=True)
+    print()
+    print(f"{'call (cold)':<18} " + " ".join(f"{c:>18}" for c in CALL_STAGES))
+    print(f"{'':<18} " + " ".join(f"{'µs':>10} {'minflt':>7}" for _ in CALL_STAGES))
+    for name, row in call_rows(args.calls).items():
+        print(f"{name:<18} " + " ".join(f"{row[st][0]:>10.0f} {row[st][1]:>7.0f}" for st in CALL_STAGES),
+              flush=True)
     return 0
 
 

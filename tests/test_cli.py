@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -687,6 +688,42 @@ class TestDetect:
         data, steer = write_null_case_files(tmp_path, L=3, N=4, seed=67)
         assert main(["detect", "--data", str(data), "--steering", str(steer)]) == 2
         assert "2L" in capsys.readouterr().err
+
+
+def parse_outcome(run, argv, capsys):
+    """Exit code and printed text of run(argv), which stops in argparse."""
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    out = capsys.readouterr()
+    return info.value.code, out.out, out.err
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", ["roc", "pm-sweep", "null-dist"])
+    def test_experiment_adds_its_parser_only(self, tmp_path, monkeypatch, command):
+        cfg = write_config(tmp_path, detectors=["glr", "glr_low"], sweep={"axis": "snr_s_db", "values": [0.0]})
+        added = []
+        real = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            added.append(name)
+            return real(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        assert main([command, "--config", str(cfg), "--threads", "1", "--out", str(tmp_path / "out")]) == 0
+        assert added == [command]
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], [], ["bogus"], ["-x", "roc"], ["detect"], ["detect", "--help"], ["validate-config"],
+        ["validate-config", "--help"], ["roc", "--help"], ["null-dist"], ["pm-sweep", "--config", "c.json", "--bogus"],
+        ["roc", "extra", "--config", "c.json"], ["null-dist", "--config", "c.json", "--threads", "x"],
+    ])
+    def test_prints_what_the_full_parser_prints(self, capsys, argv):
+        # a command line that starts with a subcommand parses with that
+        # subcommand's parser alone; help, usage and errors read the same
+        full = parse_outcome(lambda args: cli.build_parser().parse_args(args), argv, capsys)
+        assert parse_outcome(main, argv, capsys) == full
+        assert full[0] == (0 if "--help" in argv else 2)
 
 
 def child_env(**extra):

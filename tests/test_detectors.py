@@ -3,9 +3,11 @@ import pytest
 import scipy.linalg
 
 import subspace_glr as sg
-from subspace_glr.detectors import _ZERO_CHANNEL
+from subspace_glr import detectors
+from subspace_glr.detectors import _ZERO_CHANNEL, COHERENCE_FLOOR
 from _reference import (
     distortionless_pair,
+    glr_by_eigvalsh,
     low_snr_qsr,
     m_matrix,
     ml_qsr,
@@ -373,11 +375,12 @@ class TestComputeReport:
             sg.compute_report(s, steer, detectors=("glr", "bogus"))
 
     def test_factors_each_block_once(self, monkeypatch):
-        # one six-detector trial: one Cholesky per diagonal block, one
-        # eigvalsh (the stacked validation of the exact cost's forms), one
-        # stacked eigh of the diagonal blocks (t_svd), and one eigh per pass
-        # of the lockstep ascent, the exact trust-region step: at most the
-        # iteration count plus the pass that stops it
+        # one six-detector trial: one Cholesky per diagonal block, no
+        # eigvalsh (the screen of the exact cost's forms clears a clean
+        # trial elementwise), one stacked eigh of the diagonal blocks
+        # (t_svd), and one eigh per pass of the lockstep ascent, the exact
+        # trust-region step: at most the iteration count plus the pass that
+        # stops it
         s, steer, _ = make_instance(seed=47, L=4)
         calls = {"cho_factor": 0, "cholesky": 0, "eigh": 0, "eigvalsh": 0}
 
@@ -398,7 +401,7 @@ class TestComputeReport:
         assert calls["cho_factor"] <= 2
         assert calls["cho_factor"] + calls["cholesky"] <= 2
         assert 1 <= calls["eigh"] <= optim.iterations + 2
-        assert calls["eigvalsh"] <= 1
+        assert calls["eigvalsh"] == 0
 
     @pytest.mark.parametrize("n_restarts", [0, 2])
     @pytest.mark.parametrize("L", [2, 4, 8])
@@ -535,6 +538,86 @@ class TestDegenerateSamples:
             alone, _ = sg.compute_report(trials[k][0], trials[k][1])
             assert out.stats[k, sg.DETECTOR_NAMES.index("glr")] == alone.stat("glr")[0]
             assert out.stats[k, sg.DETECTOR_NAMES.index("glr_sample")] == alone.stat("glr_sample")[0]
+
+
+def unitary_stack(count, dim, rng):
+    return np.linalg.qr(rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim)))[0]
+
+
+def forms_with_gaps(gaps, dim, rng):
+    """Forms (psi, gamma_m) whose gamma_m have the given smallest
+    eigenvalues, the others in [0.1, 1], and psi = gamma_m + g g^H."""
+    lam = rng.uniform(0.1, 1.0, (len(gaps), dim))
+    lam[:, 0] = gaps
+    q = unitary_stack(len(gaps), dim, rng)
+    gamma_m = sg._linalg.hermitize(q @ (lam[..., None] * q.conj().swapaxes(-1, -2)))
+    g = 0.3 * (rng.standard_normal((len(gaps), dim, 1)) + 1j * rng.standard_normal((len(gaps), dim, 1)))
+    return sg._linalg.hermitize(gamma_m + g @ g.conj().swapaxes(-1, -2)), gamma_m
+
+
+def expected_glr(forms):
+    """What each trial's glr reads under the eigvalsh rule: its error
+    message or its statistic, or the error the whole stack raises."""
+    try:
+        stats, errors = glr_by_eigvalsh(forms)
+    except np.linalg.LinAlgError as exc:
+        return repr(exc)
+    return {i: errors[i] if i in errors else f"non-finite statistic glr = {stat}" if not np.isfinite(stat) else stat
+            for i, stat in enumerate(stats.tolist())}
+
+
+def scored_glr(s, u_s, u_r):
+    """What score_batch's glr gives each trial, or the error it raises."""
+    try:
+        out = sg.score_batch(s, u_s, u_r, ("glr",))
+    except np.linalg.LinAlgError as exc:
+        return repr(exc)
+    return {i: str(out.errors[i]) if i in out.errors else out.stats[i, 0] for i in range(len(out.stats))}
+
+
+class TestCoherenceScreen:
+    # The Cholesky screen on gamma_m - 2 COHERENCE_FLOOR I clears most
+    # trials without eigvalsh; every trial still gets the error or the
+    # score the eigvalsh rule gives it, in its block and alone
+    def test_records_get_the_eigvalsh_rule(self):
+        trials = [make_instance(seed=3100 + k, L=3, N=12) for k in range(8)]
+        y_s = np.stack([t[2].y_s for t in trials])
+        y_r = np.stack([t[2].y_r for t in trials])
+        y_s[2] = 3.0 * y_r[2]
+        y_s[5] = y_r[5] + 1e-9 * y_s[5]
+        s = sg.block_sample_cov(y_s, y_r)
+        s.s_sr[6, 0, 1] = np.nan
+        u_s = np.stack([t[1].u_s for t in trials])
+        u_r = np.stack([t[1].u_r for t in trials])
+        outcomes = []
+        for rows in [slice(None), slice(0, 6)] + [slice(k, k + 1) for k in range(8)]:
+            part = sg.BlockSampleCov(s.s_ss[rows], s.s_sr[rows], s.s_rr[rows], s.n)
+            forms = sg.cost_forms(sg.coherence_matrix(part), sg.capon_pair(part, u_s[rows], u_r[rows]))
+            want = expected_glr(forms)
+            assert scored_glr(part, u_s[rows], u_r[rows]) == want
+            outcomes.append(want)
+        assert outcomes[1][2].startswith("the channels are fully coherent")
+        assert outcomes[1][5].startswith("the channels are fully coherent")
+        assert sum(isinstance(v, float) for v in outcomes[1].values()) == 4
+        assert outcomes[8] == outcomes[0]  # the NaN record, alone or not
+
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8])
+    def test_gaps_at_and_near_the_floor(self, dim):
+        rng = np.random.default_rng(3200 + dim)
+        gaps = np.array([0.5, 1e-3] + [f * COHERENCE_FLOOR for f in (8.0, 4.0, 3.0, 2.0, 1.5, 1.0, 0.5, 0.0, -1.0)])
+        forms = forms_with_gaps(np.repeat(gaps, 4), dim, rng)
+        stats, _, _, errors = detectors._glr(forms, 0)
+        got = {i: str(errors[i]) if i in errors else stats[i] for i in range(len(stats))}
+        want = expected_glr(forms)
+        assert got == want
+        assert isinstance(want[0], float) and isinstance(want[len(stats) - 1], str)
+        # the screen never clears a row the rule fails, and clears every
+        # row with twice its margin
+        clear = detectors._clear_of_floor(forms[1])
+        gap = np.linalg.eigvalsh(forms[1])[:, 0]
+        assert np.all(gap[clear] > COHERENCE_FLOOR)
+        assert np.all(clear[gap >= 4.0 * COHERENCE_FLOOR])
 
 
 def kolmogorov_p(sample: np.ndarray, cdf) -> float:

@@ -5,6 +5,7 @@ import scipy.optimize
 import subspace_glr as sg
 from subspace_glr import optimizer
 from subspace_glr.optimizer import random_start, solve_subproblem
+from _reference import masked_cholesky
 from _utils import chart_x, fd_gradient, grid_max_j_l2, make_instance
 
 
@@ -319,6 +320,50 @@ def definiteness_stack(count, n, rng):
         except np.linalg.LinAlgError:
             verdict[i] = False
     return b, kinds, verdict
+
+
+def verdict_stack(count, n, rng):
+    """Positive definite, indefinite, singular, NaN, +inf and -inf matrices
+    (kinds 0 to 5), in random order; a non-finite entry sits on or below
+    the diagonal, mirrored above it."""
+    kinds = rng.permutation(np.arange(count) % 6)
+    lam = 10.0 ** rng.uniform(-3, 3, (count, n))
+    lam[kinds == 1, rng.integers(0, n)] *= -1.0
+    b = spectral_stack(lam, rng)
+    b[kinds == 2] = semidefinite_stack(int(np.sum(kinds == 2)), n, rng)
+    for kind, value in ((3, np.nan), (4, np.inf), (5, -np.inf)):
+        for i in np.flatnonzero(kinds == kind):
+            j, k = sorted(rng.integers(0, n, 2))
+            b[i, k, j] = b[i, j, k] = value
+    return b, kinds
+
+
+class TestCholesky:
+    @pytest.mark.parametrize("n", [1, 2, 6, 14])
+    def test_matches_the_masked_oracle(self, n):
+        # each row's verdict is read once from its pivots, and the rows that
+        # pass get the masked factorization's factor bit for bit, whatever
+        # the failing rows hold
+        rng = np.random.default_rng(40 + n)
+        b, kinds = verdict_stack(90, n, rng)
+        with np.errstate(invalid="ignore", over="ignore"):
+            ref, ref_ok = masked_cholesky(np.moveaxis(b, 0, -1).copy())
+        low, ok = optimizer._cholesky(np.moveaxis(b, 0, -1).copy())
+        assert np.array_equal(ok, ref_ok)
+        assert ok[kinds == 0].all() and not ok[kinds >= 3].any()
+        assert not ok[kinds == 1].any()
+        got, want = (np.tril(np.moveaxis(f, -1, 0)[ok]) for f in (low, ref))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_row_alone_gets_the_same_factor(self, n):
+        rng = np.random.default_rng(50 + n)
+        b, _ = verdict_stack(24, n, rng)
+        low, ok = optimizer._cholesky(np.moveaxis(b, 0, -1).copy())
+        for i in range(len(b)):
+            low1, ok1 = optimizer._cholesky(b[i][..., None].copy())
+            assert ok1[0] == ok[i]
+            assert not ok[i] or np.tril(low1[..., 0]).tobytes() == np.tril(low[..., i]).tobytes()
 
 
 class TestSolveSubproblem:
