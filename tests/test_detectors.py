@@ -4,6 +4,7 @@ import scipy.linalg
 
 import subspace_glr as sg
 from subspace_glr import detectors
+from subspace_glr._linalg import hermitize
 from subspace_glr.detectors import _ZERO_CHANNEL, COHERENCE_FLOOR
 from _reference import (
     distortionless_pair,
@@ -550,9 +551,9 @@ def forms_with_gaps(gaps, dim, rng):
     lam = rng.uniform(0.1, 1.0, (len(gaps), dim))
     lam[:, 0] = gaps
     q = unitary_stack(len(gaps), dim, rng)
-    gamma_m = sg._linalg.hermitize(q @ (lam[..., None] * q.conj().swapaxes(-1, -2)))
+    gamma_m = hermitize(q @ (lam[..., None] * q.conj().swapaxes(-1, -2)))
     g = 0.3 * (rng.standard_normal((len(gaps), dim, 1)) + 1j * rng.standard_normal((len(gaps), dim, 1)))
-    return sg._linalg.hermitize(gamma_m + g @ g.conj().swapaxes(-1, -2)), gamma_m
+    return hermitize(gamma_m + g @ g.conj().swapaxes(-1, -2)), gamma_m
 
 
 def expected_glr(forms):
@@ -562,8 +563,10 @@ def expected_glr(forms):
         stats, errors = glr_by_eigvalsh(forms)
     except np.linalg.LinAlgError as exc:
         return repr(exc)
-    return {i: errors[i] if i in errors else f"non-finite statistic glr = {stat}" if not np.isfinite(stat) else stat
-            for i, stat in enumerate(stats.tolist())}
+    for i, stat in enumerate(stats.tolist()):  # an unscored trial fails as non-finite
+        if i not in errors:
+            errors[i] = stat if np.isfinite(stat) else f"non-finite statistic glr = {stat}"
+    return dict(sorted(errors.items()))
 
 
 def scored_glr(s, u_s, u_r):
@@ -600,7 +603,6 @@ class TestCoherenceScreen:
         assert outcomes[1][5].startswith("the channels are fully coherent")
         assert sum(isinstance(v, float) for v in outcomes[1].values()) == 4
         assert outcomes[8] == outcomes[0]  # the NaN record, alone or not
-
 
     @pytest.mark.parametrize("dim", [1, 2, 4, 8])
     def test_gaps_at_and_near_the_floor(self, dim):
