@@ -211,31 +211,28 @@ def trial_width(cfg: ScenarioConfig) -> int:
     return -(-used // 4) * 4
 
 
-def _complex_normals(u: np.ndarray, overwrite: bool = False) -> np.ndarray:
+def _complex_normals(u: np.ndarray) -> np.ndarray:
     """CN(0, 1) variates sqrt(-log u1) * exp(2 pi i u2) from the word pairs
     (u1, u2) along the last axis of u: the radius squared is Exp(1) and the
-    phase is uniform (Box-Muller). With overwrite, the radii and angles are
-    computed in u's own memory, which then holds them instead of the
-    uniforms; draw_sample_cov asks for it on its own array."""
-    radius = np.log(u[..., 0::2], out=u[..., 0::2] if overwrite else None)
+    phase is uniform (Box-Muller)."""
+    radius = np.log(u[..., 0::2])
     np.negative(radius, out=radius)
     np.sqrt(radius, out=radius)
-    angle = np.multiply(2.0 * np.pi, u[..., 1::2], out=u[..., 1::2] if overwrite else None)
+    angle = (2.0 * np.pi) * u[..., 1::2]
     z = np.empty(angle.shape, dtype=complex)
-    np.multiply(np.cos(angle, out=z.real), radius, out=z.real)
-    np.multiply(np.sin(angle, out=z.imag), radius, out=z.imag)
+    np.multiply(radius, np.cos(angle), out=z.real)
+    np.multiply(radius, np.sin(angle, out=angle), out=z.imag)
     return z
 
 
-def _gammas(u: np.ndarray, shapes: np.ndarray, overwrite: bool = False) -> np.ndarray:
+def _gammas(u: np.ndarray, shapes: np.ndarray) -> np.ndarray:
     """Gamma(k) variates, one per shape k, along the last axis of u: each is
     the sum of -log u over its k consecutive uniforms. The logs are summed,
     since a product of many uniforms can underflow. A shape of 0 gives
-    exactly 0. With overwrite, the logs are taken in u's own memory."""
+    exactly 0."""
     out = np.zeros(u.shape[:-1] + shapes.shape)
     pos = shapes > 0
-    logs = np.log(u, out=u if overwrite else None)
-    sums = np.add.reduceat(logs, (np.cumsum(shapes) - shapes)[pos], axis=-1)
+    sums = np.add.reduceat(np.log(u), (np.cumsum(shapes) - shapes)[pos], axis=-1)
     out[..., pos] = np.negative(sums, out=sums)
     return out
 
@@ -281,11 +278,12 @@ def draw_sample_cov(
     """
     if steering_mode not in STEERING_MODES:
         raise ValueError(f"unknown steering mode {steering_mode!r}; expected one of {STEERING_MODES}")
-    hypothesis, index = zip(*trials)
-    unknown = [h for h in hypothesis if h not in HYPOTHESES]
-    if unknown:
-        raise ValueError(f"hypothesis must be one of {HYPOTHESES}, got {unknown[0]!r}")
-    h1, index = np.array([h == "H1" for h in hypothesis]), np.asarray(index)
+    hypothesis, index = (np.asarray(col) for col in zip(*trials))
+    h1 = hypothesis == "H1"
+    known = h1 | (hypothesis == "H0")
+    if not np.all(known):
+        bad = trials[np.flatnonzero(~known)[0]][0]
+        raise ValueError(f"hypothesis must be one of {HYPOTHESES}, got {bad!r}")
     if np.any(index < 0):
         raise ValueError(f"trial indices must be >= 0, got {index.min()}")
     count, dim, dof = len(trials), cfg.L, cfg.dof
@@ -298,16 +296,16 @@ def draw_sample_cov(
         bitgen.advance(int(index[first]) * width // 4)
         np.random.Generator(bitgen).random(out=u[first:stop])  # (w >> 11) 2^-53 per word w
     u += 2.0**-53  # exact: u = ((w >> 11) + 1) 2^-53 in (0, 1]
-    if steering_mode == "ula-random-doa":  # read before the normals overwrite u
-        steering = ula_steering(dim, -np.pi / 2 + np.pi * u[:, :2])
     z_steer, gains, z_noise, z_joint = np.split(
-        _complex_normals(u[:, : 2 * normals], overwrite=True), np.cumsum([2 * dim, 2, dim * (dim - 1)]), axis=1
+        _complex_normals(u[:, : 2 * normals]), np.cumsum([2 * dim, 2, dim * (dim - 1)]), axis=1
     )
-    gamma = _gammas(u[:, 2 * normals : 2 * normals + shapes.sum()], shapes, overwrite=True)
-    del u
+    gamma = _gammas(u[:, 2 * normals : 2 * normals + shapes.sum()], shapes)
     if steering_mode == "random-unit":
         v = z_steer.reshape(count, 2, dim)
         steering = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    else:
+        steering = ula_steering(dim, -np.pi / 2 + np.pi * u[:, :2])
+    del u
     b = _bartlett(z_noise.reshape(count, 2, -1), gamma[:, : 2 * dim].reshape(count, 2, dim))
     scale = np.full((count, 2), 1.0 / dof)  # Sigma_i = scale_i A_i A_i^H
     if cfg.sigma_x2 > 0:
@@ -317,8 +315,6 @@ def draw_sample_cov(
     h = math.sqrt(cfg.sigma_x2) * gains[:, :, None] * steering
     h[~h1, 0] = 0.0
     a = _bartlett(z_joint, gamma[:, 2 * dim :])
-    del z_steer, gains, z_noise, z_joint  # free the normals before the products
     g = b @ a[:, 1:].reshape(count, 2, dim, -1)
     g[..., 0] += h * a[:, 0, 0, None, None]  # A's first row is a_00 e_1
-    del a, b
     return steering[:, 0], steering[:, 1], block_sample_cov(g[:, 0], g[:, 1], n=cfg.N)

@@ -354,13 +354,7 @@ class TestCholesky:
         assert not ok[kinds == 1].any()
         got, want = (np.tril(np.moveaxis(f, -1, 0)[ok]) for f in (low, ref))
         assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("n", [2, 6])
-    def test_row_alone_gets_the_same_factor(self, n):
-        rng = np.random.default_rng(50 + n)
-        b, _ = verdict_stack(24, n, rng)
-        low, ok = optimizer._cholesky(np.moveaxis(b, 0, -1).copy())
-        for i in range(len(b)):
+        for i in range(len(b)):  # a row alone gets the same verdict and factor
             low1, ok1 = optimizer._cholesky(b[i][..., None].copy())
             assert ok1[0] == ok[i]
             assert not ok[i] or np.tril(low1[..., 0]).tobytes() == np.tril(low[..., i]).tobytes()
