@@ -38,7 +38,7 @@ import numpy as np
 
 from .covariance import BlockSampleCov, capon_pair, coherence_matrix, cost_forms
 from .model import SteeringPair, substream
-from .optimizer import OptimResult, _cholesky, ascend, random_start
+from .optimizer import OptimResult, _chart_forms, _cholesky, ascend, random_start
 
 DETECTOR_NAMES = ("glr", "glr_sample", "glr_low", "sigma_max", "t_cc", "t_svd")
 PROPOSED_DETECTORS = ("glr", "glr_sample", "glr_low")
@@ -96,18 +96,18 @@ def glr_sample(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> float:
     return _single(s, u_s, u_r, ("glr_sample",))[1][0]
 
 
-def _clear_of_floor(gamma_m: np.ndarray) -> np.ndarray:
-    """Whether each of the stacked gamma_m (T, L, L) has its smallest
-    eigenvalue above COHERENCE_FLOOR with room to spare: whether
-    gamma_m - 2 COHERENCE_FLOOR I is positive definite, by the Cholesky
-    verdict (optimizer._cholesky) on its real embedding [[Re, -Im], [Im, Re]],
-    whose eigenvalues are gamma_m's, each twice. A margin of the floor itself
-    lies far beyond the roundoff of this test and of eigvalsh, so a row that
+def _clear_of_floor(gamma_block: np.ndarray) -> np.ndarray:
+    """Whether each trial's gamma_m has its smallest eigenvalue above
+    COHERENCE_FLOOR with room to spare, from gamma_block (2L-1, 2L-1, T), the
+    chart's embedding of gamma_m (optimizer._chart_forms): whether
+    gamma_block - 2 COHERENCE_FLOOR I is positive definite, by the Cholesky
+    verdict (optimizer._cholesky) on a copy. The block is gamma_m's real
+    embedding [[Re, -Im], [Im, Re]], whose eigenvalues are gamma_m's, each
+    twice, without the row and column of Im x_1, so by Cauchy interlacing
+    its smallest eigenvalue is gamma_m's. A margin of the floor itself lies
+    far beyond the roundoff of this test and of eigvalsh, so a row that
     passes also passes eigvalsh's rule; the others are for eigvalsh to judge."""
-    dim = gamma_m.shape[-1]
-    re, im = (np.moveaxis(part, 0, -1) for part in (gamma_m.real, gamma_m.imag))
-    emb = np.empty((2 * dim, 2 * dim, len(gamma_m)))
-    emb[:dim, :dim], emb[:dim, dim:], emb[dim:, :dim], emb[dim:, dim:] = re, -im, im, re
+    emb = gamma_block.copy()
     np.einsum("iit->it", emb)[...] -= 2.0 * COHERENCE_FLOOR
     return _cholesky(emb)[1]
 
@@ -116,17 +116,19 @@ def _glr(forms, n_restarts: int):
     """The exact statistic of each trial of stacked cost forms (..., L, L):
     one lockstep ascent from the warm start e1 of every trial, plus
     n_restarts random starts stacked as extra rows, keeping each trial's
-    best row. Restart k starts from random_start on substream(0, k), the
-    same point for every trial. Returns the statistics exp(J), the ascent
-    (None when no trial ascends), each trial's best row of it (-1 for a
-    trial that does not ascend) and the errors that fail trials, keyed by
-    trial: fully coherent channels (see COHERENCE_FLOOR) or a non-finite
-    statistic."""
+    best row. The chart embeddings of the forms are built once, screened
+    (_clear_of_floor) and indexed by the ascent's rows. Restart k starts
+    from random_start on substream(0, k), the same point for every trial.
+    Returns the statistics exp(J), the ascent (None when no trial ascends),
+    each trial's best row of it (-1 for a trial that does not ascend) and
+    the errors that fail trials, keyed by trial: fully coherent channels
+    (see COHERENCE_FLOOR) or a non-finite statistic."""
     if n_restarts < 0:
         raise ValueError(f"n_restarts must be >= 0, got {n_restarts}")
     psi, gamma_m = (f.reshape((-1,) + f.shape[-2:]) for f in forms)
     count, dim = gamma_m.shape[:2]
-    ok = _clear_of_floor(gamma_m)
+    m, m_free = _chart_forms((psi, gamma_m))
+    ok = _clear_of_floor(m[1])
     suspect = np.flatnonzero(~ok)
     errors: dict[int, ValueError] = {}
     if suspect.size:
@@ -145,11 +147,10 @@ def _glr(forms, n_restarts: int):
     starts += [random_start(dim, substream(0, k)) for k in range(n_restarts)]
     # Row k * len(valid) + j ascends trial valid[j] from starts[k].
     x0 = np.concatenate([np.broadcast_to(x, (valid.size, dim)) for x in starts])
-    if len(starts) == 1 and valid.size == count:
-        stacked = (psi, gamma_m)
-    else:
-        stacked = [np.tile(f[valid], (len(starts), 1, 1)) for f in (psi, gamma_m)]
-    ascent = ascend(stacked, x0)
+    if len(starts) > 1 or valid.size < count:
+        take = np.tile(valid, len(starts))
+        m, m_free = m[..., take], m_free[take]
+    ascent = ascend((m, m_free), x0)
     best = np.argmax(ascent.j_value.reshape(len(starts), valid.size), axis=0)  # the first start wins a tie
     rows[valid] = best * valid.size + np.arange(valid.size)
     with np.errstate(over="ignore"):

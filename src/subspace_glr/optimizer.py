@@ -25,19 +25,25 @@ the free coordinates. _chart_value and _chart_derivatives are the one
 evaluator of J and its derivatives: the ascent steps on them, and cost_j and
 grad_hess_j give them at one point.
 
-ascend runs the ascents of a whole stack of cost surfaces in lockstep: each
-pass takes one step on every row still active and retires the rows that
-stop. Each step solves the trust-region subproblem, maximize g.p + p.H.p/2
-subject to |p| <= radius, exactly (Moré and Sorensen, "Computing a trust
-region step", SIAM J. Sci. Stat. Comput. 4(3), 1983; Nocedal and Wright,
-Numerical Optimization, 2nd ed., 4.3), and splits the rows by case, as
-Moré and Sorensen do. First it tests whether B = -H is positive definite
-and its Newton step p = B^{-1} g fits the radius; then that is the step,
-with predicted gain g.p / 2. The test is a Cholesky factorization of every
-live row's B, column by column and elementwise along the rows, so each row
-gets its own verdict, the same in a stack of any size (np.linalg.cholesky
-would raise for the whole stack), and the Newton step comes from the same
-factor. Most row-passes take this step (92-100% on the benchmark configs,
+ascend runs the ascents of a whole stack of cost surfaces in lockstep, on
+the chart embeddings that _chart_forms builds once per block, and each pass
+takes one path for every row still active. It solves the trust-region
+subproblem, maximize g.p + p.H.p/2 subject to |p| <= radius, exactly (Moré
+and Sorensen, "Computing a trust region step", SIAM J. Sci. Stat. Comput.
+4(3), 1983; Nocedal and Wright, Numerical Optimization, 2nd ed., 4.3), and
+codes each row's stop, if any: radius, then max_iter, then gradient, in
+that priority. The rows that stop retire at that one point. The others take
+their steps; J and its derivatives are evaluated at every new point, and the
+rows whose step is rejected get their old point, value and derivatives back.
+
+The subproblem's solver splits the rows by case, as Moré and Sorensen do.
+Every row gets the Newton step p = B^{-1} g of B = -H, with predicted gain
+g.p / 2, from a Cholesky factorization of every row's B, column by column
+and elementwise along the rows, so each row gets its own verdict, the same
+in a stack of any size (np.linalg.cholesky would raise for the whole
+stack); a row whose factorization fails carries NaN, which no other row
+sees. A row whose B is positive definite and whose Newton step fits the
+radius keeps it. Most row-passes do (92-100% on the benchmark configs,
 about half on ill-conditioned ones such as N = 2L or a 40 dB ULA), so only
 the rest pay for an eigendecomposition: one batched -H = Q diag(lam) Q^T per
 pass for those rows, the general solver, which also takes the interior step
@@ -161,7 +167,11 @@ def _chart_forms(forms) -> tuple[np.ndarray, np.ndarray]:
     t, which _chart_value takes, and their free blocks m_free (T, 2, n, n),
     the rows and columns of the free coordinates, which _chart_derivatives
     takes. The |x|^2 term's embedding is the identity, which those two
-    apply directly."""
+    apply directly. m[1] is gamma_m's real embedding without the row and
+    column of Im x_1, which the exact detector's coherence screen factors
+    (detectors._clear_of_floor). m_free is a contiguous copy: the Hessian's
+    einsum over m's strided view gives the same bits in about 1.7 times
+    the time."""
     psi, gamma_m = (np.asarray(f, dtype=complex) for f in forms)
     dim = psi.shape[-1]
     m = np.empty((2, 2 * dim - 1, 2 * dim - 1, len(psi)))
@@ -278,8 +288,12 @@ def _eigen_step(grad: np.ndarray, hess: np.ndarray, radius: np.ndarray):
     Works in the eigenbasis of B with c = -g, shifted so that the smallest
     eigenvalue sits at 0: d_i = lam_i - lam_1 and a boundary step is
     p_i = -c_i / (d_i + delta) with delta = lam_1 + s, which keeps delta
-    resolved however close the root lies to the pole.
+    resolved however close the root lies to the pole. An empty stack, where
+    every row took its Newton step, returns at once, with no
+    eigendecomposition.
     """
+    if not len(grad):
+        return grad.copy(), np.zeros(0)
     lam, vec = np.linalg.eigh(-hess)
     c = -np.einsum("tji,tj->ti", vec, grad)
     c2 = c * c
@@ -321,37 +335,25 @@ def solve_subproblem(
     gain it predicts, for each row of stacked gradients (T, n), Hessians
     (T, n, n) and radii (T,). See the module docstring for the method.
 
-    A row whose B = -H is positive definite and whose Newton step
-    p = B^{-1} g fits its radius takes that step, with gain g.p / 2; one
-    stacked Cholesky factorization decides and solves all of them. Only the
-    other rows reach _eigen_step.
+    Every row gets the Newton step p = B^{-1} g, with gain g.p / 2, from one
+    stacked Cholesky factorization of B = -H; a row whose factorization
+    fails carries NaN, which no other row sees. The rows whose B is positive
+    definite and whose step fits their radius keep it, and only the others
+    reach _eigen_step. With n = 0 (L = 1, the chart is a point) every row
+    keeps p = 0 and a gain of 0.
     """
-    count, n = grad.shape
-    if not n:  # L = 1: the chart is a point
-        return grad.copy(), np.zeros(count)
     low, newton = _cholesky(np.negative(hess.transpose(1, 2, 0), order="C"))
-    if newton.all():  # no row to mask
-        step, gain = _newton_step(low, grad)
-        fits = (step * step).sum(axis=-1) <= radius**2
-        if fits.all():
-            return step, gain
-        p, newton = step, fits
-    else:
-        p, gain = np.empty((count, n)), np.empty(count)
-        if newton.any():
-            step, step_gain = _newton_step(low[..., newton], grad[newton])
-            fits = (step * step).sum(axis=-1) <= radius[newton] ** 2
-            idx = np.flatnonzero(newton)[fits]
-            p[idx], gain[idx] = step[fits], step_gain[fits]
-            newton[newton] = fits
-    rest = ~newton
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        p, gain = _newton_step(low, grad)
+        rest = ~(newton & ((p * p).sum(axis=-1) <= radius**2))
     p[rest], gain[rest] = _eigen_step(grad[rest], hess[rest], radius[rest])
     return p, gain
 
 
-def ascend(forms, starts: np.ndarray) -> Ascent:
+def ascend(chart, starts: np.ndarray) -> Ascent:
     """Ascend J from each row of starts (T, L) on the surface of the same row
-    of forms = (psi, gamma_m), each (T, L, L), all rows in lockstep.
+    of chart = (m, m_free), the chart embeddings of T pairs of forms from
+    _chart_forms, all rows in lockstep.
 
     Each start is moved into the chart x = [1; y] by dividing by its first
     entry, which must not vanish. Steps are scored against the quadratic
@@ -363,7 +365,7 @@ def ascend(forms, starts: np.ndarray) -> Ascent:
     count, dim = starts.shape
     if np.any(starts[:, 0] == 0):
         raise ValueError("start point x0 has x0[0] == 0, outside the chart x = [1; y]")
-    m, m_free = _chart_forms(forms)
+    m, m_free = chart
     u = _chart_point(starts)
     f, mu, q = _chart_value(m, u)
     if not np.all(np.isfinite(f)):
@@ -380,24 +382,22 @@ def ascend(forms, starts: np.ndarray) -> Ascent:
     rows = np.arange(count)
     radius = np.full(count, INITIAL_RADIUS)
     steps = np.zeros(count, dtype=int)
+    by_gradient, by_radius, by_max_iter = (STOP_REASONS.index(r) for r in ("gradient", "radius", "max_iter"))
 
-    def retire(done: np.ndarray, code: int) -> np.ndarray:
-        """Record the rows flagged in done as stopped for STOP_REASONS[code]
-        and return the mask of the others."""
-        if done.any():
-            idx = rows[done]
-            u_out[idx], iterations[idx], stop[idx] = u[done], steps[done], code
-        return ~done
-
-    while rows.size:
+    while True:
         p, pred = solve_subproblem(grad, hess, radius)
         gnorm = np.sqrt((grad * grad).sum(axis=-1))
-        done = (gnorm <= GRAD_TOL) | (pred <= _GAIN_RTOL * (1.0 + np.abs(f)))
-        active = retire(done, STOP_REASONS.index("gradient"))
-        if not active.all():
-            m = m[..., active]
+        converged = (gnorm <= GRAD_TOL) | (pred <= _GAIN_RTOL * (1.0 + np.abs(f)))
+        # Each row's stop, if any, in order of priority; -1 goes on.
+        code = np.where(radius < MIN_RADIUS, by_radius,
+                        np.where(steps >= MAX_ITER, by_max_iter, np.where(converged, by_gradient, -1)))
+        done = code >= 0
+        if done.any():  # a pass that stops no row copies nothing
+            idx, live = rows[done], ~done
+            u_out[idx], iterations[idx], stop[idx] = u[done], steps[done], code[done]
+            m = m[..., live]
             rows, m_free, u, f, grad, hess, radius, steps, p, pred = (
-                a[active] for a in (rows, m_free, u, f, grad, hess, radius, steps, p, pred)
+                a[live] for a in (rows, m_free, u, f, grad, hess, radius, steps, p, pred)
             )
             if not rows.size:
                 break
@@ -409,26 +409,19 @@ def ascend(forms, starts: np.ndarray) -> Ascent:
         f_new, mu, q = _chart_value(m, u_new)
         ratio = (f_new - f) / pred
         acc = (f_new > f) & (ratio >= ACCEPT_RATIO)
-        if acc.all():  # no row to mask
-            grad, hess = _chart_derivatives(m_free, mu, q)
-            u, f = u_new, f_new
-            f_out[rows] = f_new
-        elif acc.any():
-            grad[acc], hess[acc] = _chart_derivatives(m_free[acc], mu[acc], q[acc])
-            u[acc], f[acc] = u_new[acc], f_new[acc]
-            f_out[rows[acc]] = f_new[acc]
+        # Derivatives at every new point, then the rejected rows' old state
+        # back; a rejected point's forms may be 0 or not finite.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            grad_new, hess_new = _chart_derivatives(m_free, mu, q)
+        rej = ~acc
+        grad_new[rej], hess_new[rej], u_new[rej], f_new[rej] = grad[rej], hess[rej], u[rej], f[rej]
+        grad, hess, u, f = grad_new, hess_new, u_new, f_new
+        f_out[rows] = f
         passes.append(f_out.copy())
         grow = acc & (ratio > 0.75) & (step_norm >= 0.9 * radius)
         shrink = acc & ~grow & (ratio < 0.25)
         radius = np.where(grow, 2.0 * radius, np.where(shrink, 0.5 * radius, radius))
         radius = np.where(acc, radius, 0.25 * np.minimum(radius, step_norm))
-        active = retire(radius < MIN_RADIUS, STOP_REASONS.index("radius"))
-        active &= retire(active & (steps >= MAX_ITER), STOP_REASONS.index("max_iter"))
-        if not active.all():
-            m = m[..., active]
-            rows, m_free, u, f, grad, hess, radius, steps = (
-                a[active] for a in (rows, m_free, u, f, grad, hess, radius, steps)
-            )
 
     x_hat = u_out[:, :dim].astype(complex)
     x_hat[:, 1:] += 1j * u_out[:, dim:]
@@ -477,7 +470,8 @@ def maximize_j(forms, x0: np.ndarray) -> OptimResult:
     """Ascend J on the surface of forms = (psi, gamma_m), each L x L, from x0
     with the exact-step trust-region method in the chart x = [1; y]: ascend
     on a stack of one."""
-    return ascend(*_one(forms, x0)).result(0)
+    forms, x0 = _one(forms, x0)
+    return ascend(_chart_forms(forms), x0).result(0)
 
 
 def random_start(num_sensors: int, rng: np.random.Generator) -> np.ndarray:

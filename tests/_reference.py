@@ -66,7 +66,7 @@ from subspace_glr.model import (
     ula_steering,
 )
 from subspace_glr.montecarlo import BLOCK_TRIALS, ExperimentConfig
-from subspace_glr.optimizer import ascend
+from subspace_glr.optimizer import _chart_forms, ascend
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
@@ -757,5 +757,5 @@ def glr_by_eigvalsh(forms) -> tuple[np.ndarray, dict[int, str]]:
     if valid.size:
         start = np.broadcast_to(np.eye(1, psi.shape[-1], dtype=complex), (valid.size, psi.shape[-1]))
         with np.errstate(over="ignore"):
-            stats[valid] = np.exp(ascend((psi[valid], gamma_m[valid]), start).j_value)
+            stats[valid] = np.exp(ascend(_chart_forms((psi[valid], gamma_m[valid])), start).j_value)
     return stats, errors

@@ -13,9 +13,13 @@ H0 and half H1, as in a run) is drawn and scored once to warm up and then
 
 - draw: model.draw_sample_cov;
 - forms: the beamforming (coherence_matrix, capon_pair) plus cost_forms;
-- screen: the Cholesky screen of the exact cost's forms
-  (detectors._clear_of_floor), which spares eigvalsh every trial it clears;
-- ascend: the lockstep ascent from e1 (optimizer.ascend);
+- chart: the chart embeddings of the forms (optimizer._chart_forms), which
+  the exact statistic builds once per block for the screen and the ascent;
+- screen: the Cholesky screen of the chart's block of gamma_m
+  (detectors._clear_of_floor: a copy of the block, the margin off its
+  diagonal and the elementwise factorization), which spares eigvalsh every
+  trial it clears;
+- ascend: the lockstep ascent from e1 on the chart (optimizer.ascend);
 - score: score_batch with the workload's detectors, all of the above but
   the draw, or the closed forms alone on roc-closed;
 - minflt: the minor page faults of one draw plus score_batch, per block
@@ -53,7 +57,7 @@ from subspace_glr.covariance import capon_pair, coherence_matrix, cost_forms
 from subspace_glr.detectors import _clear_of_floor
 from subspace_glr.model import draw_sample_cov
 from subspace_glr.montecarlo import BLOCK_TRIALS, apply_sweep_value
-from subspace_glr.optimizer import ascend
+from subspace_glr.optimizer import _chart_forms, ascend
 
 PROPOSED = ("glr", "glr_sample", "glr_low")
 CLOSED = ("glr_sample", "glr_low", "sigma_max", "t_cc", "t_svd")
@@ -110,6 +114,7 @@ def block_row(params: dict, detectors: tuple[str, ...], h1: bool, size: int, rep
     u_s, u_r, s = draw_sample_cov(scenario, MODE, block)
     c, pair = coherence_matrix(s), capon_pair(s, u_s, u_r)
     forms = cost_forms(c, pair)
+    chart = _chart_forms(forms)
     starts = np.broadcast_to(np.eye(1, params["L"], dtype=complex), (size, params["L"]))
 
     def draw_and_score():
@@ -120,8 +125,9 @@ def block_row(params: dict, detectors: tuple[str, ...], h1: bool, size: int, rep
     us = {
         "draw": timed(lambda: draw_sample_cov(scenario, MODE, block), reps),
         "forms": timed(lambda: cost_forms(coherence_matrix(s), capon_pair(s, u_s, u_r)), reps),
-        "screen": timed(lambda: _clear_of_floor(forms[1]), reps),
-        "ascend": timed(lambda: ascend(forms, starts), reps),
+        "chart": timed(lambda: _chart_forms(forms), reps),
+        "screen": timed(lambda: _clear_of_floor(chart[0][1]), reps),
+        "ascend": timed(lambda: ascend(chart, starts), reps),
         "score": timed(lambda: sg.score_batch(s, u_s, u_r, detectors), reps),
     }
     row = {name: 1e6 * sec / size for name, sec in us.items()}
@@ -184,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.cold_call:
         print(json.dumps(cold_call(*args.cold_call)))
         return 0
-    columns = ("draw", "forms", "screen", "ascend", "score")
+    columns = ("draw", "forms", "chart", "screen", "ascend", "score")
     print(f"{'scenario':<18} {'T':>4} " + " ".join(f"{c:>9}" for c in columns) + f" {'minflt':>7}")
     print(f"{'':<18} {'':>4} " + " ".join(f"{'µs/trial':>9}" for _ in columns) + f" {'/block':>7}")
     for name, (params, detectors, h1) in SCENARIOS.items():

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import subspace_glr as sg
-from subspace_glr import detectors
+from subspace_glr import detectors, optimizer
 from subspace_glr._linalg import hermitize
 from subspace_glr.detectors import _ZERO_CHANNEL, COHERENCE_FLOOR
 from _reference import (
@@ -405,13 +405,19 @@ class TestComputeReport:
         assert calls["eigvalsh"] == 0
 
     @pytest.mark.parametrize("n_restarts", [0, 2])
-    @pytest.mark.parametrize("L", [2, 4, 8])
-    def test_split_invariance(self, L, n_restarts):
+    @pytest.mark.parametrize("L, ill", [(2, False), (4, False), (8, False), (4, True)],
+                             ids=["2", "4", "8", "4-ula-40dB-n2l"])
+    def test_split_invariance(self, L, ill, n_restarts):
         # the lockstep ascent never mixes rows: a block scored whole equals
-        # the same block scored in splits of 1, 7 and 37, bit for bit
-        cfg = sg.ScenarioConfig(L=L, N=3 * L, snr_s_db=0.0, snr_r_db=10.0, seed=60 + L)
+        # the same block scored in splits of 1, 7 and 37, bit for bit. The
+        # ill-conditioned block (N = 2L, 40 dB ULA) has passes that mix
+        # accepted and rejected steps, and Newton and eigen steps
+        if ill:
+            cfg = sg.ScenarioConfig(L=L, N=2 * L, snr_s_db=40.0, snr_r_db=40.0, seed=60 + 2 * L)
+        else:
+            cfg = sg.ScenarioConfig(L=L, N=3 * L, snr_s_db=0.0, snr_r_db=10.0, seed=60 + L)
         trials = [("H0", k) for k in range(37)] + [("H1", k) for k in range(37)]
-        u_s, u_r, y_s, y_r = synth_batch(cfg, "random-unit", trials)
+        u_s, u_r, y_s, y_r = synth_batch(cfg, "ula-random-doa" if ill else "random-unit", trials)
 
         def keys(scores):
             return list(zip(scores.stats[:, 0].tolist(), scores.two_log_glr.tolist(),
@@ -616,10 +622,62 @@ class TestCoherenceScreen:
         assert isinstance(want[0], float) and isinstance(want[len(stats) - 1], str)
         # the screen never clears a row the rule fails, and clears every
         # row with twice its margin
-        clear = detectors._clear_of_floor(forms[1])
+        clear = detectors._clear_of_floor(optimizer._chart_forms(forms)[0][1])
         gap = np.linalg.eigvalsh(forms[1])[:, 0]
         assert np.all(gap[clear] > COHERENCE_FLOOR)
         assert np.all(clear[gap >= 4.0 * COHERENCE_FLOOR])
+
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8])
+    def test_chart_block_has_the_smallest_eigenvalue(self, dim):
+        # the chart's block of gamma_m, which the screen factors, is gamma_m's
+        # real embedding without the row and column of Im x_1, so by Cauchy
+        # interlacing its smallest eigenvalue is gamma_m's; eigvalsh agrees
+        # to a few ulps, far inside the screen's margin of 2 COHERENCE_FLOOR
+        rng = np.random.default_rng(3300 + dim)
+        gaps = np.array([0.5, 1e-3] + [f * COHERENCE_FLOOR for f in (8.0, 4.0, 3.0, 2.0, 1.5, 1.0, 0.5, 0.0, -1.0)])
+        forms = forms_with_gaps(np.repeat(gaps, 4), dim, rng)
+        block = optimizer._chart_forms(forms)[0][1]
+        assert block.shape == (2 * dim - 1, 2 * dim - 1, len(gaps) * 4)
+        got = np.linalg.eigvalsh(np.moveaxis(block, -1, 0))[:, 0]
+        want = np.linalg.eigvalsh(forms[1])[:, 0]
+        assert np.all(np.abs(got - want) <= 2 * dim * np.finfo(float).eps)
+
+
+def fixing_group_element(u, rng):
+    """Random complex G (T, L, L) with G u = c u for each unit row u of u
+    (T, L) and a random complex c: G = c u u^H + X (I - u u^H)."""
+    count, dim = u.shape
+    c = np.exp(1j * rng.uniform(0, 2 * np.pi, count)) * rng.uniform(0.5, 2.0, count)
+    x = (rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))) / np.sqrt(2 * dim)
+    proj = u[:, :, None] * u.conj()[:, None, :]
+    return c[:, None, None] * proj + (x + np.eye(dim)) @ (np.eye(dim) - proj)
+
+
+class TestInvarianceGroup:
+    # Y_i -> G_i Y_i with G_i u_i = c_i u_i maps S_ss -> G_s S_ss G_s^H,
+    # S_sr -> G_s S_sr G_r^H and S_rr -> G_r S_rr G_r^H; glr, glr_sample,
+    # glr_low and sigma_max are invariant under this group, so their law
+    # depends on a trial only through its whitened SNRs. (t_cc and t_svd are
+    # not; criterion 3 checks scaling alone.) The bound is the statistics'
+    # roundoff, which grows as 1 / (1 - sigma_max^2): at L=8, N=16 (ULA,
+    # seed 9204) one trial has 1 - sigma_max^2 = 1.2e-6, and perturbing its
+    # S by 2 ulps already moves its glr by 2e-9, so L=8 runs at N=20
+    @pytest.mark.parametrize("L, N, mode, seed", [(2, 4, "ula-random-doa", 9201), (4, 8, "random-unit", 9202),
+                                                  (4, 15, "ula-random-doa", 9203), (8, 20, "ula-random-doa", 9208)])
+    def test_four_statistics_are_invariant(self, L, N, mode, seed):
+        cfg = sg.ScenarioConfig(L=L, N=N, snr_s_db=5.0, snr_r_db=10.0, seed=seed)
+        u_s, u_r, s = sg.draw_sample_cov(cfg, mode, [("H0", k) for k in range(16)] + [("H1", k) for k in range(16)])
+        rng = np.random.default_rng(seed)
+        g_s, g_r = fixing_group_element(u_s, rng), fixing_group_element(u_r, rng)
+        herm = lambda a: a.conj().swapaxes(-1, -2)  # noqa: E731
+        moved = sg.BlockSampleCov(hermitize(g_s @ s.s_ss @ herm(g_s)), g_s @ s.s_sr @ herm(g_r),
+                                  hermitize(g_r @ s.s_rr @ herm(g_r)), s.n)
+        names = ("glr", "glr_sample", "glr_low", "sigma_max")
+        before, after = (sg.score_batch(cov, u_s, u_r, names) for cov in (s, moved))
+        assert not before.errors and not after.errors
+        np.testing.assert_allclose(after.stats, before.stats, rtol=1e-9, atol=0.0)
+        assert np.all(before.stats[:, 0] > 1.0)
 
 
 def kolmogorov_p(sample: np.ndarray, cdf) -> float:

@@ -336,6 +336,13 @@ class TestPayload:
             assert name not in data
 
 
+def binomial_tail(m: int, u: float, k: int) -> float:
+    """P(Bin(m, u) >= k), summed from log-binomial terms."""
+    j = np.arange(k, m + 1)
+    log_c = np.array([math.lgamma(m + 1) - math.lgamma(i + 1) - math.lgamma(m - i + 1) for i in j.tolist()])
+    return float(np.sum(np.exp(log_c + j * math.log(u) + (m - j) * math.log1p(-u))))
+
+
 class TestCollectAndCalibrate:
     def test_collect_filters_errors(self):
         # H0 rows 0 and 1, H1 row 2; row 1 failed
@@ -358,6 +365,28 @@ class TestCollectAndCalibrate:
             for pfa in (0.01, 0.1, 0.3):
                 thr = sg.calibrate_threshold(stats, pfa)
                 assert np.mean(stats > thr) <= pfa
+
+    @pytest.mark.parametrize("L, N, seed", [(2, 12, 9301), (4, 15, 9302)])
+    def test_glr_low_threshold_within_the_order_statistic_band(self, L, N, seed):
+        # under H0 glr_low ~ Beta(1, N - 1), with CDF F(x) = 1 - (1 - x)^{N-1},
+        # so the threshold at pfa is the quantile q = 1 - pfa^{1/(N-1)}.
+        # calibrate_threshold returns the order statistic X_(k) of M draws,
+        # k = ceil((1 - pfa) M), and P(F(X_(k)) <= u) = P(Bin(M, u) >= k):
+        # the threshold lies within that binomial band's two-sided 1e-3
+        # level, as does q. The seeds are fixed once, 2000 ULA H0 trials
+        cfg = sg.ExperimentConfig(
+            scenario=sg.ScenarioConfig(L=L, N=N, snr_s_db=0.0, snr_r_db=10.0, seed=seed),
+            trials_h0=2000, steering_mode="ula-random-doa", detectors=("glr_low",),
+        )
+        scores = sg.run_trials(cfg, threads=1)
+        assert not scores.errors
+        h0 = scores.stat("glr_low")
+        for pfa in (0.01, 0.05, 0.1):
+            k = math.ceil((1.0 - pfa) * h0.size)
+            thr = sg.calibrate_threshold(h0, pfa)
+            for x in (thr, 1.0 - pfa ** (1.0 / (N - 1))):
+                band = binomial_tail(h0.size, 1.0 - (1.0 - x) ** (N - 1), k)
+                assert 5e-4 <= band <= 1.0 - 5e-4, (pfa, x, band)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
