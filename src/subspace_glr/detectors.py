@@ -127,8 +127,8 @@ def _glr(forms, n_restarts: int):
         raise ValueError(f"n_restarts must be >= 0, got {n_restarts}")
     psi, gamma_m = (f.reshape((-1,) + f.shape[-2:]) for f in forms)
     count, dim = gamma_m.shape[:2]
-    m, m_free = _chart_forms((psi, gamma_m))
-    ok = _clear_of_floor(m[1])
+    chart = _chart_forms((psi, gamma_m))
+    ok = _clear_of_floor(chart[0][1])
     suspect = np.flatnonzero(~ok)
     errors: dict[int, ValueError] = {}
     if suspect.size:
@@ -149,8 +149,8 @@ def _glr(forms, n_restarts: int):
     x0 = np.concatenate([np.broadcast_to(x, (valid.size, dim)) for x in starts])
     if len(starts) > 1 or valid.size < count:
         take = np.tile(valid, len(starts))
-        m, m_free = m[..., take], m_free[take]
-    ascent = ascend((m, m_free), x0)
+        chart = [chart[0][..., take], chart[1][take]]
+    ascent = ascend(chart, x0)
     best = np.argmax(ascent.j_value.reshape(len(starts), valid.size), axis=0)  # the first start wins a tie
     rows[valid] = best * valid.size + np.arange(valid.size)
     with np.errstate(over="ignore"):

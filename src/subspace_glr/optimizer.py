@@ -159,14 +159,14 @@ class Ascent:
                            int(self.iterations[row]), STOP_REASONS[self.stop[row]], trace)
 
 
-def _chart_forms(forms) -> tuple[np.ndarray, np.ndarray]:
+def _chart_forms(forms) -> list[np.ndarray]:
     """Chart embeddings of the stacked forms (psi, gamma_m), each (T, L, L):
     their real embeddings M = [[Re A, -Im A], [Im A, Re A]], reduced to the
-    chart coordinates [1; Re y; Im y]. Returns them as columns with the
-    trials last, m (2, n+1, n+1, T) with m[k, j, i, t] = M_k[i, j] of trial
-    t, which _chart_value takes, and their free blocks m_free (T, 2, n, n),
-    the rows and columns of the free coordinates, which _chart_derivatives
-    takes. The |x|^2 term's embedding is the identity, which those two
+    chart coordinates [1; Re y; Im y]. Returns the list [m, m_free] that
+    ascend takes: the embeddings as columns with the trials last, m
+    (2, n+1, n+1, T) with m[k, j, i, t] = M_k[i, j] of trial t, which
+    _chart_value takes, and their free blocks m_free (T, 2, n, n), the rows
+    and columns of the free coordinates, which _chart_derivatives takes. The |x|^2 term's embedding is the identity, which those two
     apply directly. m[1] is gamma_m's real embedding without the row and
     column of Im x_1, which the exact detector's coherence screen factors
     (detectors._clear_of_floor). m_free is a contiguous copy: the Hessian's
@@ -181,7 +181,7 @@ def _chart_forms(forms) -> tuple[np.ndarray, np.ndarray]:
         rows[:, k, :dim, dim:] = -form.imag[..., 1:]
         rows[:, k, dim:, :dim] = form.imag[..., 1:, :]
         rows[:, k, dim:, dim:] = form.real[..., 1:, 1:]
-    return m, np.ascontiguousarray(rows[..., 1:, 1:])
+    return [m, np.ascontiguousarray(rows[..., 1:, 1:])]
 
 
 def _chart_point(x: np.ndarray) -> np.ndarray:
@@ -350,10 +350,13 @@ def solve_subproblem(
     return p, gain
 
 
-def ascend(chart, starts: np.ndarray) -> Ascent:
+def ascend(chart: list[np.ndarray], starts: np.ndarray) -> Ascent:
     """Ascend J from each row of starts (T, L) on the surface of the same row
-    of chart = (m, m_free), the chart embeddings of T pairs of forms from
-    _chart_forms, all rows in lockstep.
+    of chart = [m, m_free], the chart embeddings of T pairs of forms from
+    _chart_forms, all rows in lockstep. ascend takes the arrays out of the
+    list and leaves it empty, so that no one else holds them and the rows
+    that stop free their part of the chart; pass a copy of the list to keep
+    them.
 
     Each start is moved into the chart x = [1; y] by dividing by its first
     entry, which must not vanish. Steps are scored against the quadratic
@@ -366,6 +369,7 @@ def ascend(chart, starts: np.ndarray) -> Ascent:
     if np.any(starts[:, 0] == 0):
         raise ValueError("start point x0 has x0[0] == 0, outside the chart x = [1; y]")
     m, m_free = chart
+    chart.clear()
     u = _chart_point(starts)
     f, mu, q = _chart_value(m, u)
     if not np.all(np.isfinite(f)):

@@ -127,7 +127,7 @@ def block_row(params: dict, detectors: tuple[str, ...], h1: bool, size: int, rep
         "forms": timed(lambda: cost_forms(coherence_matrix(s), capon_pair(s, u_s, u_r)), reps),
         "chart": timed(lambda: _chart_forms(forms), reps),
         "screen": timed(lambda: _clear_of_floor(chart[0][1]), reps),
-        "ascend": timed(lambda: ascend(chart, starts), reps),
+        "ascend": timed(lambda: ascend(list(chart), starts), reps),
         "score": timed(lambda: sg.score_batch(s, u_s, u_r, detectors), reps),
     }
     row = {name: 1e6 * sec / size for name, sec in us.items()}
