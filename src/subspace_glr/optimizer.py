@@ -26,28 +26,27 @@ evaluator of J and its derivatives: the ascent steps on them, and cost_j and
 grad_hess_j give them at one point.
 
 ascend runs the ascents of a whole stack of cost surfaces in lockstep, on
-the chart embeddings that _chart_forms builds once per block, and each pass
-takes one path for every row still active. It solves the trust-region
-subproblem, maximize g.p + p.H.p/2 subject to |p| <= radius, exactly (Moré
-and Sorensen, "Computing a trust region step", SIAM J. Sci. Stat. Comput.
-4(3), 1983; Nocedal and Wright, Numerical Optimization, 2nd ed., 4.3), and
-codes each row's stop, if any: radius, then max_iter, then gradient, in
-that priority. The rows that stop retire at that one point. The others take
-their steps; J and its derivatives are evaluated at every new point, and the
-rows whose step is rejected get their old point, value and derivatives back.
+the chart embeddings that _chart_forms builds once per block. Each pass
+takes one path for every live row: it solves the trust-region subproblem,
+maximize g.p + p.H.p/2 subject to |p| <= radius, exactly (Moré and
+Sorensen, "Computing a trust region step", SIAM J. Sci. Stat. Comput. 4(3),
+1983; Nocedal and Wright, Numerical Optimization, 2nd ed., 4.3), retires the
+rows that stop (radius before max_iter before gradient) at one point, steps
+the others, evaluates J and its derivatives at every new point and gives
+the rows whose step is rejected their old state back.
 
-The subproblem's solver splits the rows by case, as Moré and Sorensen do.
-Every row gets the Newton step p = B^{-1} g of B = -H, with predicted gain
-g.p / 2, from a Cholesky factorization of every row's B, column by column
-and elementwise along the rows, so each row gets its own verdict, the same
-in a stack of any size (np.linalg.cholesky would raise for the whole
-stack); a row whose factorization fails carries NaN, which no other row
-sees. A row whose B is positive definite and whose Newton step fits the
-radius keeps it. Most row-passes do (92-100% on the benchmark configs,
-about half on ill-conditioned ones such as N = 2L or a 40 dB ULA), so only
-the rest pay for an eigendecomposition: one batched -H = Q diag(lam) Q^T per
-pass for those rows, the general solver, which also takes the interior step
-of a row that roundoff puts on the other side of the test. Otherwise the
+The solver splits the rows by case, as Moré and Sorensen do. Every row gets
+the Newton step p = B^{-1} g of B = -H, with predicted gain g.p / 2, from a
+Cholesky factorization of every row's B, column by column and elementwise
+along the rows, so each row gets its own verdict, the same in a stack of
+any size (np.linalg.cholesky would raise for the whole stack); a failed row
+carries NaN, which no other row sees. A row whose B is positive definite
+and whose Newton step fits the radius keeps it. Most row-passes do (92-100%
+on the benchmark configs, about half on ill-conditioned ones such as N = 2L
+or a 40 dB ULA), so only the rest pay for an eigendecomposition: one
+batched -H = Q diag(lam) Q^T per pass for those rows, the general solver,
+which also takes the interior step of a row that roundoff puts on the other
+side of the test. Otherwise the
 step lies on the boundary at p(s) = -(-H + s I)^{-1} (-g) with
 s >= max(0, -lam_1), and s solves the secular equation
 1/|p(s)| - 1/radius = 0, whose left side is concave and increasing beyond
@@ -163,15 +162,14 @@ def _chart_forms(forms) -> list[np.ndarray]:
     """Chart embeddings of the stacked forms (psi, gamma_m), each (T, L, L):
     their real embeddings M = [[Re A, -Im A], [Im A, Re A]], reduced to the
     chart coordinates [1; Re y; Im y]. Returns the list [m, m_free] that
-    ascend takes: the embeddings as columns with the trials last, m
-    (2, n+1, n+1, T) with m[k, j, i, t] = M_k[i, j] of trial t, which
-    _chart_value takes, and their free blocks m_free (T, 2, n, n), the rows
-    and columns of the free coordinates, which _chart_derivatives takes. The |x|^2 term's embedding is the identity, which those two
-    apply directly. m[1] is gamma_m's real embedding without the row and
-    column of Im x_1, which the exact detector's coherence screen factors
-    (detectors._clear_of_floor). m_free is a contiguous copy: the Hessian's
-    einsum over m's strided view gives the same bits in about 1.7 times
-    the time."""
+    ascend takes: m (2, n+1, n+1, T), the embeddings as columns with the
+    trials last, m[k, j, i, t] = M_k[i, j] of trial t, which _chart_value
+    takes, and m_free (T, 2, n, n), a contiguous copy of their free blocks,
+    which _chart_derivatives takes (its einsum over m's strided view gives
+    the same bits in about 1.7 times the time). The |x|^2 term's embedding
+    is the identity, which those two apply directly. m[1] is gamma_m's
+    real embedding without the row and column of Im x_1, the block that the
+    coherence screen factors (detectors._clear_of_floor)."""
     psi, gamma_m = (np.asarray(f, dtype=complex) for f in forms)
     dim = psi.shape[-1]
     m = np.empty((2, 2 * dim - 1, 2 * dim - 1, len(psi)))
