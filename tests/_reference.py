@@ -36,7 +36,11 @@ tests hold that pipeline against:
   column, whose verdicts and factors optimizer._cholesky must match bit for
   bit, and glr_by_eigvalsh, the exact statistic with every trial's forms
   validated by eigvalsh, whose errors and scores the detector's Cholesky
-  screen must leave unchanged.
+  screen must leave unchanged;
+- ascend_one_row, the trust-region iteration of one surface as a plain
+  loop, whose outcome every row of the lockstep optimizer.ascend must match
+  bit for bit: it keeps a rejected step's state by not overwriting it and
+  stops at the first test that holds.
 
 Unlike the package, it uses scipy.
 """
@@ -66,6 +70,7 @@ from subspace_glr.model import (
     ula_steering,
 )
 from subspace_glr.montecarlo import BLOCK_TRIALS, ExperimentConfig
+from subspace_glr import optimizer
 from subspace_glr.optimizer import _chart_forms, ascend
 
 
@@ -759,3 +764,49 @@ def glr_by_eigvalsh(forms) -> tuple[np.ndarray, dict[int, str]]:
         with np.errstate(over="ignore"):
             stats[valid] = np.exp(ascend(_chart_forms((psi[valid], gamma_m[valid])), start).j_value)
     return stats, errors
+
+
+def ascend_one_row(forms, x0: np.ndarray):
+    """One surface's trust-region ascent from x0 as a plain loop over its
+    passes, on stacks of one of the optimizer's own evaluators and solver
+    (which give a row the same bits in a stack of any size), with the
+    optimizer's constants as they are at the call. Returns x_hat (canonical),
+    the J after the start and each step, the steps taken and the stop
+    reason."""
+    m, m_free = _chart_forms([np.asarray(f, dtype=complex)[None] for f in forms])
+    u = optimizer._chart_point(np.asarray(x0, dtype=complex)[None])
+    f, mu, q = optimizer._chart_value(m, u)
+    grad, hess = optimizer._chart_derivatives(m_free, mu, q)
+    radius, steps, trace = optimizer.INITIAL_RADIUS, 0, [float(f[0])]
+    while True:
+        p, pred = optimizer.solve_subproblem(grad, hess, np.array([radius]))
+        gnorm = np.sqrt((grad * grad).sum(axis=-1))[0]
+        if radius < optimizer.MIN_RADIUS:
+            reason = "radius"
+        elif steps >= optimizer.MAX_ITER:
+            reason = "max_iter"
+        elif gnorm <= optimizer.GRAD_TOL or pred[0] <= optimizer._GAIN_RTOL * (1.0 + abs(f[0])):
+            reason = "gradient"
+        else:
+            reason = None
+        if reason is not None:
+            dim = (u.shape[1] + 1) // 2
+            x = u[:, :dim].astype(complex)
+            x[:, 1:] += 1j * u[:, dim:]
+            return optimizer._canonicalize(x)[0], trace, steps, reason
+        steps += 1
+        step_norm = np.sqrt((p * p).sum(axis=-1))[0]
+        u_new = u.copy()
+        u_new[:, 1:] += p
+        f_new, mu, q = optimizer._chart_value(m, u_new)
+        ratio = (f_new[0] - f[0]) / pred[0]
+        if f_new[0] > f[0] and ratio >= optimizer.ACCEPT_RATIO:
+            u, f = u_new, f_new
+            grad, hess = optimizer._chart_derivatives(m_free, mu, q)
+            if ratio > 0.75 and step_norm >= 0.9 * radius:
+                radius = 2.0 * radius
+            elif ratio < 0.25:
+                radius = 0.5 * radius
+        else:
+            radius = 0.25 * min(radius, step_norm)
+        trace.append(float(f[0]))

@@ -5,7 +5,7 @@ import scipy.optimize
 import subspace_glr as sg
 from subspace_glr import optimizer
 from subspace_glr.optimizer import random_start, solve_subproblem
-from _reference import masked_cholesky
+from _reference import ascend_one_row, masked_cholesky, synth_batch
 from _utils import chart_x, fd_gradient, grid_max_j_l2, make_instance
 
 
@@ -504,6 +504,52 @@ class TestSolveSubproblem:
     def test_single_sensor_chart_takes_no_step(self):
         p, gain = solve_subproblem(np.zeros((3, 0)), np.zeros((3, 0, 0)), np.ones(3))
         assert p.shape == (3, 0) and np.array_equal(gain, np.zeros(3))
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("limits, reason", [({}, "gradient"), ({"MAX_ITER": 3}, "max_iter"),
+                                                ({"MIN_RADIUS": 0.05}, "radius")], ids=["gradient", "max_iter", "radius"])
+    def test_rows_follow_the_one_row_reference(self, monkeypatch, limits, reason):
+        # every row of the lockstep ascent gets the outcome of its surface
+        # ascended alone by the one-row loop, bit for bit, on an
+        # ill-conditioned block (N = 2L, 40 dB ULA) whose passes mix retiring,
+        # accepted and rejected rows, and Newton and eigen steps
+        for name, value in limits.items():
+            monkeypatch.setattr(optimizer, name, value)
+        cfg = sg.ScenarioConfig(L=4, N=8, snr_s_db=40.0, snr_r_db=40.0, seed=68)
+        trials = [("H0", k) for k in range(12)] + [("H1", k) for k in range(12)]
+        u_s, u_r, y_s, y_r = synth_batch(cfg, "ula-random-doa", trials)
+        s = sg.block_sample_cov(y_s, y_r)
+        forms = sg.cost_forms(sg.coherence_matrix(s), sg.capon_pair(s, u_s, u_r))
+        starts = np.stack([warm_start(4)] * 12 + [random_start(4, np.random.default_rng(k)) for k in range(12)])
+        solved, solve, eigen_step = [], optimizer.solve_subproblem, optimizer._eigen_step
+
+        def counted_solve(grad, hess, radius):
+            solved.append([len(grad), 0])
+            return solve(grad, hess, radius)
+
+        def counted_eigen(grad, hess, radius):
+            solved[-1][1] = len(grad)
+            return eigen_step(grad, hess, radius)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer, "solve_subproblem", counted_solve)
+            patch.setattr(optimizer, "_eigen_step", counted_eigen)
+            ascent = optimizer.ascend(optimizer._chart_forms(forms), starts)
+        reasons = set()
+        for k in range(len(starts)):
+            x_hat, trace, steps, why = ascend_one_row([f[k] for f in forms], starts[k])
+            passes = ascent.j_passes[k]
+            assert ascent.x_hat[k].tobytes() == x_hat.tobytes(), k
+            assert (ascent.iterations[k], sg.STOP_REASONS[ascent.stop[k]]) == (steps, why), k
+            assert passes[: len(trace)].tolist() == trace and np.all(passes[len(trace):] == trace[-1]), k
+            reasons.add(why)
+        assert reason in reasons
+        if not limits:
+            stepped = [ascent.iterations >= k for k in range(1, ascent.j_passes.shape[1])]
+            moved = [ascent.j_passes[:, k] != ascent.j_passes[:, k - 1] for k in range(1, ascent.j_passes.shape[1])]
+            assert any((live & up).any() and (live & ~up).any() for live, up in zip(stepped, moved))
+            assert any(0 < eigen < rows for rows, eigen in solved)
 
 
 class TestRandomStart:
