@@ -4,18 +4,17 @@ Trials are embarrassingly parallel and fully reproducible. Trial i of a
 hypothesis reads its own fixed slice of words of the Philox stream keyed by
 (run seed, hypothesis), at counter i W / 4 (see model.draw_sample_cov, which
 draws each trial's sample covariance directly, not its snapshots), so the
-scores do not depend on execution order, chunking, or worker count;
+scores do not depend on execution order, block size, or worker count;
 reruns with the same config and seed produce identical numbers whether the
-pool has one process or eight. With more than one worker, each point's trials
-are cut into chunks of min(BLOCK_TRIALS, ceil(n / workers)) trials (one chunk
-when n < 2 * workers), so a chunk fills a block where n allows it. Each CLI
-run uses at most one process pool: the chunks of every point of a pm-sweep go
-to it in one map. A chunk is drawn and scored as stacked arrays in the fewest
-blocks of at most BLOCK_TRIALS trials, of sizes that differ by at most one; a
-trial scored alone (a block of one) gets the same numbers. Results stay
-columns throughout: a chunk returns one detectors.BlockScores per block, a
-point concatenates them, rows ordered all H0 by index then all H1 by index,
-and the curves read them by mask.
+pool has one process or eight. One cut (_blocks) splits each point's n
+trials into the fewest blocks of at most BLOCK_TRIALS, and at least one per
+worker when n >= 2 * workers, of sizes that differ by at most one. A block
+is drawn and scored as stacked arrays and is one pool job; a trial scored
+alone (a block of one) gets the same numbers. Each CLI run uses at most one
+process pool: the blocks of every point of a pm-sweep go to it in one map.
+Results stay columns throughout: a block returns one detectors.BlockScores,
+a point concatenates them, rows ordered all H0 by index then all H1 by
+index, and the curves read them by mask.
 
 Thresholds are calibrated empirically from the H0 sample as the order
 statistic at rank ceil((1 - pfa) * M), i.e. the smallest threshold whose
@@ -155,30 +154,20 @@ def run_one_trial(cfg: ExperimentConfig, hypothesis: str, trial_index: int) -> B
     return _score_or_bisect(cfg, [(hypothesis, trial_index)])
 
 
-def _run_chunk(cfg: ExperimentConfig, items: list[tuple[str, int]]) -> list[BlockScores]:
-    """Score the n items in the fewest blocks of at most BLOCK_TRIALS, whose
-    sizes differ by at most one, so each block's fixed cost is paid as few
-    times as possible; one BlockScores per block."""
-    count = -(-len(items) // BLOCK_TRIALS)
-    size, extra = divmod(len(items), count)
-    cuts = [k * size + min(k, extra) for k in range(count + 1)]
-    return [_score_or_bisect(cfg, items[a:b]) for a, b in zip(cuts, cuts[1:])]
-
-
 def resolve_threads(threads: int) -> int:
     if threads < 0:
         raise ValueError("threads must be >= 0 (0 means auto)")
     return threads if threads > 0 else (os.cpu_count() or 1)
 
 
-def _plan_chunks(items: list[tuple[str, int]], workers: int) -> list[list[tuple[str, int]]]:
-    """Split one point's trials into pool jobs of min(BLOCK_TRIALS,
-    ceil(n / workers)) trials, so a job fills a block where n allows it. A
-    point with fewer than 2 * workers trials is one job."""
-    if workers == 1 or len(items) < 2 * workers:
-        return [items]
-    size = min(BLOCK_TRIALS, math.ceil(len(items) / workers))
-    return [items[i : i + size] for i in range(0, len(items), size)]
+def _blocks(items: list[tuple[str, int]], parts: int) -> list[list[tuple[str, int]]]:
+    """Cut items into the fewest blocks of at most BLOCK_TRIALS, and at least
+    parts of them (never more than len(items)), whose sizes differ by at most
+    one, so each block's fixed cost is paid as few times as possible."""
+    count = min(len(items), max(parts, -(-len(items) // BLOCK_TRIALS)))
+    size, extra = divmod(len(items), count)
+    cuts = [k * size + min(k, extra) for k in range(count + 1)]
+    return [items[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def _run_points(
@@ -187,31 +176,33 @@ def _run_points(
     """Run the H0 and H1 trials of every point (one config each) and return
     each point's scores, ordered as in run_trials.
 
-    One worker runs the points in-process. Otherwise the jobs of every point
-    go to one process pool in one map, so the workers are forked once and no
-    point waits for the previous one; a single job runs in-process. A job
-    returns one BlockScores per block, so only columns cross the pool. The
-    failure rate is checked per point as it completes, in point order, and
-    the first point above it stops the run. values label the points in the
-    progress log.
+    Each point is cut once (_blocks), into at least one block per worker
+    when it has at least 2 * workers trials, and each block is one job. One
+    worker, or a single job, runs in-process. Otherwise the blocks of every
+    point go to one process pool in one map, so the workers are forked once
+    and no point waits for the previous one; only columns cross the pool.
+    Each block logs one progress line, labelled by values. The failure rate
+    is checked per point as it completes, in point order, and the first
+    point above it stops the run.
     """
     workers = resolve_threads(threads)
     items = [
         [("H0", i) for i in range(cfg.trials_h0)] + [("H1", i) for i in range(cfg.trials_h1)]
         for cfg in cfgs
     ]
-    jobs = [(p, chunk) for p, its in enumerate(items) for chunk in _plan_chunks(its, workers)]
-    parts: list[list[BlockScores]] = [[] for _ in cfgs]
+    jobs = [(p, block) for p, its in enumerate(items)
+            for block in _blocks(its, workers if len(its) >= 2 * workers else 1)]
+    scored: list[list[BlockScores]] = [[] for _ in cfgs]
     points: list[BlockScores] = []
 
-    def collect(p: int, blocks: list[BlockScores]) -> None:
-        parts[p] += blocks
-        done = sum(len(b.stats) for b in parts[p])
+    def collect(p: int, block: BlockScores) -> None:
+        scored[p].append(block)
+        done = sum(len(b.stats) for b in scored[p])
         log.info("point %d (%s): %d of %d trials done", p,
                  "-" if values is None else f"{values[p]:g}", done, len(items[p]))
         if done < len(items[p]):
             return
-        points.append(BlockScores.concat(parts[p]))
+        points.append(BlockScores.concat(scored[p]))
         errors = points[-1].errors
         if errors:
             first = errors[min(errors)]
@@ -223,14 +214,14 @@ def _run_points(
             )
 
     if workers == 1 or len(jobs) == 1:
-        for p, chunk in jobs:
-            collect(p, _run_chunk(cfgs[p], chunk))
+        for p, block in jobs:
+            collect(p, _score_or_bisect(cfgs[p], block))
         return points
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        results = pool.map(_run_chunk, [cfgs[p] for p, _ in jobs], [chunk for _, chunk in jobs])
+        results = pool.map(_score_or_bisect, [cfgs[p] for p, _ in jobs], [block for _, block in jobs])
         try:
-            for (p, _), blocks in zip(jobs, results):
-                collect(p, blocks)
+            for (p, _), scores in zip(jobs, results):
+                collect(p, scores)
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise

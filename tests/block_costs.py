@@ -23,7 +23,13 @@ H0 and half H1, as in a run) is drawn and scored once to warm up and then
 - score: score_batch with the workload's detectors, all of the above but
   the draw, or the closed forms alone on roc-closed;
 - minflt: the minor page faults of one draw plus score_batch, per block
-  (getrusage's ru_minflt; the median over the repetitions).
+  (getrusage's ru_minflt; the median over the repetitions), counted in a
+  fresh interpreter (subprocess) that runs only a plain loop of draw plus
+  score_batch after one warm-up call, so the stage timings above, which
+  leave their own arrays and allocator state behind, do not move it. The
+  count still moves with the heap's layout, which even the size of the
+  environment shifts: null-glr at T=300 reads 0 in one launch and about
+  300 in another.
 
 A stage's fixed cost per block is what T * (µs per trial) does not grow with:
 compare the rows of one scenario across T.
@@ -56,7 +62,7 @@ from subspace_glr import cli
 from subspace_glr.covariance import capon_pair, coherence_matrix, cost_forms
 from subspace_glr.detectors import _clear_of_floor
 from subspace_glr.model import draw_sample_cov
-from subspace_glr.montecarlo import BLOCK_TRIALS, apply_sweep_value
+from subspace_glr.montecarlo import _blocks, apply_sweep_value
 from subspace_glr.optimizer import _chart_forms, ascend
 
 PROPOSED = ("glr", "glr_sample", "glr_low")
@@ -108,20 +114,37 @@ def trials(h1: bool, size: int) -> list[tuple[str, int]]:
     return [("H0", i) for i in range(half)] + [("H1", i) for i in range(size - half)]
 
 
-def block_row(params: dict, detectors: tuple[str, ...], h1: bool, size: int, reps: int) -> dict:
+def draw_and_score(name: str, size: int):
+    """One draw plus score_batch of a block of size trials of scenario name,
+    as a function of no arguments."""
+    params, detectors, h1 = SCENARIOS[name]
+    scenario, block = sg.ScenarioConfig(**params, seed=1), trials(h1, size)
+
+    def run():
+        us, ur, cov = draw_sample_cov(scenario, MODE, block)
+        sg.score_batch(cov, us, ur, detectors)
+
+    return run
+
+
+def fault_loop(name: str, size: int, reps: int) -> int:
+    """Median minor faults of a draw plus score_batch over reps calls, after
+    one warm-up call: a plain loop, with nothing else run before it."""
+    run = draw_and_score(name, size)
+    run()
+    return faults(run, reps)
+
+
+def block_row(name: str, size: int, reps: int) -> dict:
+    params, detectors, h1 = SCENARIOS[name]
     scenario = sg.ScenarioConfig(**params, seed=1)
     block = trials(h1, size)
+    draw_and_score(name, size)()  # warm up every stage once
     u_s, u_r, s = draw_sample_cov(scenario, MODE, block)
     c, pair = coherence_matrix(s), capon_pair(s, u_s, u_r)
     forms = cost_forms(c, pair)
     chart = _chart_forms(forms)
     starts = np.broadcast_to(np.eye(1, params["L"], dtype=complex), (size, params["L"]))
-
-    def draw_and_score():
-        us, ur, cov = draw_sample_cov(scenario, MODE, block)
-        sg.score_batch(cov, us, ur, detectors)
-
-    draw_and_score()  # warm up every stage once
     us = {
         "draw": timed(lambda: draw_sample_cov(scenario, MODE, block), reps),
         "forms": timed(lambda: cost_forms(coherence_matrix(s), capon_pair(s, u_s, u_r)), reps),
@@ -130,8 +153,10 @@ def block_row(params: dict, detectors: tuple[str, ...], h1: bool, size: int, rep
         "ascend": timed(lambda: ascend(list(chart), starts), reps),
         "score": timed(lambda: sg.score_batch(s, u_s, u_r, detectors), reps),
     }
-    row = {name: 1e6 * sec / size for name, sec in us.items()}
-    row["minflt"] = faults(draw_and_score, reps)
+    row = {stage: 1e6 * sec / size for stage, sec in us.items()}
+    proc = subprocess.run([sys.executable, __file__, "--fault-loop", name, str(size), str(reps)],
+                          capture_output=True, text=True, check=True)
+    row["minflt"] = int(proc.stdout)
     return row
 
 
@@ -155,8 +180,7 @@ def cold_call(command: str, config: str) -> dict:
     if cfg.sweep is not None:
         cfg = apply_sweep_value(cfg, cfg.sweep.values[0])
     items = [("H0", i) for i in range(cfg.trials_h0)] + [("H1", i) for i in range(cfg.trials_h1)]
-    blocks = -(-len(items) // BLOCK_TRIALS)
-    block = items[: -(-len(items) // blocks)]
+    block = _blocks(items, 1)[0]
     u_s, u_r, s = stage("draw", lambda: draw_sample_cov(cfg.scenario, cfg.steering_mode, block))
     stage("score", lambda: sg.score_batch(s, u_s, u_r, cfg.detectors, cfg.n_restarts))
     return out
@@ -186,16 +210,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sizes", type=int, nargs="+", default=[44, 256, 300, 512], help="block sizes T")
     parser.add_argument("--calls", type=int, default=7, help="fresh interpreters per workload call")
     parser.add_argument("--cold-call", nargs=2, metavar=("COMMAND", "CONFIG"), help=argparse.SUPPRESS)
+    parser.add_argument("--fault-loop", nargs=3, metavar=("SCENARIO", "T", "REPS"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.cold_call:
         print(json.dumps(cold_call(*args.cold_call)))
         return 0
+    if args.fault_loop:
+        name, size, reps = args.fault_loop
+        print(fault_loop(name, int(size), int(reps)))
+        return 0
     columns = ("draw", "forms", "chart", "screen", "ascend", "score")
     print(f"{'scenario':<18} {'T':>4} " + " ".join(f"{c:>9}" for c in columns) + f" {'minflt':>7}")
     print(f"{'':<18} {'':>4} " + " ".join(f"{'µs/trial':>9}" for _ in columns) + f" {'/block':>7}")
-    for name, (params, detectors, h1) in SCENARIOS.items():
+    for name in SCENARIOS:
         for size in args.sizes:
-            row = block_row(params, detectors, h1, size, args.reps)
+            row = block_row(name, size, args.reps)
             print(f"{name:<18} {size:>4} " + " ".join(f"{row[c]:>9.2f}" for c in columns)
                   + f" {row['minflt']:>7d}", flush=True)
     print()

@@ -360,7 +360,7 @@ class TestPmSweep:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_progress_log(self, tmp_path, caplog, threads):
-        # one info line per completed chunk: 24 trials are one chunk on one
+        # one info line per completed block: 24 trials are one block on one
         # worker and two of 12 on two; logging at info leaves the bytes alone
         cfg = write_config(
             tmp_path,

@@ -149,23 +149,23 @@ class TestRunTrials:
             return u_s, u_r, s
 
         monkeypatch.setattr(montecarlo, "draw_sample_cov", nan_h0_4)
-        (block,) = montecarlo._run_chunk(cfg, items)
+        block = montecarlo._score_or_bisect(cfg, items)
         assert list(block.errors) == [4]
         assert type(block.errors[4]) is ValueError
         assert str(block.errors[4]) == "s_ss is not positive definite"
         for row, item in enumerate(items):
-            one = montecarlo._run_chunk(cfg, [item])[0]
+            one = montecarlo._score_or_bisect(cfg, [item])
             for name in ("stats", "two_log_glr", "iterations", "stop"):
                 assert getattr(block, name)[row : row + 1].tobytes() == getattr(one, name).tobytes()
 
     def test_failing_trial_bisected_out_of_its_block(self, monkeypatch):
-        # one NaN snapshot in a 300-item chunk fails its block; the block is
-        # halved and only a half that raises is halved again, so the chunk
+        # one NaN snapshot in a 300-item block fails it; the block is
+        # halved and only a half that raises is halved again, so the block
         # takes at most 2 ceil(log2 300) + 2 draws, not one per trial, and
-        # every other row equals its score in the clean chunk
+        # every other row equals its score in the clean block
         cfg = tiny_config(trials_h0=300, trials_h1=0)
         items = run_items(cfg)
-        (clean,) = montecarlo._run_chunk(cfg, items)
+        clean = montecarlo._score_or_bisect(cfg, items)
         real, draws = montecarlo.draw_sample_cov, []
 
         def nan_h0_137(sc, mode, trials):
@@ -175,7 +175,7 @@ class TestRunTrials:
             return u_s, u_r, s
 
         monkeypatch.setattr(montecarlo, "draw_sample_cov", nan_h0_137)
-        (block,) = montecarlo._run_chunk(cfg, items)
+        block = montecarlo._score_or_bisect(cfg, items)
         assert len(draws) <= 2 * math.ceil(math.log2(300)) + 2
         assert list(block.errors) == [137]
         assert str(block.errors[137]) == "s_ss is not positive definite"
@@ -184,12 +184,12 @@ class TestRunTrials:
             assert getattr(block, name)[rest].tobytes() == getattr(clean, name)[rest].tobytes()
 
     @pytest.mark.parametrize("n, sizes", [(300, [300]), (600, [300, 300]), (513, [257, 256])])
-    def test_chunk_scored_in_balanced_blocks(self, n, sizes):
+    def test_point_scored_in_balanced_blocks(self, n, sizes):
         # the fewest blocks of at most BLOCK_TRIALS, whose sizes differ by at
         # most one; the plan's columns equal one block holding all the items
         cfg = tiny_config(trials_h0=n // 2, trials_h1=n - n // 2, detectors=sg.DETECTOR_NAMES)
         items = run_items(cfg)
-        blocks = montecarlo._run_chunk(cfg, items)
+        blocks = [montecarlo._score_or_bisect(cfg, b) for b in montecarlo._blocks(items, 1)]
         assert [len(b.stats) for b in blocks] == sizes
         plan, whole = sg.BlockScores.concat(blocks), montecarlo._score_block(cfg, items)
         assert not plan.errors and not whole.errors
@@ -233,20 +233,18 @@ def l_sweep_config(trials_h0, trials_h1, values=(2.0, 3.0, 5.0), detectors=sg.DE
 
 
 class TestPooledPoints:
-    @pytest.mark.parametrize("n", [16, 66, 500, 3000, 20000])
-    @pytest.mark.parametrize("workers", [2, 3, 8])
-    def test_chunk_plan(self, n, workers):
+    @pytest.mark.parametrize("n", [1, 7, 16, 66, 300, 500, 513, 600, 1025, 3000, 20000])
+    @pytest.mark.parametrize("parts", [1, 2, 3, 8])
+    def test_blocks(self, n, parts):
+        # the fewest blocks of at most BLOCK_TRIALS, and at least parts of
+        # them where n allows it, of sizes within one of each other, in order
         items = [("H0", i) for i in range(n)]
-        chunks = montecarlo._plan_chunks(items, workers)
-        size = min(montecarlo.BLOCK_TRIALS, math.ceil(n / workers))
-        assert all(len(c) <= montecarlo.BLOCK_TRIALS for c in chunks)
-        assert all(len(c) == size for c in chunks[:-1])
-        assert [item for c in chunks for item in c] == items
-
-    def test_small_point_is_one_chunk(self):
-        items = [("H0", i) for i in range(7)]
-        assert montecarlo._plan_chunks(items, 4) == [items]
-        assert montecarlo._plan_chunks(items * 100, 1) == [items * 100]
+        blocks = montecarlo._blocks(items, parts)
+        sizes = [len(b) for b in blocks]
+        assert len(blocks) == max(math.ceil(n / montecarlo.BLOCK_TRIALS), min(parts, n))
+        assert max(sizes) <= montecarlo.BLOCK_TRIALS
+        assert max(sizes) - min(sizes) <= 1
+        assert [item for b in blocks for item in b] == items
 
     def test_pm_sweep_creates_one_pool(self, monkeypatch):
         created = []
@@ -282,11 +280,11 @@ class TestPooledPoints:
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
         # three points of 10 trials, each below 2 * 8: one job per point
         sg.run_pm_sweep(l_sweep_config(5, 5, detectors=("glr_low",)), threads=8)
-        # 20 trials on 8 workers: jobs of ceil(20 / 8) = 3, so 7 of them
+        # 20 trials on 8 workers: 8 blocks of 3 or 2 trials, one job each
         sg.run_trials(tiny_config(trials_h0=10, trials_h1=10), threads=8)
         # one job runs in-process and makes no pool
         sg.run_trials(tiny_config(trials_h0=3, trials_h1=3), threads=8)
-        assert sizes == [3, 7]
+        assert sizes == [3, 8]
 
     def test_sweep_invariant_to_workers(self):
         cfg = l_sweep_config(37, 29)
@@ -299,6 +297,15 @@ class TestPooledPoints:
         assert [len(k) for k in keys[1]] == [66, 66, 66]
         assert keys[1] == keys[2] == keys[3]
         assert points[1] == points[2] == points[3]
+
+    def test_long_point_invariant_to_workers(self):
+        # a point of more than 2 * BLOCK_TRIALS trials: at one worker and at
+        # two it is cut into the same three blocks of 357 or 356, scored
+        # in-process or in the pool
+        cfg = tiny_config(trials_h0=550, trials_h1=520, detectors=("glr_low",))
+        assert [len(b) for b in montecarlo._blocks(run_items(cfg), 2)] == [357, 357, 356]
+        serial, pooled = (sg.run_trials(cfg, threads) for threads in (1, 2))
+        assert record_keys(serial, run_items(cfg)) == record_keys(pooled, run_items(cfg))
 
     def test_first_failing_point_raises_at_any_worker_count(self, monkeypatch):
         # the second point (L = 3) fails 3 trials and the third (L = 5) 5;
@@ -322,7 +329,7 @@ class TestPooledPoints:
 
 
 class TestPayload:
-    def test_chunk_ships_columns_only(self):
+    def test_block_ships_columns_only(self):
         # what a pool job sends back: a few columns per trial, and no
         # per-trial object; this counts bytes, not time
         cfg = sg.ExperimentConfig(
@@ -330,7 +337,7 @@ class TestPayload:
             trials_h0=32, trials_h1=32, detectors=("glr", "glr_sample", "glr_low"),
         )
         items = [("H0", i) for i in range(32)] + [("H1", i) for i in range(32)]
-        data = pickle.dumps(montecarlo._run_chunk(cfg, items))
+        data = pickle.dumps(montecarlo._score_or_bisect(cfg, items))
         assert len(data) <= 64 * len(items)
         for name in (b"OptimResult", b"DetectorReport", b"TrialRecord"):
             assert name not in data
