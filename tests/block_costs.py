@@ -27,9 +27,9 @@ H0 and half H1, as in a run) is drawn and scored once to warm up and then
   fresh interpreter (subprocess) that runs only a plain loop of draw plus
   score_batch after one warm-up call, so the stage timings above, which
   leave their own arrays and allocator state behind, do not move it. The
-  count still moves with the heap's layout, which even the size of the
-  environment shifts: null-glr at T=300 reads 0 in one launch and about
-  300 in another.
+  count still moves with the heap's layout, which even the way the
+  interpreter is launched shifts: null-glr at T=300 reads 0 when started
+  from a shell and about 300 when started by subprocess, as here.
 
 A stage's fixed cost per block is what T * (µs per trial) does not grow with:
 compare the rows of one scenario across T.
