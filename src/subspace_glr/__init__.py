@@ -48,7 +48,6 @@ from .model import (
     SnapshotData,
     SteeringPair,
     draw_sample_cov,
-    substream,
     ula_steering,
 )
 from .montecarlo import (

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import BlockSampleCov, capon_pair, coherence_matrix, cost_forms
-from .model import SteeringPair, substream
-from .optimizer import OptimResult, _chart_forms, _cholesky, ascend, random_start
+from .model import SteeringPair
+from .optimizer import OptimResult, _chart_forms, _cholesky, ascend
 
 DETECTOR_NAMES = ("glr", "glr_sample", "glr_low", "sigma_max", "t_cc", "t_svd")
 PROPOSED_DETECTORS = ("glr", "glr_sample", "glr_low")
@@ -54,7 +54,7 @@ class DegenerateSampleError(ValueError):
 
 
 def _single(s: BlockSampleCov, u_s: np.ndarray | None, u_r: np.ndarray | None,
-            detectors: tuple[str, ...], n_restarts: int = 0):
+            detectors: tuple[str, ...]):
     """_score on a stack of covariances, or on one record as a stack of one,
     raising the error of the first failed row. Returns the scores, each
     detector's statistic in detectors order (a float for a record, the
@@ -64,7 +64,7 @@ def _single(s: BlockSampleCov, u_s: np.ndarray | None, u_r: np.ndarray | None,
     record = s.s_ss.ndim == 2
     if record:
         s = BlockSampleCov(s.s_ss[None], s.s_sr[None], s.s_rr[None], s.n)
-    scores, ascent, rows = _score(s, u_s, u_r, detectors, n_restarts)
+    scores, ascent, rows = _score(s, u_s, u_r, detectors)
     if scores.errors:
         raise scores.errors[min(scores.errors)]
     values = scores.stats[0].tolist() if record else list(scores.stats.T)
@@ -112,19 +112,16 @@ def _clear_of_floor(gamma_block: np.ndarray) -> np.ndarray:
     return _cholesky(emb)[1]
 
 
-def _glr(forms, n_restarts: int):
+def _glr(forms):
     """The exact statistic of each trial of stacked cost forms (..., L, L):
-    one lockstep ascent from the warm start e1 of every trial, plus
-    n_restarts random starts stacked as extra rows, keeping each trial's
-    best row. The chart embeddings of the forms are built once, screened
-    (_clear_of_floor) and indexed by the ascent's rows. Restart k starts
-    from random_start on substream(0, k), the same point for every trial.
-    Returns the statistics exp(J), the ascent (None when no trial ascends),
-    each trial's best row of it (-1 for a trial that does not ascend) and
-    the errors that fail trials, keyed by trial: fully coherent channels
-    (see COHERENCE_FLOOR) or a non-finite statistic."""
-    if n_restarts < 0:
-        raise ValueError(f"n_restarts must be >= 0, got {n_restarts}")
+    one lockstep ascent from the warm start e1 of every trial. Near N = 2L
+    it can stop at a local maximum below the global one. The chart
+    embeddings of the forms are built once, screened (_clear_of_floor) and
+    indexed by the ascent's rows. Returns the statistics exp(J), the ascent
+    (None when no trial ascends), each trial's row of it (-1 for a trial
+    that does not ascend) and the errors that fail trials, keyed by trial:
+    fully coherent channels (see COHERENCE_FLOOR) or a non-finite
+    statistic."""
     psi, gamma_m = (f.reshape((-1,) + f.shape[-2:]) for f in forms)
     count, dim = gamma_m.shape[:2]
     chart = _chart_forms((psi, gamma_m))
@@ -143,38 +140,28 @@ def _glr(forms, n_restarts: int):
     stats, rows = np.full(count, np.nan), np.full(count, -1)
     if not valid.size:
         return stats, None, rows, errors
-    starts = [np.eye(1, dim, dtype=complex)[0]]
-    starts += [random_start(dim, substream(0, k)) for k in range(n_restarts)]
-    # Row k * len(valid) + j ascends trial valid[j] from starts[k].
-    x0 = np.concatenate([np.broadcast_to(x, (valid.size, dim)) for x in starts])
-    if len(starts) > 1 or valid.size < count:
-        take = np.tile(valid, len(starts))
-        chart = [chart[0][..., take], chart[1][take]]
-    ascent = ascend(chart, x0)
-    best = np.argmax(ascent.j_value.reshape(len(starts), valid.size), axis=0)  # the first start wins a tie
-    rows[valid] = best * valid.size + np.arange(valid.size)
+    if valid.size < count:
+        chart = [chart[0][..., valid], chart[1][valid]]
+    ascent = ascend(chart, np.eye(1, dim, dtype=complex).repeat(valid.size, axis=0))  # e1 for every trial
+    rows[valid] = np.arange(valid.size)
     with np.errstate(over="ignore"):
-        stats[valid] = np.exp(ascent.j_value[rows[valid]])
+        stats[valid] = np.exp(ascent.j_value)
     for i in valid[~np.isfinite(stats[valid])].tolist():
         errors[i] = DegenerateSampleError(f"non-finite exact statistic {stats[i]}")
     return stats, ascent, rows, errors
 
 
-def glr_exact(
-    s: BlockSampleCov,
-    u_s: np.ndarray,
-    u_r: np.ndarray,
-    n_restarts: int = 0,
-) -> tuple[float, OptimResult]:
+def glr_exact(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> tuple[float, OptimResult]:
     """Exact statistic Lambda^{1/N} >= 1 of a sample covariance with n >= 2L
-    and unit-norm steering vectors, via trust-region ascent, and the ascent's
-    OptimResult. n_restarts random starts are added to the warm start e1,
-    keeping the best objective. e1 alone already matches the closed-form
-    statistic exactly, so the result never falls below 1 + glr_sample (up to
-    roundoff); near N = 2L restarts can escape a local maximum. Raises
-    ValueError when the channels are fully coherent (COHERENCE_FLOOR). For a
-    stack, the column of statistics and the first covariance's ascent."""
-    _, (stat,), optim = _single(s, u_s, u_r, ("glr",), n_restarts)
+    and unit-norm steering vectors, via trust-region ascent from the warm
+    start e1, and the ascent's OptimResult. At e1 the objective matches the
+    closed-form statistic exactly, so the result never falls below
+    1 + glr_sample (up to roundoff). Near N = 2L the ascent can stop at a
+    local maximum below the global one; maximize_j from other starts can
+    look further. Raises ValueError when the channels are fully coherent
+    (COHERENCE_FLOOR). For a stack, the column of statistics and the first
+    covariance's ascent."""
+    _, (stat,), optim = _single(s, u_s, u_r, ("glr",))
     return stat, optim
 
 
@@ -259,7 +246,7 @@ class BlockScores:
         return self.stats[rows, self.detectors.index(name)][self.valid[rows]]
 
 
-def _score(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray, detectors: tuple[str, ...], n_restarts: int):
+def _score(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray, detectors: tuple[str, ...]):
     """score_batch's scores, plus glr's ascent and each trial's row of it
     (see _glr), from which _single builds a trial's OptimResult. Calls no
     public statistic function: those run this."""
@@ -282,7 +269,7 @@ def _score(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray, detectors: tuple
     elif "sigma_max" in detectors:
         c = coherence_matrix(s)
     if "glr" in detectors:
-        stats["glr"], ascent, rows, out.errors = _glr(cost_forms(c, pair), n_restarts)
+        stats["glr"], ascent, rows, out.errors = _glr(cost_forms(c, pair))
     with np.errstate(divide="ignore", invalid="ignore"):
         if "glr_sample" in detectors or "glr_low" in detectors:
             # |eta_sr|^2 over beta_s (beta_r - alpha_sr) for glr_sample and over
@@ -325,7 +312,6 @@ def score_batch(
     u_s: np.ndarray,
     u_r: np.ndarray,
     detectors: tuple[str, ...] = DETECTOR_NAMES,
-    n_restarts: int = 0,
 ) -> BlockScores:
     """Run the requested detectors on T covariances stacked along a leading axis.
 
@@ -335,28 +321,26 @@ def score_batch(
     exact cost's forms are vector operations over the stack, a Cholesky
     screen run elementwise over the stack validates the latter (eigvalsh
     judges only the trials it does not clear; see _clear_of_floor), glr
-    runs one lockstep ascent over all of them (optimizer.ascend) with
-    n_restarts random starts per trial besides
-    e1 (see glr_exact), and t_svd takes one stacked eigh of S_ss and
-    S_rr. Returns the block's scores as columns (BlockScores), a row per
+    runs one lockstep ascent over all of them from e1 (optimizer.ascend;
+    near N = 2L it can stop at a local maximum, see glr_exact), and t_svd
+    takes one stacked eigh of S_ss and S_rr. Returns the block's scores as columns (BlockScores), a row per
     trial. A trial that fails carries the error that scoring it alone raises
     first (from glr, a collapsed glr_sample denominator, a zero channel in
     t_svd, then a non-finite statistic in detector order). What fails for
     the whole stack, such as too few snapshots or a block that is not
     positive definite, raises.
     """
-    return _score(s, u_s, u_r, detectors, n_restarts)[0]
+    return _score(s, u_s, u_r, detectors)[0]
 
 
 def compute_report(
     s: BlockSampleCov,
     steering: SteeringPair,
     detectors: tuple[str, ...] = DETECTOR_NAMES,
-    n_restarts: int = 0,
 ) -> tuple[BlockScores, OptimResult | None]:
     """Run the requested detectors on one record's sample covariance:
     score_batch on a stack of one. Returns its one-row scores and, when glr
     ran, the ascent's OptimResult. Raises the error the record hits; callers
     that sweep many records use score_batch, which returns it instead."""
-    scores, _, optim = _single(s, steering.u_s, steering.u_r, detectors, n_restarts)
+    scores, _, optim = _single(s, steering.u_s, steering.u_r, detectors)
     return scores, optim

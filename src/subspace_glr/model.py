@@ -41,20 +41,6 @@ HYPOTHESES = ("H0", "H1")
 STEERING_MODES = ("random-unit", "ula-random-doa")
 
 
-def substream(seed: int, *path: int) -> np.random.Generator:
-    """Philox generator for a (seed, path...) key, seeded through a
-    SeedSequence.
-
-    It draws the optimizer's restart starts, which are not Monte Carlo
-    streams; trials are drawn by draw_sample_cov from counter-addressed
-    words.
-    """
-    if not 0 <= int(seed) < 2**64:
-        raise ValueError(f"seed must be a u64, got {seed}")
-    key = (int(seed),) + tuple(int(p) for p in path)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
-
-
 def ula_steering(num_sensors: int, theta) -> np.ndarray:
     """Unit-norm steering vector of a half-wavelength ULA at angle theta.
 

@@ -32,7 +32,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.ma  # np.unique (roc_curve) loads it on first use; load it with the package
 
 from .detectors import DETECTOR_NAMES, BlockScores, score_batch
 from .model import HYPOTHESES, STEERING_MODES, ScenarioConfig, draw_sample_cov
@@ -88,7 +87,6 @@ class ExperimentConfig:
     steering_mode: str = "random-unit"
     detectors: tuple[str, ...] = DETECTOR_NAMES
     sweep: SweepSpec | None = None
-    n_restarts: int = 0  # random starts of the exact detector besides e1
 
     def __post_init__(self) -> None:
         if self.trials_h0 < 1:
@@ -111,8 +109,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown detectors {sorted(unknown)}; valid: {DETECTOR_NAMES}")
         if not self.detectors:
             raise ValueError("at least one detector is required")
-        if self.n_restarts < 0:
-            raise ValueError(f"n_restarts must be >= 0, got {self.n_restarts}")
         for value in self.sweep.values if self.sweep is not None else ():
             try:
                 apply_sweep_value(self, value)
@@ -130,7 +126,7 @@ def _score_block(cfg: ExperimentConfig, block: list[tuple[str, int]]) -> BlockSc
     """Draw the sample covariances of a block of trials and score them as
     stacked arrays."""
     u_s, u_r, s = draw_sample_cov(cfg.scenario, cfg.steering_mode, block)
-    return score_batch(s, u_s, u_r, cfg.detectors, cfg.n_restarts)
+    return score_batch(s, u_s, u_r, cfg.detectors)
 
 
 def _score_or_bisect(cfg: ExperimentConfig, block: list[tuple[str, int]]) -> BlockScores:
@@ -271,7 +267,8 @@ def roc_curve(h0_stats: np.ndarray, h1_stats: np.ndarray) -> RocCurve:
     h1 = np.sort(np.asarray(h1_stats, dtype=float))
     if h0.size == 0 or h1.size == 0:
         raise ValueError("roc_curve needs nonempty samples under both hypotheses")
-    thresholds = np.unique(np.concatenate([h0, h1]))
+    pooled = np.sort(np.concatenate([h0, h1]))
+    thresholds = pooled[np.r_[True, pooled[1:] != pooled[:-1]]]  # np.unique's values, without numpy.ma
     pfa = 1.0 - np.searchsorted(h0, thresholds, side="right") / h0.size
     pd = 1.0 - np.searchsorted(h1, thresholds, side="right") / h1.size
     pfa = np.concatenate([[1.0], pfa])

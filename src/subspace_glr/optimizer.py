@@ -474,11 +474,3 @@ def maximize_j(forms, x0: np.ndarray) -> OptimResult:
     on a stack of one."""
     forms, x0 = _one(forms, x0)
     return ascend(_chart_forms(forms), x0).result(0)
-
-
-def random_start(num_sensors: int, rng: np.random.Generator) -> np.ndarray:
-    """A uniformly random canonical point with a nonvanishing first entry."""
-    while True:
-        x = rng.standard_normal(num_sensors) + 1j * rng.standard_normal(num_sensors)
-        if abs(x[0]) > 1e-6 * np.linalg.norm(x):
-            return _canonicalize(x)

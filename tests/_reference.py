@@ -30,6 +30,12 @@ tests hold that pipeline against:
   whose determinant ml_qsr minimizes;
 - oracle_glr, a brute-force quasi-Newton search over R_rr for the exact
   statistic;
+- family_grid_oracle, a deterministic search for J's global maximum on the
+  family x(t, rho) = (I + t gamma_m)^{-1} (e1 + rho g) that holds every
+  stationary point (family_point), finished by one maximize_j, and
+  family_certificate, which maps an ascent's x_hat into that family;
+- substream and random_start, the keyed generator of the tests' single
+  instances and the random starts that tests hand to the optimizer;
 - write_csv, the row-at-a-time table writer that the CLI's column writer
   (cli._write_table) must match byte for byte;
 - masked_cholesky, the column Cholesky that masks failed rows column by
@@ -66,12 +72,11 @@ from subspace_glr.model import (
     SteeringPair,
     _complex_normals,
     _snr_factor,
-    substream,
     ula_steering,
 )
 from subspace_glr.montecarlo import BLOCK_TRIALS, ExperimentConfig
 from subspace_glr import optimizer
-from subspace_glr.optimizer import _chart_forms, ascend
+from subspace_glr.optimizer import OptimResult, _chart_forms, ascend, cost_j, maximize_j
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
@@ -106,6 +111,28 @@ def pd_solve(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 def min_eig_herm(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(a)[0]) if a.size else 0.0
+
+
+def substream(seed: int, *path: int) -> np.random.Generator:
+    """Philox generator for a (seed, path...) key, seeded through a
+    SeedSequence.
+
+    It draws the tests' single instances and random starts, which are not
+    Monte Carlo streams; trials are drawn by draw_sample_cov from
+    counter-addressed words.
+    """
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError(f"seed must be a u64, got {seed}")
+    key = (int(seed),) + tuple(int(p) for p in path)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+
+
+def random_start(num_sensors: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniformly random canonical point with a nonvanishing first entry."""
+    while True:
+        x = rng.standard_normal(num_sensors) + 1j * rng.standard_normal(num_sensors)
+        if abs(x[0]) > 1e-6 * np.linalg.norm(x):
+            return optimizer._canonicalize(x)
 
 
 def _cn_matrix(rng: np.random.Generator, *shape: int) -> np.ndarray:
@@ -375,7 +402,7 @@ def snapshot_route_scores(cfg: ExperimentConfig) -> BlockScores:
     blocks = []
     for start in range(0, len(items), BLOCK_TRIALS):
         u_s, u_r, y_s, y_r = synth_batch(cfg.scenario, cfg.steering_mode, items[start : start + BLOCK_TRIALS])
-        blocks.append(score_batch(block_sample_cov(y_s, y_r), u_s, u_r, cfg.detectors, cfg.n_restarts))
+        blocks.append(score_batch(block_sample_cov(y_s, y_r), u_s, u_r, cfg.detectors))
     return BlockScores.concat(blocks)
 
 
@@ -713,6 +740,71 @@ def oracle_glr(
         )
         best = max(best, -float(res.fun))
     return math.exp(best)
+
+
+# The family grid: t = 0 and 41 log-spaced values in [1e-4, 1e6], and the
+# projective line v = (cos theta, e^{i phi} sin theta) on 24 x 48 points.
+FAMILY_T = np.concatenate([[0.0], np.logspace(-4.0, 6.0, 41)])
+FAMILY_THETA = np.linspace(0.0, 0.5 * np.pi, 24)
+FAMILY_PHI = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
+
+
+def _family_basis(forms):
+    """gamma_m's eigenpairs (lam, vec) and the vector g of psi = gamma_m + g g^H
+    (up to a phase, which the family absorbs in rho), for one pair of forms."""
+    psi, gamma_m = (np.asarray(f, dtype=complex) for f in forms)
+    lam, vec = np.linalg.eigh(gamma_m)
+    top, g_vec = np.linalg.eigh(hermitize(psi - gamma_m))
+    return lam, vec, math.sqrt(max(top[-1], 0.0)) * g_vec[:, -1]
+
+
+def family_point(forms, t: float, rho: complex) -> np.ndarray:
+    """x(t, rho) = (I + t gamma_m)^{-1} (e1 + rho g): the family that holds
+    every stationary point of J (ROADMAP item 3's derivation)."""
+    lam, vec, g = _family_basis(forms)
+    rhs = vec.conj().T @ (np.eye(1, len(lam), dtype=complex)[0] + rho * g)
+    return vec @ (rhs / (1.0 + t * lam))
+
+
+def family_certificate(forms, x: np.ndarray) -> tuple[float, float]:
+    """Map a point x to the family: t = |x|^2 (1/q_gamma - 1/q_psi) and
+    rho = conj(x_1) (g^H x) / q_psi, which a stationary point of J satisfies
+    exactly. Returns the relative least-squares residual of x against
+    x(t, rho), up to a complex scale, and J at x(t, rho)."""
+    psi, gamma_m = (np.asarray(f, dtype=complex) for f in forms)
+    x = np.asarray(x, dtype=complex)
+    _, _, g = _family_basis(forms)
+    q_psi, q_gamma = (np.vdot(x, f @ x).real for f in (psi, gamma_m))
+    t = np.vdot(x, x).real * (1.0 / q_gamma - 1.0 / q_psi)
+    rho = np.conj(x[0]) * np.vdot(g, x) / q_psi
+    fam = family_point(forms, t, rho)
+    scale = np.vdot(fam, x) / np.vdot(fam, fam)
+    return float(np.linalg.norm(x - scale * fam) / np.linalg.norm(x)), cost_j(fam, forms)
+
+
+def family_grid_oracle(forms) -> tuple[float, OptimResult]:
+    """A deterministic search for the global maximum of J on one pair of
+    forms: J on the family grid (FAMILY_T x FAMILY_THETA x FAMILY_PHI), in
+    gamma_m's eigenbasis, then one maximize_j from the best grid point.
+
+    At a grid point x = V z with z = p_t v_1 + q_t v_2, where V holds
+    gamma_m's eigenvectors, p_t = (1 + t lam)^{-1} V^H e1 and
+    q_t = (1 + t lam)^{-1} V^H g. Returns the best grid value of J and the
+    ascent from it."""
+    lam, vec, g = _family_basis(forms)
+    scale = 1.0 / (1.0 + FAMILY_T[:, None] * lam)  # (t, L)
+    p, q = scale * vec[0].conj(), scale * (vec.conj().T @ g)
+    theta, phi = np.meshgrid(FAMILY_THETA, FAMILY_PHI, indexing="ij")
+    v1, v2 = np.cos(theta).ravel(), (np.exp(1j * phi) * np.sin(theta)).ravel()
+    z = p[:, None, :] * v1[None, :, None] + q[:, None, :] * v2[None, :, None]  # (t, v, L)
+    az = np.abs(z) ** 2
+    q_gamma = az @ lam
+    x_1 = z @ vec[0]
+    g_x = z @ (vec.conj().T @ g).conj()
+    with np.errstate(divide="ignore"):
+        j = np.log(np.abs(x_1) ** 2 / az.sum(axis=-1)) + np.log((q_gamma + np.abs(g_x) ** 2) / q_gamma)
+    best = np.unravel_index(np.argmax(j), j.shape)
+    return float(j[best]), maximize_j(forms, vec @ z[best])
 
 
 def write_csv(path, header, rows) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 import subspace_glr as sg
-from _reference import draw_channel, draw_steering, synth_snapshots
+from _reference import draw_channel, draw_steering, substream, synth_snapshots
 
 
 def make_instance(
@@ -32,9 +32,9 @@ def make_instance(
     N = 4 * L if N is None else N
     cfg = sg.ScenarioConfig(L=L, N=N, snr_s_db=snr_s_db, snr_r_db=snr_r_db, seed=seed)
     code = {"H0": 0, "H1": 1}[hypothesis]
-    steer = draw_steering(mode, L, sg.substream(seed, code, index, 0))
-    chan = draw_channel(cfg, sg.substream(seed, code, index, 1), sg.substream(seed, code, index, 2))
-    data = synth_snapshots(cfg, steer, chan, hypothesis, sg.substream(seed, code, index, 3))
+    steer = draw_steering(mode, L, substream(seed, code, index, 0))
+    chan = draw_channel(cfg, substream(seed, code, index, 1), substream(seed, code, index, 2))
+    data = synth_snapshots(cfg, steer, chan, hypothesis, substream(seed, code, index, 3))
     return sg.sample_cov(data), steer, data
 
 

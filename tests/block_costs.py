@@ -129,7 +129,14 @@ def draw_and_score(name: str, size: int):
 
 def fault_loop(name: str, size: int, reps: int) -> int:
     """Median minor faults of a draw plus score_batch over reps calls, after
-    one warm-up call: a plain loop, with nothing else run before it."""
+    one warm-up call: a plain loop, with nothing else run before it.
+
+    The count moves with how the interpreter was launched, not only with the
+    code: null-glr at T=300 read 0 when --fault-loop was started from a
+    shell and 297-315 when started by subprocess from Python, with the same
+    tree, interpreter and environment (an L=8 block of 300 read 1683 either
+    way). So fault counts compare two trees only when both are launched the
+    same way, as block_row launches both here."""
     run = draw_and_score(name, size)
     run()
     return faults(run, reps)
@@ -182,7 +189,7 @@ def cold_call(command: str, config: str) -> dict:
     items = [("H0", i) for i in range(cfg.trials_h0)] + [("H1", i) for i in range(cfg.trials_h1)]
     block = _blocks(items, 1)[0]
     u_s, u_r, s = stage("draw", lambda: draw_sample_cov(cfg.scenario, cfg.steering_mode, block))
-    stage("score", lambda: sg.score_batch(s, u_s, u_r, cfg.detectors, cfg.n_restarts))
+    stage("score", lambda: sg.score_batch(s, u_s, u_r, cfg.detectors))
     return out
 
 

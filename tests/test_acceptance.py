@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 import subspace_glr as sg
-from subspace_glr.optimizer import random_start
 from _reference import (
     cross_capon_beta,
     distortionless_pair,
     eta_rr,
     ml_qsr,
     oracle_glr,
+    random_start,
     unitary_completion,
 )
 from _utils import det_m_direct, fd_gradient, grid_max_j_l2, make_instance, null_cov

@@ -57,7 +57,6 @@ class TestValidateConfig:
         assert resolved["scenario"]["wishart_dof"] == 4  # 2L materialized
         assert resolved["pfa"] == 0.01
         assert resolved["steering_mode"] == "random-unit"
-        assert resolved["n_restarts"] == 0
         assert "optimizer" not in resolved
 
     def test_seed_override(self, tmp_path, capsys):
@@ -148,6 +147,7 @@ class TestValidateConfig:
         ("optimizer", {"n_restarts": 1}),
         ("pfa_grid", [0.1]),
         ("max_failure_rate", 0.5),
+        ("n_restarts", 0),
     ])
     def test_removed_fields_rejected(self, tmp_path, capsys, monkeypatch, field, value):
         # rejected with the config, before any trial runs
@@ -768,3 +768,20 @@ class TestEntryPoints:
         cli_file, scipy_modules = json.loads(proc.stdout)
         assert Path(cli_file).resolve().parent == Path(sg.__file__).resolve().parent
         assert scipy_modules == []
+
+    def test_roc_loads_no_numpy_ma(self, tmp_path):
+        # roc_curve and the table writer find distinct values without
+        # np.unique's float path, which imports numpy.ma on first use
+        cfg = write_config(tmp_path)
+        probe = (
+            "import sys, subspace_glr.cli\n"
+            f"code = subspace_glr.cli.main(['roc', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r},"
+            " '--threads', '1'])\n"
+            "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "0 False"
+        assert (tmp_path / "out" / "roc.csv").exists()

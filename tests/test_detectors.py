@@ -13,7 +13,11 @@ from _reference import (
     low_snr_qsr,
     m_matrix,
     ml_qsr,
+    family_certificate,
+    family_grid_oracle,
     oracle_glr,
+    random_start,
+    substream,
     svd_corr,
     synth_batch,
 )
@@ -24,6 +28,16 @@ def scaled_instance(seed, c_s, c_r, L=3, N=None):
     s, steer, data = make_instance(seed=seed, L=L, N=N)
     scaled = sg.block_sample_cov(c_s * data.y_s, c_r * data.y_r)
     return s, scaled, steer, data
+
+
+def pinned_near_2l():
+    """Trial 71 of H0 at seed 101, L = 4, N = 8, 10/10 dB, on the per-trial
+    substreams: a record whose ascent from e1 stops at a local maximum.
+    Returns its sample covariance, steering pair and cost forms."""
+    _, steer, data = make_instance(seed=101, L=4, N=8, snr_s_db=10.0, snr_r_db=10.0,
+                                   hypothesis="H0", index=71)
+    s = sg.block_sample_cov(data.y_s, data.y_r)
+    return s, steer, sg.cost_forms(sg.coherence_matrix(s), sg.capon_pair(s, steer.u_s, steer.u_r))
 
 
 class TestNullCrossBlock:
@@ -222,25 +236,16 @@ class TestExactStatistic:
             assert stat == pytest.approx(1.0 + sg.glr_sample(s, steer.u_s, steer.u_r), rel=1e-12)
 
     def test_restarts_escape_a_local_maximum_near_n_2l(self):
-        # Near N = 2L the ascent from e1 can stop at a local maximum; this is
-        # what n_restarts is for. Here e1 stops on the gradient test at
-        # glr = 1.117 while 16 restarts reach 31.307, which an independent
-        # BFGS search over R_rr with 160 starts also reaches. The instance
-        # is trial 71 of H0 at seed 101 on the per-trial substreams.
-        _, steer, data = make_instance(seed=101, L=4, N=8, snr_s_db=10.0, snr_r_db=10.0,
-                                       hypothesis="H0", index=71)
-        s = sg.block_sample_cov(data.y_s, data.y_r)
-        warm, restarted = (
-            sg.compute_report(s, steer, ("glr",), n_restarts=k)[1]
-            for k in (0, 16)
-        )
+        # Near N = 2L the ascent from e1 can stop at a local maximum. Here e1
+        # stops on the gradient test at glr = 1.117 while maximize_j from e1
+        # and 16 random starts reaches 31.307, which an independent BFGS
+        # search over R_rr with 160 starts also reaches.
+        s, steer, forms = pinned_near_2l()
+        warm = sg.compute_report(s, steer, ("glr",))[1]
+        starts = [np.eye(1, 4, dtype=complex)[0]] + [random_start(4, substream(0, k)) for k in range(16)]
+        restarted = max((sg.maximize_j(forms, x0) for x0 in starts), key=lambda r: r.j_value)
         assert warm.stop_reason == "gradient"
         assert restarted.j_value > warm.j_value + 1.0
-
-    def test_rejects_negative_restarts(self):
-        s, steer, _ = make_instance(seed=3, L=3)
-        with pytest.raises(ValueError, match="n_restarts"):
-            sg.glr_exact(s, steer.u_s, steer.u_r, n_restarts=-1)
 
     def test_oracle_feasibility_bound(self):
         for seed in range(3):
@@ -248,6 +253,39 @@ class TestExactStatistic:
             ref = oracle_glr(s, steer.u_s, steer.u_r, n_restarts=2, seed=seed)
             lam_app = sg.glr_sample(s, steer.u_s, steer.u_r)
             assert ref >= 1.0 + lam_app - 1e-6
+
+
+class TestFamilyGridOracle:
+    # Every stationary point of J lies on the family
+    # x(t, rho) = (I + t gamma_m)^{-1} (e1 + rho g). A fine grid on it plus
+    # one polish sees the local maxima of the ascent from e1 near N = 2L,
+    # which oracle_glr's search from the sample start does not.
+    def test_never_below_the_warm_ascent_at_n_2l(self):
+        for L in (2, 3, 4):
+            cfg = sg.ScenarioConfig(L=L, N=2 * L, snr_s_db=10.0, snr_r_db=10.0, seed=101)
+            u_s, u_r, s = sg.draw_sample_cov(cfg, "random-unit", [("H0", k) for k in range(12)])
+            forms = sg.cost_forms(sg.coherence_matrix(s), sg.capon_pair(s, u_s, u_r))
+            warm = np.log(sg.score_batch(s, u_s, u_r, ("glr",)).stats[:, 0])
+            for i, j in enumerate(warm.tolist()):
+                trial = (forms[0][i], forms[1][i])
+                _, found = family_grid_oracle(trial)
+                assert found.j_value >= j - 1e-12 * (1.0 + abs(j)), (L, i)
+                for x in (found.x_hat, sg.maximize_j(trial, np.eye(1, L, dtype=complex)[0]).x_hat):
+                    residual, j_family = family_certificate(trial, x)
+                    assert residual <= 1e-5, (L, i)
+                    assert j_family == pytest.approx(sg.cost_j(x, trial), abs=1e-12 * (1.0 + abs(j)))
+
+    def test_sees_the_local_maximum_near_n_2l(self):
+        s, steer, forms = pinned_near_2l()
+        warm = sg.compute_report(s, steer, ("glr",))[1]
+        grid_j, found = family_grid_oracle(forms)
+        assert warm.j_value < grid_j <= found.j_value
+        assert found.j_value > warm.j_value + 1.0
+        assert found.j_value == pytest.approx(3.4438493648303607, rel=1e-12)  # 16 random restarts' value
+        for x in (warm.x_hat, found.x_hat):
+            residual, j_family = family_certificate(forms, x)
+            assert residual <= 1e-5
+            assert j_family == pytest.approx(sg.cost_j(x, forms), rel=1e-12)
 
 
 class TestCrossGainEstimate:
@@ -405,10 +443,9 @@ class TestComputeReport:
         assert 1 <= calls["eigh"] <= optim.iterations + 2
         assert calls["eigvalsh"] == 0
 
-    @pytest.mark.parametrize("n_restarts", [0, 2])
     @pytest.mark.parametrize("L, ill", [(2, False), (4, False), (8, False), (4, True)],
                              ids=["2", "4", "8", "4-ula-40dB-n2l"])
-    def test_split_invariance(self, L, ill, n_restarts):
+    def test_split_invariance(self, L, ill):
         # the lockstep ascent never mixes rows: a block scored whole equals
         # the same block scored in splits of 1, 7 and 37, bit for bit. The
         # ill-conditioned block (N = 2L, 40 dB ULA) has passes that mix
@@ -425,14 +462,14 @@ class TestComputeReport:
                             scores.iterations.tolist(), [sg.STOP_REASONS[c] for c in scores.stop]))
 
         s = sg.block_sample_cov(y_s, y_r)
-        whole = keys(sg.score_batch(s, u_s, u_r, ("glr",), n_restarts))
+        whole = keys(sg.score_batch(s, u_s, u_r, ("glr",)))
         assert len(set(k[2] for k in whole)) > 1
         for size in (1, 7, 37):
             split = []
             for a in range(0, len(trials), size):
                 b = slice(a, a + size)
                 part = sg.block_sample_cov(y_s[b], y_r[b])
-                split += keys(sg.score_batch(part, u_s[b], u_r[b], ("glr",), n_restarts))
+                split += keys(sg.score_batch(part, u_s[b], u_r[b], ("glr",)))
             assert split == whole, f"split {size}"
 
     def test_block_columns_equal_blocks_of_one(self):
@@ -616,7 +653,7 @@ class TestCoherenceScreen:
         rng = np.random.default_rng(3200 + dim)
         gaps = np.array([0.5, 1e-3] + [f * COHERENCE_FLOOR for f in (8.0, 4.0, 3.0, 2.0, 1.5, 1.0, 0.5, 0.0, -1.0)])
         forms = forms_with_gaps(np.repeat(gaps, 4), dim, rng)
-        stats, _, _, errors = detectors._glr(forms, 0)
+        stats, _, _, errors = detectors._glr(forms)
         got = {i: str(errors[i]) if i in errors else stats[i] for i in range(len(stats))}
         want = expected_glr(forms)
         assert got == want

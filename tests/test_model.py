@@ -16,6 +16,7 @@ from _reference import (
     population_cov,
     scale_noise_to_snr,
     snapshot_route_scores,
+    substream,
     synth_batch,
     synth_snapshots,
 )
@@ -163,61 +164,61 @@ def _chan_with(sigma_ss, sigma_rr, a_s=1.0, a_r=1.0, sigma_x2=1.0):
 class TestSynthSnapshots:
     def test_pure_noise_covariance(self):
         cfg = sg.ScenarioConfig(L=2, N=10**4, snr_s_db=0, snr_r_db=0, sigma_x2=0.0)
-        steer = draw_steering("random-unit", 2, sg.substream(0, 0))
+        steer = draw_steering("random-unit", 2, substream(0, 0))
         chan = _chan_with(np.eye(2, dtype=complex), np.eye(2, dtype=complex), sigma_x2=0.0)
-        data = synth_snapshots(cfg, steer, chan, "H1", sg.substream(0, 1))
+        data = synth_snapshots(cfg, steer, chan, "H1", substream(0, 1))
         for y in (data.y_s, data.y_r):
             s_hat = y @ y.conj().T / cfg.N
             assert np.all(np.abs(s_hat - np.eye(2)) < 0.05)
 
     def test_h0_channels_uncorrelated(self):
         cfg = sg.ScenarioConfig(L=2, N=10**4, snr_s_db=0, snr_r_db=0)
-        steer = draw_steering("random-unit", 2, sg.substream(1, 0))
+        steer = draw_steering("random-unit", 2, substream(1, 0))
         chan = _chan_with(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
-        data = synth_snapshots(cfg, steer, chan, "H0", sg.substream(1, 1))
+        data = synth_snapshots(cfg, steer, chan, "H0", substream(1, 1))
         cross = data.y_s @ data.y_r.conj().T / cfg.N
         assert np.all(np.abs(cross) < 4 / np.sqrt(cfg.N))
 
     def test_rank_one_limit(self):
         cfg = sg.ScenarioConfig(L=2, N=10**4, snr_s_db=0, snr_r_db=0)
-        steer = draw_steering("random-unit", 2, sg.substream(2, 0))
+        steer = draw_steering("random-unit", 2, substream(2, 0))
         eps = 1e-6
         chan = _chan_with(eps * np.eye(2, dtype=complex), eps * np.eye(2, dtype=complex))
-        data = synth_snapshots(cfg, steer, chan, "H1", sg.substream(2, 1))
+        data = synth_snapshots(cfg, steer, chan, "H1", substream(2, 1))
         s_hat = data.y_s @ data.y_s.conj().T / cfg.N
         target = np.outer(steer.u_s, steer.u_s.conj())
         assert np.linalg.norm(s_hat - target) / np.linalg.norm(target) < 0.05
 
     def test_reproducible(self):
         cfg = sg.ScenarioConfig(L=3, N=12, snr_s_db=0, snr_r_db=5)
-        steer = draw_steering("random-unit", 3, sg.substream(3, 0))
-        chan = draw_channel(cfg, sg.substream(3, 1), sg.substream(3, 2))
-        d1 = synth_snapshots(cfg, steer, chan, "H1", sg.substream(3, 3))
-        d2 = synth_snapshots(cfg, steer, chan, "H1", sg.substream(3, 3))
+        steer = draw_steering("random-unit", 3, substream(3, 0))
+        chan = draw_channel(cfg, substream(3, 1), substream(3, 2))
+        d1 = synth_snapshots(cfg, steer, chan, "H1", substream(3, 3))
+        d2 = synth_snapshots(cfg, steer, chan, "H1", substream(3, 3))
         assert np.array_equal(d1.y_s, d2.y_s)
         assert np.array_equal(d1.y_r, d2.y_r)
 
     def test_rejects_bad_hypothesis(self):
         cfg = sg.ScenarioConfig(L=2, N=4, snr_s_db=0, snr_r_db=0)
-        steer = draw_steering("random-unit", 2, sg.substream(4, 0))
+        steer = draw_steering("random-unit", 2, substream(4, 0))
         chan = _chan_with(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
         with pytest.raises(ValueError, match="hypothesis"):
-            synth_snapshots(cfg, steer, chan, "H2", sg.substream(4, 1))
+            synth_snapshots(cfg, steer, chan, "H2", substream(4, 1))
 
 
 class TestPopulationCov:
     def test_matches_long_run_sample(self):
         cfg = sg.ScenarioConfig(L=2, N=10**5, snr_s_db=3, snr_r_db=8)
-        steer = draw_steering("random-unit", 2, sg.substream(5, 0))
-        chan = draw_channel(cfg, sg.substream(5, 1), sg.substream(5, 2))
+        steer = draw_steering("random-unit", 2, substream(5, 0))
+        chan = draw_channel(cfg, substream(5, 1), substream(5, 2))
         for hyp in ("H0", "H1"):
-            data = synth_snapshots(cfg, steer, chan, hyp, sg.substream(5, 3))
+            data = synth_snapshots(cfg, steer, chan, hyp, substream(5, 3))
             s_hat = sg.sample_cov(data).full()
             r = population_cov(steer, chan, hyp)
             assert np.linalg.norm(s_hat - r) / np.linalg.norm(r) < 0.03
 
     def test_h0_block_diagonal(self):
-        steer = draw_steering("random-unit", 3, sg.substream(6, 0))
+        steer = draw_steering("random-unit", 3, substream(6, 0))
         chan = _chan_with(np.eye(3, dtype=complex), np.eye(3, dtype=complex), a_s=2.0)
         r0 = population_cov(steer, chan, "H0")
         assert np.all(r0[:3, 3:] == 0)
@@ -229,18 +230,18 @@ class TestPopulationCov:
 
 class TestSubstream:
     def test_distinct_purposes_differ(self):
-        a = sg.substream(9, 0, 0, 0).standard_normal(4)
-        b = sg.substream(9, 0, 0, 1).standard_normal(4)
+        a = substream(9, 0, 0, 0).standard_normal(4)
+        b = substream(9, 0, 0, 1).standard_normal(4)
         assert not np.allclose(a, b)
 
     def test_same_key_identical(self):
-        a = sg.substream(9, 1, 5, 3).standard_normal(4)
-        b = sg.substream(9, 1, 5, 3).standard_normal(4)
+        a = substream(9, 1, 5, 3).standard_normal(4)
+        b = substream(9, 1, 5, 3).standard_normal(4)
         assert np.array_equal(a, b)
 
     def test_rejects_non_u64(self):
         with pytest.raises(ValueError, match="u64"):
-            sg.substream(-1, 0)
+            substream(-1, 0)
 
 
 class TestSynthBatch:

@@ -4,8 +4,8 @@ import scipy.optimize
 
 import subspace_glr as sg
 from subspace_glr import optimizer
-from subspace_glr.optimizer import random_start, solve_subproblem
-from _reference import ascend_one_row, masked_cholesky, synth_batch
+from subspace_glr.optimizer import solve_subproblem
+from _reference import ascend_one_row, masked_cholesky, random_start, synth_batch
 from _utils import chart_x, fd_gradient, grid_max_j_l2, make_instance
 
 
