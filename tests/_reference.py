@@ -32,8 +32,8 @@ tests hold that pipeline against:
   statistic;
 - family_grid_oracle, a deterministic search for J's global maximum on the
   family x(t, rho) = (I + t gamma_m)^{-1} (e1 + rho g) that holds every
-  stationary point (family_point), finished by one maximize_j, and
-  family_certificate, which maps an ascent's x_hat into that family;
+  stationary point, finished by one maximize_j, and family_certificate,
+  which maps an ascent's x_hat into that family;
 - substream and random_start, the keyed generator of the tests' single
   instances and the random starts that tests hand to the optimizer;
 - write_csv, the row-at-a-time table writer that the CLI's column writer
@@ -758,26 +758,21 @@ def _family_basis(forms):
     return lam, vec, math.sqrt(max(top[-1], 0.0)) * g_vec[:, -1]
 
 
-def family_point(forms, t: float, rho: complex) -> np.ndarray:
-    """x(t, rho) = (I + t gamma_m)^{-1} (e1 + rho g): the family that holds
-    every stationary point of J (ROADMAP item 3's derivation)."""
-    lam, vec, g = _family_basis(forms)
-    rhs = vec.conj().T @ (np.eye(1, len(lam), dtype=complex)[0] + rho * g)
-    return vec @ (rhs / (1.0 + t * lam))
-
-
 def family_certificate(forms, x: np.ndarray) -> tuple[float, float]:
-    """Map a point x to the family: t = |x|^2 (1/q_gamma - 1/q_psi) and
-    rho = conj(x_1) (g^H x) / q_psi, which a stationary point of J satisfies
-    exactly. Returns the relative least-squares residual of x against
-    x(t, rho), up to a complex scale, and J at x(t, rho)."""
+    """Map a point x into the family x(t, rho) = (I + t gamma_m)^{-1} (e1 + rho g)
+    at t = |x|^2 (1/q_gamma - 1/q_psi) and rho = conj(x_1) (g^H x) / q_psi.
+    The family holds every stationary point of J: setting J's Wirtinger
+    gradient to 0 gives (I + t gamma_m) x = |x|^2 (e1 / conj(x_1) +
+    g (g^H x) / q_psi), with these t and rho. Returns the relative
+    least-squares residual of x against x(t, rho), up to a complex scale,
+    and J at x(t, rho)."""
     psi, gamma_m = (np.asarray(f, dtype=complex) for f in forms)
     x = np.asarray(x, dtype=complex)
-    _, _, g = _family_basis(forms)
+    lam, vec, g = _family_basis(forms)
     q_psi, q_gamma = (np.vdot(x, f @ x).real for f in (psi, gamma_m))
     t = np.vdot(x, x).real * (1.0 / q_gamma - 1.0 / q_psi)
     rho = np.conj(x[0]) * np.vdot(g, x) / q_psi
-    fam = family_point(forms, t, rho)
+    fam = vec @ ((vec.conj().T @ (np.eye(1, len(lam), dtype=complex)[0] + rho * g)) / (1.0 + t * lam))
     scale = np.vdot(fam, x) / np.vdot(fam, fam)
     return float(np.linalg.norm(x - scale * fam) / np.linalg.norm(x)), cost_j(fam, forms)
 
@@ -792,15 +787,16 @@ def family_grid_oracle(forms) -> tuple[float, OptimResult]:
     q_t = (1 + t lam)^{-1} V^H g. Returns the best grid value of J and the
     ascent from it."""
     lam, vec, g = _family_basis(forms)
+    g_eig = vec.conj().T @ g
     scale = 1.0 / (1.0 + FAMILY_T[:, None] * lam)  # (t, L)
-    p, q = scale * vec[0].conj(), scale * (vec.conj().T @ g)
+    p, q = scale * vec[0].conj(), scale * g_eig
     theta, phi = np.meshgrid(FAMILY_THETA, FAMILY_PHI, indexing="ij")
     v1, v2 = np.cos(theta).ravel(), (np.exp(1j * phi) * np.sin(theta)).ravel()
     z = p[:, None, :] * v1[None, :, None] + q[:, None, :] * v2[None, :, None]  # (t, v, L)
     az = np.abs(z) ** 2
     q_gamma = az @ lam
     x_1 = z @ vec[0]
-    g_x = z @ (vec.conj().T @ g).conj()
+    g_x = z @ g_eig.conj()
     with np.errstate(divide="ignore"):
         j = np.log(np.abs(x_1) ** 2 / az.sum(axis=-1)) + np.log((q_gamma + np.abs(g_x) ** 2) / q_gamma)
     best = np.unravel_index(np.argmax(j), j.shape)

@@ -9,12 +9,12 @@ from subspace_glr._linalg import adjoint, hermitize
 from subspace_glr.detectors import _ZERO_CHANNEL, COHERENCE_FLOOR
 from _reference import (
     distortionless_pair,
+    family_certificate,
+    family_grid_oracle,
     glr_by_eigvalsh,
     low_snr_qsr,
     m_matrix,
     ml_qsr,
-    family_certificate,
-    family_grid_oracle,
     oracle_glr,
     random_start,
     substream,
@@ -279,7 +279,7 @@ class TestFamilyGridOracle:
         s, steer, forms = pinned_near_2l()
         warm = sg.compute_report(s, steer, ("glr",))[1]
         grid_j, found = family_grid_oracle(forms)
-        assert warm.j_value < grid_j <= found.j_value
+        assert warm.j_value < grid_j <= found.j_value < grid_j + 1e-4  # the grid alone lands within 2e-5
         assert found.j_value > warm.j_value + 1.0
         assert found.j_value == pytest.approx(3.4438493648303607, rel=1e-12)  # 16 random restarts' value
         for x in (warm.x_hat, found.x_hat):
