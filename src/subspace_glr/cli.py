@@ -372,9 +372,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DegenerateSampleError as exc:
         print(f"error: degenerate sample: {exc}", file=sys.stderr)
         return 3

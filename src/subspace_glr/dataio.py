@@ -127,7 +127,7 @@ def read_snapshot_csv(path: str | Path) -> SnapshotData:
     y_s, y_r = channels["s"], channels["r"]
     if y_s.shape != y_r.shape:
         raise ValueError(f"{path}: channel shapes differ: {y_s.shape} vs {y_r.shape}")
-    return SnapshotData(y_s, y_r, "unknown")
+    return SnapshotData(y_s, y_r)
 
 
 def write_snapshot_bin(path: str | Path, data: SnapshotData) -> None:
@@ -153,7 +153,7 @@ def read_snapshot_bin(path: str | Path) -> SnapshotData:
         y = np.frombuffer(raw, dtype="<c8", count=sensors * snaps, offset=16 + k * block)
         channels[tag] = y.reshape(sensors, snaps).astype(complex)
         _check_finite(str(path), tag, range(sensors), np.isfinite(channels[tag]))
-    return SnapshotData(channels["s"], channels["r"], "unknown")
+    return SnapshotData(channels["s"], channels["r"])
 
 
 def read_snapshots(path: str | Path) -> SnapshotData:

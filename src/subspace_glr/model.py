@@ -29,6 +29,7 @@ synth_batch there.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,20 +55,34 @@ def ula_steering(num_sensors: int, theta) -> np.ndarray:
     return np.exp(1j * phase) / math.sqrt(num_sensors)
 
 
-def _snr_factor(trace, gain, sigma_x2: float, snr_db) -> np.ndarray:
+def _snr_factor(trace, gain, snr_db) -> np.ndarray:
     """The factors c that make c * sigma meet the per-channel SNR
-    10*log10(sigma_x2 * |gain|^2 / tr(c * sigma)) = snr_db, given
-    trace = tr(sigma) and stacked over the leading axes of trace, gain and
-    snr_db. The steering vector has unit norm, so it contributes no power
-    factor."""
+    10*log10(|gain|^2 / tr(c * sigma)) = snr_db, given trace = tr(sigma)
+    and stacked over the leading axes of trace, gain and snr_db. The
+    waveform has unit power and the steering vector unit norm, so neither
+    contributes a power factor; the detectors are scale-invariant, so a
+    signal power other than 1 would only rescale S."""
     gain = np.asarray(gain)
-    power = float(sigma_x2) * (gain.real**2 + gain.imag**2)  # no hypot: same bits stacked or not
+    power = gain.real**2 + gain.imag**2  # no hypot: same bits stacked or not
     if np.any(power <= 0.0):
-        raise ValueError("degenerate channel: sigma_x2 * |gain|^2 must be positive")
+        raise ValueError("degenerate channel: |gain|^2 must be positive")
     if np.any(np.asarray(trace) <= 0.0):
         raise ValueError("noise covariance has nonpositive trace")
     target_trace = power * 10.0 ** (-np.asarray(snr_db, dtype=float) / 10.0)
     return target_trace / trace
+
+
+def _check_integers(cfg, *names: str) -> None:
+    """Reject a config whose named fields are not integers (Python or
+    numpy; None passes), naming the field, and store each as a Python int."""
+    for name in names:
+        value = getattr(cfg, name)
+        if value is None:
+            continue
+        try:
+            setattr(cfg, name, operator.index(value))
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass
@@ -109,32 +124,29 @@ class ScenarioConfig:
     """Dimensions, SNRs, and channel-draw settings for one scenario.
 
     wishart_dof = None resolves to 2 * L (mean-identity Wishart, comfortably
-    full rank). sigma_x2 = 0 is allowed and makes H1 coincide with H0 in
-    distribution, which is useful as a harness self-check; SNR targets are
-    then ignored since they are undefined at zero signal power.
+    full rank). The waveform has unit power: the SNR targets fix the noise
+    level against it.
     """
 
     L: int  # sensors per array
     N: int  # snapshots
     snr_s_db: float
     snr_r_db: float
-    sigma_x2: float = 1.0
     wishart_dof: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_integers(self, "L", "N", "wishart_dof", "seed")
         if self.L < 1:
             raise ValueError(f"L must be >= 1, got {self.L}")
         if self.N < 2 * self.L:
             raise ValueError(f"N must be >= 2*L for invertible sample blocks, got N={self.N}, L={self.L}")
-        for name in ("snr_s_db", "snr_r_db", "sigma_x2"):
+        for name in ("snr_s_db", "snr_r_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.sigma_x2 < 0:
-            raise ValueError(f"sigma_x2 must be >= 0, got {self.sigma_x2}")
         if self.wishart_dof is not None and self.wishart_dof < self.L:
             raise ValueError(f"wishart_dof must be >= L, got {self.wishart_dof} < {self.L}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a u64, got {self.seed}")
 
     @property
@@ -144,15 +156,11 @@ class ScenarioConfig:
 
 @dataclass
 class SnapshotData:
-    """A batch of simultaneous snapshots from the two channels.
-
-    hypothesis is "H0"/"H1" for synthesized data and "unknown" for data
-    loaded from files, where the truth is what the detector must decide.
-    """
+    """A batch of simultaneous snapshots from the two channels: L x N
+    matrices y_s, y_r."""
 
     y_s: np.ndarray
     y_r: np.ndarray
-    hypothesis: str = "unknown"
 
     def __post_init__(self) -> None:
         self.y_s = np.asarray(self.y_s, dtype=complex)
@@ -161,8 +169,6 @@ class SnapshotData:
             raise ValueError("snapshot arrays must be L x N matrices")
         if self.y_s.shape != self.y_r.shape:
             raise ValueError(f"channel shapes differ: {self.y_s.shape} vs {self.y_r.shape}")
-        if self.hypothesis not in HYPOTHESES + ("unknown",):
-            raise ValueError(f"hypothesis must be H0, H1, or unknown, got {self.hypothesis!r}")
 
     @property
     def num_sensors(self) -> int:
@@ -246,9 +252,9 @@ def draw_sample_cov(
     BlockSampleCov of (T, L, L) blocks averaged over N snapshots. Each trial
     draws a steering pair, CN(0, 1) gains a_s, a_r and noise covariances
     Sigma_i = B_i B_i^H, with B_i the Bartlett factor of a complex Wishart
-    CW_L(dof, I) / dof, rescaled to the SNR targets unless sigma_x2 = 0. A
-    snapshot is y = F w with w ~ CN(0, I) of size 2L + 1, where
-    F = [h, blockdiag(B_s, B_r)] and h = sqrt(sigma_x2) [a_s u_s; a_r u_r],
+    CW_L(dof, I) / dof, rescaled to the SNR targets. A snapshot is
+    y = F w with w ~ CN(0, I) of size 2L + 1, where
+    F = [h, blockdiag(B_s, B_r)] and h = [a_s u_s; a_r u_r],
     with a_s u_s zeroed under H0. So N S = F V F^H with V ~ CW_{2L+1}(N, I),
     and S is drawn as (F A)(F A)^H / N from the Bartlett factor A of V. At
     N = 2L the last diagonal entry of A is 0: V is then singular, as a
@@ -294,11 +300,10 @@ def draw_sample_cov(
     del u
     b = _bartlett(z_noise.reshape(count, 2, -1), gamma[:, : 2 * dim].reshape(count, 2, dim))
     scale = np.full((count, 2), 1.0 / dof)  # Sigma_i = scale_i A_i A_i^H
-    if cfg.sigma_x2 > 0:
-        trace = np.sum(b.real**2 + b.imag**2, axis=(-2, -1)) / dof
-        scale *= _snr_factor(trace, gains, cfg.sigma_x2, np.array([cfg.snr_s_db, cfg.snr_r_db]))
+    trace = np.sum(b.real**2 + b.imag**2, axis=(-2, -1)) / dof
+    scale *= _snr_factor(trace, gains, np.array([cfg.snr_s_db, cfg.snr_r_db]))
     b *= np.sqrt(scale)[:, :, None, None]
-    h = math.sqrt(cfg.sigma_x2) * gains[:, :, None] * steering
+    h = gains[:, :, None] * steering
     h[~h1, 0] = 0.0
     a = _bartlett(z_joint, gamma[:, 2 * dim :])
     g = b @ a[:, 1:].reshape(count, 2, dim, -1)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detectors import DETECTOR_NAMES, BlockScores, score_batch
-from .model import HYPOTHESES, STEERING_MODES, ScenarioConfig, draw_sample_cov
+from .model import HYPOTHESES, STEERING_MODES, ScenarioConfig, _check_integers, draw_sample_cov
 from .optimizer import STOP_REASONS
 
 log = logging.getLogger(__name__)
@@ -89,6 +89,7 @@ class ExperimentConfig:
     sweep: SweepSpec | None = None
 
     def __post_init__(self) -> None:
+        _check_integers(self, "trials_h0", "trials_h1")
         if self.trials_h0 < 1:
             raise ValueError("trials_h0 must be >= 1")
         if self.trials_h1 < 0:
@@ -122,19 +123,14 @@ def _rows(cfg: ExperimentConfig, hypothesis: str) -> slice:
     return slice(0, cfg.trials_h0) if hypothesis == "H0" else slice(cfg.trials_h0, None)
 
 
-def _score_block(cfg: ExperimentConfig, block: list[tuple[str, int]]) -> BlockScores:
-    """Draw the sample covariances of a block of trials and score them as
-    stacked arrays."""
-    u_s, u_r, s = draw_sample_cov(cfg.scenario, cfg.steering_mode, block)
-    return score_batch(s, u_s, u_r, cfg.detectors)
-
-
 def _score_or_bisect(cfg: ExperimentConfig, block: list[tuple[str, int]]) -> BlockScores:
-    """Score a block; if it raises as a whole (say, one trial's sample block
-    is not positive definite), score its two halves the same way, so only
-    the failing trials carry the error, each the one it raises alone."""
+    """Draw the sample covariances of a block of trials and score them as
+    stacked arrays; if the block raises as a whole (say, one trial's sample
+    block is not positive definite), score its two halves the same way, so
+    only the failing trials carry the error, each the one it raises alone."""
     try:
-        return _score_block(cfg, block)
+        u_s, u_r, s = draw_sample_cov(cfg.scenario, cfg.steering_mode, block)
+        return score_batch(s, u_s, u_r, cfg.detectors)
     except Exception as exc:
         if len(block) == 1:
             out = BlockScores.empty(cfg.detectors, 1)

@@ -61,8 +61,15 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from subspace_glr._linalg import adjoint, check_hermitian, cholesky_pd, hermitize, householder
-from subspace_glr.covariance import BlockSampleCov, block_sample_cov
+from subspace_glr.covariance import (
+    BlockSampleCov,
+    adjoint,
+    block_sample_cov,
+    check_hermitian,
+    cholesky_pd,
+    hermitize,
+    householder,
+)
 from subspace_glr.detectors import COHERENCE_FLOOR, BlockScores, DegenerateSampleError, score_batch
 from subspace_glr.model import (
     HYPOTHESES,
@@ -168,9 +175,11 @@ def scale_noise_to_snr(
 
     SNR is defined as 10*log10(sigma_x2 * |gain|^2 / tr(Sigma)); the steering
     vector has unit norm so it contributes no power factor. Returns c * sigma
-    with c chosen to meet snr_db exactly.
+    with c chosen to meet snr_db exactly. The signal power sigma_x2 is this
+    reference's own parameter: the package's waveform has unit power, and
+    sigma_x2 = 1 gives its factor bit for bit.
     """
-    return sigma * _snr_factor(np.trace(sigma).real, gain, sigma_x2, snr_db)
+    return sigma * _snr_factor(np.trace(sigma).real, math.sqrt(sigma_x2) * gain, snr_db)
 
 
 def draw_steering(mode: str, num_sensors: int, rng: np.random.Generator) -> SteeringPair:
@@ -233,9 +242,7 @@ def draw_channel(
     """Draw gains and SNR-scaled noise covariances for one trial.
 
     Draw order is fixed (a_s, a_r, Sigma_ss, Sigma_rr) so records are
-    reproducible from their streams alone. With sigma_x2 = 0 the raw
-    mean-identity covariances are kept, since no scaling can reach an SNR
-    target without signal power.
+    reproducible from their streams alone.
     """
     a_s = draw_channel_gain(rng_gains)
     a_r = draw_channel_gain(rng_gains)
@@ -248,11 +255,10 @@ def scaled_channel(
     cfg: ScenarioConfig, a_s: complex, a_r: complex, sigma_ss: np.ndarray, sigma_rr: np.ndarray
 ) -> ChannelRealization:
     """The channel of drawn gains and raw covariances, rescaled to the SNR
-    targets unless sigma_x2 = 0."""
-    if cfg.sigma_x2 > 0:
-        sigma_ss = scale_noise_to_snr(sigma_ss, a_s, cfg.sigma_x2, cfg.snr_s_db)
-        sigma_rr = scale_noise_to_snr(sigma_rr, a_r, cfg.sigma_x2, cfg.snr_r_db)
-    return ChannelRealization(a_s, a_r, sigma_ss, sigma_rr, cfg.sigma_x2)
+    targets at unit signal power."""
+    sigma_ss = scale_noise_to_snr(sigma_ss, a_s, 1.0, cfg.snr_s_db)
+    sigma_rr = scale_noise_to_snr(sigma_rr, a_r, 1.0, cfg.snr_r_db)
+    return ChannelRealization(a_s, a_r, sigma_ss, sigma_rr)
 
 
 def synth_snapshots(
@@ -283,13 +289,13 @@ def assemble_snapshots(
     z_noise: np.ndarray,
 ) -> SnapshotData:
     """Snapshots from the CN(0, 1) waveform x (N) and white noise z_noise
-    (2, L, N): the waveform is scaled by sqrt(sigma_x2) and the noise
+    (2, L, N): the waveform is scaled by sqrt(chan.sigma_x2) and the noise
     coloured by the Cholesky factors of the channel's covariances."""
     if hypothesis not in HYPOTHESES:
         raise ValueError(f"hypothesis must be one of {HYPOTHESES}, got {hypothesis!r}")
     if steering.num_sensors != cfg.L:
         raise ValueError(f"steering length {steering.num_sensors} != L = {cfg.L}")
-    x = math.sqrt(cfg.sigma_x2) * x
+    x = math.sqrt(chan.sigma_x2) * x
     n_s = np.linalg.cholesky(chan.sigma_ss) @ z_noise[0]
     n_r = np.linalg.cholesky(chan.sigma_rr) @ z_noise[1]
     y_r = chan.a_r * np.outer(steering.u_r, x) + n_r
@@ -297,7 +303,7 @@ def assemble_snapshots(
         y_s = chan.a_s * np.outer(steering.u_s, x) + n_s
     else:
         y_s = n_s
-    return SnapshotData(y_s, y_r, hypothesis)
+    return SnapshotData(y_s, y_r)
 
 
 def draw_trial(
@@ -352,7 +358,7 @@ def synth_batch(
     Returns (u_s, u_r, y_s, y_r) of shapes (T, L), (T, L), (T, L, N) and
     (T, L, N). Each trial draws a steering pair, CN(0, 1) gains a_s, a_r,
     and noise covariances G G^H / dof (complex Wishart, identity scale)
-    rescaled to the SNR targets unless sigma_x2 = 0, then N snapshots. Its W
+    rescaled to the SNR targets, then N snapshots. Its W
     words (see snapshot_width) sit at counter i W / 4 of the Philox stream
     keyed by (seed, hypothesis code), so a trial gets the same numbers in any
     block; draw_trial is its per-trial oracle. A noise covariance that is not
@@ -380,13 +386,11 @@ def synth_batch(
     else:
         steering = ula_steering(dim, -np.pi / 2 + np.pi * u[:, :2])
     g = g.reshape(count, 2, dim, dof)
-    x = math.sqrt(cfg.sigma_x2) * x
     z_noise = z_noise.reshape(count, 2, dim, snaps)
     sigma = hermitize(g @ adjoint(g) / dof)
-    if cfg.sigma_x2 > 0:
-        snrs = np.array([cfg.snr_s_db, cfg.snr_r_db])
-        trace = np.trace(sigma, axis1=-2, axis2=-1).real
-        sigma *= _snr_factor(trace, gains, cfg.sigma_x2, snrs)[:, :, None, None]
+    snrs = np.array([cfg.snr_s_db, cfg.snr_r_db])
+    trace = np.trace(sigma, axis1=-2, axis2=-1).real
+    sigma *= _snr_factor(trace, gains, snrs)[:, :, None, None]
     noise = cholesky_pd(sigma, name="noise covariance") @ z_noise
     signal = gains[:, :, None, None] * (steering[:, :, :, None] * x[:, None, None, :])
     y_r = signal[:, 1] + noise[:, 1]
@@ -436,8 +440,8 @@ def draw_cov_trial(
     angles are the first two uniforms, mapped onto (-pi/2, pi/2].
 
     The noise factors are B_i = sqrt(c_i / dof) A_i, with c_i the SNR factor
-    of Sigma_i = A_i A_i^H / dof (1 when sigma_x2 = 0). With
-    F = [h, blockdiag(B_s, B_r)], h = sqrt(sigma_x2) [a_s u_s; a_r u_r] and
+    of Sigma_i = A_i A_i^H / dof. With
+    F = [h, blockdiag(B_s, B_r)], h = [a_s u_s; a_r u_r] and
     a_s u_s zeroed under H0, the sample covariance is (F A)(F A)^H / N.
     """
     L, N, dof = cfg.L, cfg.N, cfg.dof
@@ -467,13 +471,11 @@ def draw_cov_trial(
         ((z_s, gains[0], cfg.snr_s_db, steering.u_s), (z_r, gains[1], cfg.snr_r_db, steering.u_r))
     ):
         a_k = bartlett_factor(z_k, gamma[k * L : (k + 1) * L])
-        scale = 1.0 / dof
-        if cfg.sigma_x2 > 0:
-            trace = np.sum(a_k.real**2 + a_k.imag**2) / dof
-            scale = scale * _snr_factor(trace, gain, cfg.sigma_x2, snr_db)
+        trace = np.sum(a_k.real**2 + a_k.imag**2) / dof
+        scale = 1.0 / dof * _snr_factor(trace, gain, snr_db)
         f[k * L : (k + 1) * L, 1 + k * L : 1 + (k + 1) * L] = a_k * np.sqrt(scale)
         if k == 1 or hypothesis == "H1":
-            f[k * L : (k + 1) * L, 0] = math.sqrt(cfg.sigma_x2) * gain * u_k
+            f[k * L : (k + 1) * L, 0] = gain * u_k
     a = bartlett_factor(z_joint, gamma[2 * L :])
     fa = f[:, 1:] @ a[1:]
     fa[:, 0] += f[:, 0] * a[0, 0]

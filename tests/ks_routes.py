@@ -5,12 +5,12 @@ Run from the repository root (pytest does not collect it):
     PYTHONPATH=src python tests/ks_routes.py [--trials 10000] [--auc-trials 40000]
 
 For each scenario below (the README's examples and the benchmark's
-workloads, plus N = 2L with ULA steering and a signal-free one), every
-statistic of `--trials` trials per hypothesis drawn by the harness
-(model.draw_sample_cov) is compared with the same number scored from
-snapshots (_reference.synth_batch) by a two-sample KS test. The two routes
-read different seeds, so their samples are independent. The gate passes when
-no p-value falls below 0.01 divided by the number of tests (Bonferroni).
+workloads, plus N = 2L with ULA steering), every statistic of `--trials`
+trials per hypothesis drawn by the harness (model.draw_sample_cov) is
+compared with the same number scored from snapshots (_reference.synth_batch)
+by a two-sample KS test. The two routes read different seeds, so their
+samples are independent. The gate passes when no p-value falls below 0.01
+divided by the number of tests (Bonferroni).
 
 Then both routes score `--auc-trials` trials per hypothesis at the README ROC
 scenario with one seed, and the per-detector AUCs are printed side by side.
@@ -40,7 +40,6 @@ SCENARIOS = {
     "sweep-l4": dict(L=4, N=32, snr_s_db=-12.0, snr_r_db=0.0),
     "sweep-l8": dict(L=8, N=32, snr_s_db=-12.0, snr_r_db=0.0),
     "n2l-ula-10db": dict(L=4, N=8, snr_s_db=10.0, snr_r_db=10.0),
-    "no-signal": dict(L=4, N=15, snr_s_db=0.0, snr_r_db=0.0, sigma_x2=0.0),
 }
 ULA = {"n2l-ula-10db"}
 LEVEL = 0.01

@@ -43,7 +43,7 @@ def write_null_case_files(tmp_path, L=2, N=8, seed=60):
     y_s[:, :half] = rng.standard_normal((L, half)) + 1j * rng.standard_normal((L, half))
     y_r[:, half:] = rng.standard_normal((L, half)) + 1j * rng.standard_normal((L, half))
     data_path = tmp_path / "data.csv"
-    sg.write_snapshot_csv(data_path, sg.SnapshotData(y_s, y_r, "unknown"))
+    sg.write_snapshot_csv(data_path, sg.SnapshotData(y_s, y_r))
     steer_path = tmp_path / "steer.csv"
     sg.write_steering_csv(steer_path, sg.SteeringPair(rand_unit(rng, L), rand_unit(rng, L)))
     return data_path, steer_path
@@ -143,13 +143,15 @@ class TestValidateConfig:
         err = capsys.readouterr().err
         assert str(cfg) in err and "utf-8" in err
 
-    @pytest.mark.parametrize("field, value", [
-        ("optimizer", {"n_restarts": 1}),
-        ("pfa_grid", [0.1]),
-        ("max_failure_rate", 0.5),
-        ("n_restarts", 0),
-    ])
-    def test_removed_fields_rejected(self, tmp_path, capsys, monkeypatch, field, value):
+    @pytest.mark.parametrize("field, value, needle", [
+        ("optimizer", {"n_restarts": 1}, "config: unknown fields ['optimizer']"),
+        ("pfa_grid", [0.1], "config: unknown fields ['pfa_grid']"),
+        ("max_failure_rate", 0.5, "config: unknown fields ['max_failure_rate']"),
+        ("n_restarts", 0, "config: unknown fields ['n_restarts']"),
+        ("scenario", {"L": 2, "N": 8, "snr_s_db": 0.0, "snr_r_db": 10.0, "seed": 7, "sigma_x2": 1.0},
+         "config.scenario: unknown fields ['sigma_x2']"),
+    ], ids=["optimizer", "pfa_grid", "max_failure_rate", "n_restarts", "sigma_x2"])
+    def test_removed_fields_rejected(self, tmp_path, capsys, monkeypatch, field, value, needle):
         # rejected with the config, before any trial runs
         def no_trials(*args, **kwargs):
             raise AssertionError("a trial ran")
@@ -163,7 +165,7 @@ class TestValidateConfig:
             if command != "validate-config":
                 argv += ["--out", str(tmp_path / command), "--threads", "1"]
             assert main(argv) == 2
-            assert f"unknown fields ['{field}']" in capsys.readouterr().err
+            assert needle in capsys.readouterr().err
 
     def test_duplicate_detectors_rejected(self, tmp_path, capsys):
         # a repeated name would score and write every row once per repeat
@@ -183,7 +185,6 @@ class TestValidateConfig:
     @pytest.mark.parametrize("field, path", [
         ("snr_s_db", "config.scenario: snr_s_db"),
         ("snr_r_db", "config.scenario: snr_r_db"),
-        ("sigma_x2", "config.scenario: sigma_x2"),
         ("values", "config.sweep: sweep values"),
         ("snr_r_db_offset", "config.sweep: snr_r_db_offset"),
     ])
@@ -598,7 +599,7 @@ class TestDetect:
         data, steer = write_null_case_files(tmp_path, L=2, N=8, seed=68)
         loaded = sg.read_snapshots(data)
         zeroed = tmp_path / "zero_s.csv"
-        zero_s = sg.SnapshotData(np.zeros_like(loaded.y_s), loaded.y_r, "unknown")
+        zero_s = sg.SnapshotData(np.zeros_like(loaded.y_s), loaded.y_r)
         sg.write_snapshot_csv(zeroed, zero_s)
         assert main(["detect", "--data", str(zeroed), "--steering", str(steer)]) == 2
         assert "s_ss" in capsys.readouterr().err
@@ -636,7 +637,7 @@ class TestDetect:
             y_r[:] = 0.0
         elif case == "coherent":
             y_s = 3.0 * y_r
-        data = sg.SnapshotData(y_s, y_r, "unknown")
+        data = sg.SnapshotData(y_s, y_r)
         if "bin" in case:
             path = tmp_path / "bad.bin"
             sg.write_snapshot_bin(path, data)

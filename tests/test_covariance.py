@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import subspace_glr as sg
-from subspace_glr._linalg import cholesky_pd, householder
+from subspace_glr.covariance import cholesky_pd, householder
 from _reference import alpha_sr, cross_capon_beta, eta_rr, eta_sr, unitary_completion
 from _utils import make_instance, rand_pd, rand_unit
 

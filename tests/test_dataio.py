@@ -21,7 +21,6 @@ class TestSnapshotCsv:
         # repr() serialization keeps every bit of the doubles
         assert np.array_equal(back.y_s, data.y_s)
         assert np.array_equal(back.y_r, data.y_r)
-        assert back.hypothesis == "unknown"
 
     def test_row_order_is_immaterial(self, data, tmp_path):
         path = tmp_path / "snap.csv"

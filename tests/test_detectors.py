@@ -5,7 +5,7 @@ from scipy.stats import ks_2samp
 
 import subspace_glr as sg
 from subspace_glr import detectors, optimizer
-from subspace_glr._linalg import adjoint, hermitize
+from subspace_glr.covariance import adjoint, hermitize
 from subspace_glr.detectors import _ZERO_CHANNEL, COHERENCE_FLOOR
 from _reference import (
     distortionless_pair,
