@@ -533,7 +533,7 @@ class TestExperimentConfig:
         # seed would draw as its floor, a float size fail inside numpy
         scenario = dict(L=2, N=8, snr_s_db=0.0, snr_r_db=10.0, seed=1)
         run = dict(trials_h0=4, trials_h1=4)
-        (scenario if field in scenario or field == "wishart_dof" else run)[field] = value
+        (run if field.startswith("trials") else scenario)[field] = value
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
             sg.ExperimentConfig(scenario=sg.ScenarioConfig(**scenario), **run)
 
