@@ -7,6 +7,7 @@ from _reference import (
     ChannelRealization,
     _cn_matrix,
     _uniforms,
+    assemble_snapshots,
     draw_channel,
     draw_channel_gain,
     draw_cov_trial,
@@ -200,6 +201,50 @@ class TestSynthSnapshots:
         chan = _chan_with(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
         with pytest.raises(ValueError, match="hypothesis"):
             synth_snapshots(cfg, steer, chan, "H2", substream(4, 1))
+
+
+class TestSignalPower:
+    @pytest.mark.parametrize("power", [0.01, 0.7, 3.7])
+    @pytest.mark.parametrize("hypothesis", sg.model.HYPOTHESES)
+    def test_positive_power_only_rescales_the_draw(self, hypothesis, power):
+        # why the package's waveform has unit power: with the noise rescaled
+        # to the SNR targets, a signal power p scales every snapshot by
+        # sqrt(p), so the scale-invariant statistics do not move and t_cc,
+        # the raw |S_sr|_F^2, scales by p^2
+        cfg = sg.ScenarioConfig(L=3, N=12, snr_s_db=-5.0, snr_r_db=15.0)
+        steer = draw_steering("random-unit", cfg.L, substream(5, 0))
+        rng = substream(5, 1)
+        a_s, a_r = draw_channel_gain(rng), draw_channel_gain(rng)
+        sigma_ss, sigma_rr = (draw_noise_cov(rng, cfg.L, cfg.dof) for _ in range(2))
+        x = _cn_matrix(rng, cfg.N)
+        z_noise = np.stack([_cn_matrix(rng, cfg.L, cfg.N), _cn_matrix(rng, cfg.L, cfg.N)])
+
+        def draw(p):
+            chan = ChannelRealization(
+                a_s, a_r,
+                scale_noise_to_snr(sigma_ss, a_s, p, cfg.snr_s_db),
+                scale_noise_to_snr(sigma_rr, a_r, p, cfg.snr_r_db),
+                p,
+            )
+            data = assemble_snapshots(cfg, steer, chan, hypothesis, x, z_noise)
+            s = sg.block_sample_cov(data.y_s, data.y_r)
+            stats = {
+                "glr": sg.glr_exact(s, steer.u_s, steer.u_r)[0],
+                "glr_sample": sg.glr_sample(s, steer.u_s, steer.u_r),
+                "glr_low": sg.glr_low(s, steer.u_s, steer.u_r),
+                "sigma_max": sg.sigma_max_coherence(s),
+                "t_svd": sg.svd_corr_stat(s),
+            }
+            return data, stats, sg.cross_corr_stat(s)
+
+        unit, unit_stats, unit_cc = draw(1.0)
+        got, got_stats, got_cc = draw(power)
+        for name in ("y_s", "y_r"):
+            ref = np.sqrt(power) * getattr(unit, name)
+            assert np.linalg.norm(getattr(got, name) - ref) <= 1e-12 * np.linalg.norm(ref)
+        for name, value in unit_stats.items():
+            assert abs(got_stats[name] - value) <= 1e-9 * abs(value), name
+        assert abs(got_cc - power**2 * unit_cc) <= 1e-9 * power**2 * unit_cc
 
 
 class TestPopulationCov:
