@@ -48,7 +48,6 @@ from .model import (
     SnapshotData,
     SteeringPair,
     draw_sample_cov,
-    ula_steering,
 )
 from .montecarlo import (
     ExperimentConfig,

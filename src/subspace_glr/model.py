@@ -11,7 +11,9 @@ u_s, u_r are known unit-norm steering vectors, a_s, a_r unknown complex
 gains, and n_s, n_r zero-mean circular Gaussian with unknown covariances
 Sigma_ss, Sigma_rr (independent across channels and snapshots). The
 reference channel carries the signal under both hypotheses; the test is
-whether the surveillance channel carries it too.
+whether the surveillance channel carries it too. No statistic, and not the
+law of the drawn noise, changes when one unitary rotates a channel's data
+and steering vector, so random unit steering pairs stand for every pair.
 
 Every statistic is a function of the sample covariance S, and under this
 model N S is complex Wishart, so the Monte Carlo harness draws S directly
@@ -29,6 +31,7 @@ synth_batch there.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -38,21 +41,6 @@ import numpy.random  # numpy 2 loads it on first use; load it with the package
 from .covariance import BlockSampleCov, block_sample_cov
 
 HYPOTHESES = ("H0", "H1")
-
-STEERING_MODES = ("random-unit", "ula-random-doa")
-
-
-def ula_steering(num_sensors: int, theta) -> np.ndarray:
-    """Unit-norm steering vector of a half-wavelength ULA at angle theta.
-
-    Element l (zero-based) is exp(j*pi*l*sin(theta)) / sqrt(L). An array of
-    angles gives one vector per angle, stacked along a new last axis.
-    """
-    if num_sensors < 1:
-        raise ValueError(f"num_sensors must be >= 1, got {num_sensors}")
-    l_idx = np.arange(num_sensors)
-    phase = np.pi * l_idx * np.sin(np.asarray(theta, dtype=float))[..., None]
-    return np.exp(1j * phase) / math.sqrt(num_sensors)
 
 
 def _snr_factor(trace, gain, snr_db) -> np.ndarray:
@@ -73,16 +61,36 @@ def _snr_factor(trace, gain, snr_db) -> np.ndarray:
 
 
 def _check_integers(cfg, *names: str) -> None:
-    """Reject a config whose named fields are not integers (Python or
-    numpy; None passes), naming the field, and store each as a Python int."""
+    """Reject a config whose named fields are not integers (Python or numpy,
+    not bool; None passes), naming the field, and store each as an int."""
     for name in names:
         value = getattr(cfg, name)
         if value is None:
             continue
         try:
-            setattr(cfg, name, operator.index(value))
+            setattr(cfg, name, operator.index(value if not isinstance(value, bool) else None))
         except TypeError:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _real(name: str, value) -> float:
+    """value as a Python float if it is a real number (Python or numpy, not
+    bool), else a ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer too large for a float") from None
+
+
+def _check_reals(cfg, *names: str) -> None:
+    """Reject a config whose named fields are not finite real numbers,
+    naming the field, and store each as a Python float."""
+    for name in names:
+        setattr(cfg, name, _real(name, getattr(cfg, name)))
+        if not math.isfinite(getattr(cfg, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(cfg, name)}")
 
 
 @dataclass
@@ -137,13 +145,11 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         _check_integers(self, "L", "N", "wishart_dof", "seed")
+        _check_reals(self, "snr_s_db", "snr_r_db")
         if self.L < 1:
             raise ValueError(f"L must be >= 1, got {self.L}")
         if self.N < 2 * self.L:
             raise ValueError(f"N must be >= 2*L for invertible sample blocks, got N={self.N}, L={self.L}")
-        for name in ("snr_s_db", "snr_r_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.wishart_dof is not None and self.wishart_dof < self.L:
             raise ValueError(f"wishart_dof must be >= L, got {self.wishart_dof} < {self.L}")
         if not 0 <= self.seed < 2**64:
@@ -190,14 +196,13 @@ def _layout(cfg: ScenarioConfig) -> tuple[int, np.ndarray]:
 
 def trial_width(cfg: ScenarioConfig) -> int:
     """W, the raw 64-bit Philox words one trial reads. First come the word
-    pairs of its complex normals: steering (2L; the ULA angles are its first
-    two words), gains (2), the strict lower triangles of the two noise
-    factors (L (L - 1) / 2 each) and of the joint factor (L (2L + 1)). Then
-    one word per Exp(1) term of the Gamma variates on the factors'
-    diagonals: shapes dof - k (k < L) for each noise factor and N - k
-    (k <= 2L) for the joint one (see draw_sample_cov). W is rounded up to a
-    multiple of 4, Philox's words per counter step, so trial i starts at
-    counter i W / 4."""
+    pairs of its complex normals: steering (2L), gains (2), the strict lower
+    triangles of the two noise factors (L (L - 1) / 2 each) and of the joint
+    factor (L (2L + 1)). Then one word per Exp(1) term of the Gamma variates
+    on the factors' diagonals: shapes dof - k (k < L) for each noise factor
+    and N - k (k <= 2L) for the joint one (see draw_sample_cov). W is rounded
+    up to a multiple of 4, Philox's words per counter step, so trial i
+    starts at counter i W / 4."""
     normals, shapes = _layout(cfg)
     used = 2 * normals + int(shapes.sum())
     return -(-used // 4) * 4
@@ -243,17 +248,17 @@ def _bartlett(z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 
 
 def draw_sample_cov(
-    cfg: ScenarioConfig, steering_mode: str, trials: list[tuple[str, int]]
+    cfg: ScenarioConfig, trials: list[tuple[str, int]]
 ) -> tuple[np.ndarray, np.ndarray, BlockSampleCov]:
     """Draw the sample covariances of a stack of trials, given as
     (hypothesis, trial index) pairs, without their snapshots.
 
     Returns (u_s, u_r, s): steering vectors of shape (T, L) and a
     BlockSampleCov of (T, L, L) blocks averaged over N snapshots. Each trial
-    draws a steering pair, CN(0, 1) gains a_s, a_r and noise covariances
-    Sigma_i = B_i B_i^H, with B_i the Bartlett factor of a complex Wishart
-    CW_L(dof, I) / dof, rescaled to the SNR targets. A snapshot is
-    y = F w with w ~ CN(0, I) of size 2L + 1, where
+    draws a uniformly random unit steering pair, CN(0, 1) gains a_s, a_r
+    and noise covariances Sigma_i = B_i B_i^H, with B_i the Bartlett factor
+    of a complex Wishart CW_L(dof, I) / dof, rescaled to the SNR targets. A
+    snapshot is y = F w with w ~ CN(0, I) of size 2L + 1, where
     F = [h, blockdiag(B_s, B_r)] and h = [a_s u_s; a_r u_r],
     with a_s u_s zeroed under H0. So N S = F V F^H with V ~ CW_{2L+1}(N, I),
     and S is drawn as (F A)(F A)^H / N from the Bartlett factor A of V. At
@@ -268,8 +273,6 @@ def draw_sample_cov(
     Everything after the read runs on the stack. Nothing is factorized, so
     no drawn trial can fail for want of a positive definite matrix.
     """
-    if steering_mode not in STEERING_MODES:
-        raise ValueError(f"unknown steering mode {steering_mode!r}; expected one of {STEERING_MODES}")
     hypothesis, index = (np.asarray(col) for col in zip(*trials))
     h1 = hypothesis == "H1"
     known = h1 | (hypothesis == "H0")
@@ -292,11 +295,8 @@ def draw_sample_cov(
         _complex_normals(u[:, : 2 * normals]), np.cumsum([2 * dim, 2, dim * (dim - 1)]), axis=1
     )
     gamma = _gammas(u[:, 2 * normals : 2 * normals + shapes.sum()], shapes)
-    if steering_mode == "random-unit":
-        v = z_steer.reshape(count, 2, dim)
-        steering = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    else:
-        steering = ula_steering(dim, -np.pi / 2 + np.pi * u[:, :2])
+    v = z_steer.reshape(count, 2, dim)
+    steering = v / np.linalg.norm(v, axis=-1, keepdims=True)
     del u
     b = _bartlett(z_noise.reshape(count, 2, -1), gamma[:, : 2 * dim].reshape(count, 2, dim))
     scale = np.full((count, 2), 1.0 / dof)  # Sigma_i = scale_i A_i A_i^H

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detectors import DETECTOR_NAMES, BlockScores, score_batch
-from .model import HYPOTHESES, STEERING_MODES, ScenarioConfig, _check_integers, draw_sample_cov
+from .model import HYPOTHESES, ScenarioConfig, _check_integers, _check_reals, _real, draw_sample_cov
 from .optimizer import STOP_REASONS
 
 log = logging.getLogger(__name__)
@@ -62,15 +62,17 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.axis not in SWEEP_AXES:
             raise ValueError(f"sweep axis must be one of {SWEEP_AXES}, got {self.axis!r}")
-        self.values = tuple(float(v) for v in self.values)
+        if isinstance(self.values, str):
+            raise ValueError(f"sweep values must be a list, got {self.values!r}")
+        self.values = tuple(_real("sweep value", v) for v in self.values)
         if not self.values:
             raise ValueError("sweep needs at least one value")
         if not all(map(math.isfinite, self.values)):
             raise ValueError(f"sweep values must be finite, got {list(self.values)}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("sweep values must be strictly increasing")
-        if self.snr_r_db_offset is not None and not math.isfinite(self.snr_r_db_offset):
-            raise ValueError(f"snr_r_db_offset must be finite, got {self.snr_r_db_offset}")
+        if self.snr_r_db_offset is not None:
+            _check_reals(self, "snr_r_db_offset")
         if self.snr_r_db_offset is not None and self.axis != "snr_s_db":
             raise ValueError("snr_r_db_offset only applies to the snr_s_db axis")
 
@@ -84,22 +86,20 @@ class ExperimentConfig:
     trials_h0: int
     trials_h1: int = 0
     pfa: float = 1e-2
-    steering_mode: str = "random-unit"
     detectors: tuple[str, ...] = DETECTOR_NAMES
     sweep: SweepSpec | None = None
 
     def __post_init__(self) -> None:
         _check_integers(self, "trials_h0", "trials_h1")
+        self.pfa = _real("pfa", self.pfa)
         if self.trials_h0 < 1:
             raise ValueError("trials_h0 must be >= 1")
         if self.trials_h1 < 0:
             raise ValueError("trials_h1 must be >= 0")
         if not 0.0 < self.pfa < 1.0:
             raise ValueError(f"pfa must lie in (0, 1), got {self.pfa}")
-        if self.steering_mode not in STEERING_MODES:
-            raise ValueError(
-                f"steering_mode must be one of {STEERING_MODES}, got {self.steering_mode!r}"
-            )
+        if isinstance(self.detectors, str):
+            raise ValueError(f"detectors must be a list of names, got {self.detectors!r}")
         self.detectors = tuple(self.detectors)
         if len(set(self.detectors)) < len(self.detectors):
             raise ValueError(
@@ -129,7 +129,7 @@ def _score_or_bisect(cfg: ExperimentConfig, block: list[tuple[str, int]]) -> Blo
     block is not positive definite), score its two halves the same way, so
     only the failing trials carry the error, each the one it raises alone."""
     try:
-        u_s, u_r, s = draw_sample_cov(cfg.scenario, cfg.steering_mode, block)
+        u_s, u_r, s = draw_sample_cov(cfg.scenario, block)
         return score_batch(s, u_s, u_r, cfg.detectors)
     except Exception as exc:
         if len(block) == 1:

@@ -43,7 +43,7 @@ any size (np.linalg.cholesky would raise for the whole stack); a failed row
 carries NaN, which no other row sees. A row whose B is positive definite
 and whose Newton step fits the radius keeps it. Most row-passes do (92-100%
 on the benchmark configs, about half on ill-conditioned ones such as N = 2L
-or a 40 dB ULA), so only the rest pay for an eigendecomposition: one
+or 40 dB), so only the rest pay for an eigendecomposition: one
 batched -H = Q diag(lam) Q^T per pass for those rows, the general solver,
 which also takes the interior step of a row that roundoff puts on the other
 side of the test. Otherwise the

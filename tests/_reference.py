@@ -17,6 +17,10 @@ tests hold that pipeline against:
 - the substream-driven per-trial synthesis (draw_steering -> draw_channel
   -> synth_snapshots) that builds the tests' single instances, and the
   population covariance;
+- ula_steering and STEERING_MODES: the snapshot route and the per-trial
+  synthesis take a steering mode, random unit pairs or ULA pairs at random
+  angles, while the package draws random unit pairs only (no statistic's
+  law depends on the steering);
 - the per-covariance scalars of the derivation, eta_sr, eta_rr and alpha_sr,
   which take an optional R_rr so that the cross-gain estimate can be
   evaluated at any reference covariance (R_rr = None fixes R_rr = S_rr),
@@ -73,17 +77,30 @@ from subspace_glr.covariance import (
 from subspace_glr.detectors import COHERENCE_FLOOR, BlockScores, DegenerateSampleError, score_batch
 from subspace_glr.model import (
     HYPOTHESES,
-    STEERING_MODES,
     ScenarioConfig,
     SnapshotData,
     SteeringPair,
     _complex_normals,
     _snr_factor,
-    ula_steering,
 )
 from subspace_glr.montecarlo import BLOCK_TRIALS, ExperimentConfig
 from subspace_glr import optimizer
 from subspace_glr.optimizer import OptimResult, _chart_forms, ascend, cost_j, maximize_j
+
+STEERING_MODES = ("random-unit", "ula-random-doa")
+
+
+def ula_steering(num_sensors: int, theta) -> np.ndarray:
+    """Unit-norm steering vector of a half-wavelength ULA at angle theta.
+
+    Element l (zero-based) is exp(j*pi*l*sin(theta)) / sqrt(L). An array of
+    angles gives one vector per angle, stacked along a new last axis.
+    """
+    if num_sensors < 1:
+        raise ValueError(f"num_sensors must be >= 1, got {num_sensors}")
+    l_idx = np.arange(num_sensors)
+    phase = np.pi * l_idx * np.sin(np.asarray(theta, dtype=float))[..., None]
+    return np.exp(1j * phase) / math.sqrt(num_sensors)
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
@@ -398,14 +415,15 @@ def synth_batch(
     return steering[:, 0], steering[:, 1], y_s, y_r
 
 
-def snapshot_route_scores(cfg: ExperimentConfig) -> BlockScores:
+def snapshot_route_scores(cfg: ExperimentConfig, mode: str = "random-unit") -> BlockScores:
     """The scores of a run of cfg (rows all H0 by index, then all H1 by
     index) with every trial's sample covariance formed from synth_batch's
-    snapshots, in blocks of BLOCK_TRIALS like the harness's."""
+    snapshots under steering mode `mode`, in blocks of BLOCK_TRIALS like the
+    harness's."""
     items = [("H0", i) for i in range(cfg.trials_h0)] + [("H1", i) for i in range(cfg.trials_h1)]
     blocks = []
     for start in range(0, len(items), BLOCK_TRIALS):
-        u_s, u_r, y_s, y_r = synth_batch(cfg.scenario, cfg.steering_mode, items[start : start + BLOCK_TRIALS])
+        u_s, u_r, y_s, y_r = synth_batch(cfg.scenario, mode, items[start : start + BLOCK_TRIALS])
         blocks.append(score_batch(block_sample_cov(y_s, y_r), u_s, u_r, cfg.detectors))
     return BlockScores.concat(blocks)
 
@@ -421,7 +439,7 @@ def bartlett_factor(z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 
 
 def draw_cov_trial(
-    cfg: ScenarioConfig, mode: str, hypothesis: str, index: int
+    cfg: ScenarioConfig, hypothesis: str, index: int
 ) -> tuple[SteeringPair, np.ndarray, BlockSampleCov]:
     """Trial `index` of `hypothesis`, read on its own: the oracle
     model.draw_sample_cov matches bit for bit. Returns the steering pair,
@@ -436,8 +454,9 @@ def draw_cov_trial(
     (L (L - 1) / 2 each) and of the joint factor A (L (2L + 1)). The next
     words are Exp(1) terms -log u, summed in runs into the Gamma variates
     on the diagonals (as squares): dof - k for row k of A_s, then of A_r,
-    and N - k for row k of A; W is rounded up to a multiple of 4. The ULA
-    angles are the first two uniforms, mapped onto (-pi/2, pi/2].
+    and N - k for row k of A; W is rounded up to a multiple of 4. The
+    steering vectors are the first 2L normals, one row of L per channel,
+    each divided by its norm.
 
     The noise factors are B_i = sqrt(c_i / dof) A_i, with c_i the SNR factor
     of Sigma_i = A_i A_i^H / dof. With
@@ -459,13 +478,8 @@ def draw_cov_trial(
         [-np.add.reduceat(logs[e - k : e], [0])[0] if k else 0.0 for k, e in zip(shapes, ends)]
     )
     z_steer, gains, z_s, z_r, z_joint = np.split(z, np.cumsum([2 * L, 2, L * (L - 1) // 2, L * (L - 1) // 2]))
-    if mode == "random-unit":
-        v = z_steer.reshape(2, L)
-        steering = SteeringPair(*(v / np.linalg.norm(v, axis=-1, keepdims=True)))
-    elif mode == "ula-random-doa":
-        steering = SteeringPair(*(ula_steering(L, theta) for theta in -np.pi / 2 + np.pi * u[:2]))
-    else:
-        raise ValueError(f"unknown steering mode {mode!r}; expected one of {STEERING_MODES}")
+    v = z_steer.reshape(2, L)
+    steering = SteeringPair(*(v / np.linalg.norm(v, axis=-1, keepdims=True)))
     f = np.zeros((2 * L, p), dtype=complex)
     for k, (z_k, gain, snr_db, u_k) in enumerate(
         ((z_s, gains[0], cfg.snr_s_db, steering.u_s), (z_r, gains[1], cfg.snr_r_db, steering.u_r))

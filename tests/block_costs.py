@@ -85,7 +85,6 @@ CALLS = {
                                   "trials_h0": 250, "trials_h1": 250, "detectors": list(PROPOSED),
                                   "sweep": {"axis": "l", "values": [2, 4, 8]}}),
 }
-MODE = "random-unit"
 CALL_STAGES = ("parser", "parse_args", "load_config", "draw", "score")
 
 
@@ -121,7 +120,7 @@ def draw_and_score(name: str, size: int):
     scenario, block = sg.ScenarioConfig(**params, seed=1), trials(h1, size)
 
     def run():
-        us, ur, cov = draw_sample_cov(scenario, MODE, block)
+        us, ur, cov = draw_sample_cov(scenario, block)
         sg.score_batch(cov, us, ur, detectors)
 
     return run
@@ -147,13 +146,13 @@ def block_row(name: str, size: int, reps: int) -> dict:
     scenario = sg.ScenarioConfig(**params, seed=1)
     block = trials(h1, size)
     draw_and_score(name, size)()  # warm up every stage once
-    u_s, u_r, s = draw_sample_cov(scenario, MODE, block)
+    u_s, u_r, s = draw_sample_cov(scenario, block)
     c, pair = coherence_matrix(s), capon_pair(s, u_s, u_r)
     forms = cost_forms(c, pair)
     chart = _chart_forms(forms)
     starts = np.broadcast_to(np.eye(1, params["L"], dtype=complex), (size, params["L"]))
     us = {
-        "draw": timed(lambda: draw_sample_cov(scenario, MODE, block), reps),
+        "draw": timed(lambda: draw_sample_cov(scenario, block), reps),
         "forms": timed(lambda: cost_forms(coherence_matrix(s), capon_pair(s, u_s, u_r)), reps),
         "chart": timed(lambda: _chart_forms(forms), reps),
         "screen": timed(lambda: _clear_of_floor(chart[0][1]), reps),
@@ -188,7 +187,7 @@ def cold_call(command: str, config: str) -> dict:
         cfg = apply_sweep_value(cfg, cfg.sweep.values[0])
     items = [("H0", i) for i in range(cfg.trials_h0)] + [("H1", i) for i in range(cfg.trials_h1)]
     block = _blocks(items, 1)[0]
-    u_s, u_r, s = stage("draw", lambda: draw_sample_cov(cfg.scenario, cfg.steering_mode, block))
+    u_s, u_r, s = stage("draw", lambda: draw_sample_cov(cfg.scenario, block))
     stage("score", lambda: sg.score_batch(s, u_s, u_r, cfg.detectors))
     return out
 

@@ -5,10 +5,11 @@ Run from the repository root (pytest does not collect it):
     PYTHONPATH=src python tests/ks_routes.py [--trials 10000] [--auc-trials 40000]
 
 For each scenario below (the README's examples and the benchmark's
-workloads, plus N = 2L with ULA steering), every statistic of `--trials`
-trials per hypothesis drawn by the harness (model.draw_sample_cov) is
-compared with the same number scored from snapshots (_reference.synth_batch)
-by a two-sample KS test. The two routes read different seeds, so their
+workloads, plus N = 2L with ULA steering on the snapshot route), every
+statistic of `--trials` trials per hypothesis drawn by the harness
+(model.draw_sample_cov, random unit steering pairs) is compared with the
+same number scored from snapshots (_reference.synth_batch) by a two-sample
+KS test. The two routes read different seeds, so their
 samples are independent. The gate passes when no p-value falls below 0.01
 divided by the number of tests (Bonferroni).
 
@@ -45,12 +46,12 @@ ULA = {"n2l-ula-10db"}
 LEVEL = 0.01
 
 
-def run(route: str, params: dict, mode: str, seed: int, trials: int) -> sg.BlockScores:
+def run(route: str, params: dict, seed: int, trials: int, mode: str = "random-unit") -> sg.BlockScores:
+    """Score trials on one route; mode is the snapshot route's steering."""
     cfg = sg.ExperimentConfig(
         scenario=sg.ScenarioConfig(**params, seed=seed), trials_h0=trials, trials_h1=trials,
-        steering_mode=mode,
     )
-    scores = snapshot_route_scores(cfg) if route == "snapshots" else sg.run_trials(cfg, threads=1)
+    scores = snapshot_route_scores(cfg, mode) if route == "snapshots" else sg.run_trials(cfg, threads=1)
     if scores.errors:
         raise RuntimeError(f"{route}: {len(scores.errors)} trials failed")
     return scores
@@ -72,8 +73,8 @@ def main(argv: list[str] | None = None) -> int:
     for k, (name, params) in enumerate(SCENARIOS.items()):
         mode = "ula-random-doa" if name in ULA else "random-unit"
         t0 = time.perf_counter()
-        old = run("snapshots", params, mode, 9000 + 2 * k, args.trials)
-        new = run("covariance", params, mode, 9001 + 2 * k, args.trials)
+        old = run("snapshots", params, 9000 + 2 * k, args.trials, mode)
+        new = run("covariance", params, 9001 + 2 * k, args.trials)
         for hyp, rows in (("H0", slice(0, args.trials)), ("H1", slice(args.trials, None))):
             for stat in sg.DETECTOR_NAMES:
                 res = scipy.stats.ks_2samp(old.stat(stat, rows), new.stat(stat, rows))
@@ -89,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
     h0, h1 = slice(0, n), slice(n, None)
     aucs = {}
     for route in ("snapshots", "covariance"):
-        scores = run(route, params, "random-unit", 7, n)
+        scores = run(route, params, 7, n)
         aucs[route] = {s: sg.roc_curve(scores.stat(s, h0), scores.stat(s, h1)).auc for s in sg.DETECTOR_NAMES}
     print(f"AUC at readme-roc, seed 7, {n} + {n} trials per route")
     print(f"{'statistic':10s} {'snapshots':>10s} {'covariance':>10s} {'change':>8s}")

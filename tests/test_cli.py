@@ -56,7 +56,6 @@ class TestValidateConfig:
         resolved = json.loads(capsys.readouterr().out)
         assert resolved["scenario"]["wishart_dof"] == 4  # 2L materialized
         assert resolved["pfa"] == 0.01
-        assert resolved["steering_mode"] == "random-unit"
         assert "optimizer" not in resolved
 
     def test_seed_override(self, tmp_path, capsys):
@@ -150,7 +149,8 @@ class TestValidateConfig:
         ("n_restarts", 0, "config: unknown fields ['n_restarts']"),
         ("scenario", {"L": 2, "N": 8, "snr_s_db": 0.0, "snr_r_db": 10.0, "seed": 7, "sigma_x2": 1.0},
          "config.scenario: unknown fields ['sigma_x2']"),
-    ], ids=["optimizer", "pfa_grid", "max_failure_rate", "n_restarts", "sigma_x2"])
+        ("steering_mode", "random-unit", "config: unknown fields ['steering_mode']"),
+    ], ids=["optimizer", "pfa_grid", "max_failure_rate", "n_restarts", "sigma_x2", "steering_mode"])
     def test_removed_fields_rejected(self, tmp_path, capsys, monkeypatch, field, value, needle):
         # rejected with the config, before any trial runs
         def no_trials(*args, **kwargs):
@@ -275,8 +275,8 @@ class TestRoc:
         monkeypatch.setattr(montecarlo, "MAX_FAILURE_RATE", 0.5)
         real = montecarlo.draw_sample_cov
 
-        def zero_h1_3_and_5(sc, mode, trials):
-            u_s, u_r, s = real(sc, mode, trials)
+        def zero_h1_3_and_5(sc, trials):
+            u_s, u_r, s = real(sc, trials)
             zero_surveillance(s, [k for k, item in enumerate(trials) if item in {("H1", 3), ("H1", 5)}])
             return u_s, u_r, s
 

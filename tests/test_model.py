@@ -4,6 +4,7 @@ import scipy.stats
 
 import subspace_glr as sg
 from _reference import (
+    STEERING_MODES,
     ChannelRealization,
     _cn_matrix,
     _uniforms,
@@ -20,30 +21,31 @@ from _reference import (
     substream,
     synth_batch,
     synth_snapshots,
+    ula_steering,
 )
 
 
 class TestUlaSteering:
     def test_broadside_all_ones(self):
-        u = sg.ula_steering(4, 0.0)
+        u = ula_steering(4, 0.0)
         assert np.allclose(u, 0.5 * np.ones(4), atol=1e-15)
 
     def test_single_element(self):
-        assert np.allclose(sg.ula_steering(1, 0.7), [1.0])
+        assert np.allclose(ula_steering(1, 0.7), [1.0])
 
     def test_quarter_wave_increments(self):
         # theta = pi/6 gives sin(theta) = 1/2, phase step pi/2 per element
-        u = sg.ula_steering(4, np.pi / 6)
+        u = ula_steering(4, np.pi / 6)
         expected = 0.5 * np.array([1, 1j, -1, -1j])
         assert np.allclose(u, expected, atol=1e-14)
 
     def test_unit_norm(self):
         for L in (1, 2, 5, 9):
-            assert np.linalg.norm(sg.ula_steering(L, 0.3)) == pytest.approx(1.0, abs=1e-13)
+            assert np.linalg.norm(ula_steering(L, 0.3)) == pytest.approx(1.0, abs=1e-13)
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
-            sg.ula_steering(0, 0.1)
+            ula_steering(0, 0.1)
 
 
 class TestChannelGain:
@@ -286,26 +288,24 @@ class TestSubstream:
 
 
 class TestSynthBatch:
-    @pytest.mark.parametrize("mode", sg.model.STEERING_MODES)
     @pytest.mark.parametrize("L", [1, 3])
-    def test_bit_identical_to_reference(self, mode, L):
+    def test_bit_identical_to_reference(self, L):
         # the stacked draw of the sample covariances reproduces, bit for bit,
         # the per-trial oracle that reads each trial's words from a Philox
         # set to its counter; N = 2L (a zero last Gamma) and N = 4L
         for N in (2 * L, 4 * L):
             cfg = sg.ScenarioConfig(L=L, N=N, snr_s_db=-5.0, snr_r_db=15.0, seed=31 + L)
             trials = [(hyp, i) for hyp in ("H0", "H1") for i in range(20)]
-            u_s, u_r, s = sg.draw_sample_cov(cfg, mode, trials)
+            u_s, u_r, s = sg.draw_sample_cov(cfg, trials)
             assert s.n == N
             for t, (hyp, i) in enumerate(trials):
-                steer, _, one = draw_cov_trial(cfg, mode, hyp, i)
+                steer, _, one = draw_cov_trial(cfg, hyp, i)
                 assert np.array_equal(u_s[t], steer.u_s)
                 assert np.array_equal(u_r[t], steer.u_r)
                 for name in ("s_ss", "s_sr", "s_rr"):
                     assert np.array_equal(getattr(s, name)[t], getattr(one, name))
 
-    @pytest.mark.parametrize("mode", sg.model.STEERING_MODES)
-    def test_block_equals_its_splits(self, mode):
+    def test_block_equals_its_splits(self):
         # a block of 256 (an H0 tail, then an H1 head) equals its 100 + 156
         # split, whose second part mixes the two, its 256 blocks of one and,
         # permuted, its trials in any order
@@ -313,7 +313,7 @@ class TestSynthBatch:
         trials = [("H0", i) for i in range(400, 528)] + [("H1", i) for i in range(128)]
 
         def arrays(part):
-            u_s, u_r, s = sg.draw_sample_cov(cfg, mode, part)
+            u_s, u_r, s = sg.draw_sample_cov(cfg, part)
             return u_s, u_r, s.s_ss, s.s_sr, s.s_rr
 
         block = arrays(trials)
@@ -329,9 +329,9 @@ class TestSynthBatch:
     def test_rejects_bad_trials(self):
         cfg = sg.ScenarioConfig(L=2, N=4, snr_s_db=0, snr_r_db=0)
         with pytest.raises(ValueError, match="hypothesis"):
-            sg.draw_sample_cov(cfg, "random-unit", [("H0", 0), ("H2", 1)])
+            sg.draw_sample_cov(cfg, [("H0", 0), ("H2", 1)])
         with pytest.raises(ValueError, match=">= 0"):
-            sg.draw_sample_cov(cfg, "random-unit", [("H1", -1)])
+            sg.draw_sample_cov(cfg, [("H1", -1)])
 
     def test_seeds_no_sequence(self, monkeypatch):
         # trials are addressed by Philox counter, so draw_sample_cov builds
@@ -349,7 +349,7 @@ class TestSynthBatch:
         for trials in (8, 64):
             built.clear()
             half = [(hyp, i) for hyp in ("H0", "H1") for i in range(trials // 2)]
-            sg.draw_sample_cov(cfg, "random-unit", half)
+            sg.draw_sample_cov(cfg, half)
             per_size[trials] = len(built)
         assert per_size == {8: 0, 64: 0}
 
@@ -394,14 +394,14 @@ class TestWordLayout:
         words = np.random.Philox(key=np.array([3, 1], dtype=np.uint64)).random_raw(8 * shapes.sum())
         gamma = sg.model._gammas(_uniforms(words).reshape(8, -1), shapes)
         assert np.all(gamma[:, -1] == 0.0) and np.all(gamma[:, :-1] > 0.0)
-        _, _, s = sg.draw_sample_cov(cfg, "random-unit", [("H1", i) for i in range(8)])
+        _, _, s = sg.draw_sample_cov(cfg, [("H1", i) for i in range(8)])
         assert np.all(np.linalg.eigvalsh(s.full())[:, 0] > 0.0)
 
     def test_long_gamma_sums_stay_finite(self):
         # L = 1, N = 4096: shapes up to 4096 terms, summed as logs, give
         # finite positive diagonals with the mean N
         cfg = sg.ScenarioConfig(L=1, N=4096, snr_s_db=0.0, snr_r_db=0.0, seed=9)
-        _, _, s = sg.draw_sample_cov(cfg, "random-unit", [("H0", i) for i in range(64)])
+        _, _, s = sg.draw_sample_cov(cfg, [("H0", i) for i in range(64)])
         diag = np.concatenate([s.s_ss[:, 0, 0], s.s_rr[:, 0, 0]])
         assert np.all(np.isfinite(diag)) and np.all(diag.real > 0)
         assert np.array_equal(diag.imag, np.zeros(diag.size))
@@ -437,7 +437,7 @@ class TestSnapshotRoute:
         # own per-trial oracle bit for bit
         cfg = sg.ScenarioConfig(L=3, N=12, snr_s_db=-5.0, snr_r_db=15.0, seed=34)
         trials = [(hyp, i) for hyp in ("H0", "H1") for i in range(10)]
-        for mode in sg.model.STEERING_MODES:
+        for mode in STEERING_MODES:
             u_s, u_r, y_s, y_r = synth_batch(cfg, mode, trials)
             for t, (hyp, i) in enumerate(trials):
                 steer, _, data = draw_trial(cfg, mode, hyp, i)
@@ -448,7 +448,9 @@ class TestSnapshotRoute:
 # The distribution gate: each statistic of 2000 trials per hypothesis drawn
 # by draw_sample_cov against 2000 scored from synth_batch's snapshots, at
 # other seeds so that the two samples are independent; two-sample KS, with a
-# Bonferroni-corrected level of 0.01 over every test of the gate.
+# Bonferroni-corrected level of 0.01 over every test of the gate. The mode is
+# the snapshot route's steering: against ULA snapshots the random unit pairs
+# of the draw must give the same laws.
 KS_SCENARIOS = {
     "n2l-ula-10db": (dict(L=4, N=8, snr_s_db=10.0, snr_r_db=10.0), "ula-random-doa"),
     "l8-n32": (dict(L=8, N=32, snr_s_db=-12.0, snr_r_db=0.0), "random-unit"),
@@ -464,9 +466,9 @@ def test_draw_matches_snapshot_route_in_distribution(scenario):
     for route, seed in (("snapshots", 1701), ("covariance", 2701)):
         cfg = sg.ExperimentConfig(
             scenario=sg.ScenarioConfig(**params, seed=seed), trials_h0=2000, trials_h1=2000,
-            steering_mode=mode, detectors=KS_STATS,
+            detectors=KS_STATS,
         )
-        runs[route] = snapshot_route_scores(cfg) if route == "snapshots" else sg.run_trials(cfg, threads=1)
+        runs[route] = snapshot_route_scores(cfg, mode) if route == "snapshots" else sg.run_trials(cfg, threads=1)
     for route, scores in runs.items():
         assert not scores.errors, route
     for hyp, rows in (("H0", slice(0, 2000)), ("H1", slice(2000, None))):

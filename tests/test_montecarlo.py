@@ -116,8 +116,8 @@ class TestRunTrials:
         monkeypatch.setattr(montecarlo, "MAX_FAILURE_RATE", 0.5)
         real = montecarlo.draw_sample_cov
 
-        def zero_h1_3(sc, mode, trials):
-            u_s, u_r, s = real(sc, mode, trials)
+        def zero_h1_3(sc, trials):
+            u_s, u_r, s = real(sc, trials)
             zero_surveillance(s, [k for k, item in enumerate(trials) if item == ("H1", 3)])
             return u_s, u_r, s
 
@@ -143,8 +143,8 @@ class TestRunTrials:
         items = run_items(cfg)
         real = montecarlo.draw_sample_cov
 
-        def nan_h0_4(sc, mode, trials):
-            u_s, u_r, s = real(sc, mode, trials)
+        def nan_h0_4(sc, trials):
+            u_s, u_r, s = real(sc, trials)
             s.s_ss[[k for k, item in enumerate(trials) if item == ("H0", 4)], 1, 0] = np.nan
             return u_s, u_r, s
 
@@ -168,9 +168,9 @@ class TestRunTrials:
         clean = montecarlo._score_or_bisect(cfg, items)
         real, draws = montecarlo.draw_sample_cov, []
 
-        def nan_h0_137(sc, mode, trials):
+        def nan_h0_137(sc, trials):
             draws.append(len(trials))
-            u_s, u_r, s = real(sc, mode, trials)
+            u_s, u_r, s = real(sc, trials)
             s.s_ss[[k for k, item in enumerate(trials) if item == ("H0", 137)], 1, 0] = np.nan
             return u_s, u_r, s
 
@@ -299,8 +299,8 @@ class TestPooledPoints:
         # the error names the second, the first over the allowed rate
         real = montecarlo.draw_sample_cov
 
-        def zero_some(sc, mode, trials):
-            u_s, u_r, s = real(sc, mode, trials)
+        def zero_some(sc, trials):
+            u_s, u_r, s = real(sc, trials)
             bad = {3: 3, 5: 5}.get(sc.L, 0)
             zero_surveillance(s, [k for k, (hyp, idx) in enumerate(trials) if hyp == "H1" and idx < bad])
             return u_s, u_r, s
@@ -367,10 +367,10 @@ class TestCollectAndCalibrate:
         # calibrate_threshold returns the order statistic X_(k) of M draws,
         # k = ceil((1 - pfa) M), and P(F(X_(k)) <= u) = P(Bin(M, u) >= k):
         # the threshold lies within that binomial band's two-sided 1e-3
-        # level, as does q. The seeds are fixed once, 2000 ULA H0 trials
+        # level, as does q. The seeds are fixed once, 2000 H0 trials
         cfg = sg.ExperimentConfig(
             scenario=sg.ScenarioConfig(L=L, N=N, snr_s_db=0.0, snr_r_db=10.0, seed=seed),
-            trials_h0=2000, steering_mode="ula-random-doa", detectors=("glr_low",),
+            trials_h0=2000, detectors=("glr_low",),
         )
         scores = sg.run_trials(cfg, threads=1)
         assert not scores.errors
@@ -536,6 +536,44 @@ class TestExperimentConfig:
         (run if field.startswith("trials") else scenario)[field] = value
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
             sg.ExperimentConfig(scenario=sg.ScenarioConfig(**scenario), **run)
+
+    @pytest.mark.parametrize("part, fields, message", [
+        ("scenario", {"snr_s_db": "3"}, "snr_s_db must be a real number, got '3'"),
+        ("scenario", {"snr_r_db": None}, "snr_r_db must be a real number, got None"),
+        ("scenario", {"L": True}, "L must be an integer, got True"),
+        ("run", {"pfa": "0.1"}, "pfa must be a real number, got '0.1'"),
+        ("run", {"trials_h0": True}, "trials_h0 must be an integer, got True"),
+        ("run", {"detectors": "glr"}, "detectors must be a list of names, got 'glr'"),
+        ("run", {"detectors": "t_cc"}, "detectors must be a list of names, got 't_cc'"),
+        ("sweep", {"axis": "l", "values": "12"}, "sweep values must be a list, got '12'"),
+        ("sweep", {"axis": "l", "values": ["2", "4"]}, "sweep value must be a real number, got '2'"),
+        ("sweep", {"axis": "snr_s_db", "values": [0.0], "snr_r_db_offset": "1"},
+         "snr_r_db_offset must be a real number, got '1'"),
+    ], ids=["snr_s_db-str", "snr_r_db-none", "l-bool", "pfa-str", "trials_h0-bool", "detectors-glr",
+            "detectors-t_cc", "values-str", "values-strs", "offset-str"])
+    def test_fields_of_the_wrong_type_get_named_errors(self, part, fields, message):
+        # the JSON loader rejects these by type; a library caller gets a
+        # ValueError naming the field, not a TypeError, a string read as a
+        # list of characters or a bool read as an integer
+        scenario = dict(L=2, N=8, snr_s_db=0.0, snr_r_db=10.0)
+        run = dict(trials_h0=4)
+        with pytest.raises(ValueError) as err:
+            if part == "sweep":
+                sg.SweepSpec(**fields)
+            else:
+                (scenario if part == "scenario" else run).update(fields)
+                sg.ExperimentConfig(scenario=sg.ScenarioConfig(**scenario), **run)
+        assert str(err.value) == message
+
+    def test_real_fields_take_numpy_reals(self):
+        cfg = sg.ExperimentConfig(
+            scenario=sg.ScenarioConfig(L=2, N=8, snr_s_db=np.float32(0.5), snr_r_db=np.int64(10)),
+            trials_h0=4, pfa=np.float64(0.05),
+        )
+        assert (cfg.scenario.snr_s_db, cfg.scenario.snr_r_db, cfg.pfa) == (0.5, 10.0, 0.05)
+        assert all(type(v) is float for v in (cfg.scenario.snr_s_db, cfg.scenario.snr_r_db, cfg.pfa))
+        sweep = sg.SweepSpec("snr_s_db", (np.int32(-5), np.float64(5.0)), snr_r_db_offset=np.float32(1.0))
+        assert sweep.values == (-5.0, 5.0) and sweep.snr_r_db_offset == 1.0
 
     def test_integer_fields_take_numpy_integers(self):
         cfg = tiny_config(seed=np.uint64(2**64 - 1), L=np.int64(2), trials_h0=np.int32(3))
