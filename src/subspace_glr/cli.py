@@ -29,7 +29,6 @@ import math
 import os
 import sys
 import time
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +41,10 @@ from .detectors import (
 )
 from .covariance import sample_cov
 from .dataio import read_snapshots, read_steering_csv
+from .model import ScenarioConfig
 from .montecarlo import (
     ExperimentConfig,
+    SweepSpec,
     resolve_threads,
     run_null_dist,
     run_pm_sweep,
@@ -57,13 +58,18 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
 
 
+# The config fields that hold a JSON object of their own, and its dataclass.
+_NESTED = {"scenario": ScenarioConfig, "sweep": SweepSpec}
+
+
 def _from_dict(cls, d, where: str):
     """Build the config dataclass cls from the JSON object d.
 
-    The keys are the dataclass fields: unknown and missing ones are rejected,
-    as are values of the wrong JSON type, each with its path from where.
-    Lists become tuples, ints become floats where a float is declared, and a
-    nested dataclass is built the same way. cls checks the values itself.
+    The keys are the dataclass fields: unknown and missing ones are rejected
+    with their path from where. An object under a _NESTED field is built the
+    same way; every other value, null included, goes to cls as it is. The
+    dataclasses check every value's type and range, and their ValueError
+    gets the path of the object it was raised for.
     """
     if not isinstance(d, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -71,40 +77,17 @@ def _from_dict(cls, d, where: str):
     unknown = set(d) - set(fields)
     if unknown:
         raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
-    hints = typing.get_type_hints(cls)
-    kwargs = {}
     for name, f in fields.items():
-        if name in d:
-            kwargs[name] = _from_json(hints[name], d[name], f"{where}.{name}")
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+        if name not in d and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"{where}.{name}: required field is missing")
+    kwargs = dict(d)
+    for name, nested in _NESTED.items():
+        if kwargs.get(name) is not None:
+            kwargs[name] = _from_dict(nested, kwargs[name], f"{where}.{name}")
     try:
         return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _from_json(tp, val, where: str):
-    """Convert one JSON value to the declared field type tp."""
-    args = typing.get_args(tp)
-    if type(None) in args:  # X | None
-        if val is None:
-            return None
-        tp = args[0]
-    if dataclasses.is_dataclass(tp):
-        return _from_dict(tp, val, where)
-    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
-        if not isinstance(val, list):
-            raise ConfigError(f"{where}: expected a list, got {val!r}")
-        return tuple(_from_json(args[0], v, f"{where}[{i}]") for i, v in enumerate(val))
-    if tp is float and type(val) is int:
-        try:
-            val = float(val)
-        except OverflowError:
-            raise ConfigError(f"{where}: integer too large for a float") from None
-    if type(val) is not tp:
-        raise ConfigError(f"{where}: expected {tp.__name__}, got {val!r}")
-    return val
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

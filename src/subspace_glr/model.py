@@ -62,11 +62,9 @@ def _snr_factor(trace, gain, snr_db) -> np.ndarray:
 
 def _check_integers(cfg, *names: str) -> None:
     """Reject a config whose named fields are not integers (Python or numpy,
-    not bool; None passes), naming the field, and store each as an int."""
+    not bool or None), naming the field, and store each as an int."""
     for name in names:
         value = getattr(cfg, name)
-        if value is None:
-            continue
         try:
             setattr(cfg, name, operator.index(value if not isinstance(value, bool) else None))
         except TypeError:
@@ -144,7 +142,9 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_integers(self, "L", "N", "wishart_dof", "seed")
+        _check_integers(self, "L", "N", "seed")
+        if self.wishart_dof is not None:
+            _check_integers(self, "wishart_dof")
         _check_reals(self, "snr_s_db", "snr_r_db")
         if self.L < 1:
             raise ValueError(f"L must be >= 1, got {self.L}")

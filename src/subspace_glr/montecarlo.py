@@ -62,7 +62,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.axis not in SWEEP_AXES:
             raise ValueError(f"sweep axis must be one of {SWEEP_AXES}, got {self.axis!r}")
-        if isinstance(self.values, str):
+        if not isinstance(self.values, (list, tuple)):
             raise ValueError(f"sweep values must be a list, got {self.values!r}")
         self.values = tuple(_real("sweep value", v) for v in self.values)
         if not self.values:
@@ -90,6 +90,10 @@ class ExperimentConfig:
     sweep: SweepSpec | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.scenario, ScenarioConfig):
+            raise ValueError(f"scenario must be a ScenarioConfig, got {self.scenario!r}")
+        if self.sweep is not None and not isinstance(self.sweep, SweepSpec):
+            raise ValueError(f"sweep must be a SweepSpec or None, got {self.sweep!r}")
         _check_integers(self, "trials_h0", "trials_h1")
         self.pfa = _real("pfa", self.pfa)
         if self.trials_h0 < 1:
@@ -98,7 +102,7 @@ class ExperimentConfig:
             raise ValueError("trials_h1 must be >= 0")
         if not 0.0 < self.pfa < 1.0:
             raise ValueError(f"pfa must lie in (0, 1), got {self.pfa}")
-        if isinstance(self.detectors, str):
+        if not isinstance(self.detectors, (list, tuple)) or not all(isinstance(n, str) for n in self.detectors):
             raise ValueError(f"detectors must be a list of names, got {self.detectors!r}")
         self.detectors = tuple(self.detectors)
         if len(set(self.detectors)) < len(self.detectors):

@@ -49,6 +49,24 @@ def write_null_case_files(tmp_path, L=2, N=8, seed=60):
     return data_path, steer_path
 
 
+# A wrong JSON type for every field of the run config, by dotted path; null
+# is the default of the two optional fields, so they do not take it.
+OPTIONAL = {"scenario.wishart_dof", "sweep.snr_r_db_offset"}
+WRONG_TYPES = [
+    *[(path, value)
+      for path in ["scenario.L", "scenario.N", "scenario.wishart_dof", "scenario.seed", "trials_h0", "trials_h1"]
+      for value in ["4", True, 2.5, [2], {}, None] if value is not None or path not in OPTIONAL],
+    *[(path, value)
+      for path in ["scenario.snr_s_db", "scenario.snr_r_db", "pfa", "sweep.snr_r_db_offset"]
+      for value in ["x", True, [1.0], {}, None] if value is not None or path not in OPTIONAL],
+    *[("detectors", value) for value in ["glr", 5, [1], [["glr_low"]], None, {}]],
+    *[("sweep.values", value) for value in ["1", 5, ["1"], [[1.0]], None, {}]],
+    *[("sweep.axis", value) for value in [5, ["l"], None, {}]],
+    *[("scenario", value) for value in [5, [], None, "x"]],
+    *[("sweep", value) for value in [5, "l", []]],
+]
+
+
 class TestValidateConfig:
     def test_resolves_defaults(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -82,14 +100,14 @@ class TestValidateConfig:
     def test_huge_integer_in_float_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, scenario={"L": 2, "N": 8, "snr_s_db": 10**400, "snr_r_db": 0.0})
         assert main(["validate-config", "--config", str(cfg)]) == 2
-        assert "scenario.snr_s_db: integer too large for a float" in capsys.readouterr().err
+        assert "config.scenario: snr_s_db must be finite, got an integer too large for a float" in capsys.readouterr().err
 
     def test_nested_type_error_names_path_once(self, tmp_path, capsys):
         cfg = write_config(tmp_path, scenario={"L": 2.5, "N": 8, "snr_s_db": 0.0, "snr_r_db": 10.0})
         assert main(["validate-config", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert "scenario.L: expected int" in err
-        assert "scenario: " not in err
+        assert "config.scenario: L must be an integer, got 2.5" in err
+        assert err.count("scenario") == 1
 
     def test_readme_configs_validate(self, tmp_path, capsys):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -213,6 +231,36 @@ class TestValidateConfig:
             captured = capsys.readouterr()
             assert f"{path} must be finite" in captured.err
             assert captured.out == ""
+
+    @pytest.mark.parametrize("path, value", WRONG_TYPES)
+    def test_wrong_json_types_name_the_field(self, tmp_path, capsys, monkeypatch, path, value):
+        # the dataclasses type-check every field; the loader only maps JSON
+        # onto them, and a wrong type is rejected before any trial runs
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(montecarlo, "_run_points", no_trials)
+        raw = {
+            "scenario": {"L": 2, "N": 8, "snr_s_db": 0.0, "snr_r_db": 10.0, "wishart_dof": 4, "seed": 7},
+            "trials_h0": 4, "trials_h1": 4, "pfa": 0.1, "detectors": ["glr_low"],
+            "sweep": {"axis": "snr_s_db", "values": [0.0, 5.0], "snr_r_db_offset": 10.0},
+        }
+        *parents, field = path.split(".")
+        target = raw[parents[0]] if parents else raw
+        target[field] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        # a sweep element is named "sweep value" (the path sweep.values[0] once)
+        needle = r"sweep[ .]value" if path == "sweep.values" else rf"\b{field}\b"
+        for command in ("validate-config", "pm-sweep"):
+            argv = [command, "--config", str(cfg)]
+            if command != "validate-config":
+                argv += ["--out", str(tmp_path / command), "--threads", "1"]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: config")
+            assert re.search(needle, captured.err), captured.err
 
     @pytest.mark.parametrize("axis, values", [("l", [2, 2.5, 3.7]), ("n", [16, 20.5])])
     def test_sweep_rejects_non_integer_sizes(self, tmp_path, capsys, axis, values):

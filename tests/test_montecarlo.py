@@ -527,10 +527,12 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("L", 2.0), ("N", 8.5), ("wishart_dof", 3.5), ("seed", 1.5), ("trials_h0", 2.5), ("trials_h1", 2.5),
+        ("L", None), ("N", None), ("seed", None), ("trials_h0", None), ("trials_h1", None),
     ])
     def test_integer_fields_reject_non_integers(self, field, value):
-        # checked by the dataclasses as the JSON loader checks them: a float
-        # seed would draw as its floor, a float size fail inside numpy
+        # checked by the dataclasses, for library callers and the JSON loader
+        # alike: a float seed would draw as its floor, a float size fail inside
+        # numpy; None is the default of wishart_dof only
         scenario = dict(L=2, N=8, snr_s_db=0.0, snr_r_db=10.0, seed=1)
         run = dict(trials_h0=4, trials_h1=4)
         (run if field.startswith("trials") else scenario)[field] = value
@@ -549,12 +551,19 @@ class TestExperimentConfig:
         ("sweep", {"axis": "l", "values": ["2", "4"]}, "sweep value must be a real number, got '2'"),
         ("sweep", {"axis": "snr_s_db", "values": [0.0], "snr_r_db_offset": "1"},
          "snr_r_db_offset must be a real number, got '1'"),
+        ("run", {"scenario": {"L": 2}}, "scenario must be a ScenarioConfig, got {'L': 2}"),
+        ("run", {"sweep": "l"}, "sweep must be a SweepSpec or None, got 'l'"),
+        ("sweep", {"axis": "l", "values": 5}, "sweep values must be a list, got 5"),
+        ("run", {"detectors": 5}, "detectors must be a list of names, got 5"),
+        ("run", {"detectors": [1, "x"]}, "detectors must be a list of names, got [1, 'x']"),
     ], ids=["snr_s_db-str", "snr_r_db-none", "l-bool", "pfa-str", "trials_h0-bool", "detectors-glr",
-            "detectors-t_cc", "values-str", "values-strs", "offset-str"])
+            "detectors-t_cc", "values-str", "values-strs", "offset-str", "scenario-dict", "sweep-str",
+            "values-int", "detectors-int", "detectors-non-str"])
     def test_fields_of_the_wrong_type_get_named_errors(self, part, fields, message):
-        # the JSON loader rejects these by type; a library caller gets a
-        # ValueError naming the field, not a TypeError, a string read as a
-        # list of characters or a bool read as an integer
+        # the dataclasses are the config's only type check: a library caller
+        # and the JSON loader get a ValueError naming the field, not a
+        # TypeError, a string read as a list of characters, a bool read as an
+        # integer or a dict taken for a scenario
         scenario = dict(L=2, N=8, snr_s_db=0.0, snr_r_db=10.0)
         run = dict(trials_h0=4)
         with pytest.raises(ValueError) as err:
@@ -562,7 +571,7 @@ class TestExperimentConfig:
                 sg.SweepSpec(**fields)
             else:
                 (scenario if part == "scenario" else run).update(fields)
-                sg.ExperimentConfig(scenario=sg.ScenarioConfig(**scenario), **run)
+                sg.ExperimentConfig(**{"scenario": sg.ScenarioConfig(**scenario), **run})
         assert str(err.value) == message
 
     def test_real_fields_take_numpy_reals(self):
