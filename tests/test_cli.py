@@ -232,7 +232,7 @@ class TestValidateConfig:
             assert f"{path} must be finite" in captured.err
             assert captured.out == ""
 
-    @pytest.mark.parametrize("path, value", WRONG_TYPES)
+    @pytest.mark.parametrize("path, value", WRONG_TYPES, ids=[f"{p}={json.dumps(v)}" for p, v in WRONG_TYPES])
     def test_wrong_json_types_name_the_field(self, tmp_path, capsys, monkeypatch, path, value):
         # the dataclasses type-check every field; the loader only maps JSON
         # onto them, and a wrong type is rejected before any trial runs
