@@ -292,7 +292,7 @@ def _add_experiment(sub, name: str) -> None:
     p_exp = sub.add_parser(name, help=_EXPERIMENTS[name])
     p_exp.add_argument("--config", required=True, help="JSON run configuration")
     p_exp.add_argument("--out", default=None, help="output directory (default: cwd)")
-    p_exp.add_argument("--threads", type=int, default=0, help="worker processes, 0 = all cores")
+    p_exp.add_argument("--threads", type=int, default=0, help="worker processes, 0 = all usable CPUs")
     p_exp.add_argument("--seed", type=int, default=None, help="override the config seed (u64)")
     p_exp.set_defaults(func=cmd_experiment)
 

@@ -28,7 +28,7 @@ import dataclasses
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +44,17 @@ SWEEP_AXES = ("snr_s_db", "n", "l")
 BLOCK_TRIALS = 512
 # A run point aborts when more than this share of its trials fail.
 MAX_FAILURE_RATE = 1e-3
+
+
+def __getattr__(name: str):
+    # The pool class imports concurrent.futures.process and multiprocessing,
+    # which only a pooled run uses, so it is imported on first access.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -151,9 +162,15 @@ def run_one_trial(cfg: ExperimentConfig, hypothesis: str, trial_index: int) -> B
 
 
 def resolve_threads(threads: int) -> int:
+    """The worker count of a run: threads, or for 0 the CPUs this process
+    may run on (its affinity mask, not the machine's CPU count)."""
     if threads < 0:
         raise ValueError("threads must be >= 0 (0 means auto)")
-    return threads if threads > 0 else (os.cpu_count() or 1)
+    if threads > 0:
+        return threads
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _blocks(items: list[tuple[str, int]], parts: int) -> list[list[tuple[str, int]]]:
@@ -174,9 +191,10 @@ def _run_points(
 
     Each point is cut once (_blocks), into at least one block per worker
     when it has at least 2 * workers trials, and each block is one job. One
-    worker, or a single job, runs in-process. Otherwise the blocks of every
-    point go to one process pool in one map, so the workers are forked once
-    and no point waits for the previous one; only columns cross the pool.
+    worker, or a single job, runs in-process and loads no pool machinery.
+    Otherwise the blocks of every point go to one process pool in one map, so
+    the workers are forked once and no point waits for the previous one;
+    only columns cross the pool.
     Each block logs one progress line, labelled by values. The failure rate
     is checked per point as it completes, in point order, and the first
     point above it stops the run.
@@ -213,7 +231,10 @@ def _run_points(
         for p, block in jobs:
             collect(p, _score_or_bisect(cfgs[p], block))
         return points
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+    # looked up on the module: a patched class is used as it is, and the
+    # real one is imported here on a call's first pooled run
+    pool_class = sys.modules[__name__].ProcessPoolExecutor
+    with pool_class(max_workers=min(workers, len(jobs))) as pool:
         results = pool.map(_score_or_bisect, [cfgs[p] for p, _ in jobs], [block for _, block in jobs])
         try:
             for (p, _), scores in zip(jobs, results):

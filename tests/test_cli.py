@@ -775,6 +775,10 @@ class TestParser:
         assert full[0] == (0 if "--help" in argv else 2)
 
 
+# The modules a process pool loads; only a pooled run may load them.
+POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
+
+
 def child_env(**extra):
     """Environment for a `python -m subspace_glr` child process that imports
     the same package as this suite, installed or not."""
@@ -804,33 +808,56 @@ class TestEntryPoints:
         assert "SUBSPACE_GLR_LOG" in proc.stderr
 
     def test_cli_import_loads_no_scipy(self):
-        # numpy is the only run-time dependency; scipy is for the tests.
+        # numpy is the only run-time dependency; scipy is for the tests. The
+        # process pool's modules load on a pooled run only.
         probe = (
             "import json, sys, subspace_glr.cli\n"
             "print(json.dumps([subspace_glr.cli.__file__,"
-            " sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))]))"
+            " sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')),"
+            f" sorted(set({POOL_MODULES!r}) & set(sys.modules))]))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        cli_file, scipy_modules = json.loads(proc.stdout)
+        cli_file, scipy_modules, pool_modules = json.loads(proc.stdout)
         assert Path(cli_file).resolve().parent == Path(sg.__file__).resolve().parent
         assert scipy_modules == []
+        assert pool_modules == []
 
     def test_roc_loads_no_numpy_ma(self, tmp_path):
         # roc_curve and the table writer find distinct values without
-        # np.unique's float path, which imports numpy.ma on first use
+        # np.unique's float path, which imports numpy.ma on first use; a
+        # run in one process loads no process pool either
         cfg = write_config(tmp_path)
         probe = (
             "import sys, subspace_glr.cli\n"
             f"code = subspace_glr.cli.main(['roc', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r},"
             " '--threads', '1'])\n"
-            "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)"
+            f"print(code, 'numpy.ma' in sys.modules, sorted(set({POOL_MODULES!r}) & set(sys.modules)),"
+            " file=sys.stderr)"
         )
         proc = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-1] == "0 False"
+        assert proc.stderr.splitlines()[-1] == "0 False []"
         assert (tmp_path / "out" / "roc.csv").exists()
+
+    def test_threads_0_uses_the_usable_cpus(self, tmp_path):
+        # with one usable CPU, --threads 0 runs one worker in-process: it
+        # records one thread and loads no process pool
+        cfg = write_config(tmp_path, sweep={"axis": "l", "values": [2, 3]})
+        probe = (
+            "import json, os, sys, subspace_glr.cli\n"
+            "os.sched_getaffinity = lambda pid: {0}\n"
+            f"code = subspace_glr.cli.main(['pm-sweep', '--config', {str(cfg)!r},"
+            f" '--out', {str(tmp_path / 'out')!r}, '--threads', '0'])\n"
+            f"print(code, sorted(set({POOL_MODULES!r}) & set(sys.modules)), file=sys.stderr)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "0 []"
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["threads"] == 1

@@ -233,6 +233,25 @@ class TestPooledPoints:
         assert max(sizes) - min(sizes) <= 1
         assert [item for b in blocks for item in b] == items
 
+    def test_pool_class_resolves_on_first_access(self):
+        # montecarlo imports the pool class on first access (PEP 562); other
+        # names it does not have still raise
+        import concurrent.futures
+
+        assert montecarlo.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+        with pytest.raises(AttributeError, match="no_such_name"):
+            montecarlo.no_such_name
+
+    def test_threads_0_counts_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert montecarlo.resolve_threads(0) == 1
+        assert montecarlo.resolve_threads(3) == 3
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        assert montecarlo.resolve_threads(0) == 3
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+        assert montecarlo.resolve_threads(0) == 1
+
     def test_pm_sweep_creates_one_pool(self, monkeypatch):
         created = []
         real = montecarlo.ProcessPoolExecutor
