@@ -849,7 +849,7 @@ class TestEntryPoints:
         # records one thread and loads no process pool
         cfg = write_config(tmp_path, sweep={"axis": "l", "values": [2, 3]})
         probe = (
-            "import json, os, sys, subspace_glr.cli\n"
+            "import os, sys, subspace_glr.cli\n"
             "os.sched_getaffinity = lambda pid: {0}\n"
             f"code = subspace_glr.cli.main(['pm-sweep', '--config', {str(cfg)!r},"
             f" '--out', {str(tmp_path / 'out')!r}, '--threads', '0'])\n"
