@@ -15,8 +15,8 @@ then manifest.json.
 Exit codes: 0 success, 2 invalid config or input file, or an --out
 directory or output file that cannot be created or written, 3 numerical
 failure, such as more failed trials than montecarlo.MAX_FAILURE_RATE
-allows. Logging level comes from SUBSPACE_GLR_LOG (debug, info, warning,
-error).
+allows, or a worker process that dies mid-run. Logging level comes from
+SUBSPACE_GLR_LOG (debug, info, warning, error).
 """
 
 from __future__ import annotations

@@ -5,13 +5,14 @@ hypothesis reads its own fixed slice of words of the Philox stream keyed by
 (run seed, hypothesis), at counter i W / 4 (see model.draw_sample_cov, which
 draws each trial's sample covariance directly, not its snapshots), so the
 scores do not depend on execution order, block size, or worker count;
-reruns with the same config and seed produce identical numbers whether the
-pool has one process or eight. One cut (_blocks) splits each point's n
+reruns with the same config and seed produce identical numbers whether one
+process runs them or eight. One cut (_blocks) splits each point's n
 trials into the fewest blocks of at most BLOCK_TRIALS, and at least one per
 worker when n >= 2 * workers, of sizes that differ by at most one. A block
-is drawn and scored as stacked arrays and is one pool job; a trial scored
-alone (a block of one) gets the same numbers. Each CLI run uses at most one
-process pool: the blocks of every point of a pm-sweep go to it in one map.
+is drawn and scored as stacked arrays and is one job; a trial scored
+alone (a block of one) gets the same numbers. A pooled run forks its worker
+processes once (_forked_map): the blocks of every point of a pm-sweep go to
+them in one map, and each block comes back as one pickle.
 Results stay columns throughout: a block returns one detectors.BlockScores,
 a point concatenates them, rows ordered all H0 by index then all H1 by
 index, and the curves read them by mask.
@@ -28,7 +29,6 @@ import dataclasses
 import logging
 import math
 import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,17 +44,6 @@ SWEEP_AXES = ("snr_s_db", "n", "l")
 BLOCK_TRIALS = 512
 # A run point aborts when more than this share of its trials fail.
 MAX_FAILURE_RATE = 1e-3
-
-
-def __getattr__(name: str):
-    # The pool class imports concurrent.futures.process and multiprocessing,
-    # which only a pooled run uses, so it is imported on first access.
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        globals()[name] = ProcessPoolExecutor
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -191,15 +180,16 @@ def _run_points(
 
     Each point is cut once (_blocks), into at least one block per worker
     when it has at least 2 * workers trials, and each block is one job. One
-    worker, or a single job, runs in-process and loads no pool machinery.
-    Otherwise the blocks of every point go to one process pool in one map, so
-    the workers are forked once and no point waits for the previous one;
-    only columns cross the pool.
+    worker, or a single job, runs in-process, and so does every run on a
+    platform without os.fork. Otherwise the blocks of every point go to one
+    _forked_map, so the workers are forked once and no point waits for the
+    previous one: worker w of n scores jobs w, w + n, ... and only columns
+    come back. No worker outlives the call, whether it returns or raises.
     Each block logs one progress line, labelled by values. The failure rate
     is checked per point as it completes, in point order, and the first
     point above it stops the run.
     """
-    workers = resolve_threads(threads)
+    workers = resolve_threads(threads) if hasattr(os, "fork") else 1
     items = [
         [("H0", i) for i in range(cfg.trials_h0)] + [("H1", i) for i in range(cfg.trials_h1)]
         for cfg in cfgs
@@ -231,18 +221,70 @@ def _run_points(
         for p, block in jobs:
             collect(p, _score_or_bisect(cfgs[p], block))
         return points
-    # looked up on the module: a patched class is used as it is, and the
-    # real one is imported here on a call's first pooled run
-    pool_class = sys.modules[__name__].ProcessPoolExecutor
-    with pool_class(max_workers=min(workers, len(jobs))) as pool:
-        results = pool.map(_score_or_bisect, [cfgs[p] for p, _ in jobs], [block for _, block in jobs])
-        try:
-            for (p, _), scores in zip(jobs, results):
-                collect(p, scores)
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    results = _forked_map(_score_or_bisect, [(cfgs[p], block) for p, block in jobs], workers)
+    try:
+        for (p, _), scores in zip(jobs, results):
+            collect(p, scores)
+    finally:
+        results.close()
     return points
+
+
+def _forked_map(fn, args: list[tuple], workers: int):
+    """Yield fn(*a) for each a of args, in order, computed by
+    n = min(workers, len(args)) forked worker processes.
+
+    Worker w computes args w, w + n, w + 2n, ... and writes each result to
+    its own pipe as one pickle as soon as it has it, then ends with
+    os._exit; the parent only reads the results, in order. A worker that
+    ends before it has sent all its results raises RuntimeError naming its
+    pid and exit status. When the generator ends, raises or is closed,
+    every worker still running is killed, and all are reaped.
+    """
+    import pickle
+    import signal
+    import traceback
+
+    n = min(workers, len(args))
+    pids: list[int] = []
+    pipes = []
+    try:
+        for w in range(n):
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            pid = os.fork()
+            if pid == 0:  # the worker: it ends here and never returns into the caller's code
+                status = 1
+                try:
+                    for pipe in pipes:
+                        pipe.close()
+                    with open(write_fd, "wb") as out:
+                        for a in args[w::n]:
+                            pickle.dump(fn(*a), out, pickle.HIGHEST_PROTOCOL)
+                            out.flush()
+                    status = 0
+                except BaseException:
+                    traceback.print_exc()
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            pids.append(pid)
+        for j in range(len(args)):
+            try:
+                result = pickle.load(pipes[j % n])
+            except (EOFError, pickle.UnpicklingError):
+                pid = pids.pop(j % n)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise RuntimeError(
+                    f"worker process {pid} ended (exit status {code}) before it sent all its results"
+                ) from None
+            yield result
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
 
 
 def run_trials(cfg: ExperimentConfig, threads: int = 0) -> BlockScores:

@@ -58,6 +58,7 @@ Unlike the package, it uses scipy.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -709,6 +710,63 @@ def _profile_objective(
     return val
 
 
+def _profile_gradient(
+    s: BlockSampleCov,
+    u_s: np.ndarray,
+    u_r: np.ndarray,
+    t_lower: np.ndarray,
+) -> np.ndarray:
+    """Gradient of _profile_objective in the oracle's parameters of T
+    (unpack_cholesky): the logs of its diagonal, then the real and the
+    imaginary parts of its strict lower triangle.
+
+    With W = T T^H = R_rr^{-1}, v = W u_r, b = S_sr^H S_ss^{-1} u_s (so
+    eta = b^H v), G = S_rr - S_sr^H S_ss^{-1} S_sr (so gap = v^H G v) and
+    h = beta_s + |eta|^2 / gap, the differential is Re tr(M dW) with
+    M = W^{-1} - S_rr + (2 / (h gap)) conj(eta) u_r b^H
+        - (2 |eta|^2 / (h gap^2)) u_r v^H G,
+    so with K = T^H (M + M^H) the partials are Re(K_ii T_ii) on the log
+    diagonal, Re K_ji on Re T_ij and -Im K_ji on Im T_ij (i > j).
+    """
+    w = t_lower @ t_lower.conj().T
+    v = w @ u_r
+    solved = np.linalg.solve(s.s_ss, np.column_stack([u_s, s.s_sr]))  # S_ss^{-1} [u_s, S_sr]
+    beta_s = float((np.conj(u_s) @ solved[:, 0]).real)
+    b = s.s_sr.conj().T @ solved[:, 0]
+    eta = complex(b.conj() @ v)
+    g = s.s_rr - s.s_sr.conj().T @ solved[:, 1:]
+    vg = v.conj() @ g
+    gap = float((vg @ v).real)
+    h = beta_s + abs(eta) ** 2 / gap
+    m = (
+        np.linalg.inv(w)
+        - s.s_rr
+        + (2.0 / (h * gap)) * np.conj(eta) * np.outer(u_r, b.conj())
+        - (2.0 * abs(eta) ** 2 / (h * gap**2)) * np.outer(u_r, vg)
+    )
+    k = t_lower.conj().T @ (m + m.conj().T)
+    rows, cols = _strict_lower(s.num_sensors)
+    off = k[cols, rows]
+    return np.concatenate([(np.diag(k) * np.diag(t_lower)).real, off.real, -off.imag])
+
+
+@functools.cache
+def _strict_lower(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.tril_indices(dim, k=-1)
+
+
+def unpack_cholesky(theta: np.ndarray, dim: int) -> np.ndarray:
+    """The lower-triangular T of the oracle's L^2 real parameters theta: the
+    logs of its positive diagonal, then the real and the imaginary parts of
+    its strict lower triangle, in np.tril_indices order."""
+    tril_r, tril_c = _strict_lower(dim)
+    n_off = tril_r.size
+    t = np.zeros((dim, dim), dtype=complex)
+    t[np.diag_indices(dim)] = np.exp(theta[:dim])
+    t[tril_r, tril_c] = theta[dim : dim + n_off] + 1j * theta[dim + n_off :]
+    return t
+
+
 def oracle_glr(
     s: BlockSampleCov,
     u_s: np.ndarray,
@@ -721,24 +779,21 @@ def oracle_glr(
     Independent check on glr_exact: parametrizes R_rr^{-1} through its
     Cholesky factor (L^2 real parameters, positive diagonal via log
     transform) and maximizes the profiled log likelihood ratio with a
-    generic quasi-Newton method from the sample start plus n_restarts
-    random starts. Slow by design; returns the best value found.
+    generic quasi-Newton method, given its analytic gradient, from the
+    sample start plus n_restarts random starts. Slow by design; returns the
+    best value found.
     """
     u_s = np.asarray(u_s, dtype=complex).reshape(-1)
     u_r = np.asarray(u_r, dtype=complex).reshape(-1)
     dim = s.num_sensors
-    tril_r, tril_c = np.tril_indices(dim, k=-1)
-    n_off = tril_r.size
+    tril_r, tril_c = _strict_lower(dim)
 
-    def unpack(theta: np.ndarray) -> np.ndarray:
-        t = np.zeros((dim, dim), dtype=complex)
-        t[np.diag_indices(dim)] = np.exp(theta[:dim])
-        t[tril_r, tril_c] = theta[dim : dim + n_off] + 1j * theta[dim + n_off :]
-        return t
-
-    def negobj(theta: np.ndarray) -> float:
-        val = _profile_objective(s, u_s, u_r, unpack(theta))
-        return -val if math.isfinite(val) else 1e12
+    def negobj(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        t_lower = unpack_cholesky(theta, dim)
+        val = _profile_objective(s, u_s, u_r, t_lower)
+        if not math.isfinite(val):
+            return 1e12, np.zeros_like(theta)
+        return -val, -_profile_gradient(s, u_s, u_r, t_lower)
 
     # Start 1: R_rr = S_rr, the closed-form operating point.
     c_srr = np.linalg.cholesky(np.linalg.inv(s.s_rr))
@@ -752,7 +807,7 @@ def oracle_glr(
     best = -math.inf
     for theta in starts:
         res = scipy.optimize.minimize(
-            negobj, theta, method="BFGS", options={"gtol": 1e-10, "maxiter": 2000}
+            negobj, theta, method="BFGS", jac=True, options={"gtol": 1e-10, "maxiter": 2000}
         )
         best = max(best, -float(res.fun))
     return math.exp(best)

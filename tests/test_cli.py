@@ -775,7 +775,7 @@ class TestParser:
         assert full[0] == (0 if "--help" in argv else 2)
 
 
-# The modules a process pool loads; only a pooled run may load them.
+# The modules of the stdlib process pool; no call loads them.
 POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
 
 
@@ -808,8 +808,8 @@ class TestEntryPoints:
         assert "SUBSPACE_GLR_LOG" in proc.stderr
 
     def test_cli_import_loads_no_scipy(self):
-        # numpy is the only run-time dependency; scipy is for the tests. The
-        # process pool's modules load on a pooled run only.
+        # numpy is the only run-time dependency; scipy is for the tests. No
+        # call loads the process pool's modules.
         probe = (
             "import json, sys, subspace_glr.cli\n"
             "print(json.dumps([subspace_glr.cli.__file__,"
@@ -843,6 +843,26 @@ class TestEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines()[-1] == "0 False []"
         assert (tmp_path / "out" / "roc.csv").exists()
+
+    def test_pooled_run_forks_and_loads_no_pool_module(self, tmp_path):
+        # a --threads 2 run forks its two workers directly: it loads no
+        # process pool module and writes the bytes of a --threads 1 run
+        cfg = write_config(tmp_path, sweep={"axis": "l", "values": [2, 3]})
+        probe = (
+            "import os, sys, subspace_glr.cli\n"
+            "forks = []\n"
+            "os.register_at_fork(before=lambda: forks.append(1))\n"
+            f"code = subspace_glr.cli.main(['pm-sweep', '--config', {str(cfg)!r},"
+            f" '--out', {str(tmp_path / 't2')!r}, '--threads', '2'])\n"
+            f"print(code, len(forks), sorted(set({POOL_MODULES!r}) & set(sys.modules)), file=sys.stderr)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "0 2 []"
+        assert main(["pm-sweep", "--config", str(cfg), "--out", str(tmp_path / "t1"), "--threads", "1"]) == 0
+        assert (tmp_path / "t2" / "pm.csv").read_bytes() == (tmp_path / "t1" / "pm.csv").read_bytes()
 
     def test_threads_0_uses_the_usable_cpus(self, tmp_path):
         # with one usable CPU, --threads 0 runs one worker in-process: it

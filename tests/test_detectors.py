@@ -8,6 +8,8 @@ from subspace_glr import detectors, optimizer
 from subspace_glr.covariance import adjoint, hermitize
 from subspace_glr.detectors import _ZERO_CHANNEL, COHERENCE_FLOOR
 from _reference import (
+    _profile_gradient,
+    _profile_objective,
     distortionless_pair,
     family_certificate,
     family_grid_oracle,
@@ -20,6 +22,7 @@ from _reference import (
     substream,
     svd_corr,
     synth_batch,
+    unpack_cholesky,
 )
 from _utils import det_m_direct, make_instance, null_cov, rand_unit
 
@@ -225,6 +228,26 @@ class TestExactStatistic:
             stat, _ = sg.glr_exact(s, steer.u_s, steer.u_r)
             ref = oracle_glr(s, steer.u_s, steer.u_r, n_restarts=4, seed=seed)
             assert stat == pytest.approx(ref, rel=1e-4)
+
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_oracle_gradient_matches_central_differences(self, L):
+        # the analytic gradient BFGS gets in oracle_glr, against central
+        # differences of the profiled objective, at random factors T
+        rng = np.random.default_rng(1700 + L)
+        h = 1e-6
+        for seed in range(3):
+            s, steer, _ = make_instance(seed=1700 + 10 * L + seed, L=L, N=50)
+            for _ in range(2):
+                theta = 0.5 * rng.standard_normal(L * L)
+                grad = _profile_gradient(s, steer.u_s, steer.u_r, unpack_cholesky(theta, L))
+                fd = np.zeros_like(theta)
+                for k in range(theta.size):
+                    step = h * np.eye(1, theta.size, k)[0]
+                    fd[k] = (
+                        _profile_objective(s, steer.u_s, steer.u_r, unpack_cholesky(theta + step, L))
+                        - _profile_objective(s, steer.u_s, steer.u_r, unpack_cholesky(theta - step, L))
+                    ) / (2 * h)
+                assert np.linalg.norm(grad - fd) <= 1e-6 * max(1.0, np.linalg.norm(grad))
 
     def test_single_sensor_is_sample_approximation(self):
         # at L = 1 the warm start is the only ray, so no step is taken and

@@ -1,14 +1,17 @@
 import dataclasses
+import json
 import logging
 import math
+import os
 import pickle
+import signal
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import subspace_glr as sg
-from subspace_glr import montecarlo
+from subspace_glr import cli, montecarlo
 from subspace_glr.montecarlo import apply_sweep_value, wilks_diag
 from _utils import zero_surveillance
 
@@ -211,6 +214,12 @@ class TestRunTrials:
         assert h0.stat("glr_low")[0] != h1.stat("glr_low")[0]
 
 
+def assert_no_child():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def l_sweep_config(trials_h0, trials_h1, values=(2.0, 3.0, 5.0), detectors=sg.DETECTOR_NAMES):
     return dataclasses.replace(
         tiny_config(N=16, trials_h0=trials_h0, trials_h1=trials_h1, detectors=detectors),
@@ -233,15 +242,6 @@ class TestPooledPoints:
         assert max(sizes) - min(sizes) <= 1
         assert [item for b in blocks for item in b] == items
 
-    def test_pool_class_resolves_on_first_access(self):
-        # montecarlo imports the pool class on first access (PEP 562); other
-        # names it does not have still raise
-        import concurrent.futures
-
-        assert montecarlo.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
-        with pytest.raises(AttributeError, match="no_such_name"):
-            montecarlo.no_such_name
-
     def test_threads_0_counts_the_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert montecarlo.resolve_threads(0) == 1
@@ -253,44 +253,65 @@ class TestPooledPoints:
         assert montecarlo.resolve_threads(0) == 1
 
     def test_pm_sweep_creates_one_pool(self, monkeypatch):
-        created = []
-        real = montecarlo.ProcessPoolExecutor
+        maps = []
+        real = montecarlo._forked_map
 
-        class CountingPool(real):
-            def __init__(self, *args, **kwargs):
-                created.append(kwargs)
-                super().__init__(*args, **kwargs)
+        def counting_map(fn, args, workers):
+            maps.append(workers)
+            return real(fn, args, workers)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(montecarlo, "_forked_map", counting_map)
         sg.run_pm_sweep(l_sweep_config(8, 8, detectors=("glr_low",)), threads=2)
-        assert created == [{"max_workers": 2}]
+        assert maps == [2]
 
     def test_pool_size_capped_at_jobs(self, monkeypatch):
         sizes = []
 
-        class InProcessPool:
-            """Stands in for the pool: records max_workers, forks nothing."""
+        def in_process_map(fn, args, workers):
+            """Stands in for the forked map: records its worker count, forks nothing."""
+            sizes.append(min(workers, len(args)))
+            return (fn(*a) for a in args)
 
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                pass
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(montecarlo, "_forked_map", in_process_map)
         # three points of 10 trials, each below 2 * 8: one job per point
         sg.run_pm_sweep(l_sweep_config(5, 5, detectors=("glr_low",)), threads=8)
         # 20 trials on 8 workers: 8 blocks of 3 or 2 trials, one job each
         sg.run_trials(tiny_config(trials_h0=10, trials_h1=10), threads=8)
-        # one job runs in-process and makes no pool
+        # one job runs in-process and forks nothing
         sg.run_trials(tiny_config(trials_h0=3, trials_h1=3), threads=8)
         assert sizes == [3, 8]
+
+    def test_no_fork_runs_in_process(self, monkeypatch):
+        # without os.fork a run stays in-process, cut as at one worker
+        cfg = tiny_config(trials_h0=10, trials_h1=10)
+        serial = sg.run_trials(cfg, 1)
+        monkeypatch.delattr(montecarlo.os, "fork")
+        monkeypatch.setattr(montecarlo, "_forked_map", None)
+        assert record_keys(sg.run_trials(cfg, 2), run_items(cfg)) == record_keys(serial, run_items(cfg))
+
+    def test_killed_worker_raises_and_leaves_no_process(self, monkeypatch, tmp_path, capsys):
+        # a worker that dies mid-run fails the run, naming the worker; the
+        # CLI maps that to exit 3, and no worker outlives the call
+        real, parent = montecarlo.draw_sample_cov, os.getpid()
+
+        def killing(sc, trials):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(sc, trials)
+
+        monkeypatch.setattr(montecarlo, "draw_sample_cov", killing)
+        cfg = l_sweep_config(8, 8, detectors=("glr_low",))
+        with pytest.raises(RuntimeError, match=r"^worker process \d+ ended \(exit status -9\) before"):
+            sg.run_pm_sweep(cfg, threads=2)
+        assert_no_child()
+        path = tmp_path / "cfg.json"
+        raw = cli.config_to_dict(cfg)
+        del raw["scenario"]["wishart_dof"]  # resolved at L = 2; the default follows L
+        path.write_text(json.dumps(raw))
+        argv = ["pm-sweep", "--config", str(path), "--out", str(tmp_path / "out"), "--threads", "2"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: worker process ")
+        assert_no_child()
 
     def test_sweep_invariant_to_workers(self):
         cfg = l_sweep_config(37, 29)
@@ -331,6 +352,7 @@ class TestPooledPoints:
             with pytest.raises(RuntimeError) as err:
                 sg.run_pm_sweep(cfg, threads)
             messages.append(str(err.value))
+            assert_no_child()
         assert messages == ["3 of 24 trials failed, above the allowed rate 0.001"] * 2
 
 
