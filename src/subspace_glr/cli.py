@@ -6,11 +6,13 @@ Subcommands:
     pm-sweep         missed-detection probability along a swept parameter
     null-dist        null distribution of 2 log Lambda vs chi-squared(2)
     detect           score one snapshot file with optional thresholds
-    validate-config  parse a config, print the resolved form
+    validate-config  check a config, print it with defaults filled in
 
 The three experiment commands run through one driver, cmd_experiment: a
 montecarlo runner, then a writer of that command's data files into --out,
-then manifest.json.
+then manifest.json. The manifest's config, like validate-config's output,
+is the config as given with defaults filled in: an unset wishart_dof stays
+null (2L at each point), so the config reruns the call through --config.
 
 Exit codes: 0 success, 2 invalid config or input file, or an --out
 directory or output file that cannot be created or written, 3 numerical
@@ -88,13 +90,6 @@ def _from_dict(cls, d, where: str):
         return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Resolved config with defaults filled in, for json (which writes tuples as lists)."""
-    out = dataclasses.asdict(cfg)
-    out["scenario"]["wishart_dof"] = cfg.scenario.dof
-    return out
 
 
 def load_config(path: str, seed_override: int | None) -> ExperimentConfig:
@@ -213,7 +208,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             "tool": "subspace-glr",
             "version": __version__,
             "command": args.command,
-            "config": config_to_dict(cfg),
+            "config": dataclasses.asdict(cfg),
             "threads": threads,
             "outputs": outputs,
             "trial_failures": failures,
@@ -283,7 +278,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 def cmd_validate_config(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.seed)
-    json.dump(config_to_dict(cfg), sys.stdout, indent=2, sort_keys=True)
+    json.dump(dataclasses.asdict(cfg), sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0
 
@@ -309,7 +304,7 @@ def _add_detect(sub, name: str) -> None:
 
 
 def _add_validate_config(sub, name: str) -> None:
-    p_val = sub.add_parser(name, help="check a config and print the resolved form")
+    p_val = sub.add_parser(name, help="check a config and print it with defaults filled in")
     p_val.add_argument("--config", required=True, help="JSON run configuration")
     p_val.add_argument("--seed", type=int, default=None, help="override the config seed (u64)")
     p_val.set_defaults(func=cmd_validate_config)

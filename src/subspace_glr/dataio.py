@@ -184,9 +184,11 @@ def read_steering_csv(path: str | Path) -> SteeringPair:
                 raise ValueError(f"{where}: non-finite value in channel {tag!r}, sensor {sensor}")
         vectors[tag] = np.asarray([re + 1j * im for _, (re, im) in rows])
     for tag, u in vectors.items():
-        err = abs(np.linalg.norm(u) - 1.0)
+        norm = np.linalg.norm(u)
+        err = abs(norm - 1.0)
         if err > 1e-6:
             raise ValueError(
                 f"{path}: steering vector u_{tag} is not unit norm (|norm - 1| = {err:.3e})"
             )
-    return SteeringPair.normalized(vectors["s"], vectors["r"])
+        vectors[tag] = u / norm
+    return SteeringPair(vectors["s"], vectors["r"])

@@ -59,16 +59,17 @@ def _single(s: BlockSampleCov, u_s: np.ndarray | None, u_r: np.ndarray | None,
     raising the error of the first failed row. Returns the scores, each
     detector's statistic in detectors order (a float for a record, the
     column for a stack) and the OptimResult of the first row's glr ascent
-    (None without glr). The steering vectors of a record broadcast over
+    (None without glr): with no failed row every trial ascends, so row 0 of
+    the ascent is trial 0. The steering vectors of a record broadcast over
     its stack of one (see capon_pair)."""
     record = s.s_ss.ndim == 2
     if record:
         s = BlockSampleCov(s.s_ss[None], s.s_sr[None], s.s_rr[None], s.n)
-    scores, ascent, rows = _score(s, u_s, u_r, detectors)
+    scores, ascent = _score(s, u_s, u_r, detectors)
     if scores.errors:
         raise scores.errors[min(scores.errors)]
     values = scores.stats[0].tolist() if record else list(scores.stats.T)
-    return scores, values, None if ascent is None else ascent.result(int(rows[0]))
+    return scores, values, None if ascent is None else ascent.result(0)
 
 
 def glr_low(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> float:
@@ -116,12 +117,13 @@ def _glr(forms):
     """The exact statistic of each trial of stacked cost forms (..., L, L):
     one lockstep ascent from the warm start e1 of every trial. Near N = 2L
     it can stop at a local maximum below the global one. The chart
-    embeddings of the forms are built once, screened (_clear_of_floor) and
-    indexed by the ascent's rows. Returns the statistics exp(J), the ascent
-    (None when no trial ascends), each trial's row of it (-1 for a trial
-    that does not ascend) and the errors that fail trials, keyed by trial:
-    fully coherent channels (see COHERENCE_FLOOR) or a non-finite
-    statistic."""
+    embeddings of the forms are built once and screened (_clear_of_floor),
+    and only the trials clear of the floor ascend, in trial order. Returns
+    the statistics exp(J), each trial's iterations and stop code, the
+    ascent (None when no trial ascends) and the errors of the trials whose
+    channels are fully coherent (see COHERENCE_FLOOR), keyed by trial. A
+    trial that does not ascend reads nan, 0 and -1; _score fails every
+    trial whose statistic is not finite."""
     psi, gamma_m = (f.reshape((-1,) + f.shape[-2:]) for f in forms)
     count, dim = gamma_m.shape[:2]
     chart = _chart_forms((psi, gamma_m))
@@ -137,18 +139,16 @@ def _glr(forms):
                 )
         ok[suspect] = gap > COHERENCE_FLOOR
     valid = np.flatnonzero(ok)
-    stats, rows = np.full(count, np.nan), np.full(count, -1)
+    stats, iterations, stop = np.full(count, np.nan), np.zeros(count, dtype=int), np.full(count, -1)
     if not valid.size:
-        return stats, None, rows, errors
+        return stats, iterations, stop, None, errors
     if valid.size < count:
         chart = [chart[0][..., valid], chart[1][valid]]
     ascent = ascend(chart, np.eye(1, dim, dtype=complex).repeat(valid.size, axis=0))  # e1 for every trial
-    rows[valid] = np.arange(valid.size)
     with np.errstate(over="ignore"):
         stats[valid] = np.exp(ascent.j_value)
-    for i in valid[~np.isfinite(stats[valid])].tolist():
-        errors[i] = DegenerateSampleError(f"non-finite exact statistic {stats[i]}")
-    return stats, ascent, rows, errors
+    iterations[valid], stop[valid] = ascent.iterations, ascent.stop
+    return stats, iterations, stop, ascent, errors
 
 
 def glr_exact(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> tuple[float, OptimResult]:
@@ -247,9 +247,9 @@ class BlockScores:
 
 
 def _score(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray, detectors: tuple[str, ...]):
-    """score_batch's scores, plus glr's ascent and each trial's row of it
-    (see _glr), from which _single builds a trial's OptimResult. Calls no
-    public statistic function: those run this."""
+    """score_batch's scores, plus glr's ascent (see _glr), from which
+    _single builds a trial's OptimResult. Calls no public statistic
+    function: those run this."""
     unknown = set(detectors) - set(DETECTOR_NAMES)
     if unknown:
         raise ValueError(f"unknown detectors {sorted(unknown)}; valid: {DETECTOR_NAMES}")
@@ -261,7 +261,7 @@ def _score(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray, detectors: tuple
                 out.errors[i] = make(i)
 
     stats = {}
-    ascent, rows = None, None
+    ascent = None
     if set(PROPOSED_DETECTORS) & set(detectors):
         if s.maybe_singular:
             raise ValueError(f"need n >= 2L snapshots, got n={s.n}, L={s.num_sensors}")
@@ -269,7 +269,7 @@ def _score(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray, detectors: tuple
     elif "sigma_max" in detectors:
         c = coherence_matrix(s)
     if "glr" in detectors:
-        stats["glr"], ascent, rows, out.errors = _glr(cost_forms(c, pair))
+        stats["glr"], iterations, stop, ascent, out.errors = _glr(cost_forms(c, pair))
     with np.errstate(divide="ignore", invalid="ignore"):
         if "glr_sample" in detectors or "glr_low" in detectors:
             # |eta_sr|^2 over beta_s (beta_r - alpha_sr) for glr_sample and over
@@ -300,11 +300,11 @@ def _score(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray, detectors: tuple
         flag(~np.isfinite(vals), lambda i: DegenerateSampleError(f"non-finite statistic {name} = {vals[i]}"))
     out.stats[list(out.errors)] = np.nan
     if ascent is not None:
-        done = out.valid & (rows >= 0)
+        done = out.valid
         # math.log, not np.log: the two differ in the last bit on some doubles.
         out.two_log_glr[done] = 2.0 * s.n * np.array([math.log(g) for g in stats["glr"][done].tolist()])
-        out.iterations[done], out.stop[done] = ascent.iterations[rows[done]], ascent.stop[rows[done]]
-    return out, ascent, rows
+        out.iterations[done], out.stop[done] = iterations[done], stop[done]
+    return out, ascent
 
 
 def score_batch(
@@ -325,10 +325,10 @@ def score_batch(
     near N = 2L it can stop at a local maximum, see glr_exact), and t_svd
     takes one stacked eigh of S_ss and S_rr. Returns the block's scores as columns (BlockScores), a row per
     trial. A trial that fails carries the error that scoring it alone raises
-    first (from glr, a collapsed glr_sample denominator, a zero channel in
-    t_svd, then a non-finite statistic in detector order). What fails for
-    the whole stack, such as too few snapshots or a block that is not
-    positive definite, raises.
+    first (fully coherent channels in glr, a collapsed glr_sample
+    denominator, a zero channel in t_svd, then a non-finite statistic in
+    detector order). What fails for the whole stack, such as too few
+    snapshots or a block that is not positive definite, raises.
     """
     return _score(s, u_s, u_r, detectors)[0]
 

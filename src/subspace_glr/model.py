@@ -114,16 +114,6 @@ class SteeringPair:
     def num_sensors(self) -> int:
         return self.u_s.size
 
-    @classmethod
-    def normalized(cls, u_s: np.ndarray, u_r: np.ndarray) -> "SteeringPair":
-        """Build a pair from nearly unit vectors, renormalizing exactly."""
-        u_s = np.asarray(u_s, dtype=complex).reshape(-1)
-        u_r = np.asarray(u_r, dtype=complex).reshape(-1)
-        ns, nr = np.linalg.norm(u_s), np.linalg.norm(u_r)
-        if ns == 0.0 or nr == 0.0:
-            raise ValueError("steering vector has zero norm")
-        return cls(u_s / ns, u_r / nr)
-
 
 @dataclass
 class ScenarioConfig:

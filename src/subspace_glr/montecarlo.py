@@ -162,11 +162,13 @@ def resolve_threads(threads: int) -> int:
     return os.cpu_count() or 1
 
 
-def _blocks(items: list[tuple[str, int]], parts: int) -> list[list[tuple[str, int]]]:
+def _blocks(items: list[tuple[str, int]], workers: int) -> list[list[tuple[str, int]]]:
     """Cut items into the fewest blocks of at most BLOCK_TRIALS, and at least
-    parts of them (never more than len(items)), whose sizes differ by at most
-    one, so each block's fixed cost is paid as few times as possible."""
-    count = min(len(items), max(parts, -(-len(items) // BLOCK_TRIALS)))
+    one per worker when there are at least 2 * workers items, whose sizes
+    differ by at most one, so each block's fixed cost is paid as few times
+    as possible."""
+    parts = workers if len(items) >= 2 * workers else 1
+    count = max(parts, -(-len(items) // BLOCK_TRIALS))
     size, extra = divmod(len(items), count)
     cuts = [k * size + min(k, extra) for k in range(count + 1)]
     return [items[a:b] for a, b in zip(cuts, cuts[1:])]
@@ -178,53 +180,47 @@ def _run_points(
     """Run the H0 and H1 trials of every point (one config each) and return
     each point's scores, ordered as in run_trials.
 
-    Each point is cut once (_blocks), into at least one block per worker
-    when it has at least 2 * workers trials, and each block is one job. One
+    Each point is cut once (_blocks), and each block is one job. One
     worker, or a single job, runs in-process, and so does every run on a
     platform without os.fork. Otherwise the blocks of every point go to one
     _forked_map, so the workers are forked once and no point waits for the
     previous one: worker w of n scores jobs w, w + n, ... and only columns
-    come back. No worker outlives the call, whether it returns or raises.
-    Each block logs one progress line, labelled by values. The failure rate
-    is checked per point as it completes, in point order, and the first
-    point above it stops the run.
+    come back. Either way the results are read in job order from one
+    iterator, which is closed when the run returns or raises, so no worker
+    outlives the call. Each block logs one progress line, labelled by
+    values. The failure rate is checked per point as it completes, in point
+    order, and the first point above it stops the run.
     """
     workers = resolve_threads(threads) if hasattr(os, "fork") else 1
     items = [
         [("H0", i) for i in range(cfg.trials_h0)] + [("H1", i) for i in range(cfg.trials_h1)]
         for cfg in cfgs
     ]
-    jobs = [(p, block) for p, its in enumerate(items)
-            for block in _blocks(its, workers if len(its) >= 2 * workers else 1)]
+    jobs = [(p, block) for p, its in enumerate(items) for block in _blocks(its, workers)]
+    if workers == 1 or len(jobs) == 1:
+        results = (_score_or_bisect(cfgs[p], block) for p, block in jobs)
+    else:
+        results = _forked_map(_score_or_bisect, [(cfgs[p], block) for p, block in jobs], workers)
     scored: list[list[BlockScores]] = [[] for _ in cfgs]
     points: list[BlockScores] = []
-
-    def collect(p: int, block: BlockScores) -> None:
-        scored[p].append(block)
-        done = sum(len(b.stats) for b in scored[p])
-        log.info("point %d (%s): %d of %d trials done", p,
-                 "-" if values is None else f"{values[p]:g}", done, len(items[p]))
-        if done < len(items[p]):
-            return
-        points.append(BlockScores.concat(scored[p]))
-        errors = points[-1].errors
-        if errors:
-            first = errors[min(errors)]
-            log.warning("%d of %d trials failed; first: %s", len(errors), done,
-                        f"{type(first).__name__}: {first}")
-        if len(errors) > MAX_FAILURE_RATE * done:
-            raise RuntimeError(
-                f"{len(errors)} of {done} trials failed, above the allowed rate {MAX_FAILURE_RATE}"
-            )
-
-    if workers == 1 or len(jobs) == 1:
-        for p, block in jobs:
-            collect(p, _score_or_bisect(cfgs[p], block))
-        return points
-    results = _forked_map(_score_or_bisect, [(cfgs[p], block) for p, block in jobs], workers)
     try:
-        for (p, _), scores in zip(jobs, results):
-            collect(p, scores)
+        for (p, _), block in zip(jobs, results):
+            scored[p].append(block)
+            done = sum(len(b.stats) for b in scored[p])
+            log.info("point %d (%s): %d of %d trials done", p,
+                     "-" if values is None else f"{values[p]:g}", done, len(items[p]))
+            if done < len(items[p]):
+                continue
+            points.append(BlockScores.concat(scored[p]))
+            errors = points[-1].errors
+            if errors:
+                first = errors[min(errors)]
+                log.warning("%d of %d trials failed; first: %s", len(errors), done,
+                            f"{type(first).__name__}: {first}")
+            if len(errors) > MAX_FAILURE_RATE * done:
+                raise RuntimeError(
+                    f"{len(errors)} of {done} trials failed, above the allowed rate {MAX_FAILURE_RATE}"
+                )
     finally:
         results.close()
     return points

@@ -72,7 +72,7 @@ class TestValidateConfig:
         cfg = write_config(tmp_path)
         assert main(["validate-config", "--config", str(cfg)]) == 0
         resolved = json.loads(capsys.readouterr().out)
-        assert resolved["scenario"]["wishart_dof"] == 4  # 2L materialized
+        assert resolved["scenario"]["wishart_dof"] is None  # 2L at each point, not materialized
         assert resolved["pfa"] == 0.01
         assert "optimizer" not in resolved
 
@@ -565,6 +565,40 @@ def test_rank_tables_golden_bytes(tmp_path, command, cfg, digests, threads):
     out = tmp_path / "out"
     assert main([command, "--config", str(path), "--out", str(out), "--threads", str(threads)]) == 0
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests
+
+
+# A call of each experiment command and of two sweep axes, by write_config's
+# overrides, and the data files it writes. No config here sets wishart_dof,
+# so each point's dof is 2L: on the l axis it differs from point to point.
+RERUNS = {
+    "roc": ("roc", {"detectors": ["glr", "glr_low"]}, ["roc.csv", "auc.csv"]),
+    "null-dist": ("null-dist", {"detectors": ["glr"], "trials_h0": 40}, ["nulldist.csv", "ks.json"]),
+    "sweep-snr_s_db": ("pm-sweep", {
+        "pfa": 0.1, "sweep": {"axis": "snr_s_db", "values": [-5.0, 5.0], "snr_r_db_offset": 10.0},
+    }, ["pm.csv"]),
+    "sweep-l": ("pm-sweep", {
+        "scenario": {"L": 2, "N": 12, "snr_s_db": -5.0, "snr_r_db": 5.0, "seed": 3},
+        "trials_h0": 100, "trials_h1": 100, "detectors": ["glr_low"], "sweep": {"axis": "l", "values": [2, 3, 4]},
+    }, ["pm.csv"]),
+}
+
+
+@pytest.mark.parametrize("command, overrides, names", RERUNS.values(), ids=list(RERUNS))
+def test_manifest_config_reruns_the_call(tmp_path, capsys, command, overrides, names):
+    # the manifest's config, fed back through --config, writes the same data
+    # files and the same config; an unset wishart_dof stays null in it
+    first, again, rerun = tmp_path / "first", tmp_path / "again", tmp_path / "rerun.json"
+    path = write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(path), "--out", str(first), "--threads", "1"]) == 0
+    config = json.loads((first / "manifest.json").read_text())["config"]
+    rerun.write_text(json.dumps(config))
+    assert main([command, "--config", str(rerun), "--out", str(again), "--threads", "1"]) == 0
+    for name in names:
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+    assert json.loads((again / "manifest.json").read_text())["config"] == config
+    assert config["scenario"]["wishart_dof"] is None
+    assert main(["validate-config", "--config", str(rerun)]) == 0
+    assert '"wishart_dof": null' in capsys.readouterr().out
 
 
 class TestDetect:

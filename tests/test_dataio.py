@@ -123,6 +123,18 @@ class TestSteeringCsv:
         assert np.allclose(back.u_s, pair.u_s, atol=1e-15)
         assert np.allclose(back.u_r, pair.u_r, atol=1e-15)
 
+    def test_renormalizes_nearly_unit_vectors(self, tmp_path):
+        # within 1e-6 of unit norm is accepted and divided by its norm
+        scale = 1.0 + 5e-7
+        path = tmp_path / "steer.csv"
+        rows = ["channel,sensor,re,im", f"s,0,{0.6 * scale!r},0.0", f"s,1,0.0,{0.8 * scale!r}",
+                f"r,0,0.0,{-scale!r}", "r,1,0.0,0.0"]
+        path.write_text("\n".join(rows) + "\n")
+        back = sg.read_steering_csv(path)
+        for u, want in ((back.u_s, [0.6, 0.8j]), (back.u_r, [-1j, 0.0])):
+            assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-15)
+            assert np.allclose(u, want, rtol=0.0, atol=1e-15)
+
     def test_rejects_off_norm_vector(self, tmp_path):
         path = tmp_path / "steer.csv"
         rows = ["channel,sensor,re,im"]

@@ -559,6 +559,32 @@ class TestComputeReport:
 
 
 class TestDegenerateSamples:
+    def test_non_finite_exact_statistic_fails_its_trial(self, monkeypatch):
+        # an ascent whose J overflows exp or is NaN fails that trial alone,
+        # by score_batch's check of every statistic; the rest keep their rows
+        trials = [make_instance(seed=5700 + k, L=3, N=9) for k in range(5)]
+        s = sg.block_sample_cov(np.stack([t[2].y_s for t in trials]), np.stack([t[2].y_r for t in trials]))
+        u_s, u_r = np.stack([t[1].u_s for t in trials]), np.stack([t[1].u_r for t in trials])
+        clean = sg.score_batch(s, u_s, u_r)
+        real = detectors.ascend
+
+        def overflowing(chart, x0):
+            out = real(chart, x0)
+            out.j_value[1], out.j_value[3] = 800.0, np.nan
+            return out
+
+        monkeypatch.setattr(detectors, "ascend", overflowing)
+        block = sg.score_batch(s, u_s, u_r)
+        assert {i: (type(e), str(e)) for i, e in block.errors.items()} == {
+            1: (sg.DegenerateSampleError, "non-finite statistic glr = inf"),
+            3: (sg.DegenerateSampleError, "non-finite statistic glr = nan"),
+        }
+        assert np.isnan(block.stats[[1, 3]]).all() and np.isnan(block.two_log_glr[[1, 3]]).all()
+        assert block.iterations[[1, 3]].tolist() == [0, 0] and block.stop[[1, 3]].tolist() == [-1, -1]
+        rest = [0, 2, 4]
+        for name in ("stats", "two_log_glr", "iterations", "stop"):
+            assert getattr(block, name)[rest].tobytes() == getattr(clean, name)[rest].tobytes()
+
     def test_undersampled_rejected(self):
         rng = np.random.default_rng(14)
         L, N = 3, 4  # N < 2L
@@ -676,7 +702,7 @@ class TestCoherenceScreen:
         rng = np.random.default_rng(3200 + dim)
         gaps = np.array([0.5, 1e-3] + [f * COHERENCE_FLOOR for f in (8.0, 4.0, 3.0, 2.0, 1.5, 1.0, 0.5, 0.0, -1.0)])
         forms = forms_with_gaps(np.repeat(gaps, 4), dim, rng)
-        stats, _, _, errors = detectors._glr(forms)
+        stats, _, _, _, errors = detectors._glr(forms)
         got = {i: str(errors[i]) if i in errors else stats[i] for i in range(len(stats))}
         want = expected_glr(forms)
         assert got == want

@@ -132,10 +132,6 @@ class TestSteeringPair:
         with pytest.raises(ValueError, match="unit norm"):
             sg.SteeringPair(np.array([0.9, 0.0]), np.array([1.0, 0.0]))
 
-    def test_normalized_factory(self):
-        pair = sg.SteeringPair.normalized([3.0, 4.0], [1j, 0.0])
-        assert np.linalg.norm(pair.u_s) == pytest.approx(1.0, abs=1e-15)
-
     def test_draw_modes(self):
         rng = np.random.default_rng(5)
         for mode in ("random-unit", "ula-random-doa"):

@@ -229,15 +229,16 @@ def l_sweep_config(trials_h0, trials_h1, values=(2.0, 3.0, 5.0), detectors=sg.DE
 
 
 class TestPooledPoints:
-    @pytest.mark.parametrize("n", [1, 7, 16, 66, 300, 500, 513, 600, 1025, 3000, 20000])
-    @pytest.mark.parametrize("parts", [1, 2, 3, 8])
-    def test_blocks(self, n, parts):
-        # the fewest blocks of at most BLOCK_TRIALS, and at least parts of
-        # them where n allows it, of sizes within one of each other, in order
+    @pytest.mark.parametrize("n", [1, 7, 15, 16, 66, 300, 500, 513, 600, 1025, 3000, 20000])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_blocks(self, n, workers):
+        # the fewest blocks of at most BLOCK_TRIALS, and at least one per
+        # worker from 2 * workers items, of sizes within one of each other,
+        # in order
         items = [("H0", i) for i in range(n)]
-        blocks = montecarlo._blocks(items, parts)
+        blocks = montecarlo._blocks(items, workers)
         sizes = [len(b) for b in blocks]
-        assert len(blocks) == max(math.ceil(n / montecarlo.BLOCK_TRIALS), min(parts, n))
+        assert len(blocks) == max(math.ceil(n / montecarlo.BLOCK_TRIALS), workers if n >= 2 * workers else 1)
         assert max(sizes) <= montecarlo.BLOCK_TRIALS
         assert max(sizes) - min(sizes) <= 1
         assert [item for b in blocks for item in b] == items
@@ -305,9 +306,7 @@ class TestPooledPoints:
             sg.run_pm_sweep(cfg, threads=2)
         assert_no_child()
         path = tmp_path / "cfg.json"
-        raw = cli.config_to_dict(cfg)
-        del raw["scenario"]["wishart_dof"]  # resolved at L = 2; the default follows L
-        path.write_text(json.dumps(raw))
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
         argv = ["pm-sweep", "--config", str(path), "--out", str(tmp_path / "out"), "--threads", "2"]
         assert cli.main(argv) == 3
         assert capsys.readouterr().err.startswith("error: worker process ")
