@@ -9,8 +9,9 @@ Subcommands:
     validate-config  check a config, print it with defaults filled in
 
 The three experiment commands run through one driver, cmd_experiment: a
-montecarlo runner, then a writer of that command's data files into --out,
-then manifest.json. The manifest's config, like validate-config's output,
+montecarlo runner returns (result, failures, telemetry), the command's
+writer writes the result's data files into --out, and manifest.json
+records the rest. The manifest's config, like validate-config's output,
 is the config as given with defaults filled in: an unset wishart_dof stays
 null (2L at each point), so the config reruns the call through --config.
 
@@ -112,6 +113,11 @@ def load_config(path: str, seed_override: int | None) -> ExperimentConfig:
     return cfg
 
 
+def _json(obj) -> str:
+    """The text of every JSON output: indent 2, sorted keys, final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def _write_table(path: Path, header: tuple[str, ...], labels: list[str] | None, columns) -> None:
     """Write one CSV table, given by its columns, with a single write.
 
@@ -135,39 +141,37 @@ def _write_table(path: Path, header: tuple[str, ...], labels: list[str] | None, 
         fh.write("\r\n".join(lines))
 
 
-def _write_roc(out: Path, cfg: ExperimentConfig, result) -> tuple[list[str], dict, dict]:
-    curves, failures, telemetry = result
-    names = cfg.detectors
+def _write_roc(out: Path, curves: dict) -> list[str]:
+    """Write the runner's curves to roc.csv and auc.csv; return their names."""
+    names = list(curves)
     _write_table(
         out / "roc.csv", ("detector", "pfa", "pd"),
         [name for name in names for _ in curves[name].pfa],
         [np.concatenate([curves[name].pfa for name in names]),
          np.concatenate([curves[name].pd for name in names])],
     )
-    _write_table(out / "auc.csv", ("detector", "auc"), list(names), [[curves[name].auc for name in names]])
-    return ["roc.csv", "auc.csv"], failures, telemetry
+    _write_table(out / "auc.csv", ("detector", "auc"), names, [[curves[name].auc for name in names]])
+    return ["roc.csv", "auc.csv"]
 
 
-def _write_pm(out: Path, cfg: ExperimentConfig, result) -> tuple[list[str], dict, dict]:
-    points, failures, telemetry = result
-    rows = [[pt.sweep_value, pt.pm, pt.ci_lo, pt.ci_hi] for name in cfg.detectors for pt in points[name]]
+def _write_pm(out: Path, points: dict) -> list[str]:
+    """Write the runner's curves to pm.csv; return its name."""
+    rows = [[pt.sweep_value, pt.pm, pt.ci_lo, pt.ci_hi] for curve in points.values() for pt in curve]
     _write_table(
         out / "pm.csv", ("detector", "sweep_value", "pm", "ci_lo", "ci_hi"),
-        [name for name in cfg.detectors for _ in points[name]], np.array(rows).T,
+        [name for name, curve in points.items() for _ in curve], np.array(rows).T,
     )
-    return ["pm.csv"], failures, telemetry
+    return ["pm.csv"]
 
 
-def _write_null(out: Path, cfg: ExperimentConfig, result) -> tuple[list[str], dict, dict]:
-    ks, table, n_valid, telemetry = result
+def _write_null(out: Path, result: tuple) -> list[str]:
+    """Write the runner's (ks, table) to nulldist.csv and ks.json, whose
+    n_trials counts the table's rows, one per valid trial; return their names."""
+    ks, table = result
     _write_table(out / "nulldist.csv", ("t", "empirical_cdf", "chi2_cdf"), None, table.T)
-    with open(out / "ks.json", "w") as fh:
-        json.dump(
-            {"ks_distance": ks, "n_trials": n_valid, "reference": "chi-squared, 2 dof"},
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
-    return ["nulldist.csv", "ks.json"], {"H0": cfg.trials_h0 - n_valid}, telemetry
+    summary = {"ks_distance": ks, "n_trials": len(table), "reference": "chi-squared, 2 dof"}
+    (out / "ks.json").write_text(_json(summary))
+    return ["nulldist.csv", "ks.json"]
 
 
 # Experiment commands and their help; cmd_experiment runs each.
@@ -179,9 +183,9 @@ _EXPERIMENTS = {
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    """Run an experiment command: load the config, run the Monte Carlo
-    runner, let its writer write the data files into --out, then write
-    manifest.json. An OSError creating --out or writing a file exits 2."""
+    """Run an experiment command: load the config, run its runner, let its
+    writer write the result into --out, then write manifest.json with the
+    failures and telemetry. An OSError creating --out or writing exits 2."""
     started = time.monotonic()
     # Looked up per call, so a wrapper set on this module's names after import runs.
     runner, writer = {
@@ -199,10 +203,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         raise ConfigError(f"--out {out}: {exc}") from exc
     threads = resolve_threads(args.threads)
     run_start = time.perf_counter()
-    result = runner(cfg, threads)
+    result, failures, telemetry = runner(cfg, threads)
     write_start = time.perf_counter()
     try:
-        outputs, failures, telemetry = writer(out, cfg, result)
+        outputs = writer(out, result)
         seconds = {"run": write_start - run_start, "write": time.perf_counter() - write_start}
         manifest = {
             "tool": "subspace-glr",
@@ -216,9 +220,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             "seconds": {stage: round(s, 6) for stage, s in seconds.items()},
             "duration_s": round(time.monotonic() - started, 3),
         }
-        with open(out / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        (out / "manifest.json").write_text(_json(manifest))
     except OSError as exc:
         raise ConfigError(f"--out {out}: {exc}") from exc
     log.info("%s: wrote %s", args.command, ", ".join(str(out / name) for name in outputs + ["manifest.json"]))
@@ -271,15 +273,13 @@ def cmd_detect(args: argparse.Namespace) -> int:
     }
     if thresholds:
         result["decisions"] = {name: stats[name] > thr for name, thr in thresholds.items()}
-    json.dump(result, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(_json(result))
     return 0
 
 
 def cmd_validate_config(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.seed)
-    json.dump(dataclasses.asdict(cfg), sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(_json(dataclasses.asdict(cfg)))
     return 0
 
 

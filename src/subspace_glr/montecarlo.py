@@ -127,6 +127,12 @@ def _rows(cfg: ExperimentConfig, hypothesis: str) -> slice:
     return slice(0, cfg.trials_h0) if hypothesis == "H0" else slice(cfg.trials_h0, None)
 
 
+def _failures(cfg: ExperimentConfig, scores: BlockScores) -> dict[str, int]:
+    """The failed trials of a run of cfg, counted per hypothesis that has trials."""
+    counts = zip(HYPOTHESES, (cfg.trials_h0, cfg.trials_h1))
+    return {hyp: int(np.sum(~scores.valid[_rows(cfg, hyp)])) for hyp, n in counts if n}
+
+
 def _score_or_bisect(cfg: ExperimentConfig, block: list[tuple[str, int]]) -> BlockScores:
     """Draw the sample covariances of a block of trials and score them as
     stacked arrays; if the block raises as a whole (say, one trial's sample
@@ -442,27 +448,24 @@ def telemetry(cfg: ExperimentConfig, scores: BlockScores) -> dict:
 def run_roc_experiment(
     cfg: ExperimentConfig, threads: int = 0
 ) -> tuple[dict[str, RocCurve], dict[str, int], dict]:
-    """ROC curves for every configured detector, failure counts per
-    hypothesis and the run's telemetry."""
+    """(result, failures, telemetry): the ROC curve of every configured
+    detector, the failed trials per hypothesis and the run's telemetry."""
     if cfg.trials_h1 < 1:
         raise ValueError("a ROC run needs trials_h1 >= 1")
     scores = run_trials(cfg, threads)
     h0, h1 = _rows(cfg, "H0"), _rows(cfg, "H1")
-    failures = {"H0": int(np.sum(~scores.valid[h0])), "H1": int(np.sum(~scores.valid[h1]))}
     curves = {name: roc_curve(scores.stat(name, h0), scores.stat(name, h1)) for name in cfg.detectors}
-    return curves, failures, telemetry(cfg, scores)
+    return curves, _failures(cfg, scores), telemetry(cfg, scores)
 
 
 def run_pm_sweep(
     cfg: ExperimentConfig, threads: int = 0
 ) -> tuple[dict[str, list[PmPoint]], dict[str, int], dict[str, dict]]:
-    """Missed-detection probability along the sweep, one curve per detector.
-
-    Thresholds are recalibrated from the H0 trials of each sweep point at
-    cfg.pfa; a point with fewer than 10 / pfa valid H0 trials logs one
-    warning that its threshold is noisy. Also returns failed-trial counts
-    and the telemetry of each point, keyed by sweep value.
-    """
+    """(result, failures, telemetry): the missed-detection probability
+    along the sweep, one curve per detector, and each point's failed trials
+    and telemetry, keyed by sweep value. Thresholds are recalibrated from
+    the H0 trials of each point at cfg.pfa; a point with fewer than 10 / pfa
+    valid H0 trials logs one warning that its threshold is noisy."""
     if cfg.sweep is None:
         raise ValueError("pm sweep requires a sweep block in the config")
     if cfg.trials_h1 < 1:
@@ -473,7 +476,7 @@ def run_pm_sweep(
     failures: dict[str, int] = {}
     counts: dict[str, dict] = {}
     for value, point, scores in zip(values, points, _run_points(points, threads, values)):
-        failures[repr(float(value))] = len(scores.errors)
+        failures[repr(float(value))] = sum(_failures(point, scores).values())
         counts[repr(float(value))] = telemetry(point, scores)
         h0, h1 = _rows(point, "H0"), _rows(point, "H1")
         n_h0 = int(np.sum(scores.valid[h0]))
@@ -488,16 +491,12 @@ def run_pm_sweep(
 
 def run_null_dist(
     cfg: ExperimentConfig, threads: int = 0
-) -> tuple[float, np.ndarray, int, dict]:
-    """Null distribution of 2 log Lambda against its large-sample reference.
-
-    Runs H0 trials only (the exact detector must be enabled) and returns
-    (ks distance, cdf table, number of valid trials, telemetry).
-    """
+) -> tuple[tuple[float, np.ndarray], dict[str, int], dict]:
+    """(result, failures, telemetry) of the null distribution of 2 log
+    Lambda against chi-squared(2), from H0 trials only (glr must be enabled):
+    the result is wilks_diag's (ks, table) over the valid trials."""
     if "glr" not in cfg.detectors:
         raise ValueError("null-dist requires the glr detector")
     cfg = dataclasses.replace(cfg, trials_h1=0)
     scores = run_trials(cfg, threads)
-    vals = scores.two_log_glr[scores.valid]
-    ks, table = wilks_diag(vals)
-    return ks, table, int(vals.size), telemetry(cfg, scores)
+    return wilks_diag(scores.two_log_glr[scores.valid]), _failures(cfg, scores), telemetry(cfg, scores)

@@ -280,11 +280,11 @@ def test_criterion_7_wilks_null_distribution(emit):
         detectors=("glr",),
     )
     started = time.time()
-    ks, _, n_valid, _ = sg.run_null_dist(cfg, threads=0)
+    (ks, table), _, _ = sg.run_null_dist(cfg, threads=0)
     elapsed = time.time() - started
     emit("7 Wilks KS distance (tol 0.05, <= 600 s)",
-          ks <= 0.05 and elapsed <= 600.0 and n_valid == 10_000,
-          f"ks={ks:.4f}, {n_valid} trials, {elapsed:.0f} s")
+          ks <= 0.05 and elapsed <= 600.0 and len(table) == 10_000,
+          f"ks={ks:.4f}, {len(table)} trials, {elapsed:.0f} s")
 
 
 def test_criterion_8_roc_ordering(fig3_records, emit):

@@ -514,7 +514,7 @@ class TestTables:
         points, _, _ = montecarlo.run_pm_sweep(cfg, threads=1)
         write_csv(ref / "pm.csv", ["detector", "sweep_value", "pm", "ci_lo", "ci_hi"],
                   [[n, pt.sweep_value, pt.pm, pt.ci_lo, pt.ci_hi] for n in cfg.detectors for pt in points[n]])
-        _, table, _, _ = montecarlo.run_null_dist(cfg, threads=1)
+        (_, table), _, _ = montecarlo.run_null_dist(cfg, threads=1)
         write_csv(ref / "nulldist.csv", ["t", "empirical_cdf", "chi2_cdf"], table)
         for command, names in (("roc", ["roc.csv", "auc.csv"]), ("pm-sweep", ["pm.csv"]),
                                ("null-dist", ["nulldist.csv"])):

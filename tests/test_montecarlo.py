@@ -675,10 +675,55 @@ class TestExperimentRunners:
 
     def test_null_dist_smoke(self):
         cfg = tiny_config(trials_h0=40, trials_h1=5, detectors=("glr",))
-        ks, table, n_valid, _ = sg.run_null_dist(cfg, threads=1)
-        assert n_valid == 40  # H1 trials are dropped for a null-only run
+        (ks, table), failures, _ = sg.run_null_dist(cfg, threads=1)
+        assert len(table) == 40  # H1 trials are dropped for a null-only run
+        assert failures == {"H0": 0}
         assert table.shape == (40, 3)
         assert 0.0 <= ks <= 1.0
+
+    @pytest.mark.parametrize("command", ["roc", "pm-sweep", "null-dist"])
+    def test_failures_count_invalid_rows(self, tmp_path, monkeypatch, command):
+        # a NaN in the sample covariance of H0 trial 2 and of H1 trial 4
+        # fails those trials: every runner counts the invalid rows per
+        # hypothesis (per sweep value for pm-sweep, H0 alone for null-dist),
+        # and the CLI writes those counts to the manifest's trial_failures
+        monkeypatch.setattr(montecarlo, "MAX_FAILURE_RATE", 0.5)
+        real = montecarlo.draw_sample_cov
+
+        def nan_h0_2_and_h1_4(sc, trials):
+            u_s, u_r, s = real(sc, trials)
+            s.s_ss[[k for k, item in enumerate(trials) if item in {("H0", 2), ("H1", 4)}], 1, 0] = np.nan
+            return u_s, u_r, s
+
+        monkeypatch.setattr(montecarlo, "draw_sample_cov", nan_h0_2_and_h1_4)
+        cfg = dataclasses.replace(
+            tiny_config(trials_h0=6, trials_h1=6, detectors=("glr", "glr_low")),
+            sweep=sg.SweepSpec(axis="snr_s_db", values=(-5.0, 5.0), snr_r_db_offset=10.0),
+        )
+
+        def invalid(point):
+            valid = sg.run_trials(point, threads=1).valid
+            rows = {"H0": valid[: point.trials_h0], "H1": valid[point.trials_h0 :]}
+            return {hyp: int(np.sum(~v)) for hyp, v in rows.items() if v.size}
+
+        if command == "roc":
+            _, failures, _ = sg.run_roc_experiment(cfg, threads=1)
+            expected = invalid(cfg)
+            assert expected == {"H0": 1, "H1": 1}
+        elif command == "pm-sweep":
+            _, failures, _ = sg.run_pm_sweep(cfg, threads=1)
+            expected = {repr(v): sum(invalid(apply_sweep_value(cfg, v)).values()) for v in cfg.sweep.values}
+            assert expected == {"-5.0": 2, "5.0": 2}
+        else:
+            _, failures, _ = sg.run_null_dist(cfg, threads=1)
+            expected = invalid(dataclasses.replace(cfg, trials_h1=0))
+            assert expected == {"H0": 1}
+        assert failures == expected
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(path), "--out", str(out), "--threads", "1"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["trial_failures"] == expected
 
     def test_null_dist_needs_glr(self):
         with pytest.raises(ValueError, match="glr"):
