@@ -48,6 +48,7 @@ from .model import ScenarioConfig
 from .montecarlo import (
     ExperimentConfig,
     SweepSpec,
+    check_experiment,
     resolve_threads,
     run_null_dist,
     run_pm_sweep,
@@ -183,9 +184,11 @@ _EXPERIMENTS = {
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    """Run an experiment command: load the config, run its runner, let its
-    writer write the result into --out, then write manifest.json with the
-    failures and telemetry. An OSError creating --out or writing exits 2."""
+    """Run an experiment command: load and check the config and --threads,
+    create --out, run its runner, let its writer write the result into
+    --out, then write manifest.json with the failures and telemetry. A
+    refused config or flag creates no --out; an OSError creating --out or
+    writing exits 2."""
     started = time.monotonic()
     # Looked up per call, so a wrapper set on this module's names after import runs.
     runner, writer = {
@@ -194,14 +197,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         "null-dist": (run_null_dist, _write_null),
     }[args.command]
     cfg = load_config(args.config, args.seed)
-    if args.command == "pm-sweep" and cfg.sweep is None:
-        raise ConfigError("config.sweep: required for pm-sweep")
+    check_experiment(args.command, cfg)
+    threads = resolve_threads(args.threads)
     out = Path(args.out) if args.out else Path.cwd()
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out {out}: {exc}") from exc
-    threads = resolve_threads(args.threads)
     run_start = time.perf_counter()
     result, failures, telemetry = runner(cfg, threads)
     write_start = time.perf_counter()

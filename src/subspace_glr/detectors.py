@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import BlockSampleCov, capon_pair, coherence_matrix, cost_forms
+from .covariance import BlockSampleCov, capon_pair, cholesky_pd, coherence_matrix, cost_forms
 from .model import SteeringPair
-from .optimizer import OptimResult, _chart_forms, _cholesky, ascend
+from .optimizer import OptimResult, ascend
 
 DETECTOR_NAMES = ("glr", "glr_sample", "glr_low", "sigma_max", "t_cc", "t_svd")
 PROPOSED_DETECTORS = ("glr", "glr_sample", "glr_low")
@@ -97,54 +97,40 @@ def glr_sample(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> float:
     return _single(s, u_s, u_r, ("glr_sample",))[1][0]
 
 
-def _clear_of_floor(gamma_block: np.ndarray) -> np.ndarray:
-    """Whether each trial's gamma_m has its smallest eigenvalue above
-    COHERENCE_FLOOR with room to spare, from gamma_block (2L-1, 2L-1, T), the
-    chart's embedding of gamma_m (optimizer._chart_forms): whether
-    gamma_block - 2 COHERENCE_FLOOR I is positive definite, by the Cholesky
-    verdict (optimizer._cholesky) on a copy. The block is gamma_m's real
-    embedding [[Re, -Im], [Im, Re]], whose eigenvalues are gamma_m's, each
-    twice, without the row and column of Im x_1, so by Cauchy interlacing
-    its smallest eigenvalue is gamma_m's. A margin of the floor itself lies
-    far beyond the roundoff of this test and of eigvalsh, so a row that
-    passes also passes eigvalsh's rule; the others are for eigvalsh to judge."""
-    emb = gamma_block.copy()
-    np.einsum("iit->it", emb)[...] -= 2.0 * COHERENCE_FLOOR
-    return _cholesky(emb)[1]
-
-
 def _glr(forms):
     """The exact statistic of each trial of stacked cost forms (..., L, L):
     one lockstep ascent from the warm start e1 of every trial. Near N = 2L
-    it can stop at a local maximum below the global one. The chart
-    embeddings of the forms are built once and screened (_clear_of_floor),
-    and only the trials clear of the floor ascend, in trial order. Returns
-    the statistics exp(J), each trial's iterations and stop code, the
-    ascent (None when no trial ascends) and the errors of the trials whose
+    it can stop at a local maximum below the global one. The block's gamma_m
+    are screened by one Cholesky of gamma_m - 2 COHERENCE_FLOOR I
+    (covariance.cholesky_pd): when it passes, every trial ascends. A margin
+    of the floor itself lies far beyond the roundoff of that factorization
+    and of eigvalsh, so a block that passes also passes eigvalsh's rule.
+    When it does not, one eigvalsh of the block judges every trial, and only
+    the trials clear of the floor ascend, in trial order. Returns the
+    statistics exp(J), each trial's iterations and stop code, the ascent
+    (None when no trial ascends) and the errors of the trials whose
     channels are fully coherent (see COHERENCE_FLOOR), keyed by trial. A
     trial that does not ascend reads nan, 0 and -1; _score fails every
     trial whose statistic is not finite."""
     psi, gamma_m = (f.reshape((-1,) + f.shape[-2:]) for f in forms)
     count, dim = gamma_m.shape[:2]
-    chart = _chart_forms((psi, gamma_m))
-    ok = _clear_of_floor(chart[0][1])
-    suspect = np.flatnonzero(~ok)
+    valid = np.arange(count)
     errors: dict[int, ValueError] = {}
-    if suspect.size:
-        gap = np.linalg.eigvalsh(gamma_m[suspect])[:, 0]
-        for i, g in zip(suspect.tolist(), gap.tolist()):
+    try:
+        cholesky_pd(gamma_m - 2.0 * COHERENCE_FLOOR * np.eye(dim))
+    except ValueError:
+        gap = np.linalg.eigvalsh(gamma_m)[:, 0]
+        for i, g in enumerate(gap.tolist()):
             if g <= COHERENCE_FLOOR:
                 errors[i] = ValueError(
                     f"the channels are fully coherent: I - C^H C has eigenvalue {g:.3e} <= {COHERENCE_FLOOR:.3e}"
                 )
-        ok[suspect] = gap > COHERENCE_FLOOR
-    valid = np.flatnonzero(ok)
+        valid = np.flatnonzero(gap > COHERENCE_FLOOR)
+        psi, gamma_m = psi[valid], gamma_m[valid]
     stats, iterations, stop = np.full(count, np.nan), np.zeros(count, dtype=int), np.full(count, -1)
     if not valid.size:
         return stats, iterations, stop, None, errors
-    if valid.size < count:
-        chart = [chart[0][..., valid], chart[1][valid]]
-    ascent = ascend(chart, np.eye(1, dim, dtype=complex).repeat(valid.size, axis=0))  # e1 for every trial
+    ascent = ascend((psi, gamma_m), np.eye(1, dim, dtype=complex).repeat(valid.size, axis=0))  # e1 for every trial
     with np.errstate(over="ignore"):
         stats[valid] = np.exp(ascent.j_value)
     iterations[valid], stop[valid] = ascent.iterations, ascent.stop
@@ -318,17 +304,18 @@ def score_batch(
     s holds (T, L, L) blocks and u_s, u_r are (T, L). The Cholesky factors,
     the coherence matrix and the beamformer pair are formed once for the
     stack and feed every detector that uses them. The closed forms and the
-    exact cost's forms are vector operations over the stack, a Cholesky
-    screen run elementwise over the stack validates the latter (eigvalsh
-    judges only the trials it does not clear; see _clear_of_floor), glr
-    runs one lockstep ascent over all of them from e1 (optimizer.ascend;
-    near N = 2L it can stop at a local maximum, see glr_exact), and t_svd
-    takes one stacked eigh of S_ss and S_rr. Returns the block's scores as columns (BlockScores), a row per
-    trial. A trial that fails carries the error that scoring it alone raises
-    first (fully coherent channels in glr, a collapsed glr_sample
-    denominator, a zero channel in t_svd, then a non-finite statistic in
-    detector order). What fails for the whole stack, such as too few
-    snapshots or a block that is not positive definite, raises.
+    exact cost's forms are vector operations over the stack, one stacked
+    Cholesky screen validates the latter (eigvalsh judges the block only
+    when the screen does not clear it; see _glr), glr runs one lockstep
+    ascent over all of them from e1 (optimizer.ascend; near N = 2L it can
+    stop at a local maximum, see glr_exact), and t_svd takes one stacked
+    eigh of S_ss and S_rr. Returns the block's scores as columns
+    (BlockScores), a row per trial. A trial that fails carries the error
+    that scoring it alone raises first (fully coherent channels in glr, a
+    collapsed glr_sample denominator, a zero channel in t_svd, then a
+    non-finite statistic in detector order). What fails for the whole
+    stack, such as too few snapshots or a block that is not positive
+    definite, raises.
     """
     return _score(s, u_s, u_r, detectors)[0]
 

@@ -445,13 +445,25 @@ def telemetry(cfg: ExperimentConfig, scores: BlockScores) -> dict:
     return out
 
 
+def check_experiment(experiment: str, cfg: ExperimentConfig) -> None:
+    """Raise ValueError naming the config field when cfg cannot run
+    experiment ("roc", "pm-sweep" or "null-dist"), which each runner checks
+    before any trial runs, and the CLI before it creates --out."""
+    if experiment == "null-dist":
+        if "glr" not in cfg.detectors:
+            raise ValueError("detectors must include glr for null-dist")
+    elif experiment == "pm-sweep" and cfg.sweep is None:
+        raise ValueError("sweep is required for pm-sweep")
+    elif cfg.trials_h1 < 1:
+        raise ValueError(f"trials_h1 must be >= 1 for {experiment}")
+
+
 def run_roc_experiment(
     cfg: ExperimentConfig, threads: int = 0
 ) -> tuple[dict[str, RocCurve], dict[str, int], dict]:
     """(result, failures, telemetry): the ROC curve of every configured
     detector, the failed trials per hypothesis and the run's telemetry."""
-    if cfg.trials_h1 < 1:
-        raise ValueError("a ROC run needs trials_h1 >= 1")
+    check_experiment("roc", cfg)
     scores = run_trials(cfg, threads)
     h0, h1 = _rows(cfg, "H0"), _rows(cfg, "H1")
     curves = {name: roc_curve(scores.stat(name, h0), scores.stat(name, h1)) for name in cfg.detectors}
@@ -466,10 +478,7 @@ def run_pm_sweep(
     and telemetry, keyed by sweep value. Thresholds are recalibrated from
     the H0 trials of each point at cfg.pfa; a point with fewer than 10 / pfa
     valid H0 trials logs one warning that its threshold is noisy."""
-    if cfg.sweep is None:
-        raise ValueError("pm sweep requires a sweep block in the config")
-    if cfg.trials_h1 < 1:
-        raise ValueError("a pm sweep needs trials_h1 >= 1")
+    check_experiment("pm-sweep", cfg)
     values = cfg.sweep.values
     points = [apply_sweep_value(cfg, v) for v in values]
     out: dict[str, list[PmPoint]] = {name: [] for name in cfg.detectors}
@@ -495,8 +504,7 @@ def run_null_dist(
     """(result, failures, telemetry) of the null distribution of 2 log
     Lambda against chi-squared(2), from H0 trials only (glr must be enabled):
     the result is wilks_diag's (ks, table) over the valid trials."""
-    if "glr" not in cfg.detectors:
-        raise ValueError("null-dist requires the glr detector")
+    check_experiment("null-dist", cfg)
     cfg = dataclasses.replace(cfg, trials_h1=0)
     scores = run_trials(cfg, threads)
     return wilks_diag(scores.two_log_glr[scores.valid]), _failures(cfg, scores), telemetry(cfg, scores)

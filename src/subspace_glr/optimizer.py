@@ -26,7 +26,8 @@ evaluator of J and its derivatives: the ascent steps on them, and cost_j and
 grad_hess_j give them at one point.
 
 ascend runs the ascents of a whole stack of cost surfaces in lockstep, on
-the chart embeddings that _chart_forms builds once per block. Each pass
+the chart embeddings that it builds from their forms (_chart_forms) and
+alone holds, so the rows that stop free their part. Each pass
 takes one path for every live row: it solves the trust-region subproblem,
 maximize g.p + p.H.p/2 subject to |p| <= radius, exactly (Moré and
 Sorensen, "Computing a trust region step", SIAM J. Sci. Stat. Comput. 4(3),
@@ -158,18 +159,16 @@ class Ascent:
                            int(self.iterations[row]), STOP_REASONS[self.stop[row]], trace)
 
 
-def _chart_forms(forms) -> list[np.ndarray]:
+def _chart_forms(forms) -> tuple[np.ndarray, np.ndarray]:
     """Chart embeddings of the stacked forms (psi, gamma_m), each (T, L, L):
     their real embeddings M = [[Re A, -Im A], [Im A, Re A]], reduced to the
-    chart coordinates [1; Re y; Im y]. Returns the list [m, m_free] that
-    ascend takes: m (2, n+1, n+1, T), the embeddings as columns with the
-    trials last, m[k, j, i, t] = M_k[i, j] of trial t, which _chart_value
-    takes, and m_free (T, 2, n, n), a contiguous copy of their free blocks,
-    which _chart_derivatives takes (its einsum over m's strided view gives
-    the same bits in about 1.7 times the time). The |x|^2 term's embedding
-    is the identity, which those two apply directly. m[1] is gamma_m's
-    real embedding without the row and column of Im x_1, the block that the
-    coherence screen factors (detectors._clear_of_floor)."""
+    chart coordinates [1; Re y; Im y]. Returns m (2, n+1, n+1, T), the
+    embeddings as columns with the trials last, m[k, j, i, t] = M_k[i, j] of
+    trial t, which _chart_value takes, and m_free (T, 2, n, n), a contiguous
+    copy of their free blocks, which _chart_derivatives takes (its einsum
+    over m's strided view gives the same bits in about 1.7 times the time).
+    The |x|^2 term's embedding is the identity, which those two apply
+    directly."""
     psi, gamma_m = (np.asarray(f, dtype=complex) for f in forms)
     dim = psi.shape[-1]
     m = np.empty((2, 2 * dim - 1, 2 * dim - 1, len(psi)))
@@ -179,7 +178,7 @@ def _chart_forms(forms) -> list[np.ndarray]:
         rows[:, k, :dim, dim:] = -form.imag[..., 1:]
         rows[:, k, dim:, :dim] = form.imag[..., 1:, :]
         rows[:, k, dim:, dim:] = form.real[..., 1:, 1:]
-    return [m, np.ascontiguousarray(rows[..., 1:, 1:])]
+    return m, np.ascontiguousarray(rows[..., 1:, 1:])
 
 
 def _chart_point(x: np.ndarray) -> np.ndarray:
@@ -348,13 +347,11 @@ def solve_subproblem(
     return p, gain
 
 
-def ascend(chart: list[np.ndarray], starts: np.ndarray) -> Ascent:
+def ascend(forms, starts: np.ndarray) -> Ascent:
     """Ascend J from each row of starts (T, L) on the surface of the same row
-    of chart = [m, m_free], the chart embeddings of T pairs of forms from
-    _chart_forms, all rows in lockstep. ascend takes the arrays out of the
-    list and leaves it empty, so that no one else holds them and the rows
-    that stop free their part of the chart; pass a copy of the list to keep
-    them.
+    of forms = (psi, gamma_m), each (T, L, L), all rows in lockstep, on the
+    chart embeddings of the forms (_chart_forms), which no one else holds,
+    so the rows that stop free their part.
 
     Each start is moved into the chart x = [1; y] by dividing by its first
     entry, which must not vanish. Steps are scored against the quadratic
@@ -366,8 +363,7 @@ def ascend(chart: list[np.ndarray], starts: np.ndarray) -> Ascent:
     count, dim = starts.shape
     if np.any(starts[:, 0] == 0):
         raise ValueError("start point x0 has x0[0] == 0, outside the chart x = [1; y]")
-    m, m_free = chart
-    chart.clear()
+    m, m_free = _chart_forms(forms)
     u = _chart_point(starts)
     f, mu, q = _chart_value(m, u)
     if not np.all(np.isfinite(f)):
@@ -473,4 +469,4 @@ def maximize_j(forms, x0: np.ndarray) -> OptimResult:
     with the exact-step trust-region method in the chart x = [1; y]: ascend
     on a stack of one."""
     forms, x0 = _one(forms, x0)
-    return ascend(_chart_forms(forms), x0).result(0)
+    return ascend(forms, x0).result(0)

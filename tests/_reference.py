@@ -921,7 +921,7 @@ def glr_by_eigvalsh(forms) -> tuple[np.ndarray, dict[int, str]]:
     if valid.size:
         start = np.broadcast_to(np.eye(1, psi.shape[-1], dtype=complex), (valid.size, psi.shape[-1]))
         with np.errstate(over="ignore"):
-            stats[valid] = np.exp(ascend(_chart_forms((psi[valid], gamma_m[valid])), start).j_value)
+            stats[valid] = np.exp(ascend((psi[valid], gamma_m[valid]), start).j_value)
     return stats, errors
 
 

@@ -13,13 +13,13 @@ H0 and half H1, as in a run) is drawn and scored once to warm up and then
 
 - draw: model.draw_sample_cov;
 - forms: the beamforming (coherence_matrix, capon_pair) plus cost_forms;
+- screen: the Cholesky screen of the block's gamma_m (detectors._glr: the
+  margin 2 COHERENCE_FLOOR off the diagonal and one stacked
+  covariance.cholesky_pd), which spares eigvalsh every block it clears;
 - chart: the chart embeddings of the forms (optimizer._chart_forms), which
-  the exact statistic builds once per block for the screen and the ascent;
-- screen: the Cholesky screen of the chart's block of gamma_m
-  (detectors._clear_of_floor: a copy of the block, the margin off its
-  diagonal and the elementwise factorization), which spares eigvalsh every
-  trial it clears;
-- ascend: the lockstep ascent from e1 on the chart (optimizer.ascend);
+  the ascent builds once per block;
+- ascend: the lockstep ascent from e1 on the forms (optimizer.ascend), its
+  chart included;
 - score: score_batch with the workload's detectors, all of the above but
   the draw, or the closed forms alone on roc-closed;
 - minflt: the minor page faults of one draw plus score_batch, per block
@@ -59,8 +59,8 @@ import numpy as np
 
 import subspace_glr as sg
 from subspace_glr import cli
-from subspace_glr.covariance import capon_pair, coherence_matrix, cost_forms
-from subspace_glr.detectors import _clear_of_floor
+from subspace_glr.covariance import capon_pair, cholesky_pd, coherence_matrix, cost_forms
+from subspace_glr.detectors import COHERENCE_FLOOR
 from subspace_glr.model import draw_sample_cov
 from subspace_glr.montecarlo import _blocks, apply_sweep_value
 from subspace_glr.optimizer import _chart_forms, ascend
@@ -149,14 +149,14 @@ def block_row(name: str, size: int, reps: int) -> dict:
     u_s, u_r, s = draw_sample_cov(scenario, block)
     c, pair = coherence_matrix(s), capon_pair(s, u_s, u_r)
     forms = cost_forms(c, pair)
-    chart = _chart_forms(forms)
+    margin = 2.0 * COHERENCE_FLOOR * np.eye(params["L"])
     starts = np.broadcast_to(np.eye(1, params["L"], dtype=complex), (size, params["L"]))
     us = {
         "draw": timed(lambda: draw_sample_cov(scenario, block), reps),
         "forms": timed(lambda: cost_forms(coherence_matrix(s), capon_pair(s, u_s, u_r)), reps),
+        "screen": timed(lambda: cholesky_pd(forms[1] - margin), reps),
         "chart": timed(lambda: _chart_forms(forms), reps),
-        "screen": timed(lambda: _clear_of_floor(chart[0][1]), reps),
-        "ascend": timed(lambda: ascend(list(chart), starts), reps),
+        "ascend": timed(lambda: ascend(forms, starts), reps),
         "score": timed(lambda: sg.score_batch(s, u_s, u_r, detectors), reps),
     }
     row = {stage: 1e6 * sec / size for stage, sec in us.items()}
@@ -225,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
         name, size, reps = args.fault_loop
         print(fault_loop(name, int(size), int(reps)))
         return 0
-    columns = ("draw", "forms", "chart", "screen", "ascend", "score")
+    columns = ("draw", "forms", "screen", "chart", "ascend", "score")
     print(f"{'scenario':<18} {'T':>4} " + " ".join(f"{c:>9}" for c in columns) + f" {'minflt':>7}")
     print(f"{'':<18} {'':>4} " + " ".join(f"{'µs/trial':>9}" for _ in columns) + f" {'/block':>7}")
     for name in SCENARIOS:

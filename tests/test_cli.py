@@ -475,6 +475,26 @@ class TestOutErrors:
         assert err.startswith(f"error: --out {out}: ") and str(out) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, overrides, threads, field", [
+        ("roc", {"trials_h1": 0}, "1", "trials_h1"),
+        ("null-dist", {}, "1", "detectors"),
+        ("roc", {}, "-1", "threads"),
+        ("pm-sweep", {}, "1", "sweep"),
+    ], ids=["roc-without-h1", "null-dist-without-glr", "negative-threads", "pm-sweep-without-sweep"])
+    def test_refused_call_creates_no_out(self, tmp_path, capsys, monkeypatch, command, overrides, threads, field):
+        # a call refused for its config or flags exits 2 naming the field,
+        # before it creates --out and before any trial runs
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(montecarlo, "_run_points", no_trials)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(write_config(tmp_path, **overrides)), "--out", str(out), "--threads", threads]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not out.exists()
+
 
 VALUES = [0.0, -0.0, 5e-324, 1e-05, 1.0, 1 / 3, 1e308, -2.5e-17, 0.1 + 0.2]
 

@@ -4,7 +4,7 @@ import scipy.linalg
 from scipy.stats import ks_2samp
 
 import subspace_glr as sg
-from subspace_glr import detectors, optimizer
+from subspace_glr import detectors
 from subspace_glr.covariance import adjoint, hermitize
 from subspace_glr.detectors import _ZERO_CHANNEL, COHERENCE_FLOOR
 from _reference import (
@@ -438,20 +438,23 @@ class TestComputeReport:
             sg.compute_report(s, steer, detectors=("glr", "bogus"))
 
     def test_factors_each_block_once(self, monkeypatch):
-        # one six-detector trial: one Cholesky per diagonal block, no
-        # eigvalsh (the screen of the exact cost's forms clears a clean
-        # trial elementwise), one stacked eigh of the diagonal blocks
-        # (t_svd), and one eigh per pass of the lockstep ascent, the exact
-        # trust-region step: at most the iteration count plus the pass that
-        # stops it
+        # one six-detector trial: one Cholesky per diagonal block, one
+        # Cholesky screen of the exact cost's gamma_m and no eigvalsh (the
+        # screen clears a clean trial), one stacked eigh of the diagonal
+        # blocks (t_svd), and one eigh per pass of the lockstep ascent, the
+        # exact trust-region step: at most the iteration count plus the pass
+        # that stops it
         s, steer, _ = make_instance(seed=47, L=4)
         calls = {"cho_factor": 0, "cholesky": 0, "eigh": 0, "eigvalsh": 0}
+        factored = []
 
         def counted(mod, name):
             orig = getattr(mod, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name == "cholesky":
+                    factored.append(args[0])
                 return orig(*args, **kwargs)
 
             monkeypatch.setattr(mod, name, wrapper)
@@ -461,8 +464,9 @@ class TestComputeReport:
         counted(np.linalg, "eigh")
         counted(np.linalg, "eigvalsh")
         _, optim = sg.compute_report(s, steer)
-        assert calls["cho_factor"] <= 2
-        assert calls["cho_factor"] + calls["cholesky"] <= 2
+        on_blocks = sum(any(np.array_equal(a, b[None]) for b in (s.s_ss, s.s_rr)) for a in factored)
+        assert calls["cho_factor"] + on_blocks <= 2
+        assert calls["cholesky"] - on_blocks <= 1  # the screen
         assert 1 <= calls["eigh"] <= optim.iterations + 2
         assert calls["eigvalsh"] == 0
 
@@ -673,7 +677,7 @@ def scored_glr(s, u_s, u_r):
 
 class TestCoherenceScreen:
     # The Cholesky screen on gamma_m - 2 COHERENCE_FLOOR I clears most
-    # trials without eigvalsh; every trial still gets the error or the
+    # blocks without eigvalsh; every trial still gets the error or the
     # score the eigvalsh rule gives it, in its block and alone
     def test_records_get_the_eigvalsh_rule(self):
         trials = [make_instance(seed=3100 + k, L=3, N=12) for k in range(8)]
@@ -697,8 +701,8 @@ class TestCoherenceScreen:
         assert sum(isinstance(v, float) for v in outcomes[1].values()) == 4
         assert outcomes[8] == outcomes[0]  # the NaN record, alone or not
 
-    @pytest.mark.parametrize("dim", [1, 2, 4, 8])
-    def test_gaps_at_and_near_the_floor(self, dim):
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
+    def test_gaps_at_and_near_the_floor(self, dim, monkeypatch):
         rng = np.random.default_rng(3200 + dim)
         gaps = np.array([0.5, 1e-3] + [f * COHERENCE_FLOOR for f in (8.0, 4.0, 3.0, 2.0, 1.5, 1.0, 0.5, 0.0, -1.0)])
         forms = forms_with_gaps(np.repeat(gaps, 4), dim, rng)
@@ -707,27 +711,21 @@ class TestCoherenceScreen:
         want = expected_glr(forms)
         assert got == want
         assert isinstance(want[0], float) and isinstance(want[len(stats) - 1], str)
-        # the screen never clears a row the rule fails, and clears every
-        # row with twice its margin
-        clear = detectors._clear_of_floor(optimizer._chart_forms(forms)[0][1])
+        # the screen never clears a row whose gap is at or below the floor,
+        # and clears every row whose gap is at least 4 floors: a block it
+        # clears gets no eigvalsh, and it clears a block when it clears each
+        # of its rows
         gap = np.linalg.eigvalsh(forms[1])[:, 0]
-        assert np.all(gap[clear] > COHERENCE_FLOOR)
-        assert np.all(clear[gap >= 4.0 * COHERENCE_FLOOR])
+        judged, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: judged.append(len(a)) or eigvalsh(a))
 
-    @pytest.mark.parametrize("dim", [1, 2, 4, 8])
-    def test_chart_block_has_the_smallest_eigenvalue(self, dim):
-        # the chart's block of gamma_m, which the screen factors, is gamma_m's
-        # real embedding without the row and column of Im x_1, so by Cauchy
-        # interlacing its smallest eigenvalue is gamma_m's; eigvalsh agrees
-        # to a few ulps, far inside the screen's margin of 2 COHERENCE_FLOOR
-        rng = np.random.default_rng(3300 + dim)
-        gaps = np.array([0.5, 1e-3] + [f * COHERENCE_FLOOR for f in (8.0, 4.0, 3.0, 2.0, 1.5, 1.0, 0.5, 0.0, -1.0)])
-        forms = forms_with_gaps(np.repeat(gaps, 4), dim, rng)
-        block = optimizer._chart_forms(forms)[0][1]
-        assert block.shape == (2 * dim - 1, 2 * dim - 1, len(gaps) * 4)
-        got = np.linalg.eigvalsh(np.moveaxis(block, -1, 0))[:, 0]
-        want = np.linalg.eigvalsh(forms[1])[:, 0]
-        assert np.all(np.abs(got - want) <= 2 * dim * np.finfo(float).eps)
+        def screened(rows):
+            judged.clear()
+            detectors._glr([f[rows] for f in forms])
+            return not judged
+
+        assert not any(screened([i]) for i in np.flatnonzero(gap <= COHERENCE_FLOOR).tolist())
+        assert screened(np.flatnonzero(gap >= 4.0 * COHERENCE_FLOOR))
 
 
 def fixing_group_element(u, rng):

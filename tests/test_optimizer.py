@@ -537,7 +537,7 @@ class TestLockstep:
         with monkeypatch.context() as patch:
             patch.setattr(optimizer, "solve_subproblem", counted_solve)
             patch.setattr(optimizer, "_eigen_step", counted_eigen)
-            ascent = optimizer.ascend(optimizer._chart_forms(forms), starts)
+            ascent = optimizer.ascend(forms, starts)
         reasons = set()
         for k in range(len(starts)):
             x_hat, trace, steps, why = ascend_one_row([f[k] for f in forms], starts[k])
