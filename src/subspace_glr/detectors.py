@@ -23,10 +23,10 @@ a_i = L_i^{-1} u_i and the coherence matrix C = L_s^{-1} S_sr L_r^{-H},
 with the Cholesky factors S_ii = L_i L_i^H. The closed forms are vector
 operations on them, and the exact statistic ascends a cost built from them
 (covariance.cost_forms), one lockstep ascent for a whole stack. score_batch
-forms them once for a stack of covariances. There is one scoring path: the
-public statistic functions and compute_report run it on a record as a stack
-of one, so a record gets score_batch's numbers and raises the error its row
-carries, never a NaN.
+forms them once for a (T, L, L) stack of covariances. There is one scoring
+path: the public statistic functions and compute_report take one record's
+(L, L) blocks and run it on them as a stack of one, so a record gets
+score_batch's numbers and raises the error its row carries, never a NaN.
 """
 
 from __future__ import annotations
@@ -55,21 +55,15 @@ class DegenerateSampleError(ValueError):
 
 def _single(s: BlockSampleCov, u_s: np.ndarray | None, u_r: np.ndarray | None,
             detectors: tuple[str, ...]):
-    """_score on a stack of covariances, or on one record as a stack of one,
-    raising the error of the first failed row. Returns the scores, each
-    detector's statistic in detectors order (a float for a record, the
-    column for a stack) and the OptimResult of the first row's glr ascent
-    (None without glr): with no failed row every trial ascends, so row 0 of
-    the ascent is trial 0. The steering vectors of a record broadcast over
-    its stack of one (see capon_pair)."""
-    record = s.s_ss.ndim == 2
-    if record:
-        s = BlockSampleCov(s.s_ss[None], s.s_sr[None], s.s_rr[None], s.n)
-    scores, ascent = _score(s, u_s, u_r, detectors)
+    """_score on one record's (L, L) blocks as a stack of one, raising the
+    row's error. Returns the scores and the glr ascent's OptimResult (None
+    without glr). The steering vectors broadcast (see capon_pair)."""
+    if s.s_ss.ndim != 2:
+        raise ValueError(f"blocks of shape {s.s_ss.shape} are not one record's (L, L); score stacks with score_batch")
+    scores, ascent = _score(BlockSampleCov(s.s_ss[None], s.s_sr[None], s.s_rr[None], s.n), u_s, u_r, detectors)
     if scores.errors:
-        raise scores.errors[min(scores.errors)]
-    values = scores.stats[0].tolist() if record else list(scores.stats.T)
-    return scores, values, None if ascent is None else ascent.result(0)
+        raise scores.errors[0]
+    return scores, None if ascent is None else ascent.result(0)
 
 
 def glr_low(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> float:
@@ -78,9 +72,8 @@ def glr_low(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> float:
     Equals |b_s^H S_sr b_r|^2 / ((b_s^H S_ss b_s)(b_r^H S_rr b_r)) for the
     distortionless beamformer pair, and |w_s^H C w_r|^2 for the whitened
     pair with the coherence matrix C. Lies in [0, sigma_max^2] <= [0, 1].
-    One value per covariance of a stack.
     """
-    return _single(s, u_s, u_r, ("glr_low",))[1][0]
+    return _single(s, u_s, u_r, ("glr_low",))[0].stats.item()
 
 
 def glr_sample(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> float:
@@ -90,36 +83,45 @@ def glr_sample(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> float:
     beta_r - alpha_sr is a Schur-complement quadratic form, strictly
     positive when the full sample covariance is positive definite; a
     collapse to zero or below means the sample is degenerate and raises
-    DegenerateSampleError rather than returning a clamped value (for a
-    stack, naming the first such covariance). One value per covariance of
-    a stack.
+    DegenerateSampleError rather than returning a clamped value.
     """
-    return _single(s, u_s, u_r, ("glr_sample",))[1][0]
+    return _single(s, u_s, u_r, ("glr_sample",))[0].stats.item()
+
+
+def _finite_rows(fn, a: np.ndarray) -> np.ndarray:
+    """fn of a (T, L, L) stack, or where LAPACK fails on it, of its finite
+    rows, with nan for the others: _score fails a non-finite row alone."""
+    try:
+        return fn(a)
+    except np.linalg.LinAlgError:
+        out, finite = np.full(len(a), np.nan), np.isfinite(a).all(axis=(1, 2))
+        out[finite] = fn(a[finite])
+        return out
 
 
 def _glr(forms):
-    """The exact statistic of each trial of stacked cost forms (..., L, L):
+    """The exact statistic of each trial of stacked cost forms (T, L, L):
     one lockstep ascent from the warm start e1 of every trial. Near N = 2L
     it can stop at a local maximum below the global one. The block's gamma_m
     are screened by one Cholesky of gamma_m - 2 COHERENCE_FLOOR I
     (covariance.cholesky_pd): when it passes, every trial ascends. A margin
     of the floor itself lies far beyond the roundoff of that factorization
     and of eigvalsh, so a block that passes also passes eigvalsh's rule.
-    When it does not, one eigvalsh of the block judges every trial, and only
-    the trials clear of the floor ascend, in trial order. Returns the
+    When it does not, eigvalsh judges every finite trial (_finite_rows), and
+    only the trials clear of the floor ascend, in trial order. Returns the
     statistics exp(J), each trial's iterations and stop code, the ascent
     (None when no trial ascends) and the errors of the trials whose
     channels are fully coherent (see COHERENCE_FLOOR), keyed by trial. A
     trial that does not ascend reads nan, 0 and -1; _score fails every
     trial whose statistic is not finite."""
-    psi, gamma_m = (f.reshape((-1,) + f.shape[-2:]) for f in forms)
+    psi, gamma_m = forms
     count, dim = gamma_m.shape[:2]
     valid = np.arange(count)
     errors: dict[int, ValueError] = {}
     try:
         cholesky_pd(gamma_m - 2.0 * COHERENCE_FLOOR * np.eye(dim))
     except ValueError:
-        gap = np.linalg.eigvalsh(gamma_m)[:, 0]
+        gap = _finite_rows(lambda g: np.linalg.eigvalsh(g)[:, 0], gamma_m)
         for i, g in enumerate(gap.tolist()):
             if g <= COHERENCE_FLOOR:
                 errors[i] = ValueError(
@@ -145,17 +147,15 @@ def glr_exact(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> tuple[floa
     1 + glr_sample (up to roundoff). Near N = 2L the ascent can stop at a
     local maximum below the global one; maximize_j from other starts can
     look further. Raises ValueError when the channels are fully coherent
-    (COHERENCE_FLOOR). For a stack, the column of statistics and the first
-    covariance's ascent."""
-    _, (stat,), optim = _single(s, u_s, u_r, ("glr",))
-    return stat, optim
+    (COHERENCE_FLOOR)."""
+    scores, optim = _single(s, u_s, u_r, ("glr",))
+    return scores.stats.item(), optim
 
 
 def sigma_max_coherence(s: BlockSampleCov) -> float:
     """Largest canonical coherence: top singular value of the whitened
-    cross block. In [0, 1] for any sample covariance from real data. One
-    value per covariance of a stack."""
-    return _single(s, None, None, ("sigma_max",))[1][0]
+    cross block. In [0, 1] for any sample covariance from real data."""
+    return _single(s, None, None, ("sigma_max",))[0].stats.item()
 
 
 def cross_corr_stat(s: BlockSampleCov) -> float:
@@ -168,10 +168,9 @@ def cross_corr_stat(s: BlockSampleCov) -> float:
     trace-normalized variant would be invariant but stops being a weak
     baseline: dividing by tr(S_ss) tr(S_rr) adapts the statistic to the
     per-trial noise power, and its detection rate then matches the
-    low-SNR detector instead of trailing every proposed statistic. One
-    value per covariance of a stack.
+    low-SNR detector instead of trailing every proposed statistic.
     """
-    return _single(s, None, None, ("t_cc",))[1][0]
+    return _single(s, None, None, ("t_cc",))[0].stats.item()
 
 
 def svd_corr_stat(s: BlockSampleCov) -> float:
@@ -182,8 +181,8 @@ def svd_corr_stat(s: BlockSampleCov) -> float:
     estimates align. It is v_i = Y_i^H p_i / sqrt(N lam_i) with the top
     eigenpair (lam_i, p_i) of S_ii, so the statistic is
     |p_s^H S_sr p_r|^2 / (lam_s lam_r). Invariant to scaling of either
-    channel. One value per covariance of a stack."""
-    return _single(s, None, None, ("t_svd",))[1][0]
+    channel."""
+    return _single(s, None, None, ("t_svd",))[0].stats.item()
 
 
 @dataclass
@@ -236,6 +235,8 @@ def _score(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray, detectors: tuple
     """score_batch's scores, plus glr's ascent (see _glr), from which
     _single builds a trial's OptimResult. Calls no public statistic
     function: those run this."""
+    if s.s_ss.ndim != 3:
+        raise ValueError(f"blocks of shape {s.s_ss.shape} are not a (T, L, L) stack; score a record with compute_report")
     unknown = set(detectors) - set(DETECTOR_NAMES)
     if unknown:
         raise ValueError(f"unknown detectors {sorted(unknown)}; valid: {DETECTOR_NAMES}")
@@ -271,7 +272,7 @@ def _score(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray, detectors: tuple
         if "glr_low" in detectors:
             stats["glr_low"] = num / (pair.beta_s * pair.beta_r)
         if "sigma_max" in detectors:
-            stats["sigma_max"] = np.linalg.svd(c, compute_uv=False)[..., 0]
+            stats["sigma_max"] = _finite_rows(lambda f: np.linalg.svd(f, compute_uv=False)[:, 0], c)
         if "t_cc" in detectors:
             stats["t_cc"] = np.sum(np.abs(s.s_sr) ** 2, axis=(-2, -1))
         if "t_svd" in detectors:
@@ -301,21 +302,20 @@ def score_batch(
 ) -> BlockScores:
     """Run the requested detectors on T covariances stacked along a leading axis.
 
-    s holds (T, L, L) blocks and u_s, u_r are (T, L). The Cholesky factors,
-    the coherence matrix and the beamformer pair are formed once for the
-    stack and feed every detector that uses them. The closed forms and the
-    exact cost's forms are vector operations over the stack, one stacked
-    Cholesky screen validates the latter (eigvalsh judges the block only
-    when the screen does not clear it; see _glr), glr runs one lockstep
-    ascent over all of them from e1 (optimizer.ascend; near N = 2L it can
-    stop at a local maximum, see glr_exact), and t_svd takes one stacked
-    eigh of S_ss and S_rr. Returns the block's scores as columns
-    (BlockScores), a row per trial. A trial that fails carries the error
-    that scoring it alone raises first (fully coherent channels in glr, a
-    collapsed glr_sample denominator, a zero channel in t_svd, then a
-    non-finite statistic in detector order). What fails for the whole
-    stack, such as too few snapshots or a block that is not positive
-    definite, raises.
+    s holds (T, L, L) blocks (compute_report scores a record) and u_s, u_r
+    are (T, L). The Cholesky factors, the coherence matrix and the
+    beamformer pair are formed once for the stack and feed every detector
+    that uses them. The closed forms and the exact cost's forms are vector
+    operations over the stack, one stacked Cholesky screen validates the
+    latter (see _glr), glr runs one lockstep ascent over all of them from e1
+    (optimizer.ascend; near N = 2L it can stop at a local maximum, see
+    glr_exact), and t_svd takes one stacked eigh of S_ss and S_rr. Returns
+    the block's scores as columns (BlockScores), a row per trial. A trial
+    that fails carries the error that scoring it alone raises first (fully
+    coherent channels in glr, a collapsed glr_sample denominator, a zero
+    channel in t_svd, then a non-finite statistic in detector order, as a
+    NaN in S_sr gives). What fails for the whole stack, such as another
+    shape, too few snapshots or a block that is not positive definite, raises.
     """
     return _score(s, u_s, u_r, detectors)[0]
 
@@ -325,9 +325,8 @@ def compute_report(
     steering: SteeringPair,
     detectors: tuple[str, ...] = DETECTOR_NAMES,
 ) -> tuple[BlockScores, OptimResult | None]:
-    """Run the requested detectors on one record's sample covariance:
-    score_batch on a stack of one. Returns its one-row scores and, when glr
-    ran, the ascent's OptimResult. Raises the error the record hits; callers
-    that sweep many records use score_batch, which returns it instead."""
-    scores, _, optim = _single(s, steering.u_s, steering.u_r, detectors)
-    return scores, optim
+    """Run the requested detectors on one record's (L, L) sample covariance
+    blocks: score_batch on a stack of one. Returns its one-row scores and,
+    when glr ran, the ascent's OptimResult. Raises the error the record hits;
+    callers that sweep many records stack them for score_batch instead."""
+    return _single(s, steering.u_s, steering.u_r, detectors)

@@ -44,9 +44,9 @@ tests hold that pipeline against:
   (cli._write_table) must match byte for byte;
 - masked_cholesky, the column Cholesky that masks failed rows column by
   column, whose verdicts and factors optimizer._cholesky must match bit for
-  bit, and glr_by_eigvalsh, the exact statistic with every trial's forms
-  validated by eigvalsh, whose errors and scores the detector's Cholesky
-  screen must leave unchanged;
+  bit, and glr_by_eigvalsh, the exact statistic with every trial's finite
+  forms validated by eigvalsh, one trial at a time, whose errors and scores
+  the detector's Cholesky screen must leave unchanged;
 - ascend_one_row, the trust-region iteration of one surface as a plain
   loop, whose outcome every row of the lockstep optimizer.ascend must match
   bit for bit: it keeps a rejected step's state by not overwriting it and
@@ -906,12 +906,15 @@ def masked_cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def glr_by_eigvalsh(forms) -> tuple[np.ndarray, dict[int, str]]:
     """The exact statistic of each trial of stacked forms (psi, gamma_m),
-    (T, L, L), with every trial's gamma_m validated by eigvalsh: a smallest
-    eigenvalue at or below COHERENCE_FLOOR fails the trial with the
-    detector's message, a NaN one leaves it unscored (nan), and the others
-    ascend from e1. Returns the statistics and the error messages by trial."""
+    (T, L, L), with every trial's finite gamma_m validated by eigvalsh: a
+    smallest eigenvalue at or below COHERENCE_FLOOR fails the trial with the
+    detector's message, a gamma_m that is not finite leaves its trial
+    unscored (nan), and the others ascend from e1. Returns the statistics and
+    the error messages by trial."""
     psi, gamma_m = forms
-    gap = np.linalg.eigvalsh(gamma_m)[:, 0]
+    gap = np.full(len(gamma_m), np.nan)
+    for i in np.flatnonzero(np.isfinite(gamma_m).all(axis=(1, 2))).tolist():
+        gap[i] = np.linalg.eigvalsh(gamma_m[i])[0]
     errors = {
         i: f"the channels are fully coherent: I - C^H C has eigenvalue {gap[i]:.3e} <= {COHERENCE_FLOOR:.3e}"
         for i in np.flatnonzero(gap <= COHERENCE_FLOOR).tolist()

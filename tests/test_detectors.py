@@ -515,51 +515,74 @@ class TestComputeReport:
                 assert getattr(block, name)[b].tobytes() == getattr(one, name).tobytes(), (k, name)
 
     @staticmethod
-    def standalone(s, u_s, u_r):
+    def standalone_calls(s, u_s, u_r):
+        """Each detector's statistic function on s, as a call to make."""
         return {
-            "glr": sg.glr_exact(s, u_s, u_r)[0],
-            "glr_sample": sg.glr_sample(s, u_s, u_r),
-            "glr_low": sg.glr_low(s, u_s, u_r),
-            "sigma_max": sg.sigma_max_coherence(s),
-            "t_cc": sg.cross_corr_stat(s),
-            "t_svd": sg.svd_corr_stat(s),
+            "glr": lambda: sg.glr_exact(s, u_s, u_r)[0],
+            "glr_sample": lambda: sg.glr_sample(s, u_s, u_r),
+            "glr_low": lambda: sg.glr_low(s, u_s, u_r),
+            "sigma_max": lambda: sg.sigma_max_coherence(s),
+            "t_cc": lambda: sg.cross_corr_stat(s),
+            "t_svd": lambda: sg.svd_corr_stat(s),
         }
 
+    def standalone(self, s, u_s, u_r):
+        return {name: call() for name, call in self.standalone_calls(s, u_s, u_r).items()}
+
     def test_matches_standalone_functions(self):
-        # the six statistic functions and compute_report give score_batch's
-        # numbers bit for bit: a float per record, score_batch's column per
-        # stack, on a stack of one and a stack of 5
+        # the six statistic functions and compute_report give each record
+        # of a stack of one and a stack of 5 score_batch's numbers bit for
+        # bit, as a float
         cfg = sg.ScenarioConfig(L=3, N=12, snr_s_db=0.0, snr_r_db=10.0, seed=46)
         for size in (1, 5):
             u_s, u_r, y_s, y_r = synth_batch(cfg, "random-unit", [("H1", k) for k in range(size)])
             stack = sg.block_sample_cov(y_s, y_r)
             block = sg.score_batch(stack, u_s, u_r)
             assert not block.errors
-            columns = self.standalone(stack, u_s, u_r)
             for k in range(size):
                 s = sg.BlockSampleCov(stack.s_ss[k], stack.s_sr[k], stack.s_rr[k], stack.n)
                 rep, _ = sg.compute_report(s, sg.SteeringPair(u_s[k], u_r[k]))
                 for name, val in self.standalone(s, u_s[k], u_r[k]).items():
                     assert type(val) is float, name
-                    assert val == block.stat(name)[k] == rep.stat(name)[0] == columns[name][k], (size, k, name)
+                    assert val == block.stat(name)[k] == rep.stat(name)[0], (size, k, name)
+
+    def test_record_api_refuses_a_stack(self):
+        # the statistic functions and compute_report take one record; a
+        # stack of 3 raises a ValueError that points to score_batch
+        cfg = sg.ScenarioConfig(L=3, N=12, snr_s_db=0.0, snr_r_db=10.0, seed=46)
+        u_s, u_r, y_s, y_r = synth_batch(cfg, "random-unit", [("H1", k) for k in range(3)])
+        stack = sg.block_sample_cov(y_s, y_r)
+        calls = list(self.standalone_calls(stack, u_s[0], u_r[0]).values())
+        calls.append(lambda: sg.compute_report(stack, sg.SteeringPair(u_s[0], u_r[0])))
+        for call in calls:
+            with pytest.raises(ValueError, match="score_batch"):
+                call()
+
+    @pytest.mark.parametrize("detectors", [("glr",), ("glr_sample", "t_cc"), sg.DETECTOR_NAMES],
+                             ids=["glr", "closed", "all"])
+    def test_score_batch_refuses_other_shapes(self, detectors):
+        # score_batch takes a (T, L, L) stack only: a record's (L, L) blocks
+        # and a (2, 2, L, L) stack raise a ValueError that points to
+        # compute_report
+        s, steer, data = make_instance(seed=46, L=3)
+        with pytest.raises(ValueError, match="compute_report"):
+            sg.score_batch(s, steer.u_s, steer.u_r, detectors)
+        y_s, y_r = (np.broadcast_to(y, (2, 2) + y.shape) for y in (data.y_s, data.y_r))
+        u_s, u_r = (np.broadcast_to(u, (2, 2, 3)) for u in (steer.u_s, steer.u_r))
+        with pytest.raises(ValueError, match="compute_report"):
+            sg.score_batch(sg.block_sample_cov(y_s, y_r), u_s, u_r, detectors)
 
     def test_nan_cross_entry_raises_named_errors(self):
         # a record whose S_sr holds a NaN fails its row in score_batch, and
-        # each statistic function raises that row's error instead of a nan
+        # each statistic function raises that row's error, which names the
+        # statistic, instead of returning a nan
         s, steer, _ = make_instance(seed=46, L=3)
         s_sr = s.s_sr.copy()
         s_sr[0, 1] = np.nan
         bad = sg.BlockSampleCov(s.s_ss, s_sr, s.s_rr, s.n)
-        for name, call in (("glr_low", lambda: sg.glr_low(bad, steer.u_s, steer.u_r)),
-                           ("glr_sample", lambda: sg.glr_sample(bad, steer.u_s, steer.u_r)),
-                           ("t_cc", lambda: sg.cross_corr_stat(bad)),
-                           ("t_svd", lambda: sg.svd_corr_stat(bad))):
-            with pytest.raises(sg.DegenerateSampleError, match=name):
+        for name, call in self.standalone_calls(bad, steer.u_s, steer.u_r).items():
+            with pytest.raises(sg.DegenerateSampleError, match=f"non-finite statistic {name} = nan"):
                 call()
-        with pytest.raises(np.linalg.LinAlgError):
-            sg.sigma_max_coherence(bad)
-        with pytest.raises(np.linalg.LinAlgError):
-            sg.glr_exact(bad, steer.u_s, steer.u_r)
 
 
 class TestDegenerateSamples:
@@ -655,11 +678,8 @@ def forms_with_gaps(gaps, dim, rng):
 
 def expected_glr(forms):
     """What each trial's glr reads under the eigvalsh rule: its error
-    message or its statistic, or the error the whole stack raises."""
-    try:
-        stats, errors = glr_by_eigvalsh(forms)
-    except np.linalg.LinAlgError as exc:
-        return repr(exc)
+    message or its statistic."""
+    stats, errors = glr_by_eigvalsh(forms)
     for i, stat in enumerate(stats.tolist()):  # an unscored trial fails as non-finite
         if i not in errors:
             errors[i] = stat if np.isfinite(stat) else f"non-finite statistic glr = {stat}"
@@ -667,11 +687,8 @@ def expected_glr(forms):
 
 
 def scored_glr(s, u_s, u_r):
-    """What score_batch's glr gives each trial, or the error it raises."""
-    try:
-        out = sg.score_batch(s, u_s, u_r, ("glr",))
-    except np.linalg.LinAlgError as exc:
-        return repr(exc)
+    """What score_batch's glr gives each trial."""
+    out = sg.score_batch(s, u_s, u_r, ("glr",))
     return {i: str(out.errors[i]) if i in out.errors else out.stats[i, 0] for i in range(len(out.stats))}
 
 
@@ -699,7 +716,10 @@ class TestCoherenceScreen:
         assert outcomes[1][2].startswith("the channels are fully coherent")
         assert outcomes[1][5].startswith("the channels are fully coherent")
         assert sum(isinstance(v, float) for v in outcomes[1].values()) == 4
-        assert outcomes[8] == outcomes[0]  # the NaN record, alone or not
+        # the NaN record fails alone, as a non-finite statistic, and every
+        # record of the whole block reads what it reads alone
+        assert outcomes[0][6] == "non-finite statistic glr = nan"
+        assert outcomes[0] == {k: outcomes[2 + k][0] for k in range(8)}
 
     @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
     def test_gaps_at_and_near_the_floor(self, dim, monkeypatch):

@@ -186,6 +186,35 @@ class TestRunTrials:
         for name in ("stats", "two_log_glr", "iterations", "stop"):
             assert getattr(block, name)[rest].tobytes() == getattr(clean, name)[rest].tobytes()
 
+    def test_nan_cross_entry_scored_without_bisection(self, monkeypatch):
+        # a NaN in one trial's S_sr leaves every stacked factorization whole:
+        # the block is scored by one score_batch call, that trial fails as a
+        # non-finite statistic, and every other row equals the clean block's
+        cfg = tiny_config(L=3, N=12, trials_h0=6, trials_h1=6, detectors=sg.DETECTOR_NAMES)
+        items = run_items(cfg)
+        clean = montecarlo._score_or_bisect(cfg, items)
+        real_draw, real_score, calls = montecarlo.draw_sample_cov, montecarlo.score_batch, []
+
+        def nan_h1_2(sc, trials):
+            u_s, u_r, s = real_draw(sc, trials)
+            s.s_sr[[k for k, item in enumerate(trials) if item == ("H1", 2)], 0, 1] = np.nan
+            return u_s, u_r, s
+
+        def counted(*args):
+            calls.append(len(args[0].s_ss))
+            return real_score(*args)
+
+        monkeypatch.setattr(montecarlo, "draw_sample_cov", nan_h1_2)
+        monkeypatch.setattr(montecarlo, "score_batch", counted)
+        block = montecarlo._score_or_bisect(cfg, items)
+        assert calls == [12]
+        assert list(block.errors) == [8]
+        assert type(block.errors[8]) is sg.DegenerateSampleError
+        assert str(block.errors[8]) == "non-finite statistic glr = nan"
+        rest = np.arange(12) != 8
+        for name in ("stats", "two_log_glr", "iterations", "stop"):
+            assert getattr(block, name)[rest].tobytes() == getattr(clean, name)[rest].tobytes()
+
     @pytest.mark.parametrize("n, sizes", [(300, [300]), (600, [300, 300]), (513, [257, 256])])
     def test_point_scored_in_balanced_blocks(self, n, sizes):
         # the fewest blocks of at most BLOCK_TRIALS, whose sizes differ by at
