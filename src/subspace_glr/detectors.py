@@ -88,14 +88,17 @@ def glr_sample(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray) -> float:
     return _single(s, u_s, u_r, ("glr_sample",))[0].stats.item()
 
 
-def _finite_rows(fn, a: np.ndarray) -> np.ndarray:
-    """fn of a (T, L, L) stack, or where LAPACK fails on it, of its finite
-    rows, with nan for the others: _score fails a non-finite row alone."""
+def _finite_rows(fn, *stacks: np.ndarray) -> np.ndarray:
+    """fn of (T, L, L) stacks, or where LAPACK fails on them, of the rows
+    finite in every stack, with nan for the others: _score fails a
+    non-finite row alone."""
     try:
-        return fn(a)
+        return fn(*stacks)
     except np.linalg.LinAlgError:
-        out, finite = np.full(len(a), np.nan), np.isfinite(a).all(axis=(1, 2))
-        out[finite] = fn(a[finite])
+        finite = np.logical_and.reduce([np.isfinite(a).all(axis=(1, 2)) for a in stacks])
+        part = fn(*(a[finite] for a in stacks))
+        out = np.full(finite.shape + part.shape[1:], np.nan)
+        out[finite] = part
         return out
 
 
@@ -234,12 +237,47 @@ class BlockScores:
 def _score(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray, detectors: tuple[str, ...]):
     """score_batch's scores, plus glr's ascent (see _glr), from which
     _single builds a trial's OptimResult. Calls no public statistic
-    function: those run this."""
+    function: those run this. S_ss and S_rr are factored as two stacks;
+    where that fails, _factor_each scores the stack (and the ascent is None)."""
     if s.s_ss.ndim != 3:
         raise ValueError(f"blocks of shape {s.s_ss.shape} are not a (T, L, L) stack; score a record with compute_report")
     unknown = set(detectors) - set(DETECTOR_NAMES)
     if unknown:
         raise ValueError(f"unknown detectors {sorted(unknown)}; valid: {DETECTOR_NAMES}")
+    if set(PROPOSED_DETECTORS) & set(detectors) and s.maybe_singular:
+        raise ValueError(f"need n >= 2L snapshots, got n={s.n}, L={s.num_sensors}")
+    if {"sigma_max", *PROPOSED_DETECTORS} & set(detectors):
+        try:
+            s.chol_ss, s.chol_rr
+        except ValueError:
+            return _factor_each(s, u_s, u_r, detectors), None
+    return _columns(s, u_s, u_r, detectors)
+
+
+def _factor_each(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray, detectors: tuple[str, ...]) -> BlockScores:
+    """The scores of a stack whose stacked Cholesky factorization of S_ss
+    or S_rr failed. Each trial's blocks are factored alone (cholesky_pd,
+    s_ss first), a trial that does not factor fails with that error, and
+    _columns scores the others as one stack, whose rows go back in place."""
+    out = BlockScores.empty(detectors, len(s.s_ss))
+    for i in range(len(s.s_ss)):
+        try:
+            cholesky_pd(s.s_ss[i], "s_ss"), cholesky_pd(s.s_rr[i], "s_rr")
+        except ValueError as exc:
+            out.errors[i] = exc
+    rows = np.flatnonzero(out.valid)
+    if rows.size:
+        sub = BlockSampleCov._hermitian(s.s_ss[rows], s.s_sr[rows], s.s_rr[rows], s.n)
+        part = _columns(sub, u_s[rows], u_r[rows], detectors)[0]
+        for name in ("stats", "two_log_glr", "iterations", "stop"):
+            getattr(out, name)[rows] = getattr(part, name)
+        out.errors.update((rows[i].item(), err) for i, err in part.errors.items())
+    return out
+
+
+def _columns(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray, detectors: tuple[str, ...]):
+    """_score of a stack whose S_ss and S_rr factor, or that no requested
+    detector factors."""
     out = BlockScores.empty(detectors, s.s_ss.shape[0])
 
     def flag(mask: np.ndarray, make) -> None:
@@ -250,13 +288,12 @@ def _score(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray, detectors: tuple
     stats = {}
     ascent = None
     if set(PROPOSED_DETECTORS) & set(detectors):
-        if s.maybe_singular:
-            raise ValueError(f"need n >= 2L snapshots, got n={s.n}, L={s.num_sensors}")
         c, pair = coherence_matrix(s), capon_pair(s, u_s, u_r)
     elif "sigma_max" in detectors:
         c = coherence_matrix(s)
     if "glr" in detectors:
-        stats["glr"], iterations, stop, ascent, out.errors = _glr(cost_forms(c, pair))
+        stats["glr"], iterations, stop, ascent, errors = _glr(cost_forms(c, pair))
+        out.errors.update(errors)
     with np.errstate(divide="ignore", invalid="ignore"):
         if "glr_sample" in detectors or "glr_low" in detectors:
             # |eta_sr|^2 over beta_s (beta_r - alpha_sr) for glr_sample and over
@@ -276,11 +313,8 @@ def _score(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray, detectors: tuple
         if "t_cc" in detectors:
             stats["t_cc"] = np.sum(np.abs(s.s_sr) ** 2, axis=(-2, -1))
         if "t_svd" in detectors:
-            # the top eigenpairs (lam_i, p_i) of S_ss and S_rr, from one stacked eigh
-            lam, vec = np.linalg.eigh(np.stack([s.s_ss, s.s_rr]))
-            (lam_s, lam_r), (p_s, p_r) = lam[..., -1], vec[..., -1]
-            cross = np.vecdot(p_s, (s.s_sr @ p_r[..., None])[..., 0])
-            stats["t_svd"] = np.abs(cross) ** 2 / (lam_s * lam_r)
+            cross2, lam_s, lam_r = _finite_rows(_svd_corr_terms, s.s_ss, s.s_sr, s.s_rr).T
+            stats["t_svd"] = cross2 / (lam_s * lam_r)
             flag((lam_s == 0.0) | (lam_r == 0.0), lambda i: ValueError(_ZERO_CHANNEL))
     for k, name in enumerate(detectors):
         vals = out.stats[:, k] = stats[name]
@@ -292,6 +326,15 @@ def _score(s: BlockSampleCov, u_s: np.ndarray, u_r: np.ndarray, detectors: tuple
         out.two_log_glr[done] = 2.0 * s.n * np.array([math.log(g) for g in stats["glr"][done].tolist()])
         out.iterations[done], out.stop[done] = iterations[done], stop[done]
     return out, ascent
+
+
+def _svd_corr_terms(s_ss: np.ndarray, s_sr: np.ndarray, s_rr: np.ndarray) -> np.ndarray:
+    """t_svd's |p_s^H S_sr p_r|^2, lam_s and lam_r as the (T, 3) columns,
+    from the top eigenpairs (lam_i, p_i) of S_ss and S_rr of one stacked eigh."""
+    lam, vec = np.linalg.eigh(np.stack([s_ss, s_rr]))
+    (lam_s, lam_r), (p_s, p_r) = lam[..., -1], vec[..., -1]
+    cross = np.vecdot(p_s, (s_sr @ p_r[..., None])[..., 0])
+    return np.stack([np.abs(cross) ** 2, lam_s, lam_r], axis=-1)
 
 
 def score_batch(
@@ -311,11 +354,13 @@ def score_batch(
     (optimizer.ascend; near N = 2L it can stop at a local maximum, see
     glr_exact), and t_svd takes one stacked eigh of S_ss and S_rr. Returns
     the block's scores as columns (BlockScores), a row per trial. A trial
-    that fails carries the error that scoring it alone raises first (fully
-    coherent channels in glr, a collapsed glr_sample denominator, a zero
-    channel in t_svd, then a non-finite statistic in detector order, as a
-    NaN in S_sr gives). What fails for the whole stack, such as another
-    shape, too few snapshots or a block that is not positive definite, raises.
+    that fails carries the error that scoring it alone raises first (an
+    S_ss, then an S_rr, that is not positive definite, fully coherent
+    channels in glr, a collapsed glr_sample denominator, a zero channel in
+    t_svd, then a non-finite statistic in detector order, as a NaN in S_sr
+    gives); the other trials score as they do alone. What fails for the
+    whole stack, another shape, an unknown detector or too few snapshots,
+    raises.
     """
     return _score(s, u_s, u_r, detectors)[0]
 

@@ -133,27 +133,18 @@ def _failures(cfg: ExperimentConfig, scores: BlockScores) -> dict[str, int]:
     return {hyp: int(np.sum(~scores.valid[_rows(cfg, hyp)])) for hyp, n in counts if n}
 
 
-def _score_or_bisect(cfg: ExperimentConfig, block: list[tuple[str, int]]) -> BlockScores:
+def _score_block(cfg: ExperimentConfig, block: list[tuple[str, int]]) -> BlockScores:
     """Draw the sample covariances of a block of trials and score them as
-    stacked arrays; if the block raises as a whole (say, one trial's sample
-    block is not positive definite), score its two halves the same way, so
-    only the failing trials carry the error, each the one it raises alone."""
-    try:
-        u_s, u_r, s = draw_sample_cov(cfg.scenario, block)
-        return score_batch(s, u_s, u_r, cfg.detectors)
-    except Exception as exc:
-        if len(block) == 1:
-            out = BlockScores.empty(cfg.detectors, 1)
-            out.errors[0] = exc
-            return out
-    half = len(block) // 2
-    return BlockScores.concat([_score_or_bisect(cfg, block[:half]), _score_or_bisect(cfg, block[half:])])
+    stacked arrays (score_batch), which fails each failing trial in its own
+    row. Anything that raises here is a defect, and ends the run."""
+    u_s, u_r, s = draw_sample_cov(cfg.scenario, block)
+    return score_batch(s, u_s, u_r, cfg.detectors)
 
 
 def run_one_trial(cfg: ExperimentConfig, hypothesis: str, trial_index: int) -> BlockScores:
-    """Draw and score a single trial from its own slice of the
-    stream: a block of one. Any error it hits fails its row."""
-    return _score_or_bisect(cfg, [(hypothesis, trial_index)])
+    """Draw and score a single trial from its own slice of the stream: a
+    block of one, whose row carries the error the trial fails with."""
+    return _score_block(cfg, [(hypothesis, trial_index)])
 
 
 def resolve_threads(threads: int) -> int:
@@ -204,9 +195,9 @@ def _run_points(
     ]
     jobs = [(p, block) for p, its in enumerate(items) for block in _blocks(its, workers)]
     if workers == 1 or len(jobs) == 1:
-        results = (_score_or_bisect(cfgs[p], block) for p, block in jobs)
+        results = (_score_block(cfgs[p], block) for p, block in jobs)
     else:
-        results = _forked_map(_score_or_bisect, [(cfgs[p], block) for p, block in jobs], workers)
+        results = _forked_map(_score_block, [(cfgs[p], block) for p, block in jobs], workers)
     scored: list[list[BlockScores]] = [[] for _ in cfgs]
     points: list[BlockScores] = []
     try:

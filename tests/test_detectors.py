@@ -395,6 +395,24 @@ class TestComparisonStats:
         for k in (0, 1, 3):
             assert out.stats[k, 0] == pytest.approx(svd_corr(y_s[k], y_r[k]), abs=1e-12)
 
+    def test_svd_non_finite_channel_fails_its_trial_only(self):
+        # a NaN in one trial's S_ss makes the stacked eigh raise for the
+        # block; it runs again on the finite trials, so that trial alone
+        # fails as a non-finite statistic and the others keep their bytes
+        cfg = sg.ScenarioConfig(L=3, N=12, snr_s_db=0.0, snr_r_db=10.0, seed=75)
+        u_s, u_r, y_s, y_r = synth_batch(cfg, "random-unit", [("H1", k) for k in range(4)])
+        s = sg.block_sample_cov(y_s, y_r)
+        clean = sg.score_batch(s, u_s, u_r, ("t_cc", "t_svd"))
+        s.s_ss[2, 1, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigh(s.s_ss)
+        out = sg.score_batch(s, u_s, u_r, ("t_cc", "t_svd"))
+        assert {i: (type(e), str(e)) for i, e in out.errors.items()} == {
+            2: (sg.DegenerateSampleError, "non-finite statistic t_svd = nan")
+        }
+        rest = [0, 1, 3]
+        assert out.stats[rest].tobytes() == clean.stats[rest].tobytes()
+
     def test_cross_corr_nonnegative_bounded(self):
         # entrywise Cauchy-Schwarz on snapshot rows: |S_sr|_F^2 <= tr S_ss tr S_rr
         for seed in range(10):
@@ -609,6 +627,26 @@ class TestDegenerateSamples:
         assert np.isnan(block.stats[[1, 3]]).all() and np.isnan(block.two_log_glr[[1, 3]]).all()
         assert block.iterations[[1, 3]].tolist() == [0, 0] and block.stop[[1, 3]].tolist() == [-1, -1]
         rest = [0, 2, 4]
+        for name in ("stats", "two_log_glr", "iterations", "stop"):
+            assert getattr(block, name)[rest].tobytes() == getattr(clean, name)[rest].tobytes()
+
+    def test_non_pd_trials_fail_alone(self):
+        # a trial whose S_ss or S_rr is not positive definite fails alone
+        # with cholesky_pd's error, s_ss named first when both fail; the
+        # other trials keep their bytes, and the block does not raise
+        trials = [make_instance(seed=5800 + k, L=3, N=12) for k in range(5)]
+        y_s, y_r = np.stack([t[2].y_s for t in trials]), np.stack([t[2].y_r for t in trials])
+        u_s, u_r = np.stack([t[1].u_s for t in trials]), np.stack([t[1].u_r for t in trials])
+        clean = sg.score_batch(sg.block_sample_cov(y_s, y_r), u_s, u_r)
+        y_s[1], y_r[3], y_s[4], y_r[4] = 0.0, 0.0, 0.0, 0.0
+        block = sg.score_batch(sg.block_sample_cov(y_s, y_r), u_s, u_r)
+        assert {i: (type(e), str(e)) for i, e in block.errors.items()} == {
+            1: (ValueError, "s_ss is not positive definite"),
+            3: (ValueError, "s_rr is not positive definite"),
+            4: (ValueError, "s_ss is not positive definite"),
+        }
+        assert np.isnan(block.stats[[1, 3, 4]]).all() and block.stop[[1, 3, 4]].tolist() == [-1] * 3
+        rest = [0, 2]
         for name in ("stats", "two_log_glr", "iterations", "stop"):
             assert getattr(block, name)[rest].tobytes() == getattr(clean, name)[rest].tobytes()
 

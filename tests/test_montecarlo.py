@@ -139,9 +139,10 @@ class TestRunTrials:
                 assert full_keys(alone, [(hyp, idx)]) == [(idx, hyp, err, stats)]
 
     def test_nan_snapshot_fails_its_trial_alone(self, monkeypatch):
-        # a NaN snapshot fails its block's stacked factorization of S_ss; the
-        # one-at-a-time retry fails that trial alone, with the factorization's
-        # error, and every other row equals its block-of-one score
+        # a NaN snapshot fails its block's stacked factorization of S_ss;
+        # score_batch then factors each trial alone, fails that trial with
+        # the factorization's error, and every other row equals its
+        # block-of-one score
         cfg = tiny_config(trials_h0=6, trials_h1=6, detectors=sg.DETECTOR_NAMES)
         items = run_items(cfg)
         real = montecarlo.draw_sample_cov
@@ -152,39 +153,91 @@ class TestRunTrials:
             return u_s, u_r, s
 
         monkeypatch.setattr(montecarlo, "draw_sample_cov", nan_h0_4)
-        block = montecarlo._score_or_bisect(cfg, items)
+        block = montecarlo._score_block(cfg, items)
         assert list(block.errors) == [4]
         assert type(block.errors[4]) is ValueError
         assert str(block.errors[4]) == "s_ss is not positive definite"
         for row, item in enumerate(items):
-            one = montecarlo._score_or_bisect(cfg, [item])
+            one = montecarlo._score_block(cfg, [item])
             for name in ("stats", "two_log_glr", "iterations", "stop"):
                 assert getattr(block, name)[row : row + 1].tobytes() == getattr(one, name).tobytes()
 
-    def test_failing_trial_bisected_out_of_its_block(self, monkeypatch):
-        # one NaN snapshot in a 300-item block fails it; the block is
-        # halved and only a half that raises is halved again, so the block
-        # takes at most 2 ceil(log2 300) + 2 draws, not one per trial, and
-        # every other row equals its score in the clean block
+    def test_failing_trial_scored_in_one_call(self, monkeypatch):
+        # one NaN snapshot in a 300-item block fails its stacked
+        # factorization; the block still takes one draw and one score_batch
+        # call, that trial alone fails, and every other row keeps its bytes
+        # from the clean block
         cfg = tiny_config(trials_h0=300, trials_h1=0)
         items = run_items(cfg)
-        clean = montecarlo._score_or_bisect(cfg, items)
-        real, draws = montecarlo.draw_sample_cov, []
+        clean = montecarlo._score_block(cfg, items)
+        real_draw, real_score, draws, calls = montecarlo.draw_sample_cov, montecarlo.score_batch, [], []
 
         def nan_h0_137(sc, trials):
             draws.append(len(trials))
-            u_s, u_r, s = real(sc, trials)
+            u_s, u_r, s = real_draw(sc, trials)
             s.s_ss[[k for k, item in enumerate(trials) if item == ("H0", 137)], 1, 0] = np.nan
             return u_s, u_r, s
 
+        def counted(*args):
+            calls.append(len(args[0].s_ss))
+            return real_score(*args)
+
         monkeypatch.setattr(montecarlo, "draw_sample_cov", nan_h0_137)
-        block = montecarlo._score_or_bisect(cfg, items)
-        assert len(draws) <= 2 * math.ceil(math.log2(300)) + 2
+        monkeypatch.setattr(montecarlo, "score_batch", counted)
+        block = montecarlo._score_block(cfg, items)
+        assert draws == [300] and calls == [300]
         assert list(block.errors) == [137]
         assert str(block.errors[137]) == "s_ss is not positive definite"
         rest = np.arange(300) != 137
         for name in ("stats", "two_log_glr", "iterations", "stop"):
             assert getattr(block, name)[rest].tobytes() == getattr(clean, name)[rest].tobytes()
+
+    def test_high_snr_block_rows_equal_trials_alone(self, monkeypatch):
+        # at 150 dB and N = 2L many trials' S_ss or S_rr do not factor and
+        # many channels are fully coherent; the block takes one score_batch
+        # call, and each row's error, message and columns equal the trial's
+        # scored alone
+        cfg = sg.ExperimentConfig(
+            scenario=sg.ScenarioConfig(L=4, N=8, snr_s_db=150.0, snr_r_db=150.0, seed=5),
+            trials_h0=40, trials_h1=40, detectors=("glr", "glr_sample", "sigma_max"),
+        )
+        items = run_items(cfg)
+        real, calls = montecarlo.score_batch, []
+
+        def counted(*args):
+            calls.append(len(args[0].s_ss))
+            return real(*args)
+
+        monkeypatch.setattr(montecarlo, "score_batch", counted)
+        block = montecarlo._score_block(cfg, items)
+        assert calls == [80]
+        messages = {str(e).split(":")[0] for e in block.errors.values()}
+        assert messages == {"s_ss is not positive definite", "s_rr is not positive definite",
+                            "the channels are fully coherent"}
+        assert 0 < np.sum(block.valid) < 80
+        monkeypatch.setattr(montecarlo, "score_batch", real)
+        keys = record_keys(block, items)
+        for row, item in enumerate(items):
+            one = sg.run_one_trial(cfg, *item)
+            assert record_keys(one, [item]) == [keys[row]]
+            for name in ("stats", "two_log_glr", "iterations", "stop"):
+                assert getattr(block, name)[row : row + 1].tobytes() == getattr(one, name).tobytes()
+
+    def test_defect_in_scoring_propagates(self, monkeypatch):
+        # an exception from score_batch is a defect, not a trial failure:
+        # run_trials and run_one_trial raise it as it is
+        class Defect(Exception):
+            pass
+
+        def broken(*args):
+            raise Defect("defect in scoring")
+
+        monkeypatch.setattr(montecarlo, "score_batch", broken)
+        cfg = tiny_config()
+        with pytest.raises(Defect):
+            sg.run_trials(cfg, threads=1)
+        with pytest.raises(Defect):
+            sg.run_one_trial(cfg, "H1", 0)
 
     def test_nan_cross_entry_scored_without_bisection(self, monkeypatch):
         # a NaN in one trial's S_sr leaves every stacked factorization whole:
@@ -192,7 +245,7 @@ class TestRunTrials:
         # non-finite statistic, and every other row equals the clean block's
         cfg = tiny_config(L=3, N=12, trials_h0=6, trials_h1=6, detectors=sg.DETECTOR_NAMES)
         items = run_items(cfg)
-        clean = montecarlo._score_or_bisect(cfg, items)
+        clean = montecarlo._score_block(cfg, items)
         real_draw, real_score, calls = montecarlo.draw_sample_cov, montecarlo.score_batch, []
 
         def nan_h1_2(sc, trials):
@@ -206,7 +259,7 @@ class TestRunTrials:
 
         monkeypatch.setattr(montecarlo, "draw_sample_cov", nan_h1_2)
         monkeypatch.setattr(montecarlo, "score_batch", counted)
-        block = montecarlo._score_or_bisect(cfg, items)
+        block = montecarlo._score_block(cfg, items)
         assert calls == [12]
         assert list(block.errors) == [8]
         assert type(block.errors[8]) is sg.DegenerateSampleError
@@ -221,9 +274,9 @@ class TestRunTrials:
         # most one; the plan's columns equal one block holding all the items
         cfg = tiny_config(trials_h0=n // 2, trials_h1=n - n // 2, detectors=sg.DETECTOR_NAMES)
         items = run_items(cfg)
-        blocks = [montecarlo._score_or_bisect(cfg, b) for b in montecarlo._blocks(items, 1)]
+        blocks = [montecarlo._score_block(cfg, b) for b in montecarlo._blocks(items, 1)]
         assert [len(b.stats) for b in blocks] == sizes
-        plan, whole = sg.BlockScores.concat(blocks), montecarlo._score_or_bisect(cfg, items)
+        plan, whole = sg.BlockScores.concat(blocks), montecarlo._score_block(cfg, items)
         assert not plan.errors and not whole.errors
         for name in ("stats", "two_log_glr", "iterations", "stop"):
             assert getattr(plan, name).tobytes() == getattr(whole, name).tobytes()
@@ -393,7 +446,7 @@ class TestPayload:
             trials_h0=32, trials_h1=32, detectors=("glr", "glr_sample", "glr_low"),
         )
         items = [("H0", i) for i in range(32)] + [("H1", i) for i in range(32)]
-        data = pickle.dumps(montecarlo._score_or_bisect(cfg, items))
+        data = pickle.dumps(montecarlo._score_block(cfg, items))
         assert len(data) <= 64 * len(items)
         for name in (b"OptimResult", b"DetectorReport", b"TrialRecord"):
             assert name not in data
